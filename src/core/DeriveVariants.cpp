@@ -111,6 +111,7 @@ eco::deriveVariants(const LoopNest &Original, const MachineDesc &Machine,
     DV.Spec.RegLoop = Spine.empty() ? -1 : Spine.back();
     DV.Spec.FinalOrder = Spine;
     DV.Skeleton = Original.clone();
+    DV.refreshFingerprint();
     std::vector<DerivedVariant> Out;
     Out.push_back(std::move(DV));
     return Out;
@@ -499,5 +500,9 @@ eco::deriveVariants(const LoopNest &Original, const MachineDesc &Machine,
     DV.Skeleton = Original.clone();
     Variants.push_back(std::move(DV));
   }
+  // Computed once here rather than lazily on the first evaluation, which
+  // may run on a warm-batch lane.
+  for (DerivedVariant &DV : Variants)
+    DV.refreshFingerprint();
   return Variants;
 }

@@ -7,6 +7,7 @@
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Span.h"
+#include "support/NestHash.h"
 #include "support/Rng.h"
 #include "support/Timer.h"
 #include "transform/TransformError.h"
@@ -759,7 +760,8 @@ EvalOutcome DirectEvaluator::evaluate(const DerivedVariant &V,
                                       const Env &Config,
                                       const std::string &Stage) {
   EvalOutcome O;
-  std::pair<const void *, std::string> CostKey{&V, V.configString(Config)};
+  std::pair<uint64_t, uint64_t> CostKey{V.fingerprint(),
+                                        hashEnv(Config, V.Skeleton.Syms)};
   auto Cached = CostMemo.find(CostKey);
   if (Cached != CostMemo.end()) {
     ++Stats.CacheHits;
@@ -770,8 +772,8 @@ EvalOutcome DirectEvaluator::evaluate(const DerivedVariant &V,
     return O;
   }
 
-  std::pair<const void *, std::string> InstKey{&V,
-                                               instantiationKey(V, Config)};
+  std::pair<uint64_t, std::string> InstKey{V.fingerprint(),
+                                           instantiationKey(V, Config)};
   auto InstIt = InstMemo.find(InstKey);
   if (InstIt == InstMemo.end()) {
     try {

@@ -359,10 +359,12 @@ public:
 private:
   EvalBackend &Backend;
   EvalStats Stats;
-  /// (variant identity, config string) -> cost.
-  std::map<std::pair<const void *, std::string>, double> CostMemo;
-  /// (variant identity, unroll/prefetch key) -> instantiated nest.
-  std::map<std::pair<const void *, std::string>, LoopNest> InstMemo;
+  /// (variant fingerprint, hashEnv of the config) -> cost. Both memos key
+  /// on content, never on the variant's address, which a later variant
+  /// may reuse.
+  std::map<std::pair<uint64_t, uint64_t>, double> CostMemo;
+  /// (variant fingerprint, unroll/prefetch key) -> instantiated nest.
+  std::map<std::pair<uint64_t, std::string>, LoopNest> InstMemo;
 };
 
 /// The unroll/prefetch portion of \p Config that determines instantiation

@@ -2,12 +2,15 @@
 
 #include "core/Variant.h"
 #include "ir/Verifier.h"
+#include "support/NestHash.h"
 #include "support/StringUtils.h"
 #include "transform/Prefetch.h"
 #include "transform/ScalarReplace.h"
+#include "transform/TransformError.h"
 #include "transform/UnrollJam.h"
 
 #include <algorithm>
+#include <limits>
 
 using namespace eco;
 
@@ -24,12 +27,27 @@ std::vector<SymbolId> DerivedVariant::searchParams() const {
   return Params;
 }
 
+namespace {
+
+/// \p Value as a transform argument. A value no int holds is an illegal
+/// request, not one to wrap silently: configurations also arrive from
+/// remote peers (the fleet protocol), and one could carry anything.
+int transformArg(int64_t Value, const char *What) {
+  if (Value > std::numeric_limits<int>::max())
+    throw TransformError(TransformErrorCode::BadRequest,
+                         std::string(What) + " out of range: " +
+                             std::to_string(Value));
+  return static_cast<int>(Value);
+}
+
+} // namespace
+
 LoopNest DerivedVariant::instantiate(const Env &Config,
                                      const MachineDesc &Machine) const {
   LoopNest Nest = Skeleton.clone();
   for (const UnrollSpec &U : Spec.Unrolls) {
-    int Factor = static_cast<int>(std::max<int64_t>(
-        Config.get(U.FactorParam), 1));
+    int Factor = transformArg(std::max<int64_t>(Config.get(U.FactorParam), 1),
+                              "unroll factor");
     unrollAndJam(Nest, U.Loop, Factor);
   }
   scalarReplaceInvariant(Nest, Spec.RegLoop);
@@ -40,10 +58,49 @@ LoopNest DerivedVariant::instantiate(const Env &Config,
     int64_t Dist = Config.get(P.DistanceParam);
     if (Dist > 0)
       insertPrefetch(Nest, P.Array, Spec.RegLoop,
-                     static_cast<int>(Dist), std::max(LineElems, 1));
+                     transformArg(Dist, "prefetch distance"),
+                     std::max(LineElems, 1));
   }
   assert(verify(Nest).empty() && "instantiation broke IR invariants");
   return Nest;
+}
+
+uint64_t eco::variantFingerprint(const DerivedVariant &V) {
+  const LoopNest &S = V.Skeleton;
+  // Length-prefixed so adjacent names cannot run together ("ab","c" vs
+  // "a","bc"); -1 (no symbol) hashes as the empty name.
+  auto mixName = [](uint64_t H, const std::string &Name) {
+    return hashString(Name, hashCombine(H, Name.size()));
+  };
+  auto symName = [&S](SymbolId Id) {
+    return Id >= 0 ? S.Syms.name(Id) : std::string();
+  };
+  uint64_t H = hashNest(S);
+  H = mixName(H, symName(V.Spec.RegLoop));
+  H = hashCombine(H, V.Spec.Unrolls.size());
+  for (const UnrollSpec &U : V.Spec.Unrolls) {
+    H = mixName(H, symName(U.Loop));
+    H = mixName(H, symName(U.FactorParam));
+  }
+  H = hashCombine(H, V.Prefetch.size());
+  for (const PrefetchSpec &P : V.Prefetch) {
+    H = mixName(H, S.array(P.Array).Name);
+    H = mixName(H, symName(P.DistanceParam));
+  }
+  return mixName(H, "eco.variant-fingerprint.1");
+}
+
+uint64_t DerivedVariant::fingerprint() const {
+  uint64_t H = Fingerprint.load();
+  if (H == 0) {
+    H = variantFingerprint(*this);
+    Fingerprint.store(H);
+  }
+  return H;
+}
+
+void DerivedVariant::refreshFingerprint() {
+  Fingerprint.store(variantFingerprint(*this));
 }
 
 std::string DerivedVariant::configString(const Env &Config) const {

@@ -31,6 +31,8 @@
 #include "ir/Loop.h"
 #include "machine/MachineDesc.h"
 
+#include <atomic>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -73,6 +75,23 @@ struct VariantSpec {
   std::vector<SymbolId> FinalOrder; ///< complete spine, outermost first
 };
 
+/// A copyable, lazily filled 64-bit hash slot (0 = not computed yet).
+/// Threads that fill it concurrently all store the same value.
+class HashSlot {
+public:
+  HashSlot() = default;
+  HashSlot(const HashSlot &O) : Value(O.load()) {}
+  HashSlot &operator=(const HashSlot &O) {
+    store(O.load());
+    return *this;
+  }
+  uint64_t load() const { return Value.load(); }
+  void store(uint64_t V) const { Value.store(V); }
+
+private:
+  mutable std::atomic<uint64_t> Value{0};
+};
+
 /// A fully materialized variant ready for empirical search.
 class DerivedVariant {
 public:
@@ -109,7 +128,27 @@ public:
   /// Renders the variant's Table 4 style summary (levels, loops,
   /// transformations, parameters, constraints).
   std::string describe() const;
+
+  /// variantFingerprint(*this): the identity evaluators key costs and
+  /// instantiations on. deriveVariants stores it; a hand-built variant
+  /// computes and keeps it on first use. Thread-safe. Code that edits an
+  /// instantiate() input after that must call refreshFingerprint().
+  uint64_t fingerprint() const;
+  void refreshFingerprint();
+
+private:
+  HashSlot Fingerprint;
 };
+
+/// Stable content hash of everything DerivedVariant::instantiate() reads
+/// from the variant: hashNest(Skeleton), then Spec.RegLoop, each
+/// UnrollSpec and each PrefetchSpec in list order, referring to symbols
+/// and arrays by *name* (as hashNest does, so symbol-table order cannot
+/// matter), then a format salt. The machine's L1 line size and the
+/// configuration's unroll/prefetch values are the only other inputs, so
+/// (fingerprint, machine, config) pins the instantiated nest and a cost
+/// key is known before any transform runs. Always recomputes.
+uint64_t variantFingerprint(const DerivedVariant &V);
 
 } // namespace eco
 

@@ -104,32 +104,28 @@ void EvalEngine::flush() {
   Trace.flush();
 }
 
-const EvalEngine::Instantiation &
-EvalEngine::instantiated(const DerivedVariant &V, const Env &Config) {
-  std::pair<const void *, std::string> Key{&V, instantiationKey(V, Config)};
+const LoopNest &EvalEngine::instantiated(const DerivedVariant &V,
+                                         const Env &Config) {
+  std::pair<uint64_t, std::string> Key{V.fingerprint(),
+                                       instantiationKey(V, Config)};
   {
     MutexLock Lock(InstMutex);
     auto It = InstMemo.find(Key);
     if (It != InstMemo.end())
       return It->second;
+    ++Instantiations;
   }
   // Build outside the lock: instantiation walks the whole nest, and
   // warm batches instantiate distinct unroll/prefetch shapes in
   // parallel. Losing the emplace race just discards a duplicate.
-  Instantiation Fresh;
-  Fresh.Nest = V.instantiate(Config, Base.machine());
-  Fresh.NestHash = hashNest(Fresh.Nest);
+  LoopNest Fresh = V.instantiate(Config, Base.machine());
   MutexLock Lock(InstMutex);
-  auto [It, Inserted] = InstMemo.emplace(std::move(Key), std::move(Fresh));
-  (void)Inserted;
-  return It->second;
+  return InstMemo.emplace(std::move(Key), std::move(Fresh)).first->second;
 }
 
-EvalKey EvalEngine::keyFor(const DerivedVariant &V,
-                           const Instantiation &Inst,
-                           const Env &Config) const {
+EvalKey EvalEngine::keyFor(const DerivedVariant &V, const Env &Config) const {
   EvalKey Key;
-  Key.NestHash = Inst.NestHash;
+  Key.NestHash = V.fingerprint();
   Key.MachineHash = MachineHash;
   Key.EnvHash = hashEnv(Config, V.Skeleton.Syms);
   return Key;
@@ -139,36 +135,7 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
                                 const std::string &Stage, int Lane,
                                 bool Warm) {
   double StartMs = static_cast<double>(obs::monotonicMicros()) / 1e3;
-  const Instantiation *InstPtr = nullptr;
-  try {
-    InstPtr = &instantiated(V, Config);
-  } catch (const TransformError &E) {
-    // Illegal unroll/prefetch request for this config: infinite cost,
-    // never an escaping exception (evalOne runs on lane threads).
-    ECO_LOG(Warn) << "config rejected (illegal transform): " << E.what();
-    {
-      MutexLock Lock(StatsMutex);
-      ++Stats.Rejected;
-    }
-    if (obs::metricsEnabled())
-      obs::metrics().counter("transform.rejected").inc();
-    if (obs::eventsEnabled()) {
-      // Paired 1:1 with the transform.rejected bump: the event audit
-      // reconciles config.rejected events against that counter.
-      Json F = Json::object();
-      F.set("variant", V.Spec.Name);
-      F.set("stage", Stage);
-      F.set("config", V.configString(Config));
-      F.set("reason", std::string(E.what()));
-      obs::publishEvent("config.rejected", std::move(F));
-    }
-    EvalOutcome Bad;
-    Bad.Cost = std::numeric_limits<double>::infinity();
-    Bad.Lane = Lane;
-    return Bad;
-  }
-  const Instantiation &Inst = *InstPtr;
-  EvalKey Key = keyFor(V, Inst, Config);
+  EvalKey Key = keyFor(V, Config);
 
   EvalOutcome O;
   if (std::optional<double> Hit = CachePtr->lookup(Key)) {
@@ -194,6 +161,36 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
     return O;
   }
 
+  // Miss: only now is the nest needed. Rejections are never cached, so an
+  // illegal point always reaches this and is recorded on every request.
+  const LoopNest *Nest = nullptr;
+  try {
+    Nest = &instantiated(V, Config);
+  } catch (const TransformError &E) {
+    // Illegal unroll/prefetch request for this config: infinite cost,
+    // never an escaping exception (evalOne runs on lane threads).
+    ECO_LOG(Warn) << "config rejected (illegal transform): " << E.what();
+    {
+      MutexLock Lock(StatsMutex);
+      ++Stats.Rejected;
+    }
+    if (obs::metricsEnabled())
+      obs::metrics().counter("transform.rejected").inc();
+    if (obs::eventsEnabled()) {
+      // Paired 1:1 with the transform.rejected bump: the event audit
+      // reconciles config.rejected events against that counter.
+      Json F = Json::object();
+      F.set("variant", V.Spec.Name);
+      F.set("stage", Stage);
+      F.set("config", V.configString(Config));
+      F.set("reason", std::string(E.what()));
+      obs::publishEvent("config.rejected", std::move(F));
+    }
+    O.Cost = std::numeric_limits<double>::infinity();
+    O.Lane = Lane;
+    return O;
+  }
+
   EvalBackend &Backend =
       Lane == 0 ? Base : *LaneBackends[static_cast<size_t>(Lane)];
   // The backend's accumulating HW counters are only touched by this
@@ -205,7 +202,7 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
     Before = *LiveHW;
   uint64_t EvalStartUs = obs::monotonicMicros();
   Timer T;
-  O.Cost = Backend.evaluate(Inst.Nest, Config);
+  O.Cost = Backend.evaluate(*Nest, Config);
   O.Millis = T.millis();
   O.Lane = Lane;
   HWCounters Delta;
@@ -289,25 +286,21 @@ void EvalEngine::warmMany(
     // the fleet. Completed costs land in the shared cache; anything the
     // fleet drops (worker death, exhausted retries) stays uncached and
     // is evaluated locally by the decision loop — same winner, just
-    // slower, which is the graceful-degradation contract.
+    // slower, which is the graceful-degradation contract. Keys need no
+    // instantiation, so a point whose transform is illegal ships too:
+    // the worker answers null for it and the decision loop's own evalOne
+    // records the rejection exactly once.
     std::vector<RemotePoint> Remote;
     Remote.reserve(Unique.size());
     for (const auto &[V, Config] : Unique) {
-      try {
-        const Instantiation &Inst = instantiated(*V, *Config);
-        EvalKey Key = keyFor(*V, Inst, *Config);
-        if (CachePtr->lookup(Key))
-          continue; // already known — nothing to ship
-        RemotePoint P;
-        P.Variant = V->Spec.Name;
-        P.Config = envToBindings(V->Skeleton, *Config);
-        P.Key = Key;
-        Remote.push_back(std::move(P));
-      } catch (const TransformError &) {
-        // Illegal instantiation: skip silently. The decision loop's own
-        // evalOne records the rejection (counter + event) exactly once;
-        // accounting here would double-count it.
-      }
+      EvalKey Key = keyFor(*V, *Config);
+      if (CachePtr->lookup(Key))
+        continue; // already known — nothing to ship
+      RemotePoint P;
+      P.Variant = V->Spec.Name;
+      P.Config = envToBindings(V->Skeleton, *Config);
+      P.Key = Key;
+      Remote.push_back(std::move(P));
     }
     if (!Remote.empty()) {
       obs::SpanScope S("warm-remote:" + Stage, "engine",

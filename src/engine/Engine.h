@@ -12,8 +12,12 @@
 ///    independent candidates each search step generates) evaluate
 ///    concurrently, one simulator instance per lane;
 ///  * an EvalCache memoizing every completed evaluation under a stable
-///    (nest, machine, config) key, optionally persisted to JSON so
-///    repeated points are free within a tune and across re-runs;
+///    (variant fingerprint, machine, config) key, optionally persisted to
+///    JSON so repeated points are free within a tune and across re-runs.
+///    The key is computed from declarative inputs alone, so a cached
+///    point is answered before anything is instantiated; instantiation
+///    (memoized per fingerprint and unroll/prefetch values) runs only on
+///    a miss;
 ///  * a TraceLog recording every point (stage, config, cost, cache-hit,
 ///    wall time, lane) as JSONL.
 ///
@@ -140,6 +144,14 @@ public:
   /// Effective parallelism after backend-clonability degradation.
   int jobs() const { return Pool->jobs(); }
 
+  /// How many times this engine has run DerivedVariant::instantiate()
+  /// (including attempts a TransformError rejected). Cache hits never
+  /// instantiate.
+  size_t instantiations() const {
+    MutexLock Lock(InstMutex);
+    return Instantiations;
+  }
+
   EvalCache &cache() { return *CachePtr; }
   const TraceLog &trace() const { return Trace; }
   TraceLog &trace() { return Trace; }
@@ -149,19 +161,12 @@ public:
   void flush();
 
 private:
-  struct Instantiation {
-    LoopNest Nest;
-    uint64_t NestHash = 0;
-  };
-
   /// Returns (building if needed) the instantiation of \p V under
   /// \p Config's unroll/prefetch values. Thread-safe; the returned
   /// reference stays valid for the engine's lifetime.
-  const Instantiation &instantiated(const DerivedVariant &V,
-                                    const Env &Config);
+  const LoopNest &instantiated(const DerivedVariant &V, const Env &Config);
 
-  EvalKey keyFor(const DerivedVariant &V, const Instantiation &Inst,
-                 const Env &Config) const;
+  EvalKey keyFor(const DerivedVariant &V, const Env &Config) const;
 
   /// Cache-or-evaluate one point on \p Lane; returns the outcome and
   /// appends a trace record. \p Warm marks speculative batch work.
@@ -180,10 +185,13 @@ private:
   uint64_t MachineHash = 0;
 
   mutable Mutex InstMutex{"engine.inst"};
-  /// (variant identity, instantiationKey) -> instantiated nest. node-
-  /// based so references stay stable while the map grows.
-  std::map<std::pair<const void *, std::string>, Instantiation> InstMemo
+  /// (variant fingerprint, instantiationKey) -> instantiated nest. Keyed
+  /// by content so an engine that outlives one tune cannot hand a
+  /// variant allocated at a reused address another variant's nest.
+  /// Node-based so references stay stable while the map grows.
+  std::map<std::pair<uint64_t, std::string>, LoopNest> InstMemo
       ECO_GUARDED_BY(InstMutex);
+  size_t Instantiations ECO_GUARDED_BY(InstMutex) = 0;
 
   mutable Mutex StatsMutex{"engine.stats"};
   EvalStats Stats ECO_GUARDED_BY(StatsMutex);

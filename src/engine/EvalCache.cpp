@@ -76,7 +76,16 @@ size_t EvalCache::load(const std::string &Path,
     }
     return 0;
   }
-  // Keys render as "nest-machine-env" in fixed-width hex; the middle
+  // Version-1 files keyed the first segment by the instantiated nest's
+  // hash; no version-2 lookup can ever hit them.
+  int64_t Version = Root.get("version").asInt(0);
+  if (Version != FormatVersion) {
+    ECO_LOG(Warn) << "eval cache: ignoring " << Path << " (format version "
+                  << Version << ", expected " << FormatVersion
+                  << "); starting empty";
+    return 0;
+  }
+  // Keys render as "variant-machine-env" in fixed-width hex; the middle
   // segment is the machine fingerprint the entry was measured on.
   const std::string Expected =
       RequireMachineHash ? hashHex(RequireMachineHash) : std::string();
@@ -116,7 +125,7 @@ bool EvalCache::save(const std::string &Path) const {
       Entries.set(KeyText, Cost);
   }
   Json Root = Json::object();
-  Root.set("version", 1);
+  Root.set("version", FormatVersion);
   Root.set("entries", std::move(Entries));
   bool Ok = Root.saveFile(Path);
   if (!Ok)

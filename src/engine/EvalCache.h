@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The engine's persistent memo table: every completed evaluation is
-/// stored under a stable key derived from (canonical LoopNest print,
-/// machine fingerprint, Env bindings), so
+/// stored under a stable key derived from (variant fingerprint, machine
+/// fingerprint, Env bindings) — inputs known before the variant is
+/// instantiated, so a hit skips instantiation entirely — so
 ///
 ///  * points the search revisits within one tune (shape search backtracks
 ///    constantly) are free,
@@ -37,11 +38,15 @@ namespace eco {
 /// A stable cache key: the three component hashes plus their rendered
 /// text form (the JSON field name).
 struct EvalKey {
+  /// variantFingerprint() of the evaluated variant (core/Variant.h),
+  /// under a historical field name.
   uint64_t NestHash = 0;
+  /// MachineDesc::fingerprint() salted with EvalBackend::cacheSalt().
   uint64_t MachineHash = 0;
+  /// hashEnv() of the full configuration.
   uint64_t EnvHash = 0;
 
-  /// "nest-machine-env" in fixed-width hex; the persistent form.
+  /// "variant-machine-env" in fixed-width hex; the persistent form.
   std::string str() const;
   uint64_t combined() const;
 };
@@ -50,6 +55,11 @@ struct EvalKey {
 /// persistence.
 class EvalCache {
 public:
+  /// The file format save() writes. Version 1 keyed entries by the
+  /// instantiated nest's hash; load() rejects such files whole, since
+  /// none of their keys can ever hit.
+  static constexpr int FormatVersion = 2;
+
   EvalCache() = default;
 
   /// Returns the memoized cost for \p Key, if present. Counts a hit or
@@ -71,7 +81,8 @@ public:
 
   /// Loads entries from a JSON file previously written by save(); merges
   /// into the current contents. Returns the number of entries loaded
-  /// (0 for a missing or malformed file — a fresh cache is not an error).
+  /// (0 for a missing or malformed file — a fresh cache is not an error —
+  /// and 0 with one warning for a file of another FormatVersion).
   ///
   /// When \p RequireMachineHash is non-zero, only entries whose key's
   /// machine-fingerprint segment matches it are accepted; entries from

@@ -46,30 +46,6 @@ SetAssocCache::SetAssocCache(const CacheLevelDesc &D) : Desc(D) {
   }
 }
 
-CacheProbe SetAssocCache::access(uint64_t Addr) {
-  uint64_t Line = lineOf(Addr);
-  if (!Hint.empty()) {
-    // O(1) fast path: a validated hint is exactly the way the scan would
-    // find (a line is resident in at most one way).
-    uint32_t W = Hint[hintSlot(Line)];
-    if (W < Lines.size() && Lines[W] == Line) {
-      Stamps[W] = ++Clock;
-      return {/*Hit=*/true, Ready[W]};
-    }
-  }
-  size_t Base = setOf(Line) * Desc.Assoc;
-  for (unsigned W = 0; W < Desc.Assoc; ++W) {
-    if (Lines[Base + W] != Line)
-      continue;
-    // Promote to MRU: one stamp store (the seed shifted up to Assoc ways).
-    Stamps[Base + W] = ++Clock;
-    if (!Hint.empty())
-      Hint[hintSlot(Line)] = static_cast<uint32_t>(Base + W);
-    return {/*Hit=*/true, Ready[Base + W]};
-  }
-  return {/*Hit=*/false, 0};
-}
-
 void SetAssocCache::fill(uint64_t Addr, double ReadyCycle) {
   uint64_t Line = lineOf(Addr);
   size_t Base = setOf(Line) * Desc.Assoc;

@@ -56,7 +56,8 @@ public:
   explicit SetAssocCache(const CacheLevelDesc &Desc);
 
   /// Probes and, on hit, promotes the line to MRU. Does not fill on miss;
-  /// callers fill explicitly so they control the ready cycle.
+  /// callers fill explicitly so they control the ready cycle. Defined
+  /// below, in the header, so the executor's L1-hit path inlines it.
   CacheProbe access(uint64_t Addr);
 
   /// Inserts the line holding \p Addr (evicting LRU if needed), marking its
@@ -112,6 +113,30 @@ private:
     return static_cast<size_t>((Line * 0x9E3779B97F4A7C15ULL) >> HintShift);
   }
 };
+
+inline CacheProbe SetAssocCache::access(uint64_t Addr) {
+  uint64_t Line = lineOf(Addr);
+  if (!Hint.empty()) {
+    // O(1) fast path: a validated hint is exactly the way the scan would
+    // find (a line is resident in at most one way).
+    uint32_t W = Hint[hintSlot(Line)];
+    if (W < Lines.size() && Lines[W] == Line) {
+      Stamps[W] = ++Clock;
+      return {/*Hit=*/true, Ready[W]};
+    }
+  }
+  size_t Base = setOf(Line) * Desc.Assoc;
+  for (unsigned W = 0; W < Desc.Assoc; ++W) {
+    if (Lines[Base + W] != Line)
+      continue;
+    // Promote to MRU: one stamp store (the seed shifted up to Assoc ways).
+    Stamps[Base + W] = ++Clock;
+    if (!Hint.empty())
+      Hint[hintSlot(Line)] = static_cast<uint32_t>(Base + W);
+    return {/*Hit=*/true, Ready[Base + W]};
+  }
+  return {/*Hit=*/false, 0};
+}
 
 } // namespace eco
 

@@ -21,6 +21,7 @@ MemHierarchySim::MemHierarchySim(const MachineDesc &M)
     : Machine(M), Tlb(tlbAsCache(M.Tlb)) {
   assert(!M.Caches.empty() && "machine must have at least one cache level");
   assert(M.Caches.size() <= MaxCacheLevels && "too many cache levels");
+  Caches.reserve(M.Caches.size()); // every eval builds one: no regrowth
   for (const CacheLevelDesc &Level : M.Caches)
     Caches.emplace_back(Level);
   L1HitLatency = M.Caches.front().HitLatency;
@@ -66,47 +67,6 @@ double MemHierarchySim::walkCaches(uint64_t Addr, double Now,
   double Ready = Now + Stall;
   for (unsigned Level = FillFromLevel; Level < Caches.size(); ++Level)
     Caches[Level].fill(Addr, Ready);
-  return Stall;
-}
-
-double MemHierarchySim::access(uint64_t Addr, bool IsWrite, double Now) {
-  if (IsWrite)
-    ++Counters.Stores;
-  else
-    ++Counters.Loads;
-
-  // Fast path: same L1 line and page as the previous access. Exact
-  // w.r.t. LRU state and, since a prior demand access already waited for
-  // the line, free of residual stall.
-  uint64_t L1Line = Caches.front().lineOf(Addr);
-  uint64_t Page = Tlb.lineOf(Addr);
-  if (L1Line == LastL1Line && Page == LastPage)
-    return 0;
-
-  // Fused TLB + L1 probe: the dominant post-filter pattern in dense
-  // loops is a new line (or new array) that still hits L1, so the hit
-  // path runs straight through here without entering the level walk.
-  double Stall = 0;
-  if (Page != LastPage) {
-    CacheProbe TlbProbe = Tlb.access(Addr);
-    if (!TlbProbe.Hit) {
-      ++Counters.TlbMisses;
-      Stall += TlbMissPenalty;
-      Tlb.fill(Addr, /*ReadyCycle=*/0);
-    }
-    LastPage = Page;
-  }
-  LastL1Line = L1Line;
-
-  CacheProbe L1Probe = Caches.front().access(Addr);
-  if (L1Probe.Hit) {
-    // Same arithmetic as the walk's hit case, inlined for the fast path.
-    double HitStall = std::max<double>(L1HitLatency,
-                                       L1Probe.ReadyCycle - (Now + Stall));
-    return Stall + std::max(HitStall, 0.0);
-  }
-  ++Counters.CacheMisses[0];
-  Stall += walkCaches(Addr, Now + Stall, /*StartLevel=*/1);
   return Stall;
 }
 

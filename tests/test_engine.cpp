@@ -15,9 +15,11 @@
 #include "engine/EvalCache.h"
 #include "engine/ThreadPool.h"
 #include "kernels/Kernels.h"
+#include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Span.h"
 #include "support/Json.h"
+#include "support/NestHash.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
 
@@ -27,6 +29,8 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -252,30 +256,30 @@ TEST(EngineTest, EngineParallelizesCloneableNativeBackend) {
   EXPECT_EQ(Engine.jobs(), 3);
 }
 
-TEST(EngineTest, ParallelSpeedsUpOnMulticoreHosts) {
-  if (std::thread::hardware_concurrency() < 4)
-    GTEST_SKIP() << "needs >= 4 cpus for a wall-clock speedup";
-
+TEST(EngineTest, FourLaneTuneUsesEveryLaneAndMatchesOneLane) {
+  // Determinism only: whether four lanes are also faster depends on the
+  // host's effective parallelism, which belongs in a benchmark.
   LoopNest MM = makeMatMul();
   const ParamBindings Problem = {{"N", 96}};
   MachineDesc M = sgiScaled();
 
   SimEvalBackend B1(M);
   EvalEngine Seq(B1);
-  Timer T1;
   TuneResult RSeq = tune(MM, Seq, Problem);
-  double SeqSeconds = T1.seconds();
 
   SimEvalBackend B2(M);
   EngineOptions Opts;
   Opts.Jobs = 4;
   EvalEngine Par(B2, Opts);
-  Timer T2;
+  ASSERT_EQ(Par.jobs(), 4);
   TuneResult RPar = tune(MM, Par, Problem);
-  double ParSeconds = T2.seconds();
 
   EXPECT_EQ(winnerOf(RPar), winnerOf(RSeq));
-  EXPECT_GT(SeqSeconds / ParSeconds, 1.5);
+  std::set<int> Lanes;
+  for (const TraceRecord &R : Par.trace().records())
+    if (!R.CacheHit)
+      Lanes.insert(R.Lane);
+  EXPECT_EQ(Lanes, std::set<int>({0, 1, 2, 3}));
 }
 
 // ---- Cache persistence across runs --------------------------------------
@@ -960,5 +964,243 @@ TEST(CheckpointTest, CleanFlagStampsCompletedTunes) {
   TuneCheckpoint FromLegacy(Path, MM, M, Problem, /*Resume=*/true);
   EXPECT_GT(FromLegacy.numLoaded(), 0u);
   EXPECT_FALSE(FromLegacy.loadedClean());
+  std::remove(Path.c_str());
+}
+
+// ---- Cache keys: variant fingerprints -----------------------------------
+
+namespace {
+
+struct KernelCase {
+  const char *Name;
+  LoopNest (*Build)();
+};
+
+const KernelCase BundledKernels[] = {
+    {"matmul", [] { return makeMatMul(); }},
+    {"jacobi", [] { return makeJacobi(); }},
+    {"matvec", [] { return makeMatVec(); }},
+};
+
+/// \p V's model-initial point with every unroll factor set to 2 and
+/// prefetching off, so variants with equally many unroll and prefetch
+/// parameters share one instantiationKey().
+Env pinnedConfig(const DerivedVariant &V, const MachineDesc &M,
+                 const ParamBindings &Problem) {
+  Env E = initialConfig(V, M, Problem);
+  for (const UnrollSpec &U : V.Spec.Unrolls)
+    E.set(U.FactorParam, 2);
+  for (const PrefetchSpec &P : V.Prefetch)
+    E.set(P.DistanceParam, 0);
+  return E;
+}
+
+/// A hand-built variant holding copies of everything instantiate() reads
+/// from \p V (DerivedVariant itself is move-only).
+DerivedVariant instantiateInputsOf(const DerivedVariant &V) {
+  DerivedVariant C;
+  C.Spec = V.Spec;
+  C.Skeleton = V.Skeleton.clone();
+  C.Prefetch = V.Prefetch;
+  return C;
+}
+
+} // namespace
+
+TEST(VariantFingerprintTest, IndependentDerivationsAgree) {
+  // The daemon and every eco_worker derive variants on their own; the
+  // cache keys they exchange agree only if fingerprints do.
+  for (const MachineDesc &M :
+       {MachineDesc::sgiR10000().scaledBy(16),
+        MachineDesc::ultraSparcIIe().scaledBy(16)})
+    for (const KernelCase &K : BundledKernels) {
+      std::vector<DerivedVariant> A = deriveVariants(K.Build(), M);
+      std::vector<DerivedVariant> B = deriveVariants(K.Build(), M);
+      ASSERT_EQ(A.size(), B.size()) << K.Name;
+      for (size_t I = 0; I < A.size(); ++I) {
+        EXPECT_EQ(A[I].Spec.Name, B[I].Spec.Name) << K.Name;
+        EXPECT_NE(A[I].fingerprint(), 0u) << K.Name << " " << A[I].Spec.Name;
+        EXPECT_EQ(A[I].fingerprint(), B[I].fingerprint())
+            << K.Name << " " << A[I].Spec.Name;
+        EXPECT_EQ(A[I].fingerprint(), variantFingerprint(A[I]))
+            << K.Name << " " << A[I].Spec.Name << ": stored value is stale";
+      }
+    }
+}
+
+TEST(VariantFingerprintTest, EveryInstantiateInputChangesIt) {
+  MachineDesc M = sgiScaled();
+  std::vector<DerivedVariant> Vs = deriveVariants(makeMatMul(), M);
+  const DerivedVariant *Base = nullptr, *Other = nullptr;
+  for (const DerivedVariant &V : Vs)
+    if (!Base && V.Spec.Unrolls.size() >= 2 && !V.Prefetch.empty())
+      Base = &V;
+  ASSERT_NE(Base, nullptr);
+  for (const DerivedVariant &V : Vs)
+    if (&V != Base && hashNest(V.Skeleton) != hashNest(Base->Skeleton))
+      Other = &V;
+  ASSERT_NE(Other, nullptr);
+  const uint64_t Original = variantFingerprint(*Base);
+  const SymbolTable &Syms = Base->Skeleton.Syms;
+
+  DerivedVariant Unroll = instantiateInputsOf(*Base); // another loop
+  Unroll.Spec.Unrolls[0].Loop = Base->Spec.Unrolls[1].Loop;
+  EXPECT_NE(variantFingerprint(Unroll), Original);
+
+  DerivedVariant Factor = instantiateInputsOf(*Base); // another factor
+  Factor.Spec.Unrolls[0].FactorParam = Base->Spec.Unrolls[1].FactorParam;
+  EXPECT_NE(variantFingerprint(Factor), Original);
+
+  DerivedVariant Prefetch = instantiateInputsOf(*Base); // another array
+  ArrayId Arr = Base->Prefetch[0].Array;
+  Prefetch.Prefetch[0].Array = Arr == 0 ? 1 : 0;
+  ASSERT_NE(Base->Skeleton.array(Prefetch.Prefetch[0].Array).Name,
+            Base->Skeleton.array(Arr).Name);
+  EXPECT_NE(variantFingerprint(Prefetch), Original);
+
+  DerivedVariant Dropped = instantiateInputsOf(*Base); // one array fewer
+  Dropped.Prefetch.pop_back();
+  EXPECT_NE(variantFingerprint(Dropped), Original);
+
+  DerivedVariant Reg = instantiateInputsOf(*Base); // another register loop
+  Reg.Spec.RegLoop = Base->Spec.Unrolls[0].Loop;
+  ASSERT_NE(Syms.name(Reg.Spec.RegLoop), Syms.name(Base->Spec.RegLoop));
+  EXPECT_NE(variantFingerprint(Reg), Original);
+
+  DerivedVariant Skeleton = instantiateInputsOf(*Base); // another skeleton
+  Skeleton.Skeleton = Other->Skeleton.clone();
+  EXPECT_NE(variantFingerprint(Skeleton), Original);
+
+  // A hand-built variant computes its fingerprint on first use and keeps
+  // it until refreshFingerprint().
+  DerivedVariant Hand = instantiateInputsOf(*Base);
+  EXPECT_EQ(Hand.fingerprint(), Original);
+  Hand.Spec.RegLoop = Base->Spec.Unrolls[0].Loop;
+  EXPECT_EQ(Hand.fingerprint(), Original);
+  Hand.refreshFingerprint();
+  EXPECT_EQ(Hand.fingerprint(), variantFingerprint(Reg));
+}
+
+TEST(EngineTest, MemosAreKeyedByContentNotAddress) {
+  // Regression: the engine's and the DirectEvaluator's instantiation
+  // memos were keyed by the variant's address. A reused engine served a
+  // freed variant's nest to a different variant built at the same
+  // address. std::optional reuses one address on purpose.
+  MachineDesc M = sgiScaled();
+  const ParamBindings Problem = {{"N", 64}};
+  std::vector<DerivedVariant> Vs = deriveVariants(makeMatMul(), M);
+
+  auto freshCost = [&](const DerivedVariant &V) {
+    SimEvalBackend B(M);
+    EvalEngine E(B);
+    return E.evaluate(V, pinnedConfig(V, M, Problem), "test").Cost;
+  };
+  // Two variants with equal instantiationKey()s but different costs.
+  size_t First = Vs.size(), Second = Vs.size();
+  double FirstCost = 0, SecondCost = 0;
+  for (size_t I = 0; I < Vs.size() && Second == Vs.size(); ++I)
+    for (size_t J = I + 1; J < Vs.size() && Second == Vs.size(); ++J) {
+      if (Vs[I].Spec.Unrolls.size() != Vs[J].Spec.Unrolls.size() ||
+          Vs[I].Prefetch.size() != Vs[J].Prefetch.size())
+        continue;
+      FirstCost = freshCost(Vs[I]);
+      SecondCost = freshCost(Vs[J]);
+      if (FirstCost != SecondCost) {
+        First = I;
+        Second = J;
+      }
+    }
+  ASSERT_LT(Second, Vs.size());
+  ASSERT_EQ(instantiationKey(Vs[First], pinnedConfig(Vs[First], M, Problem)),
+            instantiationKey(Vs[Second],
+                             pinnedConfig(Vs[Second], M, Problem)));
+
+  SimEvalBackend EngineBackend(M), DirectBackend(M);
+  EvalEngine Engine(EngineBackend);
+  DirectEvaluator Direct(DirectBackend);
+  std::optional<DerivedVariant> Slot;
+  Slot.emplace(std::move(Vs[First]));
+  const DerivedVariant *Address = &*Slot;
+  Env Config = pinnedConfig(*Slot, M, Problem);
+  EXPECT_EQ(Engine.evaluate(*Slot, Config, "test").Cost, FirstCost);
+  EXPECT_EQ(Direct.evaluate(*Slot, Config, "test").Cost, FirstCost);
+
+  Slot.reset();
+  Slot.emplace(std::move(Vs[Second]));
+  ASSERT_EQ(&*Slot, Address);
+  Config = pinnedConfig(*Slot, M, Problem);
+  EXPECT_EQ(Engine.evaluate(*Slot, Config, "test").Cost, SecondCost);
+  EXPECT_EQ(Direct.evaluate(*Slot, Config, "test").Cost, SecondCost);
+  EXPECT_EQ(Engine.instantiations(), 2u);
+}
+
+TEST(EngineTest, RetuneOverFilledSharedCacheNeverInstantiates) {
+  MachineDesc M = sgiScaled();
+  const ParamBindings Problem = {{"N", 64}};
+  EngineOptions Opts;
+  Opts.SharedCache = std::make_shared<EvalCache>();
+
+  TuneResult Cold;
+  {
+    SimEvalBackend B(M);
+    EvalEngine E(B, Opts);
+    Cold = tune(makeMatMul(), E, Problem);
+    EXPECT_GT(E.instantiations(), 0u);
+    EXPECT_GT(E.stats().Evaluations, 0u);
+  }
+
+  SimEvalBackend B(M);
+  EvalEngine E(B, Opts);
+  TuneResult Again = tune(makeMatMul(), E, Problem);
+  EXPECT_EQ(E.instantiations(), 0u);
+  EXPECT_EQ(E.stats().Evaluations, 0u);
+  EXPECT_GT(E.stats().CacheHits, 0u);
+  EXPECT_EQ(winnerOf(Again), winnerOf(Cold));
+}
+
+TEST(EvalCacheTest, VersionOneFileLoadsNothingAndIsRewrittenAsVersionTwo) {
+  // Version-1 keys hashed the instantiated nest, so none can hit now:
+  // loading one must warn once and start empty, like a foreign machine.
+  std::string Path = tempPath("eco_cache_v1.json");
+  std::remove(Path.c_str());
+  EvalCache Old;
+  for (uint64_t I = 1; I <= 3; ++I)
+    Old.insert(EvalKey{I, 0xAAAA, I}, static_cast<double>(I));
+  ASSERT_TRUE(Old.save(Path));
+  Json Root = Json::loadFile(Path);
+  EXPECT_EQ(Root.get("version").asInt(), EvalCache::FormatVersion);
+  Root.set("version", 1);
+  ASSERT_TRUE(Root.saveFile(Path));
+
+  obs::LogLevel WasLevel = obs::logLevel();
+  obs::setLogLevel(obs::LogLevel::Warn);
+  ::testing::internal::CaptureStderr();
+  EvalCache Loaded;
+  size_t N = Loaded.load(Path);
+  std::string Err = ::testing::internal::GetCapturedStderr();
+  obs::setLogLevel(WasLevel);
+  EXPECT_EQ(N, 0u);
+  EXPECT_EQ(Loaded.size(), 0u);
+  size_t Warnings = 0;
+  for (size_t At = Err.find("format version 1"); At != std::string::npos;
+       At = Err.find("format version 1", At + 1))
+    ++Warnings;
+  EXPECT_EQ(Warnings, 1u) << Err;
+
+  // An engine pointed at the file starts empty and saves version 2.
+  MachineDesc M = sgiScaled();
+  {
+    SimEvalBackend B(M);
+    EngineOptions Opts;
+    Opts.CacheFile = Path;
+    EvalEngine E(B, Opts);
+    EXPECT_EQ(E.cache().size(), 0u);
+    tune(makeMatMul(), E, {{"N", 32}});
+  }
+  Json Saved = Json::loadFile(Path);
+  EXPECT_EQ(Saved.get("version").asInt(), 2);
+  EXPECT_GT(Saved.get("entries").size(), 0u);
+  EvalCache Reloaded;
+  EXPECT_GT(Reloaded.load(Path), 0u);
   std::remove(Path.c_str());
 }

@@ -3,7 +3,8 @@
 // Covers serve/Fleet.h + serve/Worker.h: the WorkerPool dispatcher's
 // wire verbs (hello/poll/result/heartbeat), sharding, bounded retry with
 // backoff, heartbeat eviction, straggler re-dispatch with idempotent
-// late results, garbage-result strikes, zero-worker degradation, and —
+// late results, garbage-result strikes, zero-worker degradation, null
+// answers for shipped points whose transform is illegal, and —
 // end to end — that a tune served by in-process workers (including a
 // vanishing one) and by fork/exec'd eco_worker processes with one
 // SIGKILLed mid-tune produces a winner bit-identical to a fleetless
@@ -12,7 +13,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/DeriveVariants.h"
+#include "engine/Engine.h"
 #include "engine/EvalCache.h"
+#include "obs/Event.h"
 #include "serve/Client.h"
 #include "serve/Fleet.h"
 #include "serve/Protocol.h"
@@ -24,6 +28,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -571,6 +576,95 @@ TEST(FleetEndToEndTest, InProcessWorkersMatchFleetlessTuneBitExactly) {
   Stop.store(true);
   T1.join();
   T2.join();
+  Srv.stop();
+  Service.drain();
+  std::remove(Sock.c_str());
+}
+
+TEST(FleetEndToEndTest, IllegalPointReturnsNullWithoutStrikeAndRejectsOnce) {
+  // Cache keys need no instantiation, so the daemon ships points without
+  // checking that their transforms are legal. The worker must answer
+  // null for an illegal one (no strike), and the local decision loop
+  // must record the rejection exactly once.
+  std::string Sock = tempPath("eco_fleet_illegal.sock");
+  std::remove(Sock.c_str());
+  ServiceOptions Opts;
+  Opts.Fleet.MaxStrikes = 1; // a single strike would evict the worker
+  TuneService Service(Opts);
+  ServerOptions SOpts;
+  SOpts.UnixPath = Sock;
+  Server Srv(Service, SOpts);
+  std::string Err;
+  ASSERT_TRUE(Srv.start(&Err)) << Err;
+
+  std::atomic<bool> Stop{false};
+  WorkerOptions Honest;
+  Honest.Socket = Sock;
+  Honest.Name = "honest";
+  Honest.PollWaitMs = 100;
+  Honest.TimeoutMs = 5000;
+  Honest.Stop = &Stop;
+  std::thread T([&] { runWorker(Honest); });
+  for (int Tries = 0; Tries < 500 && Service.workers().liveWorkers() < 1;
+       ++Tries)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_EQ(Service.workers().liveWorkers(), 1u);
+
+  // Derive exactly as the worker does for this context.
+  BatchContext Ctx = someContext();
+  LoopNest Nest;
+  MachineDesc Machine;
+  ASSERT_TRUE(buildKernel(Ctx.Kernel, Nest));
+  ASSERT_TRUE(buildMachine(Ctx.Machine, Ctx.Scale, Machine));
+  DeriveOptions D;
+  D.setRepresentativeSize(Ctx.RepSize);
+  std::vector<DerivedVariant> Variants = deriveVariants(Nest, Machine, D);
+  const DerivedVariant &V = Variants.front();
+  ASSERT_FALSE(V.Prefetch.empty());
+  Env Legal = initialConfig(V, Machine, {{"N", Ctx.RepSize}});
+  Env Illegal = Legal;
+  // No int holds this distance, so instantiate() rejects it on both sides.
+  Illegal.set(V.Prefetch.front().DistanceParam, int64_t(1) << 40);
+
+  auto Cache = std::make_shared<EvalCache>();
+  size_t Shipped = 0;
+  EngineOptions EOpts;
+  EOpts.SharedCache = Cache;
+  EOpts.RemoteWarm = [&](const std::vector<RemotePoint> &Points,
+                         const std::string &Stage) {
+    Shipped += Points.size();
+    Service.workers().evalBatch(Ctx, Points, Stage, *Cache);
+  };
+  SimEvalBackend Backend(Machine);
+  EvalEngine Engine(Backend, EOpts);
+
+  obs::EventBus::global().clear();
+  obs::setEventsEnabled(true);
+  Engine.warmMany({{&V, Legal}, {&V, Illegal}}, "warm");
+  EXPECT_EQ(Shipped, 2u);
+  EXPECT_EQ(Engine.instantiations(), 0u);
+  EXPECT_EQ(Engine.stats().Rejected, 0u) << "export must not account";
+
+  EvalOutcome L = Engine.evaluate(V, Legal, "warm");
+  EvalOutcome I = Engine.evaluate(V, Illegal, "warm");
+  obs::setEventsEnabled(false);
+  EXPECT_TRUE(L.CacheHit) << "the worker's cost for the legal point";
+  EXPECT_FALSE(I.CacheHit);
+  EXPECT_TRUE(std::isinf(I.Cost));
+  EXPECT_EQ(Engine.stats().Evaluations, 0u);
+  EXPECT_EQ(Engine.stats().Rejected, 1u);
+  EXPECT_EQ(obs::EventBus::global().typeCount("config.rejected"), 1u);
+  obs::EventBus::global().clear();
+
+  Json Stats = Service.workers().statsJson();
+  EXPECT_EQ(Stats.get("workers_live").asInt(), 1);
+  EXPECT_EQ(Stats.get("lost").asInt(), 0);
+  EXPECT_EQ(Stats.get("batches_retried").asInt(), 0);
+  EXPECT_EQ(Stats.get("batches_failed").asInt(), 0);
+  EXPECT_EQ(Stats.get("batches_completed").asInt(), 1);
+
+  Stop.store(true);
+  T.join();
   Srv.stop();
   Service.drain();
   std::remove(Sock.c_str());
