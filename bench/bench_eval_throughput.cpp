@@ -34,6 +34,7 @@
 #include "support/Timer.h"
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -115,8 +116,16 @@ Json tuneThroughput(const char *Kernel, const LoopNest &Nest,
               withCommas(static_cast<uint64_t>(AccessesPerSec)).c_str(),
               S.BackendSeconds, WallSeconds);
 
+  // The engine's per-(variant, stage) ledger, folded per stage.
+  std::map<std::string, StageTelemetry> ByStage;
+  for (const StageTelemetry &Row : Engine.telemetry()) {
+    StageTelemetry &SS = ByStage[Row.Stage];
+    SS.Evaluations += Row.Evaluations;
+    SS.CacheHits += Row.CacheHits;
+    SS.BackendSeconds += Row.BackendSeconds;
+  }
   Table T({"Stage", "Evals", "Cache hits", "Backend s"});
-  for (const auto &[Stage, SS] : Engine.stageStats())
+  for (const auto &[Stage, SS] : ByStage)
     T.addRow({Stage, std::to_string(SS.Evaluations),
               std::to_string(SS.CacheHits),
               strformat("%.2f", SS.BackendSeconds)});
@@ -133,7 +142,7 @@ Json tuneThroughput(const char *Kernel, const LoopNest &Nest,
   Row.set("accessesPerSec", AccessesPerSec);
   Row.set("bestCost", R.BestCost);
   Json Stages = Json::array();
-  for (const auto &[Stage, SS] : Engine.stageStats()) {
+  for (const auto &[Stage, SS] : ByStage) {
     Json SJ = Json::object();
     SJ.set("stage", Stage);
     SJ.set("evaluations", static_cast<uint64_t>(SS.Evaluations));

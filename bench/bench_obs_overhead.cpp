@@ -126,7 +126,7 @@ int main() {
     std::printf("(sink %llu)\n", static_cast<unsigned long long>(Sink));
 
   // Hooks per evaluation in EvalEngine::evalOne: one metrics guard, one
-  // span guard, plus the TraceLog timestamp's clock read; round up.
+  // span guard and one events guard; round up.
   constexpr double HooksPerEval = 4;
   double HookNsPerEval = TripleNs / 3 * HooksPerEval;
   double EvalNs = OffRate > 0 ? 1e9 / OffRate : 1;
@@ -183,7 +183,8 @@ int main() {
   }
   double GuardNs = EcoNs > RawNs ? EcoNs - RawNs : 0;
   // Locks one evaluation takes when everything is quiet: the cache
-  // shard, the stats mutex, the trace log, and slack for obs; round up.
+  // shard, the stats mutex, the instantiation memo, and slack for obs;
+  // round up.
   constexpr double LockHooksPerEval = 8;
   double LockGuardPct = GuardNs * LockHooksPerEval / EvalNs * 100.0;
   std::printf("raw std::mutex lock+unlock: %.2f ns; eco::Mutex "

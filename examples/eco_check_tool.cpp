@@ -8,9 +8,9 @@
 //            and natively compiled results compared element-wise against
 //            the golden reference under an ulp tolerance
 //   replay   a real tune at --jobs 1 and --jobs N: winners must be
-//            bit-identical and both JSONL traces must pass the invariant
-//            audit (dense seqs, consistent costs, ordered stages,
-//            trace minimum == reported best)
+//            bit-identical and both runs' event streams must pass the
+//            invariant audit (dense seqs, consistent costs, ordered
+//            stages, stream minimum == reported best)
 //   faults   truncated / corrupted / concurrently rewritten cache and
 //            checkpoint files: loaders must recover, never crash, never
 //            silently resurrect damaged state
@@ -18,23 +18,25 @@
 //   eco_check [--kernel=all|matmul|jacobi|matvec] [--seed=S] [--configs=N]
 //             [--n=SIZE] [--scale=K] [--max-ulps=U] [--max-variants=V]
 //             [--jobs=N] [--skip-native] [--skip-diff] [--skip-replay]
-//             [--skip-faults] [--fleet] [--fuzz=ROUNDS] [--audit-trace=FILE]
-//             [--audit-db=FILE] [--audit-events=FILE] [--tmpdir=DIR]
+//             [--skip-faults] [--fleet] [--fuzz=ROUNDS] [--audit-db=FILE]
+//             [--audit-events=FILE] [--tmpdir=DIR]
 //             [--log-level=off|error|warn|info|debug]
 //
 //   --fleet         extra leg: eval-worker fleet chaos sweep (a vanishing,
 //                   a frozen, and a garbage-reporting worker each paired
 //                   with an honest one) — the tune must complete with a
 //                   winner bit-identical to a fleetless run
+//   --jobs=N        lanes for the replay's parallel run (N >= 2)
 //   --fuzz=R        run R extra diff rounds with fresh random seeds
-//   --audit-trace=F audit an existing JSONL trace file and exit
 //   --audit-db=F    replay-audit a tuned-config database (ConfigDB JSON)
 //                   and exit: every stored best cost must be bitwise
 //                   reproducible through a fresh simulator
 //   --audit-events=F audit a flight-recorder events file (JSONL) and
-//                   exit: schema, monotonic seq/timestamps, rejected-
-//                   event <-> counter pairing, and stream totals that
-//                   reconcile with each tune.done record
+//                   exit: schema, dense seqs and monotonic timestamps,
+//                   well-formed and bitwise-consistent costs, stage
+//                   order, rejected-event <-> counter pairing, stream
+//                   totals and minimum that reconcile with each
+//                   tune.done record
 //
 // Exit status: 0 all checks clean, 1 any mismatch/issue, 2 usage error.
 //
@@ -44,13 +46,16 @@
 #include "check/DiffCheck.h"
 #include "check/EventAudit.h"
 #include "check/FaultInject.h"
-#include "check/TraceAudit.h"
 #include "kernels/Kernels.h"
 #include "obs/Log.h"
+#include "support/ParseInt.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <string>
 
 #include <sys/stat.h>
@@ -69,7 +74,6 @@ struct ToolOptions {
   bool RunReplay = true;
   bool RunFaults = true;
   bool RunFleet = false;
-  std::string AuditTrace;
   std::string AuditDb;
   std::string AuditEvents;
   std::string TmpDir;
@@ -85,44 +89,47 @@ bool parseArg(ToolOptions &Opts, const std::string &Arg) {
     Opts.Diff.KernelFilter = std::strcmp(V, "all") ? V : "";
     return true;
   }
-  if (const char *V = valueOf("--seed=")) {
-    Opts.Diff.Seed = std::strtoull(V, nullptr, 10);
-    return true;
-  }
-  if (const char *V = valueOf("--configs=")) {
-    Opts.Diff.RandomConfigsPerVariant = std::atoi(V);
-    return true;
-  }
-  if (const char *V = valueOf("--n=")) {
-    Opts.Diff.ProblemSize = std::atoll(V);
-    return true;
-  }
-  if (const char *V = valueOf("--scale=")) {
-    Opts.Diff.MachineScale = static_cast<unsigned>(std::atoi(V));
-    return true;
-  }
-  if (const char *V = valueOf("--max-ulps=")) {
-    Opts.Diff.MaxUlps = std::strtoull(V, nullptr, 10);
-    return true;
-  }
-  if (const char *V = valueOf("--max-variants=")) {
-    Opts.Diff.MaxVariantsPerKernel = static_cast<unsigned>(std::atoi(V));
-    return true;
-  }
-  if (const char *V = valueOf("--jobs=")) {
-    Opts.Jobs = std::atoi(V);
-    return true;
-  }
-  if (const char *V = valueOf("--fuzz=")) {
-    Opts.FuzzRounds = std::atoi(V);
-    return true;
-  }
+  // Numeric flags parse strictly: a bad value is a usage error, never a
+  // silent 0 ("--jobs=abc" must not replay jobs=1 against jobs=1).
+  constexpr int64_t Big = std::numeric_limits<int64_t>::max();
+  const struct {
+    const char *Key;
+    int64_t Lo, Hi;
+    std::function<void(int64_t)> Set;
+  } Numeric[] = {
+      {"--seed=", 0, Big,
+       [&](int64_t V) { Opts.Diff.Seed = static_cast<uint64_t>(V); }},
+      {"--configs=", 0, 1 << 20,
+       [&](int64_t V) {
+         Opts.Diff.RandomConfigsPerVariant = static_cast<int>(V);
+       }},
+      {"--n=", 1, int64_t(1) << 30,
+       [&](int64_t V) { Opts.Diff.ProblemSize = V; }},
+      {"--scale=", 1, 1 << 20,
+       [&](int64_t V) {
+         Opts.Diff.MachineScale = static_cast<unsigned>(V);
+       }},
+      {"--max-ulps=", 0, Big,
+       [&](int64_t V) { Opts.Diff.MaxUlps = static_cast<uint64_t>(V); }},
+      {"--max-variants=", 0, 1 << 20,
+       [&](int64_t V) {
+         Opts.Diff.MaxVariantsPerKernel = static_cast<unsigned>(V);
+       }},
+      {"--jobs=", 2, 4096,
+       [&](int64_t V) { Opts.Jobs = static_cast<int>(V); }},
+      {"--fuzz=", 0, 1 << 20,
+       [&](int64_t V) { Opts.FuzzRounds = static_cast<int>(V); }},
+  };
+  for (const auto &Flag : Numeric)
+    if (const char *V = valueOf(Flag.Key)) {
+      int64_t Value = 0;
+      if (!parseIntInRange(V, Flag.Lo, Flag.Hi, &Value))
+        return false;
+      Flag.Set(Value);
+      return true;
+    }
   if (Arg == "--fuzz") {
     Opts.FuzzRounds = 4;
-    return true;
-  }
-  if (const char *V = valueOf("--audit-trace=")) {
-    Opts.AuditTrace = V;
     return true;
   }
   if (const char *V = valueOf("--audit-db=")) {
@@ -174,7 +181,7 @@ int main(int Argc, char **Argv) {
           "[--configs=N] [--n=SIZE] [--scale=K] [--max-ulps=U] "
           "[--max-variants=V] [--jobs=N] [--skip-native] [--skip-diff] "
           "[--skip-replay] [--skip-faults] [--fleet] [--fuzz[=ROUNDS]] "
-          "[--audit-trace=FILE] [--audit-db=FILE] [--audit-events=FILE] "
+          "[--audit-db=FILE] [--audit-events=FILE] "
           "[--tmpdir=DIR] "
           "[--log-level=off|error|warn|info|debug]\n",
           Argv[0]);
@@ -182,12 +189,7 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // --audit-trace / --audit-db are standalone modes: audit and report.
-  if (!Opts.AuditTrace.empty()) {
-    TraceAuditReport Report = auditTraceFile(Opts.AuditTrace);
-    std::printf("%s", Report.summary().c_str());
-    return Report.ok() ? 0 : 1;
-  }
+  // --audit-db / --audit-events are standalone modes: audit and report.
   if (!Opts.AuditDb.empty()) {
     DbAuditReport Report = auditConfigDBFile(Opts.AuditDb);
     std::printf("%s", Report.summary().c_str());

@@ -4,9 +4,9 @@
 //
 //   eco_cli [--kernel=matmul|jacobi|matvec] [--machine=sgi|sun|host]
 //           [--n=SIZE] [--scale=K] [--native] [--emit-c] [--variants]
-//           [--trace] [--jobs=N] [--cache-file=F] [--trace-file=F]
-//           [--checkpoint=F] [--resume] [--metrics-file=F]
-//           [--chrome-trace=F] [--events-file=F]
+//           [--trace] [--jobs=N] [--cache-file=F] [--checkpoint=F]
+//           [--resume] [--metrics-file=F] [--chrome-trace=F]
+//           [--events-file=F]
 //           [--log-level=LVL] [--progress]
 //   eco_cli report EVENTS.jsonl [--html] [--out=F]
 //
@@ -17,18 +17,18 @@
 //   --jobs=N       evaluate candidate batches on N threads (engine)
 //   --cache-file=F persist the evaluation cache to F (JSON); re-runs on
 //                  identical input replay from it nearly for free
-//   --trace-file=F stream structured per-point records to F (JSONL)
 //   --checkpoint=F write per-variant tune state to F after each search
 //   --resume       load --checkpoint (and --cache-file) state and skip
-//                  already-searched variants (--trace-file appends)
+//                  already-searched variants (--events-file appends)
 //   --metrics-file=F  dump the metrics registry (counters/gauges/
 //                  histograms) to F as JSON after the tune
 //   --chrome-trace=F  export the tune's span timeline to F in Chrome
 //                  trace-event JSON (open in Perfetto/chrome://tracing)
 //   --events-file=F  flight recorder: stream every search decision
-//                  (variants derived/rejected, configs evaluated, winner
-//                  updates, tune.done totals) to F as JSONL; render with
-//                  `eco_cli report F`, audit with eco_check
+//                  (variants derived/rejected, one config.evaluated
+//                  record per point, winner updates, tune.done totals)
+//                  to F as JSONL; render with `eco_cli report F`, audit
+//                  with `eco_check --audit-events=F`
 //   report F       turn a flight-recorder stream into a tune report
 //                  (Markdown; --html for HTML, --out=F to write a file).
 //                  Exits 1 when the stream does not reconcile with the
@@ -85,7 +85,6 @@ struct CliOptions {
   bool Report = false;
   int Jobs = 1;
   std::string CacheFile;
-  std::string TraceFile;
   std::string CheckpointFile;
   bool Resume = false;
   std::string MetricsFile;
@@ -248,10 +247,6 @@ bool parseArg(CliOptions &Opts, const std::string &Arg) {
     Opts.CacheFile = V;
     return !Opts.CacheFile.empty();
   }
-  if (const char *V = valueOf("--trace-file=")) {
-    Opts.TraceFile = V;
-    return !Opts.TraceFile.empty();
-  }
   if (const char *V = valueOf("--checkpoint=")) {
     Opts.CheckpointFile = V;
     return !Opts.CheckpointFile.empty();
@@ -328,7 +323,7 @@ int main(int Argc, char **Argv) {
                    "[--machine=sgi|sun|host] [--n=SIZE] [--scale=K] "
                    "[--native] [--emit-c] [--variants] [--trace] "
                    "[--report] [--jobs=N] [--cache-file=F] "
-                   "[--trace-file=F] [--checkpoint=F] [--resume] "
+                   "[--checkpoint=F] [--resume] "
                    "[--metrics-file=F] [--chrome-trace=F] "
                    "[--events-file=F] "
                    "[--log-level=off|error|warn|info|debug] "
@@ -348,7 +343,9 @@ int main(int Argc, char **Argv) {
   if (!Opts.ChromeTraceFile.empty())
     obs::SpanCollector::global().setEnabled(true);
   if (!Opts.EventsFile.empty()) {
-    if (!obs::EventBus::global().openFile(Opts.EventsFile)) {
+    // A resumed tune appends a new segment to the killed run's stream.
+    if (!obs::EventBus::global().openFile(Opts.EventsFile,
+                                          /*Append=*/Opts.Resume)) {
       std::fprintf(stderr, "error: cannot open events file %s\n",
                    Opts.EventsFile.c_str());
       return 1;
@@ -399,13 +396,11 @@ int main(int Argc, char **Argv) {
                   : static_cast<EvalBackend &>(SimBackend);
 
   // Everything runs through the engine: --jobs controls parallelism,
-  // --cache-file persistence, --trace-file structured tracing. The
-  // chosen configuration is identical for every --jobs value.
+  // --cache-file persistence. The chosen configuration is identical for
+  // every --jobs value.
   EngineOptions EOpts;
   EOpts.Jobs = Opts.Jobs;
   EOpts.CacheFile = Opts.CacheFile;
-  EOpts.TraceFile = Opts.TraceFile;
-  EOpts.TraceAppend = Opts.Resume; // a resumed tune extends its trace
   EvalEngine Engine(Backend, EOpts);
   if (Opts.Jobs > 1 && Engine.jobs() == 1)
     std::fprintf(stderr,

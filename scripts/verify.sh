@@ -53,13 +53,24 @@ run_suite build --
 step "fuzz smoke: eco_fuzz --iters=200 --seed=7"
 "$REPO/build/examples/eco_fuzz" --iters=200 --seed=7
 
-step "flight-recorder smoke: tune -> report -> audit-events"
+step "flight-recorder smoke: tune -> resume -> report -> audit-events"
 EV="$REPO/build/verify_events.jsonl"
-rm -f "$EV"
+CK="$REPO/build/verify_checkpoint.json"
+rm -f "$EV" "$CK"
+# A checkpointed tune, then a resumed one on the same events file: the
+# resume must append a second segment, not truncate the first.
 "$REPO/build/examples/eco_cli" --kernel=matmul --n=48 --scale=16 \
-    --events-file="$EV" > /dev/null
+    --checkpoint="$CK" --events-file="$EV" > /dev/null
+"$REPO/build/examples/eco_cli" --kernel=matmul --n=48 --scale=16 \
+    --checkpoint="$CK" --resume --events-file="$EV" > /dev/null
 "$REPO/build/examples/eco_cli" report "$EV" > /dev/null
-"$REPO/build/examples/eco_check" --audit-events="$EV"
+AUDIT="$("$REPO/build/examples/eco_check" --audit-events="$EV")"
+echo "$AUDIT"
+case "$AUDIT" in
+  *"2 segment(s)"*"-> 0 issue(s)"*) ;;
+  *) echo "flight-recorder smoke: expected 2 segments and 0 issues"; exit 1 ;;
+esac
+rm -f "$EV" "$CK"
 
 step "fleet smoke: daemon + 2 eco_worker, SIGKILL one mid-tune"
 FSOCK="$REPO/build/verify_fleet.sock"

@@ -2,10 +2,17 @@
 
 #include "check/EventAudit.h"
 
+#include "core/Tuner.h"
+#include "engine/Engine.h"
 #include "obs/Report.h"
 #include "support/StringUtils.h"
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <map>
+#include <set>
 
 using namespace eco;
 using namespace eco::check;
@@ -55,19 +62,153 @@ void checkSchema(const obs::Event &E, EventAuditReport &Report) {
   }
 }
 
-/// Segment-level ordering + per-tune reconciliation for \p Segment.
+/// Pipeline position of a stage name; -1 for unknown stages. Tile stages
+/// carry their level so tile1 after tile0 is ordered, and the closing
+/// stages sit above any realistic tile depth.
+int stageRank(const std::string &Stage) {
+  static const std::map<std::string, int> Fixed = {
+      {"rank", 0}, {"initial", 1}, {"register", 2}, {"prefetch", 1000},
+      {"adjust", 1001}};
+  auto It = Fixed.find(Stage);
+  if (It != Fixed.end())
+    return It->second;
+  if (Stage.size() < 5 || Stage.compare(0, 4, "tile") != 0 ||
+      Stage.find_first_not_of("0123456789", 4) != std::string::npos)
+    return -1;
+  return 3 + static_cast<int>(
+                 std::min(std::strtol(Stage.c_str() + 4, nullptr, 10), 900L));
+}
+
+/// NaN or negative costs can only come from a broken backend or a
+/// corrupted line.
+bool wellFormed(double Cost) { return !std::isnan(Cost) && Cost >= 0; }
+
+/// Point-level state of one open tune window.
+struct TuneWindow {
+  std::map<std::string, double> CostOf; ///< "variant|config" -> cost
+  /// Config bodies (the "{...}" part) run on a backend in this window.
+  std::set<std::string> Evaluated;
+  std::map<std::string, int> MaxStage; ///< variant -> furthest stage
+  /// Searched variant -> its cheapest decision-loop cost. variant.pruned
+  /// (published after the searches) drops the variant again.
+  std::map<std::string, double> MinCost;
+};
+
+/// The per-window invariants of one config.evaluated event.
+void checkPoint(const obs::Event &E, TuneWindow &W,
+                const EventAuditOptions &Opts, EventAuditReport &Report) {
+  const std::string &Variant = E.Fields.get("variant").asString();
+  const std::string &Stage = E.Fields.get("stage").asString();
+  const std::string &Config = E.Fields.get("config").asString();
+  double Cost = E.Fields.get("cost").asNumber();
+  bool Hit = E.Fields.get("cache_hit").asBool();
+
+  std::string Key = Variant + "|" + Config;
+  auto [It, Fresh] = W.CostOf.emplace(Key, Cost);
+  if (!Fresh && It->second != Cost)
+    Report.Issues.push_back(
+        {"cost-mismatch", E.Seq,
+         strformat("%s: cost %.17g earlier, %.17g now", Key.c_str(),
+                   It->second, Cost)});
+
+  size_t Brace = Config.find('{');
+  std::string Body = Brace == std::string::npos ? Config
+                                                : Config.substr(Brace);
+  if (Opts.AssumeColdCache && Hit && !W.Evaluated.count(Body))
+    Report.Issues.push_back(
+        {"cold-hit", E.Seq,
+         "cache hit for never-evaluated point " + Key +
+             " under cold-cache assumption"});
+  if (!Hit)
+    W.Evaluated.insert(Body);
+
+  int Rank = stageRank(Stage);
+  if (Rank < 0) {
+    Report.Issues.push_back(
+        {"schema", E.Seq, "unknown stage '" + Stage + "'"});
+  } else {
+    auto [SIt, First] = W.MaxStage.emplace(Variant, Rank);
+    if (!First && Rank < SIt->second)
+      Report.Issues.push_back(
+          {"stage-order", E.Seq,
+           strformat("variant %s: stage %s after a later stage",
+                     Variant.c_str(), Stage.c_str())});
+    SIt->second = std::max(SIt->second, Rank);
+  }
+
+  // Warm points are speculative: the decision loop may never consume
+  // one, so only decision-loop points bound the winner from below. Bad
+  // costs are reported on their own.
+  if (!E.Fields.get("warm").asBool(false) && wellFormed(Cost)) {
+    auto [MIt, NewVariant] = W.MinCost.emplace(Variant, Cost);
+    if (!NewVariant)
+      MIt->second = std::min(MIt->second, Cost);
+  }
+}
+
+/// The stream-minimum check at \p Done, which closes window \p W.
+/// Restored points were evaluated by an earlier stream, and a stop may
+/// land before the first search evaluates anything.
+void checkStreamMinimum(const obs::Event &Done, const TuneWindow &W,
+                        EventAuditReport &Report) {
+  const Json &F = Done.Fields;
+  if (W.MinCost.empty() || F.get("restored_points").asInt() > 0 ||
+      F.get("cancelled").asBool())
+    return;
+  double Min = std::numeric_limits<double>::infinity();
+  for (const auto &[Variant, Cost] : W.MinCost)
+    Min = std::min(Min, Cost);
+  double Best = F.get("best_cost").asNumber();
+  if (Min != Best)
+    Report.Issues.push_back(
+        {"regression", Done.Seq,
+         strformat("tune reported best cost %.17g but the stream minimum "
+                   "is %.17g",
+                   Best, Min)});
+}
+
+/// Segment-level ordering, per-window point invariants, and per-tune
+/// reconciliation for \p Segment.
 void auditSegment(const std::vector<obs::Event> &Segment,
                   const EventAuditOptions &Opts,
                   EventAuditReport &Report) {
+  std::map<uint64_t, TuneWindow> Open; // job id -> window
   for (size_t I = 0; I < Segment.size(); ++I) {
     const obs::Event &E = Segment[I];
     checkSchema(E, Report);
+    if (E.Type == "tune.start") {
+      Open[E.Job] = TuneWindow();
+    } else if (E.Type == "config.evaluated") {
+      double Cost = E.Fields.get("cost").asNumber();
+      if (!wellFormed(Cost))
+        Report.Issues.push_back(
+            {"bad-cost", E.Seq,
+             strformat("variant %s stage %s cost %g",
+                       E.Fields.get("variant").asString().c_str(),
+                       E.Fields.get("stage").asString().c_str(), Cost)});
+      auto It = Open.find(E.Job);
+      if (It != Open.end())
+        checkPoint(E, It->second, Opts, Report);
+    } else if (E.Type == "variant.pruned") {
+      auto It = Open.find(E.Job);
+      if (It != Open.end())
+        It->second.MinCost.erase(E.Fields.get("variant").asString());
+    } else if (E.Type == "tune.done") {
+      auto It = Open.find(E.Job);
+      if (It != Open.end()) {
+        checkStreamMinimum(E, It->second, Report);
+        Open.erase(It);
+      }
+    }
     if (I == 0)
       continue;
     const obs::Event &Prev = Segment[I - 1];
-    if (E.Seq == Prev.Seq)
+    if (E.Seq != Prev.Seq + 1)
       Report.Issues.push_back(
-          {"seq", E.Seq, "duplicate sequence number"});
+          {"seq", E.Seq,
+           strformat("expected seq %llu, saw %llu",
+                     static_cast<unsigned long long>(Prev.Seq + 1),
+                     static_cast<unsigned long long>(E.Seq))});
     // The bus stamps seq and time under one mutex: any inversion means
     // the stream was reordered or edited.
     if (E.TimeUs < Prev.TimeUs)
@@ -139,4 +280,69 @@ EventAuditReport check::auditEventsFile(const std::string &Path,
   for (const std::string &E : LineErrors)
     Report.Issues.insert(Report.Issues.begin(), {"parse", 0, E});
   return Report;
+}
+
+JobsDeterminismResult eco::check::checkJobsDeterminism(
+    const LoopNest &Nest, const MachineDesc &Machine,
+    const ParamBindings &Problem, int Jobs, const std::string &TmpDir) {
+  JobsDeterminismResult Result;
+
+  auto RunOnce = [&](int J, const std::string &EventsPath,
+                     std::string *Winner, double *Cost,
+                     EventAuditReport *Audit) -> bool {
+    // Divert the bus into this run's own file, then hand back the
+    // previous sink and enabled state.
+    obs::EventBus &Bus = obs::EventBus::global();
+    bool WasEnabled = obs::eventsEnabled();
+    FILE *Prev = Bus.swapFile(std::fopen(EventsPath.c_str(), "wb"));
+    obs::setEventsEnabled(true);
+    SimEvalBackend Backend(Machine);
+    EngineOptions EO;
+    EO.Jobs = J;
+    EvalEngine Engine(Backend, EO);
+    TuneResult R = tune(Nest, Engine, Problem);
+    obs::setEventsEnabled(WasEnabled);
+    if (FILE *Own = Bus.swapFile(Prev))
+      std::fclose(Own);
+    if (R.BestVariant < 0)
+      return false;
+    *Winner = R.best().Spec.Name + "|" + R.best().configString(R.BestConfig);
+    *Cost = R.BestCost;
+    EventAuditOptions AO;
+    AO.AssumeColdCache = true; // fresh engine, no CacheFile
+    AO.HasExpectedBestCost = true;
+    AO.ExpectedBestCost = R.BestCost;
+    *Audit = auditEventsFile(EventsPath, AO);
+    return true;
+  };
+
+  bool SeqOk = RunOnce(1, TmpDir + "/events_jobs1.jsonl", &Result.WinnerSeq,
+                       &Result.CostSeq, &Result.AuditSeq);
+  bool ParOk = RunOnce(Jobs, TmpDir + "/events_jobsN.jsonl",
+                       &Result.WinnerPar, &Result.CostPar, &Result.AuditPar);
+  Result.Ran = SeqOk && ParOk;
+  if (!Result.Ran)
+    Result.Detail = "tune failed (no best variant)";
+  else if (Result.WinnerSeq != Result.WinnerPar)
+    Result.Detail = "winner differs: jobs=1 -> " + Result.WinnerSeq +
+                    ", jobs=" + std::to_string(Jobs) + " -> " +
+                    Result.WinnerPar;
+  else if (Result.CostSeq != Result.CostPar)
+    Result.Detail = strformat("winner cost differs: %.17g vs %.17g",
+                              Result.CostSeq, Result.CostPar);
+  return Result;
+}
+
+std::string JobsDeterminismResult::summary() const {
+  std::string Out =
+      strformat("jobs-determinism: %s\n", ok() ? "OK" : "FAILED");
+  if (!Detail.empty())
+    Out += "  " + Detail + "\n";
+  Out += "  jobs=1: " + WinnerSeq + strformat(" cost %.17g\n", CostSeq);
+  Out += "  jobs=N: " + WinnerPar + strformat(" cost %.17g\n", CostPar);
+  if (!AuditSeq.ok())
+    Out += AuditSeq.summary();
+  if (!AuditPar.ok())
+    Out += AuditPar.summary();
+  return Out;
 }

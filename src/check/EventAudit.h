@@ -6,33 +6,47 @@
 ///
 /// \file
 /// Invariant auditing over flight-recorder event streams (obs/Event.h),
-/// the events-file sibling of TraceAudit. The stream is the tuner's own
-/// account of *why* it decided things; auditing it asserts:
+/// whose `config.evaluated` events are the one per-point record. Per
+/// stream it asserts:
 ///
 ///  * schema: every line parses and carries seq / t_us / type / fields;
-///  * ordering: sequence numbers are strictly increasing per segment (a
-///    restarted process appends a segment whose seq restarts at 0), and
-///    timestamps are monotonically non-decreasing in sequence order —
-///    the bus stamps both under one mutex, so any inversion means
-///    records were reordered or hand-edited;
-///  * counter pairing: every variant.rejected / config.rejected event is
-///    published at the exact site that bumps the `transform.rejected`
-///    metrics counter, so per tune window the event counts must equal
-///    the `variants_rejected` / `configs_rejected` totals the Tuner
-///    stamped into tune.done from its own TuneResult ledger;
-///  * reconciliation: evaluation and cache-hit counts recomputed from
-///    config.evaluated events match tune.done (modulo checkpoint-
-///    restored points, which an earlier run's stream accounts for);
-///  * winner provenance: the last winner.updated cost must equal
-///    tune.done's best_cost — which the Tuner copied bitwise from
-///    TuneResult::BestCost — and, when \p ExpectedBestCost is supplied
-///    by a caller holding the live TuneResult, that value too.
+///  * ordering: seqs are dense per segment (a restarted process appends
+///    a segment whose seq restarts at 0; a gap or duplicate means events
+///    were lost or double-emitted), and timestamps never go backwards —
+///    the bus stamps both under one mutex;
+///  * well-formed costs: no config.evaluated cost is NaN or negative;
+///  * counter pairing + reconciliation: per tune window, rejected-event
+///    counts and evaluation / cache-hit counts recomputed from the
+///    events match the totals the Tuner stamped into tune.done (modulo
+///    checkpoint-restored points);
+///  * winner provenance: the last winner.updated cost equals tune.done's
+///    best_cost, and \p ExpectedBestCost when a caller supplies it.
+///
+/// Per tune window (tune.start .. tune.done of one job id: a daemon
+/// stream interleaves problems whose variant and config names repeat):
+///
+///  * cost consistency: one (variant, config) has one cost, bitwise;
+///  * cold-cache hit legality (AssumeColdCache): a hit names a config
+///    evaluated earlier in the window;
+///  * stage order per variant: rank, initial, register, tile0..,
+///    prefetch, adjust — warm batches may run ahead *within* a stage but
+///    never emit for a stage the search already left;
+///  * stream minimum: best_cost equals, bitwise, the cheapest
+///    decision-loop (non-warm) point of the searched variants — a
+///    cheaper point means the search lost or never saw it. Skipped with
+///    restored points or a cancelled tune.
+///
+/// checkJobsDeterminism() replays a tune at --jobs 1 and --jobs N,
+/// asserts a bit-identical winner, and audits both runs' streams.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ECO_CHECK_EVENTAUDIT_H
 #define ECO_CHECK_EVENTAUDIT_H
 
+#include "exec/Run.h"
+#include "ir/Loop.h"
+#include "machine/MachineDesc.h"
 #include "obs/Event.h"
 
 #include <cstdint>
@@ -45,12 +59,19 @@ namespace check {
 /// One invariant violation found in an event stream.
 struct EventIssue {
   std::string Kind; ///< "parse", "schema", "seq", "time", "reconcile",
-                    ///  "winner"
+                    ///  "winner", "cost-mismatch", "bad-cost",
+                    ///  "cold-hit", "stage-order", "regression"
   uint64_t Seq = 0; ///< seq of the offending event (0 for parse errors)
   std::string Detail;
 };
 
 struct EventAuditOptions {
+  /// When true, a cache hit for a configuration never evaluated earlier
+  /// in its tune window is an issue — valid only for streams produced
+  /// with a cold (empty or absent) persistent cache. Keyed by the config
+  /// body (without the variant prefix): variants with equal fingerprints
+  /// legitimately share memo entries across variant names.
+  bool AssumeColdCache = false;
   /// When set, every completed tune window's best_cost must equal this
   /// bit-for-bit (the caller holds the live TuneResult::BestCost).
   bool HasExpectedBestCost = false;
@@ -75,6 +96,33 @@ EventAuditReport auditEvents(const std::vector<obs::Event> &Events,
 /// issue; blank lines are ignored.
 EventAuditReport auditEventsFile(const std::string &Path,
                                  const EventAuditOptions &Opts = {});
+
+/// Outcome of the jobs-determinism replay.
+struct JobsDeterminismResult {
+  bool Ran = false;           ///< false when either tune failed outright
+  std::string WinnerSeq;      ///< winning variant|configString at jobs=1
+  std::string WinnerPar;      ///< ... at jobs=N
+  double CostSeq = 0, CostPar = 0;
+  EventAuditReport AuditSeq, AuditPar;
+  std::string Detail;
+
+  bool ok() const {
+    return Ran && WinnerSeq == WinnerPar && CostSeq == CostPar &&
+           AuditSeq.ok() && AuditPar.ok();
+  }
+  std::string summary() const;
+};
+
+/// Tunes \p Nest through fresh engines at jobs=1 and jobs=\p Jobs, each
+/// recording its events to a file in \p TmpDir, asserts the winners are
+/// bit-identical, and audits both streams (cold cache, live best cost).
+/// The event bus gets its previous enabled state and sink back after;
+/// that sink does not see the replay's events.
+JobsDeterminismResult checkJobsDeterminism(const LoopNest &Nest,
+                                           const MachineDesc &Machine,
+                                           const ParamBindings &Problem,
+                                           int Jobs,
+                                           const std::string &TmpDir);
 
 } // namespace check
 } // namespace eco

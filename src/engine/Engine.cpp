@@ -85,12 +85,8 @@ EvalEngine::EvalEngine(EvalBackend &Backend, EngineOptions EOpts)
 
   if (!Opts.CacheFile.empty())
     CachePtr->load(Opts.CacheFile, MachineHash);
-  if (!Opts.TraceFile.empty())
-    Trace.openFile(Opts.TraceFile, Opts.TraceAppend);
   ECO_LOG(Info) << "engine ready: jobs=" << Jobs << " cache="
-                << (Opts.CacheFile.empty() ? "<none>" : Opts.CacheFile)
-                << " trace="
-                << (Opts.TraceFile.empty() ? "<none>" : Opts.TraceFile);
+                << (Opts.CacheFile.empty() ? "<none>" : Opts.CacheFile);
 }
 
 EvalEngine::~EvalEngine() { flush(); }
@@ -101,7 +97,6 @@ void EvalEngine::flush() {
     MutexLock SaveLock(SaveMutex);
     CachePtr->save(Opts.CacheFile);
   }
-  Trace.flush();
 }
 
 const LoopNest &EvalEngine::instantiated(const DerivedVariant &V,
@@ -134,7 +129,6 @@ EvalKey EvalEngine::keyFor(const DerivedVariant &V, const Env &Config) const {
 EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
                                 const std::string &Stage, int Lane,
                                 bool Warm) {
-  double StartMs = static_cast<double>(obs::monotonicMicros()) / 1e3;
   EvalKey Key = keyFor(V, Config);
 
   EvalOutcome O;
@@ -145,8 +139,6 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
     O.CacheHit = true;
     {
       MutexLock Lock(StatsMutex);
-      ++Stats.CacheHits;
-      ++Stages[Stage].CacheHits;
       StageTelemetry &Row = VariantStages[{V.Spec.Name, Stage}];
       Row.Variant = V.Spec.Name;
       Row.Stage = Stage;
@@ -156,8 +148,6 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
       mirrorToMetrics(V.Spec.Name, Stage, /*CacheHit=*/true, 0, nullptr);
     if (obs::eventsEnabled())
       publishEvaluated(V, Config, Stage, O, Warm);
-    Trace.append({0, StartMs, V.Spec.Name, Stage, V.configString(Config),
-                  O.Cost, /*CacheHit=*/true, Warm, 0, Lane});
     return O;
   }
 
@@ -172,7 +162,7 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
     ECO_LOG(Warn) << "config rejected (illegal transform): " << E.what();
     {
       MutexLock Lock(StatsMutex);
-      ++Stats.Rejected;
+      ++Rejected;
     }
     if (obs::metricsEnabled())
       obs::metrics().counter("transform.rejected").inc();
@@ -218,11 +208,6 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
   bool SaveNow = false;
   {
     MutexLock Lock(StatsMutex);
-    ++Stats.Evaluations;
-    Stats.BackendSeconds += O.Millis / 1e3;
-    StageStats &SS = Stages[Stage];
-    ++SS.Evaluations;
-    SS.BackendSeconds += O.Millis / 1e3;
     StageTelemetry &Row = VariantStages[{V.Spec.Name, Stage}];
     Row.Variant = V.Spec.Name;
     Row.Stage = Stage;
@@ -252,8 +237,6 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
       SaveMutex.unlock();
     }
   }
-  Trace.append({0, StartMs, V.Spec.Name, Stage, V.configString(Config),
-                O.Cost, /*CacheHit=*/false, Warm, O.Millis, Lane});
   return O;
 }
 
@@ -312,12 +295,16 @@ void EvalEngine::warmMany(
   if (Pool->jobs() <= 1)
     return; // no local lanes to warm with
 
+  // Lane threads publish their points under the caller's serve job, so a
+  // daemon stream attributes every point to the tune that asked for it.
+  uint64_t Job = obs::currentJobId();
   std::vector<std::function<void(int)>> Tasks;
   Tasks.reserve(Unique.size());
   for (const auto &[V, Config] : Unique) {
     const DerivedVariant *Variant = V;
     const Env &Bound = *Config;
-    Tasks.push_back([this, Variant, Bound, Stage](int Lane) {
+    Tasks.push_back([this, Variant, Bound, Stage, Job](int Lane) {
+      obs::ScopedJobId Attribution(Job);
       evalOne(*Variant, Bound, Stage, Lane, /*Warm=*/true);
     });
   }
@@ -328,12 +315,14 @@ void EvalEngine::warmMany(
 
 EvalStats EvalEngine::stats() const {
   MutexLock Lock(StatsMutex);
-  return Stats;
-}
-
-std::map<std::string, EvalEngine::StageStats> EvalEngine::stageStats() const {
-  MutexLock Lock(StatsMutex);
-  return Stages;
+  EvalStats S;
+  S.Rejected = Rejected;
+  for (const auto &[Key, Row] : VariantStages) {
+    S.Evaluations += Row.Evaluations;
+    S.CacheHits += Row.CacheHits;
+    S.BackendSeconds += Row.BackendSeconds;
+  }
+  return S;
 }
 
 std::vector<StageTelemetry> EvalEngine::telemetry() const {

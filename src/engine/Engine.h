@@ -18,8 +18,11 @@
 ///    point is answered before anything is instantiated; instantiation
 ///    (memoized per fingerprint and unroll/prefetch values) runs only on
 ///    a miss;
-///  * a TraceLog recording every point (stage, config, cost, cache-hit,
-///    wall time, lane) as JSONL.
+///  * one per-(variant, stage) ledger of evaluations, cache hits, backend
+///    time and hardware-counter deltas, from which stats() and
+///    telemetry() are read. The per-point record is the flight
+///    recorder's `config.evaluated` event (obs/Event.h), published only
+///    while events are enabled.
 ///
 /// Determinism: the search's accept/reject decisions happen on the
 /// calling thread in the original sequential order; parallelism only
@@ -36,6 +39,7 @@
 #include "core/Search.h"
 #include "engine/EvalCache.h"
 #include "engine/ThreadPool.h"
+// Unused by the engine: perfbench/src/TuneWorkloads.cpp gets TraceLog here.
 #include "engine/TraceLog.h"
 #include "exec/Run.h"
 
@@ -63,17 +67,11 @@ struct RemotePoint {
 
 /// Engine construction knobs (the eco_cli flags map onto these).
 struct EngineOptions {
-  /// Total parallelism; 1 = sequential (still memoizing + tracing).
+  /// Total parallelism; 1 = sequential (still memoizing).
   int Jobs = 1;
   /// When set, the cache loads from this JSON file at construction and
   /// saves to it on flush()/destruction and periodically while running.
   std::string CacheFile;
-  /// When set, every evaluation streams to this JSONL file.
-  std::string TraceFile;
-  /// Open TraceFile in append mode instead of truncating — the resume
-  /// path's setting, so a resumed tune extends the killed run's trace
-  /// instead of clobbering it.
-  bool TraceAppend = false;
   /// Inserts between periodic cache saves when CacheFile is set; 0
   /// disables periodic saving (flush/destructor still save). The
   /// default is small because a guided tune evaluates only tens of
@@ -102,7 +100,7 @@ struct EngineOptions {
   std::function<bool()> RemoteWarmGate;
 };
 
-/// The parallel, memoizing, tracing Evaluator.
+/// The parallel, memoizing Evaluator.
 class EvalEngine : public Evaluator {
 public:
   /// \p Backend must outlive the engine. With Jobs > 1 the backend
@@ -120,25 +118,15 @@ public:
   warmMany(const std::vector<std::pair<const DerivedVariant *, Env>> &Points,
            const std::string &Stage) override;
 
+  /// The telemetry() rows summed, plus the rejected-config count.
   EvalStats stats() const override;
-
-  /// Per-stage slice of the same counters: how many evaluations / cache
-  /// hits each search stage requested and how much backend wall time it
-  /// consumed. Keyed by the Stage string the search passes to evaluate()
-  /// ("initial", "register", "tile0", ..., "prefetch", "adjust", and the
-  /// Tuner's "rank"). Values sum to stats() across stages.
-  struct StageStats {
-    size_t Evaluations = 0;
-    size_t CacheHits = 0;
-    double BackendSeconds = 0;
-  };
-  std::map<std::string, StageStats> stageStats() const;
 
   /// Per-(variant, stage) telemetry: evaluation/cache-hit counts, summed
   /// backend wall time, and — when the backend exposes hwCounters() —
   /// the summed hardware-counter deltas of every real evaluation in that
-  /// bucket. Rows are sorted by (variant, stage); counts sum to stats()
-  /// and, aggregated per stage, reproduce stageStats().
+  /// bucket. Stage is the string the search passes to evaluate()
+  /// ("initial", "register", "tile0", ..., "prefetch", "adjust", and the
+  /// Tuner's "rank"). Rows are sorted by (variant, stage).
   std::vector<StageTelemetry> telemetry() const override;
 
   /// Effective parallelism after backend-clonability degradation.
@@ -153,11 +141,9 @@ public:
   }
 
   EvalCache &cache() { return *CachePtr; }
-  const TraceLog &trace() const { return Trace; }
-  TraceLog &trace() { return Trace; }
 
-  /// Saves the cache file (when configured) and flushes the trace
-  /// stream. Called from the destructor; call earlier for durability.
+  /// Saves the cache file (when configured). Called from the destructor;
+  /// call earlier for durability.
   void flush();
 
 private:
@@ -169,7 +155,7 @@ private:
   EvalKey keyFor(const DerivedVariant &V, const Env &Config) const;
 
   /// Cache-or-evaluate one point on \p Lane; returns the outcome and
-  /// appends a trace record. \p Warm marks speculative batch work.
+  /// records it in the ledger. \p Warm marks speculative batch work.
   EvalOutcome evalOne(const DerivedVariant &V, const Env &Config,
                       const std::string &Stage, int Lane, bool Warm);
 
@@ -181,7 +167,6 @@ private:
   std::vector<std::unique_ptr<EvalBackend>> LaneBackends;
 
   std::shared_ptr<EvalCache> CachePtr; ///< Opts.SharedCache or private
-  TraceLog Trace;
   uint64_t MachineHash = 0;
 
   mutable Mutex InstMutex{"engine.inst"};
@@ -194,8 +179,8 @@ private:
   size_t Instantiations ECO_GUARDED_BY(InstMutex) = 0;
 
   mutable Mutex StatsMutex{"engine.stats"};
-  EvalStats Stats ECO_GUARDED_BY(StatsMutex);
-  std::map<std::string, StageStats> Stages ECO_GUARDED_BY(StatsMutex);
+  /// Configs a TransformError rejected; never cached, so never in a row.
+  size_t Rejected ECO_GUARDED_BY(StatsMutex) = 0;
   /// (variant, stage) -> telemetry row.
   std::map<std::pair<std::string, std::string>, StageTelemetry>
       VariantStages ECO_GUARDED_BY(StatsMutex);

@@ -6,6 +6,7 @@
 #include "obs/Metrics.h"
 
 #include <atomic>
+#include <utility>
 
 using namespace eco;
 using namespace eco::obs;
@@ -131,6 +132,12 @@ void EventBus::closeFile() {
     fclose(File);
     File = nullptr;
   }
+}
+
+FILE *EventBus::swapFile(FILE *F) {
+  MutexLock Lock(M);
+  std::swap(File, F);
+  return F;
 }
 
 void EventBus::flush() {

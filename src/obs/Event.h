@@ -111,6 +111,10 @@ public:
   /// Opens (or replaces) the JSONL sink. Returns false on I/O failure.
   bool openFile(const std::string &Path, bool Append = false);
   void closeFile();
+  /// Installs \p F (may be null) as the JSONL sink and hands back the
+  /// previous one unclosed, so a caller can divert the stream and later
+  /// put the original sink back untouched. The caller owns the result.
+  FILE *swapFile(FILE *F);
   void flush();
 
   /// Drops ring contents and zeroes counters (sequence numbers keep

@@ -7,6 +7,7 @@
 #include "obs/Metrics.h"
 #include "serve/Client.h"
 #include "serve/Server.h"
+#include "support/ParseInt.h"
 
 #include <atomic>
 #include <chrono>
@@ -44,20 +45,38 @@ int eco::serve::serveToolMain(const std::vector<std::string> &Args) {
   std::string MetricsFile;
   std::string EventsFile;
   bool LogLevelSet = false;
+  auto Usage = [] {
+    std::fprintf(stderr,
+                 "usage: eco_served [--socket=PATH] [--tcp=PORT] "
+                 "[--db=FILE] [--workers=N] [--queue=N] "
+                 "[--engine-jobs=N] [--metrics-file=F] "
+                 "[--events-file=F] "
+                 "[--log-level=off|error|warn|info|debug]\n");
+    return 2;
+  };
 
+  int64_t N = 0;
   for (const std::string &Arg : Args) {
     if (const char *V = valueOf(Arg, "--socket=")) {
       SrvOpts.UnixPath = V;
     } else if (const char *V = valueOf(Arg, "--tcp=")) {
-      SrvOpts.TcpPort = std::atoi(V);
+      if (!parseIntInRange(V, 0, 65535, &N))
+        return Usage();
+      SrvOpts.TcpPort = static_cast<int>(N);
     } else if (const char *V = valueOf(Arg, "--db=")) {
       SvcOpts.DbPath = V;
     } else if (const char *V = valueOf(Arg, "--workers=")) {
-      SvcOpts.Workers = std::atoi(V);
+      if (!parseIntInRange(V, 1, 1024, &N))
+        return Usage();
+      SvcOpts.Workers = static_cast<int>(N);
     } else if (const char *V = valueOf(Arg, "--queue=")) {
-      SvcOpts.QueueCapacity = static_cast<size_t>(std::atoll(V));
+      if (!parseIntInRange(V, 1, 1 << 20, &N))
+        return Usage();
+      SvcOpts.QueueCapacity = static_cast<size_t>(N);
     } else if (const char *V = valueOf(Arg, "--engine-jobs=")) {
-      SvcOpts.EngineJobs = std::atoi(V);
+      if (!parseIntInRange(V, 1, 4096, &N))
+        return Usage();
+      SvcOpts.EngineJobs = static_cast<int>(N);
     } else if (const char *V = valueOf(Arg, "--metrics-file=")) {
       MetricsFile = V;
     } else if (const char *V = valueOf(Arg, "--events-file=")) {
@@ -69,13 +88,7 @@ int eco::serve::serveToolMain(const std::vector<std::string> &Args) {
       }
       LogLevelSet = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: eco_served [--socket=PATH] [--tcp=PORT] "
-                   "[--db=FILE] [--workers=N] [--queue=N] "
-                   "[--engine-jobs=N] [--metrics-file=F] "
-                   "[--events-file=F] "
-                   "[--log-level=off|error|warn|info|debug]\n");
-      return 2;
+      return Usage();
     }
   }
   if (!LogLevelSet)
@@ -141,16 +154,31 @@ int eco::serve::submitToolMain(const std::vector<std::string> &Args) {
   std::string Op = "submit";
   int TimeoutMs = 0; // 0 = library defaults (10 s connect, 5 min recv)
   JobSpec Spec;
+  auto Usage = [] {
+    std::fprintf(stderr,
+                 "usage: eco_cli submit [--socket=PATH | --host=H "
+                 "--port=P] [--timeout-ms=MS] "
+                 "[--op=submit|query|stats|jobs|metrics|"
+                 "ping|shutdown] "
+                 "[--kernel=K] [--machine=M] [--scale=S] [--n=N] "
+                 "[--priority=P] [--deadline-ms=MS] [--force]\n");
+    return 2;
+  };
 
+  int64_t N = 0;
   for (const std::string &Arg : Args) {
     if (const char *V = valueOf(Arg, "--socket=")) {
       Socket = V;
     } else if (const char *V = valueOf(Arg, "--host=")) {
       Host = V;
     } else if (const char *V = valueOf(Arg, "--port=")) {
-      Port = std::atoi(V);
+      if (!parseIntInRange(V, 1, 65535, &N))
+        return Usage();
+      Port = static_cast<int>(N);
     } else if (const char *V = valueOf(Arg, "--timeout-ms=")) {
-      TimeoutMs = std::atoi(V);
+      if (!parseIntInRange(V, 0, 24 * 3600 * 1000, &N))
+        return Usage();
+      TimeoutMs = static_cast<int>(N);
     } else if (const char *V = valueOf(Arg, "--op=")) {
       Op = V;
     } else if (const char *V = valueOf(Arg, "--kernel=")) {
@@ -168,14 +196,7 @@ int eco::serve::submitToolMain(const std::vector<std::string> &Args) {
     } else if (Arg == "--force") {
       Spec.ForceRetune = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: eco_cli submit [--socket=PATH | --host=H "
-                   "--port=P] [--timeout-ms=MS] "
-                   "[--op=submit|query|stats|jobs|metrics|"
-                   "ping|shutdown] "
-                   "[--kernel=K] [--machine=M] [--scale=S] [--n=N] "
-                   "[--priority=P] [--deadline-ms=MS] [--force]\n");
-      return 2;
+      return Usage();
     }
   }
 

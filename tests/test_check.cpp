@@ -2,19 +2,22 @@
 //
 // Covers the check subsystem: the kernel x config differential harness
 // (simulator and native legs against the golden references, including one
-// adversarial corner per transform), the JSONL trace auditor (clean
-// traces pass; tampered traces are caught), the jobs-determinism replay,
+// adversarial corner per transform), the flight-recorder event auditor
+// (clean streams pass; every invariant it checks is caught when broken,
+// including a tampered events file), the jobs-determinism replay,
 // and the persistence fault-injection matrix. Carries the "check" ctest
 // label (ctest -L check).
 //
 //===----------------------------------------------------------------------===//
 
 #include "check/DiffCheck.h"
+#include "check/EventAudit.h"
 #include "check/FaultInject.h"
-#include "check/TraceAudit.h"
 #include "core/Tuner.h"
 #include "engine/Engine.h"
 #include "kernels/Kernels.h"
+#include "obs/Event.h"
+#include "obs/Report.h"
 
 #include <gtest/gtest.h>
 
@@ -22,6 +25,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 
 using namespace eco;
@@ -121,157 +125,248 @@ TEST(DiffCheckTest, DeterministicForFixedSeed) {
   EXPECT_EQ(A.SkippedInfeasible, B.SkippedInfeasible);
 }
 
-// ---- trace auditor ------------------------------------------------------
+// ---- event auditor ------------------------------------------------------
 
 namespace {
 
-TraceRecord record(uint64_t Seq, const std::string &Variant,
-                   const std::string &Stage, const std::string &Config,
-                   double Cost, bool CacheHit = false) {
-  TraceRecord R;
-  R.Seq = Seq;
-  R.TimeMs = 1;
-  R.Variant = Variant;
-  R.Stage = Stage;
-  R.Config = Config;
-  R.Cost = Cost;
-  R.CacheHit = CacheHit;
-  return R;
+/// Builds a synthetic flight-recorder stream with dense seqs and
+/// monotonic timestamps. Each tune.done carries the point and hit totals
+/// of its own window, so only the invariant under test can fail.
+struct StreamBuilder {
+  std::vector<obs::Event> Events;
+  uint64_t NextSeq = 0;
+  std::map<uint64_t, std::pair<int64_t, int64_t>> Counts; // points, hits
+
+  void add(const std::string &Type, Json Fields, uint64_t Job = 0) {
+    obs::Event E;
+    E.Seq = NextSeq++;
+    E.TimeUs = Events.size() + 1;
+    E.Job = Job;
+    E.Type = Type;
+    E.Fields = std::move(Fields);
+    Events.push_back(std::move(E));
+  }
+  void start(uint64_t Job = 0) {
+    Counts[Job] = {0, 0};
+    add("tune.start", Json::object(), Job);
+  }
+  void point(const std::string &Variant, const std::string &Stage,
+             const std::string &Config, double Cost, bool Hit = false,
+             uint64_t Job = 0) {
+    Json F = Json::object();
+    F.set("variant", Variant);
+    F.set("stage", Stage);
+    F.set("config", Variant + "{" + Config + "}");
+    F.set("cost", Cost);
+    F.set("cache_hit", Hit);
+    ++(Hit ? Counts[Job].second : Counts[Job].first);
+    add("config.evaluated", std::move(F), Job);
+  }
+  void done(double BestCost, uint64_t Job = 0) {
+    Json F = Json::object();
+    F.set("points", Counts[Job].first);
+    F.set("cache_hits", Counts[Job].second);
+    F.set("variants_rejected", 0);
+    F.set("configs_rejected", 0);
+    F.set("best_cost", BestCost);
+    add("tune.done", std::move(F), Job);
+  }
+};
+
+bool hasIssue(const EventAuditReport &Report, const std::string &Kind) {
+  for (const EventIssue &I : Report.Issues)
+    if (I.Kind == Kind)
+      return true;
+  return false;
+}
+
+/// Streams every event published while \p Body runs to \p Path.
+template <class Fn> void recordEvents(const std::string &Path, Fn Body) {
+  obs::EventBus &Bus = obs::EventBus::global();
+  ASSERT_TRUE(Bus.openFile(Path));
+  obs::setEventsEnabled(true);
+  Body();
+  obs::setEventsEnabled(false);
+  Bus.closeFile();
+  Bus.clear();
 }
 
 } // namespace
 
-TEST(TraceAuditTest, CleanSyntheticTracePasses) {
-  std::vector<TraceRecord> Trace = {
-      record(0, "v1", "rank", "a", 9.0),
-      record(1, "v1", "initial", "a", 9.0, /*CacheHit=*/true),
-      record(2, "v1", "register", "b", 7.0),
-      record(3, "v1", "tile0", "c", 5.0),
-      record(4, "v1", "prefetch", "d", 6.0),
-      record(5, "v1", "adjust", "c", 5.0, /*CacheHit=*/true),
-  };
-  TraceAuditOptions Opts;
+TEST(EventAuditTest, CleanSyntheticStreamPasses) {
+  StreamBuilder B;
+  B.start();
+  B.point("v1", "rank", "a", 9.0);
+  B.point("v1", "initial", "a", 9.0, /*Hit=*/true);
+  B.point("v1", "register", "b", 7.0);
+  B.point("v1", "tile0", "c", 5.0);
+  B.point("v1", "prefetch", "d", 6.0);
+  B.point("v1", "adjust", "c", 5.0, /*Hit=*/true);
+  B.done(5.0);
+  EventAuditOptions Opts;
   Opts.AssumeColdCache = true;
-  TraceAuditReport Report = auditTrace(Trace, Opts);
+  EventAuditReport Report = auditEvents(B.Events, Opts);
   EXPECT_TRUE(Report.ok()) << Report.summary();
-  EXPECT_EQ(Report.Records, 6u);
+  EXPECT_EQ(Report.Events, 8u);
   EXPECT_EQ(Report.Segments, 1u);
-  EXPECT_EQ(Report.BestCost, 5.0);
+  EXPECT_EQ(Report.Tunes, 1u);
 }
 
-TEST(TraceAuditTest, CostInconsistencyIsCaught) {
+TEST(EventAuditTest, CostInconsistencyIsCaught) {
   // Same (variant, config) with two different costs: the memo table or a
   // backend clone went non-deterministic.
-  std::vector<TraceRecord> Trace = {
-      record(0, "v1", "initial", "a", 9.0),
-      record(1, "v1", "register", "a", 8.0),
-  };
-  TraceAuditReport Report = auditTrace(Trace);
+  StreamBuilder B;
+  B.start();
+  B.point("v1", "initial", "a", 9.0);
+  B.point("v1", "register", "a", 8.0);
+  B.done(8.0);
+  EventAuditReport Report = auditEvents(B.Events);
   ASSERT_EQ(Report.Issues.size(), 1u) << Report.summary();
   EXPECT_EQ(Report.Issues[0].Kind, "cost-mismatch");
 }
 
-TEST(TraceAuditTest, SeqGapAndStageRegressionAreCaught) {
-  std::vector<TraceRecord> Trace = {
-      record(0, "v1", "initial", "a", 9.0),
-      record(2, "v1", "tile0", "b", 7.0),    // seq 1 lost
-      record(3, "v1", "register", "c", 8.0), // stage went backwards
-  };
-  TraceAuditReport Report = auditTrace(Trace);
-  EXPECT_FALSE(Report.ok());
-  bool SawSeq = false, SawStage = false;
-  for (const TraceIssue &I : Report.Issues) {
-    SawSeq |= I.Kind == "seq";
-    SawStage |= I.Kind == "stage-order";
-  }
-  EXPECT_TRUE(SawSeq) << Report.summary();
-  EXPECT_TRUE(SawStage) << Report.summary();
+TEST(EventAuditTest, SeqGapAndStageRegressionAreCaught) {
+  StreamBuilder B;
+  B.start();
+  B.point("v1", "initial", "a", 9.0);
+  B.point("v1", "initial", "b", 9.5);
+  B.point("v1", "tile0", "c", 7.0);
+  B.point("v1", "register", "d", 8.0); // stage went backwards
+  B.done(7.0);
+  B.Events.erase(B.Events.begin() + 2); // one event lost
+  EventAuditReport Report = auditEvents(B.Events);
+  EXPECT_TRUE(hasIssue(Report, "seq")) << Report.summary();
+  EXPECT_TRUE(hasIssue(Report, "stage-order")) << Report.summary();
 }
 
-TEST(TraceAuditTest, BadCostAndColdCacheHitAreCaught) {
-  std::vector<TraceRecord> Trace = {
-      record(0, "v1", "initial", "a",
-             std::numeric_limits<double>::quiet_NaN()),
-      record(1, "v1", "register", "b", 5.0, /*CacheHit=*/true),
-  };
-  TraceAuditOptions Opts;
+TEST(EventAuditTest, BadCostAndColdCacheHitAreCaught) {
+  StreamBuilder B;
+  B.start();
+  B.point("v1", "initial", "a", std::numeric_limits<double>::quiet_NaN());
+  B.point("v1", "register", "b", 5.0, /*Hit=*/true);
+  B.point("v1", "register", "c", -1.0);
+  B.done(5.0);
+  EventAuditOptions Opts;
   Opts.AssumeColdCache = true;
-  TraceAuditReport Report = auditTrace(Trace, Opts);
-  bool SawBadCost = false, SawColdHit = false;
-  for (const TraceIssue &I : Report.Issues) {
-    SawBadCost |= I.Kind == "bad-cost";
-    SawColdHit |= I.Kind == "cost-mismatch";
-  }
-  EXPECT_TRUE(SawBadCost) << Report.summary();
-  EXPECT_TRUE(SawColdHit) << Report.summary();
+  EventAuditReport Report = auditEvents(B.Events, Opts);
+  size_t BadCosts = 0;
+  for (const EventIssue &I : Report.Issues)
+    BadCosts += I.Kind == "bad-cost";
+  EXPECT_EQ(BadCosts, 2u) << Report.summary(); // NaN and negative
+  EXPECT_TRUE(hasIssue(Report, "cold-hit")) << Report.summary();
+  // Without the cold-cache assumption a hit is legal.
+  EXPECT_FALSE(hasIssue(auditEvents(B.Events), "cold-hit"));
 }
 
-TEST(TraceAuditTest, ReportedBestMustMatchTraceMinimum) {
-  std::vector<TraceRecord> Trace = {
-      record(0, "v1", "initial", "a", 9.0),
-      record(1, "v1", "register", "b", 7.0),
-  };
-  TraceAuditOptions Opts;
-  Opts.HasExpectedBestCost = true;
-  Opts.ExpectedBestCost = 7.0;
-  EXPECT_TRUE(auditTrace(Trace, Opts).ok());
-  Opts.ExpectedBestCost = 6.5; // claims a point the trace never saw
-  TraceAuditReport Report = auditTrace(Trace, Opts);
-  ASSERT_EQ(Report.Issues.size(), 1u);
+TEST(EventAuditTest, ReportedBestMustMatchStreamMinimum) {
+  StreamBuilder B;
+  B.start();
+  B.point("v2", "rank", "a", 5.0); // ranked, then pruned: never searched
+  B.point("v1", "rank", "a", 9.0);
+  B.point("v1", "initial", "a", 9.0, /*Hit=*/true);
+  B.point("v1", "register", "b", 6.0);
+  B.Events.back().Fields.set("warm", true); // speculative, never accepted
+  B.point("v1", "register", "c", 7.0);
+  B.add("variant.pruned", Json::parse(R"({"variant":"v2"})"));
+  std::vector<obs::Event> Head = B.Events;
+  B.done(7.0);
+  EXPECT_TRUE(auditEvents(B.Events).ok()) << auditEvents(B.Events).summary();
+
+  B.Events = Head;
+  B.NextSeq = Head.size();
+  B.done(6.5); // claims a point the stream never evaluated
+  EventAuditReport Report = auditEvents(B.Events);
+  ASSERT_EQ(Report.Issues.size(), 1u) << Report.summary();
   EXPECT_EQ(Report.Issues[0].Kind, "regression");
+
+  // Restored points were evaluated by an earlier stream: no minimum.
+  B.Events.back().Fields.set("restored_points", 4);
+  B.Events.back().Fields.set("points", 4 + 4);
+  EXPECT_TRUE(auditEvents(B.Events).ok()) << auditEvents(B.Events).summary();
 }
 
-TEST(TraceAuditTest, SegmentsRestartSequencesAndStages) {
+TEST(EventAuditTest, SegmentsRestartSequencesAndStages) {
   // A resumed tune appends a second segment whose seq restarts at 0 and
   // whose stages begin again — neither is an issue.
-  std::vector<TraceRecord> Trace = {
-      record(0, "v1", "initial", "a", 9.0),
-      record(1, "v1", "tile0", "b", 7.0),
-      record(0, "v1", "initial", "a", 9.0), // resume
-      record(1, "v1", "register", "c", 8.0),
-  };
-  TraceAuditReport Report = auditTrace(Trace);
+  StreamBuilder B;
+  B.start();
+  B.point("v1", "initial", "a", 9.0);
+  B.point("v1", "tile0", "b", 7.0);
+  B.done(7.0);
+  B.NextSeq = 0; // resume
+  B.start();
+  B.point("v1", "initial", "a", 9.0);
+  B.point("v1", "register", "c", 8.0);
+  B.done(8.0);
+  EventAuditReport Report = auditEvents(B.Events);
   EXPECT_TRUE(Report.ok()) << Report.summary();
   EXPECT_EQ(Report.Segments, 2u);
+  EXPECT_EQ(Report.Tunes, 2u);
 }
 
-TEST(TraceAuditTest, RealEngineTracePassesAudit) {
+TEST(EventAuditTest, InterleavedJobsRepeatingNamesAreNotMismatches) {
+  // A daemon stream: two problems tuned concurrently under distinct job
+  // ids share variant and config names but not costs, and each job's
+  // stages restart independently of the other's.
+  StreamBuilder B;
+  B.start(/*Job=*/1);
+  B.point("v1", "rank", "a", 9.0, false, 1);
+  B.start(/*Job=*/2);
+  B.point("v1", "rank", "a", 90.0, false, 2);
+  B.point("v1", "tile0", "b", 7.0, false, 1);
+  B.point("v1", "initial", "a", 90.0, /*Hit=*/true, 2);
+  B.point("v1", "register", "b", 70.0, false, 2);
+  B.done(7.0, 1);
+  B.point("v1", "tile0", "c", 60.0, false, 2);
+  B.done(60.0, 2);
+  EventAuditOptions Opts;
+  Opts.AssumeColdCache = true;
+  EventAuditReport Report = auditEvents(B.Events, Opts);
+  EXPECT_TRUE(Report.ok()) << Report.summary();
+  EXPECT_EQ(Report.Tunes, 2u);
+
+  // Within one job, the same point must still agree with itself.
+  B.start(/*Job=*/3);
+  B.point("v1", "rank", "a", 9.0, false, 3);
+  B.point("v1", "initial", "a", 9.5, /*Hit=*/true, 3);
+  B.done(9.0, 3);
+  Report = auditEvents(B.Events, Opts);
+  ASSERT_EQ(Report.Issues.size(), 1u) << Report.summary();
+  EXPECT_EQ(Report.Issues[0].Kind, "cost-mismatch");
+}
+
+TEST(EventAuditTest, RealEngineStreamPassesAudit) {
   const std::string Path = tempPath("check_audit_real.jsonl");
-  std::remove(Path.c_str());
-  double BestCost;
-  {
+  double BestCost = 0;
+  recordEvents(Path, [&] {
     SimEvalBackend Backend(MachineDesc::sgiR10000().scaledBy(16));
     EngineOptions EO;
-    EO.TraceFile = Path;
+    EO.Jobs = 2;
     EvalEngine Engine(Backend, EO);
     TuneResult R = tune(makeMatMul(), Engine, {{"N", 24}});
     ASSERT_GE(R.BestVariant, 0);
     BestCost = R.BestCost;
-    Engine.flush();
-  }
-  TraceAuditOptions Opts;
+  });
+  EventAuditOptions Opts;
   Opts.AssumeColdCache = true;
   Opts.HasExpectedBestCost = true;
   Opts.ExpectedBestCost = BestCost;
-  TraceAuditReport Report = auditTraceFile(Path, Opts);
-  EXPECT_GT(Report.Records, 0u);
+  EventAuditReport Report = auditEventsFile(Path, Opts);
+  EXPECT_GT(Report.Events, 0u);
+  EXPECT_EQ(Report.Tunes, 1u);
   EXPECT_TRUE(Report.ok()) << Report.summary();
   std::remove(Path.c_str());
 }
 
-TEST(TraceAuditTest, TamperedTraceFileIsCaught) {
+TEST(EventAuditTest, TamperedEventsFileIsCaught) {
   const std::string Clean = tempPath("check_audit_clean.jsonl");
   const std::string Tampered = tempPath("check_audit_tampered.jsonl");
-  std::remove(Clean.c_str());
-  {
+  recordEvents(Clean, [] {
     SimEvalBackend Backend(MachineDesc::sgiR10000().scaledBy(16));
-    EngineOptions EO;
-    EO.TraceFile = Clean;
-    EvalEngine Engine(Backend, EO);
+    EvalEngine Engine(Backend);
     TuneResult R = tune(makeMatVec(), Engine, {{"N", 24}});
     ASSERT_GE(R.BestVariant, 0);
-    Engine.flush();
-  }
+  });
 
   // Drop one line and truncate another mid-record: the auditor must see
   // both the seq gap and the parse failure.
@@ -293,15 +388,11 @@ TEST(TraceAuditTest, TamperedTraceFileIsCaught) {
       Out << Lines[I] << "\n";
     }
   }
-  TraceAuditReport Report = auditTraceFile(Tampered);
-  EXPECT_FALSE(Report.ok());
-  bool SawSeq = false, SawParse = false;
-  for (const TraceIssue &I : Report.Issues) {
-    SawSeq |= I.Kind == "seq";
-    SawParse |= I.Kind == "parse";
-  }
-  EXPECT_TRUE(SawSeq) << Report.summary();
-  EXPECT_TRUE(SawParse) << Report.summary();
+  EXPECT_TRUE(auditEventsFile(Clean).ok())
+      << auditEventsFile(Clean).summary();
+  EventAuditReport Report = auditEventsFile(Tampered);
+  EXPECT_TRUE(hasIssue(Report, "seq")) << Report.summary();
+  EXPECT_TRUE(hasIssue(Report, "parse")) << Report.summary();
   std::remove(Clean.c_str());
   std::remove(Tampered.c_str());
 }
@@ -309,11 +400,30 @@ TEST(TraceAuditTest, TamperedTraceFileIsCaught) {
 // ---- jobs determinism ---------------------------------------------------
 
 TEST(JobsDeterminismTest, WinnerBitIdenticalAcrossJobs) {
+  // A sink open before the replay gets the bus back, still enabled.
+  const std::string Outer = tempPath("check_jobs_outer.jsonl");
+  obs::EventBus &Bus = obs::EventBus::global();
+  ASSERT_TRUE(Bus.openFile(Outer));
+  obs::setEventsEnabled(true);
   JobsDeterminismResult R = checkJobsDeterminism(
       makeMatMul(), MachineDesc::sgiR10000().scaledBy(16), {{"N", 24}},
       /*Jobs=*/2, ::testing::TempDir());
+  EXPECT_TRUE(obs::eventsEnabled());
+  obs::publishEvent("test.after_replay", Json::object());
+  obs::setEventsEnabled(false);
+  Bus.closeFile();
+  Bus.clear();
+
   EXPECT_TRUE(R.ok()) << R.summary();
   EXPECT_EQ(R.WinnerSeq, R.WinnerPar);
+  EXPECT_EQ(R.AuditSeq.Tunes, 1u);
+  EXPECT_EQ(R.AuditPar.Tunes, 1u);
+  std::vector<obs::Event> OuterEvents;
+  std::string Error;
+  ASSERT_TRUE(obs::loadEventsFile(Outer, OuterEvents, &Error)) << Error;
+  ASSERT_EQ(OuterEvents.size(), 1u); // the replay's events went elsewhere
+  EXPECT_EQ(OuterEvents[0].Type, "test.after_replay");
+  std::remove(Outer.c_str());
 }
 
 // ---- persistence fault injection ---------------------------------------

@@ -2,9 +2,9 @@
 //
 // Covers the eco::engine subsystem: ThreadPool batch semantics, EvalCache
 // memoization + JSON persistence, the determinism contract (a --jobs N
-// tune returns the bit-identical winner of a sequential tune), trace
-// logging, checkpoint kill/resume, and the stats-based accounting the
-// Tuner now reports. Runs under ThreadSanitizer via -DECO_SANITIZE=thread
+// tune returns the bit-identical winner of a sequential tune), the
+// TraceLog record class, checkpoint kill/resume, and the stats-based
+// accounting the Tuner reports. Runs under ThreadSanitizer via -DECO_SANITIZE=thread
 // (ctest -L engine).
 //
 //===----------------------------------------------------------------------===//
@@ -15,6 +15,7 @@
 #include "engine/EvalCache.h"
 #include "engine/ThreadPool.h"
 #include "kernels/Kernels.h"
+#include "obs/Event.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Span.h"
@@ -27,6 +28,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -272,13 +274,33 @@ TEST(EngineTest, FourLaneTuneUsesEveryLaneAndMatchesOneLane) {
   Opts.Jobs = 4;
   EvalEngine Par(B2, Opts);
   ASSERT_EQ(Par.jobs(), 4);
-  TuneResult RPar = tune(MM, Par, Problem);
+  // The lanes come from the per-point record: the flight recorder's
+  // config.evaluated events, captured in the bus's in-memory ring. The
+  // tune runs as a serve job would, and every lane must carry its id.
+  obs::EventBus &Bus = obs::EventBus::global();
+  Bus.clear();
+  obs::setEventsEnabled(true);
+  TuneResult RPar;
+  {
+    obs::ScopedJobId Job(7);
+    RPar = tune(MM, Par, Problem);
+  }
+  obs::setEventsEnabled(false);
+  std::vector<obs::Event> Events = Bus.snapshot();
+  EXPECT_EQ(Bus.dropped(), 0u);
+  Bus.clear();
 
   EXPECT_EQ(winnerOf(RPar), winnerOf(RSeq));
   std::set<int> Lanes;
-  for (const TraceRecord &R : Par.trace().records())
-    if (!R.CacheHit)
-      Lanes.insert(R.Lane);
+  size_t Points = 0;
+  for (const obs::Event &E : Events)
+    if (E.Type == "config.evaluated" &&
+        !E.Fields.get("cache_hit").asBool()) {
+      EXPECT_EQ(E.Job, 7u);
+      ++Points;
+      Lanes.insert(static_cast<int>(E.Fields.get("lane").asInt()));
+    }
+  EXPECT_EQ(Points, RPar.TotalPoints);
   EXPECT_EQ(Lanes, std::set<int>({0, 1, 2, 3}));
 }
 
@@ -328,62 +350,6 @@ TEST(EngineTest, CacheSaltSeparatesBackends) {
 
 // ---- Trace logging ------------------------------------------------------
 
-TEST(EngineTest, TraceFileIsParseableJsonl) {
-  std::string Path = tempPath("eco_engine_trace.jsonl");
-  std::remove(Path.c_str());
-  LoopNest MM = makeMatMul();
-  MachineDesc M = sgiScaled();
-  SimEvalBackend Backend(M);
-  EngineOptions Opts;
-  Opts.Jobs = 2;
-  Opts.TraceFile = Path;
-  EvalEngine Engine(Backend, Opts);
-  tune(MM, Engine, {{"N", 64}});
-  Engine.flush();
-
-  size_t Lines = 0;
-  std::ifstream In(Path);
-  ASSERT_TRUE(In.good());
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
-    ++Lines;
-    std::string Err;
-    Json Rec = Json::parse(Line, &Err);
-    ASSERT_TRUE(Err.empty()) << Err << " in: " << Line;
-    EXPECT_TRUE(Rec.has("seq"));
-    EXPECT_TRUE(Rec.has("t_ms"));
-    EXPECT_TRUE(Rec.has("variant"));
-    EXPECT_TRUE(Rec.has("stage"));
-    EXPECT_TRUE(Rec.has("config"));
-    EXPECT_TRUE(Rec.has("cost"));
-    EXPECT_TRUE(Rec.has("cacheHit"));
-    EXPECT_TRUE(Rec.has("ms"));
-    EXPECT_TRUE(Rec.has("lane"));
-  }
-  EXPECT_EQ(Lines, Engine.trace().numRecords());
-  EXPECT_GT(Lines, 0u);
-  std::remove(Path.c_str());
-}
-
-TEST(EngineTest, TraceRecordsCarryMonotonicStartTimes) {
-  LoopNest MM = makeMatMul();
-  MachineDesc M = sgiScaled();
-  SimEvalBackend Backend(M);
-  EvalEngine Engine(Backend);
-  tune(MM, Engine, {{"N", 64}});
-
-  std::vector<TraceRecord> Recs = Engine.trace().records();
-  ASSERT_FALSE(Recs.empty());
-  for (const TraceRecord &R : Recs)
-    EXPECT_GT(R.TimeMs, 0.0); // append() stamps the obs clock
-  // Sequential evaluation: completion order == issue order, so the
-  // stamped start times are non-decreasing.
-  for (size_t I = 1; I < Recs.size(); ++I)
-    EXPECT_GE(Recs[I].TimeMs, Recs[I - 1].TimeMs);
-}
-
 TEST(TraceLogTest, ExplicitTimeMsIsPreserved) {
   TraceLog Log;
   Log.append({0, 1234.5, "v1", "register", "TI=8", 10.0, false, false,
@@ -432,90 +398,66 @@ TEST(TraceLogTest, AppendModeKeepsExistingRecords) {
   std::remove(Path.c_str());
 }
 
-TEST(EngineTest, ResumedTuneAppendsTraceInsteadOfClobbering) {
-  // The --resume flow: a first (killed) tune streams trace records; the
-  // resumed engine opens the same file with TraceAppend and must extend
-  // it, not truncate it.
-  std::string Path = tempPath("eco_trace_resume.jsonl");
-  std::remove(Path.c_str());
-  LoopNest MM = makeMatMul();
-  const ParamBindings Problem = {{"N", 64}};
-  MachineDesc M = sgiScaled();
-
-  size_t FirstLines;
-  {
-    SimEvalBackend Backend(M);
-    EngineOptions Opts;
-    Opts.TraceFile = Path;
-    EvalEngine Engine(Backend, Opts);
-    tune(MM, Engine, Problem);
-    Engine.flush();
-    FirstLines = Engine.trace().numRecords();
-    ASSERT_GT(FirstLines, 0u);
-  }
-
-  {
-    SimEvalBackend Backend(M);
-    EngineOptions Opts;
-    Opts.TraceFile = Path;
-    Opts.TraceAppend = true; // what --resume sets
-    EvalEngine Engine(Backend, Opts);
-    tune(MM, Engine, Problem);
-    Engine.flush();
-  }
-
-  size_t TotalLines = 0;
-  std::ifstream In(Path);
-  std::string Line;
-  while (std::getline(In, Line))
-    if (!Line.empty())
-      ++TotalLines;
-  EXPECT_GT(TotalLines, FirstLines); // old records still there
-  std::remove(Path.c_str());
-}
-
 // ---- Telemetry ----------------------------------------------------------
 
-TEST(EngineTest, TelemetryReconcilesWithStatsAndStages) {
+TEST(EngineTest, StatsSumTelemetryRowsAndCountRejections) {
   LoopNest MM = makeMatMul();
   MachineDesc M = sgiScaled();
   SimEvalBackend Backend(M);
   EngineOptions Opts;
   Opts.Jobs = 2;
   EvalEngine Engine(Backend, Opts);
-  tune(MM, Engine, {{"N", 64}});
+  TuneResult R = tune(MM, Engine, {{"N", 64}});
 
   std::vector<StageTelemetry> Rows = Engine.telemetry();
   ASSERT_FALSE(Rows.empty());
 
-  // Counts must sum to the engine's totals...
+  // stats() is the telemetry rows summed, in row order (so bitwise).
   EvalStats Total = Engine.stats();
   size_t Evals = 0, Hits = 0;
+  double Seconds = 0;
+  std::set<std::string> Stages;
   for (const StageTelemetry &Row : Rows) {
     Evals += Row.Evaluations;
     Hits += Row.CacheHits;
+    Seconds += Row.BackendSeconds;
+    Stages.insert(Row.Stage);
   }
   EXPECT_EQ(Evals, Total.Evaluations);
   EXPECT_EQ(Hits, Total.CacheHits);
+  EXPECT_EQ(Seconds, Total.BackendSeconds);
+  // The Tuner's accounting reads the same ledger.
+  EXPECT_EQ(Total.Evaluations, R.TotalPoints);
+  EXPECT_EQ(Total.CacheHits, R.TotalCacheHits);
+  size_t SummedPoints = 0;
+  for (const VariantSummary &Sum : R.Summaries)
+    SummedPoints += Sum.Points;
+  // Per-variant points plus the ranking pass account for every point.
+  EXPECT_LE(SummedPoints, R.TotalPoints);
+  EXPECT_GT(SummedPoints, 0u);
+  // The Tuner's ranking pass and the search's opening stage appear.
+  EXPECT_TRUE(Stages.count("rank"));
+  EXPECT_TRUE(Stages.count("initial"));
 
-  // ...and, aggregated per stage, reproduce stageStats().
-  std::map<std::string, EvalEngine::StageStats> ByStage;
-  for (const StageTelemetry &Row : Rows) {
-    ByStage[Row.Stage].Evaluations += Row.Evaluations;
-    ByStage[Row.Stage].CacheHits += Row.CacheHits;
-    ByStage[Row.Stage].BackendSeconds += Row.BackendSeconds;
-  }
-  std::map<std::string, EvalEngine::StageStats> Expected =
-      Engine.stageStats();
-  ASSERT_EQ(ByStage.size(), Expected.size());
-  for (const auto &[Stage, SS] : Expected) {
-    ASSERT_TRUE(ByStage.count(Stage)) << Stage;
-    EXPECT_EQ(ByStage[Stage].Evaluations, SS.Evaluations) << Stage;
-    EXPECT_EQ(ByStage[Stage].CacheHits, SS.CacheHits) << Stage;
-    EXPECT_NEAR(ByStage[Stage].BackendSeconds, SS.BackendSeconds,
-                1e-9 * std::max(1.0, SS.BackendSeconds))
-        << Stage;
-  }
+  // Rejections are counted apart from the rows: never cached, so every
+  // request counts once more, and none of them is a point.
+  EXPECT_EQ(Total.Rejected, R.ConfigsRejected);
+  const DerivedVariant *Prefetching = nullptr;
+  for (const DerivedVariant &V : R.Variants)
+    if (!V.Prefetch.empty())
+      Prefetching = &V;
+  ASSERT_NE(Prefetching, nullptr);
+  Env Illegal = initialConfig(*Prefetching, M, {{"N", 64}});
+  // No int holds this distance, so instantiate() rejects it.
+  Illegal.set(Prefetching->Prefetch.front().DistanceParam,
+              int64_t(1) << 40);
+  for (int I = 0; I < 2; ++I)
+    EXPECT_TRUE(std::isinf(Engine.evaluate(*Prefetching, Illegal,
+                                           "prefetch").Cost));
+  EvalStats After = Engine.stats();
+  EXPECT_EQ(After.Rejected, Total.Rejected + 2);
+  EXPECT_EQ(After.Evaluations, Total.Evaluations);
+  EXPECT_EQ(After.CacheHits, Total.CacheHits);
 
   // The sim backend exposes hwCounters(), so every row with real
   // evaluations carries HW deltas, and simulated work costs cycles.
@@ -627,56 +569,6 @@ TEST(EngineTest, ChromeTraceCoversEvaluationsWithLaneAttribution) {
   ASSERT_TRUE(Err.empty()) << Err;
   EXPECT_GT(Root.get("traceEvents").size(), EvalSpans);
   C.clear();
-}
-
-TEST(EngineTest, StatsFeedTunerAccounting) {
-  LoopNest MM = makeMatMul();
-  MachineDesc M = sgiScaled();
-  SimEvalBackend Backend(M);
-  EvalEngine Engine(Backend);
-  TuneResult R = tune(MM, Engine, {{"N", 64}});
-
-  EvalStats S = Engine.stats();
-  EXPECT_EQ(R.TotalPoints, S.Evaluations);
-  EXPECT_EQ(R.TotalCacheHits, S.CacheHits);
-  size_t SummedPoints = 0;
-  for (const VariantSummary &Sum : R.Summaries)
-    SummedPoints += Sum.Points;
-  // Per-variant points plus the ranking pass account for every backend
-  // evaluation.
-  EXPECT_LE(SummedPoints, R.TotalPoints);
-  EXPECT_GT(SummedPoints, 0u);
-}
-
-TEST(EngineTest, PerStageStatsSumToTotals) {
-  LoopNest MM = makeMatMul();
-  MachineDesc M = sgiScaled();
-  SimEvalBackend Backend(M);
-  EngineOptions Opts;
-  Opts.Jobs = 2;
-  EvalEngine Engine(Backend, Opts);
-  tune(MM, Engine, {{"N", 64}});
-
-  std::map<std::string, EvalEngine::StageStats> Stages = Engine.stageStats();
-  ASSERT_FALSE(Stages.empty());
-  // The Tuner's ranking pass and the search's opening stage must appear.
-  EXPECT_TRUE(Stages.count("rank"));
-  EXPECT_TRUE(Stages.count("initial"));
-
-  EvalStats Total = Engine.stats();
-  size_t Evals = 0, Hits = 0;
-  double Seconds = 0;
-  for (const auto &[Name, SS] : Stages) {
-    EXPECT_FALSE(Name.empty());
-    Evals += SS.Evaluations;
-    Hits += SS.CacheHits;
-    Seconds += SS.BackendSeconds;
-  }
-  EXPECT_EQ(Evals, Total.Evaluations);
-  EXPECT_EQ(Hits, Total.CacheHits);
-  // Same addends, different association (chronological vs. per-bucket).
-  EXPECT_NEAR(Seconds, Total.BackendSeconds,
-              1e-9 * std::max(1.0, Total.BackendSeconds));
 }
 
 // ---- Checkpoint / resume ------------------------------------------------

@@ -23,6 +23,7 @@
 #include "serve/ConfigDB.h"
 #include "serve/Protocol.h"
 #include "serve/Server.h"
+#include "serve/Tool.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 
@@ -868,6 +869,21 @@ TEST(DbAuditTest, TunedDatabaseAuditsCleanAndTamperingIsCaught) {
   EXPECT_FALSE(Gone.ok());
   EXPECT_EQ(Gone.Issues[0].Kind, "schema");
   std::remove(Path.c_str());
+}
+
+// ---- command-line entries -------------------------------------------------
+
+TEST(ServeToolTest, BadNumericFlagsAreUsageErrorsBeforeBinding) {
+  // A malformed or out-of-range numeric flag is a usage error (exit 2)
+  // caught before any socket is bound, never a silent 0.
+  const std::string Sock = tempPath("serve_bad_flags.sock");
+  std::remove(Sock.c_str());
+  for (const char *Bad : {"--workers=abc", "--workers=0", "--tcp=70000",
+                          "--queue=0", "--engine-jobs=2x"})
+    EXPECT_EQ(serveToolMain({"--socket=" + Sock, Bad}), 2) << Bad;
+  EXPECT_NE(access(Sock.c_str(), F_OK), 0) << "a socket was bound";
+  for (const char *Bad : {"--port=abc", "--port=0", "--timeout-ms=-1"})
+    EXPECT_EQ(submitToolMain({"--socket=" + Sock, Bad}), 2) << Bad;
 }
 
 // ---- eco_served daemon (fork/exec) --------------------------------------
