@@ -54,8 +54,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
-#include <limits>
 #include <string>
 
 #include <sys/stat.h>
@@ -91,43 +89,19 @@ bool parseArg(ToolOptions &Opts, const std::string &Arg) {
   }
   // Numeric flags parse strictly: a bad value is a usage error, never a
   // silent 0 ("--jobs=abc" must not replay jobs=1 against jobs=1).
-  constexpr int64_t Big = std::numeric_limits<int64_t>::max();
-  const struct {
-    const char *Key;
-    int64_t Lo, Hi;
-    std::function<void(int64_t)> Set;
-  } Numeric[] = {
-      {"--seed=", 0, Big,
-       [&](int64_t V) { Opts.Diff.Seed = static_cast<uint64_t>(V); }},
-      {"--configs=", 0, 1 << 20,
-       [&](int64_t V) {
-         Opts.Diff.RandomConfigsPerVariant = static_cast<int>(V);
-       }},
-      {"--n=", 1, int64_t(1) << 30,
-       [&](int64_t V) { Opts.Diff.ProblemSize = V; }},
-      {"--scale=", 1, 1 << 20,
-       [&](int64_t V) {
-         Opts.Diff.MachineScale = static_cast<unsigned>(V);
-       }},
-      {"--max-ulps=", 0, Big,
-       [&](int64_t V) { Opts.Diff.MaxUlps = static_cast<uint64_t>(V); }},
-      {"--max-variants=", 0, 1 << 20,
-       [&](int64_t V) {
-         Opts.Diff.MaxVariantsPerKernel = static_cast<unsigned>(V);
-       }},
-      {"--jobs=", 2, 4096,
-       [&](int64_t V) { Opts.Jobs = static_cast<int>(V); }},
-      {"--fuzz=", 0, 1 << 20,
-       [&](int64_t V) { Opts.FuzzRounds = static_cast<int>(V); }},
-  };
-  for (const auto &Flag : Numeric)
-    if (const char *V = valueOf(Flag.Key)) {
-      int64_t Value = 0;
-      if (!parseIntInRange(V, Flag.Lo, Flag.Hi, &Value))
-        return false;
-      Flag.Set(Value);
-      return true;
-    }
+  bool Bad = false;
+  if (uint64Flag(Arg, "--seed=", Opts.Diff.Seed, Bad) ||
+      uint64Flag(Arg, "--max-ulps=", Opts.Diff.MaxUlps, Bad) ||
+      intFlag(Arg, "--configs=", 0, 1 << 20,
+              Opts.Diff.RandomConfigsPerVariant, Bad) ||
+      intFlag(Arg, "--n=", 1, int64_t(1) << 30, Opts.Diff.ProblemSize,
+              Bad) ||
+      intFlag(Arg, "--scale=", 1, 1 << 20, Opts.Diff.MachineScale, Bad) ||
+      intFlag(Arg, "--max-variants=", 0, 1 << 20,
+              Opts.Diff.MaxVariantsPerKernel, Bad) ||
+      intFlag(Arg, "--jobs=", 2, 4096, Opts.Jobs, Bad) ||
+      intFlag(Arg, "--fuzz=", 0, 1 << 20, Opts.FuzzRounds, Bad))
+    return !Bad;
   if (Arg == "--fuzz") {
     Opts.FuzzRounds = 4;
     return true;

@@ -222,27 +222,11 @@ bool parseArg(CliOptions &Opts, const std::string &Arg) {
   }
   // Numeric flags parse strictly: "--scale=-1" must be a usage error,
   // not a 2^32 wraparound, and "--n=64x" must not silently mean 64.
-  if (const char *V = valueOf("--n=")) {
-    int64_t N = 0;
-    if (!parseIntInRange(V, 1, int64_t(1) << 30, &N))
-      return false;
-    Opts.N = N;
-    return true;
-  }
-  if (const char *V = valueOf("--scale=")) {
-    int64_t Scale = 0;
-    if (!parseIntInRange(V, 1, 1 << 20, &Scale))
-      return false;
-    Opts.Scale = static_cast<unsigned>(Scale);
-    return true;
-  }
-  if (const char *V = valueOf("--jobs=")) {
-    int64_t Jobs = 0;
-    if (!parseIntInRange(V, 1, 4096, &Jobs))
-      return false;
-    Opts.Jobs = static_cast<int>(Jobs);
-    return true;
-  }
+  bool Bad = false;
+  if (intFlag(Arg, "--n=", 1, int64_t(1) << 30, Opts.N, Bad) ||
+      intFlag(Arg, "--scale=", 1, 1 << 20, Opts.Scale, Bad) ||
+      intFlag(Arg, "--jobs=", 1, 4096, Opts.Jobs, Bad))
+    return !Bad;
   if (const char *V = valueOf("--cache-file=")) {
     Opts.CacheFile = V;
     return !Opts.CacheFile.empty();

@@ -38,41 +38,13 @@ void usage() {
 }
 
 bool parseArg(FuzzOptions &Opts, const std::string &Arg) {
-  auto valueOf = [&Arg](const char *Key) -> const char * {
-    size_t Len = std::string(Key).size();
-    return Arg.compare(0, Len, Key) == 0 ? Arg.c_str() + Len : nullptr;
-  };
-  int64_t V = 0;
-  if (const char *S = valueOf("--seed=")) {
-    if (!parseIntInRange(S, 0, INT64_MAX, &V))
-      return false;
-    Opts.Seed = static_cast<uint64_t>(V);
-    return true;
-  }
-  if (const char *S = valueOf("--iters=")) {
-    if (!parseIntInRange(S, 1, 10000000, &V))
-      return false;
-    Opts.Iters = static_cast<int>(V);
-    return true;
-  }
-  if (const char *S = valueOf("--iter=")) {
-    if (!parseIntInRange(S, 0, 10000000, &V))
-      return false;
-    Opts.OnlyIter = static_cast<int>(V);
-    return true;
-  }
-  if (const char *S = valueOf("--native-every=")) {
-    if (!parseIntInRange(S, 0, 1000000, &V))
-      return false;
-    Opts.NativeEvery = static_cast<int>(V);
-    return true;
-  }
-  if (const char *S = valueOf("--max-ulps=")) {
-    if (!parseIntInRange(S, 0, INT64_MAX, &V))
-      return false;
-    Opts.MaxUlps = static_cast<uint64_t>(V);
-    return true;
-  }
+  bool Bad = false;
+  if (uint64Flag(Arg, "--seed=", Opts.Seed, Bad) ||
+      intFlag(Arg, "--iters=", 1, 10000000, Opts.Iters, Bad) ||
+      intFlag(Arg, "--iter=", 0, 10000000, Opts.OnlyIter, Bad) ||
+      intFlag(Arg, "--native-every=", 0, 1000000, Opts.NativeEvery, Bad) ||
+      uint64Flag(Arg, "--max-ulps=", Opts.MaxUlps, Bad))
+    return !Bad;
   if (Arg == "--verbose") {
     Opts.Verbose = true;
     return true;

@@ -83,102 +83,118 @@ int stageRank(const std::string &Stage) {
 /// corrupted line.
 bool wellFormed(double Cost) { return !std::isnan(Cost) && Cost >= 0; }
 
-/// Point-level state of one open tune window.
-struct TuneWindow {
-  std::map<std::string, double> CostOf; ///< "variant|config" -> cost
-  /// Config bodies (the "{...}" part) run on a backend in this window.
-  std::set<std::string> Evaluated;
-  std::map<std::string, int> MaxStage; ///< variant -> furthest stage
-  /// Searched variant -> its cheapest decision-loop cost. variant.pruned
-  /// (published after the searches) drops the variant again.
-  std::map<std::string, double> MinCost;
-};
+/// Every point audited so far, keyed by machine, nest, problem, variant
+/// and config -> cost. Windows that tune one problem on one machine (a
+/// resumed segment, a daemon re-tune) must reproduce each other's costs;
+/// a daemon's other problems reuse variant and config names freely.
+using CostLedger = std::map<std::string, double>;
 
-/// The per-window invariants of one config.evaluated event.
-void checkPoint(const obs::Event &E, TuneWindow &W,
-                const EventAuditOptions &Opts, EventAuditReport &Report) {
-  const std::string &Variant = E.Fields.get("variant").asString();
-  const std::string &Stage = E.Fields.get("stage").asString();
-  const std::string &Config = E.Fields.get("config").asString();
-  double Cost = E.Fields.get("cost").asNumber();
-  bool Hit = E.Fields.get("cache_hit").asBool();
-
-  std::string Key = Variant + "|" + Config;
-  auto [It, Fresh] = W.CostOf.emplace(Key, Cost);
-  if (!Fresh && It->second != Cost)
-    Report.Issues.push_back(
-        {"cost-mismatch", E.Seq,
-         strformat("%s: cost %.17g earlier, %.17g now", Key.c_str(),
-                   It->second, Cost)});
-
-  size_t Brace = Config.find('{');
-  std::string Body = Brace == std::string::npos ? Config
-                                                : Config.substr(Brace);
-  if (Opts.AssumeColdCache && Hit && !W.Evaluated.count(Body))
-    Report.Issues.push_back(
-        {"cold-hit", E.Seq,
-         "cache hit for never-evaluated point " + Key +
-             " under cold-cache assumption"});
-  if (!Hit)
-    W.Evaluated.insert(Body);
-
-  int Rank = stageRank(Stage);
-  if (Rank < 0) {
-    Report.Issues.push_back(
-        {"schema", E.Seq, "unknown stage '" + Stage + "'"});
-  } else {
-    auto [SIt, First] = W.MaxStage.emplace(Variant, Rank);
-    if (!First && Rank < SIt->second)
-      Report.Issues.push_back(
-          {"stage-order", E.Seq,
-           strformat("variant %s: stage %s after a later stage",
-                     Variant.c_str(), Stage.c_str())});
-    SIt->second = std::max(SIt->second, Rank);
-  }
-
-  // Warm points are speculative: the decision loop may never consume
-  // one, so only decision-loop points bound the winner from below. Bad
-  // costs are reported on their own.
-  if (!E.Fields.get("warm").asBool(false) && wellFormed(Cost)) {
-    auto [MIt, NewVariant] = W.MinCost.emplace(Variant, Cost);
-    if (!NewVariant)
-      MIt->second = std::min(MIt->second, Cost);
-  }
-}
-
-/// The stream-minimum check at \p Done, which closes window \p W.
-/// Restored points were evaluated by an earlier stream, and a stop may
-/// land before the first search evaluates anything.
-void checkStreamMinimum(const obs::Event &Done, const TuneWindow &W,
+/// The stream-minimum check of closed window \p T: its best_cost must
+/// equal, bitwise, the cheapest of \p MinCost (variant -> cheapest
+/// decision-loop cost).
+void checkStreamMinimum(const obs::TuneReportData &T,
+                        std::map<std::string, double> MinCost,
                         EventAuditReport &Report) {
-  const Json &F = Done.Fields;
-  if (W.MinCost.empty() || F.get("restored_points").asInt() > 0 ||
-      F.get("cancelled").asBool())
+  // Restored points were evaluated by an earlier stream, and a stop may
+  // land before the first search evaluates anything.
+  const Json &F = T.Done;
+  if (F.get("restored_points").asInt() > 0 || F.get("cancelled").asBool())
+    return;
+  // Ranking by rank-point cost searches the cheapest rank points first,
+  // so every variant's points bound the best from below. A tune that put
+  // a preferred variant first (a serve re-tune) may leave the rank-best
+  // variant unsearched: there only the searched variants' points count.
+  if (!T.Start.get("prefer_variant").asString().empty())
+    for (const std::string &V : T.Pruned)
+      MinCost.erase(V);
+  if (MinCost.empty())
     return;
   double Min = std::numeric_limits<double>::infinity();
-  for (const auto &[Variant, Cost] : W.MinCost)
+  for (const auto &[Variant, Cost] : MinCost)
     Min = std::min(Min, Cost);
   double Best = F.get("best_cost").asNumber();
   if (Min != Best)
     Report.Issues.push_back(
-        {"regression", Done.Seq,
-         strformat("tune reported best cost %.17g but the stream minimum "
-                   "is %.17g",
-                   Best, Min)});
+        {"regression", 0,
+         strformat("tune of %s reported best cost %.17g but the stream "
+                   "minimum is %.17g",
+                   T.Start.get("nest").asString().c_str(), Best, Min)});
 }
 
-/// Segment-level ordering, per-window point invariants, and per-tune
-/// reconciliation for \p Segment.
+/// The point invariants of tune window \p T, whose config.evaluated
+/// events index into \p Segment.
+void auditWindow(const std::vector<obs::Event> &Segment,
+                 const obs::TuneReportData &T, const EventAuditOptions &Opts,
+                 CostLedger &CostOf, EventAuditReport &Report) {
+  const std::string Scope = T.Start.get("machine").asString() + "|" +
+                            T.Start.get("nest").asString() + "|" +
+                            T.Start.get("problem").dump() + "|";
+  std::set<std::string> Evaluated; // config bodies run on a backend
+  std::map<std::string, int> MaxStage;   // variant -> furthest stage
+  std::map<std::string, double> MinCost; // variant -> cheapest cost
+  for (size_t I : T.Points) {
+    const obs::Event &E = Segment[I];
+    const std::string &Variant = E.Fields.get("variant").asString();
+    const std::string &Stage = E.Fields.get("stage").asString();
+    const std::string &Config = E.Fields.get("config").asString();
+    double Cost = E.Fields.get("cost").asNumber();
+    bool Hit = E.Fields.get("cache_hit").asBool();
+
+    std::string Key = Variant + "|" + Config;
+    auto [It, Fresh] = CostOf.emplace(Scope + Key, Cost);
+    if (!Fresh && It->second != Cost)
+      Report.Issues.push_back(
+          {"cost-mismatch", E.Seq,
+           strformat("%s: cost %.17g earlier, %.17g now", Key.c_str(),
+                     It->second, Cost)});
+
+    size_t Brace = Config.find('{');
+    std::string Body =
+        Brace == std::string::npos ? Config : Config.substr(Brace);
+    if (Opts.AssumeColdCache && Hit && !Evaluated.count(Body))
+      Report.Issues.push_back(
+          {"cold-hit", E.Seq,
+           "cache hit for never-evaluated point " + Key +
+               " under cold-cache assumption"});
+    if (!Hit)
+      Evaluated.insert(Body);
+
+    int Rank = stageRank(Stage);
+    if (Rank < 0) {
+      Report.Issues.push_back(
+          {"schema", E.Seq, "unknown stage '" + Stage + "'"});
+    } else {
+      auto [SIt, First] = MaxStage.emplace(Variant, Rank);
+      if (!First && Rank < SIt->second)
+        Report.Issues.push_back(
+            {"stage-order", E.Seq,
+             strformat("variant %s: stage %s after a later stage",
+                       Variant.c_str(), Stage.c_str())});
+      SIt->second = std::max(SIt->second, Rank);
+    }
+
+    // A warm batch evaluates siblings the decision loop may stop short
+    // of, so only decision-loop points bound the winner from below. Bad
+    // costs are reported on their own.
+    if (!E.Fields.get("warm").asBool(false) && wellFormed(Cost)) {
+      auto [MIt, NewVariant] = MinCost.emplace(Variant, Cost);
+      if (!NewVariant)
+        MIt->second = std::min(MIt->second, Cost);
+    }
+  }
+  if (T.HasDone)
+    checkStreamMinimum(T, std::move(MinCost), Report);
+}
+
+/// Segment-level ordering, then per tune window the point invariants and
+/// the reconciliation obs::analyzeEvents already ran.
 void auditSegment(const std::vector<obs::Event> &Segment,
-                  const EventAuditOptions &Opts,
+                  const EventAuditOptions &Opts, CostLedger &CostOf,
                   EventAuditReport &Report) {
-  std::map<uint64_t, TuneWindow> Open; // job id -> window
   for (size_t I = 0; I < Segment.size(); ++I) {
     const obs::Event &E = Segment[I];
     checkSchema(E, Report);
-    if (E.Type == "tune.start") {
-      Open[E.Job] = TuneWindow();
-    } else if (E.Type == "config.evaluated") {
+    if (E.Type == "config.evaluated") {
       double Cost = E.Fields.get("cost").asNumber();
       if (!wellFormed(Cost))
         Report.Issues.push_back(
@@ -186,19 +202,6 @@ void auditSegment(const std::vector<obs::Event> &Segment,
              strformat("variant %s stage %s cost %g",
                        E.Fields.get("variant").asString().c_str(),
                        E.Fields.get("stage").asString().c_str(), Cost)});
-      auto It = Open.find(E.Job);
-      if (It != Open.end())
-        checkPoint(E, It->second, Opts, Report);
-    } else if (E.Type == "variant.pruned") {
-      auto It = Open.find(E.Job);
-      if (It != Open.end())
-        It->second.MinCost.erase(E.Fields.get("variant").asString());
-    } else if (E.Type == "tune.done") {
-      auto It = Open.find(E.Job);
-      if (It != Open.end()) {
-        checkStreamMinimum(E, It->second, Report);
-        Open.erase(It);
-      }
     }
     if (I == 0)
       continue;
@@ -231,6 +234,7 @@ void auditSegment(const std::vector<obs::Event> &Segment,
       Report.Issues.push_back(
           {M.compare(0, 6, "winner") == 0 ? "winner" : "reconcile", 0,
            M});
+    auditWindow(Segment, T, Opts, CostOf, Report);
     if (Opts.HasExpectedBestCost && T.HasDone) {
       double Best = T.Done.get("best_cost").asNumber();
       if (Best != Opts.ExpectedBestCost)
@@ -261,8 +265,9 @@ EventAuditReport check::auditEvents(const std::vector<obs::Event> &Events,
     Segments.back().push_back(E);
   }
   Report.Segments = Segments.size();
+  CostLedger CostOf;
   for (const std::vector<obs::Event> &S : Segments)
-    auditSegment(S, Opts, Report);
+    auditSegment(S, Opts, CostOf, Report);
   return Report;
 }
 

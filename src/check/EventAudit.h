@@ -22,19 +22,25 @@
 ///  * winner provenance: the last winner.updated cost equals tune.done's
 ///    best_cost, and \p ExpectedBestCost when a caller supplies it.
 ///
-/// Per tune window (tune.start .. tune.done of one job id: a daemon
-/// stream interleaves problems whose variant and config names repeat):
+/// Per tune window, as obs::analyzeEvents splits them (tune.start ..
+/// tune.done of one job id: a daemon stream interleaves problems whose
+/// variant and config names repeat):
 ///
-///  * cost consistency: one (variant, config) has one cost, bitwise;
+///  * cost consistency: one (variant, config) has one cost, bitwise —
+///    also across windows and segments that tune the same nest and
+///    problem on the same machine (tune.start's `machine` fingerprint),
+///    so a resumed run must reproduce its predecessor's costs;
 ///  * cold-cache hit legality (AssumeColdCache): a hit names a config
 ///    evaluated earlier in the window;
 ///  * stage order per variant: rank, initial, register, tile0..,
 ///    prefetch, adjust — warm batches may run ahead *within* a stage but
 ///    never emit for a stage the search already left;
 ///  * stream minimum: best_cost equals, bitwise, the cheapest
-///    decision-loop (non-warm) point of the searched variants — a
-///    cheaper point means the search lost or never saw it. Skipped with
-///    restored points or a cancelled tune.
+///    decision-loop (non-warm) point — a cheaper point means the search
+///    lost or never saw it. Skipped with restored points or a cancelled
+///    tune; in a tune.start with `prefer_variant`, variant.pruned
+///    variants do not count (the preferred variant was searched in the
+///    rank-best variant's place).
 ///
 /// checkJobsDeterminism() replays a tune at --jobs 1 and --jobs N,
 /// asserts a bit-identical winner, and audits both runs' streams.

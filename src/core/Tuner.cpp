@@ -5,6 +5,7 @@
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Span.h"
+#include "support/StringUtils.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -94,6 +95,12 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
       P.set(Name, Value);
     F.set("problem", std::move(P));
     F.set("representative_size", DOpts.RepresentativeSize);
+    // Costs are a function of machine, problem and point: the machine
+    // fingerprint lets an audit compare costs across tune windows.
+    F.set("machine", strformat("%016llx", static_cast<unsigned long long>(
+                                              Eval.machine().fingerprint())));
+    if (!Opts.PreferVariant.empty())
+      F.set("prefer_variant", Opts.PreferVariant);
     obs::publishEvent("tune.start", std::move(F));
   }
 

@@ -26,7 +26,8 @@
 ///
 /// Event types published today (payload fields in parentheses):
 ///
-///   tune.start         (nest, problem, variants hint)
+///   tune.start         (nest, problem, variants hint, machine
+///                       fingerprint, prefer_variant when set)
 ///   variant.derived    (variant)
 ///   variant.rejected   (variant plan, reason)        — TransformError
 ///   variant.ranked     (variant, heuristic cost, config) — model initial

@@ -99,7 +99,7 @@ void fold(TuneReportData &T, const Event &E, Histogram &Lat) {
     ++T.VariantsRejected;
     ++T.RejectReasons[F.get("reason").asString()];
   } else if (E.Type == "variant.pruned") {
-    ++T.VariantsPruned;
+    T.Pruned.push_back(F.get("variant").asString());
   } else if (E.Type == "config.rejected") {
     ++T.ConfigsRejected;
     ++T.RejectReasons[F.get("reason").asString()];
@@ -176,7 +176,8 @@ FlightAnalysis obs::analyzeEvents(const std::vector<Event> &Events) {
   };
   std::map<uint64_t, OpenTune> Open;
 
-  for (const Event &E : Events) {
+  for (size_t I = 0; I < Events.size(); ++I) {
+    const Event &E = Events[I];
     if (E.Type == "tune.start") {
       if (Open.count(E.Job)) {
         // Previous window never closed (crash / truncation): flush it.
@@ -186,8 +187,7 @@ FlightAnalysis obs::analyzeEvents(const std::vector<Event> &Events) {
         Open.erase(E.Job);
       }
       OpenTune &T = Open[E.Job];
-      T.Data.Nest = E.Fields.get("nest").asString();
-      T.Data.Problem = E.Fields.get("problem");
+      T.Data.Start = E.Fields;
       T.Data.StartUs = E.TimeUs;
       continue;
     }
@@ -205,6 +205,8 @@ FlightAnalysis obs::analyzeEvents(const std::vector<Event> &Events) {
       Open.erase(It);
       continue;
     }
+    if (E.Type == "config.evaluated")
+      It->second.Data.Points.push_back(I);
     fold(It->second.Data, E, It->second.Lat);
   }
   for (auto &[Job, T] : Open) {
@@ -218,11 +220,13 @@ FlightAnalysis obs::analyzeEvents(const std::vector<Event> &Events) {
 namespace {
 
 void renderTune(std::string &Out, const TuneReportData &T, size_t Index) {
+  const std::string &Nest = T.Start.get("nest").asString();
   Out += "## Tune " + std::to_string(Index + 1) + ": " +
-         (T.Nest.empty() ? std::string("<unnamed>") : T.Nest) + "\n\n";
-  if (T.Problem.isObject() && T.Problem.size()) {
+         (Nest.empty() ? std::string("<unnamed>") : Nest) + "\n\n";
+  const Json &Problem = T.Start.get("problem");
+  if (Problem.isObject() && Problem.size()) {
     Out += "Problem:";
-    for (const auto &[K, V] : T.Problem.fields())
+    for (const auto &[K, V] : Problem.fields())
       Out += " " + K + "=" + std::to_string(V.asInt());
     Out += ". ";
   }
@@ -240,7 +244,7 @@ void renderTune(std::string &Out, const TuneReportData &T, size_t Index) {
   Out += "| variants derived | " + std::to_string(T.VariantsDerived) +
          " |\n";
   Out += "| variants pruned by model ranking (never searched) | " +
-         std::to_string(T.VariantsPruned) + " |\n";
+         std::to_string(T.Pruned.size()) + " |\n";
   uint64_t Infeasible =
       T.HasDone ? doneCount(T.Done, "infeasible_pruned") : 0;
   Out += "| candidate configs pruned by model constraints (never run) | " +

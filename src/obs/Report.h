@@ -37,8 +37,7 @@ namespace obs {
 
 /// One tune window (tune.start .. tune.done) analyzed out of a stream.
 struct TuneReportData {
-  std::string Nest;
-  Json Problem;              ///< problem bindings from tune.start
+  Json Start;                ///< tune.start fields, verbatim
   uint64_t StartUs = 0;      ///< tune.start timestamp
   uint64_t DoneUs = 0;       ///< tune.done timestamp (0 when truncated)
 
@@ -47,7 +46,8 @@ struct TuneReportData {
   uint64_t CacheHits = 0;        ///< config.evaluated, cache_hit = true
   uint64_t VariantsDerived = 0;  ///< variant.derived
   uint64_t VariantsRejected = 0; ///< variant.rejected (derivation prune)
-  uint64_t VariantsPruned = 0;   ///< variant.pruned (model-ranking prune)
+  /// variant.pruned names (model-ranking prune), in order.
+  std::vector<std::string> Pruned;
   uint64_t ConfigsRejected = 0;  ///< config.rejected (transform prune)
   /// TransformError reason -> count, over variant.rejected +
   /// config.rejected (the "pruning breakdown by reason" table).
@@ -88,6 +88,10 @@ struct TuneReportData {
   /// Backend latency quantiles over real evaluations (ms), derived via
   /// obs::Histogram::quantile (log2 buckets: at most 2x overestimates).
   double P50Ms = 0, P95Ms = 0, P99Ms = 0;
+
+  /// Indices into the analyzed stream of this window's config.evaluated
+  /// events, in order: the per-point record check/EventAudit replays.
+  std::vector<size_t> Points;
 
   bool HasDone = false;
   Json Done; ///< tune.done fields, verbatim

@@ -55,28 +55,20 @@ int eco::serve::serveToolMain(const std::vector<std::string> &Args) {
     return 2;
   };
 
-  int64_t N = 0;
+  bool Bad = false;
   for (const std::string &Arg : Args) {
     if (const char *V = valueOf(Arg, "--socket=")) {
       SrvOpts.UnixPath = V;
-    } else if (const char *V = valueOf(Arg, "--tcp=")) {
-      if (!parseIntInRange(V, 0, 65535, &N))
+    } else if (intFlag(Arg, "--tcp=", 0, 65535, SrvOpts.TcpPort, Bad) ||
+               intFlag(Arg, "--workers=", 1, 1024, SvcOpts.Workers, Bad) ||
+               intFlag(Arg, "--queue=", 1, 1 << 20, SvcOpts.QueueCapacity,
+                       Bad) ||
+               intFlag(Arg, "--engine-jobs=", 1, 4096, SvcOpts.EngineJobs,
+                       Bad)) {
+      if (Bad)
         return Usage();
-      SrvOpts.TcpPort = static_cast<int>(N);
     } else if (const char *V = valueOf(Arg, "--db=")) {
       SvcOpts.DbPath = V;
-    } else if (const char *V = valueOf(Arg, "--workers=")) {
-      if (!parseIntInRange(V, 1, 1024, &N))
-        return Usage();
-      SvcOpts.Workers = static_cast<int>(N);
-    } else if (const char *V = valueOf(Arg, "--queue=")) {
-      if (!parseIntInRange(V, 1, 1 << 20, &N))
-        return Usage();
-      SvcOpts.QueueCapacity = static_cast<size_t>(N);
-    } else if (const char *V = valueOf(Arg, "--engine-jobs=")) {
-      if (!parseIntInRange(V, 1, 4096, &N))
-        return Usage();
-      SvcOpts.EngineJobs = static_cast<int>(N);
     } else if (const char *V = valueOf(Arg, "--metrics-file=")) {
       MetricsFile = V;
     } else if (const char *V = valueOf(Arg, "--events-file=")) {
@@ -165,20 +157,17 @@ int eco::serve::submitToolMain(const std::vector<std::string> &Args) {
     return 2;
   };
 
-  int64_t N = 0;
+  bool Bad = false;
   for (const std::string &Arg : Args) {
     if (const char *V = valueOf(Arg, "--socket=")) {
       Socket = V;
     } else if (const char *V = valueOf(Arg, "--host=")) {
       Host = V;
-    } else if (const char *V = valueOf(Arg, "--port=")) {
-      if (!parseIntInRange(V, 1, 65535, &N))
+    } else if (intFlag(Arg, "--port=", 1, 65535, Port, Bad) ||
+               intFlag(Arg, "--timeout-ms=", 0, 24 * 3600 * 1000, TimeoutMs,
+                       Bad)) {
+      if (Bad)
         return Usage();
-      Port = static_cast<int>(N);
-    } else if (const char *V = valueOf(Arg, "--timeout-ms=")) {
-      if (!parseIntInRange(V, 0, 24 * 3600 * 1000, &N))
-        return Usage();
-      TimeoutMs = static_cast<int>(N);
     } else if (const char *V = valueOf(Arg, "--op=")) {
       Op = V;
     } else if (const char *V = valueOf(Arg, "--kernel=")) {

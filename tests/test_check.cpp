@@ -146,9 +146,9 @@ struct StreamBuilder {
     E.Fields = std::move(Fields);
     Events.push_back(std::move(E));
   }
-  void start(uint64_t Job = 0) {
+  void start(uint64_t Job = 0, const char *StartFields = "{}") {
     Counts[Job] = {0, 0};
-    add("tune.start", Json::object(), Job);
+    add("tune.start", Json::parse(StartFields), Job);
   }
   void point(const std::string &Variant, const std::string &Stage,
              const std::string &Config, double Cost, bool Hit = false,
@@ -259,30 +259,41 @@ TEST(EventAuditTest, BadCostAndColdCacheHitAreCaught) {
 }
 
 TEST(EventAuditTest, ReportedBestMustMatchStreamMinimum) {
-  StreamBuilder B;
-  B.start();
-  B.point("v2", "rank", "a", 5.0); // ranked, then pruned: never searched
-  B.point("v1", "rank", "a", 9.0);
-  B.point("v1", "initial", "a", 9.0, /*Hit=*/true);
-  B.point("v1", "register", "b", 6.0);
-  B.Events.back().Fields.set("warm", true); // speculative, never accepted
-  B.point("v1", "register", "c", 7.0);
-  B.add("variant.pruned", Json::parse(R"({"variant":"v2"})"));
-  std::vector<obs::Event> Head = B.Events;
-  B.done(7.0);
-  EXPECT_TRUE(auditEvents(B.Events).ok()) << auditEvents(B.Events).summary();
+  // v2 is ranked, then pruned; v1 is searched.
+  auto Stream = [](const char *StartFields, double BestCost) {
+    StreamBuilder B;
+    B.start(0, StartFields);
+    B.point("v2", "rank", "a", 5.0);
+    B.point("v1", "rank", "a", 9.0);
+    B.point("v1", "initial", "a", 9.0, /*Hit=*/true);
+    B.point("v1", "register", "b", 6.0);
+    B.Events.back().Fields.set("warm", true); // speculative, never accepted
+    B.point("v1", "register", "c", 7.0);
+    B.add("variant.pruned", Json::parse(R"({"variant":"v2"})"));
+    B.done(BestCost);
+    return B.Events;
+  };
+  const char *Prefer = R"({"prefer_variant":"v1"})";
+  // A tune that preferred v1 searched it in the rank-best v2's place.
+  EXPECT_TRUE(auditEvents(Stream(Prefer, 7.0)).ok())
+      << auditEvents(Stream(Prefer, 7.0)).summary();
 
-  B.Events = Head;
-  B.NextSeq = Head.size();
-  B.done(6.5); // claims a point the stream never evaluated
-  EventAuditReport Report = auditEvents(B.Events);
+  // A cold tune searches the cheapest rank points first: a pruned rank
+  // point under the reported best means the ranking or the prune broke.
+  EventAuditReport Report = auditEvents(Stream("{}", 7.0));
+  ASSERT_EQ(Report.Issues.size(), 1u) << Report.summary();
+  EXPECT_EQ(Report.Issues[0].Kind, "regression");
+
+  // A best the stream never evaluated.
+  Report = auditEvents(Stream(Prefer, 6.5));
   ASSERT_EQ(Report.Issues.size(), 1u) << Report.summary();
   EXPECT_EQ(Report.Issues[0].Kind, "regression");
 
   // Restored points were evaluated by an earlier stream: no minimum.
-  B.Events.back().Fields.set("restored_points", 4);
-  B.Events.back().Fields.set("points", 4 + 4);
-  EXPECT_TRUE(auditEvents(B.Events).ok()) << auditEvents(B.Events).summary();
+  std::vector<obs::Event> Restored = Stream(Prefer, 6.5);
+  Restored.back().Fields.set("restored_points", 4);
+  Restored.back().Fields.set("points", 4 + 4);
+  EXPECT_TRUE(auditEvents(Restored).ok()) << auditEvents(Restored).summary();
 }
 
 TEST(EventAuditTest, SegmentsRestartSequencesAndStages) {
@@ -302,16 +313,25 @@ TEST(EventAuditTest, SegmentsRestartSequencesAndStages) {
   EXPECT_TRUE(Report.ok()) << Report.summary();
   EXPECT_EQ(Report.Segments, 2u);
   EXPECT_EQ(Report.Tunes, 2u);
+
+  // The resumed run tunes the same problem, so it must reproduce its
+  // predecessor's costs.
+  B.Events.at(5).Fields.set("cost", 9.5);
+  Report = auditEvents(B.Events);
+  ASSERT_EQ(Report.Issues.size(), 1u) << Report.summary();
+  EXPECT_EQ(Report.Issues[0].Kind, "cost-mismatch");
 }
 
 TEST(EventAuditTest, InterleavedJobsRepeatingNamesAreNotMismatches) {
   // A daemon stream: two problems tuned concurrently under distinct job
   // ids share variant and config names but not costs, and each job's
   // stages restart independently of the other's.
+  const char *N64 = R"({"nest":"matmul","problem":{"N":64},"machine":"m1"})";
+  const char *N96 = R"({"nest":"matmul","problem":{"N":96},"machine":"m1"})";
   StreamBuilder B;
-  B.start(/*Job=*/1);
+  B.start(/*Job=*/1, N64);
   B.point("v1", "rank", "a", 9.0, false, 1);
-  B.start(/*Job=*/2);
+  B.start(/*Job=*/2, N96);
   B.point("v1", "rank", "a", 90.0, false, 2);
   B.point("v1", "tile0", "b", 7.0, false, 1);
   B.point("v1", "initial", "a", 90.0, /*Hit=*/true, 2);
@@ -319,43 +339,59 @@ TEST(EventAuditTest, InterleavedJobsRepeatingNamesAreNotMismatches) {
   B.done(7.0, 1);
   B.point("v1", "tile0", "c", 60.0, false, 2);
   B.done(60.0, 2);
+  // The same problem on another machine costs what it costs there.
+  B.start(/*Job=*/3, R"({"nest":"matmul","problem":{"N":64},"machine":"m2"})");
+  B.point("v1", "rank", "a", 3.0, false, 3);
+  B.done(3.0, 3);
   EventAuditOptions Opts;
   Opts.AssumeColdCache = true;
   EventAuditReport Report = auditEvents(B.Events, Opts);
   EXPECT_TRUE(Report.ok()) << Report.summary();
-  EXPECT_EQ(Report.Tunes, 2u);
+  EXPECT_EQ(Report.Tunes, 3u);
 
-  // Within one job, the same point must still agree with itself.
-  B.start(/*Job=*/3);
-  B.point("v1", "rank", "a", 9.0, false, 3);
-  B.point("v1", "initial", "a", 9.5, /*Hit=*/true, 3);
-  B.done(9.0, 3);
+  // A re-tune of job 1's problem must reproduce its costs.
+  B.start(/*Job=*/4, N64);
+  B.point("v1", "rank", "a", 9.5, false, 4);
+  B.done(9.5, 4);
   Report = auditEvents(B.Events, Opts);
   ASSERT_EQ(Report.Issues.size(), 1u) << Report.summary();
   EXPECT_EQ(Report.Issues[0].Kind, "cost-mismatch");
 }
 
 TEST(EventAuditTest, RealEngineStreamPassesAudit) {
-  const std::string Path = tempPath("check_audit_real.jsonl");
-  double BestCost = 0;
-  recordEvents(Path, [&] {
-    SimEvalBackend Backend(MachineDesc::sgiR10000().scaledBy(16));
-    EngineOptions EO;
-    EO.Jobs = 2;
-    EvalEngine Engine(Backend, EO);
-    TuneResult R = tune(makeMatMul(), Engine, {{"N", 24}});
-    ASSERT_GE(R.BestVariant, 0);
-    BestCost = R.BestCost;
-  });
-  EventAuditOptions Opts;
-  Opts.AssumeColdCache = true;
-  Opts.HasExpectedBestCost = true;
-  Opts.ExpectedBestCost = BestCost;
-  EventAuditReport Report = auditEventsFile(Path, Opts);
-  EXPECT_GT(Report.Events, 0u);
-  EXPECT_EQ(Report.Tunes, 1u);
-  EXPECT_TRUE(Report.ok()) << Report.summary();
-  std::remove(Path.c_str());
+  // Jacobi on the UltraSPARC model prunes rank points that come close to
+  // the searched best, so a broken ranking or prune shows up there as a
+  // "regression".
+  struct Case {
+    LoopNest Nest;
+    MachineDesc Machine;
+    int Jobs;
+  };
+  for (const Case &C :
+       {Case{makeMatMul(), MachineDesc::sgiR10000().scaledBy(16), 2},
+        Case{makeJacobi(), MachineDesc::ultraSparcIIe().scaledBy(16), 1}}) {
+    SCOPED_TRACE(C.Nest.Name);
+    const std::string Path = tempPath("check_audit_real.jsonl");
+    double BestCost = 0;
+    recordEvents(Path, [&] {
+      SimEvalBackend Backend(C.Machine);
+      EngineOptions EO;
+      EO.Jobs = C.Jobs;
+      EvalEngine Engine(Backend, EO);
+      TuneResult R = tune(C.Nest, Engine, {{"N", 24}});
+      ASSERT_GE(R.BestVariant, 0);
+      BestCost = R.BestCost;
+    });
+    EventAuditOptions Opts;
+    Opts.AssumeColdCache = true;
+    Opts.HasExpectedBestCost = true;
+    Opts.ExpectedBestCost = BestCost;
+    EventAuditReport Report = auditEventsFile(Path, Opts);
+    EXPECT_GT(Report.Events, 0u);
+    EXPECT_EQ(Report.Tunes, 1u);
+    EXPECT_TRUE(Report.ok()) << Report.summary();
+    std::remove(Path.c_str());
+  }
 }
 
 TEST(EventAuditTest, TamperedEventsFileIsCaught) {

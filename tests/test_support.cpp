@@ -1,6 +1,7 @@
 //===- tests/test_support.cpp - support/ unit tests -----------------------===//
 
 #include "support/Chart.h"
+#include "support/ParseInt.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
 #include "support/StringUtils.h"
@@ -22,6 +23,26 @@ TEST(StringUtils, Strformat) {
   EXPECT_EQ(strformat("x=%d y=%s", 42, "hi"), "x=42 y=hi");
   EXPECT_EQ(strformat("%.2f", 3.14159), "3.14");
   EXPECT_EQ(strformat("empty"), "empty");
+}
+
+TEST(ParseInt, StrictRangesAndFullUnsignedRange) {
+  int64_t I = -7;
+  EXPECT_TRUE(parseIntInRange("2", 2, 4096, &I));
+  EXPECT_EQ(I, 2);
+  for (const char *Bad : {"", "abc", "7x", "1", "4097"})
+    EXPECT_FALSE(parseIntInRange(Bad, 2, 4096, &I)) << Bad;
+  EXPECT_EQ(I, 2);
+
+  // Every uint64_t parses back, including seeds above INT64_MAX.
+  uint64_t U = 0;
+  EXPECT_TRUE(parseUInt64("18446744073709551615", &U));
+  EXPECT_EQ(U, UINT64_MAX);
+  EXPECT_TRUE(parseUInt64("9223372036854775808", &U));
+  EXPECT_EQ(U, uint64_t(1) << 63);
+  for (const char *Bad :
+       {"", "-1", "+1", " 1", "7x", "18446744073709551616"})
+    EXPECT_FALSE(parseUInt64(Bad, &U)) << Bad;
+  EXPECT_EQ(U, uint64_t(1) << 63);
 }
 
 TEST(StringUtils, WithCommas) {
