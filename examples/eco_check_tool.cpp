@@ -11,9 +11,9 @@
 //            bit-identical and both runs' event streams must pass the
 //            invariant audit (dense seqs, consistent costs, ordered
 //            stages, stream minimum == reported best)
-//   faults   truncated / corrupted / concurrently rewritten cache and
-//            checkpoint files: loaders must recover, never crash, never
-//            silently resurrect damaged state
+//   faults   truncated / corrupted / concurrently rewritten cache
+//            files, also under a tune resuming from them: loaders must
+//            recover, never crash, never silently resurrect damaged state
 //
 //   eco_check [--kernel=all|matmul|jacobi|matvec] [--seed=S] [--configs=N]
 //             [--n=SIZE] [--scale=K] [--max-ulps=U] [--max-variants=V]

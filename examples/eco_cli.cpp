@@ -4,9 +4,8 @@
 //
 //   eco_cli [--kernel=matmul|jacobi|matvec] [--machine=sgi|sun|host]
 //           [--n=SIZE] [--scale=K] [--native] [--emit-c] [--variants]
-//           [--trace] [--jobs=N] [--cache-file=F] [--checkpoint=F]
-//           [--resume] [--metrics-file=F] [--chrome-trace=F]
-//           [--events-file=F]
+//           [--trace] [--jobs=N] [--cache-file=F] [--resume]
+//           [--metrics-file=F] [--chrome-trace=F] [--events-file=F]
 //           [--log-level=LVL] [--progress]
 //   eco_cli report EVENTS.jsonl [--html] [--out=F]
 //
@@ -16,10 +15,11 @@
 //   --trace        dump every evaluated search point (CSV: config,cost)
 //   --jobs=N       evaluate candidate batches on N threads (engine)
 //   --cache-file=F persist the evaluation cache to F (JSON); re-runs on
-//                  identical input replay from it nearly for free
-//   --checkpoint=F write per-variant tune state to F after each search
-//   --resume       load --checkpoint (and --cache-file) state and skip
-//                  already-searched variants (--events-file appends)
+//                  identical input replay from it nearly for free, and a
+//                  killed tune re-run with the same F resumes: every
+//                  saved point is a cache hit, only the rest is evaluated
+//   --resume       continue a killed tune's --events-file: append a new
+//                  segment instead of truncating (needs --cache-file)
 //   --metrics-file=F  dump the metrics registry (counters/gauges/
 //                  histograms) to F as JSON after the tune
 //   --chrome-trace=F  export the tune's span timeline to F in Chrome
@@ -42,7 +42,6 @@
 #include "codegen/CEmitter.h"
 #include "core/Report.h"
 #include "core/Tuner.h"
-#include "engine/Checkpoint.h"
 #include "engine/Engine.h"
 #include "exec/Run.h"
 #include "kernels/Kernels.h"
@@ -85,7 +84,6 @@ struct CliOptions {
   bool Report = false;
   int Jobs = 1;
   std::string CacheFile;
-  std::string CheckpointFile;
   bool Resume = false;
   std::string MetricsFile;
   std::string ChromeTraceFile;
@@ -231,10 +229,6 @@ bool parseArg(CliOptions &Opts, const std::string &Arg) {
     Opts.CacheFile = V;
     return !Opts.CacheFile.empty();
   }
-  if (const char *V = valueOf("--checkpoint=")) {
-    Opts.CheckpointFile = V;
-    return !Opts.CheckpointFile.empty();
-  }
   if (const char *V = valueOf("--metrics-file=")) {
     Opts.MetricsFile = V;
     return !Opts.MetricsFile.empty();
@@ -307,7 +301,7 @@ int main(int Argc, char **Argv) {
                    "[--machine=sgi|sun|host] [--n=SIZE] [--scale=K] "
                    "[--native] [--emit-c] [--variants] [--trace] "
                    "[--report] [--jobs=N] [--cache-file=F] "
-                   "[--checkpoint=F] [--resume] "
+                   "[--resume] "
                    "[--metrics-file=F] [--chrome-trace=F] "
                    "[--events-file=F] "
                    "[--log-level=off|error|warn|info|debug] "
@@ -317,8 +311,12 @@ int main(int Argc, char **Argv) {
       return 2;
     }
   }
-  if (Opts.Resume && Opts.CheckpointFile.empty())
-    Opts.CheckpointFile = "eco_checkpoint.json";
+  // The cache file is the only state a killed tune leaves behind.
+  if (Opts.Resume && Opts.CacheFile.empty()) {
+    std::fprintf(stderr, "error: --resume needs --cache-file (the killed "
+                         "tune's cache is what it resumes from)\n");
+    return 2;
+  }
 
   // Observability: metrics feed --metrics-file and the --progress
   // reporter; spans feed --chrome-trace. Both default off (zero cost).
@@ -392,23 +390,12 @@ int main(int Argc, char **Argv) {
                  "job\n");
 
   ParamBindings Problem = {{"N", Opts.N}};
-  TuneOptions TOpts;
-  std::unique_ptr<TuneCheckpoint> Ckpt;
-  if (!Opts.CheckpointFile.empty()) {
-    Ckpt = std::make_unique<TuneCheckpoint>(Opts.CheckpointFile, Nest,
-                                            Machine, Problem, Opts.Resume);
-    Ckpt->installHooks(TOpts);
-    if (Opts.Resume && Ckpt->numLoaded() > 0)
-      std::printf("resuming: %zu variant(s) restored from %s\n",
-                  Ckpt->numLoaded(), Opts.CheckpointFile.c_str());
-  }
-
   TuneResult R;
   {
     std::unique_ptr<ProgressReporter> Progress;
     if (Opts.Progress)
       Progress = std::make_unique<ProgressReporter>();
-    R = tune(Nest, Engine, Problem, TOpts);
+    R = tune(Nest, Engine, Problem);
   }
   Engine.flush();
 
@@ -439,11 +426,6 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: tuning produced no feasible variant\n");
     return 1;
   }
-  // The tune ran to completion: stamp the checkpoint clean so a later
-  // --resume knows it restores a full variant set, not a partial one.
-  if (Ckpt && !R.Cancelled)
-    Ckpt->markComplete();
-
   if (Opts.Report) {
     ReportOptions ROpts;
     ROpts.CostUnit = Opts.Native ? "seconds" : "cycles";
@@ -463,10 +445,8 @@ int main(int Argc, char **Argv) {
     std::printf("  %-4s heuristic %.3g %s\n", S.Name.c_str(),
                 S.HeuristicCost,
                 S.Searched
-                    ? strformat("-> best %.3g after %zu points (%s)%s",
-                                S.BestCost, S.Points,
-                                S.BestConfig.c_str(),
-                                S.Restored ? " [restored]" : "")
+                    ? strformat("-> best %.3g after %zu points (%s)",
+                                S.BestCost, S.Points, S.BestConfig.c_str())
                           .c_str()
                     : "(pruned by model ranking)");
   std::printf("\nwinner: %s  cost %.6g %s\n",

@@ -55,14 +55,17 @@ step "fuzz smoke: eco_fuzz --iters=200 --seed=7"
 
 step "flight-recorder smoke: tune -> resume -> report -> audit-events"
 EV="$REPO/build/verify_events.jsonl"
-CK="$REPO/build/verify_checkpoint.json"
-rm -f "$EV" "$CK"
-# A checkpointed tune, then a resumed one on the same events file: the
-# resume must append a second segment, not truncate the first.
-"$REPO/build/examples/eco_cli" --kernel=matmul --n=48 --scale=16 \
-    --checkpoint="$CK" --events-file="$EV" > /dev/null
-"$REPO/build/examples/eco_cli" --kernel=matmul --n=48 --scale=16 \
-    --checkpoint="$CK" --resume --events-file="$EV" > /dev/null
+CF="$REPO/build/verify_cache.json"
+rm -f "$EV" "$CF"
+# A cached tune, then the same command with --resume: the resume replays
+# every point from the cache file, appends a second segment to the
+# events file instead of truncating the first, and picks the same winner.
+TUNE=("$REPO/build/examples/eco_cli" --kernel=matmul --n=48 --scale=16
+      --cache-file="$CF" --events-file="$EV")
+W1="$("${TUNE[@]}" | grep '^winner:')"
+W2="$("${TUNE[@]}" --resume | grep '^winner:')"
+[ "$W1" = "$W2" ] ||
+  { echo "flight-recorder smoke: resume changed '$W1' to '$W2'"; exit 1; }
 "$REPO/build/examples/eco_cli" report "$EV" > /dev/null
 AUDIT="$("$REPO/build/examples/eco_check" --audit-events="$EV")"
 echo "$AUDIT"
@@ -70,7 +73,7 @@ case "$AUDIT" in
   *"2 segment(s)"*"-> 0 issue(s)"*) ;;
   *) echo "flight-recorder smoke: expected 2 segments and 0 issues"; exit 1 ;;
 esac
-rm -f "$EV" "$CK"
+rm -f "$EV" "$CF"
 
 step "fleet smoke: daemon + 2 eco_worker, SIGKILL one mid-tune"
 FSOCK="$REPO/build/verify_fleet.sock"
@@ -111,6 +114,8 @@ fi
 if [ "${ECO_VERIFY_ANALYZE:-0}" = "1" ]; then
   step "static analysis: scripts/analyze.sh"
   "$REPO/scripts/analyze.sh"
+  command -v "${ECO_CLANGXX:-clang++}" > /dev/null ||
+    echo "NOTE: no clang -- the -Wthread-safety proof did NOT run"
 else
   step "static analysis: skipped (set ECO_VERIFY_ANALYZE=1 to enable)"
 fi

@@ -95,10 +95,9 @@ using CostLedger = std::map<std::string, double>;
 void checkStreamMinimum(const obs::TuneReportData &T,
                         std::map<std::string, double> MinCost,
                         EventAuditReport &Report) {
-  // Restored points were evaluated by an earlier stream, and a stop may
-  // land before the first search evaluates anything.
+  // A stop may land before the first search evaluates anything.
   const Json &F = T.Done;
-  if (F.get("restored_points").asInt() > 0 || F.get("cancelled").asBool())
+  if (F.get("cancelled").asBool())
     return;
   // Ranking by rank-point cost searches the cheapest rank points first,
   // so every variant's points bound the best from below. A tune that put

@@ -17,8 +17,7 @@
 ///  * well-formed costs: no config.evaluated cost is NaN or negative;
 ///  * counter pairing + reconciliation: per tune window, rejected-event
 ///    counts and evaluation / cache-hit counts recomputed from the
-///    events match the totals the Tuner stamped into tune.done (modulo
-///    checkpoint-restored points);
+///    events match the totals the Tuner stamped into tune.done;
 ///  * winner provenance: the last winner.updated cost equals tune.done's
 ///    best_cost, and \p ExpectedBestCost when a caller supplies it.
 ///
@@ -37,8 +36,9 @@
 ///    never emit for a stage the search already left;
 ///  * stream minimum: best_cost equals, bitwise, the cheapest
 ///    decision-loop (non-warm) point — a cheaper point means the search
-///    lost or never saw it. Skipped with restored points or a cancelled
-///    tune; in a tune.start with `prefer_variant`, variant.pruned
+///    lost or never saw it. Skipped for a cancelled tune only: a
+///    resumed tune's cache hits carry their costs, so it is checked
+///    too. In a tune.start with `prefer_variant`, variant.pruned
 ///    variants do not count (the preferred variant was searched in the
 ///    rank-best variant's place).
 ///

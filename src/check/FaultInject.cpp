@@ -2,7 +2,6 @@
 
 #include "check/FaultInject.h"
 #include "core/Tuner.h"
-#include "engine/Checkpoint.h"
 #include "engine/Engine.h"
 #include "engine/EvalCache.h"
 #include "kernels/Kernels.h"
@@ -110,8 +109,8 @@ bool copyFile(const std::string &From, const std::string &To) {
   return Out.good();
 }
 
-/// A tiny but real tune used as the checkpoint fixture: matmul at N=16
-/// on a strongly scaled-down machine, two variants searched.
+/// A tiny but real tune used as the cache-resume fixture: matmul at
+/// N=16 on a strongly scaled-down machine, two variants searched.
 struct SmallTune {
   LoopNest Nest;
   MachineDesc Machine = MachineDesc::sgiR10000().scaledBy(64);
@@ -123,12 +122,19 @@ struct SmallTune {
   std::string winner(const TuneResult &R) const {
     if (R.BestVariant < 0)
       return "<none>";
-    return R.best().Spec.Name + "|" + R.best().configString(R.BestConfig);
+    return R.best().Spec.Name + "|" + R.best().configString(R.BestConfig) +
+           "|" + strformat("%.17g", R.BestCost);
   }
 
-  TuneResult run(TuneOptions TO) {
+  /// Tunes on a fresh engine that loads and then flushes \p CacheFile.
+  TuneResult run(const std::string &CacheFile) {
     SimEvalBackend Backend(Machine);
-    return tune(Nest, Backend, Problem, TO);
+    EngineOptions EO;
+    EO.CacheFile = CacheFile;
+    EvalEngine Engine(Backend, EO);
+    TuneResult R = tune(Nest, Engine, Problem, Opts);
+    Engine.flush();
+    return R;
   }
 };
 
@@ -184,49 +190,39 @@ eco::check::runPersistenceFaultChecks(const std::string &TmpDir) {
       Fail(Scenario, "post-recovery insert did not survive the roundtrip");
   }
 
-  // ---- checkpoint fault matrix -----------------------------------------
-  // A real (small) tune writes a real checkpoint; each damaged copy must
-  // resume as a clean fresh start and re-produce the same winner.
+  // ---- cache-resume fault matrix ---------------------------------------
+  // A real (small) tune writes the cache file a killed tune resumes
+  // from. A fresh engine over each damaged copy must replay the same
+  // decisions (points + hits), reach the baseline winner bitwise, and
+  // flush a parseable replacement.
   SmallTune Fixture;
-  const std::string CkptPath = TmpDir + "/fault_ckpt.json";
-  std::string BaselineWinner;
-  double BaselineCost = 0;
-  {
-    TuneCheckpoint Ckpt(CkptPath, Fixture.Nest, Fixture.Machine,
-                        Fixture.Problem, /*Resume=*/false);
-    TuneOptions TO = Fixture.Opts;
-    Ckpt.installHooks(TO);
-    TuneResult R = Fixture.run(TO);
-    BaselineWinner = Fixture.winner(R);
-    BaselineCost = R.BestCost;
-    if (R.BestVariant < 0)
-      Fail("ckpt:setup", "baseline tune found no variant");
-  }
+  const std::string ResumePath = TmpDir + "/fault_resume.json";
+  std::remove(ResumePath.c_str());
+  TuneResult Baseline = Fixture.run(ResumePath);
+  if (Baseline.BestVariant < 0)
+    Fail("resume:setup", "baseline tune found no variant");
 
   for (Fault F : AllFaults) {
-    std::string Scenario = std::string("ckpt:") + faultName(F);
+    std::string Scenario = std::string("resume:") + faultName(F);
     ++Report.Scenarios;
-    const std::string Target = TmpDir + "/fault_ckpt_inject.json";
-    if (!copyFile(CkptPath, Target) || !injectFault(Target, F)) {
+    const std::string Target = TmpDir + "/fault_resume_inject.json";
+    if (!copyFile(ResumePath, Target) || !injectFault(Target, F)) {
       Fail(Scenario, "fault setup failed");
       continue;
     }
-    TuneCheckpoint Resumed(Target, Fixture.Nest, Fixture.Machine,
-                           Fixture.Problem, /*Resume=*/true);
-    if (Resumed.numLoaded() != 0)
-      Fail(Scenario, strformat("damaged checkpoint claimed %zu restored "
-                               "variants",
-                               Resumed.numLoaded()));
-    // The fresh start must still produce the baseline answer.
-    TuneOptions TO = Fixture.Opts;
-    Resumed.installHooks(TO);
-    TuneResult R = Fixture.run(TO);
-    if (Fixture.winner(R) != BaselineWinner || R.BestCost != BaselineCost)
+    TuneResult R = Fixture.run(Target);
+    if (Fixture.winner(R) != Fixture.winner(Baseline))
+      Fail(Scenario, "resumed tune diverged: " + Fixture.winner(R) +
+                         " vs baseline " + Fixture.winner(Baseline));
+    if (R.TotalPoints + R.TotalCacheHits !=
+        Baseline.TotalPoints + Baseline.TotalCacheHits)
       Fail(Scenario,
-           strformat("recovered tune diverged: %s (cost %.17g) vs "
-                     "baseline %s (cost %.17g)",
-                     Fixture.winner(R).c_str(), R.BestCost,
-                     BaselineWinner.c_str(), BaselineCost));
+           strformat("resumed tune made %zu lookups, baseline %zu",
+                     R.TotalPoints + R.TotalCacheHits,
+                     Baseline.TotalPoints + Baseline.TotalCacheHits));
+    std::string Error;
+    if (!Json::loadFile(Target, &Error).isObject())
+      Fail(Scenario, "flushed cache file unparseable: " + Error);
   }
 
   // ---- concurrent rewrite ----------------------------------------------
@@ -297,29 +293,6 @@ eco::check::runPersistenceFaultChecks(const std::string &TmpDir) {
     EvalCache In;
     if (In.load(Path) != 1)
       Fail("stale-tmp", "load next to stale temp files lost the entry");
-  }
-
-  // ---- engine-level recovery ---------------------------------------------
-  // An engine pointed at a corrupt cache file must construct, tune to
-  // the cold-run answer, and flush a parseable replacement.
-  {
-    ++Report.Scenarios;
-    const std::string EnginePath = TmpDir + "/fault_engine_cache.json";
-    std::ofstream(EnginePath) << "{\"schema\": \"eco-eval-cache\", [[[";
-    SimEvalBackend Backend(Fixture.Machine);
-    EngineOptions EO;
-    EO.CacheFile = EnginePath;
-    EvalEngine Engine(Backend, EO);
-    TuneResult R = tune(Fixture.Nest, Engine, Fixture.Problem, Fixture.Opts);
-    Engine.flush();
-    if (Fixture.winner(R) != BaselineWinner || R.BestCost != BaselineCost)
-      Fail("engine-corrupt-cache",
-           strformat("tune through corrupt cache diverged: %s vs %s",
-                     Fixture.winner(R).c_str(), BaselineWinner.c_str()));
-    std::string Error;
-    if (!Json::loadFile(EnginePath, &Error).isObject())
-      Fail("engine-corrupt-cache",
-           "flushed cache file unparseable: " + Error);
   }
 
   return Report;

@@ -14,8 +14,8 @@
 ///    constantly) are free,
 ///  * a tune re-run on identical input replays from the JSON file at
 ///    >90% hit rate (the acceptance bar for --cache-file),
-///  * a killed tune resumed via checkpoint fast-forwards through the
-///    partially searched variant.
+///  * a killed tune re-run over its cache file resumes: it replays every
+///    saved point as a hit and evaluates only the rest.
 ///
 /// The map is sharded (one mutex per shard) so concurrent workers
 /// publishing results do not serialize on one lock.

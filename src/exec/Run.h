@@ -40,9 +40,9 @@ Env makeEnv(const LoopNest &Nest, const ParamBindings &Bindings);
 /// The inverse of makeEnv: exports every bound Param/ProblemSize symbol
 /// of \p Nest as (name, value) pairs, in symbol-table order. Loop
 /// variables are skipped — their transient values are not part of a
-/// configuration. This is the portable form the engine's checkpoints
-/// persist, so a resumed run can rebind a config against a freshly
-/// rebuilt nest whose symbol ids may differ.
+/// configuration. This is the portable form the serve layer's ConfigDB
+/// and the fleet's remote points carry, so a config can be rebound
+/// against a freshly rebuilt nest whose symbol ids may differ.
 ParamBindings envToBindings(const LoopNest &Nest, const Env &Config);
 
 /// Runs \p Nest once on a fresh simulator for \p Machine.

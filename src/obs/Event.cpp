@@ -4,6 +4,7 @@
 
 #include "obs/Log.h"
 #include "obs/Metrics.h"
+#include "support/Sync.h"
 
 #include <atomic>
 #include <utility>
@@ -170,6 +171,28 @@ void obs::setEventsEnabled(bool Enabled) {
 void obs::publishEvent(std::string Type, Json Fields) {
   EventBus::global().publish(std::move(Type), std::move(Fields));
 }
+
+namespace {
+
+/// The lock-discipline checker's reports, through obs: a log line, a
+/// `sync.violation` event, and the `sync.violations` counter.
+void reportSyncViolation(const sync::Violation &V) {
+  ECO_LOG(Error) << "sync: " << V.Message;
+  if (eventsEnabled()) {
+    Json Fields = Json::object();
+    Fields.set("kind", V.Kind);
+    Fields.set("message", V.Message);
+    publishEvent("sync.violation", std::move(Fields));
+  }
+  if (metricsEnabled())
+    metrics().counter("sync.violations").inc();
+}
+
+/// Installed before main() in every binary that links the event bus.
+const bool SyncSinkInstalled =
+    (sync::setViolationSink(&reportSyncViolation), true);
+
+} // namespace
 
 ScopedJobId::ScopedJobId(uint64_t Id) : Prev(CurrentJob) { CurrentJob = Id; }
 ScopedJobId::~ScopedJobId() { CurrentJob = Prev; }

@@ -15,6 +15,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -603,6 +604,37 @@ static bool sendAll(int Fd, const std::string &Data) {
   return true;
 }
 
+/// Ends a connection whose peer may still be sending. Closing a socket
+/// with unread input resets it, and the reset can overtake the reply
+/// already queued for the peer (it reads ECONNRESET instead of the reply
+/// and EOF). So half-close first, then discard what the peer still
+/// sends until it closes too, bounded in bytes and time because the
+/// peer is untrusted.
+static void finishWithUnreadInput(int Fd) {
+  static constexpr size_t MaxDrainBytes = 4 << 20;
+  static constexpr int DrainMs = 1000;
+  ::shutdown(Fd, SHUT_WR);
+  char Chunk[4096];
+  size_t Drained = 0;
+  const Clock::time_point Deadline =
+      Clock::now() + std::chrono::milliseconds(DrainMs);
+  while (Drained < MaxDrainBytes) {
+    double Left = msBetween(Clock::now(), Deadline);
+    pollfd P{Fd, POLLIN, 0};
+    int Ready = Left > 0 ? ::poll(&P, 1, static_cast<int>(Left) + 1) : 0;
+    if (Ready < 0 && errno == EINTR)
+      continue;
+    if (Ready <= 0)
+      return; // deadline or error
+    ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      return; // the peer closed (or stop() shut the socket down)
+    Drained += static_cast<size_t>(N);
+  }
+}
+
 Server::Server(TuneService &Service, ServerOptions O)
     : Service(Service), Opts(std::move(O)) {}
 
@@ -807,7 +839,8 @@ void Server::handleConnection(int Fd, Conn &C) {
       Resp.set("ok", false);
       Resp.set("error", "request too large (line exceeds " +
                             std::to_string(MaxRequestBytes) + " bytes)");
-      sendAll(Fd, Resp.dump() + "\n");
+      if (sendAll(Fd, Resp.dump() + "\n"))
+        finishWithUnreadInput(Fd);
       break;
     }
   }

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// A deliberately small JSON implementation for the engine's persistent
-/// artifacts: the evaluation cache, tune checkpoints, search-trace lines,
-/// and benchmark result files. Supports the full JSON value model
+/// artifacts: the evaluation cache, flight-recorder event lines, the
+/// tuned-config database, and benchmark result files. Supports the full JSON value model
 /// (object/array/string/number/bool/null) with numbers held as doubles;
 /// integers round-trip exactly up to 2^53, far beyond any cost or count
 /// we store. No external dependencies by design — the container image

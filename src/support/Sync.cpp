@@ -15,18 +15,13 @@
 //
 // Checker-internal state is guarded by a plain std::mutex (the checker
 // cannot use the type it is checking), and a thread-local InReport flag
-// makes the reporting path — which goes through ECO_LOG and the obs
-// event bus, both of which lock eco::Mutexes themselves — invisible to
-// the checker, so a violation report can never recurse into a second
-// violation.
+// makes the reporting path — the installed ViolationSink, whose obs
+// implementation locks eco::Mutexes itself — invisible to the checker,
+// so a violation report can never recurse into a second violation.
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/Sync.h"
-
-#include "obs/Event.h"
-#include "obs/Log.h"
-#include "obs/Metrics.h"
 
 #include <atomic>
 #include <cstdio>
@@ -73,6 +68,12 @@ Registry &reg() {
 std::atomic<int> ModeAtomic{-1}; // -1 = not yet initialised
 std::atomic<uint64_t> ViolationTally{0};
 
+void stderrSink(const Violation &V) {
+  std::fprintf(stderr, "eco sync [%s]: %s\n", V.Kind.c_str(),
+               V.Message.c_str());
+}
+std::atomic<ViolationSink> Sink{&stderrSink};
+
 std::atomic<uint64_t> NextThreadId{1};
 uint64_t checkerTid() {
   thread_local uint64_t Tid = 0;
@@ -88,8 +89,8 @@ std::vector<uint64_t> &heldStack() {
 }
 
 /// True while this thread is inside the violation-reporting path; every
-/// detail:: hook early-returns, so the locks ECO_LOG / the event bus
-/// take while reporting are not themselves checked.
+/// detail:: hook early-returns, so the locks the sink takes while
+/// reporting are not themselves checked.
 bool &inReport() {
   thread_local bool In = false;
   return In;
@@ -140,22 +141,15 @@ bool cyclePath(const std::map<uint64_t, std::map<uint64_t, EdgeInfo>> &Edges,
 void reportViolation(const char *Kind, const std::string &Message,
                      bool AlwaysFatal) {
   ViolationTally.fetch_add(1, std::memory_order_relaxed);
+  Violation V{Kind, Message};
   {
     std::lock_guard<std::mutex> G(reg().Mu);
-    reg().Violations.push_back({Kind, Message});
+    reg().Violations.push_back(V);
   }
   bool Fatal = AlwaysFatal || checkMode() == CheckMode::Fatal;
   if (!inReport()) {
     inReport() = true;
-    ECO_LOG(Error) << "sync: " << Message;
-    if (obs::eventsEnabled()) {
-      Json Fields = Json::object();
-      Fields.set("kind", std::string(Kind));
-      Fields.set("message", Message);
-      obs::publishEvent("sync.violation", std::move(Fields));
-    }
-    if (obs::metricsEnabled())
-      obs::metrics().counter("sync.violations").inc();
+    Sink.load()(V);
     inReport() = false;
   }
   if (Fatal) {
@@ -196,6 +190,10 @@ void sync::setCheckMode(CheckMode Mode) {
 }
 
 bool sync::checking() { return checkMode() != CheckMode::Off; }
+
+void sync::setViolationSink(ViolationSink S) {
+  Sink.store(S);
+}
 
 uint64_t sync::violationCount() {
   return ViolationTally.load(std::memory_order_relaxed);

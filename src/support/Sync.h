@@ -29,8 +29,9 @@
 ///     not actually fire*, naming both locks and both acquisition
 ///     sides. Recursive acquisition, unlock by a non-owning thread, and
 ///     destruction of a held mutex are also caught. Violations go
-///     through ECO_LOG(Error) + a `sync.violation` obs event; under
-///     ECO_LOCK_DEBUG=1 (CheckMode::Fatal) they abort. When the checker
+///     to a ViolationSink (obs installs one that logs, publishes a
+///     `sync.violation` event and bumps the `sync.violations` counter);
+///     under ECO_LOCK_DEBUG=1 (CheckMode::Fatal) they abort. When the checker
 ///     is off the only residue is one pointer-sized id per Mutex and a
 ///     single predictable branch per lock/unlock (bench_obs_overhead
 ///     gates it at <=0.1% of an evaluation).
@@ -136,6 +137,15 @@ size_t trackedMutexCount();
 /// (registered mutexes stay registered). Call only with no eco locks
 /// held.
 void resetForTest();
+
+/// Where each violation is reported, besides violations(). The default
+/// writes one line to stderr. support sits below obs in the layering,
+/// so obs installs its sink at static initialisation (obs/Event.cpp): an
+/// ECO_LOG(Error) line, a `sync.violation` event, and a bump of the
+/// `sync.violations` counter. The sink runs with the checker off for
+/// the reporting thread, so locks it takes are not checked.
+using ViolationSink = void (*)(const Violation &);
+void setViolationSink(ViolationSink Sink);
 
 namespace detail {
 // Internal hooks Mutex/CondVar call. Id 0 (checker off at construction)

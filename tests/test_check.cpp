@@ -288,12 +288,6 @@ TEST(EventAuditTest, ReportedBestMustMatchStreamMinimum) {
   Report = auditEvents(Stream(Prefer, 6.5));
   ASSERT_EQ(Report.Issues.size(), 1u) << Report.summary();
   EXPECT_EQ(Report.Issues[0].Kind, "regression");
-
-  // Restored points were evaluated by an earlier stream: no minimum.
-  std::vector<obs::Event> Restored = Stream(Prefer, 6.5);
-  Restored.back().Fields.set("restored_points", 4);
-  Restored.back().Fields.set("points", 4 + 4);
-  EXPECT_TRUE(auditEvents(Restored).ok()) << auditEvents(Restored).summary();
 }
 
 TEST(EventAuditTest, SegmentsRestartSequencesAndStages) {
@@ -392,6 +386,65 @@ TEST(EventAuditTest, RealEngineStreamPassesAudit) {
     EXPECT_TRUE(Report.ok()) << Report.summary();
     std::remove(Path.c_str());
   }
+
+  // A killed tune resumed from its cache file, as two segments: a tune
+  // stopped partway (its cache flush is what a kill leaves behind), then
+  // a fresh engine over that file. The resumed window's hits carry the
+  // first segment's costs, so it gets the stream-minimum check too.
+  LoopNest MM = makeMatMul();
+  const MachineDesc M = MachineDesc::sgiR10000().scaledBy(16);
+  const ParamBindings Problem = {{"N", 24}};
+  const std::string Cache = tempPath("check_audit_resume_cache.json");
+  const std::string Killed = tempPath("check_audit_killed.jsonl");
+  const std::string Resumed = tempPath("check_audit_resumed.jsonl");
+  std::remove(Cache.c_str());
+  auto TuneOver = [&](const std::string &CacheFile, TuneOptions TO) {
+    SimEvalBackend Backend(M);
+    EngineOptions EO;
+    EO.CacheFile = CacheFile;
+    EvalEngine Engine(Backend, EO);
+    return tune(MM, Engine, Problem, TO);
+  };
+  const double Uninterrupted = TuneOver("", {}).BestCost;
+  size_t Polls = 0;
+  TuneOptions Stopping;
+  Stopping.ShouldStop = [&Polls] { return ++Polls > 20; };
+  recordEvents(Killed,
+               [&] { EXPECT_TRUE(TuneOver(Cache, Stopping).Cancelled); });
+  TuneResult R;
+  recordEvents(Resumed, [&] { R = TuneOver(Cache, {}); });
+  EXPECT_EQ(R.BestCost, Uninterrupted);
+  EXPECT_GT(R.TotalCacheHits, 0u);
+
+  std::vector<obs::Event> Events, Second;
+  std::string Err;
+  ASSERT_TRUE(obs::loadEventsFile(Killed, Events, &Err)) << Err;
+  ASSERT_TRUE(obs::loadEventsFile(Resumed, Second, &Err)) << Err;
+  ASSERT_FALSE(Second.empty());
+  // A restarted process numbers its segment from 0.
+  const uint64_t Base = Second.front().Seq;
+  for (obs::Event &E : Second) {
+    E.Seq -= Base;
+    Events.push_back(std::move(E));
+  }
+  EventAuditReport Report = auditEvents(Events);
+  EXPECT_EQ(Report.Segments, 2u);
+  EXPECT_EQ(Report.Tunes, 2u);
+  EXPECT_TRUE(Report.ok()) << Report.summary();
+
+  // The check really runs on the resumed window: a best_cost below its
+  // stream minimum is caught.
+  for (auto It = Events.rbegin(); It != Events.rend(); ++It)
+    if (It->Type == "tune.done") {
+      It->Fields.set("best_cost", R.BestCost / 2);
+      break;
+    }
+  bool Regression = false;
+  for (const EventIssue &I : auditEvents(Events).Issues)
+    Regression |= I.Kind == "regression";
+  EXPECT_TRUE(Regression) << auditEvents(Events).summary();
+  for (const std::string &P : {Cache, Killed, Resumed})
+    std::remove(P.c_str());
 }
 
 TEST(EventAuditTest, TamperedEventsFileIsCaught) {

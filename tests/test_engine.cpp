@@ -3,14 +3,13 @@
 // Covers the eco::engine subsystem: ThreadPool batch semantics, EvalCache
 // memoization + JSON persistence, the determinism contract (a --jobs N
 // tune returns the bit-identical winner of a sequential tune), the
-// TraceLog record class, checkpoint kill/resume, and the stats-based
-// accounting the Tuner reports. Runs under ThreadSanitizer via -DECO_SANITIZE=thread
-// (ctest -L engine).
+// TraceLog record class, kill/resume from the cache file, and the
+// stats-based accounting the Tuner reports. Runs under ThreadSanitizer
+// via -DECO_SANITIZE=thread (ctest -L engine).
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Tuner.h"
-#include "engine/Checkpoint.h"
 #include "engine/Engine.h"
 #include "engine/EvalCache.h"
 #include "engine/ThreadPool.h"
@@ -22,7 +21,6 @@
 #include "support/Json.h"
 #include "support/NestHash.h"
 #include "support/StringUtils.h"
-#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
@@ -336,6 +334,18 @@ TEST(EngineTest, SecondRunFromCacheFileIsNearlyAllHits) {
   ASSERT_GT(Served, 0u);
   // The acceptance bar: >90% of the second run served from the file.
   EXPECT_GT(static_cast<double>(S.CacheHits) / Served, 0.9);
+
+  // Keys embed the problem size: an N=96 tune over the N=64 file is
+  // served nothing from it, so it counts exactly a cold run's hits.
+  TuneOptions One;
+  One.MaxVariantsToSearch = 1;
+  SimEvalBackend ColdBackend(M);
+  EvalEngine ColdEngine(ColdBackend);
+  TuneResult Cold = tune(MM, ColdEngine, {{"N", 96}}, One);
+  EvalEngine Other(Backend, Opts);
+  TuneResult Over = tune(MM, Other, {{"N", 96}}, One);
+  EXPECT_EQ(Over.TotalCacheHits, Cold.TotalCacheHits);
+  EXPECT_EQ(Over.TotalPoints, Cold.TotalPoints);
   std::remove(Path.c_str());
 }
 
@@ -571,105 +581,63 @@ TEST(EngineTest, ChromeTraceCoversEvaluationsWithLaneAttribution) {
   C.clear();
 }
 
-// ---- Checkpoint / resume ------------------------------------------------
+// ---- Kill / resume from the cache file ----------------------------------
 
-TEST(CheckpointTest, KillAfterTwoVariantsResumesToSameResult) {
-  std::string Path = tempPath("eco_ckpt_kill.json");
-  std::remove(Path.c_str());
+TEST(EngineTest, KilledTuneResumesFromItsCacheFile) {
+  // A kill leaves the cache file as of its last save. Model that two
+  // ways: the first K entries of an uninterrupted run's file, and the
+  // flush of a tune ShouldStop cancelled partway. The search is a
+  // deterministic function of the costs it sees, so a fresh engine over
+  // either file must make every decision again: the uninterrupted
+  // winner bitwise, and as many lookups (points + hits).
+  const std::string Full = tempPath("eco_resume_full.json");
+  const std::string Partial = tempPath("eco_resume_partial.json");
+  std::remove(Full.c_str());
   LoopNest MM = makeMatMul();
   const ParamBindings Problem = {{"N", 64}};
   MachineDesc M = sgiScaled();
+  auto TuneOver = [&](const std::string &CacheFile, TuneOptions TO) {
+    SimEvalBackend Backend(M);
+    EngineOptions EO;
+    EO.CacheFile = CacheFile;
+    EvalEngine Engine(Backend, EO);
+    return tune(MM, Engine, Problem, TO);
+  }; // the engine's destructor saves the file
 
-  SimEvalBackend B1(M);
-  TuneResult Full = tune(MM, B1, Problem);
-  ASSERT_GE(Full.BestVariant, 0);
+  TuneResult Uninterrupted = TuneOver(Full, {});
+  ASSERT_GE(Uninterrupted.BestVariant, 0);
+  const size_t Lookups =
+      Uninterrupted.TotalPoints + Uninterrupted.TotalCacheHits;
 
-  // "Kill" a checkpointed tune after two variants: run it fully but only
-  // let the first two OnVariantSearched records reach the file — exactly
-  // the state a kill between the second and third search leaves behind.
-  {
-    SimEvalBackend B2(M);
-    TuneCheckpoint Ckpt(Path, MM, M, Problem, /*Resume=*/false);
-    TuneOptions Opts;
-    Ckpt.installHooks(Opts);
-    auto Record = Opts.OnVariantSearched;
-    size_t Recorded = 0;
-    Opts.OnVariantSearched = [&](const DerivedVariant &V,
-                                 const VariantSearchResult &R,
-                                 const VariantSummary &S) {
-      if (Recorded++ < 2)
-        Record(V, R, S);
-    };
-    tune(MM, B2, Problem, Opts);
-    ASSERT_GT(Recorded, 2u) << "tune searched too few variants to "
-                               "exercise an interrupted checkpoint";
+  for (const char *Kill : {"first-entries", "cancelled"}) {
+    SCOPED_TRACE(Kill);
+    std::remove(Partial.c_str());
+    if (std::string(Kill) == "first-entries") {
+      Json Root = Json::loadFile(Full);
+      Json Kept = Json::object();
+      for (const auto &[Key, Cost] : Root.get("entries").fields())
+        if (Kept.size() < Uninterrupted.TotalPoints / 2)
+          Kept.set(Key, Cost);
+      Root.set("entries", std::move(Kept));
+      ASSERT_TRUE(Root.saveFile(Partial));
+    } else {
+      size_t Polls = 0;
+      TuneOptions Stopping;
+      Stopping.ShouldStop = [&Polls] { return ++Polls > 40; };
+      ASSERT_TRUE(TuneOver(Partial, Stopping).Cancelled);
+    }
+    EvalCache Saved;
+    size_t Kept = Saved.load(Partial);
+    ASSERT_GT(Kept, 0u);
+    ASSERT_LT(Kept, Uninterrupted.TotalPoints);
+
+    TuneResult Resumed = TuneOver(Partial, {});
+    EXPECT_EQ(winnerOf(Resumed), winnerOf(Uninterrupted));
+    EXPECT_EQ(Resumed.TotalPoints + Resumed.TotalCacheHits, Lookups);
+    EXPECT_LT(Resumed.TotalPoints, Uninterrupted.TotalPoints);
   }
-
-  SimEvalBackend B3(M);
-  TuneCheckpoint Resumed(Path, MM, M, Problem, /*Resume=*/true);
-  EXPECT_EQ(Resumed.numLoaded(), 2u);
-  TuneOptions Opts;
-  Resumed.installHooks(Opts);
-  TuneResult R = tune(MM, B3, Problem, Opts);
-  EXPECT_EQ(Resumed.numRestored(), 2u);
-
-  EXPECT_EQ(R.BestVariant, Full.BestVariant);
-  EXPECT_EQ(winnerOf(R), winnerOf(Full));
-  size_t RestoredSummaries = 0;
-  for (const VariantSummary &S : R.Summaries)
-    RestoredSummaries += S.Restored ? 1 : 0;
-  EXPECT_EQ(RestoredSummaries, 2u);
-  std::remove(Path.c_str());
-}
-
-TEST(CheckpointTest, ResumeRunRestoresEveryVariant) {
-  std::string Path = tempPath("eco_ckpt_full.json");
-  std::remove(Path.c_str());
-  LoopNest MM = makeMatMul();
-  const ParamBindings Problem = {{"N", 64}};
-  MachineDesc M = sgiScaled();
-
-  TuneResult First;
-  {
-    SimEvalBackend B(M);
-    TuneCheckpoint Ckpt(Path, MM, M, Problem, false);
-    TuneOptions Opts;
-    Ckpt.installHooks(Opts);
-    First = tune(MM, B, Problem, Opts);
-  }
-
-  SimEvalBackend B(M);
-  TuneCheckpoint Ckpt(Path, MM, M, Problem, true);
-  TuneOptions Opts;
-  Ckpt.installHooks(Opts);
-  Timer T;
-  TuneResult Again = tune(MM, B, Problem, Opts);
-  EXPECT_EQ(winnerOf(Again), winnerOf(First));
-  EXPECT_EQ(Ckpt.numRestored(), Ckpt.numLoaded());
-  EXPECT_GT(Ckpt.numRestored(), 0u);
-  std::remove(Path.c_str());
-}
-
-TEST(CheckpointTest, IncompatibleCheckpointIsIgnored) {
-  std::string Path = tempPath("eco_ckpt_mismatch.json");
-  std::remove(Path.c_str());
-  LoopNest MM = makeMatMul();
-  MachineDesc M = sgiScaled();
-  {
-    SimEvalBackend B(M);
-    TuneCheckpoint Ckpt(Path, MM, M, {{"N", 64}}, false);
-    TuneOptions Opts;
-    Ckpt.installHooks(Opts);
-    tune(MM, B, {{"N", 64}}, Opts);
-  }
-  // Different problem size: the file must not be trusted.
-  TuneCheckpoint Other(Path, MM, M, {{"N", 96}}, true);
-  EXPECT_EQ(Other.numLoaded(), 0u);
-  // Different kernel: likewise.
-  LoopNest Jac = makeJacobi();
-  TuneCheckpoint OtherKernel(Path, Jac, M, {{"N", 64}}, true);
-  EXPECT_EQ(OtherKernel.numLoaded(), 0u);
-  std::remove(Path.c_str());
+  std::remove(Full.c_str());
+  std::remove(Partial.c_str());
 }
 
 // ---- persistence robustness ---------------------------------------------
@@ -773,7 +741,7 @@ TEST(EngineTest, TruncatedCacheFileRecoversToColdRunAnswer) {
   std::remove(Path.c_str());
 }
 
-// ---- Cache machine filtering / checkpoint clean stamp -------------------
+// ---- Cache machine filtering -------------------------------------------
 
 TEST(EvalCacheTest, ForeignMachineEntriesAreRejectedOnLoad) {
   std::string Path = tempPath("eco_cache_foreign.json");
@@ -816,47 +784,6 @@ TEST(EvalCacheTest, ForeignMachineEntriesAreRejectedOnLoad) {
   EXPECT_EQ(All.load(Path), 7u);
   std::remove(Path.c_str());
   std::remove(Resaved.c_str());
-}
-
-TEST(CheckpointTest, CleanFlagStampsCompletedTunes) {
-  std::string Path = tempPath("eco_ckpt_clean.json");
-  std::remove(Path.c_str());
-  LoopNest MM = makeMatMul();
-  const ParamBindings Problem = {{"N", 64}};
-  MachineDesc M = sgiScaled();
-
-  {
-    SimEvalBackend B(M);
-    TuneCheckpoint Ckpt(Path, MM, M, Problem, /*Resume=*/false);
-    TuneOptions Opts;
-    Ckpt.installHooks(Opts);
-    ASSERT_GE(tune(MM, B, Problem, Opts).BestVariant, 0);
-
-    // Until markComplete(), the file on disk is stamped unclean — what
-    // a kill at this exact moment would leave behind.
-    TuneCheckpoint MidFlight(Path, MM, M, Problem, /*Resume=*/true);
-    EXPECT_GT(MidFlight.numLoaded(), 0u);
-    EXPECT_FALSE(MidFlight.loadedClean());
-
-    Ckpt.markComplete();
-  }
-  TuneCheckpoint Done(Path, MM, M, Problem, /*Resume=*/true);
-  EXPECT_GT(Done.numLoaded(), 0u);
-  EXPECT_TRUE(Done.loadedClean());
-
-  // Legacy files predate the stamp and are indistinguishable from a
-  // partial write, so they resume as unclean.
-  Json Root = Json::loadFile(Path);
-  ASSERT_TRUE(Root.isObject());
-  Json Legacy = Json::object();
-  for (const auto &[Key, Value] : Root.fields())
-    if (Key != "clean")
-      Legacy.set(Key, Value);
-  ASSERT_TRUE(Legacy.saveFile(Path));
-  TuneCheckpoint FromLegacy(Path, MM, M, Problem, /*Resume=*/true);
-  EXPECT_GT(FromLegacy.numLoaded(), 0u);
-  EXPECT_FALSE(FromLegacy.loadedClean());
-  std::remove(Path.c_str());
 }
 
 // ---- Cache keys: variant fingerprints -----------------------------------

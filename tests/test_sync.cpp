@@ -5,11 +5,14 @@
 // always-fatal misuse classes (recursive acquire, unlock-not-held,
 // destroyed-while-held), the REQUIRES runtime assert, try_lock's
 // no-edge policy, CondVar bookkeeping, and the off-path zero-tracking
-// guarantee. Death tests run the checker in Fatal mode inside the
+// guarantee, and the obs sink that turns a violation into an event and
+// a counter bump. Death tests run the checker in Fatal mode inside the
 // forked child so the parent process never aborts.
 //
 //===----------------------------------------------------------------------===//
 
+#include "obs/Event.h"
+#include "obs/Metrics.h"
 #include "support/Sync.h"
 
 #include <gtest/gtest.h>
@@ -411,6 +414,37 @@ TEST_F(SyncCheckerTest, CycleIsNonFatalInReportMode) {
   // Still alive, still usable.
   A.lock();
   A.unlock();
+}
+
+/// support/ sits below obs/, so reports leave through a sink; the event
+/// bus installs obs's, which publishes a `sync.violation` event and
+/// bumps the `sync.violations` counter.
+TEST_F(SyncCheckerTest, ViolationReachesObsEventAndCounter) {
+  obs::EventBus &Bus = obs::EventBus::global();
+  Bus.clear();
+  const bool EventsWere = obs::eventsEnabled();
+  const bool MetricsWere = obs::metricsEnabled();
+  obs::setEventsEnabled(true);
+  obs::setMetricsEnabled(true);
+  const uint64_t Before = obs::metrics().counter("sync.violations").value();
+
+  Mutex A("sink.A");
+  Mutex B("sink.B");
+  A.lock();
+  B.lock();
+  B.unlock();
+  A.unlock();
+  B.lock();
+  A.lock();
+  A.unlock();
+  B.unlock();
+
+  obs::setEventsEnabled(EventsWere);
+  obs::setMetricsEnabled(MetricsWere);
+  ASSERT_EQ(sync::violationCount(), 1u);
+  EXPECT_EQ(Bus.typeCount("sync.violation"), 1u);
+  EXPECT_EQ(obs::metrics().counter("sync.violations").value(), Before + 1);
+  Bus.clear();
 }
 
 } // namespace
