@@ -7,39 +7,18 @@
 // shape here: ECO visits a small, similar number of points; the
 // ATLAS-style grid visits several times more.
 //
-// The second section measures what the eco::engine subsystem adds on top
-// of the paper: the same MatMul tune run sequentially and with --jobs N
-// warm-batch parallelism (wall-clock + identical winner), plus the eval
-// cache's hit rate when the tune repeats against a warm cache. Results
-// are also emitted as BENCH_search_cost.json for machine consumption.
+// Results are also emitted as BENCH_search_cost.json.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "baselines/MiniAtlas.h"
 #include "core/Tuner.h"
-#include "engine/Engine.h"
 #include "kernels/Kernels.h"
 #include "support/Json.h"
-#include "support/Timer.h"
-
-#include <algorithm>
-#include <thread>
 
 using namespace eco;
 using namespace ecobench;
-
-namespace {
-
-/// Fraction of evaluate()/warm requests served from the memo, measured
-/// over a stats window.
-double hitRate(const EvalStats &Before, const EvalStats &After) {
-  size_t Hits = After.CacheHits - Before.CacheHits;
-  size_t Evals = After.Evaluations - Before.Evaluations;
-  return Hits + Evals ? static_cast<double>(Hits) / (Hits + Evals) : 0;
-}
-
-} // namespace
 
 int main() {
   Json Out = Json::object();
@@ -94,82 +73,9 @@ int main() {
               "Sun, Jacobi 94 / 148; the ATLAS search took 2-4x longer)\n");
   Out.set("table", std::move(Rows));
 
-  // -- engine: parallel evaluation + memoized cache ------------------------
-  unsigned HostCpus = std::max(1u, std::thread::hardware_concurrency());
-  int Jobs = static_cast<int>(std::clamp(HostCpus, 4u, 8u));
-  banner(strformat("engine: sequential vs --jobs %d (host has %u cpu%s)",
-                   Jobs, HostCpus, HostCpus == 1 ? "" : "s"));
-
-  LoopNest MM = makeMatMul();
-  const ParamBindings Problem = {{"N", 160}};
-
-  SimEvalBackend SeqBackend(sgi());
-  EvalEngine Seq(SeqBackend);
-  Timer SeqTimer;
-  TuneResult RSeq = tune(MM, Seq, Problem);
-  double SeqSeconds = SeqTimer.seconds();
-
-  SimEvalBackend ParBackend(sgi());
-  EngineOptions ParOpts;
-  ParOpts.Jobs = Jobs;
-  EvalEngine Par(ParBackend, ParOpts);
-  Timer ParTimer;
-  TuneResult RPar = tune(MM, Par, Problem);
-  double ParSeconds = ParTimer.seconds();
-  double FirstRunHitRate = hitRate(EvalStats{}, Par.stats());
-
-  bool SameBest =
-      RSeq.BestVariant == RPar.BestVariant &&
-      RSeq.BestCost == RPar.BestCost &&
-      RSeq.best().configString(RSeq.BestConfig) ==
-          RPar.best().configString(RPar.BestConfig);
-
-  // The tune repeated against the warm cache: every point is a memo hit,
-  // which is what --cache-file replays across processes.
-  EvalStats WarmBefore = Par.stats();
-  Timer WarmTimer;
-  TuneResult RWarm = tune(MM, Par, Problem);
-  double WarmSeconds = WarmTimer.seconds();
-  double SecondRunHitRate = hitRate(WarmBefore, Par.stats());
-
-  double Speedup = ParSeconds > 0 ? SeqSeconds / ParSeconds : 0;
-  std::printf("sequential        %6.1fs  %zu backend evals\n", SeqSeconds,
-              RSeq.TotalPoints);
-  std::printf("--jobs %-2d         %6.1fs  %zu backend evals  "
-              "(%.2fx speedup, %.0f%% warm-batch reuse)\n",
-              Jobs, ParSeconds, RPar.TotalPoints, Speedup,
-              100 * FirstRunHitRate);
-  std::printf("warm-cache re-run %6.1fs  %.0f%% hit rate\n", WarmSeconds,
-              100 * SecondRunHitRate);
-  std::printf("winner %s: %s  cost %.6g\n",
-              SameBest ? "identical" : "DIVERGED (bug!)",
-              RPar.best().configString(RPar.BestConfig).c_str(),
-              RPar.BestCost);
-  if (HostCpus < 2)
-    std::printf("(single-cpu host: threads interleave, so no wall-clock "
-                "speedup is possible here)\n");
-
-  Json Eng = Json::object();
-  Eng.set("kernel", "MatMul");
-  Eng.set("machine", "SGI");
-  Eng.set("n", 160);
-  Eng.set("hostCpus", static_cast<uint64_t>(HostCpus));
-  Eng.set("jobs", Jobs);
-  Eng.set("sequentialSeconds", SeqSeconds);
-  Eng.set("parallelSeconds", ParSeconds);
-  Eng.set("speedup", Speedup);
-  Eng.set("identicalBest", SameBest);
-  Eng.set("firstRunHitRate", FirstRunHitRate);
-  Eng.set("warmRerunSeconds", WarmSeconds);
-  Eng.set("secondRunHitRate", SecondRunHitRate);
-  Eng.set("bestConfig", RPar.best().configString(RPar.BestConfig));
-  Eng.set("bestCost", RPar.BestCost);
-  Eng.set("warmBestCost", RWarm.BestCost);
-  Out.set("engine", std::move(Eng));
-
   if (!Out.saveFile("BENCH_search_cost.json"))
     std::fprintf(stderr, "warning: could not write BENCH_search_cost.json\n");
   else
     std::printf("\nwrote BENCH_search_cost.json\n");
-  return SameBest ? 0 : 1;
+  return 0;
 }

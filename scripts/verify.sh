@@ -4,10 +4,13 @@
 # Runs the checks a PR must pass, in cost order:
 #
 #   1. tier-1: plain build + the full ctest suite (ROADMAP.md);
-#   2. fuzz:   a bounded eco_fuzz differential sweep (fixed seed);
-#   3. ASan:   -DECO_SANITIZE=address build, concurrency labels only;
-#   4. UBSan:  -DECO_SANITIZE=undefined build, labeled suites only;
-#   5. TSan:   -DECO_SANITIZE=thread build, labeled suites only.
+#   2. perfbench: the throughput benchmark's own self-test;
+#   3. fuzz:   a bounded eco_fuzz differential sweep (fixed seed);
+#   4. bench:  the gated benches bench_obs_overhead and
+#              bench_fleet_dispatch;
+#   5. ASan:   -DECO_SANITIZE=address build, concurrency labels only;
+#   6. UBSan:  -DECO_SANITIZE=undefined build, labeled suites only;
+#   7. TSan:   -DECO_SANITIZE=thread build, labeled suites only.
 #
 # The labeled suites (engine|sim|obs|check|serve|fleet|fuzz|sync) are
 # the ones with real concurrency or UB surface; running only them keeps
@@ -20,7 +23,7 @@
 #   ECO_VERIFY_SKIP_TSAN=1   skip the TSan pass
 #   ECO_VERIFY_SKIP_UBSAN=1  skip the UBSan pass
 #   ECO_VERIFY_SKIP_ASAN=1   skip the ASan pass
-#   ECO_VERIFY_SKIP_BENCH=1  skip the bench.sh smoke sweep
+#   ECO_VERIFY_SKIP_BENCH=1  skip the gated benches
 #   ECO_VERIFY_ANALYZE=1     also run scripts/analyze.sh (clang
 #                            -Wthread-safety + clang-tidy; soft-skips
 #                            when no clang toolchain is installed)
@@ -49,6 +52,9 @@ run_suite() { # run_suite <build-dir> <cmake-extra...> -- <ctest-args...>
 
 step "tier-1: build + full test suite"
 run_suite build --
+
+step "perfbench: self-test"
+(cd "$REPO" && python3 perfbench/run.py --self-test)
 
 step "fuzz smoke: eco_fuzz --iters=200 --seed=7"
 "$REPO/build/examples/eco_fuzz" --iters=200 --seed=7
@@ -105,8 +111,12 @@ wait "$W2" 2>/dev/null || true
 rm -f "$FSOCK" "$FDB"
 
 if [ "${ECO_VERIFY_SKIP_BENCH:-0}" != "1" ]; then
-  step "bench smoke: scripts/bench.sh (quick mode)"
-  ECO_BENCH_JOBS="$JOBS" "$REPO/scripts/bench.sh"
+  # Each exits non-zero when it misses its bar; run from build/ so the
+  # BENCH_*.json files they write stay out of the source tree.
+  for B in bench_obs_overhead bench_fleet_dispatch; do
+    step "bench: $B"
+    (cd "$REPO/build" && "$REPO/build/bench/$B")
+  done
 else
   step "bench smoke: skipped (ECO_VERIFY_SKIP_BENCH=1)"
 fi

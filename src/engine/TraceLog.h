@@ -5,14 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The engine's structured per-point search log. Every evaluation —
-/// whether issued synchronously by the search's decision loop or
-/// speculatively by a warm batch — appends one record with the variant,
-/// search stage, configuration, cost, cache-hit flag, wall time, and the
-/// lane (thread slot) that ran it. Records stream to a JSONL file when a
-/// path is configured, and the per-variant aggregates feed the Tuner's
-/// Points/Seconds accounting so the numbers stay correct under parallel
-/// evaluation (previously they were hand-maintained in the search loop).
+/// A per-point search log that no engine code uses any more; it stays
+/// only because perfbench still compiles against it, until perfbench's
+/// engine split stops re-timing it (ROADMAP.md).
 ///
 //===----------------------------------------------------------------------===//
 

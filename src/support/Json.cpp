@@ -207,10 +207,18 @@ private:
       return Json();
     }
     char C = Text[Pos];
-    if (C == '{')
-      return parseObject();
-    if (C == '[')
-      return parseArray();
+    if (C == '{' || C == '[') {
+      // The parser recurses once per level, so unbounded nesting from a
+      // hostile peer would overflow the stack.
+      if (Depth == MaxDepth) {
+        fail("nesting too deep");
+        return Json();
+      }
+      ++Depth;
+      Json V = C == '{' ? parseObject() : parseArray();
+      --Depth;
+      return V;
+    }
     if (C == '"')
       return Json(parseString());
     if (literal("true"))
@@ -327,9 +335,13 @@ private:
     return Obj;
   }
 
+  /// Real documents nest fewer than 10 deep.
+  static constexpr unsigned MaxDepth = 512;
+
   const std::string &Text;
   std::string *Error;
   size_t Pos = 0;
+  unsigned Depth = 0;
   bool Failed = false;
 };
 

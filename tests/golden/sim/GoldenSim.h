@@ -26,10 +26,6 @@
 /// streams too. The seed's buggy behavior is characterized separately in
 /// tests/test_sim.cpp (PrefetchDoesNotPerturbL1Lru).
 ///
-/// bench/bench_eval_throughput.cpp replays identical traces through both
-/// models to report the hot-path overhaul's speedup; the counters must
-/// match bit-for-bit while the wall time drops.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef ECO_SIM_GOLDENSIM_H

@@ -63,6 +63,22 @@ std::string tempPath(const std::string &Name) {
   return ::testing::TempDir() + Name;
 }
 
+/// A bare socket connected to \p Path, for tests that must write bytes
+/// no Client would send; -1 on failure.
+int connectRawUnix(const std::string &Path) {
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Fd < 0)
+    return -1;
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::strncpy(Addr.sun_path, Path.c_str(), sizeof(Addr.sun_path) - 1);
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
+    ::close(Fd);
+    return -1;
+  }
+  return Fd;
+}
+
 uint64_t sgiHash() {
   MachineDesc M;
   EXPECT_TRUE(buildMachine("sgi", 16, M));
@@ -1233,13 +1249,8 @@ TEST(ServeServerTest, OversizedRequestGetsStructuredErrorAndClose) {
   std::string Err;
   ASSERT_TRUE(Srv.start(&Err)) << Err;
 
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  int Fd = connectRawUnix(Sock);
   ASSERT_GE(Fd, 0);
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  std::strncpy(Addr.sun_path, Sock.c_str(), sizeof(Addr.sun_path) - 1);
-  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
-            0);
 
   // Stream 2 MiB with no newline: an unterminated "line" must not grow
   // the server's buffer without bound. The server answers a structured
@@ -1271,6 +1282,61 @@ TEST(ServeServerTest, OversizedRequestGetsStructuredErrorAndClose) {
       << Resp.dump();
   // And the connection really is gone.
   EXPECT_EQ(::recv(Fd, &Byte, 1, 0), 0);
+
+  ::close(Fd);
+  Srv.stop();
+  Service.drain();
+  std::remove(Sock.c_str());
+}
+
+TEST(ServeServerTest, DeeplyNestedRequestGetsErrorAndConnectionLives) {
+  // A 100 KB line of '[' is under the size cap, so it reaches the JSON
+  // parser; it must come back as a structured error, not a crash, and
+  // the connection must keep serving.
+  std::string Sock = tempPath("eco_serve_nested.sock");
+  std::remove(Sock.c_str());
+  TuneService Service;
+  ServerOptions Opts;
+  Opts.UnixPath = Sock;
+  Server Srv(Service, Opts);
+  std::string Err;
+  ASSERT_TRUE(Srv.start(&Err)) << Err;
+
+  int Fd = connectRawUnix(Sock);
+  ASSERT_GE(Fd, 0);
+  auto sendLine = [Fd](const std::string &Line) {
+    std::string Out = Line + "\n";
+    size_t Sent = 0;
+    while (Sent < Out.size()) {
+      ssize_t N = ::send(Fd, Out.data() + Sent, Out.size() - Sent,
+                         MSG_NOSIGNAL);
+      if (N <= 0)
+        return false;
+      Sent += static_cast<size_t>(N);
+    }
+    return true;
+  };
+  auto recvLine = [Fd] {
+    std::string Line;
+    char Byte;
+    while (::recv(Fd, &Byte, 1, 0) == 1 && Byte != '\n')
+      Line.push_back(Byte);
+    return Line;
+  };
+
+  ASSERT_TRUE(sendLine(std::string(100 * 1024, '[')));
+  Json Resp = Json::parse(recvLine(), &Err);
+  ASSERT_TRUE(Err.empty()) << Err;
+  EXPECT_FALSE(Resp.get("ok").asBool(true));
+  std::string Error = Resp.get("error").asString();
+  EXPECT_EQ(Error.rfind("bad request: ", 0), 0u) << Error;
+  EXPECT_NE(Error.find("nesting"), std::string::npos) << Error;
+
+  ASSERT_TRUE(sendLine("{\"op\":\"ping\"}"));
+  Resp = Json::parse(recvLine(), &Err);
+  ASSERT_TRUE(Err.empty()) << Err;
+  EXPECT_TRUE(Resp.get("ok").asBool(false)) << Resp.dump();
+  EXPECT_EQ(Resp.get("op").asString(), "pong");
 
   ::close(Fd);
   Srv.stop();

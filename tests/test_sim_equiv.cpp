@@ -188,9 +188,8 @@ TEST(SimEquivalence, AdversarialSetConflictStreams) {
 }
 
 TEST(SimEquivalence, DgemmLikeTraceBitIdentical) {
-  // The deterministic shape the throughput benchmark replays: col-major
-  // dgemm ijk with A/B/C interleaved per iteration, plus a software
-  // prefetch stream on B — the access pattern the search's hot path
+  // Col-major dgemm ijk with A/B/C interleaved per iteration, plus a
+  // software prefetch stream on B — the access pattern the search's hot path
   // simulates millions of times.
   MachineDesc M = MachineDesc::sgiR10000().scaledBy(16);
   const uint64_t ABase = 1 << 20, BBase = 2 << 20, CBase = 3 << 20;

@@ -403,6 +403,22 @@ TEST(JsonTest, ParseErrorsAreReported) {
   EXPECT_FALSE(Err.empty());
 }
 
+TEST(JsonTest, DeepNestingIsAParseErrorNotACrash) {
+  // One stack frame per level: without a depth cap, 100,000 levels
+  // overflow an 8 MiB stack.
+  const size_t Deep = 100000;
+  std::string Arrays(Deep, '[');
+  std::string Objects;
+  for (size_t I = 0; I < Deep; ++I)
+    Objects += "{\"a\":";
+  for (const std::string &Text : {Arrays, Objects}) {
+    std::string Err;
+    EXPECT_TRUE(eco::Json::parse(Text, &Err).isNull());
+    EXPECT_NE(Err.find("nesting too deep at offset"), std::string::npos)
+        << Err;
+  }
+}
+
 TEST(JsonTest, FileRoundTrip) {
   std::string Path = ::testing::TempDir() + "eco_json_roundtrip.json";
   eco::Json O = eco::Json::object();
