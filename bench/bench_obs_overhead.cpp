@@ -2,13 +2,13 @@
 //
 // The obs subsystem promises to be effectively free when disabled: every
 // instrumentation site in the engine hot path guards on one relaxed
-// atomic load (obs::metricsEnabled(), SpanCollector::enabled(), the
+// atomic load (obs::metricsEnabled(), obs::eventsEnabled(), the
 // ECO_LOG level check) before touching anything. This bench quantifies
 // that promise from two directions:
 //
 //  * phase A — end-to-end: the dgemm tune run repeatedly through a
 //    single-threaded EvalEngine with observability disabled (the library
-//    default) and then fully enabled (metrics + spans), reporting
+//    default) and then fully enabled (metrics + events), reporting
 //    evals/sec for each. The enabled run bounds the *worst case*; the
 //    disabled run is what library users pay.
 //
@@ -41,7 +41,6 @@
 #include "obs/Event.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
-#include "obs/Span.h"
 #include "support/Json.h"
 #include "support/Sync.h"
 #include "support/Timer.h"
@@ -84,23 +83,20 @@ int main() {
   banner("phase A: dgemm tune evals/sec, observability off vs on");
   // Library default: everything off.
   obs::setMetricsEnabled(false);
-  obs::SpanCollector::global().setEnabled(false);
+  obs::setEventsEnabled(false);
   obs::setLogLevel(obs::LogLevel::Off);
   size_t EvalsOff = 0;
   double OffRate = bestOf(Reps, M, EvalsOff);
 
-  // Worst case: metrics + spans + the flight recorder (ring sink only)
-  // recording every evaluation.
+  // Worst case: metrics + the flight recorder (ring sink only)
+  // recording every evaluation and timed phase.
   obs::setMetricsEnabled(true);
-  obs::SpanCollector::global().setEnabled(true);
   obs::setEventsEnabled(true);
   size_t EvalsOn = 0;
   double OnRate = bestOf(Reps, M, EvalsOn);
   obs::setMetricsEnabled(false);
-  obs::SpanCollector::global().setEnabled(false);
   obs::setEventsEnabled(false);
   obs::metrics().resetValues();
-  obs::SpanCollector::global().clear();
   obs::EventBus::global().clear();
 
   double EnabledOverheadPct =
@@ -117,7 +113,7 @@ int main() {
   for (uint64_t I = 0; I < Iters; ++I) {
     if (obs::metricsEnabled())
       ++Sink;
-    if (obs::SpanCollector::global().enabled())
+    if (obs::eventsEnabled())
       ++Sink;
     ECO_LOG(Debug) << "never formatted " << Sink;
   }
@@ -125,8 +121,8 @@ int main() {
   if (Sink)
     std::printf("(sink %llu)\n", static_cast<unsigned long long>(Sink));
 
-  // Hooks per evaluation in EvalEngine::evalOne: one metrics guard, one
-  // span guard and one events guard; round up.
+  // Hooks per evaluation in EvalEngine::evalOne: one metrics guard and
+  // one events guard, plus the amortized span guards; round up.
   constexpr double HooksPerEval = 4;
   double HookNsPerEval = TripleNs / 3 * HooksPerEval;
   double EvalNs = OffRate > 0 ? 1e9 / OffRate : 1;
@@ -141,7 +137,7 @@ int main() {
 
   banner("phase C: flight-recorder disabled guard");
   // The event bus's kill switch in isolation: one relaxed atomic load,
-  // the only thing the hot path pays with no --events-file.
+  // the only thing the hot path pays with no --obs-dir.
   Timer TE;
   for (uint64_t I = 0; I < Iters; ++I)
     if (obs::eventsEnabled())

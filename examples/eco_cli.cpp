@@ -4,35 +4,33 @@
 //
 //   eco_cli [--kernel=matmul|jacobi|matvec] [--machine=sgi|sun|host]
 //           [--n=SIZE] [--scale=K] [--native] [--emit-c] [--variants]
-//           [--trace] [--jobs=N] [--cache-file=F] [--resume]
-//           [--metrics-file=F] [--chrome-trace=F] [--events-file=F]
+//           [--jobs=N] [--cache-file=F] [--resume] [--obs-dir=D]
 //           [--log-level=LVL] [--progress]
-//   eco_cli report EVENTS.jsonl [--html] [--out=F]
+//   eco_cli report EVENTS.jsonl [--html | --chrome] [--out=F]
 //
 //   --variants     print the derived variant set (Table 4 style) and exit
 //   --emit-c       print the winning variant as C source
 //   --native       tune with the compile-and-run backend on this machine
-//   --trace        dump every evaluated search point (CSV: config,cost)
 //   --jobs=N       evaluate candidate batches on N threads (engine)
 //   --cache-file=F persist the evaluation cache to F (JSON); re-runs on
 //                  identical input replay from it nearly for free, and a
 //                  killed tune re-run with the same F resumes: every
 //                  saved point is a cache hit, only the rest is evaluated
-//   --resume       continue a killed tune's --events-file: append a new
-//                  segment instead of truncating (needs --cache-file)
-//   --metrics-file=F  dump the metrics registry (counters/gauges/
-//                  histograms) to F as JSON after the tune
-//   --chrome-trace=F  export the tune's span timeline to F in Chrome
-//                  trace-event JSON (open in Perfetto/chrome://tracing)
-//   --events-file=F  flight recorder: stream every search decision
-//                  (variants derived/rejected, one config.evaluated
-//                  record per point, winner updates, tune.done totals)
-//                  to F as JSONL; render with `eco_cli report F`, audit
-//                  with `eco_check --audit-events=F`
+//   --resume       continue a killed tune's --obs-dir stream: append a
+//                  new segment instead of truncating (needs --cache-file)
+//   --obs-dir=D    flight recorder (created if missing): stream every
+//                  search decision (variants derived/rejected, one
+//                  config.evaluated record per point, timed phases,
+//                  winner updates, tune.done totals) to D/events.jsonl,
+//                  and dump the metrics registry to D/metrics.json after
+//                  the tune; render with `eco_cli report D/events.jsonl`,
+//                  audit with `eco_check --audit-events=D/events.jsonl`
 //   report F       turn a flight-recorder stream into a tune report
-//                  (Markdown; --html for HTML, --out=F to write a file).
-//                  Exits 1 when the stream does not reconcile with the
-//                  tuner's own tune.done totals.
+//                  (Markdown; --html for HTML, --chrome for a Chrome
+//                  trace-event timeline to open in Perfetto or
+//                  chrome://tracing, --out=F to write a file). Exits 1
+//                  when the stream does not reconcile with the tuner's
+//                  own tune.done totals.
 //   --log-level=L  stderr diagnostics: off|error|warn|info|debug
 //                  (default warn, or the ECO_LOG_LEVEL env var)
 //   --progress     periodic progress/ETA line on stderr while tuning
@@ -40,7 +38,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CEmitter.h"
-#include "core/Report.h"
 #include "core/Tuner.h"
 #include "engine/Engine.h"
 #include "exec/Run.h"
@@ -49,7 +46,6 @@
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Report.h"
-#include "obs/Span.h"
 #include "serve/Tool.h"
 #include "serve/Worker.h"
 #include "support/ParseInt.h"
@@ -80,42 +76,37 @@ struct CliOptions {
   bool Native = false;
   bool EmitC = false;
   bool VariantsOnly = false;
-  bool Trace = false;
-  bool Report = false;
   int Jobs = 1;
   std::string CacheFile;
   bool Resume = false;
-  std::string MetricsFile;
-  std::string ChromeTraceFile;
-  std::string EventsFile;
+  std::string ObsDir;
   std::string LogLevel;
   bool Progress = false;
 };
 
-/// `eco_cli report EVENTS.jsonl [--html] [--out=F]`: renders a
-/// flight-recorder stream as a tune report. Exit 1 when any tune window
-/// fails reconciliation against its own tune.done totals.
+/// `eco_cli report EVENTS.jsonl [--html | --chrome] [--out=F]`: renders
+/// a flight-recorder stream as a tune report or a Chrome timeline. Exit
+/// 1 when any tune window fails reconciliation against its own
+/// tune.done totals.
 int reportToolMain(const std::vector<std::string> &Args) {
   std::string Path;
   std::string OutFile;
-  bool Html = false;
+  bool Html = false, Chrome = false, Bad = false;
   for (const std::string &Arg : Args) {
     if (Arg == "--html")
       Html = true;
+    else if (Arg == "--chrome")
+      Chrome = true;
     else if (Arg.compare(0, 6, "--out=") == 0)
       OutFile = Arg.substr(6);
     else if (!Arg.empty() && Arg[0] != '-' && Path.empty())
       Path = Arg;
-    else {
-      std::fprintf(stderr,
-                   "usage: eco_cli report EVENTS.jsonl [--html] "
-                   "[--out=F]\n");
-      return 2;
-    }
+    else
+      Bad = true;
   }
-  if (Path.empty()) {
-    std::fprintf(stderr, "usage: eco_cli report EVENTS.jsonl [--html] "
-                         "[--out=F]\n");
+  if (Bad || Path.empty() || (Html && Chrome)) {
+    std::fprintf(stderr, "usage: eco_cli report EVENTS.jsonl "
+                         "[--html | --chrome] [--out=F]\n");
     return 2;
   }
   std::vector<obs::Event> Events;
@@ -128,7 +119,9 @@ int reportToolMain(const std::vector<std::string> &Args) {
   for (const std::string &E : LineErrors)
     std::fprintf(stderr, "warning: %s\n", E.c_str());
   obs::FlightAnalysis A = obs::analyzeEvents(Events);
-  std::string Rendered = Html ? obs::renderHtml(A) : obs::renderMarkdown(A);
+  std::string Rendered = Chrome ? obs::renderChromeTrace(Events).dump() + "\n"
+                         : Html ? obs::renderHtml(A)
+                                : obs::renderMarkdown(A);
   if (OutFile.empty()) {
     std::printf("%s", Rendered.c_str());
   } else {
@@ -229,17 +222,9 @@ bool parseArg(CliOptions &Opts, const std::string &Arg) {
     Opts.CacheFile = V;
     return !Opts.CacheFile.empty();
   }
-  if (const char *V = valueOf("--metrics-file=")) {
-    Opts.MetricsFile = V;
-    return !Opts.MetricsFile.empty();
-  }
-  if (const char *V = valueOf("--chrome-trace=")) {
-    Opts.ChromeTraceFile = V;
-    return !Opts.ChromeTraceFile.empty();
-  }
-  if (const char *V = valueOf("--events-file=")) {
-    Opts.EventsFile = V;
-    return !Opts.EventsFile.empty();
+  if (const char *V = valueOf("--obs-dir=")) {
+    Opts.ObsDir = V;
+    return !Opts.ObsDir.empty();
   }
   if (const char *V = valueOf("--log-level=")) {
     Opts.LogLevel = V;
@@ -263,14 +248,6 @@ bool parseArg(CliOptions &Opts, const std::string &Arg) {
   }
   if (Arg == "--variants") {
     Opts.VariantsOnly = true;
-    return true;
-  }
-  if (Arg == "--trace") {
-    Opts.Trace = true;
-    return true;
-  }
-  if (Arg == "--report") {
-    Opts.Report = true;
     return true;
   }
   return false;
@@ -299,14 +276,11 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr,
                    "usage: %s [--kernel=matmul|jacobi|matvec] "
                    "[--machine=sgi|sun|host] [--n=SIZE] [--scale=K] "
-                   "[--native] [--emit-c] [--variants] [--trace] "
-                   "[--report] [--jobs=N] [--cache-file=F] "
-                   "[--resume] "
-                   "[--metrics-file=F] [--chrome-trace=F] "
-                   "[--events-file=F] "
+                   "[--native] [--emit-c] [--variants] [--jobs=N] "
+                   "[--cache-file=F] [--resume] [--obs-dir=D] "
                    "[--log-level=off|error|warn|info|debug] "
                    "[--progress]\n       %s report EVENTS.jsonl "
-                   "[--html] [--out=F]\n",
+                   "[--html | --chrome] [--out=F]\n",
                    Argv[0], Argv[0]);
       return 2;
     }
@@ -318,21 +292,16 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  // Observability: metrics feed --metrics-file and the --progress
-  // reporter; spans feed --chrome-trace. Both default off (zero cost).
-  if (!Opts.MetricsFile.empty() || Opts.Progress)
+  // Observability defaults off (zero cost). --obs-dir records events
+  // and metrics; --progress reads metrics alone. A resumed tune appends
+  // a new segment to the killed run's stream.
+  if (Opts.Progress)
     obs::setMetricsEnabled(true);
-  if (!Opts.ChromeTraceFile.empty())
-    obs::SpanCollector::global().setEnabled(true);
-  if (!Opts.EventsFile.empty()) {
-    // A resumed tune appends a new segment to the killed run's stream.
-    if (!obs::EventBus::global().openFile(Opts.EventsFile,
-                                          /*Append=*/Opts.Resume)) {
-      std::fprintf(stderr, "error: cannot open events file %s\n",
-                   Opts.EventsFile.c_str());
-      return 1;
-    }
-    obs::setEventsEnabled(true);
+  std::string ObsError;
+  if (!Opts.ObsDir.empty() &&
+      !obs::openObsDir(Opts.ObsDir, /*Append=*/Opts.Resume, &ObsError)) {
+    std::fprintf(stderr, "error: %s\n", ObsError.c_str());
+    return 1;
   }
 
   LoopNest Nest;
@@ -399,40 +368,19 @@ int main(int Argc, char **Argv) {
   }
   Engine.flush();
 
-  if (!Opts.MetricsFile.empty()) {
-    if (obs::metrics().toJson().saveFile(Opts.MetricsFile))
-      std::printf("metrics dumped to %s\n", Opts.MetricsFile.c_str());
-    else
-      std::fprintf(stderr, "error: cannot write metrics to %s\n",
-                   Opts.MetricsFile.c_str());
-  }
-  if (!Opts.EventsFile.empty()) {
-    obs::EventBus::global().closeFile();
-    std::printf("events streamed to %s (render: eco_cli report %s)\n",
-                Opts.EventsFile.c_str(), Opts.EventsFile.c_str());
-  }
-  if (!Opts.ChromeTraceFile.empty()) {
-    if (obs::SpanCollector::global().writeChromeTrace(
-            Opts.ChromeTraceFile))
-      std::printf("chrome trace written to %s (open in Perfetto or "
-                  "chrome://tracing)\n",
-                  Opts.ChromeTraceFile.c_str());
-    else
-      std::fprintf(stderr, "error: cannot write chrome trace to %s\n",
-                   Opts.ChromeTraceFile.c_str());
+  if (!Opts.ObsDir.empty()) {
+    if (!obs::closeObsDir(Opts.ObsDir))
+      std::fprintf(stderr, "error: cannot write %s/metrics.json\n",
+                   Opts.ObsDir.c_str());
+    std::printf("flight record in %s (render: eco_cli report "
+                "%s/events.jsonl [--chrome])\n",
+                Opts.ObsDir.c_str(), Opts.ObsDir.c_str());
   }
 
   if (R.BestVariant < 0) {
     std::fprintf(stderr, "error: tuning produced no feasible variant\n");
     return 1;
   }
-  if (Opts.Report) {
-    ReportOptions ROpts;
-    ROpts.CostUnit = Opts.Native ? "seconds" : "cycles";
-    std::printf("%s", renderReport(R, Machine, ROpts).c_str());
-    return 0;
-  }
-
   std::printf("searched %zu points in %.1fs (%d jobs, %zu cache hits",
               R.TotalPoints, R.TotalSeconds, Engine.jobs(),
               R.TotalCacheHits);
@@ -457,14 +405,5 @@ int main(int Argc, char **Argv) {
   if (Opts.EmitC)
     std::printf("\n--- emitted C ---\n%s",
                 emitC(R.BestExecutable, "eco_kernel").c_str());
-
-  if (Opts.Trace) {
-    // Replay the winning variant's search; with the engine's cache warm
-    // this costs almost nothing and dumps the full decision trace.
-    VariantSearchResult SR = searchVariant(R.best(), Engine, Problem);
-    std::printf("\nconfig,cost\n");
-    for (const SearchPoint &P : SR.Trace.Points)
-      std::printf("\"%s\",%.6g\n", P.Config.c_str(), P.Cost);
-  }
   return 0;
 }

@@ -59,27 +59,43 @@ step "perfbench: self-test"
 step "fuzz smoke: eco_fuzz --iters=200 --seed=7"
 "$REPO/build/examples/eco_fuzz" --iters=200 --seed=7
 
-step "flight-recorder smoke: tune -> resume -> report -> audit-events"
-EV="$REPO/build/verify_events.jsonl"
+step "flight-recorder smoke: tune -> resume -> report -> chrome -> audit"
+OD="$REPO/build/verify_obs"
 CF="$REPO/build/verify_cache.json"
-rm -f "$EV" "$CF"
+rm -rf "$OD" "$CF"
 # A cached tune, then the same command with --resume: the resume replays
 # every point from the cache file, appends a second segment to the
 # events file instead of truncating the first, and picks the same winner.
 TUNE=("$REPO/build/examples/eco_cli" --kernel=matmul --n=48 --scale=16
-      --cache-file="$CF" --events-file="$EV")
+      --cache-file="$CF" --obs-dir="$OD")
 W1="$("${TUNE[@]}" | grep '^winner:')"
 W2="$("${TUNE[@]}" --resume | grep '^winner:')"
 [ "$W1" = "$W2" ] ||
   { echo "flight-recorder smoke: resume changed '$W1' to '$W2'"; exit 1; }
-"$REPO/build/examples/eco_cli" report "$EV" > /dev/null
-AUDIT="$("$REPO/build/examples/eco_check" --audit-events="$EV")"
+[ -s "$OD/metrics.json" ] ||
+  { echo "flight-recorder smoke: no $OD/metrics.json"; exit 1; }
+"$REPO/build/examples/eco_cli" report "$OD/events.jsonl" > /dev/null
+# The Chrome timeline renders from the same stream: it must parse and
+# hold at least one eval slice per real (non-hit) evaluation.
+"$REPO/build/examples/eco_cli" report "$OD/events.jsonl" --chrome \
+    --out="$OD/trace.json" > /dev/null
+python3 - "$OD/events.jsonl" "$OD/trace.json" <<'PY'
+import json, sys
+evals = sum(1 for line in open(sys.argv[1])
+            if (e := json.loads(line))["type"] == "config.evaluated"
+            and not e["fields"]["cache_hit"])
+trace = json.load(open(sys.argv[2]))["traceEvents"]
+slices = sum(1 for e in trace if e["ph"] == "X" and e.get("cat") == "eval")
+print(f"chrome trace: {slices} eval slice(s) for {evals} evaluation(s)")
+sys.exit(0 if evals > 0 and slices >= evals else 1)
+PY
+AUDIT="$("$REPO/build/examples/eco_check" --audit-events="$OD/events.jsonl")"
 echo "$AUDIT"
 case "$AUDIT" in
   *"2 segment(s)"*"-> 0 issue(s)"*) ;;
   *) echo "flight-recorder smoke: expected 2 segments and 0 issues"; exit 1 ;;
 esac
-rm -f "$EV" "$CF"
+rm -rf "$OD" "$CF"
 
 step "fleet smoke: daemon + 2 eco_worker, SIGKILL one mid-tune"
 FSOCK="$REPO/build/verify_fleet.sock"

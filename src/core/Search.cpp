@@ -6,7 +6,6 @@
 #include "obs/Event.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
-#include "obs/Span.h"
 #include "support/NestHash.h"
 #include "support/Rng.h"
 #include "support/Timer.h"

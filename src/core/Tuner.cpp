@@ -4,7 +4,6 @@
 #include "obs/Event.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
-#include "obs/Span.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
 
@@ -48,7 +47,6 @@ telemetryDelta(const std::vector<StageTelemetry> &Start,
 TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
                      const ParamBindings &Problem, const TuneOptions &Opts) {
   Timer Total;
-  obs::SpanScope TuneSpan("tune", "tune", Original.Name);
   EvalStats StartStats = Eval.stats();
   std::vector<StageTelemetry> StartTele = Eval.telemetry();
   TuneResult Result;
@@ -211,13 +209,11 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
     {
       obs::SpanScope S("search:" + V.Spec.Name, "tune");
       EvalStats Before = Eval.stats();
-      Timer SearchTime;
       SR = searchVariant(V, Eval, Problem, SOpts);
       EvalStats After = Eval.stats();
       Sum.Points = After.Evaluations - Before.Evaluations;
       Sum.CacheHits = After.CacheHits - Before.CacheHits;
       Sum.Infeasible = SR.Infeasible;
-      Sum.Seconds = SearchTime.seconds();
     }
     Sum.Searched = true;
     Sum.BestCost = SR.BestCost;

@@ -44,7 +44,6 @@ struct VariantSummary {
   size_t Points = 0;        ///< backend evaluations (from evaluator stats)
   size_t CacheHits = 0;     ///< memo hits during this variant's search
   size_t Infeasible = 0;    ///< candidates model constraints pruned unrun
-  double Seconds = 0;       ///< wall-clock of this variant's search
 };
 
 /// Knobs for the full pipeline.

@@ -4,7 +4,6 @@
 #include "obs/Event.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
-#include "obs/Span.h"
 #include "support/NestHash.h"
 #include "support/Timer.h"
 #include "transform/TransformError.h"
@@ -72,16 +71,6 @@ EvalEngine::EvalEngine(EvalBackend &Backend, EngineOptions EOpts)
     LaneBackends.push_back(std::move(Clone));
   }
   Pool = std::make_unique<ThreadPool>(Jobs);
-
-  if (obs::SpanCollector::global().enabled()) {
-    // Lane tids coincide with dense thread ids only for lane 0 (the
-    // search thread); name the rows so the exported timeline reads as
-    // the engine's lane structure.
-    obs::SpanCollector::global().setThreadName(0, "lane 0 (search)");
-    for (int Lane = 1; Lane < Jobs; ++Lane)
-      obs::SpanCollector::global().setThreadName(
-          Lane, "lane " + std::to_string(Lane));
-  }
 
   if (!Opts.CacheFile.empty())
     CachePtr->load(Opts.CacheFile, MachineHash);
@@ -190,7 +179,6 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
   HWCounters Before;
   if (LiveHW)
     Before = *LiveHW;
-  uint64_t EvalStartUs = obs::monotonicMicros();
   Timer T;
   O.Cost = Backend.evaluate(*Nest, Config);
   O.Millis = T.millis();
@@ -199,11 +187,6 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
   if (LiveHW)
     Delta = LiveHW->delta(Before);
   CachePtr->insert(Key, O.Cost);
-
-  if (obs::SpanCollector::global().enabled())
-    obs::SpanCollector::global().record(
-        {V.Spec.Name + "/" + Stage, "eval", V.configString(Config),
-         EvalStartUs, obs::monotonicMicros() - EvalStartUs, Lane});
 
   bool SaveNow = false;
   {

@@ -28,7 +28,7 @@ struct TraceRecord {
   uint64_t Seq = 0;        ///< global order of completion
   double TimeMs = 0;       ///< monotonic start timestamp (ms on the
                            ///  obs::monotonicMicros timeline, shared
-                           ///  with spans); append() stamps it when the
+                           ///  with events); append() stamps it when the
                            ///  caller leaves it 0
   std::string Variant;     ///< variant name ("v1", "rank", ...)
   std::string Stage;       ///< search stage ("register", "tile0", ...)

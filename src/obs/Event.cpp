@@ -7,7 +7,10 @@
 #include "support/Sync.h"
 
 #include <atomic>
+#include <filesystem>
 #include <utility>
+
+#include <unistd.h>
 
 using namespace eco;
 using namespace eco::obs;
@@ -115,16 +118,43 @@ uint64_t EventBus::typeCount(const std::string &Type) const {
   return It == TypeCounts.end() ? 0 : It->second;
 }
 
+namespace {
+
+/// Cuts \p F back to just after its last newline (to empty when it has
+/// none), dropping the partial line a killed writer left behind.
+void trimTornTail(FILE *F) {
+  if (fseek(F, 0, SEEK_END) != 0)
+    return;
+  long End = ftell(F), Keep = End;
+  for (; Keep > 0; --Keep) {
+    char C = 0;
+    if (fseek(F, Keep - 1, SEEK_SET) != 0 || fread(&C, 1, 1, F) != 1)
+      return;
+    if (C == '\n')
+      break;
+  }
+  if (Keep < End && ftruncate(fileno(F), Keep) != 0) {
+    ECO_LOG(Error) << "events: cannot trim a torn final line";
+  }
+  fseek(F, 0, SEEK_END);
+}
+
+} // namespace
+
 bool EventBus::openFile(const std::string &Path, bool Append) {
   MutexLock Lock(M);
   if (File) {
     fclose(File);
     File = nullptr;
   }
-  File = fopen(Path.c_str(), Append ? "ab" : "wb");
-  if (!File)
+  File = fopen(Path.c_str(), Append ? "ab+" : "wb");
+  if (!File) {
     ECO_LOG(Error) << "events: cannot open " << Path;
-  return File != nullptr;
+    return false;
+  }
+  if (Append)
+    trimTornTail(File);
+  return true;
 }
 
 void EventBus::closeFile() {
@@ -139,12 +169,6 @@ FILE *EventBus::swapFile(FILE *F) {
   MutexLock Lock(M);
   std::swap(File, F);
   return F;
-}
-
-void EventBus::flush() {
-  MutexLock Lock(M);
-  if (File)
-    fflush(File);
 }
 
 void EventBus::clear() {
@@ -170,6 +194,28 @@ void obs::setEventsEnabled(bool Enabled) {
 
 void obs::publishEvent(std::string Type, Json Fields) {
   EventBus::global().publish(std::move(Type), std::move(Fields));
+}
+
+bool obs::openObsDir(const std::string &Dir, bool Append,
+                     std::string *Error) {
+  std::error_code EC;
+  std::filesystem::create_directories(Dir, EC);
+  if (EC) {
+    *Error = "cannot create " + Dir + ": " + EC.message();
+    return false;
+  }
+  if (!EventBus::global().openFile(Dir + "/events.jsonl", Append)) {
+    *Error = "cannot open " + Dir + "/events.jsonl";
+    return false;
+  }
+  setEventsEnabled(true);
+  setMetricsEnabled(true);
+  return true;
+}
+
+bool obs::closeObsDir(const std::string &Dir) {
+  EventBus::global().closeFile();
+  return metrics().toJson().saveFile(Dir + "/metrics.json");
 }
 
 namespace {
@@ -198,3 +244,20 @@ ScopedJobId::ScopedJobId(uint64_t Id) : Prev(CurrentJob) { CurrentJob = Id; }
 ScopedJobId::~ScopedJobId() { CurrentJob = Prev; }
 
 uint64_t obs::currentJobId() { return CurrentJob; }
+
+SpanScope::SpanScope(std::string Name, std::string Cat, std::string Detail)
+    : Active(eventsEnabled()), StartUs(Active ? monotonicMicros() : 0),
+      Name(std::move(Name)), Cat(std::move(Cat)), Detail(std::move(Detail)) {
+}
+
+SpanScope::~SpanScope() {
+  if (!Active)
+    return;
+  Json F = Json::object();
+  F.set("name", std::move(Name));
+  F.set("cat", std::move(Cat));
+  F.set("detail", std::move(Detail));
+  F.set("start_us", StartUs);
+  F.set("dur_us", monotonicMicros() - StartUs);
+  publishEvent("span", std::move(F));
+}

@@ -6,19 +6,21 @@
 ///
 /// \file
 /// The tuner's flight recorder: a thread-safe, bounded bus of structured
-/// decision events. Where metrics answer "how many" and spans answer
-/// "how long", events answer "why" — each one records a single decision
-/// the tuner made (a variant derived or rejected, a warm start seeded or
-/// reverted, a config evaluated, the winner updated) with enough payload
-/// to reconstruct the search after the fact.
+/// decision events, and the only record a tune leaves. Where metrics
+/// answer "how many", events answer "why" and "how long" — each one
+/// records a single decision the tuner made (a variant derived or
+/// rejected, a warm start seeded or reverted, a config evaluated, the
+/// winner updated) or one timed phase of it, with enough payload to
+/// reconstruct the search after the fact.
 ///
 /// Publishers guard every call with obs::eventsEnabled() (one relaxed
 /// atomic load), so the evaluation hot path pays nothing unless the user
-/// asked for an event stream (--events-file or a live reader). Events
-/// flow to two places:
+/// asked for an event stream (--obs-dir or a live reader). Events flow
+/// to two places:
 ///
 ///   - a JSONL file sink (one event object per line), the durable
-///     artifact `eco_cli report` and `eco_check --audit-events` consume;
+///     artifact `eco_cli report` (Markdown, HTML, or a Chrome timeline
+///     with --chrome) and `eco_check --audit-events` consume;
 ///   - a bounded in-memory ring for live readers (the serve daemon's
 ///     introspection verbs). On overflow the ring drops the *oldest*
 ///     event and bumps the `obs.events_dropped` counter — live readers
@@ -41,6 +43,9 @@
 ///   winner.updated     (variant, config, cost)
 ///   stage.telemetry    (variant, stage, evals, hits, hw counters)
 ///   tune.done          (reconciliation totals + winner; see Tuner.cpp)
+///   span               (name, cat, detail, start_us, dur_us) — one timed
+///                       phase: derive, rank, search:<v>, stage:*, warm:*,
+///                       warm-remote:*, cache.save (SpanScope below)
 ///   job.submitted / job.started / job.finished — serve daemon lifecycle
 ///
 /// The bus assigns each event a dense sequence number and a timestamp
@@ -110,13 +115,15 @@ public:
   uint64_t typeCount(const std::string &Type) const;
 
   /// Opens (or replaces) the JSONL sink. Returns false on I/O failure.
+  /// Appending first cuts the file back to just after its last newline:
+  /// a killed writer's torn final line cannot be parsed anyway, and the
+  /// new segment must start on a line of its own.
   bool openFile(const std::string &Path, bool Append = false);
   void closeFile();
   /// Installs \p F (may be null) as the JSONL sink and hands back the
   /// previous one unclosed, so a caller can divert the stream and later
   /// put the original sink back untouched. The caller owns the result.
   FILE *swapFile(FILE *F);
-  void flush();
 
   /// Drops ring contents and zeroes counters (sequence numbers keep
   /// rising so files with multiple segments stay strictly ordered).
@@ -141,6 +148,15 @@ void setEventsEnabled(bool Enabled);
 /// Publishes through the global bus; call only under eventsEnabled().
 void publishEvent(std::string Type, Json Fields);
 
+/// `--obs-dir=D`, the one observability flag of eco_cli and eco_served:
+/// creates \p Dir if missing, opens Dir/events.jsonl as the global bus's
+/// sink (a new segment appended when \p Append, else truncated) and
+/// enables events and metrics. On failure returns false with \p Error.
+bool openObsDir(const std::string &Dir, bool Append, std::string *Error);
+
+/// Closes the sink and writes Dir/metrics.json (false if it cannot).
+bool closeObsDir(const std::string &Dir);
+
 /// Serve-job attribution: while a ScopedJobId is alive on a thread,
 /// events published from that thread carry Job = Id. The tuning service
 /// runs one job per worker thread, so a thread-local is exact.
@@ -157,6 +173,26 @@ private:
 
 /// The current thread's job attribution (0 when outside a job).
 uint64_t currentJobId();
+
+/// RAII timed phase: construction stamps the start on the obs clock and
+/// destruction publishes one `span` event {name, cat, detail, start_us,
+/// dur_us}. When events are off at construction it does one relaxed
+/// load and never touches the clock. `eco_cli report --chrome` draws
+/// spans on the tuning thread's row of the timeline.
+class SpanScope {
+public:
+  explicit SpanScope(std::string Name, std::string Cat = "",
+                     std::string Detail = "");
+  ~SpanScope();
+
+  SpanScope(const SpanScope &) = delete;
+  SpanScope &operator=(const SpanScope &) = delete;
+
+private:
+  bool Active;
+  uint64_t StartUs = 0;
+  std::string Name, Cat, Detail;
+};
 
 } // namespace obs
 } // namespace eco

@@ -20,9 +20,9 @@
 /// any explicit call, from the ECO_LOG_LEVEL environment variable
 /// (off|error|warn|info|debug); the default is Warn.
 ///
-/// Messages carry a monotonic timestamp from the same epoch the span
-/// collector uses (obs::monotonicMicros), so stderr diagnostics can be
-/// correlated against exported Chrome traces.
+/// Messages carry a monotonic timestamp from the same epoch the flight
+/// recorder uses (obs::monotonicMicros), so stderr diagnostics can be
+/// correlated against its events and the Chrome timeline.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +41,7 @@ enum class LogLevel { Off = 0, Error, Warn, Info, Debug };
 
 /// Microseconds elapsed since the process-wide observability epoch (a
 /// monotonic clock captured on first use). Shared by log timestamps,
-/// span start times, and TraceRecord::TimeMs so all three artifacts
+/// event and span times, and TraceRecord::TimeMs so all three artifacts
 /// align on one timeline.
 uint64_t monotonicMicros();
 

@@ -11,7 +11,7 @@
 /// Instrumented code writes through the process-wide registry
 /// (obs::metrics()) guarded by obs::metricsEnabled() — one relaxed atomic
 /// load when observability is off, so the hot path pays nothing unless
-/// the user asked for a metrics dump (--metrics-file / --progress).
+/// the user asked for a metrics dump (--obs-dir / --progress).
 ///
 /// All metric objects are updated with atomics only (no per-metric lock),
 /// so concurrent engine lanes increment freely; the registry's mutex

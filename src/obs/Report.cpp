@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <set>
 
 using namespace eco;
 using namespace eco::obs;
@@ -433,4 +435,107 @@ std::string obs::renderHtml(const FlightAnalysis &A) {
          "<style>body{font:14px/1.5 monospace;max-width:72em;"
          "margin:2em auto;padding:0 1em;}</style></head>\n"
          "<body><pre>\n" + Esc + "</pre></body></html>\n";
+}
+
+Json obs::renderChromeTrace(const std::vector<Event> &Events) {
+  std::vector<Json> Slices;
+  std::set<std::pair<uint64_t, int>> Rows; // (pid, tid) with a slice
+  auto Slice = [&](uint64_t Pid, int Tid, const std::string &Name,
+                   const std::string &Cat, uint64_t StartUs, uint64_t EndUs,
+                   const std::string &Detail) {
+    Json X = Json::object();
+    X.set("ph", "X");
+    X.set("pid", Pid);
+    X.set("tid", Tid);
+    X.set("ts", StartUs);
+    X.set("dur", EndUs > StartUs ? EndUs - StartUs : 0);
+    X.set("name", Name);
+    if (!Cat.empty())
+      X.set("cat", Cat);
+    if (!Detail.empty()) {
+      Json Args = Json::object();
+      Args.set("detail", Detail);
+      X.set("args", std::move(Args));
+    }
+    Slices.push_back(std::move(X));
+    Rows.insert({Pid, Tid});
+  };
+
+  // Open intervals, keyed by job: tune.start (time, nest) awaiting its
+  // tune.done, and job.submitted / job.started times awaiting the next
+  // lifecycle event.
+  std::map<uint64_t, std::pair<uint64_t, std::string>> TuneOpen;
+  std::map<uint64_t, uint64_t> LastUs, Submitted, Started;
+  auto CloseTune = [&](uint64_t Job, uint64_t EndUs) {
+    auto It = TuneOpen.find(Job);
+    if (It == TuneOpen.end())
+      return;
+    auto [StartUs, Nest] = It->second;
+    Slice(Job, 0, "tune", "tune", StartUs, EndUs, Nest);
+    TuneOpen.erase(It);
+  };
+  for (const Event &E : Events) {
+    const Json &F = E.Fields;
+    uint64_t Id = static_cast<uint64_t>(F.get("id").asInt());
+    if (E.Type == "config.evaluated" && !F.get("cache_hit").asBool()) {
+      uint64_t Dur = static_cast<uint64_t>(
+          std::llround(std::max(0.0, F.get("ms").asNumber()) * 1e3));
+      Slice(E.Job, static_cast<int>(F.get("lane").asInt()),
+            F.get("variant").asString() + "/" + F.get("stage").asString(),
+            "eval", E.TimeUs - std::min(Dur, E.TimeUs), E.TimeUs,
+            F.get("config").asString());
+    } else if (E.Type == "span") {
+      uint64_t StartUs = static_cast<uint64_t>(F.get("start_us").asInt());
+      Slice(E.Job, 0, F.get("name").asString(), F.get("cat").asString(),
+            StartUs, StartUs + static_cast<uint64_t>(F.get("dur_us").asInt()),
+            F.get("detail").asString());
+    } else if (E.Type == "tune.start") {
+      // A tune.start over an open window: the previous run was killed.
+      CloseTune(E.Job, LastUs[E.Job]);
+      TuneOpen[E.Job] = {E.TimeUs, F.get("nest").asString()};
+    } else if (E.Type == "tune.done") {
+      CloseTune(E.Job, E.TimeUs);
+    } else if (E.Type == "job.submitted") {
+      Submitted[Id] = E.TimeUs;
+      Started.erase(Id); // a killed daemon's job ids come back
+    } else if (E.Type == "job.started" || E.Type == "job.finished") {
+      // A rejected job finishes straight from the queue.
+      if (Submitted.count(Id)) {
+        Slice(Id, ChromeJobRow, "job.queue-wait", "serve", Submitted[Id],
+              E.TimeUs, "");
+        Submitted.erase(Id);
+      }
+      if (E.Type == "job.started")
+        Started[Id] = E.TimeUs;
+      else if (Started.count(Id)) {
+        Slice(Id, ChromeJobRow, "job.run", "serve", Started[Id], E.TimeUs,
+              F.get("status").asString());
+        Started.erase(Id);
+      }
+    }
+    LastUs[E.Job] = E.TimeUs;
+  }
+  while (!TuneOpen.empty())
+    CloseTune(TuneOpen.begin()->first, LastUs[TuneOpen.begin()->first]);
+
+  Json Trace = Json::array();
+  for (const auto &[Pid, Tid] : Rows) {
+    Json Meta = Json::object();
+    Meta.set("ph", "M");
+    Meta.set("pid", Pid);
+    Meta.set("tid", Tid);
+    Meta.set("name", "thread_name");
+    Json Args = Json::object();
+    Args.set("name", Tid == ChromeJobRow ? "job-" + std::to_string(Pid)
+                     : Tid == 0           ? std::string("lane 0 (search)")
+                                          : "lane " + std::to_string(Tid));
+    Meta.set("args", std::move(Args));
+    Trace.push(std::move(Meta));
+  }
+  for (Json &X : Slices)
+    Trace.push(std::move(X));
+  Json Root = Json::object();
+  Root.set("displayTimeUnit", "ms");
+  Root.set("traceEvents", std::move(Trace));
+  return Root;
 }

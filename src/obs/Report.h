@@ -16,9 +16,10 @@
 /// them against the `tune.done` record the Tuner stamped from
 /// TuneResult — a report that says "reconciliation: OK" is demonstrably
 /// consistent with the tuner's own ledger, down to a bitwise-equal
-/// winner cost. `eco_cli report <events.jsonl>` renders Markdown (or
-/// HTML with --html); eco_check --audit-events runs the stricter
-/// invariant set in src/check/EventAudit.h over the same stream.
+/// winner cost. `eco_cli report <events.jsonl>` renders Markdown (HTML
+/// with --html, a Chrome trace-event timeline with --chrome);
+/// eco_check --audit-events runs the stricter invariant set in
+/// src/check/EventAudit.h over the same stream.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -127,6 +128,20 @@ std::string renderMarkdown(const FlightAnalysis &A);
 
 /// Renders a minimal self-contained HTML page wrapping the same report.
 std::string renderHtml(const FlightAnalysis &A);
+
+/// Trace row of a serve job's queue-wait and run slices; engine lanes
+/// use rows 0.. (--jobs and --engine-jobs cap at 4096).
+constexpr int ChromeJobRow = 4096;
+
+/// Renders \p Events as Chrome trace-event JSON (Perfetto or
+/// chrome://tracing): {"displayTimeUnit":"ms","traceEvents":[...]} with
+/// one "X" slice (ts/dur in microseconds) per
+///   - real evaluation: [t_us - ms, t_us] on row = its lane;
+///   - `span` event, and tune.start .. tune.done: on row 0;
+///   - serve job's queue wait and run: on row ChromeJobRow;
+/// all under pid = the job id (0 outside the serve daemon), then one
+/// "M" thread_name record naming each row used.
+Json renderChromeTrace(const std::vector<Event> &Events);
 
 } // namespace obs
 } // namespace eco

@@ -83,7 +83,7 @@ public:
   Json stats();
   /// Prometheus text exposition of the daemon's obs metrics, wrapped in
   /// {"ok":true,"content_type":...,"body":"..."}; "body" is empty when
-  /// the daemon runs without --metrics-file (metrics disabled).
+  /// the daemon runs without --obs-dir (metrics disabled).
   Json metrics();
   /// Live per-job state: {"ok":true,"jobs":[{id, phase, queue_wait_ms,
   /// run_ms, evals_done, ...}]} for every queued or running job.

@@ -8,7 +8,6 @@
 #include "obs/Event.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
-#include "obs/Span.h"
 
 #include <cerrno>
 #include <cstring>
@@ -361,23 +360,6 @@ void TuneService::execute(ServeJob &Job) {
   // winner.updated, stage telemetry — carries this job's id, so the
   // flight recorder separates concurrent jobs' streams.
   obs::ScopedJobId JobScope(Job.Id);
-  // Span timeline: each job gets its own named row ("job-<id>") so the
-  // Chrome trace shows queue wait and run back to back per job, next to
-  // the engine-lane rows.
-  const int JobTid = static_cast<int>(1000 + Job.Id % 1000000);
-  obs::SpanCollector &Spans = obs::SpanCollector::global();
-  if (Spans.enabled()) {
-    Spans.setThreadName(JobTid, "job-" + std::to_string(Job.Id));
-    obs::SpanRecord Wait;
-    Wait.Name = "job.queue-wait";
-    Wait.Cat = "serve";
-    Wait.Detail = Job.Spec.summary();
-    Wait.StartUs = Job.SubmitUs;
-    Wait.DurUs = Job.StartUs.load(std::memory_order_relaxed) - Job.SubmitUs;
-    Wait.Tid = JobTid;
-    Spans.record(Wait);
-  }
-  obs::SpanScope RunSpan("job.run", "serve", Job.Spec.summary(), JobTid);
 
   if (Opts.TestGate)
     Opts.TestGate(Job.Spec);

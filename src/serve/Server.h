@@ -74,7 +74,7 @@ public:
 
   // Live-introspection state (the "jobs" protocol verb). Written by the
   // scheduler / the running tune, read concurrently by jobsJson().
-  /// obs::monotonicMicros() at submission (spans + events timeline).
+  /// obs::monotonicMicros() at submission.
   uint64_t SubmitUs = 0;
   /// obs::monotonicMicros() when a worker picked the job up (0 = queued).
   std::atomic<uint64_t> StartUs{0};

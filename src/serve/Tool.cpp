@@ -4,7 +4,6 @@
 
 #include "obs/Event.h"
 #include "obs/Log.h"
-#include "obs/Metrics.h"
 #include "serve/Client.h"
 #include "serve/Server.h"
 #include "support/ParseInt.h"
@@ -42,15 +41,13 @@ int eco::serve::serveToolMain(const std::vector<std::string> &Args) {
   SvcOpts.DbPath = "eco_tuned.json";
   ServerOptions SrvOpts;
   SrvOpts.UnixPath = "eco_serve.sock";
-  std::string MetricsFile;
-  std::string EventsFile;
+  std::string ObsDir;
   bool LogLevelSet = false;
   auto Usage = [] {
     std::fprintf(stderr,
                  "usage: eco_served [--socket=PATH] [--tcp=PORT] "
                  "[--db=FILE] [--workers=N] [--queue=N] "
-                 "[--engine-jobs=N] [--metrics-file=F] "
-                 "[--events-file=F] "
+                 "[--engine-jobs=N] [--obs-dir=D] "
                  "[--log-level=off|error|warn|info|debug]\n");
     return 2;
   };
@@ -69,10 +66,8 @@ int eco::serve::serveToolMain(const std::vector<std::string> &Args) {
         return Usage();
     } else if (const char *V = valueOf(Arg, "--db=")) {
       SvcOpts.DbPath = V;
-    } else if (const char *V = valueOf(Arg, "--metrics-file=")) {
-      MetricsFile = V;
-    } else if (const char *V = valueOf(Arg, "--events-file=")) {
-      EventsFile = V;
+    } else if (const char *V = valueOf(Arg, "--obs-dir=")) {
+      ObsDir = V;
     } else if (const char *V = valueOf(Arg, "--log-level=")) {
       if (!obs::setLogLevelByName(V)) {
         std::fprintf(stderr, "error: bad --log-level=%s\n", V);
@@ -85,23 +80,17 @@ int eco::serve::serveToolMain(const std::vector<std::string> &Args) {
   }
   if (!LogLevelSet)
     obs::setLogLevelByName("info"); // a daemon should say what it's doing
-  if (!MetricsFile.empty())
-    obs::setMetricsEnabled(true);
-  if (!EventsFile.empty()) {
-    // Flight recorder: every tune's provenance stream, with per-job
-    // attribution, appended as JSONL (append mode: a restarted daemon
-    // adds a new seq=0 segment rather than clobbering history).
-    if (!obs::EventBus::global().openFile(EventsFile, /*Append=*/true)) {
-      std::fprintf(stderr, "error: cannot open events file %s\n",
-                   EventsFile.c_str());
-      return 1;
-    }
-    obs::setEventsEnabled(true);
+  // Flight recorder: every tune's provenance stream, with per-job
+  // attribution, appended as JSONL (a restarted daemon adds a new seq=0
+  // segment rather than clobbering history).
+  std::string Error;
+  if (!ObsDir.empty() && !obs::openObsDir(ObsDir, /*Append=*/true, &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
   }
 
   TuneService Service(SvcOpts);
   Server Srv(Service, SrvOpts);
-  std::string Error;
   if (!Srv.start(&Error)) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
@@ -130,10 +119,9 @@ int eco::serve::serveToolMain(const std::vector<std::string> &Args) {
   // persists the DB atomically.
   Srv.stop();
   Service.drain();
-  if (!MetricsFile.empty())
-    obs::metrics().toJson().saveFile(MetricsFile);
-  if (!EventsFile.empty())
-    obs::EventBus::global().closeFile();
+  if (!ObsDir.empty() && !obs::closeObsDir(ObsDir))
+    std::fprintf(stderr, "error: cannot write %s/metrics.json\n",
+                 ObsDir.c_str());
   std::printf("eco_served: drained; db saved to %s\n",
               SvcOpts.DbPath.c_str());
   return 0;

@@ -35,7 +35,8 @@ namespace serve {
 ///   --workers=N       concurrent tuning jobs (default 1)
 ///   --queue=N         queue capacity (default 16)
 ///   --engine-jobs=N   EvalEngine lanes per job (default 1)
-///   --metrics-file=F  dump the metrics registry on exit
+///   --obs-dir=D       flight record: D/events.jsonl appended live (a
+///                     restart adds a segment), D/metrics.json on drain
 ///   --log-level=LVL   off|error|warn|info|debug (default info)
 /// Returns the process exit code.
 int serveToolMain(const std::vector<std::string> &Args);

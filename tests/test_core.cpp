@@ -1,6 +1,5 @@
 //===- tests/test_core.cpp - core/ unit + integration tests ---------------===//
 
-#include "core/Report.h"
 #include "core/Tuner.h"
 #include "exec/Run.h"
 #include "kernels/Kernels.h"
@@ -499,37 +498,6 @@ TEST(CopyGuards, ImperfectNestFallsBackToUntransformed) {
       deriveVariants(Nest, MachineDesc::sgiR10000());
   ASSERT_EQ(Vs.size(), 1u);
   EXPECT_EQ(Vs[0].Spec.Name, "v0-untransformed");
-}
-
-TEST(ReportTest, ContainsAllSections) {
-  LoopNest MM = makeMatMul();
-  MachineDesc M = sgiScaled();
-  SimEvalBackend Backend(M);
-  TuneResult R = tune(MM, Backend, {{"N", 48}});
-  std::string Report = renderReport(R, M);
-  EXPECT_NE(Report.find("ECO tuning report"), std::string::npos);
-  EXPECT_NE(Report.find("Phase 1"), std::string::npos);
-  EXPECT_NE(Report.find("Phase 2"), std::string::npos);
-  EXPECT_NE(Report.find("constraint:"), std::string::npos);
-  EXPECT_NE(Report.find("winner:"), std::string::npos);
-  EXPECT_NE(Report.find("DO "), std::string::npos); // optimized code
-  // Pruned variants marked.
-  EXPECT_NE(Report.find("pruned"), std::string::npos);
-}
-
-TEST(ReportTest, OptionsControlSections) {
-  LoopNest MM = makeMatMul();
-  MachineDesc M = sgiScaled();
-  SimEvalBackend Backend(M);
-  TuneResult R = tune(MM, Backend, {{"N", 32}});
-  ReportOptions Opts;
-  Opts.IncludeVariantDetails = false;
-  Opts.IncludeOptimizedCode = false;
-  Opts.CostUnit = "seconds";
-  std::string Report = renderReport(R, M, Opts);
-  EXPECT_EQ(Report.find("Phase 1"), std::string::npos);
-  EXPECT_EQ(Report.find("Optimized code"), std::string::npos);
-  EXPECT_NE(Report.find("seconds"), std::string::npos);
 }
 
 // ---- problem-binding and representative-size regressions ----------------

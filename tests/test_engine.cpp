@@ -17,7 +17,7 @@
 #include "obs/Event.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
-#include "obs/Span.h"
+#include "obs/Report.h"
 #include "support/Json.h"
 #include "support/NestHash.h"
 #include "support/StringUtils.h"
@@ -536,9 +536,9 @@ TEST(EngineTest, MetricsRegistryReconcilesWithTune) {
 }
 
 TEST(EngineTest, ChromeTraceCoversEvaluationsWithLaneAttribution) {
-  obs::SpanCollector &C = obs::SpanCollector::global();
-  C.clear();
-  C.setEnabled(true);
+  obs::EventBus &Bus = obs::EventBus::global();
+  Bus.clear();
+  obs::setEventsEnabled(true);
   LoopNest MM = makeMatMul();
   MachineDesc M = sgiScaled();
   SimEvalBackend Backend(M);
@@ -546,39 +546,50 @@ TEST(EngineTest, ChromeTraceCoversEvaluationsWithLaneAttribution) {
   Opts.Jobs = 2;
   EvalEngine Engine(Backend, Opts);
   TuneResult R = tune(MM, Engine, {{"N", 64}});
-  C.setEnabled(false);
+  obs::setEventsEnabled(false);
+  ASSERT_EQ(Bus.dropped(), 0u);
 
-  std::vector<obs::SpanRecord> Spans = C.records();
-  size_t EvalSpans = 0;
-  bool SawNonZeroLane = false;
-  uint64_t TuneDur = 0, ChildMax = 0;
-  for (const obs::SpanRecord &S : Spans) {
-    if (S.Cat == "eval") {
-      ++EvalSpans;
-      EXPECT_GE(S.Tid, 0);
-      EXPECT_LT(S.Tid, 2);
-      SawNonZeroLane |= S.Tid != 0;
-    }
-    if (S.Name == "tune")
-      TuneDur = S.DurUs;
-    else
-      ChildMax = std::max(ChildMax, S.StartUs + S.DurUs);
-  }
-  // One eval span per real backend evaluation.
-  EXPECT_EQ(EvalSpans, R.TotalPoints);
-  EXPECT_TRUE(SawNonZeroLane); // warm batches really ran on lane 1
-  ASSERT_GT(TuneDur, 0u);
-  // The stage/search spans nest inside the tune span's interval.
-  for (const obs::SpanRecord &S : Spans)
-    if (S.Name != "tune") {
-      EXPECT_LE(S.DurUs, TuneDur);
-    }
-
+  // The timeline is rendered from the event stream alone.
   std::string Err;
-  Json Root = Json::parse(C.chromeTraceJson().dump(), &Err);
+  Json Root =
+      Json::parse(obs::renderChromeTrace(Bus.snapshot()).dump(), &Err);
   ASSERT_TRUE(Err.empty()) << Err;
-  EXPECT_GT(Root.get("traceEvents").size(), EvalSpans);
-  C.clear();
+  const Json &Events = Root.get("traceEvents");
+  int64_t TuneStart = -1, TuneEnd = -1;
+  for (size_t I = 0; I < Events.size(); ++I)
+    if (Events.at(I).get("name").asString() == "tune") {
+      EXPECT_EQ(Events.at(I).get("tid").asInt(), 0);
+      TuneStart = Events.at(I).get("ts").asInt();
+      TuneEnd = TuneStart + Events.at(I).get("dur").asInt();
+    }
+  ASSERT_GT(TuneEnd, TuneStart);
+
+  size_t EvalSlices = 0;
+  bool SawNonZeroLane = false, SawStage = false;
+  for (size_t I = 0; I < Events.size(); ++I) {
+    const Json &S = Events.at(I);
+    if (S.get("ph").asString() != "X")
+      continue;
+    int64_t Tid = S.get("tid").asInt();
+    if (S.get("cat").asString() == "eval") {
+      ++EvalSlices;
+      EXPECT_GE(Tid, 0);
+      EXPECT_LT(Tid, 2);
+      SawNonZeroLane |= Tid != 0;
+    } else {
+      EXPECT_EQ(Tid, 0); // tune and spans: the tuning thread
+      SawStage |= S.get("name").asString().rfind("stage:", 0) == 0;
+    }
+    // Evaluations and phases all lie inside the tune's interval.
+    EXPECT_GE(S.get("ts").asInt(), TuneStart) << S.dump();
+    EXPECT_LE(S.get("ts").asInt() + S.get("dur").asInt(), TuneEnd)
+        << S.dump();
+  }
+  // One eval slice per real backend evaluation.
+  EXPECT_EQ(EvalSlices, R.TotalPoints);
+  EXPECT_TRUE(SawNonZeroLane); // warm batches really ran on lane 1
+  EXPECT_TRUE(SawStage);
+  Bus.clear();
 }
 
 // ---- Kill / resume from the cache file ----------------------------------

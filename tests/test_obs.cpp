@@ -2,10 +2,11 @@
 //
 // Covers the observability subsystem: metric semantics (histogram bucket
 // boundaries and quantiles, concurrent updates under the engine's
-// ThreadPool), span collection and Chrome trace export, JSON escaping of
-// hostile names, the leveled logger's zero-evaluation guarantee when
-// disabled, and the flight recorder (obs/Event.h): publication stamping,
-// drop-oldest overflow, job attribution, JSONL round-trips, concurrent
+// ThreadPool), JSON escaping of hostile names, the leveled logger's
+// zero-evaluation guarantee when disabled, and the flight recorder
+// (obs/Event.h): publication stamping, drop-oldest overflow, job
+// attribution, JSONL round-trips, appending past a torn final line,
+// span events and the Chrome timeline rendered from them, concurrent
 // publishers (the "obs" ctest label runs this under TSan), and a real
 // tune whose event stream must reconcile with its TuneResult.
 //
@@ -19,12 +20,14 @@
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Report.h"
-#include "obs/Span.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -195,19 +198,6 @@ TEST(ObsConcurrency, CountersExactUnderThreadPool) {
   EXPECT_EQ(PerLane, static_cast<uint64_t>(NumTasks) * IncsPerTask);
 }
 
-TEST(ObsConcurrency, SpanCollectorUnderThreadPool) {
-  obs::SpanCollector C;
-  C.setEnabled(true);
-  ThreadPool Pool(4);
-  std::vector<std::function<void(int)>> Tasks;
-  for (int T = 0; T < 32; ++T)
-    Tasks.push_back([&C](int Lane) {
-      C.record({"task", "test", "", 10, 5, Lane});
-    });
-  Pool.runBatch(Tasks);
-  EXPECT_EQ(C.numRecords(), 32u);
-}
-
 //===----------------------------------------------------------------------===//
 // Registry
 //===----------------------------------------------------------------------===//
@@ -256,80 +246,6 @@ TEST(ObsRegistry, GlobalDisabledByDefault) {
   // Instrumented code guards on metricsEnabled(); the default must be
   // off so library users pay nothing without opting in.
   EXPECT_FALSE(obs::metricsEnabled());
-}
-
-//===----------------------------------------------------------------------===//
-// Spans + Chrome trace export
-//===----------------------------------------------------------------------===//
-
-TEST(ObsSpan, DisabledCollectorRecordsNothing) {
-  obs::SpanCollector &G = obs::SpanCollector::global();
-  ASSERT_FALSE(G.enabled());
-  size_t Before = G.numRecords();
-  { obs::SpanScope S("ignored", "test"); }
-  EXPECT_EQ(G.numRecords(), Before);
-}
-
-TEST(ObsSpan, ScopeRecordsToGlobalWhenEnabled) {
-  obs::SpanCollector &G = obs::SpanCollector::global();
-  G.clear();
-  G.setEnabled(true);
-  {
-    obs::SpanScope S("outer", "test", "detail-text");
-    { obs::SpanScope Inner("inner", "test"); }
-  }
-  G.setEnabled(false);
-  std::vector<obs::SpanRecord> Recs = G.records();
-  ASSERT_EQ(Recs.size(), 2u);
-  // Inner closes first; outer encloses it on the timeline.
-  EXPECT_EQ(Recs[0].Name, "inner");
-  EXPECT_EQ(Recs[1].Name, "outer");
-  EXPECT_LE(Recs[1].StartUs, Recs[0].StartUs);
-  EXPECT_GE(Recs[1].StartUs + Recs[1].DurUs,
-            Recs[0].StartUs + Recs[0].DurUs);
-  EXPECT_EQ(Recs[1].Detail, "detail-text");
-  G.clear();
-}
-
-TEST(ObsSpan, ChromeTraceShapeAndEscaping) {
-  obs::SpanCollector C;
-  C.setEnabled(true);
-  C.setThreadName(0, "lane 0 (search)");
-  std::string Nasty = "v1\"quoted\"\nname\x02";
-  C.record({Nasty, "eval", "TI=16\tTJ=32", 100, 50, 0});
-
-  std::string Err;
-  Json Root = Json::parse(C.chromeTraceJson().dump(), &Err);
-  ASSERT_TRUE(Err.empty()) << Err;
-  EXPECT_EQ(Root.get("displayTimeUnit").asString(), "ms");
-  const Json &Events = Root.get("traceEvents");
-  ASSERT_TRUE(Events.isArray());
-  ASSERT_EQ(Events.size(), 2u); // thread_name metadata + one X event
-
-  const Json &Meta = Events.at(0);
-  EXPECT_EQ(Meta.get("ph").asString(), "M");
-  EXPECT_EQ(Meta.get("name").asString(), "thread_name");
-  EXPECT_EQ(Meta.get("args").get("name").asString(), "lane 0 (search)");
-
-  const Json &Ev = Events.at(1);
-  EXPECT_EQ(Ev.get("ph").asString(), "X");
-  EXPECT_EQ(Ev.get("name").asString(), Nasty); // survived escaping
-  EXPECT_EQ(Ev.get("cat").asString(), "eval");
-  EXPECT_EQ(Ev.get("ts").asInt(), 100);
-  EXPECT_EQ(Ev.get("dur").asInt(), 50);
-  EXPECT_EQ(Ev.get("tid").asInt(), 0);
-  EXPECT_EQ(Ev.get("args").get("detail").asString(), "TI=16\tTJ=32");
-}
-
-TEST(ObsSpan, ExplicitTidOverridesThreadId) {
-  obs::SpanCollector &G = obs::SpanCollector::global();
-  G.clear();
-  G.setEnabled(true);
-  { obs::SpanScope S("lane-span", "eval", "", /*Tid=*/3); }
-  G.setEnabled(false);
-  ASSERT_EQ(G.numRecords(), 1u);
-  EXPECT_EQ(G.records()[0].Tid, 3);
-  G.clear();
 }
 
 //===----------------------------------------------------------------------===//
@@ -583,19 +499,157 @@ TEST(ObsEventBusConcurrency, ParallelPublishersAndReaders) {
   }
 }
 
+TEST(ObsEventBus, AppendPastATornTailStartsACleanSegment) {
+  // A killed writer leaves a partial final line; appending must cut it
+  // back to the last complete event, not glue a new segment onto it.
+  std::string Path = ::testing::TempDir() + "eco_torn_tail.jsonl";
+  {
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    Out << "{\"seq\":7,\"t_us\":5,\"type\":\"test.before\","
+           "\"fields\":{}}\n"
+        << "{\"seq\":8,\"t_us\":6,\"type\":\"config.evalu";
+  }
+  obs::EventBus Bus; // a fresh process's bus: seq restarts at 0
+  obs::setEventsEnabled(true);
+  ASSERT_TRUE(Bus.openFile(Path, /*Append=*/true));
+  Bus.publish("test.after", fields("k", 1));
+  Bus.closeFile();
+  obs::setEventsEnabled(false);
+
+  std::vector<obs::Event> Events;
+  std::vector<std::string> LineErrors;
+  std::string Err;
+  ASSERT_TRUE(obs::loadEventsFile(Path, Events, &Err, &LineErrors)) << Err;
+  EXPECT_TRUE(LineErrors.empty()) << LineErrors[0];
+  ASSERT_EQ(Events.size(), 2u);
+  EXPECT_EQ(Events[0].Type, "test.before");
+  EXPECT_EQ(Events[1].Type, "test.after");
+  EXPECT_EQ(Events[1].Seq, 0u);
+
+  check::EventAuditReport Audit = check::auditEventsFile(Path);
+  EXPECT_EQ(Audit.Segments, 2u);
+  for (const check::EventIssue &I : Audit.Issues)
+    EXPECT_TRUE(I.Kind != "parse" && I.Kind != "seq" && I.Kind != "time")
+        << Audit.summary();
+  std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Span events + the Chrome timeline rendered from the stream
+//===----------------------------------------------------------------------===//
+
+TEST(ObsSpan, DisabledScopePublishesNothing) {
+  obs::EventBus &Bus = obs::EventBus::global();
+  Bus.clear();
+  ASSERT_FALSE(obs::eventsEnabled());
+  { obs::SpanScope S("ignored", "test"); }
+  EXPECT_EQ(Bus.published(), 0u);
+  EXPECT_EQ(Bus.typeCount("span"), 0u);
+}
+
+TEST(ObsSpan, ScopePublishesOneSpanEventAtExit) {
+  ScopedEventCapture Cap;
+  {
+    obs::SpanScope S("outer", "test", "detail-text");
+    { obs::SpanScope Inner("inner", "test"); }
+  }
+  std::vector<obs::Event> Events = obs::EventBus::global().snapshot();
+  ASSERT_EQ(Events.size(), 2u);
+  // Inner closes first; outer encloses it on the timeline.
+  const Json &In = Events[0].Fields, &Out = Events[1].Fields;
+  EXPECT_EQ(Events[0].Type, "span");
+  EXPECT_EQ(In.get("name").asString(), "inner");
+  EXPECT_EQ(Out.get("name").asString(), "outer");
+  EXPECT_EQ(Out.get("cat").asString(), "test");
+  EXPECT_EQ(Out.get("detail").asString(), "detail-text");
+  EXPECT_LE(Out.get("start_us").asInt(), In.get("start_us").asInt());
+  EXPECT_GE(Out.get("start_us").asInt() + Out.get("dur_us").asInt(),
+            In.get("start_us").asInt() + In.get("dur_us").asInt());
+  // Published at exit: the bus stamp is never before the span's end.
+  EXPECT_GE(static_cast<int64_t>(Events[1].TimeUs),
+            Out.get("start_us").asInt() + Out.get("dur_us").asInt());
+}
+
+TEST(ObsSpan, ChromeTraceShapeAndEscaping) {
+  std::string Nasty = "v1\"quoted\"\nname\x02";
+  auto event = [](uint64_t TimeUs, const char *Type,
+                  std::vector<std::pair<const char *, Json>> Fields) {
+    obs::Event E;
+    E.TimeUs = TimeUs;
+    E.Type = Type;
+    E.Fields = Json::object();
+    for (auto &[K, V] : Fields)
+      E.Fields.set(K, std::move(V));
+    return E;
+  };
+  obs::Event Span =
+      event(150, "span", {{"name", Nasty}, {"cat", "search"},
+                          {"detail", "TI=16\tTJ=32"}, {"start_us", 100},
+                          {"dur_us", 50}});
+  obs::Event Eval = event(
+      400, "config.evaluated",
+      {{"variant", Nasty}, {"stage", "tile0"}, {"config", "TI=8"},
+       {"cache_hit", false}, {"ms", 0.25}, {"lane", 3}});
+  obs::Event Hit = Eval;
+  Hit.Fields.set("cache_hit", true); // hits ran nothing: no slice
+
+  std::string Err;
+  Json Root = Json::parse(
+      obs::renderChromeTrace({Span, Eval, Hit}).dump(), &Err);
+  ASSERT_TRUE(Err.empty()) << Err;
+  EXPECT_EQ(Root.get("displayTimeUnit").asString(), "ms");
+  const Json &Events = Root.get("traceEvents");
+  ASSERT_TRUE(Events.isArray());
+  ASSERT_EQ(Events.size(), 4u); // two thread_name rows + two X slices
+
+  const Json &Meta = Events.at(0);
+  EXPECT_EQ(Meta.get("ph").asString(), "M");
+  EXPECT_EQ(Meta.get("name").asString(), "thread_name");
+  EXPECT_EQ(Meta.get("tid").asInt(), 0);
+  EXPECT_EQ(Meta.get("args").get("name").asString(), "lane 0 (search)");
+  EXPECT_EQ(Events.at(1).get("args").get("name").asString(), "lane 3");
+
+  const Json &Sp = Events.at(2);
+  EXPECT_EQ(Sp.get("ph").asString(), "X");
+  EXPECT_EQ(Sp.get("name").asString(), Nasty); // survived escaping
+  EXPECT_EQ(Sp.get("cat").asString(), "search");
+  EXPECT_EQ(Sp.get("pid").asInt(), 0);
+  EXPECT_EQ(Sp.get("tid").asInt(), 0);
+  EXPECT_EQ(Sp.get("ts").asInt(), 100);
+  EXPECT_EQ(Sp.get("dur").asInt(), 50);
+  EXPECT_EQ(Sp.get("args").get("detail").asString(), "TI=16\tTJ=32");
+
+  // An evaluation ends at its publication and lasts its backend ms.
+  const Json &Ev = Events.at(3);
+  EXPECT_EQ(Ev.get("name").asString(), Nasty + "/tile0");
+  EXPECT_EQ(Ev.get("cat").asString(), "eval");
+  EXPECT_EQ(Ev.get("tid").asInt(), 3);
+  EXPECT_EQ(Ev.get("ts").asInt(), 150);
+  EXPECT_EQ(Ev.get("dur").asInt(), 250);
+  EXPECT_EQ(Ev.get("args").get("detail").asString(), "TI=8");
+}
+
 //===----------------------------------------------------------------------===//
 // Flight recorder end to end: a real tune's stream must reconcile
 //===----------------------------------------------------------------------===//
 
 TEST(ObsFlightRecorder, TuneStreamReconcilesWithTuneResult) {
+  // The tune records into an --obs-dir (created here), as eco_cli does.
   ScopedEventCapture Cap;
+  std::string Dir = ::testing::TempDir() + "eco_obs_dir/run", Err;
+  ASSERT_TRUE(obs::openObsDir(Dir, /*Append=*/false, &Err)) << Err;
   LoopNest MM = makeMatMul();
   SimEvalBackend Backend(MachineDesc::sgiR10000().scaledBy(16));
   TuneResult R = tune(MM, Backend, {{"N", 32}});
+  ASSERT_TRUE(obs::closeObsDir(Dir));
+  obs::setMetricsEnabled(false);
   ASSERT_GE(R.BestVariant, 0);
 
-  std::vector<obs::Event> Events = obs::EventBus::global().snapshot();
-  ASSERT_FALSE(Events.empty());
+  const Json Gauges = Json::loadFile(Dir + "/metrics.json").get("gauges");
+  EXPECT_GT(Gauges.get("tune.variants_done").asNumber(), 0);
+  std::vector<obs::Event> Events;
+  ASSERT_TRUE(obs::loadEventsFile(Dir + "/events.jsonl", Events, &Err));
+  ASSERT_EQ(Events.size(), obs::EventBus::global().published());
 
   // tune.done carries the TuneResult ledger verbatim (best_cost bitwise).
   const obs::Event *Done = nullptr;
@@ -643,4 +697,5 @@ TEST(ObsFlightRecorder, TuneStreamReconcilesWithTuneResult) {
   check::EventAuditReport Audit = check::auditEvents(Events, AO);
   EXPECT_TRUE(Audit.ok()) << Audit.summary();
   EXPECT_EQ(Audit.Tunes, 1u);
+  std::filesystem::remove_all(::testing::TempDir() + "eco_obs_dir");
 }

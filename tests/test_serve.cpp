@@ -9,7 +9,7 @@
 // server + client, check/DbAudit, the live-introspection surface (the
 // "metrics" / "jobs" protocol verbs over unix and TCP, queued/running
 // phase reporting, concurrent Prometheus scrapes against a tuning
-// fleet, per-job span coverage), and a fork/exec SIGTERM drain of the
+// fleet, per-job rows in the Chrome timeline), and a fork/exec SIGTERM drain of the
 // real eco_served daemon. Carries the "serve" ctest label and runs under
 // ThreadSanitizer via -DECO_SANITIZE=thread (ctest -L serve).
 //
@@ -17,8 +17,9 @@
 
 #include "check/DbAudit.h"
 #include "check/FaultInject.h"
+#include "obs/Event.h"
 #include "obs/Metrics.h"
-#include "obs/Span.h"
+#include "obs/Report.h"
 #include "serve/Client.h"
 #include "serve/ConfigDB.h"
 #include "serve/Protocol.h"
@@ -36,6 +37,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -961,7 +963,7 @@ TEST(ServeDaemonTest, SigtermDrainsPersistsAndExitsCleanly) {
 #endif
 }
 
-// ---- Live introspection (metrics/jobs verbs, job spans) -----------------
+// ---- Live introspection (metrics/jobs verbs, job timeline rows) ---------
 
 TEST(ServeIntrospectionTest, MetricsAndJobsVerbsOverUnixAndTcp) {
   std::string Sock = tempPath("eco_serve_introspect.sock");
@@ -1007,7 +1009,7 @@ TEST(ServeIntrospectionTest, MetricsAndJobsVerbsOverUnixAndTcp) {
   }
 
   // With metrics disabled the verb still answers: empty exposition, not
-  // an error (the daemon ran without --metrics-file).
+  // an error (the daemon ran without --obs-dir).
   obs::setMetricsEnabled(false);
   Json M = Tcp->metrics();
   ASSERT_TRUE(M.get("ok").asBool(false));
@@ -1119,56 +1121,54 @@ TEST(ServeIntrospectionTest, ConcurrentScrapesWhileFleetTunes) {
 }
 
 TEST(ServeIntrospectionTest, JobsGetNamedSpanRowsInTheTrace) {
-  // Regression: every executed job must leave a queue-wait + run span
-  // pair on its own named trace row ("job-<id>", tid 1000 + id), so the
-  // Chrome trace separates per-job timelines from engine lanes.
-  obs::SpanCollector &Spans = obs::SpanCollector::global();
-  Spans.clear();
-  Spans.setEnabled(true);
+  // Every executed job's lifecycle events render as a queue-wait + run
+  // slice pair on its own named row ("job-<id>") under pid = job id,
+  // next to that job's tune and evaluation slices.
+  obs::EventBus &Bus = obs::EventBus::global();
+  Bus.clear();
+  obs::setEventsEnabled(true);
   TuneService Service;
-  ASSERT_TRUE(Service.run(smallSpec(24)).ok());
-  // run() resolves on Job.finish(), a moment before the worker leaves
-  // execute() and the RAII run span records; drain joins the workers.
+  std::shared_ptr<ServeJob> Jobs[] = {Service.submit(smallSpec(24)),
+                                      Service.submit(smallSpec(28))};
+  for (const std::shared_ptr<ServeJob> &J : Jobs)
+    ASSERT_TRUE(J->wait().ok());
   Service.drain();
-  Spans.setEnabled(false);
+  obs::setEventsEnabled(false);
+  ASSERT_EQ(Bus.dropped(), 0u);
 
-  const obs::SpanRecord *Wait = nullptr, *Run = nullptr;
-  std::vector<obs::SpanRecord> Recs = Spans.records();
-  for (const obs::SpanRecord &R : Recs) {
-    if (R.Name == "job.queue-wait")
-      Wait = &R;
-    if (R.Name == "job.run")
-      Run = &R;
-  }
-  ASSERT_NE(Wait, nullptr);
-  ASSERT_NE(Run, nullptr);
-  EXPECT_EQ(Wait->Cat, "serve");
-  EXPECT_EQ(Run->Cat, "serve");
-  EXPECT_EQ(Run->Detail, "matmul@sgi/16 n=24");
-  EXPECT_GE(Run->Tid, 1000); // off the engine-lane tid range
-  EXPECT_EQ(Wait->Tid, Run->Tid);
-  // Queue wait precedes the run and never overlaps past its start.
-  EXPECT_LE(Wait->StartUs + Wait->DurUs, Run->StartUs);
-  // The run span encloses the whole tune, so every engine-side span of
-  // this job starts no earlier than it.
-  int JobId = Run->Tid - 1000;
   std::string Err;
-  Json Trace = Json::parse(Spans.chromeTraceJson().dump(), &Err);
+  Json Trace =
+      Json::parse(obs::renderChromeTrace(Bus.snapshot()).dump(), &Err);
   ASSERT_TRUE(Err.empty()) << Err;
-  bool NamedRow = false;
   const Json &Events = Trace.get("traceEvents");
-  for (size_t I = 0; I < Events.size(); ++I) {
-    const Json &E = Events.at(I);
-    if (E.get("ph").asString() == "M" &&
-        E.get("name").asString() == "thread_name" &&
-        E.get("tid").asInt() == Run->Tid) {
-      EXPECT_EQ(E.get("args").get("name").asString(),
-                "job-" + std::to_string(JobId));
-      NamedRow = true;
+  for (const std::shared_ptr<ServeJob> &J : Jobs) {
+    int64_t Pid = static_cast<int64_t>(J->Id);
+    std::map<std::string, const Json *> Named; // this job's rows/slices
+    for (size_t I = 0; I < Events.size(); ++I) {
+      const Json &E = Events.at(I);
+      if (E.get("pid").asInt() == Pid)
+        Named[E.get("ph").asString() == "M"
+                  ? E.get("args").get("name").asString()
+                  : E.get("name").asString()] = &E;
     }
+    const Json *Row = Named["job-" + std::to_string(Pid)];
+    const Json *Wait = Named["job.queue-wait"], *Run = Named["job.run"],
+               *Tune = Named["tune"];
+    ASSERT_TRUE(Row && Wait && Run && Tune) << "job " << Pid;
+    EXPECT_EQ(Row->get("tid").asInt(), obs::ChromeJobRow);
+    EXPECT_EQ(Wait->get("tid").asInt(), obs::ChromeJobRow);
+    EXPECT_EQ(Run->get("tid").asInt(), obs::ChromeJobRow);
+    EXPECT_EQ(Run->get("cat").asString(), "serve");
+    EXPECT_EQ(Run->get("args").get("detail").asString(), "done");
+    // Queue wait precedes the run and never overlaps past its start.
+    EXPECT_LE(Wait->get("ts").asInt() + Wait->get("dur").asInt(),
+              Run->get("ts").asInt());
+    // The run encloses the job's tune.
+    EXPECT_LE(Run->get("ts").asInt(), Tune->get("ts").asInt());
+    EXPECT_GE(Run->get("ts").asInt() + Run->get("dur").asInt(),
+              Tune->get("ts").asInt() + Tune->get("dur").asInt());
   }
-  EXPECT_TRUE(NamedRow) << "no thread_name metadata for tid " << Run->Tid;
-  Spans.clear();
+  Bus.clear();
 }
 
 // ---- Client robustness (timeouts, dead-stream fail-fast, size cap) ------
