@@ -2,13 +2,14 @@
 //
 // The obs subsystem promises to be effectively free when disabled: every
 // instrumentation site in the engine hot path guards on one relaxed
-// atomic load (obs::metricsEnabled(), obs::eventsEnabled(), the
-// ECO_LOG level check) before touching anything. This bench quantifies
-// that promise from two directions:
+// atomic load (obs::eventsEnabled(), the ECO_LOG level check) before
+// touching anything; metrics are folded from published events, so they
+// share the events switch. This bench quantifies that promise from two
+// directions:
 //
 //  * phase A — end-to-end: the dgemm tune run repeatedly through a
 //    single-threaded EvalEngine with observability disabled (the library
-//    default) and then fully enabled (metrics + events), reporting
+//    default) and then fully enabled (events + the metrics fold), reporting
 //    evals/sec for each. The enabled run bounds the *worst case*; the
 //    disabled run is what library users pay.
 //
@@ -40,7 +41,6 @@
 #include "kernels/Kernels.h"
 #include "obs/Event.h"
 #include "obs/Log.h"
-#include "obs/Metrics.h"
 #include "support/Json.h"
 #include "support/Sync.h"
 #include "support/Timer.h"
@@ -82,22 +82,17 @@ int main() {
 
   banner("phase A: dgemm tune evals/sec, observability off vs on");
   // Library default: everything off.
-  obs::setMetricsEnabled(false);
   obs::setEventsEnabled(false);
   obs::setLogLevel(obs::LogLevel::Off);
   size_t EvalsOff = 0;
   double OffRate = bestOf(Reps, M, EvalsOff);
 
-  // Worst case: metrics + the flight recorder (ring sink only)
-  // recording every evaluation and timed phase.
-  obs::setMetricsEnabled(true);
+  // Worst case: every evaluation and timed phase published (no file
+  // sink) and folded into the metrics registry.
   obs::setEventsEnabled(true);
   size_t EvalsOn = 0;
   double OnRate = bestOf(Reps, M, EvalsOn);
-  obs::setMetricsEnabled(false);
   obs::setEventsEnabled(false);
-  obs::metrics().resetValues();
-  obs::EventBus::global().clear();
 
   double EnabledOverheadPct =
       OffRate > 0 ? (OffRate / OnRate - 1.0) * 100.0 : 0;
@@ -106,31 +101,29 @@ int main() {
               OnRate, EvalsOn, EnabledOverheadPct);
 
   banner("phase B: disabled-hook microbenchmark");
-  // The three guard flavors an evaluation executes when obs is off.
+  // The two guard flavors an evaluation executes when obs is off.
   constexpr uint64_t Iters = 50'000'000;
   Timer TG;
   uint64_t Sink = 0;
   for (uint64_t I = 0; I < Iters; ++I) {
-    if (obs::metricsEnabled())
-      ++Sink;
     if (obs::eventsEnabled())
       ++Sink;
     ECO_LOG(Debug) << "never formatted " << Sink;
   }
-  double TripleNs = TG.seconds() / Iters * 1e9;
+  double PairNs = TG.seconds() / Iters * 1e9;
   if (Sink)
     std::printf("(sink %llu)\n", static_cast<unsigned long long>(Sink));
 
-  // Hooks per evaluation in EvalEngine::evalOne: one metrics guard and
-  // one events guard, plus the amortized span guards; round up.
+  // Hooks per evaluation in EvalEngine::evalOne: the events guard, the
+  // log guards, plus the amortized span guards; round up.
   constexpr double HooksPerEval = 4;
-  double HookNsPerEval = TripleNs / 3 * HooksPerEval;
+  double HookNsPerEval = PairNs / 2 * HooksPerEval;
   double EvalNs = OffRate > 0 ? 1e9 / OffRate : 1;
   double DisabledOverheadPct = HookNsPerEval / EvalNs * 100.0;
 
-  std::printf("disabled guard triple: %.2f ns -> %.1f ns per eval "
+  std::printf("disabled guard pair: %.2f ns -> %.1f ns per eval "
               "(~%.0f hooks)\n",
-              TripleNs, HookNsPerEval, HooksPerEval);
+              PairNs, HookNsPerEval, HooksPerEval);
   std::printf("one evaluation: %.0f ns -> disabled overhead %.5f%% "
               "(acceptance bar: 2%%)\n",
               EvalNs, DisabledOverheadPct);
@@ -193,7 +186,7 @@ int main() {
   Out.set("offEvalsPerSec", OffRate);
   Out.set("onEvalsPerSec", OnRate);
   Out.set("enabledOverheadPct", EnabledOverheadPct);
-  Out.set("disabledGuardTripleNs", TripleNs);
+  Out.set("disabledGuardPairNs", PairNs);
   Out.set("disabledHookNsPerEval", HookNsPerEval);
   Out.set("evalNs", EvalNs);
   Out.set("disabledOverheadPct", DisabledOverheadPct);

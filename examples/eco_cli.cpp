@@ -145,8 +145,8 @@ int reportToolMain(const std::vector<std::string> &Args) {
 
 /// Background reporter for --progress: once a second prints variant
 /// progress, evaluation counts, and an ETA extrapolated from the pace of
-/// completed variants — all read from the metrics registry the tune
-/// updates as it runs.
+/// completed variants — all read from the metrics registry, which the
+/// event bus folds from the tune's events as it runs.
 class ProgressReporter {
 public:
   ProgressReporter() {
@@ -293,10 +293,11 @@ int main(int Argc, char **Argv) {
   }
 
   // Observability defaults off (zero cost). --obs-dir records events
-  // and metrics; --progress reads metrics alone. A resumed tune appends
-  // a new segment to the killed run's stream.
+  // (and the metrics folded from them); --progress turns events on with
+  // no sink and reads the metrics alone. A resumed tune appends a new
+  // segment to the killed run's stream.
   if (Opts.Progress)
-    obs::setMetricsEnabled(true);
+    obs::setEventsEnabled(true);
   std::string ObsError;
   if (!Opts.ObsDir.empty() &&
       !obs::openObsDir(Opts.ObsDir, /*Append=*/Opts.Resume, &ObsError)) {

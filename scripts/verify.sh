@@ -74,6 +74,18 @@ W2="$("${TUNE[@]}" --resume | grep '^winner:')"
   { echo "flight-recorder smoke: resume changed '$W1' to '$W2'"; exit 1; }
 [ -s "$OD/metrics.json" ] ||
   { echo "flight-recorder smoke: no $OD/metrics.json"; exit 1; }
+# metrics.json is folded from the events the (resumed) run published, so
+# its eval counters equal that run's tune.done totals.
+python3 - "$OD/events.jsonl" "$OD/metrics.json" <<'PY'
+import json, sys
+done = [e["fields"] for line in open(sys.argv[1])
+        if (e := json.loads(line))["type"] == "tune.done"][-1]
+c = json.load(open(sys.argv[2]))["counters"]
+got = (c.get("eval.evaluations", 0), c.get("eval.cache_hits", 0))
+print(f"metrics.json: evaluations/cache_hits {got}, tune.done "
+      f"{(done['points'], done['cache_hits'])}")
+sys.exit(0 if got == (done["points"], done["cache_hits"]) else 1)
+PY
 "$REPO/build/examples/eco_cli" report "$OD/events.jsonl" > /dev/null
 # The Chrome timeline renders from the same stream: it must parse and
 # hold at least one eval slice per real (non-hit) evaluation.

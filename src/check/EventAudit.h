@@ -94,7 +94,7 @@ struct EventAuditReport {
   std::string summary() const;
 };
 
-/// Audits in-memory events (e.g. straight from EventBus::snapshot()).
+/// Audits in-memory events (e.g. parsed back from a JSONL sink).
 EventAuditReport auditEvents(const std::vector<obs::Event> &Events,
                              const EventAuditOptions &Opts = {});
 

@@ -7,7 +7,6 @@
 #include "exec/Executor.h"
 #include "ir/Verifier.h"
 #include "obs/Log.h"
-#include "obs/Metrics.h"
 #include "support/Rng.h"
 #include "support/StringUtils.h"
 #include "transform/Copy.h"
@@ -847,14 +846,11 @@ std::string FuzzReport::summary() const {
 
 FuzzReport eco::check::runFuzz(const FuzzOptions &Opts) {
   FuzzReport Report;
-  bool Metrics = obs::metricsEnabled();
 
   int First = Opts.OnlyIter >= 0 ? Opts.OnlyIter : 0;
   int Last = Opts.OnlyIter >= 0 ? Opts.OnlyIter + 1 : Opts.Iters;
   for (int Iter = First; Iter < Last; ++Iter) {
     ++Report.Iterations;
-    if (Metrics)
-      obs::metrics().counter("fuzz.iterations").inc();
     bool Native =
         Opts.NativeEvery > 0 && (Iter % Opts.NativeEvery) == 0;
     CaseSpec C = generateCase(caseSeed(Opts.Seed, Iter));
@@ -872,8 +868,6 @@ FuzzReport eco::check::runFuzz(const FuzzOptions &Opts) {
     Report.StepsSkipped += R.Skipped;
     if (R.RanNative)
       ++Report.NativeRuns;
-    if (Metrics && R.Rejected)
-      obs::metrics().counter("fuzz.rejected").inc(R.Rejected);
 
     if (Opts.Verbose) {
       ECO_LOG(Info) << "fuzz iter " << Iter << ": " << R.Applied
@@ -885,8 +879,6 @@ FuzzReport eco::check::runFuzz(const FuzzOptions &Opts) {
     if (!R.Failed)
       continue;
 
-    if (Metrics)
-      obs::metrics().counter("fuzz.mismatches").inc();
     CaseSpec Min =
         shrinkCase(C, Native, Opts.MaxUlps, Report, Opts.MaxShrinkRuns);
     CaseResult MinR;

@@ -5,7 +5,6 @@
 #include "analysis/Reuse.h"
 #include "obs/Event.h"
 #include "obs/Log.h"
-#include "obs/Metrics.h"
 #include "support/StringUtils.h"
 #include "transform/Copy.h"
 #include "transform/Permute.h"
@@ -477,11 +476,8 @@ eco::deriveVariants(const LoopNest &Original, const MachineDesc &Machine,
       ECO_LOG(Warn) << "variant pruned (illegal transform): " << E.what();
       if (RejectedOut)
         ++*RejectedOut;
-      if (obs::metricsEnabled())
-        obs::metrics().counter("transform.rejected").inc();
       if (obs::eventsEnabled()) {
-        // Kept 1:1 with the transform.rejected counter bump above — the
-        // event audit counts on that pairing.
+        // The registry folds this into the transform.rejected counter.
         Json F = Json::object();
         F.set("plan", "v" + std::to_string(Index - 1));
         F.set("reason", std::string(E.what()));

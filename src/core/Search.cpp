@@ -5,7 +5,6 @@
 #include "codegen/NativeRunner.h"
 #include "obs/Event.h"
 #include "obs/Log.h"
-#include "obs/Metrics.h"
 #include "support/NestHash.h"
 #include "support/Rng.h"
 #include "support/Timer.h"
@@ -785,11 +784,8 @@ EvalOutcome DirectEvaluator::evaluate(const DerivedVariant &V,
       // failed native compile — infinite cost, search moves on.
       ECO_LOG(Warn) << "config rejected (illegal transform): " << E.what();
       ++Stats.Rejected;
-      if (obs::metricsEnabled())
-        obs::metrics().counter("transform.rejected").inc();
       if (obs::eventsEnabled()) {
-        // Paired 1:1 with the transform.rejected bump: the event audit
-        // reconciles config.rejected events against that counter.
+        // The registry folds this into the transform.rejected counter.
         Json F = Json::object();
         F.set("variant", V.Spec.Name);
         F.set("stage", Stage);

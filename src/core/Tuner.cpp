@@ -3,7 +3,6 @@
 #include "core/Tuner.h"
 #include "obs/Event.h"
 #include "obs/Log.h"
-#include "obs/Metrics.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
 
@@ -182,11 +181,16 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
   Result.BestCost = std::numeric_limits<double>::infinity();
   size_t ToSearch =
       std::min<size_t>(Opts.MaxVariantsToSearch, Ranking.size());
-  const bool Metrics = obs::metricsEnabled();
-  if (Metrics) {
-    obs::metrics().gauge("tune.variants_total").set(
-        static_cast<double>(ToSearch));
-    obs::metrics().gauge("tune.variants_done").set(0);
+  // Ranked-but-not-searched variants are the model-ranking prune. It is
+  // decided here, so a variant a cancellation leaves unsearched is not
+  // reported as one.
+  for (size_t R = ToSearch; Events && R < Ranking.size(); ++R) {
+    const VariantSummary &Sum = Result.Summaries[Ranking[R].Index];
+    Json F = Json::object();
+    F.set("variant", Sum.Name);
+    F.set("heuristic_cost", Sum.HeuristicCost);
+    F.set("reason", "model-ranking");
+    obs::publishEvent("variant.pruned", std::move(F));
   }
   // A caller-level ShouldStop also cancels inside each search: copy it
   // into the search hook when the caller did not set one explicitly.
@@ -218,9 +222,6 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
     Sum.Searched = true;
     Sum.BestCost = SR.BestCost;
     Sum.BestConfig = V.configString(SR.BestConfig);
-    if (Metrics)
-      obs::metrics().gauge("tune.variants_done").set(
-          static_cast<double>(R + 1));
     ECO_LOG(Debug) << "variant " << V.Spec.Name << " best cost "
                    << SR.BestCost << " after " << Sum.Points
                    << " points";
@@ -261,15 +262,6 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
                 << Result.BestCost;
 
   if (Events) {
-    // Ranked-but-not-searched variants are the model-ranking prune.
-    for (const VariantSummary &Sum : Result.Summaries)
-      if (!Sum.Searched) {
-        Json F = Json::object();
-        F.set("variant", Sum.Name);
-        F.set("heuristic_cost", Sum.HeuristicCost);
-        F.set("reason", "model-ranking");
-        obs::publishEvent("variant.pruned", std::move(F));
-      }
     for (const StageTelemetry &Row : Result.Telemetry) {
       Json F = Json::object();
       F.set("variant", Row.Variant);
@@ -280,10 +272,14 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
       if (Row.HasHW) {
         F.set("loads", Row.HW.Loads);
         F.set("stores", Row.HW.Stores);
+        F.set("prefetches", Row.HW.Prefetches);
+        F.set("flops", Row.HW.Flops);
         F.set("l1_misses", Row.HW.l1Misses());
         F.set("l2_misses", Row.HW.l2Misses());
         F.set("tlb_misses", Row.HW.TlbMisses);
         F.set("cycles", Row.HW.cycles());
+        F.set("issue_cycles", Row.HW.IssueCycles);
+        F.set("stall_cycles", Row.HW.StallCycles);
       }
       obs::publishEvent("stage.telemetry", std::move(F));
     }

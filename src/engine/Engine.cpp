@@ -3,7 +3,6 @@
 #include "engine/Engine.h"
 #include "obs/Event.h"
 #include "obs/Log.h"
-#include "obs/Metrics.h"
 #include "support/NestHash.h"
 #include "support/Timer.h"
 #include "transform/TransformError.h"
@@ -12,41 +11,6 @@
 #include <set>
 
 using namespace eco;
-
-namespace {
-
-/// Mirrors one evaluation into the process metrics registry (only called
-/// when obs::metricsEnabled()). Naming scheme:
-///   eval.evaluations / eval.cache_hits        totals
-///   eval.latency_ms                           histogram of backend ms
-///   eval.points.<variant>.<stage>             per-bucket real evals
-///   eval.hits.<variant>.<stage>               per-bucket cache hits
-///   hw.loads / hw.stores / ... hw.stall_cycles summed HW deltas
-void mirrorToMetrics(const std::string &Variant, const std::string &Stage,
-                     bool CacheHit, double Millis, const HWCounters *HW) {
-  obs::MetricsRegistry &Reg = obs::metrics();
-  if (CacheHit) {
-    Reg.counter("eval.cache_hits").inc();
-    Reg.counter("eval.hits." + Variant + "." + Stage).inc();
-    return;
-  }
-  Reg.counter("eval.evaluations").inc();
-  Reg.counter("eval.points." + Variant + "." + Stage).inc();
-  Reg.histogram("eval.latency_ms").record(Millis);
-  if (HW) {
-    Reg.counter("hw.loads").inc(HW->Loads);
-    Reg.counter("hw.stores").inc(HW->Stores);
-    Reg.counter("hw.prefetches").inc(HW->Prefetches);
-    Reg.counter("hw.flops").inc(HW->Flops);
-    Reg.counter("hw.l1_misses").inc(HW->l1Misses());
-    Reg.counter("hw.l2_misses").inc(HW->l2Misses());
-    Reg.counter("hw.tlb_misses").inc(HW->TlbMisses);
-    Reg.gauge("hw.issue_cycles").add(HW->IssueCycles);
-    Reg.gauge("hw.stall_cycles").add(HW->StallCycles);
-  }
-}
-
-} // namespace
 
 EvalEngine::EvalEngine(EvalBackend &Backend, EngineOptions EOpts)
     : Base(Backend), Opts(std::move(EOpts)) {
@@ -133,8 +97,6 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
       Row.Stage = Stage;
       ++Row.CacheHits;
     }
-    if (obs::metricsEnabled())
-      mirrorToMetrics(V.Spec.Name, Stage, /*CacheHit=*/true, 0, nullptr);
     if (obs::eventsEnabled())
       publishEvaluated(V, Config, Stage, O, Warm);
     return O;
@@ -153,11 +115,8 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
       MutexLock Lock(StatsMutex);
       ++Rejected;
     }
-    if (obs::metricsEnabled())
-      obs::metrics().counter("transform.rejected").inc();
     if (obs::eventsEnabled()) {
-      // Paired 1:1 with the transform.rejected bump: the event audit
-      // reconciles config.rejected events against that counter.
+      // The registry folds this into the transform.rejected counter.
       Json F = Json::object();
       F.set("variant", V.Spec.Name);
       F.set("stage", Stage);
@@ -206,9 +165,6 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
       SaveNow = true;
     }
   }
-  if (obs::metricsEnabled())
-    mirrorToMetrics(V.Spec.Name, Stage, /*CacheHit=*/false, O.Millis,
-                    LiveHW ? &Delta : nullptr);
   if (obs::eventsEnabled())
     publishEvaluated(V, Config, Stage, O, Warm);
   if (SaveNow) {

@@ -1,8 +1,8 @@
 //===- engine/EvalCache.cpp - Memoizing evaluation store ------------------===//
 
 #include "engine/EvalCache.h"
+#include "obs/Event.h"
 #include "obs/Log.h"
-#include "obs/Metrics.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 
@@ -107,13 +107,15 @@ size_t EvalCache::load(const std::string &Path,
     ECO_LOG(Warn) << "eval cache: rejected " << Foreign
                   << " entr" << (Foreign == 1 ? "y" : "ies") << " from "
                   << Path << " measured on a different machine";
-    if (obs::metricsEnabled())
-      obs::metrics().counter("cache.foreign_rejected").inc(Foreign);
   }
   ECO_LOG(Info) << "eval cache: loaded " << Loaded << " entries from "
                 << Path;
-  if (obs::metricsEnabled())
-    obs::metrics().counter("cache.loads").inc();
+  if (obs::eventsEnabled()) {
+    Json F = Json::object();
+    F.set("entries", Loaded);
+    F.set("foreign", Foreign);
+    obs::publishEvent("cache.loaded", std::move(F));
+  }
   return Loaded;
 }
 
@@ -130,7 +132,7 @@ bool EvalCache::save(const std::string &Path) const {
   bool Ok = Root.saveFile(Path);
   if (!Ok)
     ECO_LOG(Warn) << "eval cache: cannot save to " << Path;
-  else if (obs::metricsEnabled())
-    obs::metrics().counter("cache.saves").inc();
+  else if (obs::eventsEnabled())
+    obs::publishEvent("cache.saved", Json::object());
   return Ok;
 }

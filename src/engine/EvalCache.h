@@ -87,11 +87,12 @@ public:
   /// When \p RequireMachineHash is non-zero, only entries whose key's
   /// machine-fingerprint segment matches it are accepted; entries from
   /// another machine (someone pointed --cache-file at a different
-  /// target's cache) are rejected and counted on the
-  /// "cache.foreign_rejected" metric instead of sitting in memory and
-  /// being re-saved into this machine's file. Foreign costs could never
-  /// be *served* (the lookup key embeds the machine hash), but silently
-  /// carrying them forward made a wrong file look valid forever.
+  /// target's cache) are rejected and counted in the `cache.loaded`
+  /// event (the "cache.foreign_rejected" metric) instead of sitting in
+  /// memory and being re-saved into this machine's file. Foreign costs
+  /// could never be *served* (the lookup key embeds the machine hash),
+  /// but silently carrying them forward made a wrong file look valid
+  /// forever.
   size_t load(const std::string &Path, uint64_t RequireMachineHash = 0);
 
   /// Writes every entry to \p Path as pretty JSON (atomic rename).

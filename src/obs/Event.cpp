@@ -53,20 +53,6 @@ EventBus &EventBus::global() {
   return Bus;
 }
 
-void EventBus::setCapacity(size_t N) {
-  MutexLock Lock(M);
-  Capacity = N ? N : 1;
-  while (Ring.size() > Capacity) {
-    Ring.pop_front();
-    ++Dropped;
-  }
-}
-
-size_t EventBus::capacity() const {
-  MutexLock Lock(M);
-  return Capacity;
-}
-
 void EventBus::publish(std::string Type, Json Fields) {
   if (!eventsEnabled())
     return;
@@ -79,43 +65,14 @@ void EventBus::publish(std::string Type, Json Fields) {
   E.Seq = NextSeq++;
   // Stamped under the mutex so Seq order and TimeUs order agree.
   E.TimeUs = monotonicMicros();
-  ++Published;
-  ++TypeCounts[E.Type];
   if (File) {
     std::string Line = eventToJson(E).dump();
     Line.push_back('\n');
     fwrite(Line.data(), 1, Line.size(), File);
   }
-  if (Ring.size() >= Capacity) {
-    // Drop-oldest: live readers keep a recent window and the publisher
-    // never blocks on a slow consumer.
-    Ring.pop_front();
-    ++Dropped;
-    if (metricsEnabled())
-      metrics().counter("obs.events_dropped").inc();
-  }
-  Ring.push_back(std::move(E));
-}
-
-std::vector<Event> EventBus::snapshot() const {
-  MutexLock Lock(M);
-  return std::vector<Event>(Ring.begin(), Ring.end());
-}
-
-uint64_t EventBus::published() const {
-  MutexLock Lock(M);
-  return Published;
-}
-
-uint64_t EventBus::dropped() const {
-  MutexLock Lock(M);
-  return Dropped;
-}
-
-uint64_t EventBus::typeCount(const std::string &Type) const {
-  MutexLock Lock(M);
-  auto It = TypeCounts.find(Type);
-  return It == TypeCounts.end() ? 0 : It->second;
+  // Folded under the mutex too, so the registry sees events in Seq order
+  // (lock order: obs.events -> obs.metrics).
+  foldEvent(E);
 }
 
 namespace {
@@ -171,14 +128,6 @@ FILE *EventBus::swapFile(FILE *F) {
   return F;
 }
 
-void EventBus::clear() {
-  MutexLock Lock(M);
-  Ring.clear();
-  Published = 0;
-  Dropped = 0;
-  TypeCounts.clear();
-}
-
 namespace {
 std::atomic<bool> EventsOn{false};
 thread_local uint64_t CurrentJob = 0;
@@ -209,7 +158,6 @@ bool obs::openObsDir(const std::string &Dir, bool Append,
     return false;
   }
   setEventsEnabled(true);
-  setMetricsEnabled(true);
   return true;
 }
 
@@ -220,8 +168,9 @@ bool obs::closeObsDir(const std::string &Dir) {
 
 namespace {
 
-/// The lock-discipline checker's reports, through obs: a log line, a
-/// `sync.violation` event, and the `sync.violations` counter.
+/// The lock-discipline checker's reports, through obs: a log line and a
+/// `sync.violation` event (which the registry folds into the
+/// `sync.violations` counter).
 void reportSyncViolation(const sync::Violation &V) {
   ECO_LOG(Error) << "sync: " << V.Message;
   if (eventsEnabled()) {
@@ -230,8 +179,6 @@ void reportSyncViolation(const sync::Violation &V) {
     Fields.set("message", V.Message);
     publishEvent("sync.violation", std::move(Fields));
   }
-  if (metricsEnabled())
-    metrics().counter("sync.violations").inc();
 }
 
 /// Installed before main() in every binary that links the event bus.

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The tuner's flight recorder: a thread-safe, bounded bus of structured
-/// decision events, and the only record a tune leaves. Where metrics
+/// The tuner's flight recorder: a thread-safe bus of structured decision
+/// events, and the only record a tune leaves. Where metrics
 /// answer "how many", events answer "why" and "how long" — each one
 /// records a single decision the tuner made (a variant derived or
 /// rejected, a warm start seeded or reverted, a config evaluated, the
@@ -14,39 +14,42 @@
 /// reconstruct the search after the fact.
 ///
 /// Publishers guard every call with obs::eventsEnabled() (one relaxed
-/// atomic load), so the evaluation hot path pays nothing unless the user
-/// asked for an event stream (--obs-dir or a live reader). Events flow
-/// to two places:
-///
-///   - a JSONL file sink (one event object per line), the durable
-///     artifact `eco_cli report` (Markdown, HTML, or a Chrome timeline
-///     with --chrome) and `eco_check --audit-events` consume;
-///   - a bounded in-memory ring for live readers (the serve daemon's
-///     introspection verbs). On overflow the ring drops the *oldest*
-///     event and bumps the `obs.events_dropped` counter — live readers
-///     see a recent window, never a stalled publisher.
+/// atomic load), so the hot path pays nothing unless the user asked for
+/// observability (--obs-dir or --progress). Each published event goes to
+/// the JSONL file sink when one is open (the durable artifact that
+/// `eco_cli report` and `eco_check --audit-events` consume) and through
+/// obs::foldEvent into the metrics registry (obs/Metrics.h).
 ///
 /// Event types published today (payload fields in parentheses):
 ///
-///   tune.start         (nest, problem, variants hint, machine
-///                       fingerprint, prefer_variant when set)
-///   variant.derived    (variant)
-///   variant.rejected   (variant plan, reason)        — TransformError
-///   variant.ranked     (variant, heuristic cost, config) — model initial
-///   variant.pruned     (variant, rank, reason)       — ranked, not searched
+///   tune.start         (nest, problem, representative_size, machine,
+///                       prefer_variant when set)
+///   variant.derived    (variant, constraints)
+///   variant.rejected   (plan, reason)                — TransformError
+///   variant.ranked     (variant, config, cost)       — model initial
+///   variant.pruned     (variant, heuristic_cost, reason) — ranked below
+///                       MaxVariantsToSearch; published after ranking
 ///   warmstart.seeded   (variant, params[{name,value,lo,hi}])
-///   warmstart.reverted (variant, seed cost, model cost)
+///   warmstart.reverted (variant, seed_cost, model_cost)
 ///   stage.bounds       (variant, param, lo, hi)
 ///   config.evaluated   (variant, stage, config, cost, cache_hit, warm,
-///                       lane, ms)
+///                       ms, lane)
 ///   config.rejected    (variant, stage, config, reason) — TransformError
 ///   winner.updated     (variant, config, cost)
-///   stage.telemetry    (variant, stage, evals, hits, hw counters)
+///   stage.telemetry    (variant, stage, evals, cache_hits, backend_s;
+///                       with HW: loads, stores, prefetches, flops,
+///                       l1/l2/tlb_misses, cycles, issue/stall_cycles)
 ///   tune.done          (reconciliation totals + winner; see Tuner.cpp)
 ///   span               (name, cat, detail, start_us, dur_us) — one timed
 ///                       phase: derive, rank, search:<v>, stage:*, warm:*,
 ///                       warm-remote:*, cache.save (SpanScope below)
-///   job.submitted / job.started / job.finished — serve daemon lifecycle
+///   cache.loaded       (entries, foreign)        — eval cache file read
+///   cache.saved / db.saved ()                    — cache / ConfigDB written
+///   job.submitted / job.started / job.finished — serve job lifecycle
+///                       (see Server.cpp); queue_depth is what each left
+///   worker.joined / worker.lost (worker_id, name, live; + reason)
+///   batch.redispatched (batch_id, reason, attempts, exhausted)
+///   sync.violation     (kind, message)           — lock-order checker
 ///
 /// The bus assigns each event a dense sequence number and a timestamp
 /// from the shared observability epoch (obs::monotonicMicros), both under
@@ -63,10 +66,7 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <deque>
-#include <map>
 #include <string>
-#include <vector>
 
 namespace eco {
 namespace obs {
@@ -93,26 +93,10 @@ class EventBus {
 public:
   static EventBus &global();
 
-  /// Ring capacity for live readers (default 4096). Shrinking drops the
-  /// oldest entries immediately (counted as dropped).
-  void setCapacity(size_t N);
-  size_t capacity() const;
-
-  /// Publishes one event: stamps Seq/TimeUs/Job, appends to the JSONL
-  /// sink (if open) and the ring. No-op unless the bus is enabled.
+  /// Publishes one event: stamps Seq/TimeUs/Job, appends it to the
+  /// JSONL sink (if open) and folds it into the metrics registry, all
+  /// under the bus mutex. No-op unless events are enabled.
   void publish(std::string Type, Json Fields);
-
-  /// Oldest-first copy of the live ring.
-  std::vector<Event> snapshot() const;
-
-  /// Events published / dropped from the ring since the last clear().
-  uint64_t published() const;
-  uint64_t dropped() const;
-  /// Publications of \p Type since the last clear() (counts every
-  /// publish, including events since rotated out of the ring). The
-  /// tuner diffs these around a tune to stamp reconciliation totals
-  /// into the tune.done event.
-  uint64_t typeCount(const std::string &Type) const;
 
   /// Opens (or replaces) the JSONL sink. Returns false on I/O failure.
   /// Appending first cuts the file back to just after its last newline:
@@ -125,23 +109,14 @@ public:
   /// put the original sink back untouched. The caller owns the result.
   FILE *swapFile(FILE *F);
 
-  /// Drops ring contents and zeroes counters (sequence numbers keep
-  /// rising so files with multiple segments stay strictly ordered).
-  void clear();
-
 private:
   mutable Mutex M{"obs.events"};
-  std::deque<Event> Ring ECO_GUARDED_BY(M);
-  size_t Capacity ECO_GUARDED_BY(M) = 4096;
   uint64_t NextSeq ECO_GUARDED_BY(M) = 0;
-  uint64_t Published ECO_GUARDED_BY(M) = 0;
-  uint64_t Dropped ECO_GUARDED_BY(M) = 0;
-  std::map<std::string, uint64_t> TypeCounts ECO_GUARDED_BY(M);
   FILE *File ECO_GUARDED_BY(M) = nullptr;
 };
 
-/// Global kill-switch mirroring metricsEnabled(): one relaxed load.
-/// Publishers must check this before building payloads.
+/// The one observability switch: one relaxed load. Publishers must check
+/// this before building payloads.
 bool eventsEnabled();
 void setEventsEnabled(bool Enabled);
 
@@ -151,7 +126,7 @@ void publishEvent(std::string Type, Json Fields);
 /// `--obs-dir=D`, the one observability flag of eco_cli and eco_served:
 /// creates \p Dir if missing, opens Dir/events.jsonl as the global bus's
 /// sink (a new segment appended when \p Append, else truncated) and
-/// enables events and metrics. On failure returns false with \p Error.
+/// enables events. On failure returns false with \p Error.
 bool openObsDir(const std::string &Dir, bool Append, std::string *Error);
 
 /// Closes the sink and writes Dir/metrics.json (false if it cannot).

@@ -2,6 +2,8 @@
 
 #include "obs/Metrics.h"
 
+#include "obs/Event.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
@@ -256,14 +258,69 @@ MetricsRegistry &obs::metrics() {
   return Registry;
 }
 
-namespace {
-std::atomic<bool> MetricsOn{false};
-} // namespace
+void obs::foldEvent(const Event &E) {
+  MetricsRegistry &Reg = metrics();
+  const Json &F = E.Fields;
+  const std::string &T = E.Type;
+  auto count = [&F](const char *Key) {
+    return static_cast<uint64_t>(F.get(Key).asInt());
+  };
+  // Events that each bump one counter.
+  static const std::map<std::string, const char *> Counts = {
+      {"config.rejected", "transform.rejected"},
+      {"variant.rejected", "transform.rejected"},
+      {"job.submitted", "serve.submitted"},
+      {"cache.loaded", "cache.loads"},
+      {"cache.saved", "cache.saves"},
+      {"db.saved", "serve.db_saves"},
+      {"sync.violation", "sync.violations"}};
+  if (auto It = Counts.find(T); It != Counts.end())
+    Reg.counter(It->second).inc();
+  // Job events carry the queue length they left (a refused submit left
+  // it alone); worker events carry the live worker count.
+  if (T.rfind("job.", 0) == 0 && F.has("queue_depth") && !F.has("rejected"))
+    Reg.gauge("serve.queue_depth").set(F.get("queue_depth").asNumber());
+  if (T == "worker.joined" || T == "worker.lost")
+    Reg.gauge("serve.workers_live").set(F.get("live").asNumber());
 
-bool obs::metricsEnabled() {
-  return MetricsOn.load(std::memory_order_relaxed);
-}
-
-void obs::setMetricsEnabled(bool Enabled) {
-  MetricsOn.store(Enabled, std::memory_order_relaxed);
+  if (T == "config.evaluated") {
+    // Per-(variant, stage) buckets: eval.points.<v>.<s> / eval.hits.<v>.<s>.
+    std::string Bucket =
+        F.get("variant").asString() + "." + F.get("stage").asString();
+    if (F.get("cache_hit").asBool()) {
+      Reg.counter("eval.cache_hits").inc();
+      Reg.counter("eval.hits." + Bucket).inc();
+    } else {
+      Reg.counter("eval.evaluations").inc();
+      Reg.counter("eval.points." + Bucket).inc();
+      Reg.histogram("eval.latency_ms").record(F.get("ms").asNumber());
+    }
+  } else if (T == "stage.telemetry" && F.has("loads")) {
+    // Rows without "loads" come from a backend that counts no hardware.
+    for (const char *Key : {"loads", "stores", "prefetches", "flops",
+                            "l1_misses", "l2_misses", "tlb_misses"})
+      Reg.counter(std::string("hw.") + Key).inc(count(Key));
+    Reg.gauge("hw.issue_cycles").add(F.get("issue_cycles").asNumber());
+    Reg.gauge("hw.stall_cycles").add(F.get("stall_cycles").asNumber());
+  } else if (T == "tune.start") {
+    Reg.gauge("tune.variants_total").set(0);
+    Reg.gauge("tune.variants_done").set(0);
+  } else if (T == "variant.ranked" || T == "variant.pruned") {
+    // Every ranked variant is searched unless a variant.pruned follows.
+    Reg.gauge("tune.variants_total").add(T == "variant.ranked" ? 1 : -1);
+  } else if (T == "span" && F.get("name").asString().rfind("search:", 0) == 0) {
+    Reg.gauge("tune.variants_done").add(1);
+  } else if (T == "job.finished") {
+    Reg.counter("serve." + F.get("status").asString()).inc();
+    if (F.has("warm_start"))
+      Reg.counter("serve.warm_" + F.get("warm_start").asString()).inc();
+    // Millisecond histograms: first bucket <= 0.01ms, ~40 log2 buckets
+    // reach minutes of latency.
+    Reg.histogram("serve.wait_ms", 0.01).record(F.get("queue_ms").asNumber());
+    Reg.histogram("serve.run_ms", 0.01).record(F.get("run_ms").asNumber());
+  } else if (T == "batch.redispatched" && !F.get("exhausted").asBool()) {
+    Reg.counter("serve.batches_retried").inc();
+  } else if (T == "cache.loaded" && count("foreign")) {
+    Reg.counter("cache.foreign_rejected").inc(count("foreign"));
+  }
 }

@@ -8,10 +8,11 @@
 /// The tuner's metrics system: named Counters (monotonic uint64), Gauges
 /// (settable/addable doubles), and Histograms (fixed log2-scale buckets)
 /// collected in a thread-safe MetricsRegistry that snapshots to JSON.
-/// Instrumented code writes through the process-wide registry
-/// (obs::metrics()) guarded by obs::metricsEnabled() — one relaxed atomic
-/// load when observability is off, so the hot path pays nothing unless
-/// the user asked for a metrics dump (--obs-dir / --progress).
+/// Instrumented code never writes the process-wide registry
+/// (obs::metrics()) itself: it publishes events (obs/Event.h), and the
+/// bus folds each one into the registry through obs::foldEvent — the one
+/// table mapping event types to metric names. With events off nothing is
+/// published, so the registry stays at zero and costs nothing.
 ///
 /// All metric objects are updated with atomics only (no per-metric lock),
 /// so concurrent engine lanes increment freely; the registry's mutex
@@ -162,13 +163,15 @@ private:
       ECO_GUARDED_BY(M);
 };
 
-/// The process-wide registry instrumented code writes to.
+/// The process-wide registry the event bus folds into.
 MetricsRegistry &metrics();
 
-/// Global kill-switch for metric writes; default off. Instrumentation
-/// sites check this before touching the registry.
-bool metricsEnabled();
-void setMetricsEnabled(bool Enabled);
+struct Event;
+
+/// Updates the process-wide registry from one published event. Called by
+/// EventBus::publish under the bus mutex; the mapping from event types
+/// to metric names lives here and nowhere else.
+void foldEvent(const Event &E);
 
 } // namespace obs
 } // namespace eco

@@ -1,8 +1,8 @@
 //===- serve/ConfigDB.cpp - Persistent tuned-config database --------------===//
 
 #include "serve/ConfigDB.h"
+#include "obs/Event.h"
 #include "obs/Log.h"
-#include "obs/Metrics.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 
@@ -137,8 +137,8 @@ bool ConfigDB::save(const std::string &Path) const {
   bool Ok = Root.saveFile(Path);
   if (!Ok)
     ECO_LOG(Warn) << "config db: cannot save to " << Path;
-  else if (obs::metricsEnabled())
-    obs::metrics().counter("serve.db_saves").inc();
+  else if (obs::eventsEnabled())
+    obs::publishEvent("db.saved", Json::object());
   return Ok;
 }
 

@@ -4,7 +4,6 @@
 
 #include "obs/Event.h"
 #include "obs/Log.h"
-#include "obs/Metrics.h"
 
 #include <algorithm>
 #include <cmath>
@@ -21,13 +20,6 @@ WorkerPool::WorkerPool(FleetOptions O) : Opts(O) {
 
 WorkerPool::~WorkerPool() { shutdown(); }
 
-void WorkerPool::publishWorkerGaugeLocked() const {
-  M.assertHeld();
-  if (obs::metricsEnabled())
-    obs::metrics().gauge("serve.workers_live")
-        .set(static_cast<double>(Workers.size()));
-}
-
 Json WorkerPool::hello(const Json &Req) {
   MutexLock Lock(M);
   Worker W;
@@ -40,11 +32,11 @@ Json WorkerPool::hello(const Json &Req) {
   std::string Name = W.Name;
   Workers.emplace(Id, std::move(W));
   ++TotalJoined;
-  publishWorkerGaugeLocked();
   if (obs::eventsEnabled()) {
     Json F = Json::object();
     F.set("worker_id", Id);
     F.set("name", Name);
+    F.set("live", Workers.size());
     obs::publishEvent("worker.joined", std::move(F));
   }
   ECO_LOG(Info) << "fleet: worker " << Id << " ('" << Name << "') joined ("
@@ -66,12 +58,12 @@ void WorkerPool::evictLocked(uint64_t WorkerId, const std::string &Reason) {
   std::string Name = It->second.Name;
   Workers.erase(It);
   ++TotalLost;
-  publishWorkerGaugeLocked();
   if (obs::eventsEnabled()) {
     Json F = Json::object();
     F.set("worker_id", WorkerId);
     F.set("name", Name);
     F.set("reason", Reason);
+    F.set("live", Workers.size());
     obs::publishEvent("worker.lost", std::move(F));
   }
   ECO_LOG(Warn) << "fleet: worker " << WorkerId << " ('" << Name
@@ -91,14 +83,17 @@ void WorkerPool::evictLocked(uint64_t WorkerId, const std::string &Reason) {
 
 void WorkerPool::requeueLocked(Batch &B, const std::string &Reason) {
   M.assertHeld();
+  bool Exhausted = B.Attempts >= Opts.MaxAttempts;
   if (obs::eventsEnabled()) {
+    // Only a batch that is not exhausted counts as serve.batches_retried.
     Json F = Json::object();
     F.set("batch_id", B.Id);
     F.set("reason", Reason);
     F.set("attempts", static_cast<int64_t>(B.Attempts));
+    F.set("exhausted", Exhausted);
     obs::publishEvent("batch.redispatched", std::move(F));
   }
-  if (B.Attempts >= Opts.MaxAttempts) {
+  if (Exhausted) {
     // Exhausted: the points stay uncached and the engine's decision
     // loop evaluates them locally — correctness never depends on the
     // fleet, only throughput does.
@@ -109,8 +104,6 @@ void WorkerPool::requeueLocked(Batch &B, const std::string &Reason) {
     return;
   }
   ++TotalRetried;
-  if (obs::metricsEnabled())
-    obs::metrics().counter("serve.batches_retried").inc();
   int Shift = std::min(B.Attempts - 1, 20);
   int64_t BackoffMs = std::min<int64_t>(
       static_cast<int64_t>(Opts.BackoffBaseMs) << Shift, Opts.BackoffMaxMs);

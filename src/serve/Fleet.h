@@ -173,8 +173,6 @@ private:
   void reapLocked(Clock::time_point Now) ECO_REQUIRES(M);
   /// Drops \p Id from Batches and wakes its evalBatch.
   void finishBatchLocked(uint64_t Id) ECO_REQUIRES(M);
-  /// Mirrors the live-worker count into the obs gauge.
-  void publishWorkerGaugeLocked() const ECO_REQUIRES(M);
 
   FleetOptions Opts;
 

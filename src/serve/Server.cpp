@@ -121,9 +121,6 @@ std::shared_ptr<ServeJob> TuneService::submit(const JobSpec &Spec) {
     else {
       Queue.emplace(std::make_pair(-Spec.Priority, NextSeq++), Job);
       Depth = Queue.size();
-      if (obs::metricsEnabled())
-        obs::metrics().gauge("serve.queue_depth")
-            .set(static_cast<double>(Queue.size()));
     }
   }
   {
@@ -131,8 +128,6 @@ std::shared_ptr<ServeJob> TuneService::submit(const JobSpec &Spec) {
     ++Submitted;
     Live[Job->Id] = Job;
   }
-  if (obs::metricsEnabled())
-    obs::metrics().counter("serve.submitted").inc();
   if (obs::eventsEnabled()) {
     Json F = Json::object();
     F.set("id", static_cast<int64_t>(Job->Id));
@@ -255,8 +250,6 @@ size_t TuneService::cancelQueued() {
       Dropped.push_back(Job);
     }
     Queue.clear();
-    if (obs::metricsEnabled())
-      obs::metrics().gauge("serve.queue_depth").set(0);
     if (Running == 0)
       DrainCV.notify_all();
   }
@@ -264,7 +257,7 @@ size_t TuneService::cancelQueued() {
     JobResult R;
     R.Status = "cancelled";
     R.Error = "cancelled while queued";
-    finishJob(*Job, std::move(R));
+    finishJob(*Job, std::move(R), /*QueueDepth=*/0);
   }
   return Dropped.size();
 }
@@ -289,6 +282,7 @@ void TuneService::drain() {
 void TuneService::workerLoop() {
   for (;;) {
     std::shared_ptr<ServeJob> Job;
+    size_t Depth = 0;
     {
       MutexLock Lock(QM);
       while (!Draining && Queue.empty())
@@ -302,11 +296,9 @@ void TuneService::workerLoop() {
       Job = It->second;
       Queue.erase(It);
       ++Running;
-      if (obs::metricsEnabled())
-        obs::metrics().gauge("serve.queue_depth")
-            .set(static_cast<double>(Queue.size()));
+      Depth = Queue.size();
     }
-    execute(*Job);
+    execute(*Job, Depth);
     {
       MutexLock Lock(QM);
       --Running;
@@ -316,7 +308,8 @@ void TuneService::workerLoop() {
   }
 }
 
-void TuneService::finishJob(ServeJob &Job, JobResult R) {
+void TuneService::finishJob(ServeJob &Job, JobResult R,
+                            std::optional<size_t> QueueDepth) {
   {
     MutexLock Lock(SM);
     ++StatusCounts[R.Status];
@@ -334,17 +327,9 @@ void TuneService::finishJob(ServeJob &Job, JobResult R) {
     F.set("cache_hits", static_cast<int64_t>(R.CacheHits));
     F.set("queue_ms", R.QueueMs);
     F.set("run_ms", R.RunMs);
+    if (QueueDepth)
+      F.set("queue_depth", static_cast<int64_t>(*QueueDepth));
     obs::publishEvent("job.finished", std::move(F));
-  }
-  if (obs::metricsEnabled()) {
-    obs::MetricsRegistry &Reg = obs::metrics();
-    Reg.counter("serve." + R.Status).inc();
-    if (!R.WarmStart.empty())
-      Reg.counter("serve.warm_" + R.WarmStart).inc();
-    // Millisecond histograms: first bucket <= 0.01ms, ~40 log2 buckets
-    // reach minutes of latency.
-    Reg.histogram("serve.wait_ms", 0.01).record(R.QueueMs);
-    Reg.histogram("serve.run_ms", 0.01).record(R.RunMs);
   }
   ECO_LOG(Info) << "serve: job " << Job.Id << " (" << Job.Spec.summary()
                 << ") -> " << R.Status
@@ -353,7 +338,7 @@ void TuneService::finishJob(ServeJob &Job, JobResult R) {
   Job.finish(std::move(R));
 }
 
-void TuneService::execute(ServeJob &Job) {
+void TuneService::execute(ServeJob &Job, size_t QueueDepth) {
   auto Start = Clock::now();
   Job.StartUs.store(obs::monotonicMicros(), std::memory_order_relaxed);
   // Everything the tune publishes from this thread — config.evaluated,
@@ -370,6 +355,7 @@ void TuneService::execute(ServeJob &Job) {
     Json F = Json::object();
     F.set("id", static_cast<int64_t>(Job.Id));
     F.set("queue_wait_ms", R.QueueMs);
+    F.set("queue_depth", static_cast<int64_t>(QueueDepth));
     obs::publishEvent("job.started", std::move(F));
   }
 
@@ -878,8 +864,8 @@ Json Server::handleRequest(const Json &Req, uint64_t &ConnWorkerId) {
     Json J = Json::object();
     J.set("ok", true);
     J.set("content_type", "text/plain; version=0.0.4");
-    J.set("body", obs::metricsEnabled() ? obs::metrics().toPrometheus()
-                                        : std::string());
+    J.set("body", obs::eventsEnabled() ? obs::metrics().toPrometheus()
+                                       : std::string());
     return J;
   }
   if (Op == "jobs") {

@@ -52,6 +52,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -185,9 +186,13 @@ public:
 
 private:
   void workerLoop();
-  void execute(ServeJob &Job);
-  /// Resolves \p Job, bumps the status counter, records latency metrics.
-  void finishJob(ServeJob &Job, JobResult R);
+  /// Runs \p Job; \p QueueDepth is what its pop left in the queue.
+  void execute(ServeJob &Job, size_t QueueDepth);
+  /// Resolves \p Job, bumps the status counter and publishes
+  /// job.finished. \p QueueDepth, when set, is the queue length the
+  /// job's resolution left (a cancellation of queued jobs).
+  void finishJob(ServeJob &Job, JobResult R,
+                 std::optional<size_t> QueueDepth = std::nullopt);
 
   ServiceOptions Opts;
   ConfigDB Db;

@@ -12,8 +12,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 using namespace eco;
@@ -153,7 +153,14 @@ int eco::serve::submitToolMain(const std::vector<std::string> &Args) {
       Host = V;
     } else if (intFlag(Arg, "--port=", 1, 65535, Port, Bad) ||
                intFlag(Arg, "--timeout-ms=", 0, 24 * 3600 * 1000, TimeoutMs,
-                       Bad)) {
+                       Bad) ||
+               intFlag(Arg, "--scale=", 1, 4096, Spec.Scale, Bad) ||
+               intFlag(Arg, "--n=", 4, 1 << 20, Spec.N, Bad) ||
+               intFlag(Arg, "--priority=", std::numeric_limits<int>::min(),
+                       std::numeric_limits<int>::max(), Spec.Priority,
+                       Bad) ||
+               intFlag(Arg, "--deadline-ms=", 0, 24 * 3600 * 1000,
+                       Spec.DeadlineMs, Bad)) {
       if (Bad)
         return Usage();
     } else if (const char *V = valueOf(Arg, "--op=")) {
@@ -162,14 +169,6 @@ int eco::serve::submitToolMain(const std::vector<std::string> &Args) {
       Spec.Kernel = V;
     } else if (const char *V = valueOf(Arg, "--machine=")) {
       Spec.Machine = V;
-    } else if (const char *V = valueOf(Arg, "--scale=")) {
-      Spec.Scale = static_cast<unsigned>(std::atoi(V));
-    } else if (const char *V = valueOf(Arg, "--n=")) {
-      Spec.N = std::atoll(V);
-    } else if (const char *V = valueOf(Arg, "--priority=")) {
-      Spec.Priority = std::atoi(V);
-    } else if (const char *V = valueOf(Arg, "--deadline-ms=")) {
-      Spec.DeadlineMs = std::atoll(V);
     } else if (Arg == "--force") {
       Spec.ForceRetune = true;
     } else {

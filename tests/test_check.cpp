@@ -188,7 +188,6 @@ template <class Fn> void recordEvents(const std::string &Path, Fn Body) {
   Body();
   obs::setEventsEnabled(false);
   Bus.closeFile();
-  Bus.clear();
 }
 
 } // namespace
@@ -501,7 +500,6 @@ TEST(JobsDeterminismTest, WinnerBitIdenticalAcrossJobs) {
   obs::publishEvent("test.after_replay", Json::object());
   obs::setEventsEnabled(false);
   Bus.closeFile();
-  Bus.clear();
 
   EXPECT_TRUE(R.ok()) << R.summary();
   EXPECT_EQ(R.WinnerSeq, R.WinnerPar);

@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EventCapture.h"
+
 #include "core/Tuner.h"
 #include "engine/Engine.h"
 #include "engine/EvalCache.h"
@@ -273,20 +275,16 @@ TEST(EngineTest, FourLaneTuneUsesEveryLaneAndMatchesOneLane) {
   EvalEngine Par(B2, Opts);
   ASSERT_EQ(Par.jobs(), 4);
   // The lanes come from the per-point record: the flight recorder's
-  // config.evaluated events, captured in the bus's in-memory ring. The
+  // config.evaluated events, read back from the bus's file sink. The
   // tune runs as a serve job would, and every lane must carry its id.
-  obs::EventBus &Bus = obs::EventBus::global();
-  Bus.clear();
-  obs::setEventsEnabled(true);
+  std::vector<obs::Event> Events;
   TuneResult RPar;
   {
+    EventCapture Cap;
     obs::ScopedJobId Job(7);
     RPar = tune(MM, Par, Problem);
+    Events = Cap.events();
   }
-  obs::setEventsEnabled(false);
-  std::vector<obs::Event> Events = Bus.snapshot();
-  EXPECT_EQ(Bus.dropped(), 0u);
-  Bus.clear();
 
   EXPECT_EQ(winnerOf(RPar), winnerOf(RSeq));
   std::set<int> Lanes;
@@ -509,10 +507,10 @@ TEST(EngineTest, TuneResultTelemetryMatchesTotals) {
 }
 
 TEST(EngineTest, MetricsRegistryReconcilesWithTune) {
-  // With metrics enabled, the registry's eval counters must agree
-  // exactly with the tune's own accounting.
+  // With events enabled, the registry's eval counters (folded from the
+  // stream) must agree exactly with the tune's own accounting.
   obs::metrics().resetValues();
-  obs::setMetricsEnabled(true);
+  obs::setEventsEnabled(true);
   LoopNest MM = makeMatMul();
   MachineDesc M = sgiScaled();
   SimEvalBackend Backend(M);
@@ -520,7 +518,7 @@ TEST(EngineTest, MetricsRegistryReconcilesWithTune) {
   Opts.Jobs = 2;
   EvalEngine Engine(Backend, Opts);
   TuneResult R = tune(MM, Engine, {{"N", 64}});
-  obs::setMetricsEnabled(false);
+  obs::setEventsEnabled(false);
 
   obs::MetricsRegistry &Reg = obs::metrics();
   EXPECT_EQ(Reg.counter("eval.evaluations").value(), R.TotalPoints);
@@ -536,9 +534,7 @@ TEST(EngineTest, MetricsRegistryReconcilesWithTune) {
 }
 
 TEST(EngineTest, ChromeTraceCoversEvaluationsWithLaneAttribution) {
-  obs::EventBus &Bus = obs::EventBus::global();
-  Bus.clear();
-  obs::setEventsEnabled(true);
+  EventCapture Cap;
   LoopNest MM = makeMatMul();
   MachineDesc M = sgiScaled();
   SimEvalBackend Backend(M);
@@ -546,13 +542,11 @@ TEST(EngineTest, ChromeTraceCoversEvaluationsWithLaneAttribution) {
   Opts.Jobs = 2;
   EvalEngine Engine(Backend, Opts);
   TuneResult R = tune(MM, Engine, {{"N", 64}});
-  obs::setEventsEnabled(false);
-  ASSERT_EQ(Bus.dropped(), 0u);
 
   // The timeline is rendered from the event stream alone.
   std::string Err;
   Json Root =
-      Json::parse(obs::renderChromeTrace(Bus.snapshot()).dump(), &Err);
+      Json::parse(obs::renderChromeTrace(Cap.events()).dump(), &Err);
   ASSERT_TRUE(Err.empty()) << Err;
   const Json &Events = Root.get("traceEvents");
   int64_t TuneStart = -1, TuneEnd = -1;
@@ -589,7 +583,6 @@ TEST(EngineTest, ChromeTraceCoversEvaluationsWithLaneAttribution) {
   EXPECT_EQ(EvalSlices, R.TotalPoints);
   EXPECT_TRUE(SawNonZeroLane); // warm batches really ran on lane 1
   EXPECT_TRUE(SawStage);
-  Bus.clear();
 }
 
 // ---- Kill / resume from the cache file ----------------------------------
@@ -769,8 +762,7 @@ TEST(EvalCacheTest, ForeignMachineEntriesAreRejectedOnLoad) {
     Mixed.insert(EvalKey{I, 0xBBBB, I * 3}, 100.0 + static_cast<double>(I));
   ASSERT_TRUE(Mixed.save(Path));
 
-  bool MetricsWere = obs::metricsEnabled();
-  obs::setMetricsEnabled(true);
+  obs::setEventsEnabled(true);
   uint64_t Before =
       obs::metrics().counter("cache.foreign_rejected").value();
 
@@ -781,7 +773,7 @@ TEST(EvalCacheTest, ForeignMachineEntriesAreRejectedOnLoad) {
   EXPECT_FALSE(Filtered.lookup(EvalKey{1, 0xBBBB, 3}).has_value());
   EXPECT_EQ(obs::metrics().counter("cache.foreign_rejected").value(),
             Before + 3);
-  obs::setMetricsEnabled(MetricsWere);
+  obs::setEventsEnabled(false);
 
   // The rejected entries are gone for good: a re-save no longer carries
   // them forward (the silent-poisoning mode the filter exists to stop).

@@ -13,6 +13,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EventCapture.h"
+
 #include "core/DeriveVariants.h"
 #include "engine/Engine.h"
 #include "engine/EvalCache.h"
@@ -638,8 +640,7 @@ TEST(FleetEndToEndTest, IllegalPointReturnsNullWithoutStrikeAndRejectsOnce) {
   SimEvalBackend Backend(Machine);
   EvalEngine Engine(Backend, EOpts);
 
-  obs::EventBus::global().clear();
-  obs::setEventsEnabled(true);
+  EventCapture Cap;
   Engine.warmMany({{&V, Legal}, {&V, Illegal}}, "warm");
   EXPECT_EQ(Shipped, 2u);
   EXPECT_EQ(Engine.instantiations(), 0u);
@@ -647,14 +648,12 @@ TEST(FleetEndToEndTest, IllegalPointReturnsNullWithoutStrikeAndRejectsOnce) {
 
   EvalOutcome L = Engine.evaluate(V, Legal, "warm");
   EvalOutcome I = Engine.evaluate(V, Illegal, "warm");
-  obs::setEventsEnabled(false);
   EXPECT_TRUE(L.CacheHit) << "the worker's cost for the legal point";
   EXPECT_FALSE(I.CacheHit);
   EXPECT_TRUE(std::isinf(I.Cost));
   EXPECT_EQ(Engine.stats().Evaluations, 0u);
   EXPECT_EQ(Engine.stats().Rejected, 1u);
-  EXPECT_EQ(obs::EventBus::global().typeCount("config.rejected"), 1u);
-  obs::EventBus::global().clear();
+  EXPECT_EQ(Cap.count("config.rejected"), 1u);
 
   Json Stats = Service.workers().statsJson();
   EXPECT_EQ(Stats.get("workers_live").asInt(), 1);

@@ -4,13 +4,16 @@
 // boundaries and quantiles, concurrent updates under the engine's
 // ThreadPool), JSON escaping of hostile names, the leveled logger's
 // zero-evaluation guarantee when disabled, and the flight recorder
-// (obs/Event.h): publication stamping, drop-oldest overflow, job
-// attribution, JSONL round-trips, appending past a torn final line,
-// span events and the Chrome timeline rendered from them, concurrent
-// publishers (the "obs" ctest label runs this under TSan), and a real
-// tune whose event stream must reconcile with its TuneResult.
+// (obs/Event.h): publication stamping, job attribution, JSONL
+// round-trips, appending past a torn final line, the event -> metrics
+// fold, span events and the Chrome timeline rendered from them,
+// concurrent publishers (the "obs" ctest label runs this under TSan),
+// and real tunes whose event streams must reconcile with their
+// TuneResult.
 //
 //===----------------------------------------------------------------------===//
+
+#include "EventCapture.h"
 
 #include "check/EventAudit.h"
 #include "core/Tuner.h"
@@ -25,9 +28,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -243,9 +249,14 @@ TEST(ObsRegistry, HostileMetricNamesEscapeCleanly) {
 }
 
 TEST(ObsRegistry, GlobalDisabledByDefault) {
-  // Instrumented code guards on metricsEnabled(); the default must be
-  // off so library users pay nothing without opting in.
-  EXPECT_FALSE(obs::metricsEnabled());
+  // The registry is folded from published events, and events default
+  // off: a tune with no observability asked for leaves it at zero.
+  ASSERT_FALSE(obs::eventsEnabled());
+  obs::metrics().resetValues();
+  const std::string Zero = obs::metrics().toJson().dump();
+  SimEvalBackend Backend(MachineDesc::sgiR10000().scaledBy(16));
+  ASSERT_GT(tune(makeMatMul(), Backend, {{"N", 16}}).TotalPoints, 0u);
+  EXPECT_EQ(obs::metrics().toJson().dump(), Zero);
 }
 
 //===----------------------------------------------------------------------===//
@@ -319,20 +330,6 @@ TEST(ObsClock, MonotonicMicrosNeverGoesBackward) {
 
 namespace {
 
-/// RAII around the process-wide bus: clear + enable on entry, disable +
-/// clear on exit, so event tests cannot leak state into each other (or
-/// into the library-default-off guarantee other tests assert).
-struct ScopedEventCapture {
-  ScopedEventCapture() {
-    obs::EventBus::global().clear();
-    obs::setEventsEnabled(true);
-  }
-  ~ScopedEventCapture() {
-    obs::setEventsEnabled(false);
-    obs::EventBus::global().clear();
-  }
-};
-
 Json fields(const char *Key, int64_t Value) {
   Json F = Json::object();
   F.set(Key, Value);
@@ -343,25 +340,19 @@ Json fields(const char *Key, int64_t Value) {
 
 TEST(ObsEventBus, DisabledBusDropsPublishes) {
   // Library default: events off, publish is a no-op.
-  obs::EventBus &Bus = obs::EventBus::global();
-  Bus.clear();
-  ASSERT_FALSE(obs::eventsEnabled());
-  uint64_t Before = Bus.published();
-  Bus.publish("test.noop", fields("k", 1));
-  EXPECT_EQ(Bus.published(), Before);
-  EXPECT_TRUE(Bus.snapshot().empty());
+  EventCapture Cap;
+  obs::setEventsEnabled(false);
+  obs::EventBus::global().publish("test.noop", fields("k", 1));
+  EXPECT_TRUE(Cap.events().empty());
 }
 
 TEST(ObsEventBus, StampsDenseSeqAndMonotonicTime) {
-  ScopedEventCapture Cap;
-  obs::EventBus &Bus = obs::EventBus::global();
+  EventCapture Cap;
   for (int I = 0; I < 3; ++I)
     obs::publishEvent("test.stamp", fields("i", I));
 
-  std::vector<obs::Event> Events = Bus.snapshot();
+  std::vector<obs::Event> Events = Cap.events();
   ASSERT_EQ(Events.size(), 3u);
-  EXPECT_EQ(Bus.published(), 3u);
-  EXPECT_EQ(Bus.typeCount("test.stamp"), 3u);
   for (size_t I = 0; I < Events.size(); ++I) {
     EXPECT_EQ(Events[I].Type, "test.stamp");
     EXPECT_EQ(Events[I].Fields.get("i").asInt(), static_cast<int64_t>(I));
@@ -374,7 +365,7 @@ TEST(ObsEventBus, StampsDenseSeqAndMonotonicTime) {
 }
 
 TEST(ObsEventBus, ScopedJobIdAttributesEvents) {
-  ScopedEventCapture Cap;
+  EventCapture Cap;
   EXPECT_EQ(obs::currentJobId(), 0u);
   {
     obs::ScopedJobId Outer(7);
@@ -389,39 +380,10 @@ TEST(ObsEventBus, ScopedJobIdAttributesEvents) {
   }
   EXPECT_EQ(obs::currentJobId(), 0u);
 
-  std::vector<obs::Event> Events = obs::EventBus::global().snapshot();
+  std::vector<obs::Event> Events = Cap.events();
   ASSERT_EQ(Events.size(), 2u);
   EXPECT_EQ(Events[0].Job, 7u);
   EXPECT_EQ(Events[1].Job, 9u);
-}
-
-TEST(ObsEventBus, OverflowDropsOldestAndBumpsCounter) {
-  ScopedEventCapture Cap;
-  obs::EventBus &Bus = obs::EventBus::global();
-  size_t SavedCapacity = Bus.capacity();
-  bool SavedMetrics = obs::metricsEnabled();
-  obs::setMetricsEnabled(true);
-  uint64_t Dropped0 = obs::metrics().counter("obs.events_dropped").value();
-
-  Bus.setCapacity(4);
-  for (int I = 0; I < 10; ++I)
-    obs::publishEvent("test.flood", fields("i", I));
-
-  // Live readers see the newest window; the oldest six are gone and
-  // accounted for, both on the bus and in the metrics counter.
-  std::vector<obs::Event> Events = Bus.snapshot();
-  ASSERT_EQ(Events.size(), 4u);
-  for (size_t I = 0; I < Events.size(); ++I)
-    EXPECT_EQ(Events[I].Fields.get("i").asInt(),
-              static_cast<int64_t>(6 + I));
-  EXPECT_EQ(Bus.published(), 10u);
-  EXPECT_EQ(Bus.dropped(), 6u);
-  EXPECT_EQ(Bus.typeCount("test.flood"), 10u); // counts survive rotation
-  EXPECT_EQ(obs::metrics().counter("obs.events_dropped").value(),
-            Dropped0 + 6);
-
-  Bus.setCapacity(SavedCapacity);
-  obs::setMetricsEnabled(SavedMetrics);
 }
 
 TEST(ObsEventBus, JsonlRoundTripAndRejectsMalformed) {
@@ -461,12 +423,12 @@ TEST(ObsEventBus, JsonlRoundTripAndRejectsMalformed) {
 }
 
 TEST(ObsEventBusConcurrency, ParallelPublishersAndReaders) {
-  ScopedEventCapture Cap;
-  obs::EventBus &Bus = obs::EventBus::global();
+  EventCapture Cap;
   constexpr int Publishers = 24, PerPublisher = 200;
 
-  // Publishers and snapshot/counter readers race on the shared bus; the
-  // "obs" ctest label replays this under ThreadSanitizer.
+  // Publishers race each other into the file sink (and the metrics
+  // fold) while readers parse it back; the "obs" ctest label replays
+  // this under ThreadSanitizer.
   ThreadPool Pool(4);
   std::vector<std::function<void(int)>> Tasks;
   for (int T = 0; T < Publishers; ++T)
@@ -474,26 +436,21 @@ TEST(ObsEventBusConcurrency, ParallelPublishersAndReaders) {
       for (int I = 0; I < PerPublisher; ++I)
         obs::publishEvent("test.race", fields("i", I));
     });
-  for (int T = 0; T < 8; ++T)
-    Tasks.push_back([&Bus](int) {
-      for (int I = 0; I < 50; ++I) {
-        std::vector<obs::Event> Snap = Bus.snapshot();
-        for (size_t S = 1; S < Snap.size(); ++S)
-          EXPECT_GT(Snap[S].Seq, Snap[S - 1].Seq);
-        Bus.published();
-        Bus.typeCount("test.race");
+  for (int T = 0; T < 4; ++T)
+    Tasks.push_back([&Cap](int) {
+      for (int I = 0; I < 5; ++I) {
+        std::vector<obs::Event> Read = Cap.events();
+        for (size_t S = 1; S < Read.size(); ++S)
+          EXPECT_EQ(Read[S].Seq, Read[S - 1].Seq + 1);
       }
     });
   Pool.runBatch(Tasks);
 
-  EXPECT_EQ(Bus.published(),
-            static_cast<uint64_t>(Publishers) * PerPublisher);
-  EXPECT_EQ(Bus.typeCount("test.race"),
-            static_cast<uint64_t>(Publishers) * PerPublisher);
-  std::vector<obs::Event> Events = Bus.snapshot();
-  EXPECT_EQ(Events.size() + Bus.dropped(),
-            static_cast<size_t>(Publishers) * PerPublisher);
+  // Every publish is one whole line, dense and in Seq/time order.
+  std::vector<obs::Event> Events = Cap.events();
+  ASSERT_EQ(Events.size(), static_cast<size_t>(Publishers) * PerPublisher);
   for (size_t I = 1; I < Events.size(); ++I) {
+    EXPECT_EQ(Events[I].Type, "test.race");
     EXPECT_EQ(Events[I].Seq, Events[I - 1].Seq + 1);
     EXPECT_GE(Events[I].TimeUs, Events[I - 1].TimeUs);
   }
@@ -535,25 +492,96 @@ TEST(ObsEventBus, AppendPastATornTailStartsACleanSegment) {
 }
 
 //===----------------------------------------------------------------------===//
+// The event -> metrics fold
+//===----------------------------------------------------------------------===//
+
+TEST(ObsMetricsFold, EachMappedEventUpdatesItsMetric) {
+  // One row per fold rule, published in order through the real bus.
+  // Each check is "<kind> <metric> <want>": a counter ('c') or histogram
+  // count ('h') delta over the row, or a gauge ('g') value after it.
+  const std::vector<std::array<const char *, 3>> Rows = {
+      {"config.evaluated", R"({"variant":"v","stage":"s","ms":0.5})",
+       "c eval.evaluations 1 c eval.points.v.s 1 h eval.latency_ms 1"},
+      {"config.evaluated", R"({"variant":"v","stage":"s","cache_hit":true})",
+       "c eval.cache_hits 1 c eval.hits.v.s 1 c eval.evaluations 0"},
+      {"config.rejected", "{}", "c transform.rejected 1"},
+      {"variant.rejected", "{}", "c transform.rejected 1"},
+      {"stage.telemetry",
+       R"({"loads":9,"stores":4,"prefetches":2,"flops":8,"l1_misses":3,)"
+       R"("l2_misses":1,"tlb_misses":5,"issue_cycles":20,"stall_cycles":7})",
+       "c hw.loads 9 c hw.stores 4 c hw.prefetches 2 c hw.flops 8 "
+       "c hw.l1_misses 3 c hw.l2_misses 1 c hw.tlb_misses 5 "
+       "g hw.issue_cycles 20 g hw.stall_cycles 7"},
+      {"stage.telemetry", R"({"evals":3})", "c hw.loads 0"},
+      {"tune.start", "{}", "g tune.variants_total 0 g tune.variants_done 0"},
+      {"variant.ranked", "{}", "g tune.variants_total 1"},
+      {"variant.ranked", "{}", "g tune.variants_total 2"},
+      {"variant.pruned", "{}", "g tune.variants_total 1"},
+      {"span", R"({"name":"search:v"})", "g tune.variants_done 1"},
+      {"span", R"({"name":"rank"})", "g tune.variants_done 1"},
+      {"job.submitted", R"({"queue_depth":3})",
+       "c serve.submitted 1 g serve.queue_depth 3"},
+      {"job.submitted", R"({"queue_depth":0,"rejected":"full"})",
+       "c serve.submitted 1 g serve.queue_depth 3"},
+      {"job.started", R"({"queue_depth":2})", "g serve.queue_depth 2"},
+      {"job.finished", R"({"status":"done","warm_start":"exact"})",
+       "c serve.done 1 c serve.warm_exact 1 h serve.wait_ms 1 "
+       "h serve.run_ms 1 g serve.queue_depth 2"},
+      {"job.finished", R"({"status":"cancelled","queue_depth":0})",
+       "c serve.cancelled 1 g serve.queue_depth 0"},
+      {"worker.joined", R"({"live":2})", "g serve.workers_live 2"},
+      {"worker.lost", R"({"live":1})", "g serve.workers_live 1"},
+      {"batch.redispatched", "{}", "c serve.batches_retried 1"},
+      {"batch.redispatched", R"({"exhausted":true})",
+       "c serve.batches_retried 0"},
+      {"cache.loaded", R"({"entries":4,"foreign":3})",
+       "c cache.loads 1 c cache.foreign_rejected 3"},
+      {"cache.saved", "{}", "c cache.saves 1"},
+      {"db.saved", "{}", "c serve.db_saves 1"},
+      {"sync.violation", "{}", "c sync.violations 1"},
+  };
+  obs::MetricsRegistry &Reg = obs::metrics();
+  auto read = [&Reg](char Kind, const std::string &Name) {
+    return Kind == 'c'   ? static_cast<double>(Reg.counter(Name).value())
+           : Kind == 'h' ? static_cast<double>(Reg.histogram(Name).count())
+                         : Reg.gauge(Name).value();
+  };
+  Reg.resetValues();
+  EventCapture Cap;
+  for (const auto &[Type, Fields, Checks] : Rows) {
+    std::map<std::string, double> Before;
+    std::istringstream In(Checks);
+    char Kind;
+    std::string Name;
+    for (double Want; In >> Kind >> Name >> Want;)
+      Before[Name] = Kind == 'g' ? 0 : read(Kind, Name);
+    obs::publishEvent(Type, Json::parse(Fields));
+    In = std::istringstream(Checks);
+    for (double Want; In >> Kind >> Name >> Want;)
+      EXPECT_EQ(read(Kind, Name) - Before[Name], Want) << Type << Fields;
+  }
+  EXPECT_EQ(Cap.events().size(), Rows.size());
+  Reg.resetValues();
+}
+
+//===----------------------------------------------------------------------===//
 // Span events + the Chrome timeline rendered from the stream
 //===----------------------------------------------------------------------===//
 
 TEST(ObsSpan, DisabledScopePublishesNothing) {
-  obs::EventBus &Bus = obs::EventBus::global();
-  Bus.clear();
-  ASSERT_FALSE(obs::eventsEnabled());
+  EventCapture Cap;
+  obs::setEventsEnabled(false);
   { obs::SpanScope S("ignored", "test"); }
-  EXPECT_EQ(Bus.published(), 0u);
-  EXPECT_EQ(Bus.typeCount("span"), 0u);
+  EXPECT_TRUE(Cap.events().empty());
 }
 
 TEST(ObsSpan, ScopePublishesOneSpanEventAtExit) {
-  ScopedEventCapture Cap;
+  EventCapture Cap;
   {
     obs::SpanScope S("outer", "test", "detail-text");
     { obs::SpanScope Inner("inner", "test"); }
   }
-  std::vector<obs::Event> Events = obs::EventBus::global().snapshot();
+  std::vector<obs::Event> Events = Cap.events();
   ASSERT_EQ(Events.size(), 2u);
   // Inner closes first; outer encloses it on the timeline.
   const Json &In = Events[0].Fields, &Out = Events[1].Fields;
@@ -635,21 +663,28 @@ TEST(ObsSpan, ChromeTraceShapeAndEscaping) {
 
 TEST(ObsFlightRecorder, TuneStreamReconcilesWithTuneResult) {
   // The tune records into an --obs-dir (created here), as eco_cli does.
-  ScopedEventCapture Cap;
+  obs::metrics().resetValues();
   std::string Dir = ::testing::TempDir() + "eco_obs_dir/run", Err;
   ASSERT_TRUE(obs::openObsDir(Dir, /*Append=*/false, &Err)) << Err;
   LoopNest MM = makeMatMul();
   SimEvalBackend Backend(MachineDesc::sgiR10000().scaledBy(16));
   TuneResult R = tune(MM, Backend, {{"N", 32}});
   ASSERT_TRUE(obs::closeObsDir(Dir));
-  obs::setMetricsEnabled(false);
+  obs::setEventsEnabled(false);
   ASSERT_GE(R.BestVariant, 0);
 
-  const Json Gauges = Json::loadFile(Dir + "/metrics.json").get("gauges");
+  // metrics.json is folded from the same stream, so it reconciles too.
+  const Json Metrics = Json::loadFile(Dir + "/metrics.json");
+  const Json &Gauges = Metrics.get("gauges");
   EXPECT_GT(Gauges.get("tune.variants_done").asNumber(), 0);
+  EXPECT_EQ(Gauges.get("tune.variants_done").asNumber(),
+            Gauges.get("tune.variants_total").asNumber());
+  EXPECT_EQ(Metrics.get("counters").get("eval.evaluations").asInt(),
+            static_cast<int64_t>(R.TotalPoints));
+  EXPECT_EQ(Metrics.get("counters").get("eval.cache_hits").asInt(),
+            static_cast<int64_t>(R.TotalCacheHits));
   std::vector<obs::Event> Events;
   ASSERT_TRUE(obs::loadEventsFile(Dir + "/events.jsonl", Events, &Err));
-  ASSERT_EQ(Events.size(), obs::EventBus::global().published());
 
   // tune.done carries the TuneResult ledger verbatim (best_cost bitwise).
   const obs::Event *Done = nullptr;
@@ -698,4 +733,26 @@ TEST(ObsFlightRecorder, TuneStreamReconcilesWithTuneResult) {
   EXPECT_TRUE(Audit.ok()) << Audit.summary();
   EXPECT_EQ(Audit.Tunes, 1u);
   std::filesystem::remove_all(::testing::TempDir() + "eco_obs_dir");
+}
+
+TEST(ObsFlightRecorder, CancelledTunePrunesOnlyByRanking) {
+  // A stop inside the first search leaves the other top candidates
+  // unsearched, but the models pruned only what ranked below them.
+  EventCapture Cap;
+  TuneOptions Opts;
+  int Calls = 0; // call 1 is the check before the first search
+  Opts.ShouldStop = [&Calls] { return ++Calls > 1; };
+  SimEvalBackend Backend(MachineDesc::sgiR10000().scaledBy(16));
+  TuneResult R = tune(makeMatMul(), Backend, {{"N", 32}}, Opts);
+  ASSERT_TRUE(R.Cancelled);
+  ASSERT_EQ(std::count_if(R.Summaries.begin(), R.Summaries.end(),
+                          [](const VariantSummary &S) { return S.Searched; }),
+            1);
+  size_t Derived = R.Variants.size();
+  size_t Top = std::min<size_t>(Opts.MaxVariantsToSearch, Derived);
+  ASSERT_GT(Top, 1u);
+  EXPECT_EQ(Cap.count("variant.pruned"), Derived - Top);
+  // The progress gauges folded from the stream agree.
+  EXPECT_EQ(obs::metrics().gauge("tune.variants_total").value(), Top);
+  EXPECT_EQ(obs::metrics().gauge("tune.variants_done").value(), 1.0);
 }

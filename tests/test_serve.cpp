@@ -15,6 +15,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EventCapture.h"
+
 #include "check/DbAudit.h"
 #include "check/FaultInject.h"
 #include "obs/Event.h"
@@ -673,8 +675,7 @@ TEST(ServeServiceTest, DrainPersistsAndRejectsNewWork) {
 }
 
 TEST(ServeServiceTest, CountsWarmStartsAndStatusesInMetrics) {
-  bool SavedEnabled = obs::metricsEnabled();
-  obs::setMetricsEnabled(true);
+  obs::setEventsEnabled(true);
   uint64_t Done0 = obs::metrics().counter("serve.done").value();
   uint64_t Exact0 = obs::metrics().counter("serve.warm_exact").value();
   {
@@ -690,7 +691,7 @@ TEST(ServeServiceTest, CountsWarmStartsAndStatusesInMetrics) {
   }
   EXPECT_EQ(obs::metrics().counter("serve.done").value(), Done0 + 2);
   EXPECT_EQ(obs::metrics().counter("serve.warm_exact").value(), Exact0 + 1);
-  obs::setMetricsEnabled(SavedEnabled);
+  obs::setEventsEnabled(false);
 }
 
 // ---- Server + Client ----------------------------------------------------
@@ -968,8 +969,7 @@ TEST(ServeDaemonTest, SigtermDrainsPersistsAndExitsCleanly) {
 TEST(ServeIntrospectionTest, MetricsAndJobsVerbsOverUnixAndTcp) {
   std::string Sock = tempPath("eco_serve_introspect.sock");
   std::remove(Sock.c_str());
-  bool SavedMetrics = obs::metricsEnabled();
-  obs::setMetricsEnabled(true);
+  obs::setEventsEnabled(true);
   obs::metrics().resetValues(); // other suites touch the global registry
 
   TuneService Service;
@@ -1008,9 +1008,9 @@ TEST(ServeIntrospectionTest, MetricsAndJobsVerbsOverUnixAndTcp) {
     EXPECT_EQ(J.get("jobs").size(), 0u);
   }
 
-  // With metrics disabled the verb still answers: empty exposition, not
+  // With events disabled the verb still answers: empty exposition, not
   // an error (the daemon ran without --obs-dir).
-  obs::setMetricsEnabled(false);
+  obs::setEventsEnabled(false);
   Json M = Tcp->metrics();
   ASSERT_TRUE(M.get("ok").asBool(false));
   EXPECT_TRUE(M.get("body").asString().empty());
@@ -1018,7 +1018,6 @@ TEST(ServeIntrospectionTest, MetricsAndJobsVerbsOverUnixAndTcp) {
   Srv.stop();
   Service.drain();
   obs::metrics().resetValues();
-  obs::setMetricsEnabled(SavedMetrics);
   std::remove(Sock.c_str());
 }
 
@@ -1070,8 +1069,7 @@ TEST(ServeIntrospectionTest, ConcurrentScrapesWhileFleetTunes) {
   // serve) checks the introspection path against the worker path.
   std::string Sock = tempPath("eco_serve_scrape.sock");
   std::remove(Sock.c_str());
-  bool SavedMetrics = obs::metricsEnabled();
-  obs::setMetricsEnabled(true);
+  obs::setEventsEnabled(true);
 
   ServiceOptions SvcOpts;
   SvcOpts.Workers = 2;
@@ -1115,8 +1113,8 @@ TEST(ServeIntrospectionTest, ConcurrentScrapesWhileFleetTunes) {
 
   Srv.stop();
   Service.drain();
+  obs::setEventsEnabled(false);
   obs::metrics().resetValues();
-  obs::setMetricsEnabled(SavedMetrics);
   std::remove(Sock.c_str());
 }
 
@@ -1124,21 +1122,17 @@ TEST(ServeIntrospectionTest, JobsGetNamedSpanRowsInTheTrace) {
   // Every executed job's lifecycle events render as a queue-wait + run
   // slice pair on its own named row ("job-<id>") under pid = job id,
   // next to that job's tune and evaluation slices.
-  obs::EventBus &Bus = obs::EventBus::global();
-  Bus.clear();
-  obs::setEventsEnabled(true);
+  EventCapture Cap;
   TuneService Service;
   std::shared_ptr<ServeJob> Jobs[] = {Service.submit(smallSpec(24)),
                                       Service.submit(smallSpec(28))};
   for (const std::shared_ptr<ServeJob> &J : Jobs)
     ASSERT_TRUE(J->wait().ok());
   Service.drain();
-  obs::setEventsEnabled(false);
-  ASSERT_EQ(Bus.dropped(), 0u);
 
   std::string Err;
   Json Trace =
-      Json::parse(obs::renderChromeTrace(Bus.snapshot()).dump(), &Err);
+      Json::parse(obs::renderChromeTrace(Cap.events()).dump(), &Err);
   ASSERT_TRUE(Err.empty()) << Err;
   const Json &Events = Trace.get("traceEvents");
   for (const std::shared_ptr<ServeJob> &J : Jobs) {
@@ -1168,7 +1162,6 @@ TEST(ServeIntrospectionTest, JobsGetNamedSpanRowsInTheTrace) {
     EXPECT_GE(Run->get("ts").asInt() + Run->get("dur").asInt(),
               Tune->get("ts").asInt() + Tune->get("dur").asInt());
   }
-  Bus.clear();
 }
 
 // ---- Client robustness (timeouts, dead-stream fail-fast, size cap) ------

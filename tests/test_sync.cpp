@@ -11,6 +11,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EventCapture.h"
+
 #include "obs/Event.h"
 #include "obs/Metrics.h"
 #include "support/Sync.h"
@@ -417,15 +419,10 @@ TEST_F(SyncCheckerTest, CycleIsNonFatalInReportMode) {
 }
 
 /// support/ sits below obs/, so reports leave through a sink; the event
-/// bus installs obs's, which publishes a `sync.violation` event and
-/// bumps the `sync.violations` counter.
+/// bus installs obs's, which publishes a `sync.violation` event that the
+/// registry folds into the `sync.violations` counter.
 TEST_F(SyncCheckerTest, ViolationReachesObsEventAndCounter) {
-  obs::EventBus &Bus = obs::EventBus::global();
-  Bus.clear();
-  const bool EventsWere = obs::eventsEnabled();
-  const bool MetricsWere = obs::metricsEnabled();
-  obs::setEventsEnabled(true);
-  obs::setMetricsEnabled(true);
+  EventCapture Cap;
   const uint64_t Before = obs::metrics().counter("sync.violations").value();
 
   Mutex A("sink.A");
@@ -439,12 +436,9 @@ TEST_F(SyncCheckerTest, ViolationReachesObsEventAndCounter) {
   A.unlock();
   B.unlock();
 
-  obs::setEventsEnabled(EventsWere);
-  obs::setMetricsEnabled(MetricsWere);
   ASSERT_EQ(sync::violationCount(), 1u);
-  EXPECT_EQ(Bus.typeCount("sync.violation"), 1u);
+  EXPECT_EQ(Cap.count("sync.violation"), 1u);
   EXPECT_EQ(obs::metrics().counter("sync.violations").value(), Before + 1);
-  Bus.clear();
 }
 
 } // namespace
