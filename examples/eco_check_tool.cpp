@@ -18,7 +18,7 @@
 //   eco_check [--kernel=all|matmul|jacobi|matvec] [--seed=S] [--configs=N]
 //             [--n=SIZE] [--scale=K] [--max-ulps=U] [--max-variants=V]
 //             [--jobs=N] [--skip-native] [--skip-diff] [--skip-replay]
-//             [--skip-faults] [--fleet] [--fuzz=ROUNDS] [--audit-db=FILE]
+//             [--skip-faults] [--fleet] [--audit-db=FILE]
 //             [--audit-events=FILE] [--tmpdir=DIR]
 //             [--log-level=off|error|warn|info|debug]
 //
@@ -27,7 +27,6 @@
 //                   with an honest one) — the tune must complete with a
 //                   winner bit-identical to a fleetless run
 //   --jobs=N        lanes for the replay's parallel run (N >= 2)
-//   --fuzz=R        run R extra diff rounds with fresh random seeds
 //   --audit-db=F    replay-audit a tuned-config database (ConfigDB JSON)
 //                   and exit: every stored best cost must be bitwise
 //                   reproducible through a fresh simulator
@@ -67,7 +66,6 @@ namespace {
 struct ToolOptions {
   DiffCheckOptions Diff;
   int Jobs = 2;
-  int FuzzRounds = 0;
   bool RunDiff = true;
   bool RunReplay = true;
   bool RunFaults = true;
@@ -78,10 +76,7 @@ struct ToolOptions {
 };
 
 bool parseArg(ToolOptions &Opts, const std::string &Arg) {
-  auto valueOf = [&Arg](const char *Key) -> const char * {
-    size_t Len = std::strlen(Key);
-    return Arg.compare(0, Len, Key) == 0 ? Arg.c_str() + Len : nullptr;
-  };
+  auto valueOf = [&Arg](const char *Key) { return flagValue(Arg, Key); };
 
   if (const char *V = valueOf("--kernel=")) {
     Opts.Diff.KernelFilter = std::strcmp(V, "all") ? V : "";
@@ -99,13 +94,8 @@ bool parseArg(ToolOptions &Opts, const std::string &Arg) {
       intFlag(Arg, "--scale=", 1, 1 << 20, Opts.Diff.MachineScale, Bad) ||
       intFlag(Arg, "--max-variants=", 0, 1 << 20,
               Opts.Diff.MaxVariantsPerKernel, Bad) ||
-      intFlag(Arg, "--jobs=", 2, 4096, Opts.Jobs, Bad) ||
-      intFlag(Arg, "--fuzz=", 0, 1 << 20, Opts.FuzzRounds, Bad))
+      intFlag(Arg, "--jobs=", 2, 4096, Opts.Jobs, Bad))
     return !Bad;
-  if (Arg == "--fuzz") {
-    Opts.FuzzRounds = 4;
-    return true;
-  }
   if (const char *V = valueOf("--audit-db=")) {
     Opts.AuditDb = V;
     return true;
@@ -154,7 +144,7 @@ int main(int Argc, char **Argv) {
           "usage: %s [--kernel=all|matmul|jacobi|matvec] [--seed=S] "
           "[--configs=N] [--n=SIZE] [--scale=K] [--max-ulps=U] "
           "[--max-variants=V] [--jobs=N] [--skip-native] [--skip-diff] "
-          "[--skip-replay] [--skip-faults] [--fleet] [--fuzz[=ROUNDS]] "
+          "[--skip-replay] [--skip-faults] [--fleet] "
           "[--audit-db=FILE] [--audit-events=FILE] "
           "[--tmpdir=DIR] "
           "[--log-level=off|error|warn|info|debug]\n",
@@ -181,16 +171,6 @@ int main(int Argc, char **Argv) {
     DiffCheckReport Report = runDiffCheck(Opts.Diff);
     std::printf("%s", Report.summary().c_str());
     AllOk = AllOk && Report.ok();
-
-    DiffCheckOptions Fuzz = Opts.Diff;
-    for (int Round = 0; Round < Opts.FuzzRounds; ++Round) {
-      Fuzz.Seed = Opts.Diff.Seed * 7919 + 1 + static_cast<uint64_t>(Round);
-      DiffCheckReport FR = runDiffCheck(Fuzz);
-      std::printf("fuzz round %d (seed %llu): %s", Round + 1,
-                  static_cast<unsigned long long>(Fuzz.Seed),
-                  FR.summary().c_str());
-      AllOk = AllOk && FR.ok();
-    }
   }
 
   // The replay and fault legs need a scratch directory.

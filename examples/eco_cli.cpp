@@ -50,19 +50,18 @@
 #include "serve/Worker.h"
 #include "support/ParseInt.h"
 #include "support/StringUtils.h"
+#include "support/Sync.h"
 
 #include <atomic>
 #include <chrono>
-#include <vector>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 using namespace eco;
 
@@ -155,7 +154,7 @@ public:
 
   ~ProgressReporter() {
     {
-      std::lock_guard<std::mutex> Lock(M);
+      MutexLock Lock(M);
       Stop = true;
     }
     CV.notify_one();
@@ -165,18 +164,24 @@ public:
 
 private:
   void run() {
-    auto Start = std::chrono::steady_clock::now();
-    std::unique_lock<std::mutex> Lock(M);
-    while (!CV.wait_for(Lock, std::chrono::seconds(1),
-                        [this] { return Stop; })) {
+    using Clock = std::chrono::steady_clock;
+    auto Start = Clock::now();
+    MutexLock Lock(M);
+    for (;;) {
+      // One line per second until the destructor sets Stop; a spurious
+      // wakeup goes back to waiting out the rest of the second.
+      auto Wake = Clock::now() + std::chrono::seconds(1);
+      while (!Stop && Clock::now() < Wake)
+        CV.wait_for(Lock, Wake - Clock::now());
+      if (Stop)
+        return;
       obs::MetricsRegistry &Reg = obs::metrics();
       double Total = Reg.gauge("tune.variants_total").value();
       double Done = Reg.gauge("tune.variants_done").value();
       uint64_t Evals = Reg.counter("eval.evaluations").value();
       uint64_t Hits = Reg.counter("eval.cache_hits").value();
-      double Elapsed = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - Start)
-                           .count();
+      double Elapsed =
+          std::chrono::duration<double>(Clock::now() - Start).count();
       std::string Eta = "-";
       if (Done > 0 && Total > Done)
         Eta = strformat("%.0fs", Elapsed / Done * (Total - Done));
@@ -190,19 +195,14 @@ private:
     }
   }
 
-  std::mutex M;
-  std::condition_variable CV;
-  bool Stop = false;
+  Mutex M{"cli.progress"};
+  CondVar CV;
+  bool Stop ECO_GUARDED_BY(M) = false;
   std::thread Worker;
 };
 
 bool parseArg(CliOptions &Opts, const std::string &Arg) {
-  auto valueOf = [&Arg](const char *Key) -> const char * {
-    size_t Len = std::strlen(Key);
-    if (Arg.compare(0, Len, Key) == 0)
-      return Arg.c_str() + Len;
-    return nullptr;
-  };
+  auto valueOf = [&Arg](const char *Key) { return flagValue(Arg, Key); };
   if (const char *V = valueOf("--kernel=")) {
     Opts.Kernel = V;
     return true;

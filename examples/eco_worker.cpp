@@ -8,7 +8,6 @@
 //
 //   eco_worker [--socket=PATH | --host=H --port=P] [--name=S]
 //              [--poll-ms=MS] [--timeout-ms=MS] [--max-batches=N]
-//              [--chaos=garbage|freeze|vanish] [--chaos-after=N]
 //
 // Equivalent spelling: `eco_cli worker [flags]`.
 //

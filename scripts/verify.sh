@@ -138,6 +138,12 @@ wait "$W1" 2>/dev/null || true
 wait "$W2" 2>/dev/null || true
 rm -f "$FSOCK" "$FDB"
 
+step "fleet chaos sweep: eco_check --fleet"
+# A vanishing, a frozen and a garbage-reporting worker, each paired with
+# an honest one: every tune must still pick the fleetless winner.
+"$REPO/build/examples/eco_check" --skip-diff --skip-replay --skip-faults \
+    --fleet
+
 if [ "${ECO_VERIFY_SKIP_BENCH:-0}" != "1" ]; then
   # Each exits non-zero when it misses its bar; run from build/ so the
   # BENCH_*.json files they write stay out of the source tree.

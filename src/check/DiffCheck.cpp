@@ -127,7 +127,7 @@ bool repairFeasible(const DerivedVariant &V, Env &Cfg) {
 
 /// The configurations one variant gets checked at: the model-heuristic
 /// initial point, the adversarial per-transform corners (tile=1,
-/// unroll=MaxUnroll, prefetch forced on), and random perturbations.
+/// unroll=SearchMaxUnroll, prefetch forced on), and random perturbations.
 std::vector<Env> sampleConfigs(const DerivedVariant &V,
                                const MachineDesc &Machine,
                                const ParamBindings &Problem, Rng &R,
@@ -145,13 +145,13 @@ std::vector<Env> sampleConfigs(const DerivedVariant &V,
       Tiles1.set(Param, 1);
     Raw.push_back(std::move(Tiles1));
 
-    // unroll=MaxUnroll: the register-pressure corner of unroll-and-jam
+    // unroll=SearchMaxUnroll: the register-pressure corner of unroll-and-jam
     // and scalar replacement (repaired down if the register constraint
     // rejects the full product).
     if (!V.Spec.Unrolls.empty()) {
       Env MaxU = Base;
       for (const UnrollSpec &U : V.Spec.Unrolls)
-        MaxU.set(U.FactorParam, SearchOptions().MaxUnroll);
+        MaxU.set(U.FactorParam, SearchMaxUnroll);
       Raw.push_back(std::move(MaxU));
     }
 

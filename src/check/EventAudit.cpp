@@ -234,14 +234,14 @@ void auditSegment(const std::vector<obs::Event> &Segment,
           {M.compare(0, 6, "winner") == 0 ? "winner" : "reconcile", 0,
            M});
     auditWindow(Segment, T, Opts, CostOf, Report);
-    if (Opts.HasExpectedBestCost && T.HasDone) {
+    if (Opts.ExpectedBest && T.HasDone) {
       double Best = T.Done.get("best_cost").asNumber();
-      if (Best != Opts.ExpectedBestCost)
+      if (Best != *Opts.ExpectedBest)
         Report.Issues.push_back(
             {"winner", 0,
              strformat("tune.done best_cost %.17g != expected "
                        "TuneResult::BestCost %.17g",
-                       Best, Opts.ExpectedBestCost)});
+                       Best, *Opts.ExpectedBest)});
     }
   }
 }
@@ -314,8 +314,7 @@ JobsDeterminismResult eco::check::checkJobsDeterminism(
     *Cost = R.BestCost;
     EventAuditOptions AO;
     AO.AssumeColdCache = true; // fresh engine, no CacheFile
-    AO.HasExpectedBestCost = true;
-    AO.ExpectedBestCost = R.BestCost;
+    AO.ExpectedBest = R.BestCost;
     *Audit = auditEventsFile(EventsPath, AO);
     return true;
   };

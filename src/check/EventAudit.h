@@ -19,7 +19,7 @@
 ///    counts and evaluation / cache-hit counts recomputed from the
 ///    events match the totals the Tuner stamped into tune.done;
 ///  * winner provenance: the last winner.updated cost equals tune.done's
-///    best_cost, and \p ExpectedBestCost when a caller supplies it.
+///    best_cost, and \p ExpectedBest when a caller supplies it.
 ///
 /// Per tune window, as obs::analyzeEvents splits them (tune.start ..
 /// tune.done of one job id: a daemon stream interleaves problems whose
@@ -56,6 +56,7 @@
 #include "obs/Event.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,8 +81,7 @@ struct EventAuditOptions {
   bool AssumeColdCache = false;
   /// When set, every completed tune window's best_cost must equal this
   /// bit-for-bit (the caller holds the live TuneResult::BestCost).
-  bool HasExpectedBestCost = false;
-  double ExpectedBestCost = 0;
+  std::optional<double> ExpectedBest;
 };
 
 struct EventAuditReport {

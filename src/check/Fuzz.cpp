@@ -764,9 +764,12 @@ CaseResult runCase(const CaseSpec &C, bool Native, uint64_t MaxUlps) {
 // Shrinking: steps, then parameters, then loop bounds.
 //===----------------------------------------------------------------------===//
 
+/// Re-executions a whole run may spend while minimizing failures.
+constexpr int ShrinkRunBudget = 300;
+
 bool stillFails(const CaseSpec &C, bool Native, uint64_t MaxUlps,
-                FuzzReport &Report, int Budget) {
-  if (Report.ShrinkRuns >= Budget)
+                FuzzReport &Report) {
+  if (Report.ShrinkRuns >= ShrinkRunBudget)
     return false; // out of budget: stop accepting shrinks
   ++Report.ShrinkRuns;
   try {
@@ -777,7 +780,7 @@ bool stillFails(const CaseSpec &C, bool Native, uint64_t MaxUlps,
 }
 
 CaseSpec shrinkCase(CaseSpec C, bool Native, uint64_t MaxUlps,
-                    FuzzReport &Report, int Budget) {
+                    FuzzReport &Report) {
   // 1. Drop pipeline steps.
   bool Changed = true;
   while (Changed) {
@@ -785,7 +788,7 @@ CaseSpec shrinkCase(CaseSpec C, bool Native, uint64_t MaxUlps,
     for (size_t S = 0; S < C.Steps.size(); ++S) {
       CaseSpec Cand = C;
       Cand.Steps.erase(Cand.Steps.begin() + static_cast<long>(S));
-      if (stillFails(Cand, Native, MaxUlps, Report, Budget)) {
+      if (stillFails(Cand, Native, MaxUlps, Report)) {
         C = std::move(Cand);
         Changed = true;
         break;
@@ -799,7 +802,7 @@ CaseSpec shrinkCase(CaseSpec C, bool Native, uint64_t MaxUlps,
         continue;
       CaseSpec Copy = C;
       Copy.Steps[SI].P1 = Cand;
-      if (stillFails(Copy, Native, MaxUlps, Report, Budget)) {
+      if (stillFails(Copy, Native, MaxUlps, Report)) {
         C.Steps[SI].P1 = Cand;
         break;
       }
@@ -813,7 +816,7 @@ CaseSpec shrinkCase(CaseSpec C, bool Native, uint64_t MaxUlps,
       Copy.Bounds[L] = Cand;
       // Reversed subscripts pinned their offset to the old bound; keep
       // them consistent so the case stays valid.
-      if (stillFails(Copy, Native, MaxUlps, Report, Budget)) {
+      if (stillFails(Copy, Native, MaxUlps, Report)) {
         C.Bounds[L] = Cand;
         break;
       }
@@ -879,8 +882,7 @@ FuzzReport eco::check::runFuzz(const FuzzOptions &Opts) {
     if (!R.Failed)
       continue;
 
-    CaseSpec Min =
-        shrinkCase(C, Native, Opts.MaxUlps, Report, Opts.MaxShrinkRuns);
+    CaseSpec Min = shrinkCase(C, Native, Opts.MaxUlps, Report);
     CaseResult MinR;
     try {
       MinR = runCase(Min, Native, Opts.MaxUlps);

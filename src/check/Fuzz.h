@@ -45,7 +45,6 @@ struct FuzzOptions {
   int OnlyIter = -1;   ///< >= 0: run exactly this iteration (reproducer)
   int NativeEvery = 16; ///< run the native leg every Nth iteration (0: off)
   uint64_t MaxUlps = 16; ///< element-wise tolerance (reassociation slack)
-  int MaxShrinkRuns = 300; ///< budget of re-executions while minimizing
   bool Verbose = false;    ///< per-iteration progress on stderr
 };
 

@@ -193,8 +193,7 @@ eco::deriveVariants(const LoopNest &Original, const MachineDesc &Machine,
         // Tiling forks: full, plus the TLB-pruned set that leaves the
         // contiguous dimension of a rank>=3 retained array untiled.
         std::vector<std::set<SymbolId>> TileSets = {TileSet};
-        if (Opts.ForkPrunedTilings && RetFam >= 0 &&
-            RA.familyRep(RetFam).rank() >= 3) {
+        if (RetFam >= 0 && RA.familyRep(RetFam).rank() >= 3) {
           SymbolId Contig = contigVarOf(RA.familyRep(RetFam),
                                         Original.array(RetArr));
           if (Contig >= 0 && TileSet.count(Contig)) {
@@ -264,16 +263,16 @@ eco::deriveVariants(const LoopNest &Original, const MachineDesc &Machine,
             Q.Remaining.erase(std::find(Q.Remaining.begin(),
                                         Q.Remaining.end(), L));
             Next.push_back(std::move(Q));
-            if (Next.size() >= Opts.MaxVariants)
+            if (Next.size() >= MaxDerivedVariants)
               break;
           }
-          if (Next.size() >= Opts.MaxVariants)
+          if (Next.size() >= MaxDerivedVariants)
             break;
         }
-        if (Next.size() >= Opts.MaxVariants)
+        if (Next.size() >= MaxDerivedVariants)
           break;
       }
-      if (Next.size() >= Opts.MaxVariants)
+      if (Next.size() >= MaxDerivedVariants)
         break;
     }
     if (!Next.empty())

@@ -41,6 +41,9 @@
 
 namespace eco {
 
+/// Hard cap on derived variants (derivation order is stable).
+inline constexpr size_t MaxDerivedVariants = 24;
+
 /// Knobs for variant derivation.
 struct DeriveOptions {
   int64_t RepresentativeSize = 256; ///< problem size for trip-count models
@@ -51,8 +54,6 @@ struct DeriveOptions {
   /// second, larger problem binding was folded in.
   bool RepresentativeSizeSet = false;
   bool ForkCopyVariants = true;
-  bool ForkPrunedTilings = true;
-  unsigned MaxVariants = 24; ///< hard cap (derivation order is stable)
 
   /// Pins the representative size; eco::tune will not override it.
   void setRepresentativeSize(int64_t Size) {

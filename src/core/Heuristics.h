@@ -36,9 +36,9 @@ struct HeuristicSearchOptions {
   uint64_t Seed = 42;        ///< deterministic randomness
   double StartTemp = 0.25;   ///< annealing: initial relative temperature
   double Cooling = 0.95;     ///< annealing: geometric cooling per step
-  int MaxUnroll = 16;
-  int64_t MaxTile = 1 << 16;
-  int MaxPrefetchDistance = 64;
+  int MaxUnroll = SearchMaxUnroll;
+  int64_t MaxTile = SearchMaxTile;
+  int MaxPrefetchDistance = SearchMaxPrefetchDistance;
 };
 
 /// Steepest-descent hill climbing with random restarts when stuck.

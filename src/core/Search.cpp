@@ -455,17 +455,17 @@ private:
   bool withinBounds(const Env &E) const {
     for (SymbolId P : UnrollParams) {
       int64_t F = E.get(P);
-      if (F < 1 || F > Opts.MaxUnroll)
+      if (F < 1 || F > SearchMaxUnroll)
         return false;
     }
     for (SymbolId P : TileParams) {
       int64_t T = E.get(P);
-      if (T < 1 || T > Opts.MaxTile)
+      if (T < 1 || T > SearchMaxTile)
         return false;
     }
     for (SymbolId P : PfParams) {
       int64_t D = E.get(P);
-      if (D < 0 || D > Opts.MaxPrefetchDistance)
+      if (D < 0 || D > SearchMaxPrefetchDistance)
         return false;
     }
     for (const auto &[P, Window] : SeedBounds) {
@@ -660,7 +660,7 @@ private:
       Cand.set(P, 1);
       if (!tryAccept(Cand))
         continue; // no benefit: leave off
-      for (int64_t D = 2; D <= Opts.MaxPrefetchDistance; D *= 2) {
+      for (int64_t D = 2; D <= SearchMaxPrefetchDistance; D *= 2) {
         Env Climb = Cur;
         Climb.set(P, D);
         if (!tryAccept(Climb))

@@ -201,11 +201,13 @@ private:
   std::shared_ptr<KernelCache> Kernels; ///< shared across the clone chain
 };
 
+/// The search's fixed parameter bounds (unroll, tile, prefetch distance).
+inline constexpr int SearchMaxUnroll = 16;
+inline constexpr int64_t SearchMaxTile = int64_t(1) << 16;
+inline constexpr int SearchMaxPrefetchDistance = 64;
+
 /// Search knobs.
 struct SearchOptions {
-  int MaxUnroll = 16;
-  int MaxPrefetchDistance = 64;
-  int64_t MaxTile = 1 << 16;
   bool SearchPrefetch = true;
   bool AdjustAfterPrefetch = true;
   int LinearRefineSteps = 2; ///< +-step attempts per parameter
@@ -226,9 +228,10 @@ struct SearchOptions {
   int WarmStartBoundFactor = 0;
 
   /// Cooperative cancellation (deadlines, shutdown): polled before every
-  /// evaluation. Once it returns true the search stops exploring —
-  /// remaining candidates read as infeasible — and returns the best
-  /// configuration found so far. Empty = never cancel.
+  /// evaluation, and by eco::tune before each variant search. Once it
+  /// returns true the search stops exploring — remaining candidates read
+  /// as infeasible — and returns the best configuration found so far;
+  /// the tune searches no further variant. Empty = never cancel.
   std::function<bool()> ShouldStop;
 };
 

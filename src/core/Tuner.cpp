@@ -192,13 +192,9 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
     F.set("reason", "model-ranking");
     obs::publishEvent("variant.pruned", std::move(F));
   }
-  // A caller-level ShouldStop also cancels inside each search: copy it
-  // into the search hook when the caller did not set one explicitly.
-  SearchOptions SOpts = Opts.Search;
-  if (!SOpts.ShouldStop && Opts.ShouldStop)
-    SOpts.ShouldStop = Opts.ShouldStop;
+  const std::function<bool()> &ShouldStop = Opts.Search.ShouldStop;
   for (size_t R = 0; R < ToSearch; ++R) {
-    if (Opts.ShouldStop && Opts.ShouldStop()) {
+    if (ShouldStop && ShouldStop()) {
       Result.Cancelled = true;
       ECO_LOG(Info) << "tune of " << Original.Name
                     << " cancelled after " << R << " of " << ToSearch
@@ -213,7 +209,7 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
     {
       obs::SpanScope S("search:" + V.Spec.Name, "tune");
       EvalStats Before = Eval.stats();
-      SR = searchVariant(V, Eval, Problem, SOpts);
+      SR = searchVariant(V, Eval, Problem, Opts.Search);
       EvalStats After = Eval.stats();
       Sum.Points = After.Evaluations - Before.Evaluations;
       Sum.CacheHits = After.CacheHits - Before.CacheHits;
@@ -242,7 +238,7 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
 
   // A cancellation during the last variant's search never reaches the
   // loop-top check; the flag must still reach the caller.
-  if (!Result.Cancelled && Opts.ShouldStop && Opts.ShouldStop())
+  if (!Result.Cancelled && ShouldStop && ShouldStop())
     Result.Cancelled = true;
 
   if (Result.BestVariant >= 0)

@@ -30,8 +30,6 @@
 #include "core/DeriveVariants.h"
 #include "core/Search.h"
 
-#include <functional>
-
 namespace eco {
 
 /// Per-variant reporting.
@@ -60,14 +58,6 @@ struct TuneOptions {
   /// cannot prune away the family the seeded configuration belongs to.
   /// Unknown names are ignored.
   std::string PreferVariant;
-
-  /// Cooperative cancellation (the serve layer's deadlines and graceful
-  /// shutdown): polled before derivation, before each variant search,
-  /// and inside the search's evaluation loop (it is copied into
-  /// SearchOptions::ShouldStop when that hook is unset). Once it returns
-  /// true the tune stops starting new work and returns the best result
-  /// found so far with TuneResult::Cancelled set. Empty = never cancel.
-  std::function<bool()> ShouldStop;
 };
 
 /// Outcome of a full tuning run.
@@ -90,7 +80,7 @@ struct TuneResult {
   size_t VariantsRejected = 0; ///< derivation-time TransformError prunes
   size_t InfeasiblePruned = 0; ///< constraint/bounds prunes, never run
   size_t ConfigsRejected = 0;  ///< evaluator-level TransformError prunes
-  /// True when TuneOptions::ShouldStop fired: the result is the best
+  /// True when SearchOptions::ShouldStop fired: the result is the best
   /// configuration found before cancellation, not a completed tune.
   bool Cancelled = false;
   /// The representative size derivation actually ran with: the caller's

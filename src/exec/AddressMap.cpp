@@ -4,8 +4,7 @@
 
 using namespace eco;
 
-AddressMap::AddressMap(const LoopNest &Nest, const Env &E, uint64_t BaseAddr,
-                       uint64_t InterArrayPadBytes) {
+AddressMap::AddressMap(const LoopNest &Nest, const Env &E) {
   uint64_t Next = BaseAddr;
   Info.reserve(Nest.Arrays.size());
   for (const ArrayDecl &Decl : Nest.Arrays) {
@@ -34,8 +33,7 @@ AddressMap::AddressMap(const LoopNest &Nest, const Env &E, uint64_t BaseAddr,
         Running *= AI.Extents[D];
       }
     }
-    Next += static_cast<uint64_t>(AI.NumElements) * Decl.ElemBytes +
-            InterArrayPadBytes;
+    Next += static_cast<uint64_t>(AI.NumElements) * Decl.ElemBytes;
     Info.push_back(std::move(AI));
   }
   End = Next;

@@ -8,7 +8,7 @@
 /// Assigns every array of a LoopNest a base address in the simulated
 /// address space and precomputes byte strides per dimension. Arrays are
 /// laid out contiguously in declaration order (Fortran COMMON style) with
-/// optional inter-array padding — contiguous allocation is what exposes
+/// no inter-array padding — contiguous allocation is what exposes
 /// the pathological conflict misses at power-of-two problem sizes that the
 /// paper's Figures 4 and 5 show for the native compilers.
 ///
@@ -27,10 +27,12 @@ namespace eco {
 /// Concrete placement of a LoopNest's arrays for one execution.
 class AddressMap {
 public:
+  /// Simulated address of the first array.
+  static constexpr uint64_t BaseAddr = 1 << 20;
+
   /// Lays out \p Nest's arrays under \p E (which must bind every problem
   /// size and parameter appearing in array extents).
-  AddressMap(const LoopNest &Nest, const Env &E, uint64_t BaseAddr = 1 << 20,
-             uint64_t InterArrayPadBytes = 0);
+  AddressMap(const LoopNest &Nest, const Env &E);
 
   uint64_t baseOf(ArrayId Id) const { return Info[Id].Base; }
 

@@ -9,8 +9,7 @@ using namespace eco;
 
 Executor::Executor(const LoopNest &N, Env Bindings, MemHierarchySim &S,
                    ExecOptions O)
-    : Nest(N), E(std::move(Bindings)), Sim(S), Opts(O),
-      AMap(N, E, O.BaseAddr, O.InterArrayPadBytes) {
+    : Nest(N), E(std::move(Bindings)), Sim(S), Opts(O), AMap(N, E) {
   // Make sure every symbol has a slot (loop vars may be unbound so far).
   if (Nest.Syms.size() > 0 && E.size() < Nest.Syms.size())
     E.set(static_cast<SymbolId>(Nest.Syms.size()) - 1, 0);

@@ -43,8 +43,6 @@ namespace eco {
 /// Knobs for one execution.
 struct ExecOptions {
   bool ComputeValues = false;   ///< maintain real FP array contents
-  uint64_t BaseAddr = 1 << 20;  ///< simulated address of the first array
-  uint64_t InterArrayPadBytes = 0;
 };
 
 /// Interprets one LoopNest against one simulator instance.

@@ -14,8 +14,6 @@ using namespace eco::serve;
 WorkerPool::WorkerPool(FleetOptions O) : Opts(O) {
   if (Opts.MaxAttempts < 1)
     Opts.MaxAttempts = 1;
-  if (Opts.MaxPollWaitMs < 1)
-    Opts.MaxPollWaitMs = 1;
 }
 
 WorkerPool::~WorkerPool() { shutdown(); }
@@ -46,7 +44,7 @@ Json WorkerPool::hello(const Json &Req) {
   Json J = Json::object();
   J.set("ok", true);
   J.set("worker_id", Id);
-  J.set("heartbeat_ms", static_cast<int64_t>(Opts.HeartbeatMs));
+  J.set("heartbeat_ms", static_cast<int64_t>(HeartbeatIntervalMs));
   return J;
 }
 
@@ -152,8 +150,7 @@ void WorkerPool::reapLocked(Clock::time_point Now) {
 Json WorkerPool::poll(const Json &Req) {
   uint64_t WorkerId = static_cast<uint64_t>(Req.get("worker_id").asInt());
   int64_t WaitMs = Req.get("wait_ms").asInt(0);
-  WaitMs = std::max<int64_t>(
-      0, std::min<int64_t>(WaitMs, Opts.MaxPollWaitMs));
+  WaitMs = std::clamp<int64_t>(WaitMs, 0, PollWaitCapMs);
   auto Deadline = Clock::now() + std::chrono::milliseconds(WaitMs);
 
   MutexLock Lock(M);

@@ -62,8 +62,6 @@ namespace serve {
 
 /// Fleet dispatch knobs.
 struct FleetOptions {
-  /// Heartbeat interval advertised to workers at hello.
-  int HeartbeatMs = 500;
   /// A worker silent (no poll/result/heartbeat) this long is evicted.
   int HeartbeatTimeoutMs = 5000;
   /// Per-batch deadline; a straggler past it is re-dispatched.
@@ -75,9 +73,6 @@ struct FleetOptions {
   int BackoffMaxMs = 2000;
   /// Structurally invalid results tolerated before eviction.
   int MaxStrikes = 2;
-  /// Cap on a worker.poll long-poll wait, so Server::stop() joins
-  /// connection threads promptly.
-  int MaxPollWaitMs = 1000;
 };
 
 /// What a batch's points need beyond variant + config to be rebuilt
@@ -96,6 +91,12 @@ struct BatchContext {
 /// are condition-variable laps so nothing blocks past its deadline.
 class WorkerPool {
 public:
+  /// Heartbeat interval advertised to workers at hello.
+  static constexpr int HeartbeatIntervalMs = 500;
+  /// Cap on a worker.poll long-poll wait, so Server::stop() joins
+  /// connection threads promptly.
+  static constexpr int PollWaitCapMs = 1000;
+
   explicit WorkerPool(FleetOptions Opts = {});
   ~WorkerPool();
 
@@ -107,7 +108,7 @@ public:
   /// worker.hello {name} -> {ok, worker_id, heartbeat_ms}.
   Json hello(const Json &Req);
   /// worker.poll {worker_id, wait_ms} -> {ok, batch:{...}} | {ok,
-  /// idle:true}. Blocks up to min(wait_ms, MaxPollWaitMs) for work.
+  /// idle:true}. Blocks up to min(wait_ms, PollWaitCapMs) for work.
   Json poll(const Json &Req);
   /// worker.result {worker_id, batch_id, costs:[num|null,...]} -> {ok}.
   /// A result for an already-resolved batch returns {ok, stale:true}.

@@ -2,6 +2,9 @@
 
 #include "serve/Protocol.h"
 
+#include <cmath>
+#include <limits>
+
 using namespace eco;
 using namespace eco::serve;
 
@@ -28,6 +31,25 @@ Json eco::serve::toJson(const JobSpec &Spec) {
   return J;
 }
 
+/// Reads integer field \p Key into \p Out when present: a whole number in
+/// [Lo, Hi], checked on the double before any narrowing.
+template <class T>
+static bool intField(const Json &J, const char *Key, int64_t Lo, int64_t Hi,
+                     T &Out, std::string *Error) {
+  if (!J.has(Key))
+    return true;
+  const Json &V = J.get(Key);
+  double D = V.asNumber(NAN);
+  if (D != std::trunc(D) || D < Lo || D > Hi) {
+    if (Error)
+      *Error = std::string(Key) + " must be an integer in [" +
+               std::to_string(Lo) + ", " + std::to_string(Hi) + "]";
+    return false;
+  }
+  Out = static_cast<T>(D);
+  return true;
+}
+
 bool eco::serve::jobSpecFromJson(const Json &J, JobSpec &Spec,
                                  std::string *Error) {
   if (!J.isObject()) {
@@ -39,12 +61,6 @@ bool eco::serve::jobSpecFromJson(const Json &J, JobSpec &Spec,
     Spec.Kernel = J.get("kernel").asString();
   if (J.has("machine"))
     Spec.Machine = J.get("machine").asString();
-  if (J.has("scale"))
-    Spec.Scale = static_cast<unsigned>(J.get("scale").asInt(16));
-  if (J.has("n"))
-    Spec.N = J.get("n").asInt();
-  Spec.Priority = static_cast<int>(J.get("priority").asInt(0));
-  Spec.DeadlineMs = J.get("deadline_ms").asInt(0);
   Spec.ForceRetune = J.get("force").asBool(false);
   if (Spec.Kernel != "matmul" && Spec.Kernel != "jacobi" &&
       Spec.Kernel != "matvec") {
@@ -58,22 +74,11 @@ bool eco::serve::jobSpecFromJson(const Json &J, JobSpec &Spec,
       *Error = "unknown machine '" + Spec.Machine + "'";
     return false;
   }
-  if (Spec.N < 4 || Spec.N > (1 << 20)) {
-    if (Error)
-      *Error = "n out of range [4, 2^20]";
-    return false;
-  }
-  if (Spec.Scale < 1 || Spec.Scale > 4096) {
-    if (Error)
-      *Error = "scale out of range [1, 4096]";
-    return false;
-  }
-  if (Spec.DeadlineMs < 0) {
-    if (Error)
-      *Error = "deadline_ms must be >= 0";
-    return false;
-  }
-  return true;
+  return intField(J, "n", 4, 1 << 20, Spec.N, Error) &&
+         intField(J, "scale", 1, 4096, Spec.Scale, Error) &&
+         intField(J, "priority", std::numeric_limits<int>::min(),
+                  std::numeric_limits<int>::max(), Spec.Priority, Error) &&
+         intField(J, "deadline_ms", 0, MaxDeadlineMs, Spec.DeadlineMs, Error);
 }
 
 Json eco::serve::toJson(const JobResult &R) {

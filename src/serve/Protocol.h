@@ -43,6 +43,9 @@
 namespace eco {
 namespace serve {
 
+/// The longest deadline a job may carry: one day.
+inline constexpr int64_t MaxDeadlineMs = int64_t(24) * 3600 * 1000;
+
 /// What a client asks the service to tune.
 struct JobSpec {
   std::string Kernel = "matmul";  ///< matmul | jacobi | matvec

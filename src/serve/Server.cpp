@@ -24,6 +24,13 @@ using namespace eco::serve;
 
 using Clock = std::chrono::steady_clock;
 
+/// Warm-start window (SearchOptions::WarmStartBoundFactor) and the
+/// model-pruning widths (TuneOptions::MaxVariantsToSearch): the seed
+/// names the family that won nearby, so warm tunes search fewer variants.
+static constexpr int WarmBoundFactor = 4;
+static constexpr unsigned WarmSearchWidth = 1;
+static constexpr unsigned ColdSearchWidth = 4;
+
 static double msBetween(Clock::time_point From, Clock::time_point To) {
   return std::chrono::duration<double, std::milli>(To - From).count();
 }
@@ -404,7 +411,7 @@ void TuneService::execute(ServeJob &Job, size_t QueueDepth) {
   }
 
   TuneOptions TOpts;
-  TOpts.MaxVariantsToSearch = Opts.ColdVariantsToSearch;
+  TOpts.MaxVariantsToSearch = ColdSearchWidth;
   R.WarmStart = "cold";
   int64_t SeedN = 0;
   std::string SeedVariant;
@@ -413,8 +420,8 @@ void TuneService::execute(ServeJob &Job, size_t QueueDepth) {
     // bounds around it; the seed also tells us which variant family won
     // nearby, so warm tunes search fewer variants.
     TOpts.Search.WarmStartConfig = Seed->Config;
-    TOpts.Search.WarmStartBoundFactor = Opts.WarmStartBoundFactor;
-    TOpts.MaxVariantsToSearch = Opts.WarmVariantsToSearch;
+    TOpts.Search.WarmStartBoundFactor = WarmBoundFactor;
+    TOpts.MaxVariantsToSearch = WarmSearchWidth;
     // A seed for this very size (a --force retune) names the known
     // winner: make sure the narrowed search covers its family. Across
     // sizes the variant landscape shifts, so the model's re-ranking
@@ -430,7 +437,7 @@ void TuneService::execute(ServeJob &Job, size_t QueueDepth) {
     ECO_LOG(Debug) << "serve: job " << Job.Id << " warm-starts from n="
                    << Seed->N;
   }
-  TOpts.ShouldStop = [&Job, deadlinePassed] {
+  TOpts.Search.ShouldStop = [&Job, deadlinePassed] {
     // Polled once per candidate evaluation: doubles as the progress
     // counter the "jobs" verb reports.
     Job.Ticks.fetch_add(1, std::memory_order_relaxed);

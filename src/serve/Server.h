@@ -15,7 +15,7 @@
 ///    tune through an EvalEngine. All workers' engines memoize into one
 ///    shared EvalCache, so concurrent jobs reuse each other's
 ///    evaluations. Deadlines and shutdown cancel cooperatively through
-///    TuneOptions::ShouldStop — a cancelled tune returns its best-so-far
+///    SearchOptions::ShouldStop — a cancelled tune returns its best-so-far
 ///    but is not stored. Backpressure is explicit: submitting to a full
 ///    queue (or a draining service) resolves immediately with
 ///    status "rejected", never blocks.
@@ -119,16 +119,6 @@ struct ServiceOptions {
   size_t QueueCapacity = 16;
   /// EvalEngine lanes per worker (per-job tune parallelism).
   int EngineJobs = 1;
-  /// Warm-start window: stage bounds clamp to [seed/F, seed*F] around
-  /// the seeded configuration (SearchOptions::WarmStartBoundFactor).
-  int WarmStartBoundFactor = 4;
-  /// Model-pruning width for warm-started searches. The seed already
-  /// encodes which variant family won nearby, so warm tunes search
-  /// fewer variants than cold ones — the larger half of the eval-count
-  /// saving the acceptance bench measures.
-  unsigned WarmVariantsToSearch = 1;
-  /// Model-pruning width for cold searches (TuneOptions default).
-  unsigned ColdVariantsToSearch = 4;
   /// Test-only gate, called by a worker after popping a job and before
   /// any tuning work. Tests block in it to hold workers busy, making
   /// queue-full and cancellation scenarios deterministic.

@@ -12,7 +12,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <thread>
 
@@ -26,13 +25,6 @@ namespace {
 std::sig_atomic_t volatile SignalFlag = 0;
 
 void onSignal(int) { SignalFlag = 1; }
-
-const char *valueOf(const std::string &Arg, const char *Key) {
-  size_t Len = std::strlen(Key);
-  if (Arg.compare(0, Len, Key) == 0)
-    return Arg.c_str() + Len;
-  return nullptr;
-}
 
 } // namespace
 
@@ -54,7 +46,7 @@ int eco::serve::serveToolMain(const std::vector<std::string> &Args) {
 
   bool Bad = false;
   for (const std::string &Arg : Args) {
-    if (const char *V = valueOf(Arg, "--socket=")) {
+    if (const char *V = flagValue(Arg, "--socket=")) {
       SrvOpts.UnixPath = V;
     } else if (intFlag(Arg, "--tcp=", 0, 65535, SrvOpts.TcpPort, Bad) ||
                intFlag(Arg, "--workers=", 1, 1024, SvcOpts.Workers, Bad) ||
@@ -64,11 +56,11 @@ int eco::serve::serveToolMain(const std::vector<std::string> &Args) {
                        Bad)) {
       if (Bad)
         return Usage();
-    } else if (const char *V = valueOf(Arg, "--db=")) {
+    } else if (const char *V = flagValue(Arg, "--db=")) {
       SvcOpts.DbPath = V;
-    } else if (const char *V = valueOf(Arg, "--obs-dir=")) {
+    } else if (const char *V = flagValue(Arg, "--obs-dir=")) {
       ObsDir = V;
-    } else if (const char *V = valueOf(Arg, "--log-level=")) {
+    } else if (const char *V = flagValue(Arg, "--log-level=")) {
       if (!obs::setLogLevelByName(V)) {
         std::fprintf(stderr, "error: bad --log-level=%s\n", V);
         return 2;
@@ -147,9 +139,9 @@ int eco::serve::submitToolMain(const std::vector<std::string> &Args) {
 
   bool Bad = false;
   for (const std::string &Arg : Args) {
-    if (const char *V = valueOf(Arg, "--socket=")) {
+    if (const char *V = flagValue(Arg, "--socket=")) {
       Socket = V;
-    } else if (const char *V = valueOf(Arg, "--host=")) {
+    } else if (const char *V = flagValue(Arg, "--host=")) {
       Host = V;
     } else if (intFlag(Arg, "--port=", 1, 65535, Port, Bad) ||
                intFlag(Arg, "--timeout-ms=", 0, 24 * 3600 * 1000, TimeoutMs,
@@ -159,15 +151,15 @@ int eco::serve::submitToolMain(const std::vector<std::string> &Args) {
                intFlag(Arg, "--priority=", std::numeric_limits<int>::min(),
                        std::numeric_limits<int>::max(), Spec.Priority,
                        Bad) ||
-               intFlag(Arg, "--deadline-ms=", 0, 24 * 3600 * 1000,
+               intFlag(Arg, "--deadline-ms=", 0, MaxDeadlineMs,
                        Spec.DeadlineMs, Bad)) {
       if (Bad)
         return Usage();
-    } else if (const char *V = valueOf(Arg, "--op=")) {
+    } else if (const char *V = flagValue(Arg, "--op=")) {
       Op = V;
-    } else if (const char *V = valueOf(Arg, "--kernel=")) {
+    } else if (const char *V = flagValue(Arg, "--kernel=")) {
       Spec.Kernel = V;
-    } else if (const char *V = valueOf(Arg, "--machine=")) {
+    } else if (const char *V = flagValue(Arg, "--machine=")) {
       Spec.Machine = V;
     } else if (Arg == "--force") {
       Spec.ForceRetune = true;

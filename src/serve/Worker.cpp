@@ -7,14 +7,14 @@
 #include "obs/Log.h"
 #include "serve/Client.h"
 #include "serve/Server.h" // buildKernel / buildMachine
+#include "support/ParseInt.h"
 #include "transform/TransformError.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <thread>
@@ -23,6 +23,10 @@ using namespace eco;
 using namespace eco::serve;
 
 namespace {
+
+/// Transport-failure retry: attempts before giving up (the daemon is
+/// gone; a completed registration resets the count) and the sleep between.
+constexpr int ReconnectAttempts = 25, ReconnectDelayMs = 200;
 
 /// Everything needed to evaluate points for one (kernel, machine, scale,
 /// rep_n): the variants derived once (derivation order is stable, so
@@ -109,20 +113,13 @@ void evaluateBatch(const Json &Batch,
   }
 }
 
-const char *valueOf(const std::string &Arg, const char *Key) {
-  size_t Len = std::strlen(Key);
-  if (Arg.compare(0, Len, Key) == 0)
-    return Arg.c_str() + Len;
-  return nullptr;
-}
-
 } // namespace
 
 int eco::serve::runWorker(const WorkerOptions &Opts) {
   std::map<std::string, KernelContext> Kernels;
   std::unique_ptr<Client> C;
   uint64_t WorkerId = 0;
-  int HeartbeatMs = 500;
+  int BeatMs = WorkerPool::HeartbeatIntervalMs; // until hello says otherwise
   long BatchesSeen = 0;
   int Reconnects = 0;
 
@@ -141,13 +138,13 @@ int eco::serve::runWorker(const WorkerOptions &Opts) {
         C->setRecvTimeout(Opts.TimeoutMs);
         return true;
       }
-      if (++Reconnects > Opts.MaxReconnects) {
+      if (++Reconnects > ReconnectAttempts) {
         ECO_LOG(Warn) << "worker: daemon unreachable after " << Reconnects
                       << " attempt(s): " << Err;
         return false;
       }
       std::this_thread::sleep_for(
-          std::chrono::milliseconds(Opts.ReconnectMs));
+          std::chrono::milliseconds(ReconnectDelayMs));
     }
     return false;
   };
@@ -160,8 +157,7 @@ int eco::serve::runWorker(const WorkerOptions &Opts) {
     if (!C->roundTrip(Req, Resp) || !Resp.get("ok").asBool(false))
       return false;
     WorkerId = static_cast<uint64_t>(Resp.get("worker_id").asInt());
-    HeartbeatMs =
-        static_cast<int>(Resp.get("heartbeat_ms").asInt(HeartbeatMs));
+    BeatMs = static_cast<int>(Resp.get("heartbeat_ms").asInt(BeatMs));
     Reconnects = 0; // a completed registration resets the give-up budget
     ECO_LOG(Info) << "worker: registered as id " << WorkerId;
     return true;
@@ -200,27 +196,25 @@ int eco::serve::runWorker(const WorkerOptions &Opts) {
 
     const Json &Batch = Resp.get("batch");
     ++BatchesSeen;
-    bool ChaosNow =
-        !Opts.Chaos.empty() && BatchesSeen > Opts.ChaosAfterBatches;
 
-    if (ChaosNow && Opts.Chaos == "vanish") {
+    if (Opts.Chaos == "vanish") {
       // SIGKILL analogue for in-process tests: drop the connection with
       // the batch unacknowledged and exit.
-      ECO_LOG(Warn) << "worker: chaos=vanish, dropping connection";
+      ECO_LOG(Warn) << "worker: chaos 'vanish': dropping connection";
       C.reset();
       return 0;
     }
-    if (ChaosNow && Opts.Chaos == "freeze") {
+    if (Opts.Chaos == "freeze") {
       // Hold the batch silently; the daemon's heartbeat reaper evicts
       // us and re-dispatches. Park until told to stop.
-      ECO_LOG(Warn) << "worker: chaos=freeze, going silent";
+      ECO_LOG(Warn) << "worker: chaos 'freeze': going silent";
       while (!stopRequested())
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
       return 0;
     }
 
     Json Costs;
-    if (ChaosNow && Opts.Chaos == "garbage") {
+    if (Opts.Chaos == "garbage") {
       // Structurally invalid on purpose: wrong arity and a non-number.
       Costs = Json::array();
       Costs.push("not-a-cost");
@@ -229,7 +223,7 @@ int eco::serve::runWorker(const WorkerOptions &Opts) {
       auto beat = [&] {
         auto Now = std::chrono::steady_clock::now();
         if (Now - LastBeat < std::chrono::milliseconds(
-                                 std::max(HeartbeatMs / 2, 1)))
+                                 std::max(BeatMs / 2, 1)))
           return;
         LastBeat = Now;
         Json HReq = Json::object();
@@ -258,38 +252,29 @@ int eco::serve::runWorker(const WorkerOptions &Opts) {
 
 int eco::serve::workerToolMain(const std::vector<std::string> &Args) {
   WorkerOptions Opts;
+  bool Bad = false;
   for (const std::string &Arg : Args) {
-    if (const char *V = valueOf(Arg, "--socket=")) {
+    if (const char *V = flagValue(Arg, "--socket=")) {
       Opts.Socket = V;
-    } else if (const char *V = valueOf(Arg, "--host=")) {
+    } else if (const char *V = flagValue(Arg, "--host=")) {
       Opts.Host = V;
-    } else if (const char *V = valueOf(Arg, "--port=")) {
-      Opts.Port = std::atoi(V);
-    } else if (const char *V = valueOf(Arg, "--name=")) {
+    } else if (const char *V = flagValue(Arg, "--name=")) {
       Opts.Name = V;
-    } else if (const char *V = valueOf(Arg, "--poll-ms=")) {
-      Opts.PollWaitMs = std::atoi(V);
-    } else if (const char *V = valueOf(Arg, "--timeout-ms=")) {
-      Opts.TimeoutMs = std::atoi(V);
-    } else if (const char *V = valueOf(Arg, "--max-batches=")) {
-      Opts.MaxBatches = std::atol(V);
-    } else if (const char *V = valueOf(Arg, "--chaos=")) {
-      Opts.Chaos = V;
-    } else if (const char *V = valueOf(Arg, "--chaos-after=")) {
-      Opts.ChaosAfterBatches = std::atol(V);
-    } else {
+    } else if (!(intFlag(Arg, "--port=", 1, 65535, Opts.Port, Bad) ||
+                 intFlag(Arg, "--poll-ms=", 0, 24 * 3600 * 1000,
+                         Opts.PollWaitMs, Bad) ||
+                 intFlag(Arg, "--timeout-ms=", 1, 24 * 3600 * 1000,
+                         Opts.TimeoutMs, Bad) ||
+                 intFlag(Arg, "--max-batches=", 1,
+                         std::numeric_limits<long>::max(), Opts.MaxBatches,
+                         Bad)) ||
+               Bad) {
       std::fprintf(stderr,
                    "usage: eco_worker [--socket=PATH | --host=H --port=P] "
                    "[--name=S] [--poll-ms=MS] [--timeout-ms=MS] "
-                   "[--max-batches=N] [--chaos=garbage|freeze|vanish] "
-                   "[--chaos-after=N]\n");
+                   "[--max-batches=N]\n");
       return 2;
     }
-  }
-  if (!Opts.Chaos.empty() && Opts.Chaos != "garbage" &&
-      Opts.Chaos != "freeze" && Opts.Chaos != "vanish") {
-    std::fprintf(stderr, "error: bad --chaos=%s\n", Opts.Chaos.c_str());
-    return 2;
   }
   return runWorker(Opts);
 }

@@ -23,9 +23,10 @@
 /// daemon skips the cache insert and the tune's decision loop re-derives
 /// the rejection (or evaluates locally) deterministically.
 ///
-/// Chaos knobs exist for the fault-injection tests only: a worker can be
-/// told to return garbage, freeze mid-batch (heartbeat eviction path),
-/// or vanish mid-batch (the in-process analogue of SIGKILL).
+/// WorkerOptions::Chaos exists for the in-process fault-injection tests
+/// only (it has no flag): a worker can be told to return garbage, freeze
+/// mid-batch (heartbeat eviction path), or vanish mid-batch (the
+/// in-process analogue of SIGKILL).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,10 +50,6 @@ struct WorkerOptions {
   std::string Name = "worker";
   /// Long-poll wait per worker.poll request.
   int PollWaitMs = 1000;
-  /// Sleep between reconnect attempts after a transport failure.
-  int ReconnectMs = 200;
-  /// Reconnect attempts before giving up (the daemon is gone).
-  int MaxReconnects = 25;
   /// Connect/roundTrip timeout for the worker's client.
   int TimeoutMs = 10000;
   /// Exit after this many batches (< 0 = run until Stop/daemon exit).
@@ -64,8 +61,6 @@ struct WorkerOptions {
   /// "freeze" (receive a batch, then go silent), "vanish" (receive a
   /// batch, then drop the connection and exit — SIGKILL analogue).
   std::string Chaos;
-  /// Batches to serve honestly before Chaos triggers.
-  long ChaosAfterBatches = 0;
 };
 
 /// Runs the worker loop until the daemon disappears (reconnects
@@ -79,8 +74,8 @@ int runWorker(const WorkerOptions &Opts);
 ///   --poll-ms=MS      long-poll wait (default 1000)
 ///   --timeout-ms=MS   connect/response timeout (default 10000)
 ///   --max-batches=N   exit after N batches (default: run forever)
-///   --chaos=MODE      garbage|freeze|vanish (fault-injection tests)
-///   --chaos-after=N   honest batches before chaos (default 0)
+/// Numeric flags parse strictly: a malformed or out-of-range value
+/// prints usage and returns 2.
 int workerToolMain(const std::vector<std::string> &Args);
 
 } // namespace serve

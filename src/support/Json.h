@@ -67,8 +67,13 @@ public:
   double asNumber(double Default = 0) const {
     return isNumber() ? NumVal : Default;
   }
+  /// The number truncated toward zero; \p Default for a non-number and
+  /// for any value outside int64 (NaN and infinities included), where
+  /// the cast would be undefined.
   int64_t asInt(int64_t Default = 0) const {
-    return isNumber() ? static_cast<int64_t>(NumVal) : Default;
+    if (!isNumber() || !(NumVal >= -0x1p63 && NumVal < 0x1p63))
+      return Default;
+    return static_cast<int64_t>(NumVal);
   }
   const std::string &asString() const { return StrVal; }
 

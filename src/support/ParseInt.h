@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Strict numeric parsing for command-line flags. Unlike atoi/atoll,
+/// Strict parsing for command-line flags. Unlike atoi/atoll,
 /// rejects empty strings, trailing garbage ("64x"), values outside the
 /// caller's range, and out-of-range literals — a negative handed to an
 /// unsigned flag must be a usage error, not a silent 2^64 wraparound.
@@ -56,6 +56,13 @@ inline bool parseUInt64(const std::string &Text, uint64_t *Out) {
   return true;
 }
 
+/// The value of flag \p Key ("--n=") when \p Arg starts with it, else
+/// nullptr.
+inline const char *flagValue(const std::string &Arg, const char *Key) {
+  size_t Len = std::strlen(Key);
+  return Arg.compare(0, Len, Key) == 0 ? Arg.c_str() + Len : nullptr;
+}
+
 /// One strict numeric flag of a hand-rolled argv loop. When \p Arg is
 /// \p Key followed by a value, parses the value in [Lo, Hi] into \p Dest
 /// and returns true, setting \p Bad instead when it does not parse.
@@ -63,11 +70,11 @@ inline bool parseUInt64(const std::string &Text, uint64_t *Out) {
 template <class T>
 bool intFlag(const std::string &Arg, const char *Key, int64_t Lo, int64_t Hi,
              T &Dest, bool &Bad) {
-  size_t Len = std::strlen(Key);
-  if (Arg.compare(0, Len, Key) != 0)
+  const char *V = flagValue(Arg, Key);
+  if (!V)
     return false;
   int64_t N = 0;
-  if (parseIntInRange(Arg.substr(Len), Lo, Hi, &N))
+  if (parseIntInRange(V, Lo, Hi, &N))
     Dest = static_cast<T>(N);
   else
     Bad = true;
@@ -77,10 +84,10 @@ bool intFlag(const std::string &Arg, const char *Key, int64_t Lo, int64_t Hi,
 /// intFlag over the full uint64_t range (seeds, ulp bounds).
 inline bool uint64Flag(const std::string &Arg, const char *Key,
                        uint64_t &Dest, bool &Bad) {
-  size_t Len = std::strlen(Key);
-  if (Arg.compare(0, Len, Key) != 0)
+  const char *V = flagValue(Arg, Key);
+  if (!V)
     return false;
-  if (!parseUInt64(Arg.substr(Len), &Dest))
+  if (!parseUInt64(V, &Dest))
     Bad = true;
   return true;
 }

@@ -377,8 +377,7 @@ TEST(EventAuditTest, RealEngineStreamPassesAudit) {
     });
     EventAuditOptions Opts;
     Opts.AssumeColdCache = true;
-    Opts.HasExpectedBestCost = true;
-    Opts.ExpectedBestCost = BestCost;
+    Opts.ExpectedBest = BestCost;
     EventAuditReport Report = auditEventsFile(Path, Opts);
     EXPECT_GT(Report.Events, 0u);
     EXPECT_EQ(Report.Tunes, 1u);
@@ -407,7 +406,7 @@ TEST(EventAuditTest, RealEngineStreamPassesAudit) {
   const double Uninterrupted = TuneOver("", {}).BestCost;
   size_t Polls = 0;
   TuneOptions Stopping;
-  Stopping.ShouldStop = [&Polls] { return ++Polls > 20; };
+  Stopping.Search.ShouldStop = [&Polls] { return ++Polls > 20; };
   recordEvents(Killed,
                [&] { EXPECT_TRUE(TuneOver(Cache, Stopping).Cancelled); });
   TuneResult R;

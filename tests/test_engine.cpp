@@ -627,7 +627,7 @@ TEST(EngineTest, KilledTuneResumesFromItsCacheFile) {
     } else {
       size_t Polls = 0;
       TuneOptions Stopping;
-      Stopping.ShouldStop = [&Polls] { return ++Polls > 40; };
+      Stopping.Search.ShouldStop = [&Polls] { return ++Polls > 40; };
       ASSERT_TRUE(TuneOver(Partial, Stopping).Cancelled);
     }
     EvalCache Saved;

@@ -46,24 +46,17 @@ TEST(AddressMapTest, ColMajorStrides) {
   MatMulIds Ids;
   LoopNest Nest = makeMatMul(&Ids);
   Env E = makeEnv(Nest, {{"N", 10}});
-  AddressMap AM(Nest, E, /*BaseAddr=*/4096);
-  EXPECT_EQ(AM.baseOf(Ids.A), 4096u);
+  AddressMap AM(Nest, E);
+  const uint64_t Base = AddressMap::BaseAddr;
+  EXPECT_EQ(AM.baseOf(Ids.A), Base);
   // Column-major: first subscript is contiguous.
   EXPECT_EQ(AM.stridesOf(Ids.A)[0], 8);
   EXPECT_EQ(AM.stridesOf(Ids.A)[1], 80);
   EXPECT_EQ(AM.numElements(Ids.A), 100);
-  // Arrays allocated back to back.
-  EXPECT_EQ(AM.baseOf(Ids.B), 4096u + 800);
-  EXPECT_EQ(AM.baseOf(Ids.C), 4096u + 1600);
-  EXPECT_EQ(AM.endAddr(), 4096u + 2400);
-}
-
-TEST(AddressMapTest, PaddingSeparatesArrays) {
-  MatMulIds Ids;
-  LoopNest Nest = makeMatMul(&Ids);
-  Env E = makeEnv(Nest, {{"N", 10}});
-  AddressMap AM(Nest, E, 4096, /*InterArrayPadBytes=*/256);
-  EXPECT_EQ(AM.baseOf(Ids.B), 4096u + 800 + 256);
+  // Arrays allocated back to back, no padding between them.
+  EXPECT_EQ(AM.baseOf(Ids.B), Base + 800);
+  EXPECT_EQ(AM.baseOf(Ids.C), Base + 1600);
+  EXPECT_EQ(AM.endAddr(), Base + 2400);
 }
 
 TEST(AddressMapTest, RowMajorStrides) {

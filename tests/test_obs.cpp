@@ -727,8 +727,7 @@ TEST(ObsFlightRecorder, TuneStreamReconcilesWithTuneResult) {
 
   // And the stream passes the invariant audit against the live result.
   check::EventAuditOptions AO;
-  AO.HasExpectedBestCost = true;
-  AO.ExpectedBestCost = R.BestCost;
+  AO.ExpectedBest = R.BestCost;
   check::EventAuditReport Audit = check::auditEvents(Events, AO);
   EXPECT_TRUE(Audit.ok()) << Audit.summary();
   EXPECT_EQ(Audit.Tunes, 1u);
@@ -741,7 +740,7 @@ TEST(ObsFlightRecorder, CancelledTunePrunesOnlyByRanking) {
   EventCapture Cap;
   TuneOptions Opts;
   int Calls = 0; // call 1 is the check before the first search
-  Opts.ShouldStop = [&Calls] { return ++Calls > 1; };
+  Opts.Search.ShouldStop = [&Calls] { return ++Calls > 1; };
   SimEvalBackend Backend(MachineDesc::sgiR10000().scaledBy(16));
   TuneResult R = tune(makeMatMul(), Backend, {{"N", 32}}, Opts);
   ASSERT_TRUE(R.Cancelled);

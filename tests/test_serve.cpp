@@ -27,6 +27,7 @@
 #include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "serve/Tool.h"
+#include "serve/Worker.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 
@@ -375,8 +376,8 @@ TEST(ProtocolTest, JobSpecRoundTrip) {
   Spec.Machine = "sun";
   Spec.Scale = 8;
   Spec.N = 200;
-  Spec.Priority = 3;
-  Spec.DeadlineMs = 1500;
+  Spec.Priority = -3;
+  Spec.DeadlineMs = MaxDeadlineMs; // the cap itself is accepted
   Spec.ForceRetune = true;
 
   JobSpec Back;
@@ -386,8 +387,8 @@ TEST(ProtocolTest, JobSpecRoundTrip) {
   EXPECT_EQ(Back.Machine, "sun");
   EXPECT_EQ(Back.Scale, 8u);
   EXPECT_EQ(Back.N, 200);
-  EXPECT_EQ(Back.Priority, 3);
-  EXPECT_EQ(Back.DeadlineMs, 1500);
+  EXPECT_EQ(Back.Priority, -3);
+  EXPECT_EQ(Back.DeadlineMs, MaxDeadlineMs);
   EXPECT_TRUE(Back.ForceRetune);
   EXPECT_EQ(Spec.summary(), "jacobi@sun/8 n=200");
 }
@@ -408,6 +409,24 @@ TEST(ProtocolTest, JobSpecValidationRejectsBadRequests) {
   rejects("n", Json(static_cast<int64_t>(1) << 30));
   rejects("scale", Json(0));
   rejects("deadline_ms", Json(-5));
+  // Untrusted numbers are range-checked before narrowing: 2^32 + 1 and
+  // 2^32 + 5 must not wrap to scale 1 and priority 5, a fractional or
+  // string size is not truncated or defaulted, and a deadline past one
+  // day (which would overflow the deadline arithmetic) is refused.
+  rejects("scale", Json(4294967297.0));
+  rejects("priority", Json(4294967301.0));
+  rejects("n", Json(64.9));
+  rejects("n", Json(1e300));
+  rejects("scale", Json("4"));
+  rejects("deadline_ms", Json(9e18));
+  rejects("deadline_ms", Json(MaxDeadlineMs + 1));
+}
+
+TEST(ProtocolTest, AsIntReturnsDefaultOutsideInt64) {
+  for (double V : {1e300, -1e300, 0x1p63, std::nan(""), HUGE_VAL})
+    EXPECT_EQ(Json(V).asInt(-3), -3) << V;
+  EXPECT_EQ(Json(-0x1p63).asInt(), INT64_MIN);
+  EXPECT_EQ(Json(-64.9).asInt(), -64);
 }
 
 TEST(ProtocolTest, JobResultRoundTrip) {
@@ -577,7 +596,7 @@ TEST(ServeServiceTest, DeadlineExpiresMidSearchCooperatively) {
   TuneService Service;
   // A deadline far shorter than this tune's wall time: the job starts,
   // spends real evaluations, then notices the deadline inside the
-  // search loop (TuneOptions::ShouldStop) and stops cooperatively.
+  // search loop (SearchOptions::ShouldStop) and stops cooperatively.
   JobSpec Spec = smallSpec(144);
   Spec.DeadlineMs = 30;
   JobResult R = Service.run(Spec);
@@ -903,6 +922,10 @@ TEST(ServeToolTest, BadNumericFlagsAreUsageErrorsBeforeBinding) {
   EXPECT_NE(access(Sock.c_str(), F_OK), 0) << "a socket was bound";
   for (const char *Bad : {"--port=abc", "--port=0", "--timeout-ms=-1"})
     EXPECT_EQ(submitToolMain({"--socket=" + Sock, Bad}), 2) << Bad;
+  // eco_worker's too, before it tries to connect.
+  for (const char *Bad :
+       {"--poll-ms=abc", "--port=-1", "--timeout-ms=5s", "--max-batches=0"})
+    EXPECT_EQ(workerToolMain({"--socket=" + Sock, Bad}), 2) << Bad;
 }
 
 // ---- eco_served daemon (fork/exec) --------------------------------------
