@@ -24,6 +24,7 @@
 #include "baselines/NativeCompiler.h"
 #include "baselines/VendorBlas.h"
 #include "core/Tuner.h"
+#include "engine/Engine.h"
 #include "kernels/Kernels.h"
 
 namespace ecobench {

@@ -20,6 +20,7 @@
 #include "support/Chart.h"
 #include "baselines/NativeCompiler.h"
 #include "core/Tuner.h"
+#include "engine/Engine.h"
 #include "kernels/Kernels.h"
 
 namespace ecobench {

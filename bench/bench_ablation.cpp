@@ -18,6 +18,7 @@
 #include "BenchCommon.h"
 #include "core/Heuristics.h"
 #include "core/Tuner.h"
+#include "engine/Engine.h"
 #include "kernels/Kernels.h"
 #include "support/Rng.h"
 
@@ -134,11 +135,11 @@ int main() {
     const DerivedVariant &V = Full.best();
     HeuristicSearchOptions HOpts;
     HOpts.Budget = Full.TotalPoints;
-    VariantSearchResult HC =
-        hillClimbVariant(V, Backend, {{"N", N}}, HOpts);
+    EvalEngine Eval(Backend);
+    VariantSearchResult HC = hillClimbVariant(V, Eval, {{"N", N}}, HOpts);
     addRow("models + hill climbing", HC.BestCost,
            HC.Trace.numEvaluations());
-    VariantSearchResult SA = annealVariant(V, Backend, {{"N", N}}, HOpts);
+    VariantSearchResult SA = annealVariant(V, Eval, {{"N", N}}, HOpts);
     addRow("models + simulated annealing", SA.BestCost,
            SA.Trace.numEvaluations());
   }

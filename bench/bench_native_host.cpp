@@ -11,6 +11,7 @@
 #include "BenchCommon.h"
 #include "codegen/NativeRunner.h"
 #include "core/Tuner.h"
+#include "engine/Engine.h"
 #include "kernels/Kernels.h"
 
 using namespace eco;

@@ -14,6 +14,7 @@
 #include "BenchCommon.h"
 #include "baselines/MiniAtlas.h"
 #include "core/Tuner.h"
+#include "engine/Engine.h"
 #include "kernels/Kernels.h"
 #include "support/Json.h"
 

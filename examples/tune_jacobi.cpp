@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Tuner.h"
+#include "engine/Engine.h"
 #include "exec/Run.h"
 #include "kernels/Kernels.h"
 #include "support/StringUtils.h"

@@ -3,7 +3,7 @@
 #include "check/DbAudit.h"
 
 #include "core/DeriveVariants.h"
-#include "core/Search.h"
+#include "engine/Engine.h"
 #include "exec/Run.h"
 #include "serve/Server.h"
 #include "support/Hash.h"
@@ -116,7 +116,7 @@ static void auditEntry(const serve::TunedEntry &E, DbAuditReport &Report) {
 
   Env Config = makeEnv(V->Skeleton, E.Config);
   SimEvalBackend Backend(Machine);
-  DirectEvaluator Eval(Backend);
+  EvalEngine Eval(Backend);
   ++Report.Replayed;
   double Replayed = Eval.evaluate(*V, Config, "audit").Cost;
   // Bitwise, not approximate: the simulator is a pure function, so the

@@ -3,7 +3,6 @@
 #include "core/Heuristics.h"
 #include "support/Rng.h"
 #include "support/Timer.h"
-#include "transform/TransformError.h"
 
 #include <algorithm>
 #include <cmath>
@@ -15,13 +14,13 @@ namespace {
 
 constexpr double Inf = std::numeric_limits<double>::infinity();
 
-/// Shared evaluation plumbing: instantiation + cost caches, bounds and
+/// Shared evaluation plumbing over an Evaluator: cost cache, bounds and
 /// feasibility checks, budget accounting, trace recording.
 class HeuristicEvaluator {
 public:
-  HeuristicEvaluator(const DerivedVariant &V, EvalBackend &B,
-                     const HeuristicSearchOptions &Opts)
-      : V(V), B(B), Opts(Opts) {
+  HeuristicEvaluator(const DerivedVariant &V, Evaluator &Eval,
+                     std::string Stage, const HeuristicSearchOptions &Opts)
+      : V(V), Eval(Eval), Stage(std::move(Stage)), Opts(Opts) {
     for (const auto &[Var, Param] : V.TileParamOf)
       TileParams.push_back(Param);
     for (const UnrollSpec &U : V.Spec.Unrolls)
@@ -48,25 +47,14 @@ public:
     if (!budgetLeft())
       return Inf;
 
-    std::string InstKey;
-    for (SymbolId P : UnrollParams)
-      InstKey += std::to_string(E.get(P)) + ",";
-    for (SymbolId P : PfParams)
-      InstKey += std::to_string(E.get(P)) + ",";
-    auto It = InstCache.find(InstKey);
-    if (It == InstCache.end()) {
-      try {
-        It = InstCache.emplace(InstKey, V.instantiate(E, B.machine())).first;
-      } catch (const TransformError &) {
-        // Illegal unroll request at this point: infeasible, not fatal.
-        CostCache[Key] = Inf;
-        return Inf;
-      }
-    }
-
-    double Cost = B.evaluate(It->second, E);
+    // A point a transform refuses (an illegal unroll here) is
+    // infeasible, not a measurement: it is neither recorded nor charged
+    // to the budget.
+    size_t RejectedBefore = Eval.stats().Rejected;
+    double Cost = Eval.evaluate(V, E, Stage).Cost;
     CostCache[Key] = Cost;
-    Trace.Points.push_back({Key, Cost});
+    if (Eval.stats().Rejected == RejectedBefore)
+      Trace.Points.push_back({Key, Cost});
     return Cost;
   }
 
@@ -129,11 +117,11 @@ private:
   }
 
   const DerivedVariant &V;
-  EvalBackend &B;
+  Evaluator &Eval;
+  std::string Stage;
   HeuristicSearchOptions Opts;
   std::vector<SymbolId> TileParams, UnrollParams, PfParams;
   std::map<std::string, double> CostCache;
-  std::map<std::string, LoopNest> InstCache;
   SearchTrace Trace;
   size_t Attempts = 0;
 };
@@ -141,26 +129,26 @@ private:
 } // namespace
 
 VariantSearchResult
-eco::hillClimbVariant(const DerivedVariant &Variant, EvalBackend &Backend,
+eco::hillClimbVariant(const DerivedVariant &Variant, Evaluator &Eval,
                       const ParamBindings &Problem,
                       const HeuristicSearchOptions &Opts) {
   Timer Elapsed;
-  HeuristicEvaluator Eval(Variant, Backend, Opts);
+  HeuristicEvaluator HE(Variant, Eval, "hill-climb", Opts);
   Rng R(Opts.Seed);
 
-  Env Cur = initialConfig(Variant, Backend.machine(), Problem);
-  double CurCost = Eval.eval(Cur);
+  Env Cur = initialConfig(Variant, Eval.machine(), Problem);
+  double CurCost = HE.eval(Cur);
   Env Best = Cur;
   double BestCost = CurCost;
 
   int Stuck = 0;
-  while (Eval.budgetLeft()) {
+  while (HE.budgetLeft()) {
     // Try a handful of neighbors; move to the best improving one.
     Env BestNbr = Cur;
     double BestNbrCost = Inf;
-    for (int T = 0; T < 4 && Eval.budgetLeft(); ++T) {
-      Env Nbr = Eval.neighbor(Cur, R);
-      double Cost = Eval.eval(Nbr);
+    for (int T = 0; T < 4 && HE.budgetLeft(); ++T) {
+      Env Nbr = HE.neighbor(Cur, R);
+      double Cost = HE.eval(Nbr);
       if (Cost < BestNbrCost) {
         BestNbrCost = Cost;
         BestNbr = Nbr;
@@ -172,8 +160,8 @@ eco::hillClimbVariant(const DerivedVariant &Variant, EvalBackend &Backend,
       Stuck = 0;
     } else if (++Stuck >= 3) {
       // Random restart.
-      Cur = Eval.randomPoint(Cur, R);
-      CurCost = Eval.eval(Cur);
+      Cur = HE.randomPoint(Cur, R);
+      CurCost = HE.eval(Cur);
       Stuck = 0;
     }
     if (CurCost < BestCost) {
@@ -185,30 +173,30 @@ eco::hillClimbVariant(const DerivedVariant &Variant, EvalBackend &Backend,
   VariantSearchResult Result;
   Result.BestConfig = Best;
   Result.BestCost = BestCost;
-  Result.Trace = Eval.takeTrace();
+  Result.Trace = HE.takeTrace();
   Result.Trace.Seconds = Elapsed.seconds();
   return Result;
 }
 
 VariantSearchResult
-eco::annealVariant(const DerivedVariant &Variant, EvalBackend &Backend,
+eco::annealVariant(const DerivedVariant &Variant, Evaluator &Eval,
                    const ParamBindings &Problem,
                    const HeuristicSearchOptions &Opts) {
   Timer Elapsed;
-  HeuristicEvaluator Eval(Variant, Backend, Opts);
+  HeuristicEvaluator HE(Variant, Eval, "anneal", Opts);
   Rng R(Opts.Seed);
 
-  Env Cur = initialConfig(Variant, Backend.machine(), Problem);
-  double CurCost = Eval.eval(Cur);
+  Env Cur = initialConfig(Variant, Eval.machine(), Problem);
+  double CurCost = HE.eval(Cur);
   Env Best = Cur;
   double BestCost = CurCost;
 
   // Temperature relative to the starting cost.
   double Temp = Opts.StartTemp *
                 (CurCost < Inf ? CurCost : 1.0);
-  while (Eval.budgetLeft()) {
-    Env Nbr = Eval.neighbor(Cur, R);
-    double Cost = Eval.eval(Nbr);
+  while (HE.budgetLeft()) {
+    Env Nbr = HE.neighbor(Cur, R);
+    double Cost = HE.eval(Nbr);
     if (Cost < Inf) {
       double Delta = Cost - CurCost;
       if (Delta <= 0 ||
@@ -227,7 +215,7 @@ eco::annealVariant(const DerivedVariant &Variant, EvalBackend &Backend,
   VariantSearchResult Result;
   Result.BestConfig = Best;
   Result.BestCost = BestCost;
-  Result.Trace = Eval.takeTrace();
+  Result.Trace = HE.takeTrace();
   Result.Trace.Seconds = Elapsed.seconds();
   return Result;
 }

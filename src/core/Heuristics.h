@@ -18,8 +18,10 @@
 /// Both start from the model heuristic's initial point, so "models +
 /// heuristic search" hybrids are exactly what these implement; with the
 /// models' constraints still pruning infeasible moves, they demonstrate
-/// the combination the paper anticipates. bench_ablation compares them
-/// against the staged guided search at equal budget.
+/// the combination the paper anticipates. Both evaluate through an
+/// Evaluator (the engine, stages "hill-climb" and "anneal"), as the
+/// staged search does. bench_ablation compares them against the staged
+/// guided search at equal budget.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,13 +45,13 @@ struct HeuristicSearchOptions {
 
 /// Steepest-descent hill climbing with random restarts when stuck.
 VariantSearchResult hillClimbVariant(const DerivedVariant &Variant,
-                                     EvalBackend &Backend,
+                                     Evaluator &Eval,
                                      const ParamBindings &Problem,
                                      const HeuristicSearchOptions &Opts = {});
 
 /// Simulated annealing over the same move set.
 VariantSearchResult annealVariant(const DerivedVariant &Variant,
-                                  EvalBackend &Backend,
+                                  Evaluator &Eval,
                                   const ParamBindings &Problem,
                                   const HeuristicSearchOptions &Opts = {});
 

@@ -5,10 +5,8 @@
 #include "codegen/NativeRunner.h"
 #include "obs/Event.h"
 #include "obs/Log.h"
-#include "support/NestHash.h"
 #include "support/Rng.h"
 #include "support/Timer.h"
-#include "transform/TransformError.h"
 
 #include "support/Sync.h"
 
@@ -497,8 +495,7 @@ private:
 
     EvalOutcome O = Eval.evaluate(V, E, Stage);
     CostCache[Key] = O.Cost;
-    Trace.Points.push_back(
-        {Key, O.Cost, Stage, O.CacheHit, O.Millis, O.Lane});
+    Trace.Points.push_back({Key, O.Cost});
     return O.Cost;
   }
 
@@ -738,89 +735,9 @@ std::string eco::instantiationKey(const DerivedVariant &V,
   return Key;
 }
 
-void eco::publishEvaluated(const DerivedVariant &V, const Env &Config,
-                           const std::string &Stage, const EvalOutcome &O,
-                           bool Warm) {
-  Json F = Json::object();
-  F.set("variant", V.Spec.Name);
-  F.set("stage", Stage);
-  F.set("config", V.configString(Config));
-  F.set("cost", O.Cost);
-  F.set("cache_hit", O.CacheHit);
-  if (Warm)
-    F.set("warm", true);
-  F.set("ms", O.Millis);
-  F.set("lane", O.Lane);
-  obs::publishEvent("config.evaluated", std::move(F));
-}
-
-EvalOutcome DirectEvaluator::evaluate(const DerivedVariant &V,
-                                      const Env &Config,
-                                      const std::string &Stage) {
-  EvalOutcome O;
-  std::pair<uint64_t, uint64_t> CostKey{V.fingerprint(),
-                                        hashEnv(Config, V.Skeleton.Syms)};
-  auto Cached = CostMemo.find(CostKey);
-  if (Cached != CostMemo.end()) {
-    ++Stats.CacheHits;
-    O.Cost = Cached->second;
-    O.CacheHit = true;
-    if (obs::eventsEnabled())
-      publishEvaluated(V, Config, Stage, O);
-    return O;
-  }
-
-  std::pair<uint64_t, std::string> InstKey{V.fingerprint(),
-                                           instantiationKey(V, Config)};
-  auto InstIt = InstMemo.find(InstKey);
-  if (InstIt == InstMemo.end()) {
-    try {
-      InstIt = InstMemo
-                   .emplace(std::move(InstKey),
-                            V.instantiate(Config, Backend.machine()))
-                   .first;
-    } catch (const TransformError &E) {
-      // An illegal unroll/prefetch request at this point: treat like a
-      // failed native compile — infinite cost, search moves on.
-      ECO_LOG(Warn) << "config rejected (illegal transform): " << E.what();
-      ++Stats.Rejected;
-      if (obs::eventsEnabled()) {
-        // The registry folds this into the transform.rejected counter.
-        Json F = Json::object();
-        F.set("variant", V.Spec.Name);
-        F.set("stage", Stage);
-        F.set("config", V.configString(Config));
-        F.set("reason", std::string(E.what()));
-        obs::publishEvent("config.rejected", std::move(F));
-      }
-      O.Cost = std::numeric_limits<double>::infinity();
-      CostMemo.emplace(std::move(CostKey), O.Cost);
-      return O;
-    }
-  }
-
-  Timer T;
-  O.Cost = Backend.evaluate(InstIt->second, Config);
-  O.Millis = T.millis();
-  ++Stats.Evaluations;
-  Stats.BackendSeconds += O.Millis / 1e3;
-  CostMemo.emplace(std::move(CostKey), O.Cost);
-  if (obs::eventsEnabled())
-    publishEvaluated(V, Config, Stage, O);
-  return O;
-}
-
 VariantSearchResult eco::searchVariant(const DerivedVariant &Variant,
                                        Evaluator &Eval,
                                        const ParamBindings &Problem,
                                        const SearchOptions &Opts) {
-  return Searcher(Variant, Eval, Problem, Opts).run();
-}
-
-VariantSearchResult eco::searchVariant(const DerivedVariant &Variant,
-                                       EvalBackend &Backend,
-                                       const ParamBindings &Problem,
-                                       const SearchOptions &Opts) {
-  DirectEvaluator Eval(Backend);
   return Searcher(Variant, Eval, Problem, Opts).run();
 }

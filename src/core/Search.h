@@ -20,9 +20,10 @@
 ///  3. post-prefetch tile adjustment — grow the innermost loop's tile
 ///     (shrinking others to stay within constraints) while it helps.
 ///
-/// Every evaluation instantiates the variant for the configuration's
-/// unroll/prefetch values (cached), binds the tile parameters, and runs it
-/// on an EvalBackend: the memory-hierarchy simulator (cycles) or the
+/// Every evaluation goes through an Evaluator (the engine), which
+/// instantiates the variant for the configuration's unroll/prefetch
+/// values (cached), binds the tile parameters, and runs it on an
+/// EvalBackend: the memory-hierarchy simulator (cycles) or the
 /// native compile-and-run backend (seconds). Infeasible configurations
 /// (violating any model constraint) are rejected without execution —
 /// that is how the models prune the search space.
@@ -37,7 +38,6 @@
 
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -235,16 +235,12 @@ struct SearchOptions {
   std::function<bool()> ShouldStop;
 };
 
-/// One evaluated point. The first two fields are the classic (config,
-/// cost) pair; the rest are filled when the point flows through an
-/// Evaluator (engine or direct) and describe how it was obtained.
+/// One evaluated point: the configuration and its cost. How the point
+/// was obtained (stage, cache hit, backend time, lane) is recorded once,
+/// in its `config.evaluated` flight-recorder event.
 struct SearchPoint {
   std::string Config;
   double Cost = 0;
-  std::string Stage;    ///< search stage that requested the point
-  bool CacheHit = false;///< served from the evaluator's memo table
-  double Millis = 0;    ///< backend wall time (0 for cache hits)
-  int Lane = 0;         ///< engine lane (thread slot) that evaluated it
 };
 
 /// The paper reports search cost as points visited and wall time (4.3).
@@ -306,6 +302,9 @@ struct StageTelemetry {
 /// sequential decisions hit its memo table. Because every decision is
 /// replayed in the original order against bit-identical costs, the chosen
 /// configuration cannot depend on the degree of parallelism.
+///
+/// The one implementation is EvalEngine (engine/Engine.h); the interface
+/// keeps core free of the engine and lets a caller decorate the engine.
 class Evaluator {
 public:
   virtual ~Evaluator() = default;
@@ -323,10 +322,7 @@ public:
   /// memoize. Correctness never depends on warming.
   virtual void
   warmMany(const std::vector<std::pair<const DerivedVariant *, Env>> &Points,
-           const std::string &Stage) {
-    (void)Points;
-    (void)Stage;
-  }
+           const std::string &Stage) = 0;
 
   /// Convenience: warm several configs of a single variant.
   void warm(const DerivedVariant &V, const std::vector<Env> &Configs,
@@ -341,47 +337,13 @@ public:
   virtual EvalStats stats() const = 0;
 
   /// Cumulative per-(variant, stage) telemetry rows, sorted by (variant,
-  /// stage). Default: none (the engine implements this; the sequential
-  /// reference evaluator keeps only aggregate stats).
-  virtual std::vector<StageTelemetry> telemetry() const { return {}; }
-};
-
-/// The sequential reference Evaluator: evaluates on the caller's thread
-/// directly against one EvalBackend, memoizing per (variant, config) so
-/// revisited points are free (the behavior the original search loop
-/// hand-implemented). warmMany() is a no-op.
-class DirectEvaluator : public Evaluator {
-public:
-  explicit DirectEvaluator(EvalBackend &Backend) : Backend(Backend) {}
-
-  const MachineDesc &machine() const override { return Backend.machine(); }
-  EvalOutcome evaluate(const DerivedVariant &V, const Env &Config,
-                       const std::string &Stage) override;
-  EvalStats stats() const override { return Stats; }
-
-private:
-  EvalBackend &Backend;
-  EvalStats Stats;
-  /// (variant fingerprint, hashEnv of the config) -> cost. Both memos key
-  /// on content, never on the variant's address, which a later variant
-  /// may reuse.
-  std::map<std::pair<uint64_t, uint64_t>, double> CostMemo;
-  /// (variant fingerprint, unroll/prefetch key) -> instantiated nest.
-  std::map<std::pair<uint64_t, std::string>, LoopNest> InstMemo;
+  /// stage).
+  virtual std::vector<StageTelemetry> telemetry() const = 0;
 };
 
 /// The unroll/prefetch portion of \p Config that determines instantiation
-/// (tiles stay symbolic); evaluators key their instantiation memos on it.
+/// (tiles stay symbolic); the engine keys its instantiation memo on it.
 std::string instantiationKey(const DerivedVariant &V, const Env &Config);
-
-/// Publishes the canonical `config.evaluated` flight-recorder event for
-/// one completed evaluation (fields: variant, stage, config, cost,
-/// cache_hit, warm, ms, lane). Shared by every Evaluator so the event
-/// schema cannot drift between the sequential and parallel paths. Call
-/// only under obs::eventsEnabled().
-void publishEvaluated(const DerivedVariant &V, const Env &Config,
-                      const std::string &Stage, const EvalOutcome &O,
-                      bool Warm = false);
 
 /// The model heuristic's initial configuration for \p Variant (stage
 /// initial values; prefetch off). Public so the Tuner can rank variants
@@ -401,12 +363,6 @@ std::vector<std::vector<SymbolId>> searchStages(const DerivedVariant &V);
 /// engine only changes how fast the costs materialize.
 VariantSearchResult searchVariant(const DerivedVariant &Variant,
                                   Evaluator &Eval,
-                                  const ParamBindings &Problem,
-                                  const SearchOptions &Opts = {});
-
-/// Convenience overload: sequential search directly on \p Backend.
-VariantSearchResult searchVariant(const DerivedVariant &Variant,
-                                  EvalBackend &Backend,
                                   const ParamBindings &Problem,
                                   const SearchOptions &Opts = {});
 

@@ -306,9 +306,3 @@ TuneResult eco::tune(const LoopNest &Original, Evaluator &Eval,
   }
   return Result;
 }
-
-TuneResult eco::tune(const LoopNest &Original, EvalBackend &Backend,
-                     const ParamBindings &Problem, const TuneOptions &Opts) {
-  DirectEvaluator Eval(Backend);
-  return tune(Original, Eval, Problem, Opts);
-}

@@ -14,7 +14,7 @@
 ///   phase 2  searchVariant   — guided empirical search per variant
 ///   select                   — best measured configuration wins
 ///
-/// Typical use:
+/// Typical use (the EvalBackend overload lives in engine/Engine.h):
 /// \code
 ///   LoopNest MM = makeMatMul();
 ///   SimEvalBackend Backend(MachineDesc::sgiR10000().scaledBy(16));
@@ -89,8 +89,7 @@ struct TuneResult {
   int64_t RepresentativeSizeUsed = 0;
 
   /// Per-(variant, stage) telemetry for THIS tune (the evaluator's
-  /// cumulative rows are diffed against a snapshot taken at entry).
-  /// Empty when the evaluator does not implement telemetry(). Counts
+  /// cumulative rows are diffed against a snapshot taken at entry). Counts
   /// reconcile with TotalPoints/TotalCacheHits; rows with HasHW carry
   /// summed simulated hardware-counter deltas (Table 3-style data).
   std::vector<StageTelemetry> Telemetry;
@@ -102,15 +101,12 @@ struct TuneResult {
 };
 
 /// Runs the complete two-phase optimization of \p Original through
-/// \p Eval (a DirectEvaluator, or the engine's parallel EvalEngine) at
-/// the given problem size(s). Point/time accounting in the result comes
-/// from the evaluator's stats, so it stays correct when evaluations run
+/// \p Eval (an EvalEngine; engine/Engine.h also declares the overload
+/// that takes an EvalBackend and builds a one-lane engine) at the given
+/// problem size(s). Point/time accounting in the result comes from the
+/// evaluator's stats, so it stays correct when evaluations run
 /// concurrently or are served from a persistent cache.
 TuneResult tune(const LoopNest &Original, Evaluator &Eval,
-                const ParamBindings &Problem, const TuneOptions &Opts = {});
-
-/// Convenience overload: sequential tuning directly on \p Backend.
-TuneResult tune(const LoopNest &Original, EvalBackend &Backend,
                 const ParamBindings &Problem, const TuneOptions &Opts = {});
 
 } // namespace eco

@@ -12,6 +12,28 @@
 
 using namespace eco;
 
+namespace {
+
+/// Publishes the `config.evaluated` flight-recorder event for one
+/// completed evaluation. Call only under obs::eventsEnabled().
+void publishEvaluated(const DerivedVariant &V, const Env &Config,
+                      const std::string &Stage, const EvalOutcome &O,
+                      bool Warm) {
+  Json F = Json::object();
+  F.set("variant", V.Spec.Name);
+  F.set("stage", Stage);
+  F.set("config", V.configString(Config));
+  F.set("cost", O.Cost);
+  F.set("cache_hit", O.CacheHit);
+  if (Warm)
+    F.set("warm", true);
+  F.set("ms", O.Millis);
+  F.set("lane", O.Lane);
+  obs::publishEvent("config.evaluated", std::move(F));
+}
+
+} // namespace
+
 EvalEngine::EvalEngine(EvalBackend &Backend, EngineOptions EOpts)
     : Base(Backend), Opts(std::move(EOpts)) {
   MachineHash = Base.machine().fingerprint();
@@ -271,4 +293,18 @@ std::vector<StageTelemetry> EvalEngine::telemetry() const {
   for (const auto &[Key, Row] : VariantStages)
     Rows.push_back(Row); // map order = sorted by (variant, stage)
   return Rows;
+}
+
+TuneResult eco::tune(const LoopNest &Original, EvalBackend &Backend,
+                     const ParamBindings &Problem, const TuneOptions &Opts) {
+  EvalEngine Engine(Backend);
+  return tune(Original, Engine, Problem, Opts);
+}
+
+VariantSearchResult eco::searchVariant(const DerivedVariant &Variant,
+                                       EvalBackend &Backend,
+                                       const ParamBindings &Problem,
+                                       const SearchOptions &Opts) {
+  EvalEngine Engine(Backend);
+  return searchVariant(Variant, Engine, Problem, Opts);
 }

@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// EvalEngine is the Evaluator the production search runs through. It
-/// combines
+/// EvalEngine is the one Evaluator: every in-process search (the staged
+/// search, the heuristic hybrids, the tuner's rank step) and the DB audit
+/// evaluate through it. It combines
 ///
 ///  * a ThreadPool of per-lane EvalBackend clones — warm batches (the
 ///    independent candidates each search step generates) evaluate
@@ -37,6 +38,7 @@
 #define ECO_ENGINE_ENGINE_H
 
 #include "core/Search.h"
+#include "core/Tuner.h"
 #include "engine/EvalCache.h"
 #include "engine/ThreadPool.h"
 // Unused by the engine: perfbench/src/TuneWorkloads.cpp gets TraceLog here.
@@ -194,6 +196,22 @@ private:
   /// overlaps a periodic one.
   Mutex SaveMutex{"engine.save"};
 };
+
+// Unused by the program: perfbench/src/TuneWorkloads.cpp still names the
+// deleted sequential evaluator; the alias goes with it (ROADMAP.md).
+using DirectEvaluator = EvalEngine;
+
+/// Convenience overload: tunes through a one-lane EvalEngine with a
+/// private cache over \p Backend.
+TuneResult tune(const LoopNest &Original, EvalBackend &Backend,
+                const ParamBindings &Problem, const TuneOptions &Opts = {});
+
+/// Convenience overload: searches one variant through a one-lane
+/// EvalEngine with a private cache over \p Backend.
+VariantSearchResult searchVariant(const DerivedVariant &Variant,
+                                  EvalBackend &Backend,
+                                  const ParamBindings &Problem,
+                                  const SearchOptions &Opts = {});
 
 } // namespace eco
 

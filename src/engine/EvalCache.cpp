@@ -6,6 +6,7 @@
 #include "support/Hash.h"
 #include "support/Json.h"
 
+#include <cmath>
 #include <fstream>
 
 using namespace eco;
@@ -124,7 +125,8 @@ bool EvalCache::save(const std::string &Path) const {
   for (const Shard &S : Shards) {
     MutexLock Lock(S.M);
     for (const auto &[KeyText, Cost] : S.Map)
-      Entries.set(KeyText, Cost);
+      if (std::isfinite(Cost)) // JSON has no inf; a failure re-evaluates
+        Entries.set(KeyText, Cost);
   }
   Json Root = Json::object();
   Root.set("version", FormatVersion);

@@ -96,6 +96,9 @@ public:
   size_t load(const std::string &Path, uint64_t RequireMachineHash = 0);
 
   /// Writes every entry to \p Path as pretty JSON (atomic rename).
+  /// Non-finite costs (a failed native compile) are not written: JSON
+  /// has no infinity, and one read back as a finite number would turn a
+  /// failure into a measurement. A resumed tune re-evaluates them.
   bool save(const std::string &Path) const;
 
 private:

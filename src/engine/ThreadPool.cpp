@@ -3,7 +3,6 @@
 #include "engine/ThreadPool.h"
 
 #include <algorithm>
-#include <cstdint>
 
 using namespace eco;
 
@@ -24,37 +23,31 @@ ThreadPool::~ThreadPool() {
     W.join();
 }
 
-size_t ThreadPool::drainQueue(int Lane) {
-  size_t Ran = 0;
+void ThreadPool::drainQueue(int Lane) {
   MutexLock Lock(M);
   while (Batch && NextTask < Batch->size()) {
     size_t Task = NextTask++;
     const auto &Fn = (*Batch)[Task];
     Lock.unlock();
     Fn(Lane);
-    ++Ran;
     Lock.lock();
     if (--Pending == 0) {
       Batch = nullptr;
       BatchDone.notify_all();
     }
   }
-  return Ran;
 }
 
 void ThreadPool::workerLoop(int Lane) {
   while (true) {
-    uint64_t SeenSeq;
     {
       MutexLock Lock(M);
       while (!Stopping && !(Batch && NextTask < Batch->size()))
         WorkReady.wait(Lock);
       if (Stopping)
         return;
-      SeenSeq = BatchSeq;
     }
     drainQueue(Lane);
-    (void)SeenSeq;
   }
 }
 
@@ -72,7 +65,6 @@ void ThreadPool::runBatch(
     Batch = &Tasks;
     NextTask = 0;
     Pending = Tasks.size();
-    ++BatchSeq;
   }
   WorkReady.notify_all();
   drainQueue(/*Lane=*/0);

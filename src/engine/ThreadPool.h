@@ -50,9 +50,8 @@ public:
 
 private:
   void workerLoop(int Lane);
-  /// Claims and runs queue entries until the queue drains; returns the
-  /// number of tasks this call executed.
-  size_t drainQueue(int Lane);
+  /// Claims and runs queue entries until the queue drains.
+  void drainQueue(int Lane);
 
   int NumJobs;
   std::vector<std::thread> Workers;
@@ -65,7 +64,6 @@ private:
   size_t NextTask ECO_GUARDED_BY(M) = 0; ///< next unclaimed in *Batch
   /// Tasks claimed or unclaimed, not yet finished.
   size_t Pending ECO_GUARDED_BY(M) = 0;
-  uint64_t BatchSeq ECO_GUARDED_BY(M) = 0;
   bool Stopping ECO_GUARDED_BY(M) = false;
 };
 

@@ -1,6 +1,7 @@
 //===- tests/test_builder.cpp - ir/Builder fluent API tests ---------------===//
 
 #include "core/Tuner.h"
+#include "engine/Engine.h"
 #include "exec/Run.h"
 #include "ir/Builder.h"
 #include "ir/Verifier.h"

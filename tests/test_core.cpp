@@ -1,6 +1,7 @@
 //===- tests/test_core.cpp - core/ unit + integration tests ---------------===//
 
 #include "core/Tuner.h"
+#include "engine/Engine.h"
 #include "exec/Run.h"
 #include "kernels/Kernels.h"
 #include "kernels/Reference.h"

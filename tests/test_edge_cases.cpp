@@ -7,6 +7,7 @@
 
 #include "analysis/Reuse.h"
 #include "core/Tuner.h"
+#include "engine/Engine.h"
 #include "exec/Run.h"
 #include "kernels/Kernels.h"
 #include "kernels/Reference.h"

@@ -2,6 +2,7 @@
 
 #include "core/Heuristics.h"
 #include "core/Tuner.h"
+#include "engine/Engine.h"
 #include "exec/Run.h"
 #include "kernels/Kernels.h"
 
@@ -43,11 +44,12 @@ TEST(Heuristics, HillClimbRespectsBudgetAndFeasibility) {
   LoopNest MM = makeMatMul();
   MachineDesc M = sgiScaled();
   SimEvalBackend Backend(M);
+  EvalEngine Eval(Backend);
   std::vector<DerivedVariant> Vs = deriveVariants(MM, M);
   HeuristicSearchOptions Opts;
   Opts.Budget = 30;
   VariantSearchResult R =
-      hillClimbVariant(Vs.front(), Backend, {{"N", 64}}, Opts);
+      hillClimbVariant(Vs.front(), Eval, {{"N", 64}}, Opts);
   EXPECT_LE(R.Trace.numEvaluations(), 30u);
   EXPECT_TRUE(Vs.front().feasible(R.BestConfig));
   EXPECT_LT(R.BestCost, std::numeric_limits<double>::infinity());
@@ -57,11 +59,12 @@ TEST(Heuristics, AnnealRespectsBudgetAndFeasibility) {
   LoopNest MM = makeMatMul();
   MachineDesc M = sgiScaled();
   SimEvalBackend Backend(M);
+  EvalEngine Eval(Backend);
   std::vector<DerivedVariant> Vs = deriveVariants(MM, M);
   HeuristicSearchOptions Opts;
   Opts.Budget = 30;
   VariantSearchResult R =
-      annealVariant(Vs.front(), Backend, {{"N", 64}}, Opts);
+      annealVariant(Vs.front(), Eval, {{"N", 64}}, Opts);
   EXPECT_LE(R.Trace.numEvaluations(), 30u);
   EXPECT_TRUE(Vs.front().feasible(R.BestConfig));
   EXPECT_LT(R.BestCost, std::numeric_limits<double>::infinity());
@@ -81,9 +84,10 @@ TEST(Heuristics, BothStartFromModelHeuristicSoNeverWorseThanIt) {
 
   HeuristicSearchOptions Opts;
   Opts.Budget = 40;
-  EXPECT_LE(hillClimbVariant(V, Backend, {{"N", 64}}, Opts).BestCost,
+  EvalEngine Eval(Backend);
+  EXPECT_LE(hillClimbVariant(V, Eval, {{"N", 64}}, Opts).BestCost,
             InitCost);
-  EXPECT_LE(annealVariant(V, Backend, {{"N", 64}}, Opts).BestCost,
+  EXPECT_LE(annealVariant(V, Eval, {{"N", 64}}, Opts).BestCost,
             InitCost);
 }
 
@@ -91,12 +95,13 @@ TEST(Heuristics, DeterministicForSeed) {
   LoopNest MM = makeMatMul();
   MachineDesc M = sgiScaled();
   SimEvalBackend B1(M), B2(M);
+  EvalEngine E1(B1), E2(B2);
   std::vector<DerivedVariant> Vs = deriveVariants(MM, M);
   HeuristicSearchOptions Opts;
   Opts.Budget = 25;
   Opts.Seed = 7;
-  VariantSearchResult A = annealVariant(Vs.front(), B1, {{"N", 48}}, Opts);
-  VariantSearchResult B = annealVariant(Vs.front(), B2, {{"N", 48}}, Opts);
+  VariantSearchResult A = annealVariant(Vs.front(), E1, {{"N", 48}}, Opts);
+  VariantSearchResult B = annealVariant(Vs.front(), E2, {{"N", 48}}, Opts);
   EXPECT_DOUBLE_EQ(A.BestCost, B.BestCost);
   EXPECT_EQ(A.Trace.numEvaluations(), B.Trace.numEvaluations());
 }
@@ -141,6 +146,7 @@ TEST(Heuristics, TerminatesWhenConfigSpaceSaturates) {
   LoopNest MM = makeMatMul();
   MachineDesc M = sgiScaled();
   SimEvalBackend Backend(M);
+  EvalEngine Eval(Backend);
   std::vector<DerivedVariant> Vs = deriveVariants(MM, M);
   HeuristicSearchOptions Opts;
   Opts.Budget = 100000; // far more than reachable configurations
@@ -148,9 +154,9 @@ TEST(Heuristics, TerminatesWhenConfigSpaceSaturates) {
   Opts.MaxUnroll = 2;
   Opts.MaxPrefetchDistance = 1;
   VariantSearchResult HC =
-      hillClimbVariant(Vs.front(), Backend, {{"N", 16}}, Opts);
+      hillClimbVariant(Vs.front(), Eval, {{"N", 16}}, Opts);
   VariantSearchResult SA =
-      annealVariant(Vs.front(), Backend, {{"N", 16}}, Opts);
+      annealVariant(Vs.front(), Eval, {{"N", 16}}, Opts);
   EXPECT_LT(HC.Trace.numEvaluations(), Opts.Budget);
   EXPECT_LT(SA.Trace.numEvaluations(), Opts.Budget);
   EXPECT_LT(HC.BestCost, std::numeric_limits<double>::infinity());

@@ -13,6 +13,7 @@
 #include "baselines/NativeCompiler.h"
 #include "codegen/NativeRunner.h"
 #include "core/Tuner.h"
+#include "engine/Engine.h"
 #include "exec/Run.h"
 #include "kernels/Kernels.h"
 #include "kernels/Reference.h"

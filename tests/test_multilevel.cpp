@@ -11,6 +11,7 @@
 
 #include "core/Search.h"
 #include "core/Tuner.h"
+#include "engine/Engine.h"
 #include "exec/Run.h"
 #include "support/Rng.h"
 

@@ -17,6 +17,7 @@
 
 #include "check/EventAudit.h"
 #include "core/Tuner.h"
+#include "engine/Engine.h"
 #include "engine/ThreadPool.h"
 #include "kernels/Kernels.h"
 #include "obs/Event.h"
