@@ -10,6 +10,7 @@
 //            [--max-ulps=U] [--verbose]
 //
 //   --iter=K       run exactly iteration K (the one-line reproducer form)
+//                  and print its nests and bindings to stderr
 //   --native-every=N  compile + run the native leg every Nth iteration
 //                     (0 disables the native leg)
 //

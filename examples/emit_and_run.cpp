@@ -9,11 +9,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CEmitter.h"
-#include "codegen/NativeRunner.h"
 #include "core/DeriveVariants.h"
 #include "core/Search.h"
 #include "kernels/Kernels.h"
 
+#include <cmath>
 #include <cstdio>
 
 using namespace eco;
@@ -33,22 +33,25 @@ int main() {
   std::printf("emitted C for variant %s:\n%s\n", V.Spec.Name.c_str(),
               emitC(Optimized, "dgemm_opt").c_str());
 
-  // Compile and time both versions natively.
+  // Compile and time both versions natively, through the tuner's own
+  // native backend: the cost is best-of-3 seconds, +infinity when the
+  // kernel does not compile.
+  NativeEvalBackend Native(Host);
   double Flops = 2.0 * N * N * N;
-  NativeRunResult Naive = runNative(MM, {{"N", N}}, Flops);
-  if (!Naive.CompileOk) {
-    std::printf("host compiler unavailable: %s\n", Naive.Error.c_str());
+  double Naive = Native.evaluate(MM, makeEnv(MM, {{"N", N}}));
+  if (!std::isfinite(Naive)) {
+    std::printf("host compiler unavailable\n");
     return 0;
   }
+  double Opt = Native.evaluate(Optimized, Cfg);
+  if (!std::isfinite(Opt)) {
+    std::printf("variant %s failed to compile\n", V.Spec.Name.c_str());
+    return 1;
+  }
 
-  ParamBindings Bindings = {{"N", N}};
-  for (SymbolId P : V.searchParams())
-    Bindings.push_back({Optimized.Syms.name(P), Cfg.get(P)});
-  NativeRunResult Opt = runNative(Optimized, Bindings, Flops);
-
-  std::printf("naive:     %7.2f ms  (%.0f MFLOPS)\n", Naive.Seconds * 1e3,
-              Naive.Mflops);
-  std::printf("optimized: %7.2f ms  (%.0f MFLOPS)  -> %.2fx\n",
-              Opt.Seconds * 1e3, Opt.Mflops, Naive.Seconds / Opt.Seconds);
+  std::printf("naive:     %7.2f ms  (%.0f MFLOPS)\n", Naive * 1e3,
+              Flops / Naive / 1e6);
+  std::printf("optimized: %7.2f ms  (%.0f MFLOPS)  -> %.2fx\n", Opt * 1e3,
+              Flops / Opt / 1e6, Naive / Opt);
   return 0;
 }

@@ -1,11 +1,10 @@
 //===- check/DiffCheck.cpp - Semantic differential testing ----------------===//
 
 #include "check/DiffCheck.h"
-#include "codegen/CEmitter.h"
 #include "codegen/NativeRunner.h"
 #include "core/DeriveVariants.h"
 #include "core/Search.h"
-#include "exec/Executor.h"
+#include "exec/Run.h"
 #include "kernels/Kernels.h"
 #include "kernels/Reference.h"
 #include "obs/Log.h"
@@ -14,9 +13,8 @@
 #include "transform/TransformError.h"
 
 #include <bit>
+#include <cassert>
 #include <cmath>
-#include <map>
-#include <memory>
 #include <set>
 
 using namespace eco;
@@ -102,29 +100,6 @@ std::vector<CheckKernel> eco::check::checkKernels() {
 
 namespace {
 
-/// Halves the largest tile/unroll parameter until \p Cfg satisfies every
-/// constraint; returns false when no repair is possible.
-bool repairFeasible(const DerivedVariant &V, Env &Cfg) {
-  for (int Guard = 0; Guard < 64 && !V.feasible(Cfg); ++Guard) {
-    SymbolId Largest = -1;
-    int64_t LargestVal = 1;
-    for (const auto &[Var, Param] : V.TileParamOf)
-      if (Cfg.get(Param) > LargestVal) {
-        LargestVal = Cfg.get(Param);
-        Largest = Param;
-      }
-    for (const UnrollSpec &U : V.Spec.Unrolls)
-      if (Cfg.get(U.FactorParam) > LargestVal) {
-        LargestVal = Cfg.get(U.FactorParam);
-        Largest = U.FactorParam;
-      }
-    if (Largest < 0)
-      return false;
-    Cfg.set(Largest, LargestVal / 2);
-  }
-  return V.feasible(Cfg);
-}
-
 /// The configurations one variant gets checked at: the model-heuristic
 /// initial point, the adversarial per-transform corners (tile=1,
 /// unroll=SearchMaxUnroll, prefetch forced on), and random perturbations.
@@ -176,10 +151,16 @@ std::vector<Env> sampleConfigs(const DerivedVariant &V,
     Raw.push_back(std::move(Cfg));
   }
 
+  // Repair halves the largest tile or unroll factor.
+  std::vector<SymbolId> Repairable;
+  for (const auto &[Var, Param] : V.TileParamOf)
+    Repairable.push_back(Param);
+  for (const UnrollSpec &U : V.Spec.Unrolls)
+    Repairable.push_back(U.FactorParam);
   std::vector<Env> Out;
   std::set<std::string> Seen;
   for (Env &Cfg : Raw) {
-    if (!repairFeasible(V, Cfg)) {
+    if (!halveUntilFeasible(V, Cfg, Repairable)) {
       ++*SkippedInfeasible;
       continue;
     }
@@ -187,58 +168,6 @@ std::vector<Env> sampleConfigs(const DerivedVariant &V,
       Out.push_back(std::move(Cfg));
   }
   return Out;
-}
-
-/// Runs \p Exec through the Executor in value mode with the deterministic
-/// fills and returns the output array contents.
-std::vector<double> runSimLeg(const LoopNest &Exec, const Env &Cfg,
-                              const MachineDesc &Machine,
-                              const CheckKernel &K) {
-  MemHierarchySim Sim(Machine);
-  ExecOptions EO;
-  EO.ComputeValues = true;
-  Executor E(Exec, Cfg, Sim, EO);
-  for (ArrayId A : K.OriginalArrays)
-    fillDeterministic(E.dataOf(A), FillSeedBase + static_cast<uint64_t>(A));
-  E.run();
-  return E.dataOf(K.Output);
-}
-
-/// Compiles (cached by emitted source) and runs \p Exec natively with the
-/// deterministic fills; returns the output array or nullopt + error.
-std::vector<double>
-runNativeLeg(const LoopNest &Exec, const Env &Cfg, const CheckKernel &K,
-             std::map<std::string, std::unique_ptr<NativeKernel>> &Compiled,
-             bool *CompileOk, std::string *Error) {
-  *CompileOk = true;
-  std::string Src = emitC(Exec, "eco_check_kernel");
-  auto It = Compiled.find(Src);
-  if (It == Compiled.end()) {
-    std::unique_ptr<NativeKernel> Fresh = NativeKernel::compile(Exec, Error);
-    if (!Fresh) {
-      *CompileOk = false;
-      return {};
-    }
-    It = Compiled.emplace(std::move(Src), std::move(Fresh)).first;
-  }
-
-  std::vector<long> Params(Exec.Syms.size(), 0);
-  for (size_t S = 0; S < Params.size() && S < Cfg.size(); ++S)
-    Params[S] = static_cast<long>(Cfg.get(static_cast<SymbolId>(S)));
-
-  std::set<ArrayId> Originals(K.OriginalArrays.begin(),
-                              K.OriginalArrays.end());
-  std::vector<std::vector<double>> Storage;
-  std::vector<double *> Arrays;
-  for (size_t A = 0; A < Exec.Arrays.size(); ++A) {
-    int64_t Elems = Exec.Arrays[A].numElements(Cfg);
-    Storage.emplace_back(static_cast<size_t>(Elems), 0.0);
-    if (Originals.count(static_cast<ArrayId>(A)))
-      fillDeterministic(Storage.back(), FillSeedBase + A);
-    Arrays.push_back(Storage.back().data());
-  }
-  It->second->run(Params.data(), Arrays.data());
-  return Storage[static_cast<size_t>(K.Output)];
 }
 
 /// Element-wise comparison of \p Got against \p Want; appends at most one
@@ -285,6 +214,37 @@ void compareLeg(const std::vector<double> &Got,
 
 } // namespace
 
+std::vector<std::vector<double>>
+eco::check::simLeg(const LoopNest &Nest, const Env &Cfg,
+                   const MachineDesc &Machine,
+                   std::vector<std::vector<double>> Arrays) {
+  MemHierarchySim Sim(Machine);
+  ExecOptions EO;
+  EO.ComputeValues = true;
+  Executor E(Nest, Cfg, Sim, EO);
+  for (size_t A = 0; A < Arrays.size(); ++A) {
+    assert(E.dataOf(static_cast<ArrayId>(A)).size() == Arrays[A].size() &&
+           "arrays not sized by allocateArrays");
+    E.dataOf(static_cast<ArrayId>(A)) = std::move(Arrays[A]);
+  }
+  E.run();
+  for (size_t A = 0; A < Arrays.size(); ++A)
+    Arrays[A] = std::move(E.dataOf(static_cast<ArrayId>(A)));
+  return Arrays;
+}
+
+std::optional<std::vector<std::vector<double>>>
+eco::check::nativeLeg(const LoopNest &Nest, const Env &Cfg,
+                      NativeKernelCache &Kernels,
+                      std::vector<std::vector<double>> Arrays,
+                      std::string *Error) {
+  NativeKernel *Kernel = Kernels.get(Nest, Error);
+  if (!Kernel)
+    return std::nullopt;
+  Kernel->run(Cfg, Arrays);
+  return Arrays;
+}
+
 DiffCheckReport eco::check::runDiffCheck(const DiffCheckOptions &Opts) {
   DiffCheckReport Report;
   MachineDesc Machine =
@@ -298,7 +258,7 @@ DiffCheckReport eco::check::runDiffCheck(const DiffCheckOptions &Opts) {
     ++Report.Kernels;
     std::vector<double> Want = K.Expected(N);
     std::vector<DerivedVariant> Variants = deriveVariants(K.Nest, Machine);
-    std::map<std::string, std::unique_ptr<NativeKernel>> Compiled;
+    NativeKernelCache Kernels;
 
     size_t Limit = Opts.MaxVariantsPerKernel
                        ? std::min<size_t>(Opts.MaxVariantsPerKernel,
@@ -321,26 +281,23 @@ DiffCheckReport eco::check::runDiffCheck(const DiffCheckOptions &Opts) {
           continue;
         }
 
-        compareLeg(runSimLeg(Exec, Cfg, Machine, K), Want, "sim", K, V,
-                   Cfg, Opts, Report);
+        std::vector<std::vector<double>> Fills = allocateArrays(Exec, Cfg);
+        for (ArrayId A : K.OriginalArrays)
+          fillDeterministic(Fills[A], FillSeedBase + static_cast<uint64_t>(A));
+        compareLeg(simLeg(Exec, Cfg, Machine, Fills)[K.Output], Want,
+                   "sim", K, V, Cfg, Opts, Report);
 
         if (Opts.CheckNative) {
-          bool CompileOk = false;
           std::string Error;
-          std::vector<double> Native =
-              runNativeLeg(Exec, Cfg, K, Compiled, &CompileOk, &Error);
-          if (!CompileOk) {
-            DiffMismatch M;
-            M.Kernel = K.Name;
-            M.Variant = V.Spec.Name;
-            M.Config = V.configString(Cfg);
-            M.Leg = "native-compile";
-            M.Count = 1;
-            M.Detail = Error;
-            Report.Mismatches.push_back(std::move(M));
-          } else {
-            compareLeg(Native, Want, "native", K, V, Cfg, Opts, Report);
-          }
+          std::optional<std::vector<std::vector<double>>> Native =
+              nativeLeg(Exec, Cfg, Kernels, std::move(Fills), &Error);
+          if (!Native)
+            Report.Mismatches.push_back({K.Name, V.Spec.Name,
+                                         V.configString(Cfg), "native-compile",
+                                         0, 1, 0, 0, 0, Error});
+          else
+            compareLeg((*Native)[K.Output], Want, "native", K, V, Cfg, Opts,
+                       Report);
         }
       }
     }

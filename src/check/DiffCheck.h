@@ -30,13 +30,18 @@
 #define ECO_CHECK_DIFFCHECK_H
 
 #include "ir/Loop.h"
+#include "machine/MachineDesc.h"
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace eco {
+
+class NativeKernelCache; // codegen/NativeRunner.h
+
 namespace check {
 
 /// One bundled kernel with its golden reference, packaged for
@@ -74,7 +79,7 @@ struct DiffCheckOptions {
   /// occasional element); the transformations themselves never
   /// reassociate, and real indexing bugs differ by whole values.
   uint64_t MaxUlps = 16;
-  bool CheckNative = true;        ///< run the CEmitter->NativeRunner leg
+  bool CheckNative = true;        ///< run the native (emitted C) leg
   std::string KernelFilter;       ///< empty = all kernels
   unsigned MaxVariantsPerKernel = 0; ///< 0 = all derived variants
 };
@@ -104,6 +109,23 @@ struct DiffCheckReport {
   bool ok() const { return Mismatches.empty(); }
   std::string summary() const;
 };
+
+/// The two ways to run a nest on real data, shared by runDiffCheck and
+/// runFuzz (which differ only in how they fill and compare). Both take
+/// \p Arrays pre-filled, one buffer per ArrayId as allocateArrays sizes
+/// them, and return the final contents of every array.
+///
+/// Simulator leg: the Executor in value mode on \p Machine.
+std::vector<std::vector<double>>
+simLeg(const LoopNest &Nest, const Env &Cfg, const MachineDesc &Machine,
+       std::vector<std::vector<double>> Arrays);
+
+/// Native leg: the emitted C, compiled through \p Kernels (the cache the
+/// tuner's native backend uses) and called once. nullopt, with \p Error
+/// filled, when the compile fails.
+std::optional<std::vector<std::vector<double>>>
+nativeLeg(const LoopNest &Nest, const Env &Cfg, NativeKernelCache &Kernels,
+          std::vector<std::vector<double>> Arrays, std::string *Error);
 
 /// Runs the full differential check. Deterministic for a fixed Seed.
 DiffCheckReport runDiffCheck(const DiffCheckOptions &Opts = {});

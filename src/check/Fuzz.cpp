@@ -2,9 +2,8 @@
 
 #include "check/Fuzz.h"
 #include "check/DiffCheck.h"
-#include "codegen/CEmitter.h"
 #include "codegen/NativeRunner.h"
-#include "exec/Executor.h"
+#include "exec/Run.h"
 #include "ir/Verifier.h"
 #include "obs/Log.h"
 #include "support/Rng.h"
@@ -20,6 +19,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <optional>
@@ -494,13 +494,6 @@ double fillValue(uint64_t Seed, int64_t LogicalIdx) {
   return R.nextDouble() - 0.5;
 }
 
-std::vector<int64_t> actualExtents(const ArrayDecl &Decl, const Env &Cfg) {
-  std::vector<int64_t> Ext;
-  for (const AffineExpr &E : Decl.Extents)
-    Ext.push_back(E.eval(Cfg));
-  return Ext;
-}
-
 int64_t flatIndex(const std::vector<int64_t> &Idx,
                   const std::vector<int64_t> &Ext, Layout Order) {
   int64_t Flat = 0, Stride = 1;
@@ -518,100 +511,49 @@ int64_t flatIndex(const std::vector<int64_t> &Idx,
   return Flat;
 }
 
-/// Calls \p Fn for every logical multi-index within \p Logical, with its
-/// logical flat position (iteration order).
+/// Calls \p F(A, Flat, LogicalFlat) for every element of every original
+/// array A of \p B at \p Cfg, in logical order: Flat addresses it in the
+/// (possibly padded) storage, LogicalFlat counts logical positions.
 template <class Fn>
-void forEachLogical(const std::vector<int64_t> &Logical, Fn &&F) {
-  std::vector<int64_t> Idx(Logical.size(), 0);
-  int64_t LogicalFlat = 0;
-  while (true) {
-    F(Idx, LogicalFlat++);
-    size_t D = 0;
-    for (; D < Logical.size(); ++D) {
-      if (++Idx[D] < Logical[D])
-        break;
-      Idx[D] = 0;
-    }
-    if (D == Logical.size())
-      break;
+void forEachLogical(const BuiltNest &B, const Env &Cfg, Fn &&F) {
+  for (size_t A = 0; A < B.LogicalExtents.size(); ++A) {
+    const ArrayDecl &Decl = B.Nest.array(static_cast<ArrayId>(A));
+    std::vector<int64_t> Ext;
+    for (const AffineExpr &E : Decl.Extents)
+      Ext.push_back(E.eval(Cfg));
+    const std::vector<int64_t> &Logical = B.LogicalExtents[A];
+    std::vector<int64_t> Idx(Logical.size(), 0);
+    int64_t LogicalFlat = 0;
+    size_t D;
+    do {
+      F(A, static_cast<size_t>(flatIndex(Idx, Ext, Decl.Order)),
+        LogicalFlat++);
+      for (D = 0; D < Logical.size() && ++Idx[D] == Logical[D]; ++D)
+        Idx[D] = 0;
+    } while (D < Logical.size());
   }
 }
 
-void fillLogical(std::vector<double> &Buf, const ArrayDecl &Decl,
-                 const std::vector<int64_t> &Logical, const Env &Cfg,
-                 uint64_t Seed) {
-  std::vector<int64_t> Ext = actualExtents(Decl, Cfg);
-  forEachLogical(Logical, [&](const std::vector<int64_t> &Idx,
-                              int64_t LFlat) {
-    Buf[static_cast<size_t>(flatIndex(Idx, Ext, Decl.Order))] =
-        fillValue(Seed, LFlat);
+/// Storage for every array of \p B at \p Cfg, each original array
+/// filled by logical coordinate; arrays the transforms added (copy
+/// buffers) start zeroed.
+std::vector<std::vector<double>> fillLogical(const BuiltNest &B,
+                                             const Env &Cfg) {
+  std::vector<std::vector<double>> Arrays = allocateArrays(B.Nest, Cfg);
+  forEachLogical(B, Cfg, [&](size_t A, size_t Flat, int64_t LogicalFlat) {
+    Arrays[A][Flat] = fillValue(FillSeedBase + A, LogicalFlat);
   });
+  return Arrays;
 }
 
-std::vector<double> gatherLogical(const std::vector<double> &Buf,
-                                  const ArrayDecl &Decl,
-                                  const std::vector<int64_t> &Logical,
-                                  const Env &Cfg) {
-  std::vector<int64_t> Ext = actualExtents(Decl, Cfg);
-  std::vector<double> Out;
-  forEachLogical(Logical, [&](const std::vector<int64_t> &Idx, int64_t) {
-    Out.push_back(
-        Buf[static_cast<size_t>(flatIndex(Idx, Ext, Decl.Order))]);
-  });
-  return Out;
-}
-
-/// Interpreter leg: value-mode execution with logical fills; returns the
-/// logical contents of each original array.
+/// The logical contents of each original array of \p B in \p Arrays.
 std::vector<std::vector<double>>
-runSimLeg(const LoopNest &Nest, const Env &Cfg,
-          const std::vector<std::vector<int64_t>> &Logical) {
-  MemHierarchySim Sim(MachineDesc::sgiR10000());
-  ExecOptions EO;
-  EO.ComputeValues = true;
-  Executor E(Nest, Cfg, Sim, EO);
-  for (size_t A = 0; A < Logical.size(); ++A)
-    fillLogical(E.dataOf(static_cast<ArrayId>(A)),
-                Nest.array(static_cast<ArrayId>(A)), Logical[A], Cfg,
-                FillSeedBase + A);
-  E.run();
-  std::vector<std::vector<double>> Out;
-  for (size_t A = 0; A < Logical.size(); ++A)
-    Out.push_back(gatherLogical(E.dataOf(static_cast<ArrayId>(A)),
-                                Nest.array(static_cast<ArrayId>(A)),
-                                Logical[A], Cfg));
-  return Out;
-}
-
-/// Native leg: CEmitter -> cc -> dlopen, same logical fills; returns the
-/// logical contents or nullopt with \p Error set on compile failure.
-std::optional<std::vector<std::vector<double>>>
-runNativeLeg(const LoopNest &Nest, const Env &Cfg,
-             const std::vector<std::vector<int64_t>> &Logical,
-             std::string *Error) {
-  std::unique_ptr<NativeKernel> K = NativeKernel::compile(Nest, Error);
-  if (!K)
-    return std::nullopt;
-  std::vector<long> Params(Nest.Syms.size(), 0);
-  for (size_t S = 0; S < Params.size(); ++S)
-    Params[S] = static_cast<long>(Cfg.get(static_cast<SymbolId>(S)));
-  std::vector<std::vector<double>> Storage;
-  std::vector<double *> Arrays;
-  Storage.reserve(Nest.Arrays.size());
-  for (size_t A = 0; A < Nest.Arrays.size(); ++A) {
-    int64_t Elems = Nest.Arrays[A].numElements(Cfg);
-    Storage.emplace_back(static_cast<size_t>(Elems), 0.0);
-    if (A < Logical.size())
-      fillLogical(Storage.back(), Nest.array(static_cast<ArrayId>(A)),
-                  Logical[A], Cfg, FillSeedBase + A);
-    Arrays.push_back(Storage.back().data());
-  }
-  K->run(Params.data(), Arrays.data());
-  std::vector<std::vector<double>> Out;
-  for (size_t A = 0; A < Logical.size(); ++A)
-    Out.push_back(gatherLogical(Storage[A],
-                                Nest.array(static_cast<ArrayId>(A)),
-                                Logical[A], Cfg));
+gatherLogical(const std::vector<std::vector<double>> &Arrays,
+              const BuiltNest &B, const Env &Cfg) {
+  std::vector<std::vector<double>> Out(B.LogicalExtents.size());
+  forEachLogical(B, Cfg, [&](size_t A, size_t Flat, int64_t) {
+    Out[A].push_back(Arrays[A][Flat]);
+  });
   return Out;
 }
 
@@ -674,7 +616,9 @@ struct CaseResult {
   bool RanNative = false;
 };
 
-CaseResult runCase(const CaseSpec &C, bool Native, uint64_t MaxUlps) {
+/// Runs one case; \p Dump prints its nests and bindings to stderr.
+CaseResult runCase(const CaseSpec &C, bool Native, uint64_t MaxUlps,
+                   bool Dump = false) {
   CaseResult R;
 
   BuiltNest Orig = buildNest(C);
@@ -686,9 +630,11 @@ CaseResult runCase(const CaseSpec &C, bool Native, uint64_t MaxUlps) {
     return R;
   }
 
+  const MachineDesc Machine = MachineDesc::sgiR10000();
   Env OrigCfg(Orig.Nest.Syms.size());
-  std::vector<std::vector<double>> Want =
-      runSimLeg(Orig.Nest, OrigCfg, Orig.LogicalExtents);
+  std::vector<std::vector<double>> Want = gatherLogical(
+      simLeg(Orig.Nest, OrigCfg, Machine, fillLogical(Orig, OrigCfg)),
+      Orig, OrigCfg);
 
   BuiltNest Trans = buildNest(C);
   PipelineState PS;
@@ -717,10 +663,10 @@ CaseResult runCase(const CaseSpec &C, bool Native, uint64_t MaxUlps) {
   }
 
   Env Cfg = makeConfig(Trans.Nest, PS);
-  // ECO_FUZZ_DUMP=1 prints the replayed case's nests and configuration;
-  // paired with --seed/--iter it is the whole debugging loop for a
-  // fuzzer-found failure.
-  if (std::getenv("ECO_FUZZ_DUMP")) {
+  // The reproducer prints the case's nests and configuration: with
+  // --seed/--iter that is the whole debugging loop for a fuzzer-found
+  // failure.
+  if (Dump) {
     std::fprintf(stderr, "=== original ===\n%s=== transformed ===\n%s",
                  Orig.Nest.print().c_str(), Trans.Nest.print().c_str());
     for (size_t S = 0; S < Trans.Nest.Syms.size(); ++S)
@@ -728,10 +674,11 @@ CaseResult runCase(const CaseSpec &C, bool Native, uint64_t MaxUlps) {
                    Trans.Nest.Syms.name(static_cast<SymbolId>(S)).c_str(),
                    static_cast<long long>(Cfg.get(static_cast<SymbolId>(S))));
   }
-  std::vector<std::vector<double>> Got =
-      runSimLeg(Trans.Nest, Cfg, Trans.LogicalExtents);
-  if (std::optional<std::string> Bad =
-          compareArrays(Got, Want, MaxUlps)) {
+  std::vector<std::vector<double>> Fills = fillLogical(Trans, Cfg);
+  if (std::optional<std::string> Bad = compareArrays(
+          gatherLogical(simLeg(Trans.Nest, Cfg, Machine, Fills), Trans,
+                        Cfg),
+          Want, MaxUlps)) {
     R.Failed = true;
     R.Leg = "sim";
     R.Detail = *Bad;
@@ -740,17 +687,18 @@ CaseResult runCase(const CaseSpec &C, bool Native, uint64_t MaxUlps) {
 
   if (Native) {
     R.RanNative = true;
+    NativeKernelCache Kernels;
     std::string Error;
     std::optional<std::vector<std::vector<double>>> GotN =
-        runNativeLeg(Trans.Nest, Cfg, Trans.LogicalExtents, &Error);
+        nativeLeg(Trans.Nest, Cfg, Kernels, std::move(Fills), &Error);
     if (!GotN) {
       R.Failed = true;
       R.Leg = "native-compile";
       R.Detail = Error;
       return R;
     }
-    if (std::optional<std::string> Bad =
-            compareArrays(*GotN, Want, MaxUlps)) {
+    if (std::optional<std::string> Bad = compareArrays(
+            gatherLogical(*GotN, Trans, Cfg), Want, MaxUlps)) {
       R.Failed = true;
       R.Leg = "native";
       R.Detail = *Bad;
@@ -860,7 +808,7 @@ FuzzReport eco::check::runFuzz(const FuzzOptions &Opts) {
 
     CaseResult R;
     try {
-      R = runCase(C, Native, Opts.MaxUlps);
+      R = runCase(C, Native, Opts.MaxUlps, /*Dump=*/Opts.OnlyIter >= 0);
     } catch (const std::exception &E) {
       R.Failed = true;
       R.Leg = "crash";

@@ -43,6 +43,7 @@ struct FuzzOptions {
   uint64_t Seed = 1;   ///< master seed; case seed = f(Seed, iteration)
   int Iters = 100;     ///< iterations to run
   int OnlyIter = -1;   ///< >= 0: run exactly this iteration (reproducer)
+                       ///  and print its nests and bindings to stderr
   int NativeEvery = 16; ///< run the native leg every Nth iteration (0: off)
   uint64_t MaxUlps = 16; ///< element-wise tolerance (reassociation slack)
   bool Verbose = false;    ///< per-iteration progress on stderr

@@ -3,10 +3,9 @@
 #include "codegen/NativeRunner.h"
 #include "codegen/CEmitter.h"
 #include "obs/Log.h"
-#include "support/Rng.h"
-#include "support/Timer.h"
 
 #include <atomic>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <dlfcn.h>
@@ -19,6 +18,12 @@ static std::atomic<int> UniqueId{0};
 
 std::unique_ptr<NativeKernel> NativeKernel::compile(const LoopNest &Nest,
                                                     std::string *Error) {
+  return compileSource(Nest, emitC(Nest, "eco_kernel"), Error);
+}
+
+std::unique_ptr<NativeKernel>
+NativeKernel::compileSource(const LoopNest &Nest, const std::string &Source,
+                            std::string *Error) {
   auto Fail = [&](const std::string &Msg) -> std::unique_ptr<NativeKernel> {
     ECO_LOG(Warn) << "native kernel " << Nest.Name << ": " << Msg;
     if (Error)
@@ -26,91 +31,82 @@ std::unique_ptr<NativeKernel> NativeKernel::compile(const LoopNest &Nest,
     return nullptr;
   };
 
-  std::string Tag = std::to_string(getpid()) + "_" +
-                    std::to_string(UniqueId.fetch_add(1));
-  std::string CPath = "/tmp/eco_native_" + Tag + ".c";
-  std::string SoPath = "/tmp/eco_native_" + Tag + ".so";
+  // Each compile works in a fresh private (0700) directory, so nothing
+  // planted in the shared /tmp can block or redirect the write, the
+  // compile or the dlopen. The process-wide counter in the file name
+  // keeps any two loaded objects from sharing a path.
+  char Dir[] = "/tmp/eco_native_XXXXXX";
+  if (!mkdtemp(Dir))
+    return Fail("cannot create a private compile directory in /tmp");
+  std::string Stem =
+      std::string(Dir) + "/k" + std::to_string(UniqueId.fetch_add(1));
+  std::string CPath = Stem + ".c", LogPath = Stem + ".log",
+              SoPath = Stem + ".so";
+  auto Cleanup = [&] {
+    for (const std::string &P : {CPath, LogPath, SoPath})
+      std::remove(P.c_str());
+    rmdir(Dir);
+  };
 
-  auto Kernel = std::unique_ptr<NativeKernel>(new NativeKernel());
-  Kernel->Source = emitC(Nest, "eco_kernel");
-  {
-    std::ofstream OS(CPath);
-    if (!OS)
-      return Fail("cannot write " + CPath);
-    OS << Kernel->Source;
+  if (!(std::ofstream(CPath) << Source)) {
+    Cleanup();
+    return Fail("cannot write " + CPath);
   }
-
   std::string Cmd = "cc -O2 -shared -fPIC -o " + SoPath + " " + CPath +
-                    " 2> " + CPath + ".log";
-  int RC = std::system(Cmd.c_str());
-  if (RC != 0) {
-    std::ifstream Log(CPath + ".log");
+                    " 2> " + LogPath;
+  if (std::system(Cmd.c_str()) != 0) {
+    std::ifstream Log(LogPath);
     std::string Msg((std::istreambuf_iterator<char>(Log)),
                     std::istreambuf_iterator<char>());
-    std::remove(CPath.c_str());
-    std::remove((CPath + ".log").c_str());
+    Cleanup();
     return Fail("native compile failed: " + Msg);
   }
-  std::remove(CPath.c_str());
-  std::remove((CPath + ".log").c_str());
 
+  // The mapping outlives the files: remove them as soon as dlopen
+  // returns, so even a killed process leaves nothing behind.
+  auto Kernel = std::unique_ptr<NativeKernel>(new NativeKernel());
   Kernel->Handle = dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
-  if (!Kernel->Handle) {
-    std::remove(SoPath.c_str());
+  Cleanup();
+  if (!Kernel->Handle)
     return Fail(std::string("dlopen failed: ") + dlerror());
-  }
   Kernel->Fn = reinterpret_cast<FnType>(dlsym(Kernel->Handle, "eco_kernel"));
-  if (!Kernel->Fn) {
-    std::remove(SoPath.c_str());
+  if (!Kernel->Fn)
     return Fail("dlsym failed");
-  }
-  Kernel->SoPath = SoPath;
+  Kernel->NumSyms = Nest.Syms.size();
+  Kernel->NumArrays = Nest.Arrays.size();
   return Kernel;
 }
 
 NativeKernel::~NativeKernel() {
   if (Handle)
     dlclose(Handle);
-  if (!SoPath.empty())
-    std::remove(SoPath.c_str());
 }
 
-NativeRunResult eco::runNative(const LoopNest &Nest,
-                               const ParamBindings &Bindings, double Flops,
-                               int Repeats) {
-  NativeRunResult Result;
-  std::string Error;
-  std::unique_ptr<NativeKernel> Kernel = NativeKernel::compile(Nest, &Error);
-  if (!Kernel) {
-    Result.Error = std::move(Error);
-    return Result;
-  }
-  Result.CompileOk = true;
+void NativeKernel::run(const Env &Cfg,
+                       std::vector<std::vector<double>> &Arrays) const {
+  assert(Arrays.size() == NumArrays && "one buffer per ArrayId");
+  std::vector<long> Params(NumSyms, 0);
+  for (size_t S = 0; S < NumSyms && S < Cfg.size(); ++S)
+    Params[S] = static_cast<long>(Cfg.get(static_cast<SymbolId>(S)));
+  std::vector<double *> Ptrs;
+  for (std::vector<double> &A : Arrays)
+    Ptrs.push_back(A.data());
+  run(Params.data(), Ptrs.data());
+}
 
-  Env E = makeEnv(Nest, Bindings);
-  std::vector<long> Params(Nest.Syms.size(), 0);
-  for (size_t S = 0; S < Params.size(); ++S)
-    Params[S] = static_cast<long>(E.get(static_cast<SymbolId>(S)));
-
-  // Allocate and deterministically fill every array.
-  std::vector<std::vector<double>> Storage;
-  std::vector<double *> Arrays;
-  Rng R(12345);
-  for (size_t A = 0; A < Nest.Arrays.size(); ++A) {
-    int64_t Elems = Nest.Arrays[A].numElements(E);
-    Storage.emplace_back(static_cast<size_t>(Elems));
-    for (double &V : Storage.back())
-      V = R.nextDouble();
-    Arrays.push_back(Storage.back().data());
+NativeKernel *NativeKernelCache::get(const LoopNest &Nest,
+                                     std::string *Error) {
+  std::string Src = emitC(Nest, "eco_kernel");
+  MutexLock Lock(Mu);
+  auto It = BySource.find(Src);
+  if (It == BySource.end()) {
+    // Compile under the lock: serializing the (rare, expensive) cc
+    // invocations also guarantees each distinct source compiles once.
+    std::unique_ptr<NativeKernel> Fresh =
+        NativeKernel::compileSource(Nest, Src, Error);
+    if (!Fresh)
+      return nullptr;
+    It = BySource.emplace(std::move(Src), std::move(Fresh)).first;
   }
-
-  double Best = 1e100;
-  for (int Rep = 0; Rep < Repeats; ++Rep) {
-    Timer T;
-    Kernel->run(Params.data(), Arrays.data());
-    Best = std::min(Best, T.seconds());
-  }
-  Result.Seconds = Best;
-  Result.Mflops = Best > 0 ? Flops / Best / 1e6 : 0;
-  return Result;
+  return It->second.get();
 }

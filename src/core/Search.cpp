@@ -1,14 +1,11 @@
 //===- core/Search.cpp - Phase 2: model-guided empirical search ----------===//
 
 #include "core/Search.h"
-#include "codegen/CEmitter.h"
 #include "codegen/NativeRunner.h"
 #include "obs/Event.h"
 #include "obs/Log.h"
 #include "support/Rng.h"
 #include "support/Timer.h"
-
-#include "support/Sync.h"
 
 #include <algorithm>
 #include <cmath>
@@ -27,74 +24,36 @@ double SimEvalBackend::evaluate(const LoopNest &Executable,
   return Sim.counters().cycles();
 }
 
-/// Compiled kernels cached by emitted source text: tile-size changes
-/// reuse the binary (tiles are runtime parameters of the emitted
-/// function). Shared by every clone in a chain and locked around lookup
-/// and insert; entries are never erased, so a kernel pointer stays valid
-/// after the lock drops (NativeKernel::run is const and reentrant —
-/// callers pass their own parameter/array storage).
-struct NativeEvalBackend::KernelCache {
-  Mutex Mu{"exec.kernels"};
-  std::map<std::string, std::unique_ptr<NativeKernel>> BySource
-      ECO_GUARDED_BY(Mu);
-};
-
 NativeEvalBackend::NativeEvalBackend(MachineDesc M, int Repeats)
     : Machine(std::move(M)), Repeats(Repeats),
-      Kernels(std::make_shared<KernelCache>()) {}
-
-NativeEvalBackend::NativeEvalBackend(MachineDesc M, int Repeats,
-                                     std::shared_ptr<KernelCache> Cache)
-    : Machine(std::move(M)), Repeats(Repeats), Kernels(std::move(Cache)) {}
+      Kernels(std::make_shared<NativeKernelCache>()) {}
 
 std::unique_ptr<EvalBackend> NativeEvalBackend::clone() const {
-  return std::unique_ptr<EvalBackend>(
-      new NativeEvalBackend(Machine, Repeats, Kernels));
+  auto Copy = std::make_unique<NativeEvalBackend>(Machine, Repeats);
+  Copy->Kernels = Kernels;
+  return Copy;
 }
 
 double NativeEvalBackend::evaluate(const LoopNest &Executable,
                                    const Env &Config) {
-  std::string Src = emitC(Executable, "eco_kernel");
-  NativeKernel *Kernel = nullptr;
-  {
-    MutexLock Lock(Kernels->Mu);
-    auto It = Kernels->BySource.find(Src);
-    if (It == Kernels->BySource.end()) {
-      // Compile under the lock: serializing the (rare, expensive) cc
-      // invocations also guarantees each distinct source compiles once.
-      std::string Error;
-      std::unique_ptr<NativeKernel> Fresh =
-          NativeKernel::compile(Executable, &Error);
-      if (!Fresh) {
-        // An infeasible point, not a fatal error: the search skips it.
-        ECO_LOG(Warn) << "native evaluation rejected a point: " << Error;
-        return std::numeric_limits<double>::infinity();
-      }
-      It = Kernels->BySource.emplace(std::move(Src), std::move(Fresh)).first;
-    }
-    Kernel = It->second.get();
+  std::string Error;
+  NativeKernel *Kernel = Kernels->get(Executable, &Error);
+  if (!Kernel) {
+    // An infeasible point, not a fatal error: the search skips it.
+    ECO_LOG(Warn) << "native evaluation rejected a point: " << Error;
+    return std::numeric_limits<double>::infinity();
   }
 
-  std::vector<long> Params(Executable.Syms.size(), 0);
-  for (size_t S = 0; S < Params.size(); ++S)
-    if (S < Config.size())
-      Params[S] = static_cast<long>(Config.get(static_cast<SymbolId>(S)));
-
-  std::vector<std::vector<double>> Storage;
-  std::vector<double *> Arrays;
+  std::vector<std::vector<double>> Arrays = allocateArrays(Executable, Config);
   Rng R(99);
-  for (size_t A = 0; A < Executable.Arrays.size(); ++A) {
-    int64_t Elems = Executable.Arrays[A].numElements(Config);
-    Storage.emplace_back(static_cast<size_t>(Elems));
-    for (double &V : Storage.back())
+  for (std::vector<double> &A : Arrays)
+    for (double &V : A)
       V = R.nextDouble();
-    Arrays.push_back(Storage.back().data());
-  }
 
   double Best = std::numeric_limits<double>::infinity();
   for (int Rep = 0; Rep < Repeats; ++Rep) {
     Timer T;
-    Kernel->run(Params.data(), Arrays.data());
+    Kernel->run(Config, Arrays);
     Best = std::min(Best, T.seconds());
   }
   return Best;
@@ -164,6 +123,23 @@ eco::searchStages(const DerivedVariant &V) {
       Stages.push_back(std::move(Params));
   }
   return Stages;
+}
+
+bool eco::halveUntilFeasible(const DerivedVariant &V, Env &Cfg,
+                             const std::vector<SymbolId> &Params) {
+  for (int Guard = 0; Guard < 64 && !V.feasible(Cfg); ++Guard) {
+    SymbolId Largest = -1;
+    int64_t LargestVal = 1;
+    for (SymbolId P : Params)
+      if (Cfg.get(P) > LargestVal) {
+        LargestVal = Cfg.get(P);
+        Largest = P;
+      }
+    if (Largest < 0)
+      break;
+    Cfg.set(Largest, LargestVal / 2);
+  }
+  return V.feasible(Cfg);
 }
 
 Env eco::initialConfig(const DerivedVariant &V, const MachineDesc &Machine,
@@ -248,18 +224,10 @@ Env eco::initialConfig(const DerivedVariant &V, const MachineDesc &Machine,
     E.set(P.DistanceParam, 0);
 
   // Repair: halve the largest tile until every constraint holds.
-  for (int Guard = 0; Guard < 64 && !V.feasible(E); ++Guard) {
-    SymbolId Largest = -1;
-    int64_t LargestVal = 1;
-    for (const auto &[Var, Param] : V.TileParamOf)
-      if (E.get(Param) > LargestVal) {
-        LargestVal = E.get(Param);
-        Largest = Param;
-      }
-    if (Largest < 0)
-      break;
-    E.set(Largest, LargestVal / 2);
-  }
+  std::vector<SymbolId> Tiles;
+  for (const auto &[Var, Param] : V.TileParamOf)
+    Tiles.push_back(Param);
+  halveUntilFeasible(V, E, Tiles);
   return E;
 }
 
@@ -403,21 +371,9 @@ private:
     if (!Seeded)
       return;
     WarmSeeded = true;
-    // Repair: the seed came from a neighboring problem size, so it may
-    // overflow a constraint here; halve the largest tile until feasible
-    // (the same repair rule initialConfig applies to the heuristic).
-    for (int Guard = 0; Guard < 64 && !V.feasible(Cur); ++Guard) {
-      SymbolId Largest = -1;
-      int64_t LargestVal = 1;
-      for (SymbolId P : TileParams)
-        if (Cur.get(P) > LargestVal) {
-          LargestVal = Cur.get(P);
-          Largest = P;
-        }
-      if (Largest < 0)
-        break;
-      Cur.set(Largest, LargestVal / 2);
-    }
+    // The seed came from a neighboring problem size, so it may overflow
+    // a constraint here: the same repair initialConfig applies.
+    halveUntilFeasible(V, Cur, TileParams);
     // Feasibility repair may have pushed a seeded parameter below its
     // window; widen so the starting point itself is always in bounds.
     for (auto &[P, Window] : SeedBounds) {

@@ -45,6 +45,8 @@
 
 namespace eco {
 
+class NativeKernelCache; // codegen/NativeRunner.h
+
 /// Where variants get executed and measured.
 class EvalBackend {
 public:
@@ -167,8 +169,9 @@ private:
   std::vector<int64_t> Sizes;
 };
 
-/// Runs variants natively (emit C + cc + dlopen); cost = seconds.
-/// Requires a working host C compiler.
+/// Runs variants natively (emit C + cc + dlopen); cost = seconds, and
+/// +infinity when the variant does not compile. Requires a working host
+/// C compiler.
 class NativeEvalBackend : public EvalBackend {
 public:
   /// \p Machine describes the host (used for line sizes / heuristics).
@@ -179,10 +182,7 @@ public:
   const MachineDesc &machine() const override { return Machine; }
 
   /// Clones share this instance's compiled-kernel cache (mutex-guarded),
-  /// so concurrent lanes compile each distinct source exactly once. The
-  /// cache used to be a function-local static — unsynchronized mutable
-  /// state shared by *every* backend in the process, a data race the
-  /// moment the engine ran native evaluations on more than one lane.
+  /// so concurrent lanes compile each distinct source exactly once.
   std::unique_ptr<EvalBackend> clone() const override;
 
   /// Native costs are wall seconds, not simulated cycles; never share
@@ -192,13 +192,9 @@ public:
   }
 
 private:
-  struct KernelCache; ///< defined in Search.cpp (needs NativeRunner.h)
-  NativeEvalBackend(MachineDesc M, int Repeats,
-                    std::shared_ptr<KernelCache> Cache);
-
   MachineDesc Machine;
   int Repeats;
-  std::shared_ptr<KernelCache> Kernels; ///< shared across the clone chain
+  std::shared_ptr<NativeKernelCache> Kernels; ///< shared across clones
 };
 
 /// The search's fixed parameter bounds (unroll, tile, prefetch distance).
@@ -350,6 +346,12 @@ std::string instantiationKey(const DerivedVariant &V, const Env &Config);
 /// by their heuristic point before committing to full searches.
 Env initialConfig(const DerivedVariant &Variant, const MachineDesc &Machine,
                   const ParamBindings &Problem);
+
+/// Repair: halves the largest of \p Params in \p Cfg (the first listed
+/// on ties) until every constraint of \p Variant holds; returns whether
+/// they all do.
+bool halveUntilFeasible(const DerivedVariant &Variant, Env &Cfg,
+                        const std::vector<SymbolId> &Params);
 
 /// The tile-parameter stages the search will walk, in order: one stage
 /// per cache level, with stages merged when they share a parameter (the

@@ -30,6 +30,15 @@ ParamBindings eco::envToBindings(const LoopNest &Nest, const Env &Config) {
   return Bindings;
 }
 
+std::vector<std::vector<double>> eco::allocateArrays(const LoopNest &Nest,
+                                                     const Env &Cfg) {
+  std::vector<std::vector<double>> Arrays;
+  Arrays.reserve(Nest.Arrays.size());
+  for (const ArrayDecl &Decl : Nest.Arrays)
+    Arrays.emplace_back(static_cast<size_t>(Decl.numElements(Cfg)), 0.0);
+  return Arrays;
+}
+
 RunResult eco::simulateNest(const LoopNest &Nest,
                             const ParamBindings &Bindings,
                             const MachineDesc &Machine, ExecOptions Opts) {

@@ -45,6 +45,12 @@ Env makeEnv(const LoopNest &Nest, const ParamBindings &Bindings);
 /// against a freshly rebuilt nest whose symbol ids may differ.
 ParamBindings envToBindings(const LoopNest &Nest, const Env &Config);
 
+/// One zeroed buffer per ArrayId of \p Nest, each sized by
+/// numElements(\p Cfg): the storage every real-data run of a nest
+/// (Executor value mode, a compiled NativeKernel) fills and reads back.
+std::vector<std::vector<double>> allocateArrays(const LoopNest &Nest,
+                                                const Env &Cfg);
+
 /// Runs \p Nest once on a fresh simulator for \p Machine.
 RunResult simulateNest(const LoopNest &Nest, const ParamBindings &Bindings,
                        const MachineDesc &Machine, ExecOptions Opts = {});

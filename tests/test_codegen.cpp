@@ -8,6 +8,7 @@
 
 #include "codegen/CEmitter.h"
 #include "codegen/NativeRunner.h"
+#include "exec/Run.h"
 #include "kernels/Kernels.h"
 #include "kernels/Reference.h"
 #include "transform/Copy.h"
@@ -18,6 +19,8 @@
 #include "transform/UnrollJam.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace eco;
 
@@ -96,19 +99,17 @@ TEST(NativeRunnerTest, PlainMatMulMatchesReference) {
   ASSERT_NE(Kernel, nullptr) << Error;
 
   const long N = 17;
-  std::vector<long> Params(Nest.Syms.size(), 0);
-  Params[Ids.N] = N;
-  std::vector<double> A(N * N), B(N * N), C(N * N), Ref(N * N);
-  fillDeterministic(A, 1);
-  fillDeterministic(B, 2);
-  fillDeterministic(C, 3);
-  Ref = C;
-  referenceMatMul(A, B, Ref, N);
+  Env Cfg = makeEnv(Nest, {{"N", N}});
+  std::vector<std::vector<double>> Arrays = allocateArrays(Nest, Cfg);
+  fillDeterministic(Arrays[Ids.A], 1);
+  fillDeterministic(Arrays[Ids.B], 2);
+  fillDeterministic(Arrays[Ids.C], 3);
+  std::vector<double> Ref = Arrays[Ids.C];
+  referenceMatMul(Arrays[Ids.A], Arrays[Ids.B], Ref, N);
 
-  double *Arrays[3] = {A.data(), B.data(), C.data()};
-  Kernel->run(Params.data(), Arrays);
+  Kernel->run(Cfg, Arrays);
   for (long X = 0; X < N * N; ++X)
-    ASSERT_DOUBLE_EQ(C[X], Ref[X]) << "idx " << X;
+    ASSERT_DOUBLE_EQ(Arrays[Ids.C][X], Ref[X]) << "idx " << X;
 }
 
 TEST(NativeRunnerTest, OptimizedMatMulMatchesReference) {
@@ -119,23 +120,20 @@ TEST(NativeRunnerTest, OptimizedMatMulMatchesReference) {
   ASSERT_NE(Kernel, nullptr) << Error;
 
   for (long N : {13, 16, 24}) {
-    std::vector<long> Params(Nest.Syms.size(), 0);
-    Params[Ids.N] = N;
-    Params[Nest.Syms.lookup("TK")] = 8;
-    Params[Nest.Syms.lookup("TJ")] = 6;
+    Env Cfg = makeEnv(Nest, {{"N", N}, {"TK", 8}, {"TJ", 6}});
+    // A, B, C, and the TK x TJ copy buffer.
+    std::vector<std::vector<double>> Arrays = allocateArrays(Nest, Cfg);
+    ASSERT_EQ(Arrays.size(), 4u);
+    ASSERT_EQ(Arrays[3].size(), 8u * 6u);
+    fillDeterministic(Arrays[Ids.A], 1);
+    fillDeterministic(Arrays[Ids.B], 2);
+    fillDeterministic(Arrays[Ids.C], 3);
+    std::vector<double> Ref = Arrays[Ids.C];
+    referenceMatMul(Arrays[Ids.A], Arrays[Ids.B], Ref, N);
 
-    std::vector<double> A(N * N), B(N * N), C(N * N), Ref(N * N);
-    std::vector<double> P(8 * 6); // copy buffer TK x TJ
-    fillDeterministic(A, 1);
-    fillDeterministic(B, 2);
-    fillDeterministic(C, 3);
-    Ref = C;
-    referenceMatMul(A, B, Ref, N);
-
-    double *Arrays[4] = {A.data(), B.data(), C.data(), P.data()};
-    Kernel->run(Params.data(), Arrays);
+    Kernel->run(Cfg, Arrays);
     for (long X = 0; X < N * N; ++X)
-      ASSERT_DOUBLE_EQ(C[X], Ref[X]) << "N=" << N << " idx=" << X;
+      ASSERT_DOUBLE_EQ(Arrays[Ids.C][X], Ref[X]) << "N=" << N << " idx=" << X;
   }
 }
 
@@ -153,27 +151,36 @@ TEST(NativeRunnerTest, OptimizedJacobiMatchesReference) {
   ASSERT_NE(Kernel, nullptr) << Error;
 
   const long N = 11;
-  std::vector<long> Params(Nest.Syms.size(), 0);
-  Params[Ids.N] = N;
-  Params[TJ.TileParam] = 4;
-  std::vector<double> A(N * N * N, 0.0), B(N * N * N), Ref(N * N * N, 0.0);
-  fillDeterministic(B, 7);
-  referenceJacobi(B, Ref, N);
+  Env Cfg = makeEnv(Nest, {{"N", N}, {"TJ", 4}});
+  std::vector<std::vector<double>> Arrays = allocateArrays(Nest, Cfg);
+  fillDeterministic(Arrays[Ids.B], 7);
+  std::vector<double> Ref(N * N * N, 0.0);
+  referenceJacobi(Arrays[Ids.B], Ref, N);
 
-  double *Arrays[2] = {A.data(), B.data()};
-  Kernel->run(Params.data(), Arrays);
+  Kernel->run(Cfg, Arrays);
   for (size_t X = 0; X < Ref.size(); ++X)
-    ASSERT_DOUBLE_EQ(A[X], Ref[X]) << "idx " << X;
+    ASSERT_DOUBLE_EQ(Arrays[Ids.A][X], Ref[X]) << "idx " << X;
 }
 
-TEST(NativeRunnerTest, RunNativeConvenience) {
-  LoopNest Nest = makeMatMul();
-  const int64_t N = 64;
-  NativeRunResult R =
-      runNative(Nest, {{"N", N}}, /*Flops=*/2.0 * N * N * N, /*Repeats=*/2);
-  ASSERT_TRUE(R.CompileOk) << R.Error;
-  EXPECT_GT(R.Seconds, 0);
-  EXPECT_GT(R.Mflops, 0);
+TEST(NativeRunnerTest, CompileIgnoresEntriesPlantedInSharedTmp) {
+  // Another process can create any name in the shared /tmp. Directories
+  // planted at the predictable <pid>_<counter> names must neither block
+  // the compile nor redirect it: each compile works in its own mkdtemp
+  // directory and removes it once the kernel is loaded.
+  std::vector<std::string> Planted;
+  for (int Counter = 0; Counter < 256; ++Counter) {
+    std::string Path = "/tmp/eco_native_" + std::to_string(getpid()) + "_" +
+                       std::to_string(Counter) + ".c";
+    if (mkdir(Path.c_str(), 0700) == 0)
+      Planted.push_back(Path);
+  }
+  std::string Error;
+  std::unique_ptr<NativeKernel> Kernel =
+      NativeKernel::compile(makeMatMul(), &Error);
+  for (const std::string &Path : Planted)
+    rmdir(Path.c_str());
+  EXPECT_EQ(Planted.size(), 256u);
+  ASSERT_NE(Kernel, nullptr) << Error;
 }
 
 TEST(NativeRunnerTest, CompileErrorIsReported) {

@@ -41,24 +41,14 @@ TEST(Integration, TunedWinnerCompilesAndRunsNatively) {
       NativeKernel::compile(R.BestExecutable, &Error);
   ASSERT_NE(Kernel, nullptr) << Error;
 
-  const LoopNest &Exec = R.BestExecutable;
-  std::vector<long> Params(Exec.Syms.size(), 0);
-  for (size_t S = 0; S < Params.size(); ++S)
-    Params[S] = static_cast<long>(R.BestConfig.get(static_cast<SymbolId>(S)));
-  Params[Exec.Syms.lookup("N")] = N;
-
   // Allocate every array at the size the config implies.
+  const LoopNest &Exec = R.BestExecutable;
   Env E = R.BestConfig;
   E.set(Exec.Syms.lookup("N"), N);
-  std::vector<std::vector<double>> Storage;
-  std::vector<double *> Arrays;
-  for (size_t A = 0; A < Exec.Arrays.size(); ++A)
-    Storage.emplace_back(Exec.Arrays[A].numElements(E), 0.0);
-  for (auto &S : Storage)
-    Arrays.push_back(S.data());
-  fillDeterministic(Storage[0], 1); // A
-  fillDeterministic(Storage[1], 2); // B
-  fillDeterministic(Storage[2], 3); // C
+  std::vector<std::vector<double>> Arrays = allocateArrays(Exec, E);
+  fillDeterministic(Arrays[0], 1); // A
+  fillDeterministic(Arrays[1], 2); // B
+  fillDeterministic(Arrays[2], 3); // C
 
   std::vector<double> RefA(N * N), RefB(N * N), RefC(N * N);
   fillDeterministic(RefA, 1);
@@ -66,9 +56,9 @@ TEST(Integration, TunedWinnerCompilesAndRunsNatively) {
   fillDeterministic(RefC, 3);
   referenceMatMul(RefA, RefB, RefC, N);
 
-  Kernel->run(Params.data(), Arrays.data());
+  Kernel->run(E, Arrays);
   for (int64_t X = 0; X < N * N; ++X)
-    ASSERT_DOUBLE_EQ(Storage[2][X], RefC[X]) << "idx " << X;
+    ASSERT_DOUBLE_EQ(Arrays[2][X], RefC[X]) << "idx " << X;
 }
 
 TEST(Integration, MultiSizeBackendIsSumOfSingleSizes) {
@@ -212,21 +202,13 @@ TEST(Integration, EmittedCMatchesSimValuesForEveryMMVariant) {
         NativeKernel::compile(Exec, &Error);
     ASSERT_NE(Kernel, nullptr) << V.Spec.Name << ": " << Error;
 
-    std::vector<long> Params(Exec.Syms.size(), 0);
-    for (size_t S = 0; S < Params.size(); ++S)
-      Params[S] = static_cast<long>(Cfg.get(static_cast<SymbolId>(S)));
-    std::vector<std::vector<double>> Storage;
-    std::vector<double *> Arrays;
-    for (size_t A = 0; A < Exec.Arrays.size(); ++A)
-      Storage.emplace_back(Exec.Arrays[A].numElements(Cfg), 0.0);
-    for (auto &S : Storage)
-      Arrays.push_back(S.data());
-    fillDeterministic(Storage[0], 1);
-    fillDeterministic(Storage[1], 2);
-    fillDeterministic(Storage[2], 3);
-    Kernel->run(Params.data(), Arrays.data());
+    std::vector<std::vector<double>> Arrays = allocateArrays(Exec, Cfg);
+    fillDeterministic(Arrays[0], 1);
+    fillDeterministic(Arrays[1], 2);
+    fillDeterministic(Arrays[2], 3);
+    Kernel->run(Cfg, Arrays);
     for (int64_t X = 0; X < N * N; ++X)
-      ASSERT_DOUBLE_EQ(Storage[2][X], RefC[X])
+      ASSERT_DOUBLE_EQ(Arrays[2][X], RefC[X])
           << V.Spec.Name << " idx " << X;
     ++Checked;
   }
