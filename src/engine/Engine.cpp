@@ -300,11 +300,3 @@ TuneResult eco::tune(const LoopNest &Original, EvalBackend &Backend,
   EvalEngine Engine(Backend);
   return tune(Original, Engine, Problem, Opts);
 }
-
-VariantSearchResult eco::searchVariant(const DerivedVariant &Variant,
-                                       EvalBackend &Backend,
-                                       const ParamBindings &Problem,
-                                       const SearchOptions &Opts) {
-  EvalEngine Engine(Backend);
-  return searchVariant(Variant, Engine, Problem, Opts);
-}

@@ -206,13 +206,6 @@ using DirectEvaluator = EvalEngine;
 TuneResult tune(const LoopNest &Original, EvalBackend &Backend,
                 const ParamBindings &Problem, const TuneOptions &Opts = {});
 
-/// Convenience overload: searches one variant through a one-lane
-/// EvalEngine with a private cache over \p Backend.
-VariantSearchResult searchVariant(const DerivedVariant &Variant,
-                                  EvalBackend &Backend,
-                                  const ParamBindings &Problem,
-                                  const SearchOptions &Opts = {});
-
 } // namespace eco
 
 #endif // ECO_ENGINE_ENGINE_H

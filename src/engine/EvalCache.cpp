@@ -59,11 +59,6 @@ size_t EvalCache::size() const {
   return Total;
 }
 
-void EvalCache::resetCounters() {
-  Hits.store(0, std::memory_order_relaxed);
-  Misses.store(0, std::memory_order_relaxed);
-}
-
 size_t EvalCache::load(const std::string &Path,
                        uint64_t RequireMachineHash) {
   Json Root = Json::loadFile(Path);

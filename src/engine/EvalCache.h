@@ -77,7 +77,6 @@ public:
     uint64_t H = hits(), M = misses();
     return H + M ? static_cast<double>(H) / static_cast<double>(H + M) : 0;
   }
-  void resetCounters();
 
   /// Loads entries from a JSON file previously written by save(); merges
   /// into the current contents. Returns the number of entries loaded

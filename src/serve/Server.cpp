@@ -248,27 +248,6 @@ Json TuneService::jobsJson() const {
   return Out;
 }
 
-size_t TuneService::cancelQueued() {
-  std::vector<std::shared_ptr<ServeJob>> Dropped;
-  {
-    MutexLock Lock(QM);
-    for (auto &[Key, Job] : Queue) {
-      (void)Key;
-      Dropped.push_back(Job);
-    }
-    Queue.clear();
-    if (Running == 0)
-      DrainCV.notify_all();
-  }
-  for (auto &Job : Dropped) {
-    JobResult R;
-    R.Status = "cancelled";
-    R.Error = "cancelled while queued";
-    finishJob(*Job, std::move(R), /*QueueDepth=*/0);
-  }
-  return Dropped.size();
-}
-
 void TuneService::drain() {
   {
     MutexLock Lock(QM);

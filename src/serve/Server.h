@@ -166,13 +166,8 @@ public:
 
   /// Stops accepting new jobs, waits for the queue to empty and every
   /// running job to finish, joins the workers, and saves the DB. Jobs
-  /// already admitted run to completion (graceful SIGTERM semantics);
-  /// call cancelQueued() first for a faster exit.
+  /// already admitted run to completion (graceful SIGTERM semantics).
   void drain();
-
-  /// Cancels every queued (not yet running) job with status
-  /// "cancelled". Running jobs are unaffected.
-  size_t cancelQueued();
 
 private:
   void workerLoop();

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -264,18 +265,28 @@ private:
       case 'u': {
         // We only emit \u00XX escapes; decode the low byte and emit it
         // directly (sufficient for the ASCII artifacts we produce).
-        if (Pos + 4 <= Text.size()) {
-          unsigned Code = 0;
-          std::sscanf(Text.substr(Pos, 4).c_str(), "%4x", &Code);
-          Pos += 4;
-          Out += static_cast<char>(Code & 0xFF);
-        } else {
-          fail("truncated \\u escape");
+        // from_chars takes no sign, prefix or space for an unsigned, so
+        // consuming all four characters means four hex digits.
+        unsigned Code = 0;
+        const char *Hex = Text.data() + Pos;
+        if (Pos + 4 > Text.size() ||
+            std::from_chars(Hex, Hex + 4, Code, 16).ptr != Hex + 4) {
+          fail("malformed \\u escape");
+          return Out;
         }
+        Pos += 4;
+        Out += static_cast<char>(Code & 0xFF);
         break;
       }
+      case '"':
+      case '\\':
+      case '/':
+        Out += E;
+        break;
       default:
-        Out += E; // covers \" \\ \/
+        --Pos;
+        fail("invalid escape");
+        return Out;
       }
     }
     if (!consume('"'))
@@ -293,12 +304,18 @@ private:
       fail("expected value");
       return Json();
     }
-    try {
-      return Json(std::stod(Text.substr(Start, Pos - Start)));
-    } catch (...) {
+    // The whole span must be one number: from_chars takes no leading '+'
+    // and stops at the first character that does not fit, so "1-2" or
+    // "1.2.3" is an error rather than the prefix's value.
+    double V = 0;
+    const char *End = Text.data() + Pos;
+    auto [Ptr, Ec] = std::from_chars(Text.data() + Start, End, V);
+    if (Ec != std::errc() || Ptr != End) {
+      Pos = Start;
       fail("malformed number");
       return Json();
     }
+    return Json(V);
   }
 
   Json parseArray() {

@@ -60,11 +60,6 @@ std::string eco::padRight(const std::string &S, size_t Width) {
   return S + std::string(Width - S.size(), ' ');
 }
 
-bool eco::startsWith(const std::string &S, const std::string &Prefix) {
-  return S.size() >= Prefix.size() &&
-         S.compare(0, Prefix.size(), Prefix) == 0;
-}
-
 std::string eco::repeat(const std::string &S, size_t Count) {
   std::string Result;
   Result.reserve(S.size() * Count);

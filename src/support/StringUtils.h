@@ -38,9 +38,6 @@ std::string padLeft(const std::string &S, size_t Width);
 /// Pads \p S with spaces on the right to at least \p Width characters.
 std::string padRight(const std::string &S, size_t Width);
 
-/// Returns true if \p S starts with \p Prefix.
-bool startsWith(const std::string &S, const std::string &Prefix);
-
 /// Repeats \p S \p Count times.
 std::string repeat(const std::string &S, size_t Count);
 

@@ -4,21 +4,6 @@
 
 using namespace eco;
 
-int eco::padLeadingDims(LoopNest &Nest, int64_t PadElems) {
-  assert(PadElems >= 0 && "negative padding");
-  if (PadElems == 0)
-    return 0;
-  int Padded = 0;
-  for (ArrayDecl &Decl : Nest.Arrays) {
-    if (Decl.Role != ArrayRole::Data || Decl.rank() < 2)
-      continue;
-    unsigned Dim = Decl.Order == Layout::ColMajor ? 0 : Decl.rank() - 1;
-    Decl.Extents[Dim] = Decl.Extents[Dim] + PadElems;
-    ++Padded;
-  }
-  return Padded;
-}
-
 int eco::padDims(LoopNest &Nest, const std::vector<int64_t> &PadPerDim) {
   int Padded = 0;
   for (ArrayDecl &Decl : Nest.Arrays) {
@@ -33,26 +18,6 @@ int eco::padDims(LoopNest &Nest, const std::vector<int64_t> &PadPerDim) {
       Any = true;
     }
     Padded += Any ? 1 : 0;
-  }
-  return Padded;
-}
-
-int eco::padInnerDims(LoopNest &Nest, int64_t PadElems) {
-  assert(PadElems >= 0 && "negative padding");
-  if (PadElems == 0)
-    return 0;
-  int Padded = 0;
-  for (ArrayDecl &Decl : Nest.Arrays) {
-    if (Decl.Role != ArrayRole::Data || Decl.rank() < 2)
-      continue;
-    bool ColMajor = Decl.Order == Layout::ColMajor;
-    for (unsigned D = 0; D < Decl.rank(); ++D) {
-      unsigned Slowest = ColMajor ? Decl.rank() - 1 : 0;
-      if (D == Slowest)
-        continue;
-      Decl.Extents[D] = Decl.Extents[D] + PadElems;
-    }
-    ++Padded;
   }
   return Padded;
 }

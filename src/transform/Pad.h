@@ -25,22 +25,11 @@
 
 namespace eco {
 
-/// Adds \p PadElems to the contiguous (leading, for column-major)
-/// dimension of every rank>=2 data array in \p Nest. Copy buffers are
-/// left alone — they are contiguous by construction. Returns the number
-/// of arrays padded.
-int padLeadingDims(LoopNest &Nest, int64_t PadElems);
-
-/// Adds \p PadElems to every dimension except the slowest-varying one of
-/// every rank>=2 data array — for 3-D arrays this perturbs both the
-/// column and the plane stride, the classic "make the leading dimensions
-/// odd" recipe. Returns the number of arrays padded.
-int padInnerDims(LoopNest &Nest, int64_t PadElems);
-
-/// Adds \p PadPerDim[d] to dimension d of every rank>=2 data array
-/// (entries beyond an array's rank are ignored). The most flexible form:
-/// a small empirical search over these pads is how "manual experiments"
-/// stabilize conflict-prone sizes. Returns the number of arrays padded.
+/// Adds \p PadPerDim[d] to dimension d of every rank>=2 data array in
+/// \p Nest (entries beyond an array's rank are ignored). Copy buffers are
+/// left alone — they are contiguous by construction. A small empirical
+/// search over these pads is how "manual experiments" stabilize
+/// conflict-prone sizes. Returns the number of arrays padded.
 int padDims(LoopNest &Nest, const std::vector<int64_t> &PadPerDim);
 
 } // namespace eco

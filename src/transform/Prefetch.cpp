@@ -84,26 +84,3 @@ int eco::insertPrefetch(LoopNest &Nest, ArrayId Target, SymbolId InnerVar,
   }
   return InsertedPerIter;
 }
-
-namespace {
-
-void removeIn(Body &B, ArrayId Target) {
-  for (size_t I = 0; I < B.size();) {
-    if (B[I].isStmt() && B[I].stmt().Kind == StmtKind::Prefetch &&
-        B[I].stmt().PrefetchRef->Array == Target) {
-      B.erase(B.begin() + I);
-      continue;
-    }
-    if (B[I].isLoop()) {
-      removeIn(B[I].loop().Items, Target);
-      removeIn(B[I].loop().Epilogue, Target);
-    }
-    ++I;
-  }
-}
-
-} // namespace
-
-void eco::removePrefetches(LoopNest &Nest, ArrayId Target) {
-  removeIn(Nest.Items, Target);
-}

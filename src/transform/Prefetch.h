@@ -29,10 +29,6 @@ namespace eco {
 int insertPrefetch(LoopNest &Nest, ArrayId Target, SymbolId InnerVar,
                    int Distance, int LineElems);
 
-/// Removes every Prefetch statement that targets \p Target (used when the
-/// search decides prefetching a structure is not profitable).
-void removePrefetches(LoopNest &Nest, ArrayId Target);
-
 } // namespace eco
 
 #endif // ECO_TRANSFORM_PREFETCH_H

@@ -288,7 +288,8 @@ TEST(SearchTest, SearchImprovesOnHeuristicAndStaysFeasible) {
   LoopNest InitNest = V.instantiate(Init, M);
   double InitCost = Backend.evaluate(InitNest, Init);
 
-  VariantSearchResult R = searchVariant(V, Backend, {{"N", 96}});
+  EvalEngine Engine(Backend);
+  VariantSearchResult R = searchVariant(V, Engine, {{"N", 96}});
   EXPECT_LE(R.BestCost, InitCost);
   EXPECT_TRUE(V.feasible(R.BestConfig));
   EXPECT_GE(R.Trace.numEvaluations(), 5u);
@@ -303,7 +304,8 @@ TEST(SearchTest, PrefetchParamsOnlyEnabledWhenProfitable) {
   MachineDesc M = sgiScaled();
   SimEvalBackend Backend(M);
   std::vector<DerivedVariant> Vs = deriveVariants(MM, M);
-  VariantSearchResult R = searchVariant(Vs.front(), Backend, {{"N", 96}});
+  EvalEngine Engine(Backend);
+  VariantSearchResult R = searchVariant(Vs.front(), Engine, {{"N", 96}});
   for (const PrefetchSpec &P : Vs.front().Prefetch) {
     int64_t D = R.BestConfig.get(P.DistanceParam);
     EXPECT_GE(D, 0);

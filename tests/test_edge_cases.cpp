@@ -171,15 +171,13 @@ TEST(EdgeCases, PadIgnoresRank1AndBuffers) {
                      8,
                      Layout::ColMajor,
                      ArrayRole::CopyBuffer});
-  EXPECT_EQ(padLeadingDims(Nest, 8), 0);
-  EXPECT_EQ(padInnerDims(Nest, 8), 0);
   EXPECT_EQ(padDims(Nest, {8, 8}), 0);
 }
 
 TEST(EdgeCases, PadZeroIsNoop) {
   LoopNest Nest = makeJacobi();
   std::string Before = Nest.print();
-  EXPECT_EQ(padLeadingDims(Nest, 0), 0);
+  EXPECT_EQ(padDims(Nest, {0, 0, 0}), 0);
   EXPECT_EQ(Nest.print(), Before);
 }
 

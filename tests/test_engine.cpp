@@ -212,7 +212,8 @@ TEST(EngineTest, ParallelSearchVariantMatchesSequential) {
   std::vector<DerivedVariant> Vs = deriveVariants(Jac, M);
   ASSERT_FALSE(Vs.empty());
 
-  VariantSearchResult Seq = searchVariant(Vs.front(), B1, Problem);
+  EvalEngine One(B1);
+  VariantSearchResult Seq = searchVariant(Vs.front(), One, Problem);
   EngineOptions Opts;
   Opts.Jobs = 4;
   EvalEngine Engine(B2, Opts);

@@ -112,7 +112,8 @@ TEST(FailureInjection, GuidedSearchSurvivesFlakyEvaluations) {
   SimEvalBackend Inner(M);
   FlakyBackend Flaky(Inner, /*FailEvery=*/5);
   std::vector<DerivedVariant> Vs = deriveVariants(MM, M);
-  VariantSearchResult R = searchVariant(Vs.front(), Flaky, {{"N", 64}});
+  EvalEngine Engine(Flaky);
+  VariantSearchResult R = searchVariant(Vs.front(), Engine, {{"N", 64}});
   // Some evaluations failed, but a finite feasible best survives.
   EXPECT_LT(R.BestCost, std::numeric_limits<double>::infinity());
   EXPECT_TRUE(Vs.front().feasible(R.BestConfig));
@@ -135,7 +136,8 @@ TEST(FailureInjection, AllEvaluationsFailingYieldsInfiniteBest) {
   SimEvalBackend Inner(M);
   FlakyBackend Broken(Inner, /*FailEvery=*/1); // every call fails
   std::vector<DerivedVariant> Vs = deriveVariants(MM, M);
-  VariantSearchResult R = searchVariant(Vs.front(), Broken, {{"N", 32}});
+  EvalEngine Engine(Broken);
+  VariantSearchResult R = searchVariant(Vs.front(), Engine, {{"N", 32}});
   EXPECT_TRUE(std::isinf(R.BestCost));
 }
 

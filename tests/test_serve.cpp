@@ -620,15 +620,6 @@ TEST(ServeServiceTest, CancelResolvesWithoutStoring) {
   EXPECT_EQ(R.Status, "cancelled");
   EXPECT_EQ(R.Evaluations, 0u);
   EXPECT_FALSE(Service.db().exact("matmul", sgiHash(), 24).has_value());
-
-  // cancelQueued drops waiting jobs (the worker is busy again).
-  auto Blocker = Service.submit(smallSpec(24));
-  Gate.awaitPopped(2);
-  auto Queued = Service.submit(smallSpec(26));
-  EXPECT_EQ(Service.cancelQueued(), 1u);
-  EXPECT_EQ(Queued->wait().Status, "cancelled");
-  Gate.release();
-  EXPECT_TRUE(Blocker->wait().ok());
 }
 
 TEST(ServeServiceTest, PriorityOrdersTheQueue) {
@@ -1347,6 +1338,15 @@ TEST(ServeServerTest, DeeplyNestedRequestGetsErrorAndConnectionLives) {
   std::string Error = Resp.get("error").asString();
   EXPECT_EQ(Error.rfind("bad request: ", 0), 0u) << Error;
   EXPECT_NE(Error.find("nesting"), std::string::npos) << Error;
+
+  // A malformed number is an error too, not a tune of the prefix's size.
+  ASSERT_TRUE(
+      sendLine("{\"op\":\"submit\",\"kernel\":\"matmul\",\"n\":96-1}"));
+  Resp = Json::parse(recvLine(), &Err);
+  ASSERT_TRUE(Err.empty()) << Err;
+  EXPECT_FALSE(Resp.get("ok").asBool(true));
+  Error = Resp.get("error").asString();
+  EXPECT_NE(Error.find("malformed number"), std::string::npos) << Error;
 
   ASSERT_TRUE(sendLine("{\"op\":\"ping\"}"));
   Resp = Json::parse(recvLine(), &Err);

@@ -60,9 +60,7 @@ TEST(StringUtils, Padding) {
   EXPECT_EQ(padRight("", 3), "   ");
 }
 
-TEST(StringUtils, StartsWithAndRepeat) {
-  EXPECT_TRUE(startsWith("matmul_v2", "matmul"));
-  EXPECT_FALSE(startsWith("mat", "matmul"));
+TEST(StringUtils, Repeat) {
   EXPECT_EQ(repeat("ab", 3), "ababab");
   EXPECT_EQ(repeat("x", 0), "");
 }
@@ -208,9 +206,11 @@ TEST(ChartTest, ConstantSeriesDoesNotDivideByZero) {
 #include "support/NestHash.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -401,6 +401,39 @@ TEST(JsonTest, ParseErrorsAreReported) {
   Err.clear();
   EXPECT_TRUE(eco::Json::parse("[1, 2,]", &Err).isNull());
   EXPECT_FALSE(Err.empty());
+
+  // A number is the whole span of number characters or an error, never
+  // a prefix of it. An escape must be one JSON defines, and \u needs
+  // four hex digits.
+  for (const char *Bad :
+       {"1-2", "1.2.3", "+5", "1e5e5", "-", "1e", "{\"n\":96-1}",
+        "\"a\\uZZZZb\"", "\"a\\u12\"", "\"a\\u+1ffb\"", "\"\\q\""}) {
+    Err.clear();
+    EXPECT_TRUE(eco::Json::parse(Bad, &Err).isNull()) << Bad;
+    EXPECT_FALSE(Err.empty()) << Bad;
+  }
+  Err.clear();
+  eco::Json::parse("\"\\q\"", &Err);
+  EXPECT_EQ(Err, "invalid escape at offset 2");
+  Err.clear();
+  eco::Json::parse("{\"n\":96-1}", &Err);
+  EXPECT_EQ(Err, "malformed number at offset 5");
+}
+
+TEST(JsonTest, EveryNumberFormDumpWritesParses) {
+  // dump() writes integers with %lld, other finite values with %.17g
+  // (negative exponents included) and non-finite values as the 1e308
+  // sentinel; each must parse back to the value dump() meant.
+  for (double V : {0.0, -7.0, 123456789012.0, 0.1, -2.5e-7, 1.0e-300,
+                   6.02e23, std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    std::string Err;
+    std::string Text = eco::Json(V).dump();
+    double Back = eco::Json::parse(Text, &Err).asNumber();
+    EXPECT_TRUE(Err.empty()) << Text << ": " << Err;
+    EXPECT_EQ(Back, std::isfinite(V) ? V : std::copysign(1e308, V)) << Text;
+  }
+  EXPECT_EQ(eco::Json::parse("\"\\u0041\\/\"").asString(), "A/");
 }
 
 TEST(JsonTest, DeepNestingIsAParseErrorNotACrash) {

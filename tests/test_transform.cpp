@@ -411,7 +411,7 @@ TEST(PadTest, LeadingPadPreservesValuesAtEdgeExtents) {
     const int64_t Pad = 3;
     MatMulIds Ids;
     LoopNest Nest = makeMatMul(&Ids);
-    EXPECT_EQ(padLeadingDims(Nest, Pad), 3); // A, B, C all rank 2
+    EXPECT_EQ(padDims(Nest, {Pad}), 3); // A, B, C all rank 2
 
     MemHierarchySim Sim(testMachine());
     ExecOptions Opts;
@@ -443,8 +443,8 @@ TEST(PadTest, LeadingPadPreservesValuesAtEdgeExtents) {
 
 TEST(PadTest, RankOneAndInnerDimRules) {
   // Rank-1 arrays are never padded (there is no leading dimension to
-  // misalign), and padInnerDims leaves the slowest-varying dimension
-  // alone.
+  // misalign), and a pad vector shorter than the rank leaves the
+  // slowest-varying (last, column-major) dimension alone.
   LoopNest Nest;
   Nest.Name = "pads";
   SymbolId V = Nest.declareLoopVar("v");
@@ -452,16 +452,16 @@ TEST(PadTest, RankOneAndInnerDimRules) {
   ArrayId R1 = Nest.declareArray({"R1", {AffineExpr::constant(7)}});
   ArrayId R2 = Nest.declareArray(
       {"R2", {AffineExpr::constant(1), AffineExpr::constant(5)}});
-  EXPECT_EQ(padLeadingDims(Nest, 2), 1); // only R2
+  EXPECT_EQ(padDims(Nest, {2}), 1); // only R2
   Env E(Nest.Syms.size());
   EXPECT_EQ(Nest.array(R1).Extents[0].eval(E), 7);
   EXPECT_EQ(Nest.array(R2).Extents[0].eval(E), 3); // 1 + 2: extent-1 dim pads
   EXPECT_EQ(Nest.array(R2).Extents[1].eval(E), 5); // slowest dim untouched
 
-  EXPECT_EQ(padInnerDims(Nest, 4), 1);
+  EXPECT_EQ(padDims(Nest, {4, 0}), 1);
   EXPECT_EQ(Nest.array(R2).Extents[0].eval(E), 7); // 3 + 4
   EXPECT_EQ(Nest.array(R2).Extents[1].eval(E), 5);
-  EXPECT_EQ(padLeadingDims(Nest, 0), 0); // zero pad is a no-op
+  EXPECT_EQ(padDims(Nest, {0, 0}), 0); // zero pad is a no-op
 }
 
 TEST(PrefetchTest, InsertionDedupesAtLineGranularity) {
@@ -479,20 +479,6 @@ TEST(PrefetchTest, InsertionDedupesAtLineGranularity) {
   LoopNest Nest2 = buildMMVariant1(Ids2, Opts);
   // Line of 2 doubles: the 4-element span needs 2 prefetches.
   EXPECT_EQ(insertPrefetch(Nest2, Ids2.A, Ids2.K, 8, 2), 2);
-}
-
-TEST(PrefetchTest, RemovePrefetchesUndoesInsertion) {
-  MatMulIds Ids;
-  MMPipelineOpts Opts;
-  LoopNest Nest = buildMMVariant1(Ids, Opts);
-  insertPrefetch(Nest, Ids.A, Ids.K, 8, 4);
-  RunResult RWith =
-      simulateNest(Nest, {{"N", 16}, {"TK", 8}, {"TJ", 8}}, testMachine());
-  EXPECT_GT(RWith.Counters.Prefetches, 0u);
-  removePrefetches(Nest, Ids.A);
-  RunResult ROff =
-      simulateNest(Nest, {{"N", 16}, {"TK", 8}, {"TJ", 8}}, testMachine());
-  EXPECT_EQ(ROff.Counters.Prefetches, 0u);
 }
 
 TEST(PrefetchTest, DistanceZeroAndNegativeAreRejected) {

@@ -53,7 +53,7 @@ TEST(Verifier, EveryTransformPreservesWellFormedness) {
   EXPECT_TRUE(isWellFormed(Nest));
   insertPrefetch(Nest, Ids.A, Ids.K, 8, 4);
   EXPECT_TRUE(isWellFormed(Nest)) << join(verify(Nest), "; ");
-  padLeadingDims(Nest, 4);
+  padDims(Nest, {4});
   EXPECT_TRUE(isWellFormed(Nest));
 }
 
