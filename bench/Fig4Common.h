@@ -56,7 +56,7 @@ inline void runFig4(const eco::MachineDesc &M,
   MiniAtlasResult Atlas = tuneMiniAtlas(Backend, AtlasTuneN, AtlasCopyMin);
   std::printf("ATLAS-style: searched %zu points in %.1fs; winner NB=%lld "
               "MU=%d NU=%d KU=%d\n",
-              Atlas.Trace.numEvaluations(), Atlas.Trace.Seconds,
+              Atlas.Trace.Evaluations, Atlas.Trace.Seconds,
               static_cast<long long>(Atlas.Best.NB), Atlas.Best.MU,
               Atlas.Best.NU, Atlas.Best.KU);
   MiniAtlasConfig AtlasCopyCfg = Atlas.Best;

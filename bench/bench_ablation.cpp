@@ -103,7 +103,6 @@ int main() {
   {
     TuneOptions Opts;
     Opts.Search.SearchPrefetch = false;
-    Opts.Search.AdjustAfterPrefetch = false;
     TuneResult R = tune(MM, Backend, {{"N", N}}, Opts);
     addRow("no prefetching", R.BestCost, R.TotalPoints);
   }
@@ -138,10 +137,10 @@ int main() {
     EvalEngine Eval(Backend);
     VariantSearchResult HC = hillClimbVariant(V, Eval, {{"N", N}}, HOpts);
     addRow("models + hill climbing", HC.BestCost,
-           HC.Trace.numEvaluations());
+           HC.Trace.Evaluations);
     VariantSearchResult SA = annealVariant(V, Eval, {{"N", N}}, HOpts);
     addRow("models + simulated annealing", SA.BestCost,
-           SA.Trace.numEvaluations());
+           SA.Trace.Evaluations);
   }
 
   std::printf("%s", T.render().c_str());

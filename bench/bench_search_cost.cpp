@@ -61,7 +61,7 @@ int main() {
 
     MiniAtlasResult Atlas = tuneMiniAtlas(Backend, 160);
     addRow("ATLAS-style grid", Tg.Name, "MatMul",
-           Atlas.Trace.numEvaluations(), Atlas.Trace.Seconds,
+           Atlas.Trace.Evaluations, Atlas.Trace.Seconds,
            Atlas.BestCost);
 
     LoopNest Jac = makeJacobi();

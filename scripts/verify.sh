@@ -12,7 +12,7 @@
 #   6. UBSan:  -DECO_SANITIZE=undefined build, labeled suites only;
 #   7. TSan:   -DECO_SANITIZE=thread build, labeled suites only.
 #
-# The labeled suites (engine|sim|obs|check|serve|fleet|fuzz|sync) are
+# The labeled suites (engine|sim|obs|check|serve|fleet|fuzz|sync|search) are
 # the ones with real concurrency or UB surface; running only them keeps
 # the sanitizer passes tractable on small machines. Any ECO_SANITIZE
 # build also turns the runtime lock-discipline checker on in Report
@@ -36,7 +36,7 @@ set -euo pipefail
 
 REPO="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="${ECO_VERIFY_JOBS:-$(nproc)}"
-LABELS="engine|sim|obs|check|serve|fleet|fuzz|sync"
+LABELS="engine|sim|obs|check|serve|fleet|fuzz|sync|search"
 
 step() { printf '\n==== %s ====\n' "$*"; }
 

@@ -2,7 +2,6 @@
 
 #include "baselines/MiniAtlas.h"
 #include "kernels/Kernels.h"
-#include "support/StringUtils.h"
 #include "support/Timer.h"
 #include "transform/Copy.h"
 #include "transform/Permute.h"
@@ -100,12 +99,7 @@ MiniAtlasResult eco::tuneMiniAtlas(EvalBackend &Backend, int64_t N,
         static_cast<int>(Backend.machine().FpRegisters))
       return;
     double Cost = evalMiniAtlas(Backend, C, N);
-    Result.Trace.Points.push_back(
-        {strformat("NB=%lld MU=%d NU=%d KU=%d copy=%d",
-                   static_cast<long long>(C.NB), C.MU, C.NU, C.KU,
-                   (int)C.Copy),
-         Cost});
-    if (Result.Trace.Points.size() == 1 || Cost < Result.BestCost) {
+    if (++Result.Trace.Evaluations == 1 || Cost < Result.BestCost) {
       Result.BestCost = Cost;
       Result.Best = C;
     }

@@ -101,14 +101,15 @@ std::vector<CheckKernel> eco::check::checkKernels() {
 namespace {
 
 /// The configurations one variant gets checked at: the model-heuristic
-/// initial point, the adversarial per-transform corners (tile=1,
-/// unroll=SearchMaxUnroll, prefetch forced on), and random perturbations.
+/// initial point, the adversarial per-transform corners (tile=1, unroll at
+/// the space's bound, prefetch forced on), and random perturbations.
 std::vector<Env> sampleConfigs(const DerivedVariant &V,
                                const MachineDesc &Machine,
                                const ParamBindings &Problem, Rng &R,
                                const DiffCheckOptions &Opts,
                                size_t *SkippedInfeasible) {
-  Env Base = initialConfig(V, Machine, Problem);
+  SearchSpace Space(V);
+  Env Base = Space.initialConfig(Machine, Problem);
   std::vector<Env> Raw;
   Raw.push_back(Base);
 
@@ -116,55 +117,53 @@ std::vector<Env> sampleConfigs(const DerivedVariant &V,
     // tile=1: every tiled loop degenerates to single-iteration tiles —
     // the cleanup-heavy corner of the tiling transform.
     Env Tiles1 = Base;
-    for (const auto &[Var, Param] : V.TileParamOf)
-      Tiles1.set(Param, 1);
+    for (SymbolId P : Space.tileParams())
+      Tiles1.set(P, 1);
     Raw.push_back(std::move(Tiles1));
 
-    // unroll=SearchMaxUnroll: the register-pressure corner of unroll-and-jam
+    // unroll at its bound: the register-pressure corner of unroll-and-jam
     // and scalar replacement (repaired down if the register constraint
     // rejects the full product).
-    if (!V.Spec.Unrolls.empty()) {
+    if (!Space.unrollParams().empty()) {
       Env MaxU = Base;
-      for (const UnrollSpec &U : V.Spec.Unrolls)
-        MaxU.set(U.FactorParam, SearchMaxUnroll);
+      for (SymbolId P : Space.unrollParams())
+        MaxU.set(P, Space.bounds().MaxUnroll);
       Raw.push_back(std::move(MaxU));
     }
 
     // prefetch on: every prefetchable array gets a nonzero distance —
     // prefetch insertion must never perturb values.
-    if (!V.Prefetch.empty()) {
+    if (!Space.prefetchParams().empty()) {
       Env Pf = Base;
-      for (const PrefetchSpec &P : V.Prefetch)
-        Pf.set(P.DistanceParam, 4);
+      for (SymbolId P : Space.prefetchParams())
+        Pf.set(P, 4);
       Raw.push_back(std::move(Pf));
     }
   }
 
   for (int C = 0; C < Opts.RandomConfigsPerVariant; ++C) {
     Env Cfg = Base;
-    for (const auto &[Var, Param] : V.TileParamOf)
-      Cfg.set(Param, R.nextInt(1, 9));
-    for (const UnrollSpec &U : V.Spec.Unrolls)
-      Cfg.set(U.FactorParam, R.nextInt(1, 4));
-    for (const PrefetchSpec &P : V.Prefetch)
-      Cfg.set(P.DistanceParam, R.nextInt(0, 1) ? R.nextInt(1, 8) : 0);
+    for (SymbolId P : Space.tileParams())
+      Cfg.set(P, R.nextInt(1, 9));
+    for (SymbolId P : Space.unrollParams())
+      Cfg.set(P, R.nextInt(1, 4));
+    for (SymbolId P : Space.prefetchParams())
+      Cfg.set(P, R.nextInt(0, 1) ? R.nextInt(1, 8) : 0);
     Raw.push_back(std::move(Cfg));
   }
 
   // Repair halves the largest tile or unroll factor.
-  std::vector<SymbolId> Repairable;
-  for (const auto &[Var, Param] : V.TileParamOf)
-    Repairable.push_back(Param);
-  for (const UnrollSpec &U : V.Spec.Unrolls)
-    Repairable.push_back(U.FactorParam);
+  std::vector<SymbolId> Repairable = Space.tileParams();
+  Repairable.insert(Repairable.end(), Space.unrollParams().begin(),
+                    Space.unrollParams().end());
   std::vector<Env> Out;
-  std::set<std::string> Seen;
+  std::set<std::vector<int64_t>> Seen;
   for (Env &Cfg : Raw) {
-    if (!halveUntilFeasible(V, Cfg, Repairable)) {
+    if (!Space.halveUntilFeasible(Cfg, Repairable)) {
       ++*SkippedInfeasible;
       continue;
     }
-    if (Seen.insert(V.configString(Cfg)).second)
+    if (Seen.insert(Space.key(Cfg)).second)
       Out.push_back(std::move(Cfg));
   }
   return Out;

@@ -18,10 +18,11 @@
 /// Both start from the model heuristic's initial point, so "models +
 /// heuristic search" hybrids are exactly what these implement; with the
 /// models' constraints still pruning infeasible moves, they demonstrate
-/// the combination the paper anticipates. Both evaluate through an
-/// Evaluator (the engine, stages "hill-climb" and "anneal"), as the
-/// staged search does. bench_ablation compares them against the staged
-/// guided search at equal budget.
+/// the combination the paper anticipates. Both read the variant's
+/// SearchSpace (the parameter split, bounds, feasibility and point memo
+/// the staged search uses) and evaluate through an Evaluator (the engine,
+/// stages "hill-climb" and "anneal"). bench_ablation compares them
+/// against the staged guided search at equal budget.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,15 +33,11 @@
 
 namespace eco {
 
-/// Knobs shared by the heuristic searches.
+/// Knobs shared by the heuristic searches. Both draw from one fixed seed,
+/// so a search is a deterministic function of its inputs.
 struct HeuristicSearchOptions {
-  size_t Budget = 100;       ///< maximum evaluations
-  uint64_t Seed = 42;        ///< deterministic randomness
-  double StartTemp = 0.25;   ///< annealing: initial relative temperature
-  double Cooling = 0.95;     ///< annealing: geometric cooling per step
-  int MaxUnroll = SearchMaxUnroll;
-  int64_t MaxTile = SearchMaxTile;
-  int MaxPrefetchDistance = SearchMaxPrefetchDistance;
+  size_t Budget = 100; ///< maximum evaluations
+  SearchBounds Bounds; ///< the space's parameter bounds
 };
 
 /// Steepest-descent hill climbing with random restarts when stuck.

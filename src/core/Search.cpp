@@ -10,7 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
+#include <optional>
 #include <set>
 
 using namespace eco;
@@ -71,79 +71,119 @@ int64_t floorPow2(int64_t V) {
   return P;
 }
 
-/// The tile parameters a cache level's stage searches: its newly tiled
-/// loops plus every tile parameter in its capacity constraint.
-std::vector<SymbolId> stageTileParams(const DerivedVariant &V,
-                                      const CacheLevelPlan &CL) {
-  std::vector<SymbolId> Params;
-  auto add = [&Params](SymbolId P) {
-    if (std::find(Params.begin(), Params.end(), P) == Params.end())
-      Params.push_back(P);
-  };
-  for (SymbolId Var : CL.NewTiledLoops)
-    add(V.TileParamOf.at(Var));
-  if (CL.CapConstraintIdx >= 0) {
-    std::set<SymbolId> TileParams;
-    for (const auto &[Var, Param] : V.TileParamOf)
-      TileParams.insert(Param);
-    for (const ProductTerm &T :
-         V.Constraints[CL.CapConstraintIdx].Terms)
-      for (SymbolId P : T.Params)
-        if (TileParams.count(P))
-          add(P);
-  }
-  return Params;
+/// \p E with \p P set to \p Value.
+Env with(const Env &E, SymbolId P, int64_t Value) {
+  Env Out = E;
+  Out.set(P, Value);
+  return Out;
+}
+
+/// The largest of \p Params in \p E (the first listed on ties), or -1
+/// when every one is already 1 or less.
+SymbolId largestOf(const Env &E, const std::vector<SymbolId> &Params) {
+  SymbolId Largest = -1;
+  int64_t LargestVal = 1;
+  for (SymbolId P : Params)
+    if (E.get(P) > LargestVal) {
+      LargestVal = E.get(P);
+      Largest = P;
+    }
+  return Largest;
+}
+
+bool contains(const std::vector<SymbolId> &Params, SymbolId P) {
+  return std::find(Params.begin(), Params.end(), P) != Params.end();
 }
 
 } // namespace
 
-std::vector<std::vector<SymbolId>>
-eco::searchStages(const DerivedVariant &V) {
-  std::vector<std::vector<SymbolId>> Stages;
+SearchSpace::SearchSpace(const DerivedVariant &V, SearchBounds Bounds)
+    : V(V), Bounds(Bounds) {
+  for (const auto &[Var, Param] : V.TileParamOf)
+    Tiles.push_back(Param);
+  for (const UnrollSpec &U : V.Spec.Unrolls)
+    Unrolls.push_back(U.FactorParam);
+  for (const PrefetchSpec &P : V.Prefetch)
+    Prefetches.push_back(P.DistanceParam);
+  All = Tiles;
+  All.insert(All.end(), Unrolls.begin(), Unrolls.end());
+  All.insert(All.end(), Prefetches.begin(), Prefetches.end());
+
+  // A cache level searches its newly tiled loops plus every tile
+  // parameter in its capacity constraint.
   for (const CacheLevelPlan &CL : V.Spec.CacheLevels) {
-    std::vector<SymbolId> Params = stageTileParams(V, CL);
+    std::vector<SymbolId> Params;
+    auto add = [&Params](SymbolId P) {
+      if (!contains(Params, P))
+        Params.push_back(P);
+    };
+    for (SymbolId Var : CL.NewTiledLoops)
+      add(V.TileParamOf.at(Var));
+    if (CL.CapConstraintIdx >= 0)
+      for (const ProductTerm &T : V.Constraints[CL.CapConstraintIdx].Terms)
+        for (SymbolId P : T.Params)
+          if (contains(Tiles, P))
+            add(P);
+    LevelTiles.push_back(Params);
+
     if (Params.empty())
       continue;
-    // Merge with any existing stage sharing a parameter.
-    bool Merged = false;
-    for (std::vector<SymbolId> &Stage : Stages) {
-      bool Shares = false;
-      for (SymbolId P : Params)
-        if (std::find(Stage.begin(), Stage.end(), P) != Stage.end())
-          Shares = true;
-      if (!Shares)
-        continue;
-      for (SymbolId P : Params)
-        if (std::find(Stage.begin(), Stage.end(), P) == Stage.end())
-          Stage.push_back(P);
-      Merged = true;
-      break;
-    }
-    if (!Merged)
+    // Merge with the first stage sharing a parameter.
+    auto Shared = std::find_if(
+        Stages.begin(), Stages.end(), [&](const std::vector<SymbolId> &S) {
+          return std::any_of(Params.begin(), Params.end(),
+                             [&](SymbolId P) { return contains(S, P); });
+        });
+    if (Shared == Stages.end()) {
       Stages.push_back(std::move(Params));
+      continue;
+    }
+    for (SymbolId P : Params)
+      if (!contains(*Shared, P))
+        Shared->push_back(P);
   }
-  return Stages;
 }
 
-bool eco::halveUntilFeasible(const DerivedVariant &V, Env &Cfg,
-                             const std::vector<SymbolId> &Params) {
+SearchSpace::ParamKind SearchSpace::kind(SymbolId P) const {
+  if (contains(Tiles, P))
+    return ParamKind::Tile;
+  if (contains(Unrolls, P))
+    return ParamKind::Unroll;
+  if (contains(Prefetches, P))
+    return ParamKind::Prefetch;
+  return ParamKind::None;
+}
+
+bool SearchSpace::inBounds(const Env &E, const SearchWindows &Windows) const {
+  auto within = [&E](const std::vector<SymbolId> &Params, int64_t Lo,
+                     int64_t Hi) {
+    return std::all_of(Params.begin(), Params.end(), [&](SymbolId P) {
+      return E.get(P) >= Lo && E.get(P) <= Hi;
+    });
+  };
+  if (!within(Unrolls, 1, Bounds.MaxUnroll) ||
+      !within(Tiles, 1, Bounds.MaxTile) ||
+      !within(Prefetches, 0, Bounds.MaxPrefetchDistance))
+    return false;
+  for (const auto &[P, Window] : Windows)
+    if (E.get(P) < Window.first || E.get(P) > Window.second)
+      return false;
+  return true;
+}
+
+bool SearchSpace::halveUntilFeasible(
+    Env &Cfg, const std::vector<SymbolId> &Params) const {
   for (int Guard = 0; Guard < 64 && !V.feasible(Cfg); ++Guard) {
-    SymbolId Largest = -1;
-    int64_t LargestVal = 1;
-    for (SymbolId P : Params)
-      if (Cfg.get(P) > LargestVal) {
-        LargestVal = Cfg.get(P);
-        Largest = P;
-      }
+    SymbolId Largest = largestOf(Cfg, Params);
     if (Largest < 0)
       break;
-    Cfg.set(Largest, LargestVal / 2);
+    Cfg.set(Largest, Cfg.get(Largest) / 2);
   }
   return V.feasible(Cfg);
 }
 
-Env eco::initialConfig(const DerivedVariant &V, const MachineDesc &Machine,
-                       const ParamBindings &Problem) {
+Env SearchSpace::initialConfig(const MachineDesc &Machine,
+                               const ParamBindings &Problem) const {
   const LoopNest &Nest = V.Skeleton;
   Env E(Nest.Syms.size());
   for (const auto &[Name, Value] : Problem) {
@@ -164,7 +204,7 @@ Env eco::initialConfig(const DerivedVariant &V, const MachineDesc &Machine,
   int64_t RegLimit = V.RegConstraintIdx >= 0
                          ? V.Constraints[V.RegConstraintIdx].Limit
                          : Machine.FpRegisters;
-  size_t NumUnrolls = V.Spec.Unrolls.size();
+  size_t NumUnrolls = Unrolls.size();
   if (NumUnrolls > 0) {
     // int64 arithmetic: with a large register limit (RegLimit is int64)
     // the old `1 << (Bits + 1)` overflowed int at Bits >= 30 — UB, and in
@@ -176,16 +216,17 @@ Env eco::initialConfig(const DerivedVariant &V, const MachineDesc &Machine,
       int Share = Bits / static_cast<int>(NumUnrolls) +
                   (U < Bits % NumUnrolls ? 1 : 0);
       int64_t Factor = std::min<int64_t>(int64_t(1) << Share, 16);
-      E.set(V.Spec.Unrolls[U].FactorParam, std::max<int64_t>(Factor, 1));
+      E.set(Unrolls[U], std::max<int64_t>(Factor, 1));
     }
   }
 
   // Cache stages: footprint = effective capacity, split evenly in log
-  // space across the stage's unset parameters.
+  // space across the level's unset parameters.
   std::set<SymbolId> Assigned;
-  for (const CacheLevelPlan &CL : V.Spec.CacheLevels) {
+  for (size_t L = 0; L < LevelTiles.size(); ++L) {
+    const CacheLevelPlan &CL = V.Spec.CacheLevels[L];
     std::vector<SymbolId> Params;
-    for (SymbolId P : stageTileParams(V, CL))
+    for (SymbolId P : LevelTiles[L])
       if (!Assigned.count(P))
         Params.push_back(P);
     if (Params.empty())
@@ -216,19 +257,34 @@ Env eco::initialConfig(const DerivedVariant &V, const MachineDesc &Machine,
 
   // Any tile parameter not covered above (no constraint) gets the L1
   // heuristic size; prefetch distances start at 0 (off).
-  for (const auto &[Var, Param] : V.TileParamOf)
-    if (!Assigned.count(Param) && E.get(Param) == 0)
-      E.set(Param, floorPow2(static_cast<int64_t>(std::sqrt(
-                       effectiveCapacityElems(Machine.cache(0), 8)))));
-  for (const PrefetchSpec &P : V.Prefetch)
-    E.set(P.DistanceParam, 0);
+  for (SymbolId P : Tiles)
+    if (!Assigned.count(P) && E.get(P) == 0)
+      E.set(P, floorPow2(static_cast<int64_t>(std::sqrt(
+                   effectiveCapacityElems(Machine.cache(0), 8)))));
+  for (SymbolId P : Prefetches)
+    E.set(P, 0);
 
   // Repair: halve the largest tile until every constraint holds.
-  std::vector<SymbolId> Tiles;
-  for (const auto &[Var, Param] : V.TileParamOf)
-    Tiles.push_back(Param);
-  halveUntilFeasible(V, E, Tiles);
+  halveUntilFeasible(E, Tiles);
   return E;
+}
+
+std::vector<int64_t> SearchSpace::key(const Env &E) const {
+  std::vector<int64_t> Key;
+  Key.reserve(All.size());
+  for (SymbolId P : All)
+    Key.push_back(E.get(P));
+  return Key;
+}
+
+const double *SearchSpace::memoized(const Env &E) const {
+  auto It = Memo.find(key(E));
+  return It == Memo.end() ? nullptr : &It->second;
+}
+
+Env eco::initialConfig(const DerivedVariant &V, const MachineDesc &Machine,
+                       const ParamBindings &Problem) {
+  return SearchSpace(V).initialConfig(Machine, Problem);
 }
 
 namespace {
@@ -245,15 +301,9 @@ class Searcher {
 public:
   Searcher(const DerivedVariant &V, Evaluator &Eval,
            const ParamBindings &Problem, const SearchOptions &Opts)
-      : V(V), Eval(Eval), Opts(Opts) {
-    Cur = initialConfig(V, Eval.machine(), Problem);
+      : V(V), Space(V), Eval(Eval), Opts(Opts) {
+    Cur = Space.initialConfig(Eval.machine(), Problem);
     HeuristicInit = Cur;
-    for (const auto &[Var, Param] : V.TileParamOf)
-      TileParams.push_back(Param);
-    for (const UnrollSpec &U : V.Spec.Unrolls)
-      UnrollParams.push_back(U.FactorParam);
-    for (const PrefetchSpec &P : V.Prefetch)
-      PfParams.push_back(P.DistanceParam);
     applyWarmStart();
   }
 
@@ -298,15 +348,15 @@ public:
     }
     if (CurCost < Inf) {
       // Stage 1: register factors.
-      if (!UnrollParams.empty()) {
+      if (!Space.unrollParams().empty()) {
         obs::SpanScope Span("stage:register", "search", V.Spec.Name);
         Stage = "register";
-        shapeSearch(UnrollParams);
-        linearRefine(UnrollParams, 1);
+        shapeSearch(Space.unrollParams());
+        linearRefine(Space.unrollParams(), 1);
       }
       // Stage 2..: tile stages.
       size_t StageIdx = 0;
-      for (const std::vector<SymbolId> &S : searchStages(V)) {
+      for (const std::vector<SymbolId> &S : Space.tileStages()) {
         Stage = "tile" + std::to_string(StageIdx++);
         obs::SpanScope Span("stage:" + Stage, "search", V.Spec.Name);
         footprintSearch(S);
@@ -319,7 +369,7 @@ public:
         prefetchSearch();
       }
       // Stage 4: post-prefetch tile adjustment.
-      if (Opts.AdjustAfterPrefetch && anyPrefetchOn()) {
+      if (anyPrefetchOn()) {
         obs::SpanScope Span("stage:adjust", "search", V.Spec.Name);
         Stage = "adjust";
         adjustInnermostTile();
@@ -329,8 +379,7 @@ public:
     VariantSearchResult R;
     R.BestConfig = Cur;
     R.BestCost = CurCost;
-    R.Trace = std::move(Trace);
-    R.Trace.Seconds = Elapsed.seconds();
+    R.Trace = {Evaluations, Elapsed.seconds()};
     R.Infeasible = Infeasible;
     return R;
   }
@@ -344,36 +393,30 @@ private:
   /// initial point. Only this variant's search parameters participate
   /// (matched by name); problem sizes and unknown names pass through
   /// untouched. When WarmStartBoundFactor is set, each seeded tile or
-  /// unroll parameter additionally gets a [seed/F, seed*F] stage bound.
+  /// unroll parameter additionally gets a [seed/F, seed*F] stage window.
   void applyWarmStart() {
-    if (Opts.WarmStartConfig.empty())
-      return;
-    std::set<SymbolId> SearchParams;
-    for (SymbolId P : TileParams)
-      SearchParams.insert(P);
-    for (SymbolId P : UnrollParams)
-      SearchParams.insert(P);
-    for (SymbolId P : PfParams)
-      SearchParams.insert(P);
-    bool Seeded = false;
+    std::vector<std::pair<std::string, SymbolId>> Seeded;
     for (const auto &[Name, Value] : Opts.WarmStartConfig) {
       SymbolId Id = V.Skeleton.Syms.lookup(Name);
-      if (Id < 0 || !SearchParams.count(Id) || Value < 0)
+      if (Id < 0 || Value < 0)
+        continue;
+      SearchSpace::ParamKind Kind = Space.kind(Id);
+      if (Kind == SearchSpace::ParamKind::None)
         continue;
       Cur.set(Id, Value);
-      Seeded = true;
+      Seeded.emplace_back(Name, Id);
       if (Opts.WarmStartBoundFactor > 0 && Value > 0 &&
-          !std::count(PfParams.begin(), PfParams.end(), Id)) {
+          Kind != SearchSpace::ParamKind::Prefetch) {
         int64_t F = Opts.WarmStartBoundFactor;
         SeedBounds[Id] = {std::max<int64_t>(Value / F, 1), Value * F};
       }
     }
-    if (!Seeded)
+    if (Seeded.empty())
       return;
     WarmSeeded = true;
     // The seed came from a neighboring problem size, so it may overflow
     // a constraint here: the same repair initialConfig applies.
-    halveUntilFeasible(V, Cur, TileParams);
+    Space.halveUntilFeasible(Cur, Space.tileParams());
     // Feasibility repair may have pushed a seeded parameter below its
     // window; widen so the starting point itself is always in bounds.
     for (auto &[P, Window] : SeedBounds) {
@@ -382,10 +425,7 @@ private:
     }
     if (obs::eventsEnabled()) {
       Json Params = Json::array();
-      for (const auto &[Name, Value] : Opts.WarmStartConfig) {
-        SymbolId Id = V.Skeleton.Syms.lookup(Name);
-        if (Id < 0 || !SearchParams.count(Id) || Value < 0)
-          continue;
+      for (const auto &[Name, Id] : Seeded) {
         Json P = Json::object();
         P.set("name", Name);
         P.set("value", Cur.get(Id)); // post-repair starting value
@@ -406,53 +446,29 @@ private:
     }
   }
 
-  bool withinBounds(const Env &E) const {
-    for (SymbolId P : UnrollParams) {
-      int64_t F = E.get(P);
-      if (F < 1 || F > SearchMaxUnroll)
-        return false;
-    }
-    for (SymbolId P : TileParams) {
-      int64_t T = E.get(P);
-      if (T < 1 || T > SearchMaxTile)
-        return false;
-    }
-    for (SymbolId P : PfParams) {
-      int64_t D = E.get(P);
-      if (D < 0 || D > SearchMaxPrefetchDistance)
-        return false;
-    }
-    for (const auto &[P, Window] : SeedBounds) {
-      int64_t T = E.get(P);
-      if (T < Window.first || T > Window.second)
-        return false;
-    }
-    return true;
-  }
+  bool stopped() const { return Opts.ShouldStop && Opts.ShouldStop(); }
 
   double eval(const Env &E) {
     // Cooperative cancellation: once the caller's deadline fires, stop
     // spending evaluations — every further candidate reads as
     // infeasible, the stage loops run dry, and run() returns the best
     // configuration found so far.
-    if (Opts.ShouldStop && Opts.ShouldStop())
+    if (stopped())
       return Inf;
-    if (!withinBounds(E) || !V.feasible(E)) {
+    if (!Space.admits(E, SeedBounds)) {
       // The models (or seed windows) pruned this candidate without
       // spending an execution — the count the paper's Tables 3/4 story
       // is about.
       ++Infeasible;
       return Inf;
     }
-    std::string Key = V.configString(E);
-    auto Cached = CostCache.find(Key);
-    if (Cached != CostCache.end())
-      return Cached->second;
+    if (const double *Cost = Space.memoized(E))
+      return *Cost;
 
-    EvalOutcome O = Eval.evaluate(V, E, Stage);
-    CostCache[Key] = O.Cost;
-    Trace.Points.push_back({Key, O.Cost});
-    return O.Cost;
+    double Cost = Eval.evaluate(V, E, Stage).Cost;
+    Space.memoize(E, Cost);
+    ++Evaluations;
+    return Cost;
   }
 
   /// Evaluates \p Cand; adopts it when strictly better.
@@ -471,68 +487,51 @@ private:
   /// search has already costed, or that bounds/constraints would reject
   /// without executing, are filtered exactly as eval() would.
   void warmBatch(std::vector<Env> Cands) {
-    if (Opts.ShouldStop && Opts.ShouldStop())
+    if (stopped())
       return; // cancelled: don't fan speculative work out to the lanes
     std::vector<Env> Fresh;
     Fresh.reserve(Cands.size());
-    for (Env &E : Cands) {
-      if (!withinBounds(E) || !V.feasible(E))
-        continue;
-      if (CostCache.count(V.configString(E)))
-        continue;
-      Fresh.push_back(std::move(E));
-    }
+    for (Env &E : Cands)
+      if (Space.admits(E, SeedBounds) && !Space.memoized(E))
+        Fresh.push_back(std::move(E));
     if (Fresh.size() > 1)
       Eval.warm(V, Fresh, Stage);
   }
 
-  /// All (double Up, halve Down) siblings reachable from \p From in one
-  /// shape-search round — the independent candidate set a round scans.
-  std::vector<Env> shapeSiblings(const Env &From,
-                                 const std::vector<SymbolId> &Params) {
-    std::vector<Env> Cands;
-    for (SymbolId Up : Params) {
-      for (SymbolId Down : Params) {
-        if (Up == Down)
-          continue;
-        int64_t NewDown = std::max<int64_t>(From.get(Down) / 2, 1);
-        if (NewDown == From.get(Down))
-          continue;
-        Env Cand = From;
-        Cand.set(Up, From.get(Up) * 2);
-        Cand.set(Down, NewDown);
-        Cands.push_back(std::move(Cand));
-      }
-    }
-    return Cands;
+  /// The shape move from \p From that doubles \p Up and halves \p Down,
+  /// or nullopt when Down is already 1 (the footprint would grow).
+  static std::optional<Env> shapeMove(const Env &From, SymbolId Up,
+                                      SymbolId Down) {
+    int64_t NewDown = std::max<int64_t>(From.get(Down) / 2, 1);
+    if (NewDown == From.get(Down))
+      return std::nullopt;
+    Env Cand = with(From, Up, From.get(Up) * 2);
+    Cand.set(Down, NewDown);
+    return Cand;
   }
 
   /// Binary tile-shape search at (roughly) constant footprint.
   void shapeSearch(const std::vector<SymbolId> &Params) {
-    if (Params.size() < 2)
-      return;
-    bool Improved = true;
+    std::vector<std::pair<SymbolId, SymbolId>> Moves;
+    for (SymbolId Up : Params)
+      for (SymbolId Down : Params)
+        if (Up != Down)
+          Moves.emplace_back(Up, Down);
+    bool Improved = !Moves.empty();
     while (Improved) {
       Improved = false;
       // Every sibling of the round's starting point is independent of
       // the others; evaluate them concurrently up front. Acceptances
       // mid-round move Cur, after which later candidates may miss the
       // memo — they are then evaluated on demand, still correctly.
-      warmBatch(shapeSiblings(Cur, Params));
-      for (SymbolId Up : Params) {
-        for (SymbolId Down : Params) {
-          if (Up == Down)
-            continue;
-          Env Cand = Cur;
-          int64_t NewDown = std::max<int64_t>(Cur.get(Down) / 2, 1);
-          if (NewDown == Cur.get(Down))
-            continue;
-          Cand.set(Up, Cur.get(Up) * 2);
-          Cand.set(Down, NewDown);
-          if (tryAccept(Cand))
-            Improved = true;
-        }
-      }
+      std::vector<Env> Siblings;
+      for (auto [Up, Down] : Moves)
+        if (std::optional<Env> Cand = shapeMove(Cur, Up, Down))
+          Siblings.push_back(std::move(*Cand));
+      warmBatch(std::move(Siblings));
+      for (auto [Up, Down] : Moves)
+        if (std::optional<Env> Cand = shapeMove(Cur, Up, Down))
+          Improved |= tryAccept(*Cand);
     }
   }
 
@@ -541,18 +540,10 @@ private:
   void footprintSearch(const std::vector<SymbolId> &Params) {
     shapeSearch(Params);
     while (true) {
-      // Halve the largest parameter.
-      SymbolId Largest = -1;
-      int64_t LargestVal = 1;
-      for (SymbolId P : Params)
-        if (Cur.get(P) > LargestVal) {
-          LargestVal = Cur.get(P);
-          Largest = P;
-        }
+      SymbolId Largest = largestOf(Cur, Params);
       if (Largest < 0)
         return;
-      Env Shrunk = Cur;
-      Shrunk.set(Largest, LargestVal / 2);
+      Env Shrunk = with(Cur, Largest, Cur.get(Largest) / 2);
 
       Env PrevBest = Cur;
       double PrevCost = CurCost;
@@ -572,27 +563,21 @@ private:
 
   /// Small +-step walk on each parameter.
   void linearRefine(const std::vector<SymbolId> &Params, int64_t Step) {
+    auto stepped = [&](SymbolId P, int64_t Dir) {
+      return with(Cur, P, Cur.get(P) + Dir * Step);
+    };
     // The first +-step neighbor of every parameter is independent of the
     // others' outcomes; warm them as one batch.
     std::vector<Env> FirstSteps;
-    for (SymbolId P : Params) {
-      for (int64_t Dir : {+1, -1}) {
-        Env Cand = Cur;
-        Cand.set(P, Cur.get(P) + Dir * Step);
-        FirstSteps.push_back(std::move(Cand));
-      }
-    }
+    for (SymbolId P : Params)
+      for (int64_t Dir : {+1, -1})
+        FirstSteps.push_back(stepped(P, Dir));
     warmBatch(std::move(FirstSteps));
-    for (SymbolId P : Params) {
-      for (int64_t Dir : {+1, -1}) {
-        for (int S = 0; S < Opts.LinearRefineSteps; ++S) {
-          Env Cand = Cur;
-          Cand.set(P, Cur.get(P) + Dir * Step);
-          if (!tryAccept(Cand))
+    for (SymbolId P : Params)
+      for (int64_t Dir : {+1, -1})
+        for (int S = 0; S < Opts.LinearRefineSteps; ++S)
+          if (!tryAccept(stepped(P, Dir)))
             break;
-        }
-      }
-    }
   }
 
   /// Try prefetching each data structure, one at a time: distance 1,
@@ -602,31 +587,22 @@ private:
     // post-tiling configuration (most arrays keep prefetch off, so the
     // probes usually are exactly what the sequential walk evaluates).
     std::vector<Env> Probes;
-    for (SymbolId P : PfParams) {
-      Env Cand = Cur;
-      Cand.set(P, 1);
-      Probes.push_back(std::move(Cand));
-    }
+    for (SymbolId P : Space.prefetchParams())
+      Probes.push_back(with(Cur, P, 1));
     warmBatch(std::move(Probes));
-    for (SymbolId P : PfParams) {
-      Env Cand = Cur;
-      Cand.set(P, 1);
-      if (!tryAccept(Cand))
+    for (SymbolId P : Space.prefetchParams()) {
+      if (!tryAccept(with(Cur, P, 1)))
         continue; // no benefit: leave off
-      for (int64_t D = 2; D <= SearchMaxPrefetchDistance; D *= 2) {
-        Env Climb = Cur;
-        Climb.set(P, D);
-        if (!tryAccept(Climb))
+      for (int64_t D = 2; D <= Space.bounds().MaxPrefetchDistance; D *= 2)
+        if (!tryAccept(with(Cur, P, D)))
           break;
-      }
     }
   }
 
   bool anyPrefetchOn() const {
-    for (SymbolId P : PfParams)
-      if (Cur.get(P) > 0)
-        return true;
-    return false;
+    const std::vector<SymbolId> &Pf = Space.prefetchParams();
+    return std::any_of(Pf.begin(), Pf.end(),
+                       [this](SymbolId P) { return Cur.get(P) > 0; });
   }
 
   /// Grow the innermost loop's tile (prefetch works better with longer
@@ -636,43 +612,34 @@ private:
     if (It == V.TileParamOf.end())
       return;
     SymbolId Inner = It->second;
+    std::vector<SymbolId> Others;
+    for (SymbolId P : Space.tileParams())
+      if (P != Inner)
+        Others.push_back(P);
     while (true) {
-      Env Cand = Cur;
-      Cand.set(Inner, Cur.get(Inner) * 2);
-      // Restore feasibility by halving the largest other tile.
-      for (int Guard = 0; Guard < 32 && !V.feasible(Cand); ++Guard) {
-        SymbolId Largest = -1;
-        int64_t LargestVal = 1;
-        for (SymbolId P : TileParams)
-          if (P != Inner && Cand.get(P) > LargestVal) {
-            LargestVal = Cand.get(P);
-            Largest = P;
-          }
-        if (Largest < 0)
-          break;
-        Cand.set(Largest, LargestVal / 2);
-      }
+      Env Cand = with(Cur, Inner, Cur.get(Inner) * 2);
+      Space.halveUntilFeasible(Cand, Others);
       if (!tryAccept(Cand))
         return;
     }
   }
 
   const DerivedVariant &V;
+  SearchSpace Space;
   Evaluator &Eval;
   SearchOptions Opts;
 
   Env Cur;
   double CurCost = Inf;
   std::string Stage;
-  SearchTrace Trace;
-  std::map<std::string, double> CostCache;
-  std::vector<SymbolId> TileParams, UnrollParams, PfParams;
   /// The model-heuristic initial point, kept for the guarded warm start.
   Env HeuristicInit;
   /// True when applyWarmStart() actually overlaid at least one value.
   bool WarmSeeded = false;
-  /// Warm-start stage bounds: seeded param -> [lo, hi] window.
-  std::map<SymbolId, std::pair<int64_t, int64_t>> SeedBounds;
+  /// Warm-start stage windows: seeded param -> [lo, hi].
+  SearchWindows SeedBounds;
+  /// Unique points costed through the Evaluator.
+  size_t Evaluations = 0;
   /// Candidates rejected by bounds/constraints without execution.
   size_t Infeasible = 0;
 };

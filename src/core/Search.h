@@ -20,13 +20,16 @@
 ///  3. post-prefetch tile adjustment — grow the innermost loop's tile
 ///     (shrinking others to stay within constraints) while it helps.
 ///
-/// Every evaluation goes through an Evaluator (the engine), which
-/// instantiates the variant for the configuration's unroll/prefetch
-/// values (cached), binds the tile parameters, and runs it on an
-/// EvalBackend: the memory-hierarchy simulator (cycles) or the
-/// native compile-and-run backend (seconds). Infeasible configurations
-/// (violating any model constraint) are rejected without execution —
-/// that is how the models prune the search space.
+/// What a search may visit is one SearchSpace per variant: the tile /
+/// unroll / prefetch parameter split, the merged tile stages, the
+/// parameter bounds, the constraint repair, and an exact memo of the
+/// points already costed. Configurations outside the bounds or violating
+/// any model constraint are rejected without execution — that is how the
+/// models prune the search space. Every other evaluation goes through an
+/// Evaluator (the engine), which instantiates the variant for the
+/// configuration's unroll/prefetch values (cached), binds the tile
+/// parameters, and runs it on an EvalBackend: the memory-hierarchy
+/// simulator (cycles) or the native compile-and-run backend (seconds).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +41,7 @@
 
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -197,15 +201,9 @@ private:
   std::shared_ptr<NativeKernelCache> Kernels; ///< shared across clones
 };
 
-/// The search's fixed parameter bounds (unroll, tile, prefetch distance).
-inline constexpr int SearchMaxUnroll = 16;
-inline constexpr int64_t SearchMaxTile = int64_t(1) << 16;
-inline constexpr int SearchMaxPrefetchDistance = 64;
-
 /// Search knobs.
 struct SearchOptions {
   bool SearchPrefetch = true;
-  bool AdjustAfterPrefetch = true;
   int LinearRefineSteps = 2; ///< +-step attempts per parameter
 
   /// Warm start (the serve layer's cross-request reuse): (name, value)
@@ -231,19 +229,12 @@ struct SearchOptions {
   std::function<bool()> ShouldStop;
 };
 
-/// One evaluated point: the configuration and its cost. How the point
-/// was obtained (stage, cache hit, backend time, lane) is recorded once,
-/// in its `config.evaluated` flight-recorder event.
-struct SearchPoint {
-  std::string Config;
-  double Cost = 0;
-};
-
 /// The paper reports search cost as points visited and wall time (4.3).
+/// Each point itself is recorded once, in its `config.evaluated`
+/// flight-recorder event.
 struct SearchTrace {
-  std::vector<SearchPoint> Points; ///< unique evaluations, in order
+  size_t Evaluations = 0; ///< unique points the search costed
   double Seconds = 0;
-  size_t numEvaluations() const { return Points.size(); }
 };
 
 /// Outcome of searching one variant.
@@ -341,24 +332,92 @@ public:
 /// (tiles stay symbolic); the engine keys its instantiation memo on it.
 std::string instantiationKey(const DerivedVariant &V, const Env &Config);
 
-/// The model heuristic's initial configuration for \p Variant (stage
-/// initial values; prefetch off). Public so the Tuner can rank variants
-/// by their heuristic point before committing to full searches.
+/// Inclusive upper bounds of the search parameters. The lower bounds are
+/// fixed: 1 for tile sizes and unroll factors, 0 (off) for prefetch
+/// distances.
+struct SearchBounds {
+  int64_t MaxUnroll = 16;
+  int64_t MaxTile = int64_t(1) << 16;
+  int64_t MaxPrefetchDistance = 64;
+};
+
+/// Per-parameter [lo, hi] windows narrowing the bounds for one search
+/// (the warm start's seed windows).
+using SearchWindows = std::map<SymbolId, std::pair<int64_t, int64_t>>;
+
+/// One variant's search space: which configurations the models let a
+/// search visit, and what each visited one cost. Every search (the
+/// staged search, hill climbing, annealing) and the differential checker
+/// build one per variant they search and read the parameter split, the
+/// stages, the bounds, the repair and the memo from it — none keeps its
+/// own copy.
+class SearchSpace {
+public:
+  enum class ParamKind { None, Tile, Unroll, Prefetch };
+
+  explicit SearchSpace(const DerivedVariant &V, SearchBounds Bounds = {});
+
+  const SearchBounds &bounds() const { return Bounds; }
+
+  /// The three parameter lists: tiles in TileParamOf order, unroll
+  /// factors and prefetch distances in spec order.
+  const std::vector<SymbolId> &tileParams() const { return Tiles; }
+  const std::vector<SymbolId> &unrollParams() const { return Unrolls; }
+  const std::vector<SymbolId> &prefetchParams() const { return Prefetches; }
+  /// Tiles, then unroll factors, then prefetch distances.
+  const std::vector<SymbolId> &params() const { return All; }
+  ParamKind kind(SymbolId P) const;
+
+  /// The tile-parameter stages the staged search walks, in order: one
+  /// stage per cache level, with stages merged when they share a
+  /// parameter (the paper's rule for parameters like TK that affect both
+  /// L1 and L2 — "the search of tiling parameters for both levels is
+  /// performed in the same stage").
+  const std::vector<std::vector<SymbolId>> &tileStages() const {
+    return Stages;
+  }
+
+  /// True if every parameter of \p E lies within the bounds and within
+  /// its window in \p Windows, if it has one.
+  bool inBounds(const Env &E, const SearchWindows &Windows = {}) const;
+  /// In bounds and every model constraint holds: the models let a search
+  /// spend an evaluation on \p E.
+  bool admits(const Env &E, const SearchWindows &Windows = {}) const {
+    return inBounds(E, Windows) && V.feasible(E);
+  }
+
+  /// Repair: halves the largest of \p Params in \p Cfg (the first listed
+  /// on ties) until every constraint holds; returns whether they all do.
+  bool halveUntilFeasible(Env &Cfg, const std::vector<SymbolId> &Params) const;
+
+  /// The model heuristic's initial configuration (stage initial values;
+  /// prefetch off), repaired to feasibility.
+  Env initialConfig(const MachineDesc &Machine,
+                    const ParamBindings &Problem) const;
+
+  /// The values of params() in \p E: the exact identity of a point within
+  /// one search (every other symbol is fixed by the problem).
+  std::vector<int64_t> key(const Env &E) const;
+
+  /// The point memo: the cost this space recorded for \p E, or nullptr.
+  const double *memoized(const Env &E) const;
+  void memoize(const Env &E, double Cost) { Memo[key(E)] = Cost; }
+
+private:
+  const DerivedVariant &V;
+  SearchBounds Bounds;
+  std::vector<SymbolId> Tiles, Unrolls, Prefetches, All;
+  /// Each cache level's tile parameters, parallel to Spec.CacheLevels.
+  std::vector<std::vector<SymbolId>> LevelTiles;
+  std::vector<std::vector<SymbolId>> Stages;
+  std::map<std::vector<int64_t>, double> Memo;
+};
+
+/// SearchSpace(Variant).initialConfig(Machine, Problem). Public so the
+/// Tuner can rank variants by their heuristic point before committing to
+/// full searches.
 Env initialConfig(const DerivedVariant &Variant, const MachineDesc &Machine,
                   const ParamBindings &Problem);
-
-/// Repair: halves the largest of \p Params in \p Cfg (the first listed
-/// on ties) until every constraint of \p Variant holds; returns whether
-/// they all do.
-bool halveUntilFeasible(const DerivedVariant &Variant, Env &Cfg,
-                        const std::vector<SymbolId> &Params);
-
-/// The tile-parameter stages the search will walk, in order: one stage
-/// per cache level, with stages merged when they share a parameter (the
-/// paper's rule for parameters like TK that affect both L1 and L2 — "the
-/// search of tiling parameters for both levels is performed in the same
-/// stage"). Exposed for diagnostics and tests.
-std::vector<std::vector<SymbolId>> searchStages(const DerivedVariant &V);
 
 /// Runs the full Section 3.2 search for one variant through \p Eval.
 /// The decision sequence is identical for every Evaluator; a parallel

@@ -238,7 +238,12 @@ private:
       return Out;
     }
     while (Pos < Text.size() && Text[Pos] != '"') {
-      char C = Text[Pos++];
+      char C = Text[Pos];
+      if (static_cast<unsigned char>(C) < 0x20) {
+        fail("control character in string");
+        return Out;
+      }
+      ++Pos;
       if (C != '\\') {
         Out += C;
         continue;
@@ -263,19 +268,29 @@ private:
         Out += '\f';
         break;
       case 'u': {
-        // We only emit \u00XX escapes; decode the low byte and emit it
-        // directly (sufficient for the ASCII artifacts we produce).
-        // from_chars takes no sign, prefix or space for an unsigned, so
-        // consuming all four characters means four hex digits.
         unsigned Code = 0;
-        const char *Hex = Text.data() + Pos;
-        if (Pos + 4 > Text.size() ||
-            std::from_chars(Hex, Hex + 4, Code, 16).ptr != Hex + 4) {
+        if (!hex4(Code)) {
           fail("malformed \\u escape");
           return Out;
         }
-        Pos += 4;
-        Out += static_cast<char>(Code & 0xFF);
+        // A code point above U+FFFF is a high surrogate escape followed
+        // by a low one; a surrogate anywhere else names no character.
+        bool Lone = Code >= 0xDC00 && Code <= 0xDFFF;
+        if (Code >= 0xD800 && Code <= 0xDBFF) {
+          unsigned Low = 0;
+          Lone = Text.compare(Pos, 2, "\\u") != 0;
+          if (!Lone) {
+            Pos += 2;
+            Lone = !hex4(Low) || Low < 0xDC00 || Low > 0xDFFF;
+          }
+          if (!Lone)
+            Code = 0x10000 + ((Code - 0xD800) << 10) + (Low - 0xDC00);
+        }
+        if (Lone) {
+          fail("invalid escape");
+          return Out;
+        }
+        appendUtf8(Out, Code);
         break;
       }
       case '"':
@@ -294,23 +309,80 @@ private:
     return Out;
   }
 
+  /// Reads four hex digits at Pos into \p Code. from_chars takes no
+  /// sign, prefix or space for an unsigned, so consuming all four
+  /// characters means four hex digits.
+  bool hex4(unsigned &Code) {
+    const char *Hex = Text.data() + Pos;
+    if (Pos + 4 > Text.size() ||
+        std::from_chars(Hex, Hex + 4, Code, 16).ptr != Hex + 4)
+      return false;
+    Pos += 4;
+    return true;
+  }
+
+  static void appendUtf8(std::string &Out, unsigned Code) {
+    if (Code < 0x80) {
+      Out += static_cast<char>(Code);
+      return;
+    }
+    int Tail = Code < 0x800 ? 1 : Code < 0x10000 ? 2 : 3;
+    static const unsigned char Lead[] = {0, 0xC0, 0xE0, 0xF0};
+    Out += static_cast<char>(Lead[Tail] | (Code >> (6 * Tail)));
+    for (int I = Tail - 1; I >= 0; --I)
+      Out += static_cast<char>(0x80 | ((Code >> (6 * I)) & 0x3F));
+  }
+
+  /// True if [B, E) is one RFC 8259 number:
+  /// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+  static bool rfcNumber(const char *B, const char *E) {
+    auto digits = [&B, E] {
+      const char *From = B;
+      while (B < E && std::isdigit(static_cast<unsigned char>(*B)))
+        ++B;
+      return B - From;
+    };
+    if (B < E && *B == '-')
+      ++B;
+    const char *Int = B;
+    auto IntDigits = digits();
+    if (IntDigits == 0 || (IntDigits > 1 && *Int == '0'))
+      return false;
+    if (B < E && *B == '.' && (++B, digits() == 0))
+      return false;
+    if (B < E && (*B == 'e' || *B == 'E')) {
+      ++B;
+      if (B < E && (*B == '+' || *B == '-'))
+        ++B;
+      if (digits() == 0)
+        return false;
+    }
+    return B == E;
+  }
+
   Json parseNumber() {
     size_t Start = Pos;
-    while (Pos < Text.size() &&
-           (std::isdigit(static_cast<unsigned char>(Text[Pos])) ||
-            strchr("+-.eE", Text[Pos])))
+    auto numberChar = [](char C) {
+      return std::isdigit(static_cast<unsigned char>(C)) || C == '+' ||
+             C == '-' || C == '.' || C == 'e' || C == 'E';
+    };
+    while (Pos < Text.size() && numberChar(Text[Pos]))
       ++Pos;
     if (Pos == Start) {
       fail("expected value");
       return Json();
     }
-    // The whole span must be one number: from_chars takes no leading '+'
-    // and stops at the first character that does not fit, so "1-2" or
-    // "1.2.3" is an error rather than the prefix's value.
+    // The whole span must be one number of the grammar, so "1-2", "01"
+    // or ".5" is an error rather than a prefix's or a lenient reading's
+    // value.
     double V = 0;
-    const char *End = Text.data() + Pos;
-    auto [Ptr, Ec] = std::from_chars(Text.data() + Start, End, V);
-    if (Ec != std::errc() || Ptr != End) {
+    const char *Begin = Text.data() + Start, *End = Text.data() + Pos;
+    bool Ok = rfcNumber(Begin, End);
+    if (Ok) {
+      auto [Ptr, Ec] = std::from_chars(Begin, End, V);
+      Ok = Ec == std::errc() && Ptr == End;
+    }
+    if (!Ok) {
       Pos = Start;
       fail("malformed number");
       return Json();

@@ -117,7 +117,7 @@ TEST(MiniAtlasTest, GridSearchFindsGoodConfig) {
   SimEvalBackend Backend(M);
   MiniAtlasResult R = tuneMiniAtlas(Backend, /*N=*/96, /*CopyMinSize=*/48);
   EXPECT_TRUE(R.Best.Copy); // 96 >= 48
-  EXPECT_GT(R.Trace.numEvaluations(), 30u);
+  EXPECT_GT(R.Trace.Evaluations, 30u);
 
   // The found configuration beats the naive kernel comfortably.
   LoopNest MM = makeMatMul();

@@ -292,11 +292,8 @@ TEST(SearchTest, SearchImprovesOnHeuristicAndStaysFeasible) {
   VariantSearchResult R = searchVariant(V, Engine, {{"N", 96}});
   EXPECT_LE(R.BestCost, InitCost);
   EXPECT_TRUE(V.feasible(R.BestConfig));
-  EXPECT_GE(R.Trace.numEvaluations(), 5u);
+  EXPECT_GE(R.Trace.Evaluations, 5u);
   EXPECT_GT(R.Trace.Seconds, 0);
-  // Every recorded point has a finite or infinite cost and a config tag.
-  for (const SearchPoint &P : R.Trace.Points)
-    EXPECT_FALSE(P.Config.empty());
 }
 
 TEST(SearchTest, PrefetchParamsOnlyEnabledWhenProfitable) {

@@ -195,7 +195,6 @@ TEST(EdgeCases, SearchWithPrefetchDisabledHasNoPrefetches) {
   SimEvalBackend Backend(tiny());
   TuneOptions Opts;
   Opts.Search.SearchPrefetch = false;
-  Opts.Search.AdjustAfterPrefetch = false;
   TuneResult R = tune(MM, Backend, {{"N", 32}}, Opts);
   ASSERT_GE(R.BestVariant, 0);
   for (const PrefetchSpec &P : R.best().Prefetch)

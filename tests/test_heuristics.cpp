@@ -50,7 +50,7 @@ TEST(Heuristics, HillClimbRespectsBudgetAndFeasibility) {
   Opts.Budget = 30;
   VariantSearchResult R =
       hillClimbVariant(Vs.front(), Eval, {{"N", 64}}, Opts);
-  EXPECT_LE(R.Trace.numEvaluations(), 30u);
+  EXPECT_LE(R.Trace.Evaluations, 30u);
   EXPECT_TRUE(Vs.front().feasible(R.BestConfig));
   EXPECT_LT(R.BestCost, std::numeric_limits<double>::infinity());
 }
@@ -65,7 +65,7 @@ TEST(Heuristics, AnnealRespectsBudgetAndFeasibility) {
   Opts.Budget = 30;
   VariantSearchResult R =
       annealVariant(Vs.front(), Eval, {{"N", 64}}, Opts);
-  EXPECT_LE(R.Trace.numEvaluations(), 30u);
+  EXPECT_LE(R.Trace.Evaluations, 30u);
   EXPECT_TRUE(Vs.front().feasible(R.BestConfig));
   EXPECT_LT(R.BestCost, std::numeric_limits<double>::infinity());
 }
@@ -99,11 +99,10 @@ TEST(Heuristics, DeterministicForSeed) {
   std::vector<DerivedVariant> Vs = deriveVariants(MM, M);
   HeuristicSearchOptions Opts;
   Opts.Budget = 25;
-  Opts.Seed = 7;
   VariantSearchResult A = annealVariant(Vs.front(), E1, {{"N", 48}}, Opts);
   VariantSearchResult B = annealVariant(Vs.front(), E2, {{"N", 48}}, Opts);
   EXPECT_DOUBLE_EQ(A.BestCost, B.BestCost);
-  EXPECT_EQ(A.Trace.numEvaluations(), B.Trace.numEvaluations());
+  EXPECT_EQ(A.Trace.Evaluations, B.Trace.Evaluations);
 }
 
 TEST(FailureInjection, GuidedSearchSurvivesFlakyEvaluations) {
@@ -152,14 +151,12 @@ TEST(Heuristics, TerminatesWhenConfigSpaceSaturates) {
   std::vector<DerivedVariant> Vs = deriveVariants(MM, M);
   HeuristicSearchOptions Opts;
   Opts.Budget = 100000; // far more than reachable configurations
-  Opts.MaxTile = 8;     // tiny space
-  Opts.MaxUnroll = 2;
-  Opts.MaxPrefetchDistance = 1;
+  Opts.Bounds = {/*MaxUnroll=*/2, /*MaxTile=*/8, /*MaxPrefetchDistance=*/1};
   VariantSearchResult HC =
       hillClimbVariant(Vs.front(), Eval, {{"N", 16}}, Opts);
   VariantSearchResult SA =
       annealVariant(Vs.front(), Eval, {{"N", 16}}, Opts);
-  EXPECT_LT(HC.Trace.numEvaluations(), Opts.Budget);
-  EXPECT_LT(SA.Trace.numEvaluations(), Opts.Budget);
+  EXPECT_LT(HC.Trace.Evaluations, Opts.Budget);
+  EXPECT_LT(SA.Trace.Evaluations, Opts.Budget);
   EXPECT_LT(HC.BestCost, std::numeric_limits<double>::infinity());
 }

@@ -93,9 +93,10 @@ TEST(SearchStages, SharedTileParamsMergeStages) {
         V.Spec.CacheLevels.size() == 2 &&
         !V.Spec.CacheLevels[0].NewTiledLoops.empty() &&
         !V.Spec.CacheLevels[1].NewTiledLoops.empty();
-    std::vector<std::vector<SymbolId>> Stages = searchStages(V);
     if (!BothLevelsTile)
       continue;
+    SearchSpace Space(V);
+    const std::vector<std::vector<SymbolId>> &Stages = Space.tileStages();
     // TK appears in both levels' constraints => one merged stage holding
     // all three tile parameters.
     ASSERT_EQ(Stages.size(), 1u) << V.describe();
@@ -110,7 +111,8 @@ TEST(SearchStages, EveryTileParamBelongsToAStage) {
   for (const LoopNest *Nest : {&MM, &Jac}) {
     for (const DerivedVariant &V : deriveVariants(*Nest, M)) {
       std::set<SymbolId> Covered;
-      for (const auto &Stage : searchStages(V))
+      SearchSpace Space(V);
+      for (const auto &Stage : Space.tileStages())
         Covered.insert(Stage.begin(), Stage.end());
       for (const auto &[Var, Param] : V.TileParamOf)
         EXPECT_TRUE(Covered.count(Param))
@@ -125,7 +127,8 @@ TEST(SearchStages, StagesAreDisjoint) {
   MachineDesc M = MachineDesc::sgiR10000();
   for (const DerivedVariant &V : deriveVariants(MM, M)) {
     std::set<SymbolId> Seen;
-    for (const auto &Stage : searchStages(V))
+    SearchSpace Space(V);
+    for (const auto &Stage : Space.tileStages())
       for (SymbolId P : Stage) {
         EXPECT_FALSE(Seen.count(P)) << "parameter in two stages";
         Seen.insert(P);

@@ -185,7 +185,8 @@ TEST(MultiLevel, SearchStagesCoverThreeLevels) {
   MachineDesc M = threeLevelMachine();
   for (const DerivedVariant &V : deriveVariants(Nest, M)) {
     std::set<SymbolId> Covered;
-    for (const auto &Stage : searchStages(V))
+    SearchSpace Space(V);
+    for (const auto &Stage : Space.tileStages())
       Covered.insert(Stage.begin(), Stage.end());
     for (const auto &[Var, Param] : V.TileParamOf)
       EXPECT_TRUE(Covered.count(Param)) << V.describe();

@@ -24,10 +24,9 @@ namespace {
 MachineDesc sgiScaled() { return MachineDesc::sgiR10000().scaledBy(16); }
 
 struct StagedGolden {
-  const char *Variant;
   size_t Evaluations; ///< engine backend executions (fresh engine)
   size_t Infeasible;
-  const char *Winner;
+  std::string Winner; ///< "<variant>{<params>}"
   double BestCost;
 };
 
@@ -38,15 +37,16 @@ void expectStaged(const LoopNest &Nest, const std::vector<StagedGolden> &Rows,
   MachineDesc M = sgiScaled();
   std::vector<DerivedVariant> Vs = deriveVariants(Nest, M);
   for (const StagedGolden &Row : Rows) {
+    std::string Name = Row.Winner.substr(0, Row.Winner.find('{'));
     const DerivedVariant *V = nullptr;
     for (const DerivedVariant &Cand : Vs)
-      if (Cand.Spec.Name == Row.Variant)
+      if (Cand.Spec.Name == Name)
         V = &Cand;
-    ASSERT_NE(V, nullptr) << Nest.Name << " has no variant " << Row.Variant;
+    ASSERT_NE(V, nullptr) << Nest.Name << " has no variant " << Name;
     SimEvalBackend Backend(M);
     EvalEngine Engine(Backend);
     VariantSearchResult R = searchVariant(*V, Engine, {{"N", 32}}, Opts);
-    SCOPED_TRACE(Nest.Name + " " + Row.Variant);
+    SCOPED_TRACE(Nest.Name + " " + Name);
     EXPECT_EQ(Engine.stats().Evaluations, Row.Evaluations);
     EXPECT_EQ(R.Infeasible, Row.Infeasible);
     EXPECT_EQ(V->configString(R.BestConfig), Row.Winner);
@@ -57,43 +57,26 @@ void expectStaged(const LoopNest &Nest, const std::vector<StagedGolden> &Rows,
 } // namespace
 
 TEST(SearchGolden, StagedMatMul) {
-  expectStaged(makeMatMul(),
-               {
-                   {"v1", 17, 4, "v1{TK=16,TI=8,UJ=8,UI=4,PFA=2,PFB=1}",
-                    0x1.1a1p+16},
-                   {"v2", 20, 11, "v2{TK=16,TI=8,TJ=64,UJ=8,UI=4,PFA=2,PFP=1}",
-                    0x1.39fp+16},
-                   {"v3", 18, 3, "v3{TK=16,TI=8,UJ=2,UI=8,PFB=1,PFP=0}",
-                    0x1.004ap+16},
-                   {"v4", 28, 11, "v4{TK=8,TI=8,TJ=64,UJ=2,UI=8,PFP=0,PFQ=0}",
-                    0x1.1e52p+16},
-                   {"v5", 17, 4, "v5{TK=16,TJ=8,UJ=8,UI=4,PFA=2,PFB=1}",
-                    0x1.039p+16},
-                   {"v6", 18, 11,
-                    "v6{TK=16,TJ=8,TI=256,UJ=8,UI=4,PFB=1,PFP=0}",
-                    0x1.259cp+16},
-                   {"v7", 17, 4, "v7{TK=16,TJ=8,UJ=8,UI=4,PFA=2,PFP=1}",
-                    0x1.0e3ap+16},
-                   {"v8", 16, 11,
-                    "v8{TK=16,TJ=8,TI=256,UJ=8,UI=4,PFP=0,PFQ=0}",
-                    0x1.3d9cp+16},
-               });
+  expectStaged(
+      makeMatMul(),
+      {{17, 4, "v1{TK=16,TI=8,UJ=8,UI=4,PFA=2,PFB=1}", 0x1.1a1p+16},
+       {20, 11, "v2{TK=16,TI=8,TJ=64,UJ=8,UI=4,PFA=2,PFP=1}", 0x1.39fp+16},
+       {18, 3, "v3{TK=16,TI=8,UJ=2,UI=8,PFB=1,PFP=0}", 0x1.004ap+16},
+       {28, 11, "v4{TK=8,TI=8,TJ=64,UJ=2,UI=8,PFP=0,PFQ=0}", 0x1.1e52p+16},
+       {17, 4, "v5{TK=16,TJ=8,UJ=8,UI=4,PFA=2,PFB=1}", 0x1.039p+16},
+       {18, 11, "v6{TK=16,TJ=8,TI=256,UJ=8,UI=4,PFB=1,PFP=0}", 0x1.259cp+16},
+       {17, 4, "v7{TK=16,TJ=8,UJ=8,UI=4,PFA=2,PFP=1}", 0x1.0e3ap+16},
+       {16, 11, "v8{TK=16,TJ=8,TI=256,UJ=8,UI=4,PFP=0,PFQ=0}", 0x1.3d9cp+16}});
 }
 
 TEST(SearchGolden, StagedJacobi) {
   expectStaged(makeJacobi(),
-               {
-                   {"v1", 20, 5, "v1{TK=2,TJ=12,UJ=6,UI=3,PFA=1}",
-                    0x1.a6a4ep+19},
-                   {"v2", 14, 7, "v2{TK=1,TJ=32,UK=6,UI=4,PFA=1}",
-                    0x1.43da4p+20},
-                   {"v3", 10, 7, "v3{TJ=4,TI=4,UK=8,UJ=4,PFA=0}",
-                    0x1.00144p+22},
-                   {"v5", 12, 4, "v5{TJ=16,UK=2,UJ=14,PFA=2}", 0x1.20e76p+20},
-                   {"v6", 16, 5, "v6{TK=1,TI=32,UK=14,UJ=2,PFA=1}",
-                    0x1.5b1b6p+20},
-                   {"v8", 10, 4, "v8{TK=4,UK=8,UJ=3,PFA=1}", 0x1.4d434p+20},
-               });
+               {{20, 5, "v1{TK=2,TJ=12,UJ=6,UI=3,PFA=1}", 0x1.a6a4ep+19},
+                {14, 7, "v2{TK=1,TJ=32,UK=6,UI=4,PFA=1}", 0x1.43da4p+20},
+                {10, 7, "v3{TJ=4,TI=4,UK=8,UJ=4,PFA=0}", 0x1.00144p+22},
+                {12, 4, "v5{TJ=16,UK=2,UJ=14,PFA=2}", 0x1.20e76p+20},
+                {16, 5, "v6{TK=1,TI=32,UK=14,UJ=2,PFA=1}", 0x1.5b1b6p+20},
+                {10, 4, "v8{TK=4,UK=8,UJ=3,PFA=1}", 0x1.4d434p+20}});
 }
 
 TEST(SearchGolden, StagedMatMulWarmStart) {
@@ -101,19 +84,15 @@ TEST(SearchGolden, StagedMatMulWarmStart) {
   // and windows of factor 2 around each seeded tile/unroll value. v2
   // ends at its cold winner; v6 and v8 end inside the windows.
   SearchOptions Opts;
-  Opts.WarmStartConfig = {{"TK", 32}, {"TI", 4},  {"UI", 2},
-                          {"PFA", 4}, {"N", 7},   {"BOGUS", 3}};
+  Opts.WarmStartConfig = {{"TK", 32}, {"TI", 4}, {"UI", 2},
+                          {"PFA", 4}, {"N", 7},  {"BOGUS", 3}};
   Opts.WarmStartBoundFactor = 2;
-  expectStaged(makeMatMul(),
-               {
-                   {"v2", 21, 11, "v2{TK=16,TI=8,TJ=64,UJ=8,UI=4,PFA=2,PFP=1}",
-                    0x1.39fp+16},
-                   {"v6", 15, 14, "v6{TK=16,TJ=4,TI=8,UJ=2,UI=4,PFB=0,PFP=0}",
-                    0x1.2168p+16},
-                   {"v8", 14, 14, "v8{TK=16,TJ=4,TI=8,UJ=4,UI=4,PFP=0,PFQ=0}",
-                    0x1.3234p+16},
-               },
-               Opts);
+  expectStaged(
+      makeMatMul(),
+      {{21, 11, "v2{TK=16,TI=8,TJ=64,UJ=8,UI=4,PFA=2,PFP=1}", 0x1.39fp+16},
+       {15, 14, "v6{TK=16,TJ=4,TI=8,UJ=2,UI=4,PFB=0,PFP=0}", 0x1.2168p+16},
+       {14, 14, "v8{TK=16,TJ=4,TI=8,UJ=4,UI=4,PFP=0,PFQ=0}", 0x1.3234p+16}},
+      Opts);
 }
 
 TEST(SearchGolden, HeuristicSearchesAtBudget40) {

@@ -1348,6 +1348,14 @@ TEST(ServeServerTest, DeeplyNestedRequestGetsErrorAndConnectionLives) {
   Error = Resp.get("error").asString();
   EXPECT_NE(Error.find("malformed number"), std::string::npos) << Error;
 
+  // An escape decodes to its whole code point: U+016D is not 'm', so this
+  // names no kernel rather than a matmul tune.
+  ASSERT_TRUE(sendLine(
+      "{\"op\":\"submit\",\"kernel\":\"\\u016datmul\",\"n\":32}"));
+  Resp = Json::parse(recvLine(), &Err);
+  ASSERT_TRUE(Err.empty()) << Err;
+  EXPECT_FALSE(Resp.get("ok").asBool(true)) << Resp.dump();
+
   ASSERT_TRUE(sendLine("{\"op\":\"ping\"}"));
   Resp = Json::parse(recvLine(), &Err);
   ASSERT_TRUE(Err.empty()) << Err;

@@ -407,7 +407,13 @@ TEST(JsonTest, ParseErrorsAreReported) {
   // four hex digits.
   for (const char *Bad :
        {"1-2", "1.2.3", "+5", "1e5e5", "-", "1e", "{\"n\":96-1}",
-        "\"a\\uZZZZb\"", "\"a\\u12\"", "\"a\\u+1ffb\"", "\"\\q\""}) {
+        "\"a\\uZZZZb\"", "\"a\\u12\"", "\"a\\u+1ffb\"", "\"\\q\"",
+        // RFC 8259's number grammar: no leading zero, no bare '.', a
+        // digit on both sides of the point.
+        "01", "-01", ".5", "1.", "-.5", "1.e5", "[1,.5]",
+        // Strings: no raw control bytes, and no lone surrogate escapes.
+        "\"a\tb\"", "\"a\nb\"",
+        "\"\\ud83d\"", "\"\\ud83dx\"", "\"\\ud83d\\u0041\"", "\"\\ude00\""}) {
     Err.clear();
     EXPECT_TRUE(eco::Json::parse(Bad, &Err).isNull()) << Bad;
     EXPECT_FALSE(Err.empty()) << Bad;
@@ -418,6 +424,30 @@ TEST(JsonTest, ParseErrorsAreReported) {
   Err.clear();
   eco::Json::parse("{\"n\":96-1}", &Err);
   EXPECT_EQ(Err, "malformed number at offset 5");
+  Err.clear();
+  eco::Json::parse("[01]", &Err);
+  EXPECT_EQ(Err, "malformed number at offset 1");
+  Err.clear();
+  EXPECT_TRUE(eco::Json::parse(std::string("\"a\0b\"", 5), &Err).isNull());
+  EXPECT_EQ(Err, "control character in string at offset 2");
+  // An embedded NUL ends a number like any other non-number byte.
+  Err.clear();
+  eco::Json::parse(std::string("[1\0]", 4), &Err);
+  EXPECT_EQ(Err, "expected ',' or ']' at offset 2");
+}
+
+TEST(JsonTest, UnicodeEscapesDecodeToUtf8) {
+  // A \u escape is a code point, written out as UTF-8; a surrogate pair
+  // is one code point above U+FFFF.
+  EXPECT_EQ(eco::Json::parse("\"\\u4e2d\"").asString(), "\xE4\xB8\xAD");
+  EXPECT_EQ(eco::Json::parse("\"\\ud83d\\ude00\"").asString(),
+            "\xF0\x9F\x98\x80");
+  EXPECT_EQ(eco::Json::parse("\"\\u016datmul\"").asString(),
+            "\xC5\xAD" "atmul");
+  EXPECT_EQ(eco::Json::parse("\"\\u00e9\\u0000\"").asString(),
+            std::string("\xC3\xA9\0", 3));
+  // Raw UTF-8 passes through unchanged.
+  EXPECT_EQ(eco::Json::parse("\"\xE4\xB8\xAD\"").asString(), "\xE4\xB8\xAD");
 }
 
 TEST(JsonTest, EveryNumberFormDumpWritesParses) {
