@@ -27,26 +27,26 @@ using namespace ecobench;
 
 namespace {
 
-double randomSearch(const DerivedVariant &V, EvalBackend &B,
+double randomSearch(const DerivedVariant &V, Evaluator &Eval,
                     const ParamBindings &Problem, size_t Budget) {
+  SearchSpace Space(V);
   Rng R(42);
-  Env Base = initialConfig(V, B.machine(), Problem);
+  Env Base = Space.initialConfig(Eval.machine(), Problem);
   double Best = std::numeric_limits<double>::infinity();
   size_t Tried = 0;
   for (size_t Attempt = 0; Attempt < Budget * 20 && Tried < Budget;
        ++Attempt) {
     Env Cand = Base;
-    for (const auto &[Var, Param] : V.TileParamOf)
-      Cand.set(Param, int64_t(1) << R.nextInt(1, 8));
-    for (const UnrollSpec &U : V.Spec.Unrolls)
-      Cand.set(U.FactorParam, int64_t(1) << R.nextInt(0, 4));
-    for (const PrefetchSpec &P : V.Prefetch)
-      Cand.set(P.DistanceParam, R.nextBool() ? R.nextInt(1, 16) : 0);
-    if (!V.feasible(Cand))
+    for (SymbolId P : Space.tileParams())
+      Cand.set(P, int64_t(1) << R.nextInt(1, 8));
+    for (SymbolId P : Space.unrollParams())
+      Cand.set(P, int64_t(1) << R.nextInt(0, 4));
+    for (SymbolId P : Space.prefetchParams())
+      Cand.set(P, R.nextBool() ? R.nextInt(1, 16) : 0);
+    if (!Space.admits(Cand))
       continue;
     ++Tried;
-    LoopNest Nest = V.instantiate(Cand, B.machine());
-    Best = std::min(Best, B.evaluate(Nest, Cand));
+    Best = std::min(Best, Eval.evaluate(V, Cand, "random").Cost);
   }
   return Best;
 }
@@ -73,6 +73,9 @@ int main() {
   addRow("naive (no optimization)", Naive.Cycles, 0);
 
   SimEvalBackend Backend(M);
+  // The model-only, random-search and hybrid rows cost their points
+  // through one engine, as the tuner does.
+  EvalEngine Eval(Backend);
 
   // Full system.
   TuneResult Full = tune(MM, Backend, {{"N", N}});
@@ -83,10 +86,8 @@ int main() {
     double Best = std::numeric_limits<double>::infinity();
     for (const DerivedVariant &V : Full.Variants) {
       Env Init = initialConfig(V, M, {{"N", N}});
-      if (!V.feasible(Init))
-        continue;
-      LoopNest Nest = V.instantiate(Init, M);
-      Best = std::min(Best, Backend.evaluate(Nest, Init));
+      if (V.feasible(Init))
+        Best = std::min(Best, Eval.evaluate(V, Init, "initial").Cost);
     }
     addRow("model-only (no search)", Best, Full.Variants.size());
   }
@@ -123,8 +124,8 @@ int main() {
 
   // Random search with the same budget on the winning variant.
   {
-    const DerivedVariant &V = Full.best();
-    double Best = randomSearch(V, Backend, {{"N", N}}, Full.TotalPoints);
+    double Best =
+        randomSearch(Full.best(), Eval, {{"N", N}}, Full.TotalPoints);
     addRow("random search (same budget)", Best, Full.TotalPoints);
   }
 
@@ -134,7 +135,6 @@ int main() {
     const DerivedVariant &V = Full.best();
     HeuristicSearchOptions HOpts;
     HOpts.Budget = Full.TotalPoints;
-    EvalEngine Eval(Backend);
     VariantSearchResult HC = hillClimbVariant(V, Eval, {{"N", N}}, HOpts);
     addRow("models + hill climbing", HC.BestCost,
            HC.Trace.Evaluations);

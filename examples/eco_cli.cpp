@@ -41,11 +41,11 @@
 #include "core/Tuner.h"
 #include "engine/Engine.h"
 #include "exec/Run.h"
-#include "kernels/Kernels.h"
 #include "obs/Event.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Report.h"
+#include "serve/Protocol.h"
 #include "serve/Tool.h"
 #include "serve/Worker.h"
 #include "support/ParseInt.h"
@@ -305,29 +305,13 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
+  std::string NameError;
   LoopNest Nest;
-  if (Opts.Kernel == "matmul")
-    Nest = makeMatMul();
-  else if (Opts.Kernel == "jacobi")
-    Nest = makeJacobi();
-  else if (Opts.Kernel == "matvec")
-    Nest = makeMatVec();
-  else {
-    std::fprintf(stderr, "error: unknown kernel '%s'\n",
-                 Opts.Kernel.c_str());
-    return 2;
-  }
-
   MachineDesc Machine;
-  if (Opts.Machine == "sgi")
-    Machine = MachineDesc::sgiR10000().scaledBy(Opts.Scale);
-  else if (Opts.Machine == "sun")
-    Machine = MachineDesc::ultraSparcIIe().scaledBy(Opts.Scale);
-  else if (Opts.Machine == "host")
-    Machine = MachineDesc::genericHost();
-  else {
-    std::fprintf(stderr, "error: unknown machine '%s'\n",
-                 Opts.Machine.c_str());
+  if (!serve::knownNames(Opts.Kernel, Opts.Machine, &NameError) ||
+      !serve::buildKernel(Opts.Kernel, Nest) ||
+      !serve::buildMachine(Opts.Machine, Opts.Scale, Machine)) {
+    std::fprintf(stderr, "error: %s\n", NameError.c_str());
     return 2;
   }
 

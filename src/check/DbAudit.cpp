@@ -2,10 +2,8 @@
 
 #include "check/DbAudit.h"
 
-#include "core/DeriveVariants.h"
-#include "engine/Engine.h"
-#include "exec/Run.h"
-#include "serve/Server.h"
+#include "serve/Fleet.h"
+#include "serve/Protocol.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
@@ -26,11 +24,8 @@ std::string DbAuditReport::summary() const {
 }
 
 static void auditEntry(const serve::TunedEntry &E, DbAuditReport &Report) {
-  std::string Key = E.Kernel + "@" + E.MachineName +
-                    (E.MachineName == "host"
-                         ? ""
-                         : "/" + std::to_string(E.Scale)) +
-                    " n=" + std::to_string(E.N);
+  std::string Key =
+      serve::JobSpec{E.Kernel, E.MachineName, E.Scale, E.N}.summary();
   auto issue = [&](const char *Kind, std::string Detail) {
     Report.Issues.push_back({Kind, Key, std::move(Detail)});
   };
@@ -42,22 +37,18 @@ static void auditEntry(const serve::TunedEntry &E, DbAuditReport &Report) {
     return;
   }
 
-  LoopNest Nest;
-  MachineDesc Machine;
-  if (!serve::buildKernel(E.Kernel, Nest)) {
-    issue("schema", "unknown kernel '" + E.Kernel + "'");
+  serve::PointContext Ctx;
+  std::string Error;
+  if (!Ctx.resolve({E.Kernel, E.MachineName, E.Scale, E.N}, &Error)) {
+    issue("schema", Error);
     return;
   }
-  if (!serve::buildMachine(E.MachineName, E.Scale, Machine)) {
-    issue("schema", "unknown machine '" + E.MachineName + "'");
-    return;
-  }
-  if (Machine.fingerprint() != E.MachineHash) {
+  if (Ctx.Machine.fingerprint() != E.MachineHash) {
     issue("identity",
           strformat("stored machine fingerprint %s != rebuilt %s (edited "
                     "file or incompatible simulator)",
                     hashHex(E.MachineHash).c_str(),
-                    hashHex(Machine.fingerprint()).c_str()));
+                    hashHex(Ctx.Machine.fingerprint()).c_str()));
     return;
   }
 
@@ -75,50 +66,21 @@ static void auditEntry(const serve::TunedEntry &E, DbAuditReport &Report) {
   if (E.WarmStart == "cold" && (E.SeedN != 0 || !E.SeedVariant.empty()))
     issue("provenance", "cold tune carries a warm-start seed lineage");
 
-  std::vector<DerivedVariant> Variants = deriveVariants(Nest, Machine);
-  const DerivedVariant *V = nullptr;
-  for (const DerivedVariant &Cand : Variants)
-    if (Cand.Spec.Name == E.Variant)
-      V = &Cand;
+  const DerivedVariant *V = Ctx.variant(E.Variant);
   if (!V) {
     issue("variant", "winning variant '" + E.Variant +
                          "' is not in the derived set");
     return;
   }
-
-  // Rebind by name against the fresh skeleton; every stored name must
-  // resolve and every Param/ProblemSize must be covered (makeEnv would
-  // assert on either hole — an audit reports instead).
-  for (const auto &[Name, Value] : E.Config) {
-    (void)Value;
-    if (V->Skeleton.Syms.lookup(Name) < 0) {
-      issue("config", "config names unknown symbol '" + Name + "'");
-      return;
-    }
-  }
-  for (size_t Id = 0; Id < V->Skeleton.Syms.size(); ++Id) {
-    SymbolKind Kind = V->Skeleton.Syms.kind(static_cast<SymbolId>(Id));
-    if (Kind == SymbolKind::LoopVar)
-      continue;
-    const std::string &Name =
-        V->Skeleton.Syms.name(static_cast<SymbolId>(Id));
-    bool Found = false;
-    for (const auto &[CName, CValue] : E.Config) {
-      (void)CValue;
-      if (CName == Name)
-        Found = true;
-    }
-    if (!Found) {
-      issue("config", "config is missing symbol '" + Name + "'");
-      return;
-    }
+  // Rebind by name against the fresh skeleton (symbol ids may differ).
+  Env Config;
+  if (!serve::PointContext::bind(*V, E.Config, Config, &Error)) {
+    issue("config", Error);
+    return;
   }
 
-  Env Config = makeEnv(V->Skeleton, E.Config);
-  SimEvalBackend Backend(Machine);
-  EvalEngine Eval(Backend);
   ++Report.Replayed;
-  double Replayed = Eval.evaluate(*V, Config, "audit").Cost;
+  double Replayed = Ctx.Engine->evaluate(*V, Config, "audit").Cost;
   // Bitwise, not approximate: the simulator is a pure function, so the
   // only sources of drift are corruption, tampering, or a simulator
   // change — each of which must fail the audit.

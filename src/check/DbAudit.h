@@ -11,18 +11,19 @@
 /// a pure function, so every stored entry must be *bitwise* reproducible
 /// from scratch. For each entry the audit
 ///
-///  * rebuilds the named kernel and machine preset and checks the stored
-///    machine fingerprint matches (a fingerprint drift means the entry
-///    was tuned by an incompatible simulator or the file was edited);
-///  * re-derives the variant set and finds the stored winning variant;
-///  * rebinds the stored configuration against the freshly built
-///    skeleton (name-based, so symbol ids may differ) and rejects
-///    configurations naming unknown symbols;
+///  * rebuilds the named kernel and machine preset and re-derives the
+///    variant set at the row's n, through the resolver the fleet worker
+///    uses (serve::PointContext), and checks the stored machine
+///    fingerprint matches (a fingerprint drift means the entry was tuned
+///    by an incompatible simulator or the file was edited);
+///  * finds the stored winning variant and rebinds the stored
+///    configuration against its skeleton by name, strictly: a name that
+///    is no parameter, or a parameter left unbound, is an issue;
 ///  * sanity-checks the provenance blob (searched <= derived, a
 ///    "nearest" warm start names its seed, a cold tune carries none);
 ///    legacy rows without provenance load as zeros and are skipped;
-///  * re-evaluates through a fresh simulator and compares the cost to
-///    the stored best bit-for-bit.
+///  * re-evaluates through the context's EvalEngine over a fresh
+///    simulator and compares the cost to the stored best bit-for-bit.
 ///
 /// Any mismatch is corruption, tampering, or a simulator behavior change
 /// — all of which must fail loudly before the entry is served again.

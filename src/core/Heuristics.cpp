@@ -50,12 +50,11 @@ public:
 
     // A point a transform refuses (an illegal unroll here) is
     // infeasible, not a measurement: it is not charged to the budget.
-    size_t RejectedBefore = Eval.stats().Rejected;
-    double Cost = Eval.evaluate(V, E, Stage).Cost;
-    Space.memoize(E, Cost);
-    if (Eval.stats().Rejected == RejectedBefore)
+    EvalOutcome O = Eval.evaluate(V, E, Stage);
+    Space.memoize(E, O.Cost);
+    if (!O.Rejected)
       ++Evaluations;
-    return Cost;
+    return O.Cost;
   }
 
   /// Moves to \p E, costing \p Cost, and keeps the best point seen.

@@ -253,6 +253,7 @@ struct VariantSearchResult {
 struct EvalOutcome {
   double Cost = std::numeric_limits<double>::infinity();
   bool CacheHit = false;
+  bool Rejected = false; ///< a transform refused the point (Cost is inf)
   double Millis = 0; ///< backend wall time (0 for cache hits)
   int Lane = 0;      ///< lane that ran the backend (0 = caller thread)
 };

@@ -147,6 +147,7 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
       obs::publishEvent("config.rejected", std::move(F));
     }
     O.Cost = std::numeric_limits<double>::infinity();
+    O.Rejected = true;
     O.Lane = Lane;
     return O;
   }

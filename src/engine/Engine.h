@@ -6,8 +6,8 @@
 ///
 /// \file
 /// EvalEngine is the one Evaluator: every in-process search (the staged
-/// search, the heuristic hybrids, the tuner's rank step) and the DB audit
-/// evaluate through it. It combines
+/// search, the heuristic hybrids, the tuner's rank step), the fleet
+/// worker and the DB audit evaluate through it. It combines
 ///
 ///  * a ThreadPool of per-lane EvalBackend clones — warm batches (the
 ///    independent candidates each search step generates) evaluate

@@ -16,25 +16,18 @@ std::string EvalKey::str() const {
          hashHex(EnvHash);
 }
 
-uint64_t EvalKey::combined() const {
-  uint64_t H = hashCombine(Fnv1aOffset, NestHash);
-  H = hashCombine(H, MachineHash);
-  return hashCombine(H, EnvHash);
-}
-
-EvalCache::Shard &EvalCache::shardFor(const std::string &KeyText) {
-  return Shards[hashString(KeyText) % NumShards];
-}
-
-const EvalCache::Shard &EvalCache::shardFor(const std::string &KeyText) const {
-  return Shards[hashString(KeyText) % NumShards];
+bool EvalKey::parse(const std::string &Text, EvalKey &Out) {
+  std::string_view T = Text;
+  return T.size() == 50 && T[16] == '-' && T[33] == '-' &&
+         parseHex64(T.substr(0, 16), Out.NestHash) &&
+         parseHex64(T.substr(17, 16), Out.MachineHash) &&
+         parseHex64(T.substr(34), Out.EnvHash);
 }
 
 std::optional<double> EvalCache::lookup(const EvalKey &Key) {
-  std::string Text = Key.str();
-  Shard &S = shardFor(Text);
+  Shard &S = shardFor(Key);
   MutexLock Lock(S.M);
-  auto It = S.Map.find(Text);
+  auto It = S.Map.find(Key);
   if (It == S.Map.end()) {
     Misses.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
@@ -44,10 +37,9 @@ std::optional<double> EvalCache::lookup(const EvalKey &Key) {
 }
 
 void EvalCache::insert(const EvalKey &Key, double Cost) {
-  std::string Text = Key.str();
-  Shard &S = shardFor(Text);
+  Shard &S = shardFor(Key);
   MutexLock Lock(S.M);
-  S.Map[Text] = Cost;
+  S.Map[Key] = Cost;
 }
 
 size_t EvalCache::size() const {
@@ -81,22 +73,18 @@ size_t EvalCache::load(const std::string &Path,
                   << "); starting empty";
     return 0;
   }
-  // Keys render as "variant-machine-env" in fixed-width hex; the middle
-  // segment is the machine fingerprint the entry was measured on.
-  const std::string Expected =
-      RequireMachineHash ? hashHex(RequireMachineHash) : std::string();
+  // A key or cost that does not parse is skipped; a key measured on
+  // another machine is counted as foreign.
   size_t Loaded = 0, Foreign = 0;
   for (const auto &[KeyText, Cost] : Entries.fields()) {
-    if (!Cost.isNumber())
+    EvalKey Key;
+    if (!Cost.isNumber() || !EvalKey::parse(KeyText, Key))
       continue;
-    if (!Expected.empty() &&
-        (KeyText.size() < 50 || KeyText.compare(17, 16, Expected) != 0)) {
+    if (RequireMachineHash && Key.MachineHash != RequireMachineHash) {
       ++Foreign;
       continue;
     }
-    Shard &S = shardFor(KeyText);
-    MutexLock Lock(S.M);
-    S.Map[KeyText] = Cost.asNumber();
+    insert(Key, Cost.asNumber());
     ++Loaded;
   }
   if (Foreign) {
@@ -119,9 +107,9 @@ bool EvalCache::save(const std::string &Path) const {
   Json Entries = Json::object();
   for (const Shard &S : Shards) {
     MutexLock Lock(S.M);
-    for (const auto &[KeyText, Cost] : S.Map)
+    for (const auto &[Key, Cost] : S.Map)
       if (std::isfinite(Cost)) // JSON has no inf; a failure re-evaluates
-        Entries.set(KeyText, Cost);
+        Entries.set(Key.str(), Cost);
   }
   Json Root = Json::object();
   Root.set("version", FormatVersion);

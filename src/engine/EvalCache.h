@@ -35,8 +35,8 @@
 
 namespace eco {
 
-/// A stable cache key: the three component hashes plus their rendered
-/// text form (the JSON field name).
+/// A stable cache key: the three component hashes. str() renders the
+/// persistent form (the JSON field name) and parse() reads it back.
 struct EvalKey {
   /// variantFingerprint() of the evaluated variant (core/Variant.h),
   /// under a historical field name.
@@ -48,7 +48,10 @@ struct EvalKey {
 
   /// "variant-machine-env" in fixed-width hex; the persistent form.
   std::string str() const;
-  uint64_t combined() const;
+  /// The inverse of str(); false when \p Text is not in that form.
+  static bool parse(const std::string &Text, EvalKey &Out);
+
+  bool operator==(const EvalKey &) const = default;
 };
 
 /// Thread-safe memoizing store of evaluation costs with optional JSON
@@ -102,12 +105,18 @@ public:
 
 private:
   static constexpr size_t NumShards = 16;
+  struct KeyHash {
+    size_t operator()(const EvalKey &K) const {
+      return K.NestHash ^ K.MachineHash ^ K.EnvHash;
+    }
+  };
   struct Shard {
     mutable Mutex M{"evalcache.shard"};
-    std::unordered_map<std::string, double> Map ECO_GUARDED_BY(M);
+    std::unordered_map<EvalKey, double, KeyHash> Map ECO_GUARDED_BY(M);
   };
-  Shard &shardFor(const std::string &KeyText);
-  const Shard &shardFor(const std::string &KeyText) const;
+  Shard &shardFor(const EvalKey &Key) {
+    return Shards[KeyHash()(Key) % NumShards];
+  }
 
   Shard Shards[NumShards];
   std::atomic<uint64_t> Hits{0}, Misses{0};

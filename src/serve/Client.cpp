@@ -124,6 +124,18 @@ std::unique_ptr<Client> Client::connectTcp(const std::string &Host, int Port,
   return std::unique_ptr<Client>(new Client(Fd));
 }
 
+bool Client::fail(std::string *Error, const std::string &Reason,
+                  bool WithErrno) {
+  std::string Message;
+  setError(&Message, Reason, WithErrno);
+  if (Error)
+    *Error = Message;
+  Dead = true;
+  if (DeadReason.empty())
+    DeadReason = Message;
+  return false;
+}
+
 Client::~Client() {
   if (Fd >= 0)
     ::close(Fd);
@@ -148,9 +160,7 @@ bool Client::roundTrip(const Json &Request, Json &Response,
       // A partial send is fatal for the connection, not just for this
       // request: the peer saw a truncated line and anything we send
       // next would be glued onto it.
-      setError(Error, "send failed");
-      markDead(Error ? *Error : "send failed");
-      return false;
+      return fail(Error, "send failed");
     }
     Off += static_cast<size_t>(N);
   }
@@ -171,41 +181,37 @@ bool Client::roundTrip(const Json &Request, Json &Response,
       }
       return true;
     }
+    if (Buf.size() > MaxLineBytes)
+      return fail(Error,
+                  "response too large (line exceeds " +
+                      std::to_string(MaxLineBytes) + " bytes)",
+                  /*WithErrno=*/false);
     if (RecvTimeoutMs > 0) {
       auto Now = std::chrono::steady_clock::now();
       int RemainMs = static_cast<int>(
           std::chrono::duration_cast<std::chrono::milliseconds>(Deadline -
                                                                 Now)
               .count());
-      if (RemainMs <= 0) {
-        setError(Error,
-                 "timed out after " + std::to_string(RecvTimeoutMs) +
-                     " ms waiting for a response",
-                 /*WithErrno=*/false);
-        markDead(Error ? *Error : "response timeout");
-        return false;
-      }
+      if (RemainMs <= 0)
+        return fail(Error,
+                    "timed out after " + std::to_string(RecvTimeoutMs) +
+                        " ms waiting for a response",
+                    /*WithErrno=*/false);
       pollfd P{Fd, POLLIN, 0};
       int N = ::poll(&P, 1, RemainMs);
       if (N < 0 && errno == EINTR)
         continue;
       if (N == 0)
         continue; // deadline check above fires on the next lap
-      if (N < 0) {
-        setError(Error, "poll failed waiting for a response");
-        markDead(Error ? *Error : "poll failed");
-        return false;
-      }
+      if (N < 0)
+        return fail(Error, "poll failed waiting for a response");
     }
     ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
     if (N < 0 && errno == EINTR)
       continue;
-    if (N <= 0) {
-      setError(Error, "connection closed mid-response",
-               /*WithErrno=*/N < 0);
-      markDead(Error ? *Error : "connection closed mid-response");
-      return false;
-    }
+    if (N <= 0)
+      return fail(Error, "connection closed mid-response",
+                  /*WithErrno=*/N < 0);
     Buf.append(Chunk, static_cast<size_t>(N));
   }
 }

@@ -67,7 +67,9 @@ public:
   const std::string &deadReason() const { return DeadReason; }
 
   /// Sends \p Request as one line, blocks for the response line (up to
-  /// the recv timeout). False + \p Error on transport or parse failure.
+  /// the recv timeout). False + \p Error on transport or parse failure,
+  /// and on a response line longer than MaxLineBytes (the client then
+  /// reads as dead: the rest of that line is still in the stream).
   bool roundTrip(const Json &Request, Json &Response,
                  std::string *Error = nullptr);
 
@@ -97,12 +99,10 @@ private:
   /// One no-argument request -> response ({"op":Op}).
   Json simpleOp(const std::string &Op);
 
-  /// Marks the stream unusable; subsequent calls fail fast.
-  void markDead(const std::string &Reason) {
-    Dead = true;
-    if (DeadReason.empty())
-      DeadReason = Reason;
-  }
+  /// Marks the stream unusable (subsequent calls fail fast) for
+  /// \p Reason, which also goes to \p Error; returns false.
+  bool fail(std::string *Error, const std::string &Reason,
+            bool WithErrno = true);
 
   int Fd = -1;
   std::string Buf; ///< bytes past the last consumed response line

@@ -186,24 +186,9 @@ size_t ConfigDB::load(const std::string &Path) {
     }
     // The machine hash persists as fixed-width hex (same rendering as
     // the eval-cache keys); reparse it.
-    const std::string &Hex = Row.get("machine").asString();
-    if (E.Kernel.empty() || E.N <= 0 || Hex.size() != 16 ||
-        !Row.get("config").isObject())
+    if (E.Kernel.empty() || E.N <= 0 || !Row.get("config").isObject() ||
+        !parseHex64(Row.get("machine").asString(), E.MachineHash))
       continue; // malformed row: skip, keep loading the rest
-    uint64_t Hash = 0;
-    bool BadHex = false;
-    for (char C : Hex) {
-      Hash <<= 4;
-      if (C >= '0' && C <= '9')
-        Hash |= static_cast<uint64_t>(C - '0');
-      else if (C >= 'a' && C <= 'f')
-        Hash |= static_cast<uint64_t>(C - 'a' + 10);
-      else
-        BadHex = true;
-    }
-    if (BadHex)
-      continue;
-    E.MachineHash = Hash;
     for (const auto &[Name, Value] : Row.get("config").fields())
       E.Config.emplace_back(Name, Value.asInt());
     MutexLock Lock(M);

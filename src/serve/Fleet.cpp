@@ -2,8 +2,10 @@
 
 #include "serve/Fleet.h"
 
+#include "core/DeriveVariants.h"
 #include "obs/Event.h"
 #include "obs/Log.h"
+#include "serve/Protocol.h"
 
 #include <algorithm>
 #include <cmath>
@@ -401,4 +403,53 @@ Json WorkerPool::statsJson() const {
   J.set("batches_completed", TotalCompleted);
   J.set("batches_outstanding", static_cast<int64_t>(Batches.size()));
   return J;
+}
+
+bool PointContext::resolve(const BatchContext &Ctx, std::string *Error) {
+  LoopNest Nest;
+  if (!knownNames(Ctx.Kernel, Ctx.Machine, Error))
+    return false;
+  if (!buildKernel(Ctx.Kernel, Nest) ||
+      !buildMachine(Ctx.Machine, Ctx.Scale, Machine)) {
+    if (Error)
+      *Error = "scale 0 names no machine";
+    return false;
+  }
+  DeriveOptions D;
+  D.setRepresentativeSize(Ctx.RepSize);
+  Variants = deriveVariants(Nest, Machine, D);
+  Backend = std::make_unique<SimEvalBackend>(Machine);
+  Engine = std::make_unique<EvalEngine>(*Backend);
+  return true;
+}
+
+const DerivedVariant *PointContext::variant(const std::string &Name) const {
+  for (const DerivedVariant &V : Variants)
+    if (V.Spec.Name == Name)
+      return &V;
+  return nullptr;
+}
+
+bool PointContext::bind(const DerivedVariant &V, const ParamBindings &Config,
+                        Env &Out, std::string *Error) {
+  auto fail = [Error](std::string Message) {
+    if (Error)
+      *Error = std::move(Message);
+    return false;
+  };
+  const SymbolTable &Syms = V.Skeleton.Syms;
+  Out = Env(Syms.size());
+  std::vector<bool> Bound(Syms.size());
+  for (const auto &[Name, Value] : Config) {
+    SymbolId Id = Syms.lookup(Name);
+    if (Id < 0 || Syms.kind(Id) == SymbolKind::LoopVar)
+      return fail("config names unknown symbol '" + Name + "'");
+    Out.set(Id, Value);
+    Bound[static_cast<size_t>(Id)] = true;
+  }
+  for (SymbolId Id = 0; Id < static_cast<SymbolId>(Syms.size()); ++Id)
+    if (!Bound[static_cast<size_t>(Id)] &&
+        Syms.kind(Id) != SymbolKind::LoopVar)
+      return fail("config is missing symbol '" + Syms.name(Id) + "'");
+  return true;
 }

@@ -54,6 +54,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -83,6 +84,30 @@ struct BatchContext {
   std::string Machine;
   unsigned Scale = 1;
   int64_t RepSize = 0;
+
+  bool operator==(const BatchContext &) const = default;
+};
+
+/// A BatchContext rebuilt by name: the machine, the variants derived at
+/// the representative size (derivation order is stable, so they carry
+/// the tune's names), and a single-lane EvalEngine over one simulator of
+/// that machine. The fleet worker and the DB audit rebuild and cost
+/// every point named by value through it.
+struct PointContext {
+  MachineDesc Machine;
+  std::vector<DerivedVariant> Variants;
+  std::unique_ptr<SimEvalBackend> Backend;
+  std::unique_ptr<EvalEngine> Engine;
+
+  /// False + \p Error on an unknown name or scale 0.
+  bool resolve(const BatchContext &Ctx, std::string *Error);
+  /// The variant named \p Name, or nullptr.
+  const DerivedVariant *variant(const std::string &Name) const;
+  /// Binds \p Config against \p V by name, strictly: a name that is not
+  /// a Param/ProblemSize symbol, or such a symbol left unbound, is an
+  /// error (false + \p Error), never a 0.
+  static bool bind(const DerivedVariant &V, const ParamBindings &Config,
+                   Env &Out, std::string *Error);
 };
 
 /// The dispatcher. Wire-side methods are called by Server connection

@@ -2,11 +2,58 @@
 
 #include "serve/Protocol.h"
 
+#include "kernels/Kernels.h"
+
 #include <cmath>
 #include <limits>
+#include <map>
 
 using namespace eco;
 using namespace eco::serve;
+
+namespace {
+
+const std::map<std::string, LoopNest (*)()> Kernels = {
+    {"matmul", [] { return makeMatMul(); }},
+    {"jacobi", [] { return makeJacobi(); }},
+    {"matvec", [] { return makeMatVec(); }}};
+
+/// The paper's two machines shrink by the scale; the host preset
+/// describes this machine as it is.
+const std::map<std::string, MachineDesc (*)(unsigned)> Machines = {
+    {"sgi", [](unsigned S) { return MachineDesc::sgiR10000().scaledBy(S); }},
+    {"sun",
+     [](unsigned S) { return MachineDesc::ultraSparcIIe().scaledBy(S); }},
+    {"host", [](unsigned) { return MachineDesc::genericHost(); }}};
+
+} // namespace
+
+bool eco::serve::knownNames(const std::string &Kernel,
+                            const std::string &Machine, std::string *Error) {
+  std::string Unknown = !Kernels.count(Kernel)     ? "kernel '" + Kernel
+                        : !Machines.count(Machine) ? "machine '" + Machine
+                                                   : "";
+  if (!Unknown.empty() && Error)
+    *Error = "unknown " + Unknown + "'";
+  return Unknown.empty();
+}
+
+bool eco::serve::buildKernel(const std::string &Kernel, LoopNest &Nest) {
+  auto It = Kernels.find(Kernel);
+  if (It == Kernels.end())
+    return false;
+  Nest = It->second();
+  return true;
+}
+
+bool eco::serve::buildMachine(const std::string &Machine, unsigned Scale,
+                              MachineDesc &Out) {
+  auto It = Machines.find(Machine);
+  if (It == Machines.end() || Scale == 0)
+    return false;
+  Out = It->second(Scale);
+  return true;
+}
 
 std::string JobSpec::summary() const {
   std::string S = Kernel + "@" + Machine;
@@ -62,19 +109,8 @@ bool eco::serve::jobSpecFromJson(const Json &J, JobSpec &Spec,
   if (J.has("machine"))
     Spec.Machine = J.get("machine").asString();
   Spec.ForceRetune = J.get("force").asBool(false);
-  if (Spec.Kernel != "matmul" && Spec.Kernel != "jacobi" &&
-      Spec.Kernel != "matvec") {
-    if (Error)
-      *Error = "unknown kernel '" + Spec.Kernel + "'";
-    return false;
-  }
-  if (Spec.Machine != "sgi" && Spec.Machine != "sun" &&
-      Spec.Machine != "host") {
-    if (Error)
-      *Error = "unknown machine '" + Spec.Machine + "'";
-    return false;
-  }
-  return intField(J, "n", 4, 1 << 20, Spec.N, Error) &&
+  return knownNames(Spec.Kernel, Spec.Machine, Error) &&
+         intField(J, "n", 4, 1 << 20, Spec.N, Error) &&
          intField(J, "scale", 1, 4096, Spec.Scale, Error) &&
          intField(J, "priority", std::numeric_limits<int>::min(),
                   std::numeric_limits<int>::max(), Spec.Priority, Error) &&

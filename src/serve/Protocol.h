@@ -43,6 +43,21 @@
 namespace eco {
 namespace serve {
 
+/// The longest line either side reads, request or response: a peer
+/// that never sends a newline cannot grow the reader's buffer past it.
+inline constexpr size_t MaxLineBytes = 1 << 20; // 1 MiB
+
+/// The one name table: true when it knows both names (no nest is
+/// built); otherwise false, and \p Error names the unknown one.
+bool knownNames(const std::string &Kernel, const std::string &Machine,
+                std::string *Error);
+/// Builds the kernel nest / machine a name denotes. False on an unknown
+/// name; buildMachine also refuses scale 0 (the host preset otherwise
+/// ignores the scale).
+bool buildKernel(const std::string &Kernel, LoopNest &Nest);
+bool buildMachine(const std::string &Machine, unsigned Scale,
+                  MachineDesc &Out);
+
 /// The longest deadline a job may carry: one day.
 inline constexpr int64_t MaxDeadlineMs = int64_t(24) * 3600 * 1000;
 

@@ -4,7 +4,6 @@
 
 #include "core/Tuner.h"
 #include "engine/Engine.h"
-#include "kernels/Kernels.h"
 #include "obs/Event.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
@@ -33,31 +32,6 @@ static constexpr unsigned ColdSearchWidth = 4;
 
 static double msBetween(Clock::time_point From, Clock::time_point To) {
   return std::chrono::duration<double, std::milli>(To - From).count();
-}
-
-bool eco::serve::buildKernel(const std::string &Kernel, LoopNest &Nest) {
-  if (Kernel == "matmul")
-    Nest = makeMatMul();
-  else if (Kernel == "jacobi")
-    Nest = makeJacobi();
-  else if (Kernel == "matvec")
-    Nest = makeMatVec();
-  else
-    return false;
-  return true;
-}
-
-bool eco::serve::buildMachine(const std::string &Machine, unsigned Scale,
-                              MachineDesc &Out) {
-  if (Machine == "sgi")
-    Out = MachineDesc::sgiR10000().scaledBy(Scale);
-  else if (Machine == "sun")
-    Out = MachineDesc::ultraSparcIIe().scaledBy(Scale);
-  else if (Machine == "host")
-    Out = MachineDesc::genericHost();
-  else
-    return false;
-  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -436,11 +410,8 @@ void TuneService::execute(ServeJob &Job, size_t QueueDepth) {
   // loop reads. RepSize = the job's N, matching the representative size
   // tune() derives variants with, so workers re-derive identical
   // variants. With no live workers the gate skips everything.
-  BatchContext BC;
-  BC.Kernel = Job.Spec.Kernel;
-  BC.Machine = Job.Spec.Machine;
-  BC.Scale = Job.Spec.Scale;
-  BC.RepSize = Job.Spec.N;
+  BatchContext BC{Job.Spec.Kernel, Job.Spec.Machine, Job.Spec.Scale,
+                  Job.Spec.N};
   EOpts.RemoteWarm = [this, BC](const std::vector<RemotePoint> &Points,
                                 const std::string &Stage) {
     Pool->evalBatch(BC, Points, Stage, *SharedCache);
@@ -753,10 +724,6 @@ void Server::acceptLoop(Listener *L) {
 }
 
 void Server::handleConnection(int Fd, Conn &C) {
-  /// Cap on one request line. A client that streams data without ever
-  /// sending a newline would otherwise grow Buf without bound; the
-  /// largest legitimate request is a few hundred bytes.
-  static constexpr size_t MaxRequestBytes = 1 << 20; // 1 MiB
   std::string Buf;
   char Chunk[4096];
   bool Alive = true;
@@ -786,13 +753,13 @@ void Server::handleConnection(int Fd, Conn &C) {
       }
       Alive = sendAll(Fd, Resp.dump() + "\n");
     }
-    if (Alive && Buf.size() > MaxRequestBytes) {
+    if (Alive && Buf.size() > MaxLineBytes) {
       // Structured refusal, then close: the line is already oversized
       // and nothing that follows could make it parseable within bounds.
       Json Resp = Json::object();
       Resp.set("ok", false);
       Resp.set("error", "request too large (line exceeds " +
-                            std::to_string(MaxRequestBytes) + " bytes)");
+                            std::to_string(MaxLineBytes) + " bytes)");
       if (sendAll(Fd, Resp.dump() + "\n"))
         finishWithUnreadInput(Fd);
       break;

@@ -284,14 +284,6 @@ private:
   std::atomic<bool> ShutdownFlag{false};
 };
 
-/// Builds the kernel nest / machine a JobSpec names. Shared by the
-/// service and check/DbAudit so both resolve specs identically.
-/// Returns false on an unknown name (submit validation normally
-/// prevents this).
-bool buildKernel(const std::string &Kernel, LoopNest &Nest);
-bool buildMachine(const std::string &Machine, unsigned Scale,
-                  MachineDesc &Out);
-
 } // namespace serve
 } // namespace eco
 

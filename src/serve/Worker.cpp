@@ -2,21 +2,19 @@
 
 #include "serve/Worker.h"
 
-#include "core/DeriveVariants.h"
-#include "core/Search.h"
 #include "obs/Log.h"
 #include "serve/Client.h"
-#include "serve/Server.h" // buildKernel / buildMachine
+#include "serve/Fleet.h"
 #include "support/ParseInt.h"
-#include "transform/TransformError.h"
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 
 using namespace eco;
@@ -28,87 +26,63 @@ namespace {
 /// gone; a completed registration resets the count) and the sleep between.
 constexpr int ReconnectAttempts = 25, ReconnectDelayMs = 200;
 
-/// Everything needed to evaluate points for one (kernel, machine, scale,
-/// rep_n): the variants derived once (derivation order is stable, so
-/// names match the daemon's) and one simulator instance reused across
-/// batches.
-struct KernelContext {
-  MachineDesc Machine;
-  std::vector<DerivedVariant> Variants;
-  std::unique_ptr<SimEvalBackend> Backend;
+/// The latest batch's context, kept across batches. One is enough: a
+/// tune's batches arrive back to back, while a context's engine keeps
+/// every point and instantiation it costs, so keeping each context the
+/// worker ever saw would grow its memory with every size it is sent.
+struct CurrentContext {
+  BatchContext Key;
+  std::optional<PointContext> Ctx;
 };
 
 /// Evaluates every point of \p Batch into \p CostsOut (one slot per
-/// point; null = cannot evaluate — unknown variant/symbol or illegal
-/// transform, which the daemon's local loop re-derives). \p BetweenPoints
-/// runs after each point so the caller can heartbeat through long
-/// batches.
-void evaluateBatch(const Json &Batch,
-                   std::map<std::string, KernelContext> &Kernels,
+/// point; null = cannot evaluate — unknown variant, a config that does
+/// not bind, or a transform that refuses the point, which the daemon's
+/// local loop re-derives). \p BetweenPoints runs after each point so the
+/// caller can heartbeat through long batches.
+void evaluateBatch(const Json &Batch, CurrentContext &Current,
                    Json &CostsOut,
                    const std::function<void()> &BetweenPoints) {
   CostsOut = Json::array();
   const Json &Points = Batch.get("points");
 
-  std::string Kernel = Batch.get("kernel").asString();
-  std::string Machine = Batch.get("machine").asString();
-  unsigned Scale = static_cast<unsigned>(Batch.get("scale").asInt(1));
-  int64_t RepN = Batch.get("rep_n").asInt();
-  std::string CtxKey = Kernel + "|" + Machine + "|" +
-                       std::to_string(Scale) + "|" + std::to_string(RepN);
-  auto It = Kernels.find(CtxKey);
-  if (It == Kernels.end()) {
-    LoopNest Nest;
-    KernelContext KC;
-    if (!buildKernel(Kernel, Nest) ||
-        !buildMachine(Machine, Scale, KC.Machine)) {
+  BatchContext BC{Batch.get("kernel").asString(),
+                  Batch.get("machine").asString(),
+                  static_cast<unsigned>(Batch.get("scale").asInt(1)),
+                  Batch.get("rep_n").asInt()};
+  if (!Current.Ctx || Current.Key != BC) {
+    Current.Key = BC;
+    Current.Ctx.emplace();
+    if (!Current.Ctx->resolve(BC, nullptr)) {
       // Unresolvable batch: answer all-null rather than erroring, so the
       // daemon resolves the batch once instead of re-dispatching it.
+      Current.Ctx.reset();
       for (size_t I = 0; I < Points.size(); ++I)
         CostsOut.push(Json());
       return;
     }
-    DeriveOptions D;
-    D.setRepresentativeSize(RepN);
-    KC.Variants = deriveVariants(Nest, KC.Machine, D);
-    KC.Backend = std::make_unique<SimEvalBackend>(KC.Machine);
-    It = Kernels.emplace(CtxKey, std::move(KC)).first;
   }
-  KernelContext &KC = It->second;
+  PointContext &Ctx = *Current.Ctx;
 
   for (size_t I = 0; I < Points.size(); ++I) {
     const Json &P = Points.at(I);
-    const std::string &Name = P.get("variant").asString();
-    const DerivedVariant *V = nullptr;
-    for (const DerivedVariant &Cand : KC.Variants)
-      if (Cand.Spec.Name == Name) {
-        V = &Cand;
-        break;
-      }
-    if (!V) {
-      CostsOut.push(Json());
-      continue;
-    }
-    Env Config(V->Skeleton.Syms.size());
-    bool Bad = false;
+    const DerivedVariant *V = Ctx.variant(P.get("variant").asString());
+    ParamBindings Bindings;
+    bool Numbers = true;
     for (const auto &[Sym, Value] : P.get("config").fields()) {
-      SymbolId Id = V->Skeleton.Syms.lookup(Sym);
-      if (Id < 0 || !Value.isNumber()) {
-        Bad = true;
-        break;
-      }
-      Config.set(Id, Value.asInt());
+      Numbers = Numbers && Value.isNumber();
+      Bindings.emplace_back(Sym, Value.asInt());
     }
-    if (Bad) {
+    Env Config;
+    if (!V || !Numbers || !PointContext::bind(*V, Bindings, Config, nullptr)) {
       CostsOut.push(Json());
       continue;
     }
-    try {
-      LoopNest Inst = V->instantiate(Config, KC.Machine);
-      CostsOut.push(KC.Backend->evaluate(Inst, Config));
-    } catch (const TransformError &) {
-      CostsOut.push(Json()); // daemon-side loop re-derives the rejection
-    }
+    // A refused or non-finite point answers null, never a cost: the
+    // daemon's decision loop re-derives the rejection without a strike.
+    EvalOutcome O = Ctx.Engine->evaluate(*V, Config, "remote");
+    CostsOut.push(O.Rejected || !std::isfinite(O.Cost) ? Json()
+                                                       : Json(O.Cost));
     BetweenPoints();
   }
 }
@@ -116,7 +90,7 @@ void evaluateBatch(const Json &Batch,
 } // namespace
 
 int eco::serve::runWorker(const WorkerOptions &Opts) {
-  std::map<std::string, KernelContext> Kernels;
+  CurrentContext Current;
   std::unique_ptr<Client> C;
   uint64_t WorkerId = 0;
   int BeatMs = WorkerPool::HeartbeatIntervalMs; // until hello says otherwise
@@ -232,7 +206,7 @@ int eco::serve::runWorker(const WorkerOptions &Opts) {
         Json HResp;
         C->roundTrip(HReq, HResp); // best effort; poll also refreshes
       };
-      evaluateBatch(Batch, Kernels, Costs, beat);
+      evaluateBatch(Batch, Current, Costs, beat);
     }
 
     Json RReq = Json::object();

@@ -10,18 +10,18 @@
 /// evaluate each point on a local simulator, and report costs with
 /// `worker.result`, heartbeating between points.
 ///
-/// Determinism: the worker rebuilds the exact evaluation from the batch
-/// alone — kernel + machine by name, variants re-derived with the
-/// shipped representative size (derivation order is stable, so variant
-/// names agree across processes), the Env rebound from the portable
-/// (name, value) config. The simulated cost is a pure function of that
-/// triple, and JSON numbers round-trip doubles exactly, so a remote cost
-/// is bit-identical to the local one.
+/// Determinism: the worker rebuilds each point from the batch alone
+/// through serve::PointContext, the resolver the DB audit uses (variant
+/// names agree across processes because derivation order is stable),
+/// and costs it through that context's EvalEngine under stage "remote",
+/// as the tuner would. The simulated cost is a pure function of (variant,
+/// machine, config), and JSON numbers round-trip doubles exactly, so a
+/// remote cost is bit-identical to the local one.
 ///
-/// A point the worker cannot evaluate — unknown variant name, unknown
-/// symbol, illegal transform for that config — reports a null cost: the
-/// daemon skips the cache insert and the tune's decision loop re-derives
-/// the rejection (or evaluates locally) deterministically.
+/// A point the worker cannot evaluate — unknown variant name, a config
+/// that does not bind, a transform that refuses the point — reports a
+/// null cost: the daemon skips the cache insert and the tune's decision
+/// loop re-derives the rejection (or evaluates locally) deterministically.
 ///
 /// WorkerOptions::Chaos exists for the in-process fault-injection tests
 /// only (it has no flag): a worker can be told to return garbage, freeze

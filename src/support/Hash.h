@@ -19,9 +19,11 @@
 #ifndef ECO_SUPPORT_HASH_H
 #define ECO_SUPPORT_HASH_H
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace eco {
 
@@ -71,6 +73,14 @@ inline std::string hashHex(uint64_t H) {
     H >>= 4;
   }
   return Out;
+}
+
+/// The inverse of hashHex: exactly 16 lowercase hex digits into \p Out.
+inline bool parseHex64(std::string_view Text, uint64_t &Out) {
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Err] = std::from_chars(Text.data(), End, Out, 16);
+  return Text.size() == 16 && Err == std::errc() && Ptr == End &&
+         Text.find_first_of("ABCDEF") == std::string_view::npos;
 }
 
 } // namespace eco

@@ -586,8 +586,8 @@ TEST(FleetEndToEndTest, InProcessWorkersMatchFleetlessTuneBitExactly) {
 TEST(FleetEndToEndTest, IllegalPointReturnsNullWithoutStrikeAndRejectsOnce) {
   // Cache keys need no instantiation, so the daemon ships points without
   // checking that their transforms are legal. The worker must answer
-  // null for an illegal one (no strike), and the local decision loop
-  // must record the rejection exactly once.
+  // null for an illegal one (no strike), and each side must record the
+  // rejection exactly once.
   std::string Sock = tempPath("eco_fleet_illegal.sock");
   std::remove(Sock.c_str());
   ServiceOptions Opts;
@@ -653,7 +653,18 @@ TEST(FleetEndToEndTest, IllegalPointReturnsNullWithoutStrikeAndRejectsOnce) {
   EXPECT_TRUE(std::isinf(I.Cost));
   EXPECT_EQ(Engine.stats().Evaluations, 0u);
   EXPECT_EQ(Engine.stats().Rejected, 1u);
-  EXPECT_EQ(Cap.count("config.rejected"), 1u);
+  // The worker costs through its own engine under stage "remote": it
+  // records its refusal once, and the daemon's loop records its own once.
+  auto count = [&Cap](const std::string &Type, const std::string &Stage) {
+    size_t N = 0;
+    for (const obs::Event &E : Cap.events())
+      N += E.Type == Type && E.Fields.get("stage").asString() == Stage;
+    return N;
+  };
+  EXPECT_EQ(count("config.rejected", "warm"), 1u);
+  EXPECT_EQ(count("config.rejected", "remote"), 1u);
+  EXPECT_EQ(Cap.count("config.rejected"), 2u);
+  EXPECT_EQ(count("config.evaluated", "remote"), 1u) << "the legal point";
 
   Json Stats = Service.workers().statsJson();
   EXPECT_EQ(Stats.get("workers_live").asInt(), 1);

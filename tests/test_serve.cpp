@@ -33,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -889,6 +890,14 @@ TEST(DbAuditTest, TunedDatabaseAuditsCleanAndTamperingIsCaught) {
     Cfg.set("BOGUS", 1);
     Row.set("config", std::move(Cfg));
   }, "config");
+  // A missing parameter is an error too, never a silent 0.
+  tamper([](Json &Row) {
+    Json Cfg = Json::object();
+    for (const auto &[Name, Value] : Row.get("config").fields())
+      if (Name != "TI")
+        Cfg.set(Name, Value);
+    Row.set("config", std::move(Cfg));
+  }, "config");
   tamper([](Json &Row) { Row.set("machine", "00000000deadbeef"); },
          "identity");
   tamper([](Json &Row) { Row.set("kernel", "fft"); }, "schema");
@@ -1096,6 +1105,7 @@ TEST(ServeIntrospectionTest, ConcurrentScrapesWhileFleetTunes) {
 
   std::atomic<bool> Done{false};
   std::atomic<int> Scrapes{0};
+  size_t Largest = 0; // longest response line, scraper thread only
   std::thread Scraper([&] {
     auto C = Client::connectUnix(Sock);
     ASSERT_NE(C, nullptr);
@@ -1105,6 +1115,7 @@ TEST(ServeIntrospectionTest, ConcurrentScrapesWhileFleetTunes) {
       Json J = C->jobs();
       EXPECT_TRUE(J.get("ok").asBool(false));
       EXPECT_TRUE(J.get("jobs").isArray());
+      Largest = std::max({Largest, M.dump().size(), J.dump().size()});
       ++Scrapes;
     }
   });
@@ -1124,6 +1135,8 @@ TEST(ServeIntrospectionTest, ConcurrentScrapesWhileFleetTunes) {
   Done.store(true, std::memory_order_relaxed);
   Scraper.join();
   EXPECT_GT(Scrapes.load(), 0);
+  // The busiest responses stay far inside the one line cap both ends use.
+  EXPECT_LT(Largest, MaxLineBytes / 16);
 
   Srv.stop();
   Service.drain();
@@ -1230,6 +1243,50 @@ TEST(ClientRobustnessTest, RecvTimeoutFiresAgainstASilentPeerAndKillsClient) {
   JobResult R = C->submit(smallSpec());
   EXPECT_EQ(R.Status, "failed");
 
+  ::close(Lfd);
+  std::remove(Sock.c_str());
+}
+
+TEST(ClientRobustnessTest, ResponseLineOverTheCapFailsAndKillsClient) {
+  // A peer that streams bytes without a newline: the client must stop at
+  // MaxLineBytes instead of buffering until the receive timeout.
+  std::string Sock = tempPath("eco_serve_flood.sock");
+  std::remove(Sock.c_str());
+  int Lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(Lfd, 0);
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::strncpy(Addr.sun_path, Sock.c_str(), sizeof(Addr.sun_path) - 1);
+  ASSERT_EQ(::bind(Lfd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
+            0);
+  ASSERT_EQ(::listen(Lfd, 4), 0);
+  std::thread Flood([Lfd] {
+    int Fd = ::accept(Lfd, nullptr, nullptr);
+    if (Fd < 0)
+      return;
+    // Until the client hangs up: its close makes send fail.
+    std::string Chunk(64 * 1024, 'x');
+    for (size_t Sent = 0; Sent < 4 * MaxLineBytes;) {
+      ssize_t N = ::send(Fd, Chunk.data(), Chunk.size(), MSG_NOSIGNAL);
+      if (N <= 0)
+        break;
+      Sent += static_cast<size_t>(N);
+    }
+    ::close(Fd);
+  });
+
+  std::string Err;
+  auto C = Client::connectUnix(Sock, &Err, 2000);
+  ASSERT_NE(C, nullptr) << Err;
+  C->setRecvTimeout(20000);
+  Json Req = Json::object();
+  Req.set("op", "ping");
+  Json Resp;
+  EXPECT_FALSE(C->roundTrip(Req, Resp, &Err));
+  EXPECT_NE(Err.find("too large"), std::string::npos) << Err;
+  EXPECT_FALSE(C->alive());
+  C.reset();
+  Flood.join();
   ::close(Lfd);
   std::remove(Sock.c_str());
 }
