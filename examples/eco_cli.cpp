@@ -45,7 +45,7 @@
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Report.h"
-#include "serve/Protocol.h"
+#include "serve/Server.h"
 #include "serve/Tool.h"
 #include "serve/Worker.h"
 #include "support/ParseInt.h"
@@ -308,9 +308,8 @@ int main(int Argc, char **Argv) {
   std::string NameError;
   LoopNest Nest;
   MachineDesc Machine;
-  if (!serve::knownNames(Opts.Kernel, Opts.Machine, &NameError) ||
-      !serve::buildKernel(Opts.Kernel, Nest) ||
-      !serve::buildMachine(Opts.Machine, Opts.Scale, Machine)) {
+  if (!serve::buildKernel(Opts.Kernel, Nest, &NameError) ||
+      !serve::buildMachine(Opts.Machine, Opts.Scale, Machine, &NameError)) {
     std::fprintf(stderr, "error: %s\n", NameError.c_str());
     return 2;
   }

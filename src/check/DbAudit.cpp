@@ -23,7 +23,9 @@ std::string DbAuditReport::summary() const {
   return S;
 }
 
-static void auditEntry(const serve::TunedEntry &E, DbAuditReport &Report) {
+static void auditEntry(const serve::TunedEntry &E,
+                       serve::PointResolver &Resolver,
+                       DbAuditReport &Report) {
   std::string Key =
       serve::JobSpec{E.Kernel, E.MachineName, E.Scale, E.N}.summary();
   auto issue = [&](const char *Kind, std::string Detail) {
@@ -37,18 +39,19 @@ static void auditEntry(const serve::TunedEntry &E, DbAuditReport &Report) {
     return;
   }
 
-  serve::PointContext Ctx;
   std::string Error;
-  if (!Ctx.resolve({E.Kernel, E.MachineName, E.Scale, E.N}, &Error)) {
+  const serve::PointContext *Ctx =
+      Resolver.resolve({E.Kernel, E.MachineName, E.Scale, E.N}, &Error);
+  if (!Ctx) {
     issue("schema", Error);
     return;
   }
-  if (Ctx.Machine.fingerprint() != E.MachineHash) {
+  if (Ctx->Machine.fingerprint() != E.MachineHash) {
     issue("identity",
           strformat("stored machine fingerprint %s != rebuilt %s (edited "
                     "file or incompatible simulator)",
                     hashHex(E.MachineHash).c_str(),
-                    hashHex(Ctx.Machine.fingerprint()).c_str()));
+                    hashHex(Ctx->Machine.fingerprint()).c_str()));
     return;
   }
 
@@ -66,7 +69,7 @@ static void auditEntry(const serve::TunedEntry &E, DbAuditReport &Report) {
   if (E.WarmStart == "cold" && (E.SeedN != 0 || !E.SeedVariant.empty()))
     issue("provenance", "cold tune carries a warm-start seed lineage");
 
-  const DerivedVariant *V = Ctx.variant(E.Variant);
+  const DerivedVariant *V = Ctx->variant(E.Variant);
   if (!V) {
     issue("variant", "winning variant '" + E.Variant +
                          "' is not in the derived set");
@@ -80,7 +83,8 @@ static void auditEntry(const serve::TunedEntry &E, DbAuditReport &Report) {
   }
 
   ++Report.Replayed;
-  double Replayed = Ctx.Engine->evaluate(*V, Config, "audit").Cost;
+  double Replayed =
+      EvalEngine(*Ctx->Backend).evaluate(*V, Config, "audit").Cost;
   // Bitwise, not approximate: the simulator is a pure function, so the
   // only sources of drift are corruption, tampering, or a simulator
   // change — each of which must fail the audit.
@@ -97,8 +101,9 @@ DbAuditReport check::auditConfigDB(const serve::ConfigDB &Db) {
   std::vector<serve::TunedEntry> Entries;
   Db.forEach([&](const serve::TunedEntry &E) { Entries.push_back(E); });
   Report.Entries = Entries.size();
+  serve::PointResolver Resolver;
   for (const serve::TunedEntry &E : Entries)
-    auditEntry(E, Report);
+    auditEntry(E, Resolver, Report);
   return Report;
 }
 

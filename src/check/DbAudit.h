@@ -13,7 +13,7 @@
 ///
 ///  * rebuilds the named kernel and machine preset and re-derives the
 ///    variant set at the row's n, through the resolver the fleet worker
-///    uses (serve::PointContext), and checks the stored machine
+///    uses (serve::PointResolver), and checks the stored machine
 ///    fingerprint matches (a fingerprint drift means the entry was tuned
 ///    by an incompatible simulator or the file was edited);
 ///  * finds the stored winning variant and rebinds the stored
@@ -22,7 +22,7 @@
 ///  * sanity-checks the provenance blob (searched <= derived, a
 ///    "nearest" warm start names its seed, a cold tune carries none);
 ///    legacy rows without provenance load as zeros and are skipped;
-///  * re-evaluates through the context's EvalEngine over a fresh
+///  * re-evaluates through an EvalEngine over the resolver's fresh
 ///    simulator and compares the cost to the stored best bit-for-bit.
 ///
 /// Any mismatch is corruption, tampering, or a simulator behavior change

@@ -231,16 +231,7 @@ JobResult Client::submit(const JobSpec &Spec) {
 }
 
 Json Client::query(const JobSpec &Spec) {
-  Json Req = toJson(Spec);
-  Req.set("op", "query");
-  Json Resp;
-  std::string Error;
-  if (roundTrip(Req, Resp, &Error))
-    return Resp;
-  Json J = Json::object();
-  J.set("ok", false);
-  J.set("error", Error);
-  return J;
+  return simpleOp("query", toJson(Spec));
 }
 
 bool Client::ping(std::string *Error) {
@@ -249,25 +240,15 @@ bool Client::ping(std::string *Error) {
   Json Resp;
   if (!roundTrip(Req, Resp, Error))
     return false;
-  if (!Resp.get("ok").asBool(false)) {
-    if (Error)
-      *Error = "ping refused: " + Resp.get("error").asString();
-    return false;
-  }
-  return true;
+  return Resp.get("ok").asBool(false) ||
+         refuse(Error, "ping refused: " + Resp.get("error").asString());
 }
 
-Json Client::simpleOp(const std::string &Op) {
-  Json Req = Json::object();
+Json Client::simpleOp(const std::string &Op, Json Req) {
   Req.set("op", Op);
   Json Resp;
   std::string Error;
-  if (roundTrip(Req, Resp, &Error))
-    return Resp;
-  Json J = Json::object();
-  J.set("ok", false);
-  J.set("error", Error);
-  return J;
+  return roundTrip(Req, Resp, &Error) ? Resp : errorReply(Error);
 }
 
 Json Client::stats() { return simpleOp("stats"); }

@@ -96,8 +96,9 @@ public:
 private:
   explicit Client(int Fd) : Fd(Fd) {}
 
-  /// One no-argument request -> response ({"op":Op}).
-  Json simpleOp(const std::string &Op);
+  /// One request -> response: \p Req's fields plus {"op":Op}. A
+  /// transport failure comes back as an error reply.
+  Json simpleOp(const std::string &Op, Json Req = Json::object());
 
   /// Marks the stream unusable (subsequent calls fail fast) for
   /// \p Reason, which also goes to \p Error; returns false.

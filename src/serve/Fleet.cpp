@@ -5,7 +5,7 @@
 #include "core/DeriveVariants.h"
 #include "obs/Event.h"
 #include "obs/Log.h"
-#include "serve/Protocol.h"
+#include "serve/Server.h" // buildKernel / buildMachine
 
 #include <algorithm>
 #include <cmath>
@@ -158,12 +158,8 @@ Json WorkerPool::poll(const Json &Req) {
   MutexLock Lock(M);
   for (;;) {
     auto WIt = Workers.find(WorkerId);
-    if (WIt == Workers.end()) {
-      Json J = Json::object();
-      J.set("ok", false);
-      J.set("error", "unknown worker"); // evicted — the worker re-hellos
-      return J;
-    }
+    if (WIt == Workers.end())
+      return errorReply("unknown worker"); // evicted — the worker re-hellos
     auto Now = Clock::now();
     WIt->second.LastSeen = Now; // a blocked poller is alive by definition
 
@@ -176,19 +172,12 @@ Json WorkerPool::poll(const Json &Req) {
         B.State = BatchState::InFlight;
         B.AssignedTo = WorkerId;
         B.DispatchedAt = Now;
-        Json J = Json::object();
-        J.set("ok", true);
-        J.set("batch", B.Payload);
-        return J;
+        return okReply("batch", B.Payload);
       }
     }
 
-    if (Stopping || Now >= Deadline) {
-      Json J = Json::object();
-      J.set("ok", true);
-      J.set("idle", true);
-      return J;
-    }
+    if (Stopping || Now >= Deadline)
+      return okReply("idle", true);
     // Lap at most 50 ms so a backoff gate (NotBefore in the future)
     // opens promptly even without a notification.
     auto Lap = std::min(Deadline - Now,
@@ -204,12 +193,8 @@ Json WorkerPool::result(const Json &Req) {
 
   MutexLock Lock(M);
   auto WIt = Workers.find(WorkerId);
-  if (WIt == Workers.end()) {
-    Json J = Json::object();
-    J.set("ok", false);
-    J.set("error", "unknown worker");
-    return J;
-  }
+  if (WIt == Workers.end())
+    return errorReply("unknown worker");
   WIt->second.LastSeen = Clock::now();
 
   auto BIt = Batches.find(BatchId);
@@ -217,10 +202,7 @@ Json WorkerPool::result(const Json &Req) {
     // Already resolved (a re-dispatched copy finished first, or the
     // batch failed out). The duplicate is expected under re-dispatch —
     // acknowledge it so the worker moves on.
-    Json J = Json::object();
-    J.set("ok", true);
-    J.set("stale", true);
-    return J;
+    return okReply("stale", true);
   }
   Batch &B = BIt->second;
 
@@ -248,10 +230,7 @@ Json WorkerPool::result(const Json &Req) {
       requeueLocked(B, "garbage-result");
     if (++WIt->second.Strikes >= Opts.MaxStrikes)
       evictLocked(WorkerId, "garbage-result");
-    Json J = Json::object();
-    J.set("ok", false);
-    J.set("error", "malformed result");
-    return J;
+    return errorReply("malformed result");
   }
   // A structurally valid result clears the strike count: strikes gauge
   // persistent misbehavior, not an honest worker's lifetime total.
@@ -264,24 +243,17 @@ Json WorkerPool::result(const Json &Req) {
       B.Cache->insert(B.Points[I].Key, Costs.at(I).asNumber());
   ++TotalCompleted;
   finishBatchLocked(BatchId);
-  Json J = Json::object();
-  J.set("ok", true);
-  return J;
+  return okReply();
 }
 
 Json WorkerPool::heartbeat(const Json &Req) {
   uint64_t WorkerId = static_cast<uint64_t>(Req.get("worker_id").asInt());
   MutexLock Lock(M);
   auto WIt = Workers.find(WorkerId);
-  Json J = Json::object();
-  if (WIt == Workers.end()) {
-    J.set("ok", false);
-    J.set("error", "unknown worker");
-    return J;
-  }
+  if (WIt == Workers.end())
+    return errorReply("unknown worker");
   WIt->second.LastSeen = Clock::now();
-  J.set("ok", true);
-  return J;
+  return okReply();
 }
 
 void WorkerPool::disconnected(uint64_t WorkerId) {
@@ -405,22 +377,20 @@ Json WorkerPool::statsJson() const {
   return J;
 }
 
-bool PointContext::resolve(const BatchContext &Ctx, std::string *Error) {
+const PointContext *PointResolver::resolve(const BatchContext &Ctx,
+                                           std::string *Error) {
+  if (auto It = Contexts.find(Ctx); It != Contexts.end())
+    return &It->second;
   LoopNest Nest;
-  if (!knownNames(Ctx.Kernel, Ctx.Machine, Error))
-    return false;
-  if (!buildKernel(Ctx.Kernel, Nest) ||
-      !buildMachine(Ctx.Machine, Ctx.Scale, Machine)) {
-    if (Error)
-      *Error = "scale 0 names no machine";
-    return false;
-  }
+  PointContext PC;
+  if (!buildKernel(Ctx.Kernel, Nest, Error) ||
+      !buildMachine(Ctx.Machine, Ctx.Scale, PC.Machine, Error))
+    return nullptr;
   DeriveOptions D;
   D.setRepresentativeSize(Ctx.RepSize);
-  Variants = deriveVariants(Nest, Machine, D);
-  Backend = std::make_unique<SimEvalBackend>(Machine);
-  Engine = std::make_unique<EvalEngine>(*Backend);
-  return true;
+  PC.Variants = deriveVariants(Nest, PC.Machine, D);
+  PC.Backend = std::make_unique<SimEvalBackend>(PC.Machine);
+  return &Contexts.emplace(Ctx, std::move(PC)).first->second;
 }
 
 const DerivedVariant *PointContext::variant(const std::string &Name) const {
@@ -432,24 +402,19 @@ const DerivedVariant *PointContext::variant(const std::string &Name) const {
 
 bool PointContext::bind(const DerivedVariant &V, const ParamBindings &Config,
                         Env &Out, std::string *Error) {
-  auto fail = [Error](std::string Message) {
-    if (Error)
-      *Error = std::move(Message);
-    return false;
-  };
   const SymbolTable &Syms = V.Skeleton.Syms;
   Out = Env(Syms.size());
   std::vector<bool> Bound(Syms.size());
   for (const auto &[Name, Value] : Config) {
     SymbolId Id = Syms.lookup(Name);
     if (Id < 0 || Syms.kind(Id) == SymbolKind::LoopVar)
-      return fail("config names unknown symbol '" + Name + "'");
+      return refuse(Error, "config names unknown symbol '" + Name + "'");
     Out.set(Id, Value);
     Bound[static_cast<size_t>(Id)] = true;
   }
   for (SymbolId Id = 0; Id < static_cast<SymbolId>(Syms.size()); ++Id)
     if (!Bound[static_cast<size_t>(Id)] &&
         Syms.kind(Id) != SymbolKind::LoopVar)
-      return fail("config is missing symbol '" + Syms.name(Id) + "'");
+      return refuse(Error, "config is missing symbol '" + Syms.name(Id) + "'");
   return true;
 }

@@ -85,22 +85,18 @@ struct BatchContext {
   unsigned Scale = 1;
   int64_t RepSize = 0;
 
-  bool operator==(const BatchContext &) const = default;
+  auto operator<=>(const BatchContext &) const = default;
 };
 
 /// A BatchContext rebuilt by name: the machine, the variants derived at
 /// the representative size (derivation order is stable, so they carry
-/// the tune's names), and a single-lane EvalEngine over one simulator of
-/// that machine. The fleet worker and the DB audit rebuild and cost
-/// every point named by value through it.
+/// the tune's names), and one simulator of the machine for the caller's
+/// EvalEngine to cost them on.
 struct PointContext {
   MachineDesc Machine;
   std::vector<DerivedVariant> Variants;
   std::unique_ptr<SimEvalBackend> Backend;
-  std::unique_ptr<EvalEngine> Engine;
 
-  /// False + \p Error on an unknown name or scale 0.
-  bool resolve(const BatchContext &Ctx, std::string *Error);
   /// The variant named \p Name, or nullptr.
   const DerivedVariant *variant(const std::string &Name) const;
   /// Binds \p Config against \p V by name, strictly: a name that is not
@@ -108,6 +104,21 @@ struct PointContext {
   /// error (false + \p Error), never a 0.
   static bool bind(const DerivedVariant &V, const ParamBindings &Config,
                    Env &Out, std::string *Error);
+};
+
+/// The one resolver from a point named by value to its rebuilt variant,
+/// shared by the fleet worker and the DB audit. It keeps a PointContext
+/// per BatchContext it was asked for, so interleaved batches of
+/// concurrent tunes never rebuild one twice. Not thread-safe: one per
+/// worker loop or audit.
+class PointResolver {
+public:
+  /// The context \p Ctx names, rebuilt on first use; nullptr + \p Error
+  /// on an unknown name or scale 0.
+  const PointContext *resolve(const BatchContext &Ctx, std::string *Error);
+
+private:
+  std::map<BatchContext, PointContext> Contexts;
 };
 
 /// The dispatcher. Wire-side methods are called by Server connection

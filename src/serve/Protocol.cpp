@@ -2,58 +2,13 @@
 
 #include "serve/Protocol.h"
 
-#include "kernels/Kernels.h"
+#include "serve/Server.h" // knownNames
 
 #include <cmath>
 #include <limits>
-#include <map>
 
 using namespace eco;
 using namespace eco::serve;
-
-namespace {
-
-const std::map<std::string, LoopNest (*)()> Kernels = {
-    {"matmul", [] { return makeMatMul(); }},
-    {"jacobi", [] { return makeJacobi(); }},
-    {"matvec", [] { return makeMatVec(); }}};
-
-/// The paper's two machines shrink by the scale; the host preset
-/// describes this machine as it is.
-const std::map<std::string, MachineDesc (*)(unsigned)> Machines = {
-    {"sgi", [](unsigned S) { return MachineDesc::sgiR10000().scaledBy(S); }},
-    {"sun",
-     [](unsigned S) { return MachineDesc::ultraSparcIIe().scaledBy(S); }},
-    {"host", [](unsigned) { return MachineDesc::genericHost(); }}};
-
-} // namespace
-
-bool eco::serve::knownNames(const std::string &Kernel,
-                            const std::string &Machine, std::string *Error) {
-  std::string Unknown = !Kernels.count(Kernel)     ? "kernel '" + Kernel
-                        : !Machines.count(Machine) ? "machine '" + Machine
-                                                   : "";
-  if (!Unknown.empty() && Error)
-    *Error = "unknown " + Unknown + "'";
-  return Unknown.empty();
-}
-
-bool eco::serve::buildKernel(const std::string &Kernel, LoopNest &Nest) {
-  auto It = Kernels.find(Kernel);
-  if (It == Kernels.end())
-    return false;
-  Nest = It->second();
-  return true;
-}
-
-bool eco::serve::buildMachine(const std::string &Machine, unsigned Scale,
-                              MachineDesc &Out) {
-  auto It = Machines.find(Machine);
-  if (It == Machines.end() || Scale == 0)
-    return false;
-  Out = It->second(Scale);
-  return true;
-}
 
 std::string JobSpec::summary() const {
   std::string S = Kernel + "@" + Machine;
@@ -87,23 +42,18 @@ static bool intField(const Json &J, const char *Key, int64_t Lo, int64_t Hi,
     return true;
   const Json &V = J.get(Key);
   double D = V.asNumber(NAN);
-  if (D != std::trunc(D) || D < Lo || D > Hi) {
-    if (Error)
-      *Error = std::string(Key) + " must be an integer in [" +
-               std::to_string(Lo) + ", " + std::to_string(Hi) + "]";
-    return false;
-  }
+  if (D != std::trunc(D) || D < Lo || D > Hi)
+    return refuse(Error, std::string(Key) + " must be an integer in [" +
+                             std::to_string(Lo) + ", " +
+                             std::to_string(Hi) + "]");
   Out = static_cast<T>(D);
   return true;
 }
 
 bool eco::serve::jobSpecFromJson(const Json &J, JobSpec &Spec,
                                  std::string *Error) {
-  if (!J.isObject()) {
-    if (Error)
-      *Error = "request is not a JSON object";
-    return false;
-  }
+  if (!J.isObject())
+    return refuse(Error, "request is not a JSON object");
   if (J.has("kernel"))
     Spec.Kernel = J.get("kernel").asString();
   if (J.has("machine"))

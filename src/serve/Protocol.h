@@ -47,16 +47,27 @@ namespace serve {
 /// that never sends a newline cannot grow the reader's buffer past it.
 inline constexpr size_t MaxLineBytes = 1 << 20; // 1 MiB
 
-/// The one name table: true when it knows both names (no nest is
-/// built); otherwise false, and \p Error names the unknown one.
-bool knownNames(const std::string &Kernel, const std::string &Machine,
-                std::string *Error);
-/// Builds the kernel nest / machine a name denotes. False on an unknown
-/// name; buildMachine also refuses scale 0 (the host preset otherwise
-/// ignores the scale).
-bool buildKernel(const std::string &Kernel, LoopNest &Nest);
-bool buildMachine(const std::string &Machine, unsigned Scale,
-                  MachineDesc &Out);
+/// Stores \p Reason in \p Error when one is given; returns false.
+inline bool refuse(std::string *Error, std::string Reason) {
+  if (Error)
+    *Error = std::move(Reason);
+  return false;
+}
+
+/// The wire's two reply shapes: {"ok":true} plus one field when \p Key
+/// is given, and {"ok":false,"error":Message}.
+inline Json okReply(const char *Key = nullptr, Json Value = Json()) {
+  Json J = Json::object();
+  J.set("ok", true);
+  if (Key)
+    J.set(Key, std::move(Value));
+  return J;
+}
+inline Json errorReply(const std::string &Message) {
+  Json J = okReply("error", Message);
+  J.set("ok", false);
+  return J;
+}
 
 /// The longest deadline a job may carry: one day.
 inline constexpr int64_t MaxDeadlineMs = int64_t(24) * 3600 * 1000;

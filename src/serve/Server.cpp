@@ -4,6 +4,7 @@
 
 #include "core/Tuner.h"
 #include "engine/Engine.h"
+#include "kernels/Kernels.h"
 #include "obs/Event.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
@@ -32,6 +33,51 @@ static constexpr unsigned ColdSearchWidth = 4;
 
 static double msBetween(Clock::time_point From, Clock::time_point To) {
   return std::chrono::duration<double, std::milli>(To - From).count();
+}
+
+//===----------------------------------------------------------------------===//
+// The name table
+//===----------------------------------------------------------------------===//
+
+static const std::map<std::string, LoopNest (*)()> Kernels = {
+    {"matmul", [] { return makeMatMul(); }},
+    {"jacobi", [] { return makeJacobi(); }},
+    {"matvec", [] { return makeMatVec(); }}};
+
+/// The paper's two machines shrink by the scale; the host preset
+/// describes this machine as it is.
+static const std::map<std::string, MachineDesc (*)(unsigned)> Machines = {
+    {"sgi", [](unsigned S) { return MachineDesc::sgiR10000().scaledBy(S); }},
+    {"sun",
+     [](unsigned S) { return MachineDesc::ultraSparcIIe().scaledBy(S); }},
+    {"host", [](unsigned) { return MachineDesc::genericHost(); }}};
+
+bool eco::serve::knownNames(const std::string &Kernel,
+                            const std::string &Machine, std::string *Error) {
+  return (Kernels.count(Kernel) ||
+          refuse(Error, "unknown kernel '" + Kernel + "'")) &&
+         (Machines.count(Machine) ||
+          refuse(Error, "unknown machine '" + Machine + "'"));
+}
+
+bool eco::serve::buildKernel(const std::string &Kernel, LoopNest &Nest,
+                             std::string *Error) {
+  auto It = Kernels.find(Kernel);
+  if (It == Kernels.end())
+    return refuse(Error, "unknown kernel '" + Kernel + "'");
+  Nest = It->second();
+  return true;
+}
+
+bool eco::serve::buildMachine(const std::string &Machine, unsigned Scale,
+                              MachineDesc &Out, std::string *Error) {
+  auto It = Machines.find(Machine);
+  if (It == Machines.end())
+    return refuse(Error, "unknown machine '" + Machine + "'");
+  if (Scale == 0)
+    return refuse(Error, "scale 0 names no machine");
+  Out = It->second(Scale);
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -624,11 +670,9 @@ bool Server::start(std::string *Error) {
     Listeners.push_back(std::move(L));
   }
 
-  if (Listeners.empty()) {
-    if (Error)
-      *Error = "no listener configured (need a unix path or a TCP port)";
-    return false;
-  }
+  if (Listeners.empty())
+    return refuse(Error,
+                  "no listener configured (need a unix path or a TCP port)");
   for (auto &L : Listeners)
     AcceptThreads.emplace_back([this, Raw = L.get()] { acceptLoop(Raw); });
   ECO_LOG(Info) << "serve: listening"
@@ -743,23 +787,15 @@ void Server::handleConnection(int Fd, Conn &C) {
         continue;
       std::string ParseError;
       Json Req = Json::parse(Line, &ParseError);
-      Json Resp;
-      if (!Req.isObject()) {
-        Resp = Json::object();
-        Resp.set("ok", false);
-        Resp.set("error", "bad request: " + ParseError);
-      } else {
-        Resp = handleRequest(Req, ConnWorkerId);
-      }
+      Json Resp = Req.isObject() ? handleRequest(Req, ConnWorkerId)
+                                 : errorReply("bad request: " + ParseError);
       Alive = sendAll(Fd, Resp.dump() + "\n");
     }
     if (Alive && Buf.size() > MaxLineBytes) {
       // Structured refusal, then close: the line is already oversized
       // and nothing that follows could make it parseable within bounds.
-      Json Resp = Json::object();
-      Resp.set("ok", false);
-      Resp.set("error", "request too large (line exceeds " +
-                            std::to_string(MaxLineBytes) + " bytes)");
+      Json Resp = errorReply("request too large (line exceeds " +
+                             std::to_string(MaxLineBytes) + " bytes)");
       if (sendAll(Fd, Resp.dump() + "\n"))
         finishWithUnreadInput(Fd);
       break;
@@ -799,12 +835,8 @@ Json Server::handleRequest(const Json &Req, uint64_t &ConnWorkerId) {
     return Service.workers().result(Req);
   if (Op == "worker.heartbeat")
     return Service.workers().heartbeat(Req);
-  if (Op == "ping") {
-    Json J = Json::object();
-    J.set("ok", true);
-    J.set("op", "pong");
-    return J;
-  }
+  if (Op == "ping")
+    return okReply("op", "pong");
   if (Op == "stats") {
     Json J = Service.statsJson();
     J.set("ok", true);
@@ -828,31 +860,18 @@ Json Server::handleRequest(const Json &Req, uint64_t &ConnWorkerId) {
   }
   if (Op == "shutdown") {
     ShutdownFlag.store(true, std::memory_order_relaxed);
-    Json J = Json::object();
-    J.set("ok", true);
-    J.set("status", "shutting_down");
-    return J;
+    return okReply("status", "shutting_down");
   }
   if (Op == "query") {
     JobSpec Spec;
     std::string Err;
     MachineDesc Machine;
     if (!jobSpecFromJson(Req, Spec, &Err) ||
-        !buildMachine(Spec.Machine, Spec.Scale, Machine)) {
-      Json J = Json::object();
-      J.set("ok", false);
-      J.set("error", Err.empty() ? "bad query" : Err);
-      return J;
-    }
+        !buildMachine(Spec.Machine, Spec.Scale, Machine, &Err))
+      return errorReply(Err);
     auto Hit =
         Service.db().exact(Spec.Kernel, Machine.fingerprint(), Spec.N);
-    if (!Hit) {
-      Json J = Json::object();
-      J.set("ok", true);
-      J.set("status", "miss");
-      return J;
-    }
-    return queryHitToJson(*Hit);
+    return Hit ? queryHitToJson(*Hit) : okReply("status", "miss");
   }
   if (Op == "submit") {
     JobSpec Spec;
@@ -867,8 +886,5 @@ Json Server::handleRequest(const Json &Req, uint64_t &ConnWorkerId) {
     // job; rejected submissions resolve immediately.
     return toJson(Service.submit(Spec)->wait());
   }
-  Json J = Json::object();
-  J.set("ok", false);
-  J.set("error", "unknown op '" + Op + "'");
-  return J;
+  return errorReply("unknown op '" + Op + "'");
 }

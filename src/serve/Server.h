@@ -284,6 +284,18 @@ private:
   std::atomic<bool> ShutdownFlag{false};
 };
 
+/// The one name table. knownNames is true when it knows both names,
+/// without building a nest (request validation); buildKernel and
+/// buildMachine build what a name denotes. Each is false on an unknown
+/// name, and buildMachine also on scale 0 (the host preset otherwise
+/// ignores the scale), with the reason in \p Error.
+bool knownNames(const std::string &Kernel, const std::string &Machine,
+                std::string *Error);
+bool buildKernel(const std::string &Kernel, LoopNest &Nest,
+                 std::string *Error = nullptr);
+bool buildMachine(const std::string &Machine, unsigned Scale,
+                  MachineDesc &Out, std::string *Error = nullptr);
+
 } // namespace serve
 } // namespace eco
 

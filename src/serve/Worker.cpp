@@ -14,7 +14,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <thread>
 
 using namespace eco;
@@ -26,47 +25,37 @@ namespace {
 /// gone; a completed registration resets the count) and the sleep between.
 constexpr int ReconnectAttempts = 25, ReconnectDelayMs = 200;
 
-/// The latest batch's context, kept across batches. One is enough: a
-/// tune's batches arrive back to back, while a context's engine keeps
-/// every point and instantiation it costs, so keeping each context the
-/// worker ever saw would grow its memory with every size it is sent.
-struct CurrentContext {
-  BatchContext Key;
-  std::optional<PointContext> Ctx;
-};
-
 /// Evaluates every point of \p Batch into \p CostsOut (one slot per
 /// point; null = cannot evaluate — unknown variant, a config that does
 /// not bind, or a transform that refuses the point, which the daemon's
 /// local loop re-derives). \p BetweenPoints runs after each point so the
 /// caller can heartbeat through long batches.
-void evaluateBatch(const Json &Batch, CurrentContext &Current,
+void evaluateBatch(const Json &Batch, PointResolver &Resolver,
                    Json &CostsOut,
                    const std::function<void()> &BetweenPoints) {
   CostsOut = Json::array();
   const Json &Points = Batch.get("points");
-
-  BatchContext BC{Batch.get("kernel").asString(),
-                  Batch.get("machine").asString(),
-                  static_cast<unsigned>(Batch.get("scale").asInt(1)),
-                  Batch.get("rep_n").asInt()};
-  if (!Current.Ctx || Current.Key != BC) {
-    Current.Key = BC;
-    Current.Ctx.emplace();
-    if (!Current.Ctx->resolve(BC, nullptr)) {
-      // Unresolvable batch: answer all-null rather than erroring, so the
-      // daemon resolves the batch once instead of re-dispatching it.
-      Current.Ctx.reset();
-      for (size_t I = 0; I < Points.size(); ++I)
-        CostsOut.push(Json());
-      return;
-    }
+  const PointContext *Ctx = Resolver.resolve(
+      {Batch.get("kernel").asString(), Batch.get("machine").asString(),
+       static_cast<unsigned>(Batch.get("scale").asInt(1)),
+       Batch.get("rep_n").asInt()},
+      nullptr);
+  if (!Ctx) {
+    // Unresolvable batch: answer all-null rather than erroring, so the
+    // daemon resolves the batch once instead of re-dispatching it.
+    for (size_t I = 0; I < Points.size(); ++I)
+      CostsOut.push(Json());
+    return;
   }
-  PointContext &Ctx = *Current.Ctx;
 
+  // One engine per batch: its memo lets the batch's points share
+  // instantiations (a search stage varies tiles over a few unroll and
+  // prefetch shapes), and it dies with the batch, so the worker's memory
+  // does not grow with every shape it has costed.
+  EvalEngine Engine(*Ctx->Backend);
   for (size_t I = 0; I < Points.size(); ++I) {
     const Json &P = Points.at(I);
-    const DerivedVariant *V = Ctx.variant(P.get("variant").asString());
+    const DerivedVariant *V = Ctx->variant(P.get("variant").asString());
     ParamBindings Bindings;
     bool Numbers = true;
     for (const auto &[Sym, Value] : P.get("config").fields()) {
@@ -80,7 +69,7 @@ void evaluateBatch(const Json &Batch, CurrentContext &Current,
     }
     // A refused or non-finite point answers null, never a cost: the
     // daemon's decision loop re-derives the rejection without a strike.
-    EvalOutcome O = Ctx.Engine->evaluate(*V, Config, "remote");
+    EvalOutcome O = Engine.evaluate(*V, Config, "remote");
     CostsOut.push(O.Rejected || !std::isfinite(O.Cost) ? Json()
                                                        : Json(O.Cost));
     BetweenPoints();
@@ -90,7 +79,7 @@ void evaluateBatch(const Json &Batch, CurrentContext &Current,
 } // namespace
 
 int eco::serve::runWorker(const WorkerOptions &Opts) {
-  CurrentContext Current;
+  PointResolver Resolver;
   std::unique_ptr<Client> C;
   uint64_t WorkerId = 0;
   int BeatMs = WorkerPool::HeartbeatIntervalMs; // until hello says otherwise
@@ -206,7 +195,7 @@ int eco::serve::runWorker(const WorkerOptions &Opts) {
         Json HResp;
         C->roundTrip(HReq, HResp); // best effort; poll also refreshes
       };
-      evaluateBatch(Batch, Current, Costs, beat);
+      evaluateBatch(Batch, Resolver, Costs, beat);
     }
 
     Json RReq = Json::object();

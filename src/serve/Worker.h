@@ -11,12 +11,13 @@
 /// `worker.result`, heartbeating between points.
 ///
 /// Determinism: the worker rebuilds each point from the batch alone
-/// through serve::PointContext, the resolver the DB audit uses (variant
+/// through serve::PointResolver, the resolver the DB audit uses (variant
 /// names agree across processes because derivation order is stable),
-/// and costs it through that context's EvalEngine under stage "remote",
-/// as the tuner would. The simulated cost is a pure function of (variant,
-/// machine, config), and JSON numbers round-trip doubles exactly, so a
-/// remote cost is bit-identical to the local one.
+/// and costs it through an EvalEngine over the context's simulator under
+/// stage "remote", as the tuner would. The simulated cost is a
+/// pure function of (variant, machine, config), and JSON numbers
+/// round-trip doubles exactly, so a remote cost is bit-identical to the
+/// local one.
 ///
 /// A point the worker cannot evaluate — unknown variant name, a config
 /// that does not bind, a transform that refuses the point — reports a

@@ -4,14 +4,12 @@
 // (simulator and native legs against the golden references, including one
 // adversarial corner per transform), the flight-recorder event auditor
 // (clean streams pass; every invariant it checks is caught when broken,
-// including a tampered events file), the config-DB audit's refusal of
-// a row no machine can be rebuilt for, the jobs-determinism replay,
+// including a tampered events file), the jobs-determinism replay,
 // and the persistence fault-injection matrix. Carries the "check" ctest
 // label (ctest -L check).
 //
 //===----------------------------------------------------------------------===//
 
-#include "check/DbAudit.h"
 #include "check/DiffCheck.h"
 #include "check/EventAudit.h"
 #include "check/FaultInject.h"
@@ -484,27 +482,6 @@ TEST(EventAuditTest, TamperedEventsFileIsCaught) {
   EXPECT_TRUE(hasIssue(Report, "parse")) << Report.summary();
   std::remove(Clean.c_str());
   std::remove(Tampered.c_str());
-}
-
-// ---- config DB audit ----------------------------------------------------
-
-TEST(DbAuditTest, ScaleZeroRowIsASchemaIssueNotAnAbort) {
-  // ConfigDB::load keeps a "scale": 0 row. Rebuilding its machine must
-  // refuse the scale, not assert in MachineDesc::scaledBy.
-  const std::string Path = tempPath("check_audit_scale0.json");
-  {
-    std::ofstream Out(Path, std::ios::trunc);
-    Out << R"({"version": 1, "entries": [{"kernel": "matmul",
-      "machineName": "sgi", "scale": 0, "machine": "0123456789abcdef",
-      "n": 24, "variant": "v1", "config": {"N": 24, "TI": 8},
-      "cost": 1000, "warmStart": "cold"}]})";
-  }
-  DbAuditReport Report = auditConfigDBFile(Path);
-  EXPECT_EQ(Report.Entries, 1u);
-  EXPECT_EQ(Report.Replayed, 0u);
-  ASSERT_EQ(Report.Issues.size(), 1u) << Report.summary();
-  EXPECT_EQ(Report.Issues[0].Kind, "schema");
-  std::remove(Path.c_str());
 }
 
 // ---- jobs determinism ---------------------------------------------------

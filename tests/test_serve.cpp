@@ -901,6 +901,9 @@ TEST(DbAuditTest, TunedDatabaseAuditsCleanAndTamperingIsCaught) {
   tamper([](Json &Row) { Row.set("machine", "00000000deadbeef"); },
          "identity");
   tamper([](Json &Row) { Row.set("kernel", "fft"); }, "schema");
+  // ConfigDB::load keeps a scale-0 row; rebuilding its machine refuses
+  // the scale instead of asserting in MachineDesc::scaledBy.
+  tamper([](Json &Row) { Row.set("scale", 0); }, "schema");
 
   // A missing file is one schema issue, not a crash.
   check::DbAuditReport Gone = check::auditConfigDBFile(Path + ".nope");
