@@ -124,18 +124,23 @@ W1=$!
 "$REPO/build/examples/eco_worker" --socket="$FSOCK" --name=survivor \
     --poll-ms=200 >/dev/null 2>&1 &
 W2=$!
-# SIGKILL one worker shortly after the tune starts; the dispatcher must
-# re-dispatch its batches and the submit below must still succeed.
+# SIGKILL one worker shortly after the tune starts; the daemon fails
+# its batches and costs them itself, and the submit below must still
+# succeed.
 ( sleep 0.2; kill -9 "$W1" 2>/dev/null || true ) &
 KILLER=$!
+T0=$(date +%s%N)
 "$REPO/build/examples/eco_cli" submit --socket="$FSOCK" --kernel=matmul \
     --machine=sgi --scale=4 --n=64 --force --timeout-ms=120000
+echo "fleet smoke: submit took $(( ($(date +%s%N) - T0) / 1000000 )) ms"
 wait "$KILLER" 2>/dev/null || true
 kill -9 "$W2" 2>/dev/null || true
 kill -TERM "$DAEMON"
 wait "$DAEMON"
 wait "$W1" 2>/dev/null || true
 wait "$W2" 2>/dev/null || true
+# The served row must replay bitwise: a non-clean audit fails the step.
+"$REPO/build/examples/eco_check" --audit-db="$FDB"
 rm -f "$FSOCK" "$FDB"
 
 step "fleet chaos sweep: eco_check --fleet"

@@ -332,8 +332,8 @@ eco::check::runFleetFaultChecks(const std::string &TmpDir) {
     std::remove(Sock.c_str());
 
     serve::ServiceOptions SvcOpts;
-    // Tight enough that the frozen worker's eviction and the straggler
-    // re-dispatch both happen well inside the check's runtime.
+    // Tight enough that the frozen worker's eviction and a missed batch
+    // deadline both fail their batch well inside the check's runtime.
     SvcOpts.Fleet.HeartbeatTimeoutMs = 400;
     SvcOpts.Fleet.BatchTimeoutMs = 2000;
     serve::TuneService Service(SvcOpts);

@@ -78,9 +78,10 @@ FaultCheckReport runPersistenceFaultChecks(const std::string &TmpDir);
 /// sockets live there): for each misbehaviour mode — a worker that
 /// vanishes mid-batch (the SIGKILL analogue), one that freezes holding a
 /// batch (heartbeat-eviction path), and one that reports garbage costs
-/// (strike/eviction path) — a tune served by one honest worker plus one
-/// misbehaving worker must still complete, and its winner (cost,
-/// variant, config) must be bit-identical to a fleetless baseline run.
+/// (evicted at once) — a tune served by one honest worker plus one
+/// misbehaving worker must still complete. Each batch is dispatched once
+/// and a failed one is costed at home, so the winner (cost, variant,
+/// config) must be bit-identical to a fleetless baseline run.
 FaultCheckReport runFleetFaultChecks(const std::string &TmpDir);
 
 } // namespace check

@@ -228,10 +228,10 @@ void EvalEngine::warmMany(
 
   if (WantRemote) {
     // Export every not-yet-cached point in portable form and block on
-    // the fleet. Completed costs land in the shared cache; anything the
-    // fleet drops (worker death, exhausted retries) stays uncached and
-    // is evaluated locally by the decision loop — same winner, just
-    // slower, which is the graceful-degradation contract. Keys need no
+    // the fleet. Completed costs land in the shared cache; a batch the
+    // fleet fails (it is dispatched once) stays uncached and is costed
+    // at home by the decision loop — same winner, just slower, which is
+    // the graceful-degradation contract. Keys need no
     // instantiation, so a point whose transform is illegal ships too:
     // the worker answers null for it and the decision loop's own evalOne
     // records the rejection exactly once.

@@ -48,7 +48,9 @@
 ///   job.submitted / job.started / job.finished — serve job lifecycle
 ///                       (see Server.cpp); queue_depth is what each left
 ///   worker.joined / worker.lost (worker_id, name, live; + reason)
-///   batch.redispatched (batch_id, reason, attempts, exhausted)
+///   batch.failed       (batch_id, reason)        — a fleet batch dispatched
+///                       once and not answered; its points are costed
+///                       locally (serve/Fleet.h)
 ///   sync.violation     (kind, message)           — lock-order checker
 ///
 /// The bus assigns each event a dense sequence number and a timestamp

@@ -318,8 +318,8 @@ void obs::foldEvent(const Event &E) {
     // reach minutes of latency.
     Reg.histogram("serve.wait_ms", 0.01).record(F.get("queue_ms").asNumber());
     Reg.histogram("serve.run_ms", 0.01).record(F.get("run_ms").asNumber());
-  } else if (T == "batch.redispatched" && !F.get("exhausted").asBool()) {
-    Reg.counter("serve.batches_retried").inc();
+  } else if (T == "batch.failed") {
+    Reg.counter("serve.batches_failed").inc();
   } else if (T == "cache.loaded" && count("foreign")) {
     Reg.counter("cache.foreign_rejected").inc(count("foreign"));
   }

@@ -13,10 +13,7 @@
 using namespace eco;
 using namespace eco::serve;
 
-WorkerPool::WorkerPool(FleetOptions O) : Opts(O) {
-  if (Opts.MaxAttempts < 1)
-    Opts.MaxAttempts = 1;
-}
+WorkerPool::WorkerPool(FleetOptions O) : Opts(O) {}
 
 WorkerPool::~WorkerPool() { shutdown(); }
 
@@ -69,51 +66,35 @@ void WorkerPool::evictLocked(uint64_t WorkerId, const std::string &Reason) {
   ECO_LOG(Warn) << "fleet: worker " << WorkerId << " ('" << Name
                 << "') lost (" << Reason << "); " << Workers.size()
                 << " live";
-  // Its in-flight batches go back in the queue (or fail out).
-  std::vector<uint64_t> Orphans;
-  for (auto &[Id, B] : Batches)
-    if (B.State == BatchState::InFlight && B.AssignedTo == WorkerId)
-      Orphans.push_back(Id);
-  for (uint64_t Id : Orphans) {
-    auto BIt = Batches.find(Id);
-    if (BIt != Batches.end())
-      requeueLocked(BIt->second, "worker-lost");
-  }
+  failWhereLocked(
+      [WorkerId](const Batch &B) { return B.AssignedTo == WorkerId; },
+      Reason);
 }
 
-void WorkerPool::requeueLocked(Batch &B, const std::string &Reason) {
+void WorkerPool::failLocked(Batch &B, const std::string &Reason) {
   M.assertHeld();
-  bool Exhausted = B.Attempts >= Opts.MaxAttempts;
+  ++TotalFailed;
   if (obs::eventsEnabled()) {
-    // Only a batch that is not exhausted counts as serve.batches_retried.
     Json F = Json::object();
     F.set("batch_id", B.Id);
     F.set("reason", Reason);
-    F.set("attempts", static_cast<int64_t>(B.Attempts));
-    F.set("exhausted", Exhausted);
-    obs::publishEvent("batch.redispatched", std::move(F));
+    obs::publishEvent("batch.failed", std::move(F));
   }
-  if (Exhausted) {
-    // Exhausted: the points stay uncached and the engine's decision
-    // loop evaluates them locally — correctness never depends on the
-    // fleet, only throughput does.
-    ++TotalFailed;
-    ECO_LOG(Warn) << "fleet: batch " << B.Id << " failed after "
-                  << B.Attempts << " attempt(s) (" << Reason << ")";
-    finishBatchLocked(B.Id);
-    return;
+  ECO_LOG(Info) << "fleet: batch " << B.Id << " failed (" << Reason
+                << "); its points are costed locally";
+  finishBatchLocked(B.Id);
+}
+
+void WorkerPool::failWhereLocked(
+    const std::function<bool(const Batch &)> &Match,
+    const std::string &Reason) {
+  M.assertHeld();
+  // failLocked erases only the batch it is given, so Next stays valid.
+  for (auto It = Batches.begin(), Next = It; It != Batches.end(); It = Next) {
+    ++Next;
+    if (Match(It->second))
+      failLocked(It->second, Reason);
   }
-  ++TotalRetried;
-  int Shift = std::min(B.Attempts - 1, 20);
-  int64_t BackoffMs = std::min<int64_t>(
-      static_cast<int64_t>(Opts.BackoffBaseMs) << Shift, Opts.BackoffMaxMs);
-  B.State = BatchState::Queued;
-  B.AssignedTo = 0;
-  B.NotBefore = Clock::now() + std::chrono::milliseconds(BackoffMs);
-  ECO_LOG(Info) << "fleet: batch " << B.Id << " re-queued (" << Reason
-                << ", attempt " << B.Attempts << ", backoff " << BackoffMs
-                << " ms)";
-  WorkCV.notify_all();
 }
 
 void WorkerPool::finishBatchLocked(uint64_t Id) {
@@ -137,16 +118,12 @@ void WorkerPool::reapLocked(Clock::time_point Now) {
   for (uint64_t Id : Stale)
     evictLocked(Id, "heartbeat-timeout");
 
-  std::vector<uint64_t> Stragglers;
-  for (const auto &[Id, B] : Batches)
-    if (B.State == BatchState::InFlight &&
-        Now - B.DispatchedAt > std::chrono::milliseconds(Opts.BatchTimeoutMs))
-      Stragglers.push_back(Id);
-  for (uint64_t Id : Stragglers) {
-    auto It = Batches.find(Id);
-    if (It != Batches.end())
-      requeueLocked(It->second, "straggler");
-  }
+  auto Timeout = std::chrono::milliseconds(Opts.BatchTimeoutMs);
+  failWhereLocked(
+      [Now, Timeout](const Batch &B) {
+        return B.AssignedTo && Now - B.DispatchedAt > Timeout;
+      },
+      "deadline");
 }
 
 Json WorkerPool::poll(const Json &Req) {
@@ -161,28 +138,24 @@ Json WorkerPool::poll(const Json &Req) {
     if (WIt == Workers.end())
       return errorReply("unknown worker"); // evicted — the worker re-hellos
     auto Now = Clock::now();
-    WIt->second.LastSeen = Now; // a blocked poller is alive by definition
+    WIt->second.LastSeen = Now;
 
-    if (!Stopping) {
+    if (!Stopping)
       for (auto &[Id, B] : Batches) {
         (void)Id;
-        if (B.State != BatchState::Queued || B.NotBefore > Now)
+        if (B.AssignedTo)
           continue;
-        ++B.Attempts;
-        B.State = BatchState::InFlight;
         B.AssignedTo = WorkerId;
         B.DispatchedAt = Now;
         return okReply("batch", B.Payload);
       }
-    }
 
     if (Stopping || Now >= Deadline)
       return okReply("idle", true);
-    // Lap at most 50 ms so a backoff gate (NotBefore in the future)
-    // opens promptly even without a notification.
-    auto Lap = std::min(Deadline - Now,
-                        Clock::duration(std::chrono::milliseconds(50)));
-    WorkCV.wait_for(Lock, Lap);
+    // A blocked poller is alive by definition: it counts as seen until
+    // its wait ends, so the reaper never evicts it mid-wait.
+    WIt->second.LastSeen = Deadline;
+    WorkCV.waitUntilSteady(Lock, Deadline);
   }
 }
 
@@ -198,19 +171,18 @@ Json WorkerPool::result(const Json &Req) {
   WIt->second.LastSeen = Clock::now();
 
   auto BIt = Batches.find(BatchId);
-  if (BIt == Batches.end()) {
-    // Already resolved (a re-dispatched copy finished first, or the
-    // batch failed out). The duplicate is expected under re-dispatch —
-    // acknowledge it so the worker moves on.
+  if (BIt == Batches.end() || BIt->second.AssignedTo != WorkerId) {
+    // Not in flight on this worker: the batch already failed (its
+    // deadline passed, or shutdown) and its points are costed locally.
+    // Acknowledge so the worker moves on; insert nothing, valid or not.
     return okReply("stale", true);
   }
   Batch &B = BIt->second;
 
   // Structural validation: one cost slot per point, each null (the
-  // worker hit an illegal transform / unknown binding — the local loop
-  // re-derives that rejection deterministically) or a finite number.
-  // Anything else is a protocol violation: never insert, strike the
-  // sender, re-dispatch the batch.
+  // worker could not evaluate the point; the local loop re-derives that)
+  // or a finite number. Anything else is a protocol violation: insert
+  // nothing and evict the sender, which fails this batch.
   bool Valid = Costs.isArray() && Costs.size() == B.Points.size();
   if (Valid)
     for (size_t I = 0; I < Costs.size(); ++I) {
@@ -219,27 +191,12 @@ Json WorkerPool::result(const Json &Req) {
         Valid = false;
     }
   if (!Valid) {
-    // Re-queue only a batch still in flight on THIS worker: a
-    // superseded sender (the batch straggled and was re-dispatched to a
-    // healthy worker) just takes the strike. Order matters — the
-    // requeue can erase B outright (attempts exhausted ->
-    // finishBatchLocked), so it must precede evictLocked, whose orphan
-    // sweep then finds the batch already resolved or Queued and leaves
-    // it alone.
-    if (B.State == BatchState::InFlight && B.AssignedTo == WorkerId)
-      requeueLocked(B, "garbage-result");
-    if (++WIt->second.Strikes >= Opts.MaxStrikes)
-      evictLocked(WorkerId, "garbage-result");
+    evictLocked(WorkerId, "garbage-result");
     return errorReply("malformed result");
   }
-  // A structurally valid result clears the strike count: strikes gauge
-  // persistent misbehavior, not an honest worker's lifetime total.
-  WIt->second.Strikes = 0;
 
   for (size_t I = 0; I < Costs.size(); ++I)
     if (!Costs.at(I).isNull())
-      // Idempotent: the sim cost is deterministic, so a duplicate or
-      // late completion overwrites an entry with the identical value.
       B.Cache->insert(B.Points[I].Key, Costs.at(I).asNumber());
   ++TotalCompleted;
   finishBatchLocked(BatchId);
@@ -282,7 +239,6 @@ void WorkerPool::evalBatch(const BatchContext &Ctx,
     Group = NextGroupId++;
     size_t Base = Points.size() / Shards, Extra = Points.size() % Shards;
     size_t Off = 0;
-    auto Now = Clock::now();
     for (size_t S = 0; S < Shards; ++S) {
       size_t Count = Base + (S < Extra ? 1 : 0);
       Batch B;
@@ -291,7 +247,6 @@ void WorkerPool::evalBatch(const BatchContext &Ctx,
       Off += Count;
       B.Cache = &Cache;
       B.Group = Group;
-      B.NotBefore = Now;
       Json P = Json::object();
       P.set("id", B.Id);
       P.set("kernel", Ctx.Kernel);
@@ -327,18 +282,11 @@ void WorkerPool::evalBatch(const BatchContext &Ctx,
     auto GIt = GroupRemaining.find(Group);
     if (GIt == GroupRemaining.end() || GIt->second == 0)
       break;
-    if (Stopping || Workers.empty()) {
-      // Fleet gone: fail this group's remaining batches right now so
-      // the tune falls back to local evaluation instead of waiting out
-      // timeouts that no worker will ever beat.
-      std::vector<uint64_t> Remaining;
-      for (const auto &[Id, B] : Batches)
-        if (B.Group == Group)
-          Remaining.push_back(Id);
-      for (uint64_t Id : Remaining) {
-        ++TotalFailed;
-        finishBatchLocked(Id);
-      }
+    if (Workers.empty()) {
+      // Fleet gone: fail this group's queued batches now instead of
+      // waiting for a poller that will never come.
+      failWhereLocked([Group](const Batch &B) { return B.Group == Group; },
+                      "no-workers");
       break;
     }
     DoneCV.wait_for(Lock, std::chrono::milliseconds(50));
@@ -350,15 +298,7 @@ void WorkerPool::evalBatch(const BatchContext &Ctx,
 void WorkerPool::shutdown() {
   MutexLock Lock(M);
   Stopping = true;
-  std::vector<uint64_t> Remaining;
-  for (const auto &[Id, B] : Batches) {
-    (void)B;
-    Remaining.push_back(Id);
-  }
-  for (uint64_t Id : Remaining) {
-    ++TotalFailed;
-    finishBatchLocked(Id);
-  }
+  failWhereLocked([](const Batch &) { return true; }, "shutdown");
   WorkCV.notify_all();
   DoneCV.notify_all();
 }
@@ -370,7 +310,6 @@ Json WorkerPool::statsJson() const {
   J.set("joined", TotalJoined);
   J.set("lost", TotalLost);
   J.set("batches_dispatched", TotalDispatched);
-  J.set("batches_retried", TotalRetried);
   J.set("batches_failed", TotalFailed);
   J.set("batches_completed", TotalCompleted);
   J.set("batches_outstanding", static_cast<int64_t>(Batches.size()));

@@ -17,29 +17,32 @@
 /// the one-request/one-response framing of serve/Protocol.h is
 /// untouched.
 ///
-/// Failure model — every path degrades, none corrupts:
+/// Failure model — one rule: a batch is dispatched once, and a failure
+/// is costed at home. Each of
 ///
-///  * per-batch deadline (BatchTimeoutMs): a straggling batch is
-///    re-queued for another worker; the original's late result is still
-///    accepted (results are keyed by EvalKey and EvalCache::insert is
-///    idempotent for deterministic costs, so duplicate completions are
-///    harmless);
-///  * bounded retry with exponential backoff: a batch re-dispatches at
-///    most MaxAttempts times, waiting min(Base << (attempt-1), Max)
-///    between attempts;
-///  * heartbeat eviction: a worker silent for HeartbeatTimeoutMs is
-///    evicted and its in-flight batches re-queued; a SIGKILLed worker is
-///    caught even faster by its connection closing (Server calls
-///    disconnected());
-///  * garbage results: a structurally invalid worker.result strikes the
-///    worker (evicted after MaxStrikes consecutive garbage reports — a
-///    valid result resets the count) and re-queues the batch if it is
-///    still in flight on that worker; costs are never inserted from a
-///    malformed report;
-///  * fleet shrinks to zero: evalBatch() fails the remaining batches
-///    immediately and returns — the points stay uncached, so the
-///    engine's sequential decision loop evaluates them locally and the
-///    tuned winner is bit-identical to a never-had-workers run.
+///  * a disconnect (the worker's connection closed, e.g. SIGKILL; the
+///    Server calls disconnected()),
+///  * a heartbeat timeout (the worker silent for HeartbeatTimeoutMs),
+///  * a missed per-batch deadline (BatchTimeoutMs),
+///  * a malformed worker.result,
+///  * an empty fleet, and
+///  * shutdown
+///
+/// resolves the batch through one failLocked(): it counts in
+/// batches_failed, publishes one `batch.failed` event, and leaves the
+/// batch's points uncached, so the engine's decision loop costs them
+/// locally. The simulated cost is a pure function of (variant, machine,
+/// config), so the winner is bit-identical to a never-had-workers run
+/// whatever the fleet does. A disconnect, a heartbeat timeout and a
+/// malformed result also evict the sender, failing its other in-flight
+/// batches with it; a missed deadline does not (slow is not dead). A
+/// result for a batch that is no longer in flight on its sender, valid
+/// or malformed, is acknowledged `stale` and never inserted.
+///
+/// There is no retry: shards are sized to the live fleet, so a second
+/// dispatch of a shard could start only after some worker finished its
+/// own shard of the same group, and would end no sooner than the
+/// decision loop costing those points itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +55,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -65,15 +68,8 @@ namespace serve {
 struct FleetOptions {
   /// A worker silent (no poll/result/heartbeat) this long is evicted.
   int HeartbeatTimeoutMs = 5000;
-  /// Per-batch deadline; a straggler past it is re-dispatched.
+  /// Per-batch deadline; a batch still in flight past it fails.
   int BatchTimeoutMs = 30000;
-  /// Dispatch attempts per batch before it fails to local fallback.
-  int MaxAttempts = 3;
-  /// Exponential backoff between attempts: min(Base << (n-1), Max).
-  int BackoffBaseMs = 50;
-  int BackoffMaxMs = 2000;
-  /// Structurally invalid results tolerated before eviction.
-  int MaxStrikes = 2;
 };
 
 /// What a batch's points need beyond variant + config to be rebuilt
@@ -147,12 +143,13 @@ public:
   /// idle:true}. Blocks up to min(wait_ms, PollWaitCapMs) for work.
   Json poll(const Json &Req);
   /// worker.result {worker_id, batch_id, costs:[num|null,...]} -> {ok}.
-  /// A result for an already-resolved batch returns {ok, stale:true}.
+  /// A result for a batch not in flight on the sender returns {ok,
+  /// stale:true}; a malformed one evicts the sender.
   Json result(const Json &Req);
   /// worker.heartbeat {worker_id} -> {ok}.
   Json heartbeat(const Json &Req);
   /// The worker's connection closed (EOF / SIGKILL): evict immediately
-  /// and re-queue its in-flight batches.
+  /// and fail its in-flight batches.
   void disconnected(uint64_t WorkerId);
 
   // --- dispatch side ---
@@ -160,9 +157,10 @@ public:
   size_t liveWorkers() const;
 
   /// Shards \p Points contiguously across the live workers and blocks
-  /// until every shard completes, fails, or the fleet empties. Completed
-  /// costs are inserted into \p Cache under each point's Key. Returns
-  /// immediately when there are no live workers. Never throws.
+  /// until every shard completes or fails. Completed costs are inserted
+  /// into \p Cache under each point's Key; a failed shard's points stay
+  /// uncached. Returns immediately when there are no live workers.
+  /// Never throws.
   void evalBatch(const BatchContext &Ctx,
                  const std::vector<RemotePoint> &Points,
                  const std::string &Stage, EvalCache &Cache);
@@ -172,7 +170,7 @@ public:
   void shutdown();
 
   /// Fleet counters for the stats verb: live workers, lifetime
-  /// joins/losses, batches dispatched/retried/failed.
+  /// joins/losses, batches dispatched/failed/completed/outstanding.
   Json statsJson() const;
 
 private:
@@ -182,31 +180,28 @@ private:
     uint64_t Id = 0;
     std::string Name;
     Clock::time_point LastSeen;
-    int Strikes = 0;
   };
-
-  enum class BatchState { Queued, InFlight };
 
   struct Batch {
     uint64_t Id = 0;
     Json Payload; ///< prebuilt wire object handed to worker.poll
     std::vector<RemotePoint> Points;
     EvalCache *Cache = nullptr;
-    BatchState State = BatchState::Queued;
-    int Attempts = 0;           ///< incremented at each assignment
-    uint64_t AssignedTo = 0;    ///< worker id (InFlight only)
+    uint64_t AssignedTo = 0; ///< worker id once dispatched; 0 while queued
     Clock::time_point DispatchedAt;
-    Clock::time_point NotBefore; ///< backoff gate while Queued
-    uint64_t Group = 0;          ///< owning evalBatch call
+    uint64_t Group = 0; ///< owning evalBatch call
   };
 
-  /// Evicts \p WorkerId with \p Reason, re-queuing its in-flight
-  /// batches.
+  /// Evicts \p WorkerId with \p Reason, failing its in-flight batches.
   void evictLocked(uint64_t WorkerId, const std::string &Reason)
       ECO_REQUIRES(M);
-  /// Re-queues or fails \p B after a failed attempt.
-  void requeueLocked(Batch &B, const std::string &Reason) ECO_REQUIRES(M);
-  /// Heartbeat eviction + straggler re-dispatch sweep.
+  /// The one way a batch fails: counts it, publishes `batch.failed`, and
+  /// resolves it with its points uncached. \p B is gone on return.
+  void failLocked(Batch &B, const std::string &Reason) ECO_REQUIRES(M);
+  /// Fails every batch \p Match selects.
+  void failWhereLocked(const std::function<bool(const Batch &)> &Match,
+                       const std::string &Reason) ECO_REQUIRES(M);
+  /// Heartbeat eviction + batch deadline sweep.
   void reapLocked(Clock::time_point Now) ECO_REQUIRES(M);
   /// Drops \p Id from Batches and wakes its evalBatch.
   void finishBatchLocked(uint64_t Id) ECO_REQUIRES(M);
@@ -231,7 +226,6 @@ private:
   uint64_t TotalJoined ECO_GUARDED_BY(M) = 0;
   uint64_t TotalLost ECO_GUARDED_BY(M) = 0;
   uint64_t TotalDispatched ECO_GUARDED_BY(M) = 0;
-  uint64_t TotalRetried ECO_GUARDED_BY(M) = 0;
   uint64_t TotalFailed ECO_GUARDED_BY(M) = 0;
   uint64_t TotalCompleted ECO_GUARDED_BY(M) = 0;
 };

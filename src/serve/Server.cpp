@@ -802,8 +802,8 @@ void Server::handleConnection(int Fd, Conn &C) {
     }
   }
   // A dying connection is how a SIGKILLed worker announces itself:
-  // evict it now so its in-flight batches re-dispatch immediately
-  // instead of waiting out the heartbeat timeout.
+  // evict it now so its in-flight batches fail, and are costed at home,
+  // immediately instead of after the heartbeat timeout.
   if (ConnWorkerId)
     Service.workers().disconnected(ConnWorkerId);
   // Close under the lock so stop()'s shutdown() sweep never races a
@@ -821,7 +821,7 @@ Json Server::handleRequest(const Json &Req, uint64_t &ConnWorkerId) {
     Json J = Service.workers().hello(Req);
     if (J.get("ok").asBool(false)) {
       // One registration per connection: a re-hello (after eviction)
-      // supersedes the old id, which is evicted so its batches requeue.
+      // supersedes the old id, which is evicted so its batches fail.
       uint64_t NewId = static_cast<uint64_t>(J.get("worker_id").asInt());
       if (ConnWorkerId && ConnWorkerId != NewId)
         Service.workers().disconnected(ConnWorkerId);

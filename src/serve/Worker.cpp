@@ -35,14 +35,17 @@ void evaluateBatch(const Json &Batch, PointResolver &Resolver,
                    const std::function<void()> &BetweenPoints) {
   CostsOut = Json::array();
   const Json &Points = Batch.get("points");
+  std::string Error;
   const PointContext *Ctx = Resolver.resolve(
       {Batch.get("kernel").asString(), Batch.get("machine").asString(),
        static_cast<unsigned>(Batch.get("scale").asInt(1)),
        Batch.get("rep_n").asInt()},
-      nullptr);
+      &Error);
   if (!Ctx) {
-    // Unresolvable batch: answer all-null rather than erroring, so the
-    // daemon resolves the batch once instead of re-dispatching it.
+    // Unresolvable batch: answer all-null, a valid answer, so the daemon
+    // costs its points locally without evicting this worker.
+    ECO_LOG(Warn) << "worker: batch " << Batch.get("id").asInt()
+                  << " answered all-null: " << Error;
     for (size_t I = 0; I < Points.size(); ++I)
       CostsOut.push(Json());
     return;
@@ -68,7 +71,7 @@ void evaluateBatch(const Json &Batch, PointResolver &Resolver,
       continue;
     }
     // A refused or non-finite point answers null, never a cost: the
-    // daemon's decision loop re-derives the rejection without a strike.
+    // daemon's decision loop re-derives the rejection itself.
     EvalOutcome O = Engine.evaluate(*V, Config, "remote");
     CostsOut.push(O.Rejected || !std::isfinite(O.Cost) ? Json()
                                                        : Json(O.Cost));
@@ -148,8 +151,8 @@ int eco::serve::runWorker(const WorkerOptions &Opts) {
       continue;
     }
     if (!Resp.get("ok").asBool(false)) {
-      // Evicted (heartbeat lapse, garbage strikes): re-register on the
-      // same connection and start fresh.
+      // Evicted (heartbeat lapse, a malformed result): re-register on
+      // the same connection and start fresh.
       if (!hello())
         C.reset();
       continue;
@@ -169,7 +172,7 @@ int eco::serve::runWorker(const WorkerOptions &Opts) {
     }
     if (Opts.Chaos == "freeze") {
       // Hold the batch silently; the daemon's heartbeat reaper evicts
-      // us and re-dispatches. Park until told to stop.
+      // us and costs the batch at home. Park until told to stop.
       ECO_LOG(Warn) << "worker: chaos 'freeze': going silent";
       while (!stopRequested())
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -214,6 +217,7 @@ int eco::serve::runWorker(const WorkerOptions &Opts) {
 }
 
 int eco::serve::workerToolMain(const std::vector<std::string> &Args) {
+  obs::setLogLevelByName("info"); // a worker should say what it's doing
   WorkerOptions Opts;
   bool Bad = false;
   for (const std::string &Arg : Args) {

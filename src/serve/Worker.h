@@ -76,7 +76,7 @@ int runWorker(const WorkerOptions &Opts);
 ///   --timeout-ms=MS   connect/response timeout (default 10000)
 ///   --max-batches=N   exit after N batches (default: run forever)
 /// Numeric flags parse strictly: a malformed or out-of-range value
-/// prints usage and returns 2.
+/// prints usage and returns 2. Logs at `info`, as the daemon does.
 int workerToolMain(const std::vector<std::string> &Args);
 
 } // namespace serve

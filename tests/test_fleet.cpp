@@ -1,12 +1,14 @@
 //===- tests/test_fleet.cpp - Remote eval-worker fleet tests --------------===//
 //
 // Covers serve/Fleet.h + serve/Worker.h: the WorkerPool dispatcher's
-// wire verbs (hello/poll/result/heartbeat), sharding, bounded retry with
-// backoff, heartbeat eviction, straggler re-dispatch with idempotent
-// late results, garbage-result strikes, zero-worker degradation, null
-// answers for shipped points whose transform is illegal, and —
-// end to end — that a tune served by in-process workers (including a
-// vanishing one) and by fork/exec'd eco_worker processes with one
+// wire verbs (hello/poll/result/heartbeat), sharding, zero-worker
+// degradation, and its one failure rule — a batch is dispatched once,
+// and a failure is costed at home — as one table over the six failure
+// paths (disconnect, heartbeat timeout, missed deadline, malformed
+// result, empty fleet, shutdown) with stale late results; null answers
+// for shipped points whose transform is illegal; and — end to end —
+// that a tune served by in-process workers (including a vanishing or a
+// freezing one) and by fork/exec'd eco_worker processes with one
 // SIGKILLed mid-tune produces a winner bit-identical to a fleetless
 // run. Carries the "fleet" ctest label and runs under ThreadSanitizer
 // (the fork/exec tests skip there, the in-process ones do not).
@@ -32,6 +34,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -134,9 +137,7 @@ JobSpec fleetSpec(int64_t N = 48) {
 // ---- WorkerPool wire verbs ----------------------------------------------
 
 TEST(WorkerPoolTest, HelloPollResultCompletesABatch) {
-  FleetOptions FO;
-  FO.BackoffBaseMs = 5;
-  WorkerPool Pool(FO);
+  WorkerPool Pool;
   uint64_t Wid = helloWorker(Pool, "w1");
   EXPECT_EQ(Pool.liveWorkers(), 1u);
 
@@ -233,292 +234,142 @@ TEST(WorkerPoolTest, NoWorkersMeansImmediateLocalFallback) {
   EXPECT_EQ(Pool.statsJson().get("batches_dispatched").asInt(), 0);
 }
 
-TEST(WorkerPoolTest, DisconnectedWorkerBatchRedispatchesWithBackoff) {
-  FleetOptions FO;
-  FO.BackoffBaseMs = 5;
-  FO.BackoffMaxMs = 20;
-  WorkerPool Pool(FO);
-  uint64_t W1 = helloWorker(Pool, "doomed");
-  uint64_t W2 = helloWorker(Pool, "survivor");
+// ---- The one failure rule ------------------------------------------------
 
-  EvalCache Cache;
-  std::vector<RemotePoint> Points = somePoints(1);
-  std::thread Evaluator(
-      [&] { Pool.evalBatch(someContext(), Points, "warm", Cache); });
+namespace {
 
-  // W1 takes the batch and dies (connection closed = SIGKILL path).
-  Json B = pollForBatch(Pool, W1);
-  ASSERT_TRUE(B.isObject());
-  Pool.disconnected(W1);
-  EXPECT_EQ(Pool.liveWorkers(), 1u);
+/// One way a batch can fail.
+struct FailureRow {
+  const char *Name;
+  FleetOptions Opts;
+  /// The worker takes the batch before the failure (false: it stays
+  /// queued).
+  bool Dispatch;
+  /// Breaks the batch: \p Batch is what the worker took (null if none).
+  std::function<void(WorkerPool &, uint64_t Wid, const Json &Batch)> Fail;
+  /// The reason its one batch.failed event carries.
+  const char *Reason;
+  /// The worker is gone afterwards.
+  bool Evicts;
+};
 
-  // The batch re-queues (after backoff) and W2 completes it.
-  Json B2 = pollForBatch(Pool, W2);
-  ASSERT_TRUE(B2.isObject());
-  EXPECT_EQ(B2.get("id").asInt(), B.get("id").asInt());
-  EXPECT_TRUE(sendCosts(Pool, W2, B2, {Json(7.0)}).get("ok").asBool(false));
-  Evaluator.join();
+} // namespace
 
-  EXPECT_EQ(Cache.lookup(Points[0].Key).value_or(-1), 7.0);
-  Json Stats = Pool.statsJson();
-  EXPECT_EQ(Stats.get("lost").asInt(), 1);
-  EXPECT_GE(Stats.get("batches_retried").asInt(), 1);
-  EXPECT_EQ(Stats.get("batches_completed").asInt(), 1);
-}
+// Every failure resolves the batch once through failLocked: its points
+// stay uncached (the decision loop costs them at home), it counts once
+// in batches_failed and publishes one batch.failed, and nothing stays
+// outstanding. Only a disconnect, a heartbeat timeout or a malformed
+// result evicts the sender; after any other failure the still-live
+// sender's late result, valid or malformed, is stale, never inserted,
+// and evicts nothing.
+TEST(WorkerPoolTest, EachFailurePathResolvesTheBatchOnce) {
+  const std::vector<FailureRow> Rows = {
+      {"disconnect", {}, true,
+       [](WorkerPool &Pool, uint64_t Wid, const Json &) {
+         Pool.disconnected(Wid);
+       },
+       "disconnected", true},
+      // Silent after taking the batch: evalBatch's reap laps evict it.
+      {"heartbeat", {.HeartbeatTimeoutMs = 150}, true,
+       [](WorkerPool &, uint64_t, const Json &) {}, "heartbeat-timeout",
+       true},
+      // Holds the batch past its deadline; slow, not dead.
+      {"deadline", {.BatchTimeoutMs = 100}, true,
+       [](WorkerPool &, uint64_t, const Json &) {}, "deadline", false},
+      {"garbage", {}, true,
+       [](WorkerPool &Pool, uint64_t Wid, const Json &Batch) {
+         Json R = sendCosts(Pool, Wid, Batch, {Json("not-a-cost")});
+         EXPECT_FALSE(R.get("ok").asBool(true));
+         EXPECT_EQ(R.get("error").asString(), "malformed result");
+       },
+       "garbage-result", true},
+      // The only worker leaves before it takes the queued batch.
+      {"empty-fleet", {}, false,
+       [](WorkerPool &Pool, uint64_t Wid, const Json &) {
+         Pool.disconnected(Wid);
+       },
+       "no-workers", true},
+      // After shutdown, dispatch is a no-op (batches_dispatched stays 1).
+      {"shutdown", {}, true,
+       [](WorkerPool &Pool, uint64_t, const Json &) {
+         Pool.shutdown();
+         EvalCache After;
+         Pool.evalBatch(someContext(), somePoints(1), "warm", After);
+       },
+       "shutdown", false},
+  };
 
-TEST(WorkerPoolTest, SilentWorkerIsEvictedByHeartbeatTimeout) {
-  FleetOptions FO;
-  FO.HeartbeatTimeoutMs = 150;
-  FO.BackoffBaseMs = 5;
-  WorkerPool Pool(FO);
-  uint64_t Frozen = helloWorker(Pool, "frozen");
-  uint64_t Live = helloWorker(Pool, "live");
-
-  EvalCache Cache;
-  std::vector<RemotePoint> Points = somePoints(1);
-  std::thread Evaluator(
-      [&] { Pool.evalBatch(someContext(), Points, "warm", Cache); });
-
-  // The frozen worker takes the batch and never speaks again; the
-  // reaper (driven by evalBatch's wait laps) must evict it and hand the
-  // batch to the live worker.
-  ASSERT_TRUE(pollForBatch(Pool, Frozen).isObject());
-  Json B = pollForBatch(Pool, Live);
-  ASSERT_TRUE(B.isObject());
-  EXPECT_TRUE(sendCosts(Pool, Live, B, {Json(9.5)}).get("ok").asBool(false));
-  Evaluator.join();
-
-  EXPECT_EQ(Cache.lookup(Points[0].Key).value_or(-1), 9.5);
-  EXPECT_EQ(Pool.liveWorkers(), 1u);
-  Json Stats = Pool.statsJson();
-  EXPECT_EQ(Stats.get("lost").asInt(), 1);
-  EXPECT_GE(Stats.get("batches_retried").asInt(), 1);
-}
-
-TEST(WorkerPoolTest, StragglerRedispatchesAndLateResultIsStale) {
-  FleetOptions FO;
-  FO.BatchTimeoutMs = 100; // straggle fast
-  FO.BackoffBaseMs = 5;
-  WorkerPool Pool(FO);
-  uint64_t Slow = helloWorker(Pool, "slow");
-  uint64_t Fast = helloWorker(Pool, "fast");
-
-  EvalCache Cache;
-  std::vector<RemotePoint> Points = somePoints(1);
-  std::thread Evaluator(
-      [&] { Pool.evalBatch(someContext(), Points, "warm", Cache); });
-
-  // The slow worker holds the batch past its deadline (still polling
-  // later keeps it alive — slow, not dead).
-  Json BSlow = pollForBatch(Pool, Slow);
-  ASSERT_TRUE(BSlow.isObject());
-  Json BFast = pollForBatch(Pool, Fast);
-  ASSERT_TRUE(BFast.isObject());
-  EXPECT_EQ(BFast.get("id").asInt(), BSlow.get("id").asInt());
-  EXPECT_TRUE(
-      sendCosts(Pool, Fast, BFast, {Json(3.5)}).get("ok").asBool(false));
-  Evaluator.join();
-
-  // The straggler's late duplicate is acknowledged, not re-inserted as
-  // a new batch — and the cached cost is whatever the (deterministic)
-  // evaluation produced, identical from either worker.
-  Json Late = sendCosts(Pool, Slow, BSlow, {Json(3.5)});
-  EXPECT_TRUE(Late.get("ok").asBool(false));
-  EXPECT_TRUE(Late.get("stale").asBool(false));
-  EXPECT_EQ(Cache.lookup(Points[0].Key).value_or(-1), 3.5);
-  EXPECT_EQ(Pool.liveWorkers(), 2u) << "a straggler is slow, not dead";
-  EXPECT_GE(Pool.statsJson().get("batches_retried").asInt(), 1);
-}
-
-TEST(WorkerPoolTest, GarbageResultsStrikeThenEvict) {
-  FleetOptions FO;
-  FO.MaxStrikes = 2;
-  FO.MaxAttempts = 5;
-  FO.BackoffBaseMs = 5;
-  WorkerPool Pool(FO);
-  uint64_t Liar = helloWorker(Pool, "liar");
-
-  EvalCache Cache;
-  std::vector<RemotePoint> Points = somePoints(2);
-  std::thread Evaluator(
-      [&] { Pool.evalBatch(someContext(), Points, "warm", Cache); });
-
-  // Strike 1: wrong arity. Strike 2: non-numeric cost -> evicted; the
-  // fleet is now empty, so the group fails out to local fallback.
-  Json B1 = pollForBatch(Pool, Liar);
-  ASSERT_TRUE(B1.isObject());
-  Json R1 = sendCosts(Pool, Liar, B1, {Json(1.0)});
-  EXPECT_FALSE(R1.get("ok").asBool(true));
-  EXPECT_EQ(R1.get("error").asString(), "malformed result");
-
-  Json B2 = pollForBatch(Pool, Liar);
-  ASSERT_TRUE(B2.isObject());
-  Json R2 = sendCosts(Pool, Liar, B2, {Json("not-a-cost"), Json(2.0)});
-  EXPECT_FALSE(R2.get("ok").asBool(true));
-  Evaluator.join();
-
-  EXPECT_EQ(Pool.liveWorkers(), 0u);
-  EXPECT_EQ(Cache.size(), 0u) << "garbage must never reach the cache";
-  Json Stats = Pool.statsJson();
-  EXPECT_EQ(Stats.get("lost").asInt(), 1);
-  EXPECT_EQ(Stats.get("batches_outstanding").asInt(), 0);
-}
-
-// Regression: a garbage result that simultaneously exhausts the batch's
-// attempts AND the worker's strikes used to evict first — the eviction
-// sweep re-queued (and, attempts spent, erased) the batch, and the
-// handler then touched the freed Batch. Must resolve cleanly: worker
-// evicted, batch failed out exactly once, nothing double-counted.
-TEST(WorkerPoolTest, GarbageOnLastAttemptFromLastStrikeWorkerIsSafe) {
-  FleetOptions FO;
-  FO.MaxStrikes = 1;
-  FO.MaxAttempts = 1;
-  FO.BackoffBaseMs = 5;
-  WorkerPool Pool(FO);
-  uint64_t Liar = helloWorker(Pool, "liar");
-
-  EvalCache Cache;
-  std::vector<RemotePoint> Points = somePoints(1);
-  std::thread Evaluator(
-      [&] { Pool.evalBatch(someContext(), Points, "warm", Cache); });
-
-  Json B = pollForBatch(Pool, Liar);
-  ASSERT_TRUE(B.isObject());
-  Json R = sendCosts(Pool, Liar, B, {Json("not-a-cost")});
-  EXPECT_FALSE(R.get("ok").asBool(true));
-  EXPECT_EQ(R.get("error").asString(), "malformed result");
-  Evaluator.join();
-
-  EXPECT_EQ(Pool.liveWorkers(), 0u);
-  EXPECT_EQ(Cache.size(), 0u);
-  Json Stats = Pool.statsJson();
-  EXPECT_EQ(Stats.get("lost").asInt(), 1);
-  EXPECT_EQ(Stats.get("batches_retried").asInt(), 0)
-      << "attempts exhausted: the batch fails out, it is not retried";
-  EXPECT_EQ(Stats.get("batches_failed").asInt(), 1);
-  EXPECT_EQ(Stats.get("batches_outstanding").asInt(), 0);
-}
-
-// Regression: when a garbage result evicts its sender while the batch
-// still has attempts left, the batch must be re-queued exactly once —
-// not once by the handler and again by the eviction sweep.
-TEST(WorkerPoolTest, GarbageEvictionDoesNotDoubleRetry) {
-  FleetOptions FO;
-  FO.MaxStrikes = 1;
-  FO.MaxAttempts = 5;
-  FO.BackoffBaseMs = 5;
-  WorkerPool Pool(FO);
-  uint64_t Liar = helloWorker(Pool, "liar");
-
-  EvalCache Cache;
-  std::vector<RemotePoint> Points = somePoints(1);
-  std::thread Evaluator(
-      [&] { Pool.evalBatch(someContext(), Points, "warm", Cache); });
-
-  Json B = pollForBatch(Pool, Liar);
-  ASSERT_TRUE(B.isObject());
-  EXPECT_FALSE(
-      sendCosts(Pool, Liar, B, {Json("junk")}).get("ok").asBool(true));
-  Evaluator.join(); // fleet now empty -> group fails out to local
-
-  Json Stats = Pool.statsJson();
-  EXPECT_EQ(Stats.get("lost").asInt(), 1);
-  EXPECT_EQ(Stats.get("batches_retried").asInt(), 1)
-      << "one failure, one retry — handler and eviction sweep must not "
-         "both re-queue";
-  EXPECT_EQ(Stats.get("batches_outstanding").asInt(), 0);
-}
-
-// Regression: a superseded worker's garbage result (its batch already
-// straggled and was re-dispatched to a healthy worker) must only strike
-// the sender — not yank the batch back to Queued out from under the
-// healthy worker computing it.
-TEST(WorkerPoolTest, SupersededGarbageResultDoesNotRequeue) {
-  FleetOptions FO;
-  FO.BatchTimeoutMs = 100; // straggle fast
-  FO.MaxStrikes = 2;
-  FO.BackoffBaseMs = 5;
-  WorkerPool Pool(FO);
-  uint64_t Slow = helloWorker(Pool, "slow");
-  uint64_t Fast = helloWorker(Pool, "fast");
-
-  EvalCache Cache;
-  std::vector<RemotePoint> Points = somePoints(1);
-  std::thread Evaluator(
-      [&] { Pool.evalBatch(someContext(), Points, "warm", Cache); });
-
-  Json BSlow = pollForBatch(Pool, Slow);
-  ASSERT_TRUE(BSlow.isObject());
-  Json BFast = pollForBatch(Pool, Fast); // straggler re-dispatch
-  ASSERT_TRUE(BFast.isObject());
-  EXPECT_EQ(BFast.get("id").asInt(), BSlow.get("id").asInt());
-
-  // The superseded slow worker reports garbage: strike it, but leave
-  // the batch in flight on the fast worker.
-  Json R = sendCosts(Pool, Slow, BSlow, {Json("junk")});
-  EXPECT_FALSE(R.get("ok").asBool(true));
-  EXPECT_EQ(Pool.statsJson().get("batches_retried").asInt(), 1)
-      << "only the straggler re-dispatch counts, not the stale garbage";
-
-  EXPECT_TRUE(
-      sendCosts(Pool, Fast, BFast, {Json(7.5)}).get("ok").asBool(false));
-  Evaluator.join();
-
-  EXPECT_EQ(Cache.lookup(Points[0].Key).value_or(-1), 7.5);
-  EXPECT_EQ(Pool.liveWorkers(), 2u) << "one strike is not an eviction";
-  EXPECT_EQ(Pool.statsJson().get("lost").asInt(), 0);
-}
-
-// Strikes measure consecutive misbehavior: a structurally valid result
-// resets the count, so an honest-but-occasionally-glitchy worker is not
-// evicted for two malformed reports spread across its whole lifetime.
-TEST(WorkerPoolTest, ValidResultResetsStrikes) {
-  FleetOptions FO;
-  FO.MaxStrikes = 2;
-  FO.MaxAttempts = 10;
-  FO.BackoffBaseMs = 5;
-  WorkerPool Pool(FO);
-  uint64_t Wid = helloWorker(Pool, "glitchy");
-
-  EvalCache Cache;
-  for (int Round = 0; Round < 2; ++Round) {
-    std::vector<RemotePoint> Points = somePoints(1);
-    Points[0].Key.EnvHash = 100 + Round; // distinct cache entries
+  for (const FailureRow &Row : Rows) {
+    SCOPED_TRACE(Row.Name);
+    EventCapture Cap;
+    WorkerPool Pool(Row.Opts);
+    uint64_t Wid = helloWorker(Pool, "w");
+    EvalCache Cache;
+    std::vector<RemotePoint> Points = somePoints(2);
     std::thread Evaluator(
         [&] { Pool.evalBatch(someContext(), Points, "warm", Cache); });
-    // Garbage (strike), then the re-queued batch succeeds (reset).
-    // Without the reset, round 1's garbage would be strike 2 -> evict.
-    Json B = pollForBatch(Pool, Wid);
-    ASSERT_TRUE(B.isObject());
-    EXPECT_FALSE(
-        sendCosts(Pool, Wid, B, {Json("junk")}).get("ok").asBool(true));
-    Json B2 = pollForBatch(Pool, Wid);
-    ASSERT_TRUE(B2.isObject()) << "round " << Round << ": still live";
-    EXPECT_TRUE(
-        sendCosts(Pool, Wid, B2, {Json(1.5)}).get("ok").asBool(false));
-    Evaluator.join();
-  }
 
-  EXPECT_EQ(Pool.liveWorkers(), 1u)
-      << "a valid result between strikes must reset the count";
-  EXPECT_EQ(Pool.statsJson().get("lost").asInt(), 0);
-  EXPECT_EQ(Cache.size(), 2u);
+    Json Batch;
+    if (Row.Dispatch) {
+      Batch = pollForBatch(Pool, Wid);
+      ASSERT_TRUE(Batch.isObject());
+    } else {
+      for (int I = 0; I < 300 && Pool.statsJson()
+                                         .get("batches_outstanding")
+                                         .asInt() == 0;
+           ++I)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    Row.Fail(Pool, Wid, Batch);
+    Evaluator.join(); // evalBatch returns once the batch resolves
+
+    EXPECT_EQ(Cache.size(), 0u) << "a failed batch's points stay uncached";
+    Json Stats = Pool.statsJson();
+    EXPECT_EQ(Stats.get("batches_dispatched").asInt(), 1);
+    EXPECT_EQ(Stats.get("batches_failed").asInt(), 1);
+    EXPECT_EQ(Stats.get("batches_completed").asInt(), 0);
+    EXPECT_EQ(Stats.get("batches_outstanding").asInt(), 0);
+    std::vector<std::string> Reasons;
+    for (const obs::Event &E : Cap.events())
+      if (E.Type == "batch.failed")
+        Reasons.push_back(E.Fields.get("reason").asString());
+    EXPECT_EQ(Reasons, std::vector<std::string>{Row.Reason});
+    EXPECT_EQ(Stats.get("lost").asInt(), Row.Evicts ? 1 : 0);
+    EXPECT_EQ(Pool.liveWorkers(), Row.Evicts ? 0u : 1u);
+
+    if (!Row.Evicts) {
+      for (Json Late : {Json(4.5), Json("not-a-cost")}) {
+        Json R = sendCosts(Pool, Wid, Batch, {Late, Late});
+        EXPECT_TRUE(R.get("ok").asBool(false));
+        EXPECT_TRUE(R.get("stale").asBool(false));
+      }
+      EXPECT_EQ(Cache.size(), 0u) << "a late result is never inserted";
+      EXPECT_EQ(Pool.liveWorkers(), 1u) << "a late result evicts nothing";
+      EXPECT_EQ(Pool.statsJson().get("batches_failed").asInt(), 1);
+    }
+  }
 }
 
-TEST(WorkerPoolTest, ShutdownFailsOutstandingBatchesPromptly) {
-  WorkerPool Pool;
-  helloWorker(Pool, "idle");
+// A worker blocked in worker.poll is alive for the whole wait, however
+// long it is next to HeartbeatTimeoutMs: the reaper that evicts a silent
+// batch holder must not take the idle poller with it.
+TEST(WorkerPoolTest, BlockedPollerOutlivesTheHeartbeatTimeout) {
+  WorkerPool Pool(FleetOptions{.HeartbeatTimeoutMs = 150});
+  uint64_t Silent = helloWorker(Pool, "silent");
+  uint64_t Idle = helloWorker(Pool, "idle");
   EvalCache Cache;
-  std::vector<RemotePoint> Points = somePoints(2);
+  std::vector<RemotePoint> Points = somePoints(1);
   std::thread Evaluator(
       [&] { Pool.evalBatch(someContext(), Points, "warm", Cache); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  Pool.shutdown();
-  Evaluator.join(); // must not hang
-  EXPECT_EQ(Cache.size(), 0u);
-  // After shutdown, dispatch is a no-op.
-  Pool.evalBatch(someContext(), Points, "warm", Cache);
-  EXPECT_EQ(Pool.statsJson().get("batches_outstanding").asInt(), 0);
+  ASSERT_TRUE(pollForBatch(Pool, Silent).isObject());
+
+  Json Req = Json::object();
+  Req.set("worker_id", Idle);
+  Req.set("wait_ms", static_cast<int64_t>(400));
+  EXPECT_TRUE(Pool.poll(Req).get("idle").asBool(false));
+  Evaluator.join();
+  EXPECT_EQ(Pool.liveWorkers(), 1u);
+  EXPECT_EQ(Pool.statsJson().get("lost").asInt(), 1) << "only the silent one";
 }
 
 // ---- End to end: in-process workers over the real socket protocol -------
@@ -583,16 +434,14 @@ TEST(FleetEndToEndTest, InProcessWorkersMatchFleetlessTuneBitExactly) {
   std::remove(Sock.c_str());
 }
 
-TEST(FleetEndToEndTest, IllegalPointReturnsNullWithoutStrikeAndRejectsOnce) {
+TEST(FleetEndToEndTest, IllegalPointReturnsNullWithoutEvictionAndRejectsOnce) {
   // Cache keys need no instantiation, so the daemon ships points without
   // checking that their transforms are legal. The worker must answer
-  // null for an illegal one (no strike), and each side must record the
-  // rejection exactly once.
+  // null for an illegal one (a valid answer: a malformed one would evict
+  // it), and each side must record the rejection exactly once.
   std::string Sock = tempPath("eco_fleet_illegal.sock");
   std::remove(Sock.c_str());
-  ServiceOptions Opts;
-  Opts.Fleet.MaxStrikes = 1; // a single strike would evict the worker
-  TuneService Service(Opts);
+  TuneService Service;
   ServerOptions SOpts;
   SOpts.UnixPath = Sock;
   Server Srv(Service, SOpts);
@@ -669,9 +518,55 @@ TEST(FleetEndToEndTest, IllegalPointReturnsNullWithoutStrikeAndRejectsOnce) {
   Json Stats = Service.workers().statsJson();
   EXPECT_EQ(Stats.get("workers_live").asInt(), 1);
   EXPECT_EQ(Stats.get("lost").asInt(), 0);
-  EXPECT_EQ(Stats.get("batches_retried").asInt(), 0);
   EXPECT_EQ(Stats.get("batches_failed").asInt(), 0);
   EXPECT_EQ(Stats.get("batches_completed").asInt(), 1);
+
+  Stop.store(true);
+  T.join();
+  Srv.stop();
+  Service.drain();
+  std::remove(Sock.c_str());
+}
+
+TEST(FleetEndToEndTest, UnresolvableBatchIsAnsweredNullAndLogged) {
+  // A batch whose context names no kernel is a valid all-null answer:
+  // the batch completes, nothing is cached, nobody is evicted, and the
+  // worker says why at Warn.
+  std::string Sock = tempPath("eco_fleet_unresolvable.sock");
+  std::remove(Sock.c_str());
+  TuneService Service;
+  ServerOptions SOpts;
+  SOpts.UnixPath = Sock;
+  Server Srv(Service, SOpts);
+  std::string Err;
+  ASSERT_TRUE(Srv.start(&Err)) << Err;
+
+  std::atomic<bool> Stop{false};
+  WorkerOptions Honest;
+  Honest.Socket = Sock;
+  Honest.PollWaitMs = 100;
+  Honest.TimeoutMs = 5000;
+  Honest.Stop = &Stop;
+  std::thread T([&] { runWorker(Honest); });
+  for (int Tries = 0; Tries < 500 && Service.workers().liveWorkers() < 1;
+       ++Tries)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_EQ(Service.workers().liveWorkers(), 1u);
+
+  BatchContext Ctx = someContext();
+  Ctx.Kernel = "no-such-kernel";
+  EvalCache Cache;
+  ::testing::internal::CaptureStderr();
+  Service.workers().evalBatch(Ctx, somePoints(2), "warm", Cache);
+  std::string Log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(Log.find("answered all-null: unknown kernel 'no-such-kernel'"),
+            std::string::npos)
+      << Log;
+  EXPECT_EQ(Cache.size(), 0u);
+  Json Stats = Service.workers().statsJson();
+  EXPECT_EQ(Stats.get("batches_completed").asInt(), 1);
+  EXPECT_EQ(Stats.get("batches_failed").asInt(), 0);
+  EXPECT_EQ(Stats.get("lost").asInt(), 0);
 
   Stop.store(true);
   T.join();
@@ -783,7 +678,8 @@ TEST(FleetKillTest, SigkilledWorkerMidTuneWinnerStaysBitIdentical) {
 
   // Submit, wait for the first batch to be in flight, then SIGKILL one
   // worker mid-tune. The dispatcher must notice (connection close or
-  // heartbeat lapse), re-dispatch, and the job must still resolve.
+  // heartbeat lapse) and fail its batch, whose points the daemon then
+  // costs at home, and the job must still resolve.
   std::shared_ptr<ServeJob> Job = Service.submit(Spec);
   for (int Tries = 0; Tries < 1000 && !Job->done(); ++Tries) {
     if (Service.workers().statsJson().get("batches_dispatched").asInt() >= 1)

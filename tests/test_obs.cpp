@@ -532,9 +532,8 @@ TEST(ObsMetricsFold, EachMappedEventUpdatesItsMetric) {
        "c serve.cancelled 1 g serve.queue_depth 0"},
       {"worker.joined", R"({"live":2})", "g serve.workers_live 2"},
       {"worker.lost", R"({"live":1})", "g serve.workers_live 1"},
-      {"batch.redispatched", "{}", "c serve.batches_retried 1"},
-      {"batch.redispatched", R"({"exhausted":true})",
-       "c serve.batches_retried 0"},
+      {"batch.failed", R"({"batch_id":7,"reason":"deadline"})",
+       "c serve.batches_failed 1"},
       {"cache.loaded", R"({"entries":4,"foreign":3})",
        "c cache.loads 1 c cache.foreign_rejected 3"},
       {"cache.saved", "{}", "c cache.saves 1"},
