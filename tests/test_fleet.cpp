@@ -276,9 +276,19 @@ TEST(WorkerPoolTest, EachFailurePathResolvesTheBatchOnce) {
       // Holds the batch past its deadline; slow, not dead.
       {"deadline", {.BatchTimeoutMs = 100}, true,
        [](WorkerPool &, uint64_t, const Json &) {}, "deadline", false},
-      {"garbage", {}, true,
+      // One slot per point, but one slot is not a cost: nothing is
+      // inserted, not even the valid neighbour.
+      {"garbage-cost", {}, true,
        [](WorkerPool &Pool, uint64_t Wid, const Json &Batch) {
-         Json R = sendCosts(Pool, Wid, Batch, {Json("not-a-cost")});
+         Json R = sendCosts(Pool, Wid, Batch, {Json("not-a-cost"), Json(2.0)});
+         EXPECT_FALSE(R.get("ok").asBool(true));
+         EXPECT_EQ(R.get("error").asString(), "malformed result");
+       },
+       "garbage-result", true},
+      // Valid costs, but one slot short of the batch.
+      {"garbage-arity", {}, true,
+       [](WorkerPool &Pool, uint64_t Wid, const Json &Batch) {
+         Json R = sendCosts(Pool, Wid, Batch, {Json(2.0)});
          EXPECT_FALSE(R.get("ok").asBool(true));
          EXPECT_EQ(R.get("error").asString(), "malformed result");
        },
@@ -290,12 +300,17 @@ TEST(WorkerPoolTest, EachFailurePathResolvesTheBatchOnce) {
        },
        "no-workers", true},
       // After shutdown, dispatch is a no-op (batches_dispatched stays 1).
-      {"shutdown", {}, true,
+      {"shutdown-in-flight", {}, true,
        [](WorkerPool &Pool, uint64_t, const Json &) {
          Pool.shutdown();
          EvalCache After;
          Pool.evalBatch(someContext(), somePoints(1), "warm", After);
        },
+       "shutdown", false},
+      // No worker has taken the batch: shutdown's sweep alone must wake
+      // evalBatch. The late sends name batch 0, which no batch has.
+      {"shutdown-queued", {}, false,
+       [](WorkerPool &Pool, uint64_t, const Json &) { Pool.shutdown(); },
        "shutdown", false},
   };
 
