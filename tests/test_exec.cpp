@@ -1,5 +1,7 @@
 //===- tests/test_exec.cpp - exec/ unit + property tests ------------------===//
 
+#include "core/DeriveVariants.h"
+#include "core/Search.h"
 #include "exec/Run.h"
 #include "kernels/Kernels.h"
 #include "kernels/Reference.h"
@@ -38,6 +40,22 @@ std::vector<double> referenceC(int64_t N) {
   fillDeterministic(C, 3);
   referenceMatMul(A, B, C, N);
   return C;
+}
+
+/// Every HWCounters field must match exactly; cycles are compared with
+/// ==, not within ULPs.
+void expectSameCounters(const HWCounters &Fast, const HWCounters &Ref,
+                        const std::string &Ctx) {
+  EXPECT_EQ(Fast.Loads, Ref.Loads) << Ctx;
+  EXPECT_EQ(Fast.Stores, Ref.Stores) << Ctx;
+  EXPECT_EQ(Fast.Prefetches, Ref.Prefetches) << Ctx;
+  EXPECT_EQ(Fast.Flops, Ref.Flops) << Ctx;
+  EXPECT_EQ(Fast.LoopIters, Ref.LoopIters) << Ctx;
+  for (unsigned L = 0; L < MaxCacheLevels; ++L)
+    EXPECT_EQ(Fast.CacheMisses[L], Ref.CacheMisses[L]) << Ctx << " L" << L;
+  EXPECT_EQ(Fast.TlbMisses, Ref.TlbMisses) << Ctx;
+  EXPECT_EQ(Fast.IssueCycles, Ref.IssueCycles) << Ctx;
+  EXPECT_EQ(Fast.StallCycles, Ref.StallCycles) << Ctx;
 }
 
 } // namespace
@@ -127,24 +145,49 @@ TEST(ExecutorCounters, JacobiOpCounts) {
 }
 
 TEST(ExecutorProperty, FastPathAndValueModeAgreeOnCounters) {
-  // The counters-only fast path must produce byte-identical event counts
-  // and cycles to the slow (value-computing) path.
-  LoopNest MM = makeMatMul();
-  LoopNest Jac = makeJacobi();
-  for (LoopNest *Nest : {&MM, &Jac}) {
-    ExecOptions Fast, Slow;
-    Slow.ComputeValues = true;
-    RunResult RFast = simulateNest(*Nest, {{"N", 12}}, testMachine(), Fast);
-    RunResult RSlow = simulateNest(*Nest, {{"N", 12}}, testMachine(), Slow);
-    EXPECT_EQ(RFast.Counters.Loads, RSlow.Counters.Loads);
-    EXPECT_EQ(RFast.Counters.Stores, RSlow.Counters.Stores);
-    EXPECT_EQ(RFast.Counters.Flops, RSlow.Counters.Flops);
-    EXPECT_EQ(RFast.Counters.l1Misses(), RSlow.Counters.l1Misses());
-    EXPECT_EQ(RFast.Counters.l2Misses(), RSlow.Counters.l2Misses());
-    EXPECT_EQ(RFast.Counters.TlbMisses, RSlow.Counters.TlbMisses);
-    EXPECT_EQ(RFast.Counters.LoopIters, RSlow.Counters.LoopIters);
-    EXPECT_DOUBLE_EQ(RFast.Cycles, RSlow.Cycles);
+  // The counters-only fast path must produce exactly the value-mode
+  // interpreter's counters, cycles included, on every derived variant:
+  // tiled, copied, unrolled-and-jammed, scalar-replaced and prefetching
+  // bodies, on a 2-way and a direct-mapped L1. The sizes are prime
+  // (jacobi's interior N-2 too), so every unrolled loop runs both its
+  // jammed body and its epilogue.
+  struct KernelCase {
+    const char *Name;
+    LoopNest Nest;
+    int64_t N;
+  };
+  KernelCase Kernels[] = {{"matmul", makeMatMul(), 29},
+                          {"jacobi", makeJacobi(), 31},
+                          {"matvec", makeMatVec(), 61}};
+  const MachineDesc Machines[] = {MachineDesc::sgiR10000().scaledBy(16),
+                                  MachineDesc::ultraSparcIIe().scaledBy(16)};
+  size_t Runs = 0;
+  for (const KernelCase &K : Kernels) {
+    for (const MachineDesc &M : Machines) {
+      for (const DerivedVariant &V : deriveVariants(K.Nest, M)) {
+        Env Initial = initialConfig(V, M, {{"N", K.N}});
+        Env Prefetching = Initial;
+        for (const PrefetchSpec &P : V.Prefetch)
+          Prefetching.set(P.DistanceParam, 2);
+        for (const Env *Cfg : {&Initial, &Prefetching}) {
+          LoopNest Exec = V.instantiate(*Cfg, M);
+          HWCounters Counters[2];
+          for (bool Values : {false, true}) {
+            MemHierarchySim Sim(M);
+            ExecOptions Opts;
+            Opts.ComputeValues = Values;
+            Executor(Exec, *Cfg, Sim, Opts).run();
+            Counters[Values] = Sim.counters();
+          }
+          expectSameCounters(Counters[0], Counters[1],
+                             std::string(K.Name) + " " + M.Name + " " +
+                                 V.configString(*Cfg));
+          ++Runs;
+        }
+      }
+    }
   }
+  EXPECT_GE(Runs, 20u);
 }
 
 TEST(ExecutorDeterminism, RepeatedRunsIdentical) {
