@@ -216,7 +216,8 @@ void compareLeg(const std::vector<double> &Got,
 std::vector<std::vector<double>>
 eco::check::simLeg(const LoopNest &Nest, const Env &Cfg,
                    const MachineDesc &Machine,
-                   std::vector<std::vector<double>> Arrays) {
+                   std::vector<std::vector<double>> Arrays,
+                   HWCounters *Counters) {
   MemHierarchySim Sim(Machine);
   ExecOptions EO;
   EO.ComputeValues = true;
@@ -227,6 +228,8 @@ eco::check::simLeg(const LoopNest &Nest, const Env &Cfg,
     E.dataOf(static_cast<ArrayId>(A)) = std::move(Arrays[A]);
   }
   E.run();
+  if (Counters)
+    *Counters = Sim.counters();
   for (size_t A = 0; A < Arrays.size(); ++A)
     Arrays[A] = std::move(E.dataOf(static_cast<ArrayId>(A)));
   return Arrays;

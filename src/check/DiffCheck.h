@@ -31,6 +31,7 @@
 
 #include "ir/Loop.h"
 #include "machine/MachineDesc.h"
+#include "sim/Counters.h"
 
 #include <cstdint>
 #include <functional>
@@ -115,10 +116,12 @@ struct DiffCheckReport {
 /// \p Arrays pre-filled, one buffer per ArrayId as allocateArrays sizes
 /// them, and return the final contents of every array.
 ///
-/// Simulator leg: the Executor in value mode on \p Machine.
+/// Simulator leg: the Executor in value mode on \p Machine. \p Counters,
+/// when given, receives the run's HWCounters.
 std::vector<std::vector<double>>
 simLeg(const LoopNest &Nest, const Env &Cfg, const MachineDesc &Machine,
-       std::vector<std::vector<double>> Arrays);
+       std::vector<std::vector<double>> Arrays,
+       HWCounters *Counters = nullptr);
 
 /// Native leg: the emitted C, compiled through \p Kernels (the cache the
 /// tuner's native backend uses) and called once. nullopt, with \p Error

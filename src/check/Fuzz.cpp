@@ -18,6 +18,7 @@
 #include "transform/UnrollJam.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -602,6 +603,42 @@ compareArrays(const std::vector<std::vector<double>> &Got,
   return std::nullopt;
 }
 
+/// The first HWCounters field in which the counters-mode run \p Got
+/// differs from the value-mode run \p Want (cycles compared bitwise), or
+/// nullopt.
+std::optional<std::string> compareCounters(const HWCounters &Got,
+                                           const HWCounters &Want) {
+  auto Count = [](const char *Field, uint64_t G, uint64_t W)
+      -> std::optional<std::string> {
+    if (G == W)
+      return std::nullopt;
+    return strformat("%s: counters mode %llu, value mode %llu", Field,
+                     (unsigned long long)G, (unsigned long long)W);
+  };
+  auto Cycles = [](const char *Field, double G, double W)
+      -> std::optional<std::string> {
+    if (std::bit_cast<uint64_t>(G) == std::bit_cast<uint64_t>(W))
+      return std::nullopt;
+    return strformat("%s: counters mode %.17g, value mode %.17g", Field, G,
+                     W);
+  };
+  std::optional<std::string> Bad;
+  if ((Bad = Count("loads", Got.Loads, Want.Loads)) ||
+      (Bad = Count("stores", Got.Stores, Want.Stores)) ||
+      (Bad = Count("prefetches", Got.Prefetches, Want.Prefetches)) ||
+      (Bad = Count("flops", Got.Flops, Want.Flops)) ||
+      (Bad = Count("loop iters", Got.LoopIters, Want.LoopIters)) ||
+      (Bad = Count("tlb misses", Got.TlbMisses, Want.TlbMisses)) ||
+      (Bad = Cycles("issue cycles", Got.IssueCycles, Want.IssueCycles)) ||
+      (Bad = Cycles("stall cycles", Got.StallCycles, Want.StallCycles)))
+    return Bad;
+  for (unsigned L = 0; L < MaxCacheLevels; ++L)
+    if ((Bad = Count(strformat("L%u misses", L + 1).c_str(),
+                     Got.CacheMisses[L], Want.CacheMisses[L])))
+      return Bad;
+  return std::nullopt;
+}
+
 //===----------------------------------------------------------------------===//
 // One case end-to-end
 //===----------------------------------------------------------------------===//
@@ -675,12 +712,26 @@ CaseResult runCase(const CaseSpec &C, bool Native, uint64_t MaxUlps,
                    static_cast<long long>(Cfg.get(static_cast<SymbolId>(S))));
   }
   std::vector<std::vector<double>> Fills = fillLogical(Trans, Cfg);
+  HWCounters ValueCounters;
   if (std::optional<std::string> Bad = compareArrays(
-          gatherLogical(simLeg(Trans.Nest, Cfg, Machine, Fills), Trans,
-                        Cfg),
+          gatherLogical(simLeg(Trans.Nest, Cfg, Machine, Fills,
+                               &ValueCounters),
+                        Trans, Cfg),
           Want, MaxUlps)) {
     R.Failed = true;
     R.Leg = "sim";
+    R.Detail = *Bad;
+    return R;
+  }
+
+  // The tuner runs the counters-mode fast path, not the value-mode
+  // interpreter the sim leg checks: its counters must match bitwise.
+  MemHierarchySim Sim(Machine);
+  Executor(Trans.Nest, Cfg, Sim).run();
+  if (std::optional<std::string> Bad =
+          compareCounters(Sim.counters(), ValueCounters)) {
+    R.Failed = true;
+    R.Leg = "counters";
     R.Detail = *Bad;
     return R;
   }

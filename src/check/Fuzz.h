@@ -20,7 +20,10 @@
 ///  3. executes original and transformed nests through the exec
 ///     interpreter (and periodically the CEmitter -> cc native path) and
 ///     compares every original array element-wise under the ulp policy
-///     of check/DiffCheck.
+///     of check/DiffCheck;
+///  4. runs the transformed nest once more in counters mode, the fast
+///     path the tuner evaluates through, and requires its HWCounters to
+///     equal the value-mode run's bitwise.
 ///
 /// On failure the driver greedily shrinks the case — pipeline steps
 /// first, then step parameters, then loop bounds — and reports a
@@ -53,7 +56,8 @@ struct FuzzOptions {
 struct FuzzFailure {
   uint64_t Seed = 0;    ///< master seed
   int Iter = 0;         ///< failing iteration
-  std::string Leg;      ///< "sim", "native", "native-compile", "verify"
+  std::string Leg;      ///< "sim", "counters", "native",
+                        ///< "native-compile", "verify"
   std::string Detail;   ///< first mismatching element / verifier message
   std::string Pipeline; ///< minimized step sequence, printable
   std::string NestDump; ///< minimized original nest

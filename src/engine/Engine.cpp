@@ -60,7 +60,7 @@ EvalEngine::EvalEngine(EvalBackend &Backend, EngineOptions EOpts)
 
   if (!Opts.CacheFile.empty())
     CachePtr->load(Opts.CacheFile, MachineHash);
-  ECO_LOG(Info) << "engine ready: jobs=" << Jobs << " cache="
+  ECO_LOG(Debug) << "engine ready: jobs=" << Jobs << " cache="
                 << (Opts.CacheFile.empty() ? "<none>" : Opts.CacheFile);
 }
 

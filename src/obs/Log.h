@@ -14,8 +14,8 @@
 /// \endcode
 ///
 /// The stream expression after ECO_LOG(level) is *not evaluated* when the
-/// level is disabled — the macro expands to a guarded dangling-else, so a
-/// disabled log costs one relaxed atomic load and a branch. The active
+/// level is disabled — the macro expands to one conditional expression,
+/// so a disabled log costs one relaxed atomic load and a branch. The active
 /// level comes from setLogLevel() (the CLI's --log-level flag) or, before
 /// any explicit call, from the ECO_LOG_LEVEL environment variable
 /// (off|error|warn|info|debug); the default is Warn.
@@ -82,6 +82,11 @@ namespace detail {
 /// The atomic backing store for the level, exposed so logEnabled() can
 /// inline to one relaxed load.
 int currentLevelRelaxed();
+
+/// Turns ECO_LOG's stream chain into a void operand of its conditional.
+struct Voidify {
+  void operator&(std::ostream &) {}
+};
 } // namespace detail
 
 inline bool logEnabled(LogLevel Level) {
@@ -92,14 +97,16 @@ inline bool logEnabled(LogLevel Level) {
 } // namespace eco
 
 /// Streams a message at the given level (Error/Warn/Info/Debug). The
-/// dangling-else form keeps the macro statement-safe inside unbraced
-/// if/else while skipping argument evaluation when disabled.
+/// macro is one expression: `&` binds looser than `<<`, so Voidify
+/// swallows the whole stream chain, and the conditional skips argument
+/// evaluation when the level is disabled. Being an expression, it is
+/// safe inside an unbraced if/else.
 #define ECO_LOG(LEVEL)                                                     \
-  if (!::eco::obs::logEnabled(::eco::obs::LogLevel::LEVEL))                \
-    ;                                                                      \
-  else                                                                     \
-    ::eco::obs::LogMessage(::eco::obs::LogLevel::LEVEL, __FILE__,          \
-                           __LINE__)                                       \
-        .stream()
+  !::eco::obs::logEnabled(::eco::obs::LogLevel::LEVEL)                     \
+      ? (void)0                                                            \
+      : ::eco::obs::detail::Voidify() &                                    \
+            ::eco::obs::LogMessage(::eco::obs::LogLevel::LEVEL, __FILE__,  \
+                                   __LINE__)                               \
+                .stream()
 
 #endif // ECO_OBS_LOG_H
