@@ -104,23 +104,18 @@ std::vector<Executor::ItemRef> Executor::compileBody(const Body &B) {
       continue;
     }
     const Loop &L = Item.loop();
+    // Fast tables fold every non-loop-variable symbol into constants.
+    assert(Nest.Syms.kind(L.Var) == SymbolKind::LoopVar &&
+           "loop binds a symbol that is not a loop variable");
     LoopPlan LP;
     LP.L = &L;
     LP.Items = compileBody(L.Items);
     LP.Epilogue = compileBody(L.Epilogue);
-    auto StmtsOnly = [](const std::vector<ItemRef> &V) {
-      return std::all_of(V.begin(), V.end(),
-                         [](const ItemRef &R) { return !R.IsLoop; });
-    };
-    LP.StmtsOnly = StmtsOnly(LP.Items);
-    LP.EpiStmtsOnly = StmtsOnly(LP.Epilogue);
-    // Compile the fast-path access tables once; every entry to the loop
-    // reuses them (value mode never takes the fast path).
+    // Compile the counters-mode bodies once; every entry to the loop
+    // reuses them (value mode interprets the items instead).
     if (!Opts.ComputeValues) {
-      if (LP.StmtsOnly)
-        LP.MainFast = buildFastTable(LP.Items, L.Var);
-      if (LP.EpiStmtsOnly)
-        LP.EpiFast = buildFastTable(LP.Epilogue, L.Var);
+      LP.MainFast = buildFastBody(LP.Items, L.Var);
+      LP.EpiFast = buildFastBody(LP.Epilogue, L.Var);
     }
     LoopPlans.push_back(std::move(LP));
     Items.push_back({/*IsLoop=*/true,
@@ -129,25 +124,75 @@ std::vector<Executor::ItemRef> Executor::compileBody(const Body &B) {
   return Items;
 }
 
+Executor::FastBody
+Executor::buildFastBody(const std::vector<ItemRef> &Items, SymbolId Var) {
+  FastBody FB;
+  std::vector<ItemRef> Run; // the current run of plain statements
+  auto EndRun = [&] {
+    if (Run.empty())
+      return;
+    FB.Parts.push_back(
+        {FastPart::Table, static_cast<int>(FB.Tables.size())});
+    FB.Tables.push_back(buildFastTable(Run, Var));
+    Run.clear();
+  };
+  for (const ItemRef &R : Items) {
+    // A CopyIn reads its region bounds from the current bindings on
+    // every execution, so it is a part of its own, never a table row.
+    bool IsCopy = !R.IsLoop && StmtPlans[R.Idx].S->Kind == StmtKind::CopyIn;
+    if (!R.IsLoop && !IsCopy) {
+      Run.push_back(R);
+      continue;
+    }
+    EndRun();
+    FB.Parts.push_back({R.IsLoop ? FastPart::Loop : FastPart::Copy, R.Idx});
+  }
+  EndRun();
+  return FB;
+}
+
 Executor::FastTable
 Executor::buildFastTable(const std::vector<ItemRef> &Items, SymbolId Var) {
   FastTable FT;
   for (const ItemRef &R : Items) {
     const StmtPlan &SP = StmtPlans[R.Idx];
+    assert(!R.IsLoop && SP.S->Kind != StmtKind::CopyIn &&
+           "fast tables hold plain statements only");
+    // A register rename touches no clock or counter: leave it out.
+    if (SP.Accesses.empty() && SP.FpCycles == 0 && SP.MemCycles == 0)
+      continue;
     FastStmt FS;
     FS.Fp = SP.FpCycles;
     FS.Mem = SP.MemCycles;
-    FS.Flops = SP.Flops;
     FS.First = static_cast<unsigned>(FT.Meta.size());
+    FT.Flops += SP.Flops;
     for (const AccessPlan &AP : SP.Accesses) {
       int64_t ElemBytes = Nest.array(AP.Arr).ElemBytes;
-      FT.Meta.push_back(
-          {AP.Arr, AP.Flat, AP.Flat.coeff(Var) * ElemBytes, AP.Kind});
+      // Constants and parameters are fixed for the whole run: fold them
+      // into the start address now and keep only loop-variable terms.
+      int64_t FixedFlat = AP.Flat.constTerm();
+      FastAccessMeta AM;
+      AM.FirstTerm = static_cast<unsigned>(FT.Terms.size());
+      for (SymbolId S : AP.Flat.symbols()) {
+        if (Nest.Syms.kind(S) == SymbolKind::LoopVar)
+          FT.Terms.push_back({S, AP.Flat.coeff(S) * ElemBytes});
+        else
+          FixedFlat += AP.Flat.coeff(S) * E.get(S);
+      }
+      AM.NumTerms = static_cast<unsigned>(FT.Terms.size()) - AM.FirstTerm;
+      AM.Fixed = AMap.addrOfFlat(AP.Arr, FixedFlat);
+      AM.DeltaPerStep = AP.Flat.coeff(Var) * ElemBytes;
+      FT.Meta.push_back(AM);
+      bool IsPrefetch = AP.Kind == AccessKind::Prefetch;
+      FT.Hot.push_back({0, 0, AMap.baseOf(AP.Arr),
+                        AMap.addrOfFlat(AP.Arr, AMap.numElements(AP.Arr)),
+                        IsPrefetch});
+      FT.Loads += AP.Kind == AccessKind::Load;
+      FT.Stores += AP.Kind == AccessKind::Store;
     }
     FS.Count = static_cast<unsigned>(FT.Meta.size()) - FS.First;
     FT.Stmts.push_back(FS);
   }
-  FT.Hot.resize(FT.Meta.size());
   return FT;
 }
 
@@ -183,93 +228,185 @@ void Executor::execLoop(LoopPlan &LP) {
   int64_t Step = L.hasParamStep() ? E.get(L.StepSym) : L.Step;
   assert(Step > 0 && "loop step must be positive");
 
-  bool CanFast = !Opts.ComputeValues;
-  if (L.Unroll > 1) {
-    int64_t U = L.Unroll;
-    // Main jammed body while a full unroll group fits.
-    int64_t MainIters = (Hi - U + 1 >= Lo) ? (Hi - U + 1 - Lo) / U + 1 : 0;
-    int64_t V = Lo;
-    if (MainIters > 0) {
-      E.set(L.Var, V);
-      if (CanFast && LP.StmtsOnly) {
-        runFastLoop(LP.MainFast, U, MainIters);
-      } else {
-        for (int64_t M = 0; M < MainIters; ++M, V += U) {
-          E.set(L.Var, V);
-          execItems(LP.Items);
-          ++Sim.counters().LoopIters;
-          OvhCy += Sim.machine().LoopOverheadCycles;
-        }
-      }
-      V = Lo + MainIters * U;
+  // Runs Iters iterations of one body from First, compiled in counters
+  // mode and interpreted in value mode.
+  auto RunBody = [&](const std::vector<ItemRef> &Items, FastBody &Fast,
+                     int64_t First, int64_t By, int64_t Iters) {
+    if (!Opts.ComputeValues) {
+      runFastBody(Fast, L.Var, First, By, Iters);
+      return;
     }
-    // Epilogue, one iteration at a time.
-    int64_t EpiIters = Hi - V + 1;
-    if (EpiIters > 0) {
+    for (int64_t It = 0, V = First; It < Iters; ++It, V += By) {
       E.set(L.Var, V);
-      if (CanFast && LP.EpiStmtsOnly) {
-        runFastLoop(LP.EpiFast, 1, EpiIters);
-      } else {
-        for (; V <= Hi; ++V) {
-          E.set(L.Var, V);
-          execItems(LP.Epilogue);
-          ++Sim.counters().LoopIters;
-          OvhCy += Sim.machine().LoopOverheadCycles;
-        }
-      }
+      execItems(Items);
+      ++Sim.counters().LoopIters;
+      OvhCy += Sim.machine().LoopOverheadCycles;
     }
-    return;
-  }
+  };
 
-  int64_t Iters = (Hi - Lo) / Step + 1;
-  E.set(L.Var, Lo);
-  if (CanFast && LP.StmtsOnly) {
-    runFastLoop(LP.MainFast, Step, Iters);
+  if (L.Unroll <= 1) {
+    RunBody(LP.Items, LP.MainFast, Lo, Step, (Hi - Lo) / Step + 1);
     return;
   }
-  for (int64_t V = Lo; V <= Hi; V += Step) {
-    E.set(L.Var, V);
-    execItems(LP.Items);
+  // Main jammed body while a full unroll group fits, then the epilogue
+  // one iteration at a time.
+  int64_t U = L.Unroll;
+  int64_t MainIters = (Hi - U + 1 >= Lo) ? (Hi - U + 1 - Lo) / U + 1 : 0;
+  if (MainIters > 0)
+    RunBody(LP.Items, LP.MainFast, Lo, U, MainIters);
+  int64_t V = Lo + MainIters * U;
+  if (Hi - V + 1 > 0)
+    RunBody(LP.Epilogue, LP.EpiFast, V, 1, Hi - V + 1);
+}
+
+void Executor::runFastBody(FastBody &FB, SymbolId Var, int64_t First,
+                           int64_t Step, int64_t Iters) {
+  // Every table's start addresses depend only on the surrounding loops'
+  // bindings and this loop's entry value: nested loops bind only their
+  // own variables, which no statement of this body can read.
+  E.set(Var, First);
+  for (FastTable &FT : FB.Tables)
+    refreshTable(FT, Step);
+  if (FB.Parts.size() == 1 && FB.Parts.front().K == FastPart::Table) {
+    runTable(FB.Tables.front(), Iters, /*ClosesIteration=*/true);
+    return;
+  }
+  const double Overhead = Sim.machine().LoopOverheadCycles;
+  for (int64_t It = 0, V = First; It < Iters; ++It, V += Step) {
+    E.set(Var, V); // nested loop bounds and copy regions read it
+    for (const FastPart &P : FB.Parts) {
+      switch (P.K) {
+      case FastPart::Table:
+        runTable(FB.Tables[P.Idx], 1, /*ClosesIteration=*/false);
+        break;
+      case FastPart::Loop:
+        execLoop(LoopPlans[P.Idx]);
+        break;
+      case FastPart::Copy:
+        runCopy(*StmtPlans[P.Idx].S);
+        break;
+      }
+    }
     ++Sim.counters().LoopIters;
-    OvhCy += Sim.machine().LoopOverheadCycles;
+    OvhCy += Overhead;
   }
 }
 
-void Executor::runFastLoop(FastTable &FT, int64_t Step, int64_t Iters) {
-  // Refresh the hot table: only the starting address (the loop variable's
-  // entry value under the surrounding loops' current bindings) and the
-  // step-scaled delta change between entries; shape and kinds are fixed.
-  FastAccess *Accesses = FT.Hot.data();
+void Executor::refreshTable(FastTable &FT, int64_t Step) {
+  const int64_t *Vals = E.data();
+  const FastTerm *Terms = FT.Terms.data();
   for (size_t A = 0, N = FT.Meta.size(); A < N; ++A) {
     const FastAccessMeta &AM = FT.Meta[A];
-    Accesses[A] = {AMap.addrOfFlat(AM.Arr, AM.Flat.eval(E)),
-                   AM.DeltaPerStep * Step, AM.Kind, AMap.baseOf(AM.Arr),
-                   AMap.addrOfFlat(AM.Arr, AMap.numElements(AM.Arr))};
+    uint64_t Addr = AM.Fixed;
+    for (unsigned T = AM.FirstTerm, End = T + AM.NumTerms; T != End; ++T)
+      Addr += static_cast<uint64_t>(Terms[T].BytesPerUnit) *
+              static_cast<uint64_t>(Vals[Terms[T].Var]);
+    FT.Hot[A].Addr = Addr;
+    FT.Hot[A].Delta = AM.DeltaPerStep * Step;
   }
+}
 
-  HWCounters &C = Sim.counters();
-  double Overhead = Sim.machine().LoopOverheadCycles;
+void Executor::runTable(FastTable &FT, int64_t Iters, bool ClosesIteration) {
+  // The resource clocks live in locals for the whole table run.
+  double Fp = FpCy, Mem = MemCy, Ovh = OvhCy, Stall = StallCy;
+  const double Overhead = Sim.machine().LoopOverheadCycles;
+  FastAccess *Accesses = FT.Hot.data();
   for (int64_t It = 0; It < Iters; ++It) {
     for (const FastStmt &FS : FT.Stmts) {
-      for (unsigned A = FS.First, End = FS.First + FS.Count; A != End; ++A) {
-        FastAccess &FA = Accesses[A];
-        double Now = std::max(FpCy, std::max(MemCy, OvhCy)) + StallCy;
-        if (FA.Kind == AccessKind::Prefetch) {
+      for (FastAccess *A = Accesses + FS.First, *End = A + FS.Count;
+           A != End; ++A) {
+        double Now = std::max(Fp, std::max(Mem, Ovh)) + Stall;
+        if (A->IsPrefetch) {
           // Out-of-bounds prefetches are dropped (see execStmt).
-          if (FA.Addr >= FA.Base && FA.Addr < FA.End)
-            Sim.prefetch(FA.Addr, Now);
-        } else
-          StallCy += Sim.access(FA.Addr, FA.Kind == AccessKind::Store, Now);
-        FA.Addr = static_cast<uint64_t>(
-            static_cast<int64_t>(FA.Addr) + FA.Delta);
+          if (A->Addr >= A->Base && A->Addr < A->End)
+            Sim.prefetch(A->Addr, Now);
+        } else if (double S = Sim.demand(A->Addr, Now); S != 0) {
+          Stall += S; // skipping += 0 is exact: Stall is never -0
+        }
+        A->Addr += static_cast<uint64_t>(A->Delta);
       }
-      FpCy += FS.Fp;
-      MemCy += FS.Mem;
-      C.Flops += FS.Flops;
+      Fp += FS.Fp;
+      Mem += FS.Mem;
     }
-    ++C.LoopIters;
-    OvhCy += Overhead;
+    if (ClosesIteration)
+      Ovh += Overhead;
   }
+  FpCy = Fp;
+  MemCy = Mem;
+  OvhCy = Ovh;
+  StallCy = Stall;
+
+  HWCounters &C = Sim.counters();
+  uint64_t N = static_cast<uint64_t>(Iters);
+  C.Loads += FT.Loads * N;
+  C.Stores += FT.Stores * N;
+  C.Flops += FT.Flops * N;
+  if (ClosesIteration)
+    C.LoopIters += N;
+}
+
+void Executor::runCopy(const Stmt &S) {
+  const unsigned Rank = static_cast<unsigned>(S.Region.size());
+  assert(Rank > 0 && "empty copy region");
+  const std::vector<int64_t> &SrcStr = AMap.stridesOf(S.CopySrc);
+  const std::vector<int64_t> &DstStr = AMap.stridesOf(S.CopyDst);
+
+  // Byte addresses throughout: strides are already byte steps, and the
+  // buffer region starts at the destination's first element.
+  std::vector<int64_t> Size(Rank), Idx(Rank, 0);
+  uint64_t Src = AMap.baseOf(S.CopySrc), Dst = AMap.baseOf(S.CopyDst);
+  for (unsigned D = 0; D < Rank; ++D) {
+    Size[D] = S.Region[D].Size.eval(E);
+    if (Size[D] <= 0)
+      return; // empty tile at the boundary
+    Src += static_cast<uint64_t>(S.Region[D].Start.eval(E) * SrcStr[D]);
+  }
+
+  const MachineDesc &M = Sim.machine();
+  // One load + one store per element, plus modest loop control.
+  const double PerElemMem = 2.0 / M.MemOpsPerCycle;
+  const double PerElemOvh = 0.5 * M.LoopOverheadCycles;
+  const double Fp = FpCy;
+  double Mem = MemCy, Ovh = OvhCy, Stall = StallCy;
+  const uint64_t SrcRow = static_cast<uint64_t>(SrcStr[0]);
+  const uint64_t DstRow = static_cast<uint64_t>(DstStr[0]);
+  uint64_t Elems = 0;
+  for (;;) {
+    // Dimension 0 innermost, as execCopy's odometer runs it.
+    for (int64_t I = 0; I < Size[0]; ++I, Src += SrcRow, Dst += DstRow) {
+      if (double St = Sim.demand(Src, std::max(Fp, std::max(Mem, Ovh)) +
+                                          Stall);
+          St != 0)
+        Stall += St;
+      if (double St = Sim.demand(Dst, std::max(Fp, std::max(Mem, Ovh)) +
+                                          Stall);
+          St != 0)
+        Stall += St;
+      Mem += PerElemMem;
+      Ovh += PerElemOvh;
+    }
+    Elems += static_cast<uint64_t>(Size[0]);
+    Src -= SrcRow * static_cast<uint64_t>(Size[0]);
+    Dst -= DstRow * static_cast<uint64_t>(Size[0]);
+    unsigned D = 1;
+    for (; D < Rank; ++D) {
+      if (++Idx[D] < Size[D]) {
+        Src += static_cast<uint64_t>(SrcStr[D]);
+        Dst += static_cast<uint64_t>(DstStr[D]);
+        break;
+      }
+      Idx[D] = 0;
+      Src -= static_cast<uint64_t>(SrcStr[D] * (Size[D] - 1));
+      Dst -= static_cast<uint64_t>(DstStr[D] * (Size[D] - 1));
+    }
+    if (D == Rank)
+      break;
+  }
+  MemCy = Mem;
+  OvhCy = Ovh;
+  StallCy = Stall;
+  Sim.counters().Loads += Elems;
+  Sim.counters().Stores += Elems;
 }
 
 int64_t Executor::flatOf(const ArrayRef &Ref) const {

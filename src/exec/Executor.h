@@ -11,10 +11,15 @@
 /// search, with the simulator standing in for the hardware.
 ///
 /// Two modes:
-///  * counters-only (default): fast — innermost loops run a precompiled
-///    fast path with incremental address generation;
-///  * value mode: additionally computes the real floating-point results,
-///    so tests can check that every transformation preserves semantics.
+///  * counters-only (default): fast — every loop body runs precompiled.
+///    Each maximal run of plain statements is a table of accesses with
+///    incremental address generation, nested loops and CopyIn run as
+///    parts between tables, and accesses go to the simulator's
+///    non-counting demand path with loads and stores counted in bulk;
+///  * value mode: the reference interpreter. It additionally computes
+///    the real floating-point results, so tests can check that every
+///    transformation preserves semantics, and its counters are the
+///    oracle the fast path must match bit for bit.
 ///
 /// The cycle model is a balanced-superscalar one: floating-point work,
 /// memory-port work, and loop control accumulate on three parallel
@@ -92,49 +97,64 @@ private:
     int Idx;
   };
 
-  // --- fast-loop tables ---------------------------------------------------
-  // A statements-only loop body compiles, once, into a flat access table;
-  // every entry to the loop then only evaluates each access's starting
-  // address and streams through the table with incremental address
-  // generation. The seed re-derived this table (with heap allocations and
-  // per-access coefficient lookups) on every entry — i.e. once per
-  // surrounding tile iteration, squarely on the search's hot path.
-  struct FastAccess { ///< hot per-iteration state, refilled on loop entry
-    uint64_t Addr;
-    int64_t Delta;
-    AccessKind Kind;
-    uint64_t Base; ///< array's first byte (prefetch bounds check)
-    uint64_t End;  ///< one past the array's last byte
+  // --- counters mode: fast tables ---------------------------------------
+  // In counters mode every loop body compiles, once, into parts: each
+  // maximal run of plain statements (Compute, RegLoad, RegStore,
+  // RegRotate, Prefetch) becomes a FastTable, while nested loops and
+  // CopyIn statements stay parts of their own. Every entry to the loop
+  // refreshes each table's start addresses from the current bindings;
+  // every iteration then streams through the table with incremental
+  // address generation, so no affine expression is evaluated per access.
+  struct FastAccess { ///< hot per-iteration state of one access
+    uint64_t Addr;    ///< refreshed on loop entry, advanced by Delta
+    int64_t Delta;    ///< byte step per iteration (refreshed with Addr)
+    uint64_t Base;    ///< array's first byte (prefetch bounds check)
+    uint64_t End;     ///< one past the array's last byte
+    bool IsPrefetch;
   };
-  struct FastAccessMeta { ///< cold compile-time shape of one access
-    ArrayId Arr;
-    AffineExpr Flat;      ///< flat element index (copied from the plan)
+  struct FastAccessMeta { ///< cold plan-time shape of one access
+    /// Byte address with every loop variable at 0: array base plus the
+    /// flat index's constant and parameter terms (fixed for the run).
+    uint64_t Fixed;
+    unsigned FirstTerm, NumTerms; ///< loop-variable terms in Terms
     int64_t DeltaPerStep; ///< byte delta per unit step of the loop var
-    AccessKind Kind;
+  };
+  struct FastTerm { ///< one loop-variable term of an access's address
+    SymbolId Var;
+    int64_t BytesPerUnit;
   };
   struct FastStmt {
     double Fp, Mem;
-    unsigned Flops;
-    unsigned First, Count; ///< range in the flat access array
+    unsigned First, Count; ///< range in the access arrays
   };
   struct FastTable {
     std::vector<FastAccessMeta> Meta;
+    std::vector<FastTerm> Terms;
+    std::vector<FastAccess> Hot; ///< parallel to Meta
     std::vector<FastStmt> Stmts;
-    std::vector<FastAccess> Hot; ///< sized to Meta; reused every entry
+    /// Per-iteration demand loads/stores and flops, counted in bulk.
+    uint64_t Loads = 0, Stores = 0, Flops = 0;
+  };
+  struct FastPart {
+    enum Kind : uint8_t { Table, Loop, Copy } K;
+    int Idx; ///< into FastBody::Tables, LoopPlans or StmtPlans
+  };
+  struct FastBody {
+    std::vector<FastPart> Parts;
+    std::vector<FastTable> Tables;
   };
 
   struct LoopPlan {
     const Loop *L;
-    std::vector<ItemRef> Items;
+    std::vector<ItemRef> Items;    ///< value mode: interpreted
     std::vector<ItemRef> Epilogue;
-    bool StmtsOnly;    ///< Items contains no nested loops
-    bool EpiStmtsOnly; ///< Epilogue contains no nested loops
-    FastTable MainFast; ///< compiled Items (counters mode, StmtsOnly)
-    FastTable EpiFast;  ///< compiled Epilogue (counters mode, EpiStmtsOnly)
+    FastBody MainFast; ///< counters mode: compiled Items
+    FastBody EpiFast;  ///< counters mode: compiled Epilogue
   };
 
   std::vector<ItemRef> compileBody(const Body &B);
   int compileStmt(const Stmt &S);
+  FastBody buildFastBody(const std::vector<ItemRef> &Items, SymbolId Var);
   FastTable buildFastTable(const std::vector<ItemRef> &Items, SymbolId Var);
   AffineExpr flatIndexOf(const ArrayRef &Ref) const;
 
@@ -143,10 +163,19 @@ private:
   void execStmt(const StmtPlan &SP);
   void execCopy(const Stmt &S);
 
-  /// Runs \p Iters iterations of a precompiled statements-only body with
-  /// incremental addresses; the loop variable must be bound to its entry
-  /// value (start addresses are evaluated under the current Env).
-  void runFastLoop(FastTable &FT, int64_t Step, int64_t Iters);
+  /// Runs \p Iters iterations of a compiled body whose loop variable
+  /// \p Var starts at \p First and advances by \p Step.
+  void runFastBody(FastBody &FB, SymbolId Var, int64_t First, int64_t Step,
+                   int64_t Iters);
+  /// Points \p FT's accesses at their addresses under the current Env,
+  /// advancing by \p Step loop-variable units per iteration.
+  void refreshTable(FastTable &FT, int64_t Step);
+  /// Runs \p Iters passes over \p FT; \p ClosesIteration when the table
+  /// is the whole loop body, so each pass also costs one loop iteration.
+  void runTable(FastTable &FT, int64_t Iters, bool ClosesIteration);
+  /// Counters-mode CopyIn: execCopy's accesses in its order, issued
+  /// through the demand path with byte steps hoisted per dimension.
+  void runCopy(const Stmt &S);
 
   double evalTree(const ScalarExpr &E) const;
   int64_t flatOf(const ArrayRef &Ref) const;

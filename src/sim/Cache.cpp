@@ -52,13 +52,6 @@ void SetAssocCache::fill(uint64_t Addr, double ReadyCycle) {
   unsigned Victim = 0;
   uint64_t Oldest = ~0ULL;
   for (unsigned W = 0; W < Desc.Assoc; ++W) {
-    if (Lines[Base + W] == Line) {
-      // Re-fill of a resident line: refresh recency, keep the earlier
-      // ready time (a later fill must not delay data already in flight).
-      Stamps[Base + W] = ++Clock;
-      Ready[Base + W] = std::min(ReadyCycle, Ready[Base + W]);
-      return;
-    }
     if (Stamps[Base + W] < Oldest) {
       Oldest = Stamps[Base + W];
       Victim = W;

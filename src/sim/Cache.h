@@ -60,9 +60,10 @@ public:
   /// below, in the header, so the executor's L1-hit path inlines it.
   CacheProbe access(uint64_t Addr);
 
-  /// Inserts the line holding \p Addr (evicting LRU if needed), marking its
-  /// data available at \p ReadyCycle. If already resident, just updates
-  /// recency (and ready time if the new one is earlier).
+  /// Inserts the line holding \p Addr as MRU, evicting the LRU way (an
+  /// empty way first), and marks its data available at \p ReadyCycle.
+  /// The line must not be resident: every caller fills a level that just
+  /// missed it, so fill does not scan for it.
   void fill(uint64_t Addr, double ReadyCycle);
 
   /// True if the line holding \p Addr is resident. Purely observational:
@@ -126,16 +127,19 @@ inline CacheProbe SetAssocCache::access(uint64_t Addr) {
     }
   }
   size_t Base = setOf(Line) * Desc.Assoc;
-  for (unsigned W = 0; W < Desc.Assoc; ++W) {
-    if (Lines[Base + W] != Line)
-      continue;
-    // Promote to MRU: one stamp store (the seed shifted up to Assoc ways).
-    Stamps[Base + W] = ++Clock;
-    if (!Hint.empty())
-      Hint[hintSlot(Line)] = static_cast<uint32_t>(Base + W);
-    return {/*Hit=*/true, Ready[Base + W]};
-  }
-  return {/*Hit=*/false, 0};
+  // Branch-free match: which way holds the line is data-dependent and
+  // unpredictable, while the loop's trip count is fixed per cache.
+  const uint64_t *Set = Lines.data() + Base;
+  unsigned Way = Desc.Assoc;
+  for (unsigned W = 0; W < Desc.Assoc; ++W)
+    Way = Set[W] == Line ? W : Way;
+  if (Way == Desc.Assoc)
+    return {/*Hit=*/false, 0};
+  // Promote to MRU: one stamp store (the seed shifted up to Assoc ways).
+  Stamps[Base + Way] = ++Clock;
+  if (!Hint.empty())
+    Hint[hintSlot(Line)] = static_cast<uint32_t>(Base + Way);
+  return {/*Hit=*/true, Ready[Base + Way]};
 }
 
 } // namespace eco

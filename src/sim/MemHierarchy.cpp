@@ -25,6 +25,9 @@ MemHierarchySim::MemHierarchySim(const MachineDesc &M)
   for (const CacheLevelDesc &Level : M.Caches)
     Caches.emplace_back(Level);
   L1HitLatency = M.Caches.front().HitLatency;
+  TwoLevel = M.Caches.size() == 2;
+  L2HitLatency = TwoLevel ? M.Caches[1].HitLatency : 0;
+  MemLatency = M.MemLatency;
   TlbMissPenalty = M.Tlb.MissPenalty;
   PrefetchFillFrom = std::min<unsigned>(
       Machine.PrefetchFillLevel,
@@ -68,6 +71,22 @@ double MemHierarchySim::walkCaches(uint64_t Addr, double Now,
   for (unsigned Level = FillFromLevel; Level < Caches.size(); ++Level)
     Caches[Level].fill(Addr, Ready);
   return Stall;
+}
+
+double MemHierarchySim::missTwoLevel(uint64_t Addr, double Now) {
+  // walkCaches(Addr, Now, /*StartLevel=*/1) for two levels, unrolled.
+  CacheProbe Probe = Caches[1].access(Addr);
+  if (Probe.Hit) {
+    double Stall = std::max<double>(L2HitLatency, Probe.ReadyCycle - Now);
+    Stall = std::max(Stall, 0.0);
+    Caches[0].fill(Addr, Now + Stall);
+    return Stall;
+  }
+  ++Counters.CacheMisses[1];
+  double Ready = Now + MemLatency;
+  Caches[0].fill(Addr, Ready);
+  Caches[1].fill(Addr, Ready);
+  return MemLatency;
 }
 
 double MemHierarchySim::prefetch(uint64_t Addr, double Now) {

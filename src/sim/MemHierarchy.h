@@ -23,8 +23,15 @@
 ///    an L2-targeted prefetch cannot promote or evict L1 lines.
 ///
 /// The demand path is branch-light: a one-entry MRU filter short-circuits
-/// same-line runs, and the TLB + L1 probes are fused so the common L1 hit
-/// never enters the per-level walk. sim/GoldenSim.h freezes the seed
+/// same-line runs, the TLB + L1 probes are fused so the common L1 hit
+/// never enters the per-level walk, and the L1-hit stall is a predicted
+/// branch rather than two floating-point max operations. An L1 miss on a
+/// two-level machine (every preset) runs a straight-line L2 probe and
+/// fill; the level walk serves prefetches and other geometries. Every
+/// fill follows a miss at the level it fills, so SetAssocCache::fill
+/// inserts without scanning for the line. demand() is the same path
+/// without the Loads/Stores count, for the executor's fast tables, which
+/// count both in bulk. tests/golden/sim/GoldenSim.h freezes the seed
 /// model; tests/test_sim_equiv.cpp proves both produce bit-identical
 /// HWCounters on randomized traces.
 ///
@@ -50,9 +57,20 @@ public:
 
   /// Simulates a demand load/store of the byte at \p Addr at time \p Now
   /// (cycles). Returns the stall cycles the access incurs. Counters are
-  /// updated (Loads/Stores, per-level misses, TLB misses). Defined below,
-  /// in the header, so the executor's L1-hit path inlines it.
-  double access(uint64_t Addr, bool IsWrite, double Now);
+  /// updated (Loads/Stores, per-level misses, TLB misses).
+  double access(uint64_t Addr, bool IsWrite, double Now) {
+    if (IsWrite)
+      ++Counters.Stores;
+    else
+      ++Counters.Loads;
+    return demand(Addr, Now);
+  }
+
+  /// access() without the Loads/Stores count, for callers that know how
+  /// many loads and stores they issue and count them in bulk. Miss
+  /// counters are still updated. Defined below, in the header, so the
+  /// executor's L1-hit path inlines it.
+  double demand(uint64_t Addr, double Now);
 
   /// Simulates a software prefetch of the line holding \p Addr issued at
   /// time \p Now. Never stalls; returns 0 for convenience.
@@ -93,10 +111,16 @@ private:
   SetAssocCache Tlb; ///< modeled as a cache whose "lines" are pages
   HWCounters Counters;
 
+  /// The L1 miss of a two-level machine, without the level walk.
+  double missTwoLevel(uint64_t Addr, double Now);
+
   /// Hot-path constants hoisted out of MachineDesc at construction.
   double L1HitLatency = 0;
+  double L2HitLatency = 0;
+  double MemLatency = 0;
   double TlbMissPenalty = 0;
   unsigned PrefetchFillFrom = 0; ///< clamped Machine.PrefetchFillLevel
+  bool TwoLevel = false;         ///< exactly two cache levels
 
   /// One-entry MRU filter: repeated accesses to the same L1 line (the
   /// dominant pattern in dense loops) skip the full walk. Exact: repeated
@@ -106,13 +130,7 @@ private:
   uint64_t LastPage = ~0ULL;
 };
 
-inline double MemHierarchySim::access(uint64_t Addr, bool IsWrite,
-                                      double Now) {
-  if (IsWrite)
-    ++Counters.Stores;
-  else
-    ++Counters.Loads;
-
+inline double MemHierarchySim::demand(uint64_t Addr, double Now) {
   // Fast path: same L1 line and page as the previous access. Exact
   // w.r.t. LRU state and, since a prior demand access already waited for
   // the line, free of residual stall.
@@ -138,14 +156,16 @@ inline double MemHierarchySim::access(uint64_t Addr, bool IsWrite,
 
   CacheProbe L1Probe = Caches.front().access(Addr);
   if (L1Probe.Hit) {
-    // Same arithmetic as the walk's hit case, inlined for the fast path.
-    double HitStall = std::max<double>(L1HitLatency,
-                                       L1Probe.ReadyCycle - (Now + Stall));
-    return Stall + std::max(HitStall, 0.0);
+    // The walk's hit stall, max(max(L1HitLatency, Rem), 0), as one
+    // predicted branch: L1HitLatency >= 0, and Rem > L1HitLatency is
+    // positive. Off the floating-point chain in the common case.
+    double Rem = L1Probe.ReadyCycle - (Now + Stall);
+    return Stall + (Rem <= L1HitLatency ? L1HitLatency : Rem);
   }
   ++Counters.CacheMisses[0];
-  Stall += walkCaches(Addr, Now + Stall, /*StartLevel=*/1);
-  return Stall;
+  if (TwoLevel)
+    return Stall + missTwoLevel(Addr, Now + Stall);
+  return Stall + walkCaches(Addr, Now + Stall, /*StartLevel=*/1);
 }
 
 } // namespace eco

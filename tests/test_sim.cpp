@@ -60,11 +60,23 @@ TEST(SetAssocCache, DirectMappedConflicts) {
   EXPECT_FALSE(C.access(0).Hit);
 }
 
-TEST(SetAssocCache, FillIsIdempotentKeepsEarlierReady) {
+TEST(SetAssocCache, FillAfterMissTakesEmptyWayThenLruWay) {
+  // fill() follows a miss of the same line: it inserts the line as MRU
+  // with the given ready cycle, into an empty way while the set has one,
+  // else over the LRU way.
   SetAssocCache C({"L1", 256, 2, 32, 0});
-  C.fill(0x40, 100);
-  C.fill(0x40, 200); // later ready must not delay the line
-  EXPECT_DOUBLE_EQ(C.access(0x40).ReadyCycle, 100);
+  uint64_t SetStride = C.numSets() * C.lineBytes(); // 128
+  ASSERT_FALSE(C.access(0).Hit);
+  C.fill(0, 100);
+  ASSERT_FALSE(C.access(SetStride).Hit);
+  C.fill(SetStride, 200); // the empty way: line 0 stays
+  EXPECT_DOUBLE_EQ(C.access(0).ReadyCycle, 100);
+  EXPECT_DOUBLE_EQ(C.access(SetStride).ReadyCycle, 200); // 0 is now LRU
+  ASSERT_FALSE(C.access(2 * SetStride).Hit);
+  C.fill(2 * SetStride, 300);
+  EXPECT_FALSE(C.contains(0));
+  EXPECT_TRUE(C.contains(SetStride));
+  EXPECT_DOUBLE_EQ(C.access(2 * SetStride).ReadyCycle, 300);
 }
 
 TEST(SetAssocCache, ResetEmpties) {
