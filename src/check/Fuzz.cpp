@@ -608,34 +608,30 @@ compareArrays(const std::vector<std::vector<double>> &Got,
 /// nullopt.
 std::optional<std::string> compareCounters(const HWCounters &Got,
                                            const HWCounters &Want) {
-  auto Count = [](const char *Field, uint64_t G, uint64_t W)
-      -> std::optional<std::string> {
-    if (G == W)
-      return std::nullopt;
-    return strformat("%s: counters mode %llu, value mode %llu", Field,
-                     (unsigned long long)G, (unsigned long long)W);
-  };
-  auto Cycles = [](const char *Field, double G, double W)
-      -> std::optional<std::string> {
-    if (std::bit_cast<uint64_t>(G) == std::bit_cast<uint64_t>(W))
-      return std::nullopt;
-    return strformat("%s: counters mode %.17g, value mode %.17g", Field, G,
-                     W);
-  };
-  std::optional<std::string> Bad;
-  if ((Bad = Count("loads", Got.Loads, Want.Loads)) ||
-      (Bad = Count("stores", Got.Stores, Want.Stores)) ||
-      (Bad = Count("prefetches", Got.Prefetches, Want.Prefetches)) ||
-      (Bad = Count("flops", Got.Flops, Want.Flops)) ||
-      (Bad = Count("loop iters", Got.LoopIters, Want.LoopIters)) ||
-      (Bad = Count("tlb misses", Got.TlbMisses, Want.TlbMisses)) ||
-      (Bad = Cycles("issue cycles", Got.IssueCycles, Want.IssueCycles)) ||
-      (Bad = Cycles("stall cycles", Got.StallCycles, Want.StallCycles)))
-    return Bad;
-  for (unsigned L = 0; L < MaxCacheLevels; ++L)
-    if ((Bad = Count(strformat("L%u misses", L + 1).c_str(),
-                     Got.CacheMisses[L], Want.CacheMisses[L])))
-      return Bad;
+  static_assert(MaxCacheLevels == 4, "one row per cache level below");
+  const std::pair<const char *, std::pair<uint64_t, uint64_t>> Counts[] = {
+      {"loads", {Got.Loads, Want.Loads}},
+      {"stores", {Got.Stores, Want.Stores}},
+      {"prefetches", {Got.Prefetches, Want.Prefetches}},
+      {"flops", {Got.Flops, Want.Flops}},
+      {"loop iters", {Got.LoopIters, Want.LoopIters}},
+      {"L1 misses", {Got.CacheMisses[0], Want.CacheMisses[0]}},
+      {"L2 misses", {Got.CacheMisses[1], Want.CacheMisses[1]}},
+      {"L3 misses", {Got.CacheMisses[2], Want.CacheMisses[2]}},
+      {"L4 misses", {Got.CacheMisses[3], Want.CacheMisses[3]}},
+      {"TLB misses", {Got.TlbMisses, Want.TlbMisses}}};
+  for (const auto &[Field, V] : Counts)
+    if (V.first != V.second)
+      return strformat("%s: counters mode %llu, value mode %llu", Field,
+                       (unsigned long long)V.first,
+                       (unsigned long long)V.second);
+  const std::pair<const char *, std::pair<double, double>> Cycles[] = {
+      {"issue cycles", {Got.IssueCycles, Want.IssueCycles}},
+      {"stall cycles", {Got.StallCycles, Want.StallCycles}}};
+  for (const auto &[Field, V] : Cycles)
+    if (std::bit_cast<uint64_t>(V.first) != std::bit_cast<uint64_t>(V.second))
+      return strformat("%s: counters mode %.17g, value mode %.17g", Field,
+                       V.first, V.second);
   return std::nullopt;
 }
 
@@ -794,10 +790,14 @@ CaseSpec shrinkCase(CaseSpec C, bool Native, uint64_t MaxUlps,
       }
     }
   }
-  // 2. Shrink step parameters toward 1/0.
-  for (size_t SI = 0; SI < C.Steps.size(); ++SI)
+  // 2. Shrink step parameters toward the smallest value generation
+  // draws: 0 for pad and prefetch, 1 otherwise (a tile size of 0 would
+  // make a zero loop step, which the executor asserts against).
+  for (size_t SI = 0; SI < C.Steps.size(); ++SI) {
+    StepKind K = C.Steps[SI].K;
+    int64_t Floor = K == StepKind::Pad || K == StepKind::Prefetch ? 0 : 1;
     for (int64_t Cand : {int64_t(0), int64_t(1), C.Steps[SI].P1 / 2}) {
-      if (Cand >= C.Steps[SI].P1)
+      if (Cand < Floor || Cand >= C.Steps[SI].P1)
         continue;
       CaseSpec Copy = C;
       Copy.Steps[SI].P1 = Cand;
@@ -806,6 +806,7 @@ CaseSpec shrinkCase(CaseSpec C, bool Native, uint64_t MaxUlps,
         break;
       }
     }
+  }
   // 3. Shrink loop bounds.
   for (size_t L = 0; L < C.Bounds.size(); ++L)
     for (int64_t Cand : {int64_t(1), int64_t(2), int64_t(3)}) {

@@ -183,10 +183,9 @@ Executor::buildFastTable(const std::vector<ItemRef> &Items, SymbolId Var) {
       AM.Fixed = AMap.addrOfFlat(AP.Arr, FixedFlat);
       AM.DeltaPerStep = AP.Flat.coeff(Var) * ElemBytes;
       FT.Meta.push_back(AM);
-      bool IsPrefetch = AP.Kind == AccessKind::Prefetch;
       FT.Hot.push_back({0, 0, AMap.baseOf(AP.Arr),
                         AMap.addrOfFlat(AP.Arr, AMap.numElements(AP.Arr)),
-                        IsPrefetch});
+                        AP.Kind == AccessKind::Prefetch});
       FT.Loads += AP.Kind == AccessKind::Load;
       FT.Stores += AP.Kind == AccessKind::Store;
     }
@@ -370,18 +369,17 @@ void Executor::runCopy(const Stmt &S) {
   double Mem = MemCy, Ovh = OvhCy, Stall = StallCy;
   const uint64_t SrcRow = static_cast<uint64_t>(SrcStr[0]);
   const uint64_t DstRow = static_cast<uint64_t>(DstStr[0]);
+  auto Issue = [&](uint64_t Addr) {
+    double Now = std::max(Fp, std::max(Mem, Ovh)) + Stall;
+    if (double St = Sim.demand(Addr, Now); St != 0)
+      Stall += St;
+  };
   uint64_t Elems = 0;
   for (;;) {
     // Dimension 0 innermost, as execCopy's odometer runs it.
     for (int64_t I = 0; I < Size[0]; ++I, Src += SrcRow, Dst += DstRow) {
-      if (double St = Sim.demand(Src, std::max(Fp, std::max(Mem, Ovh)) +
-                                          Stall);
-          St != 0)
-        Stall += St;
-      if (double St = Sim.demand(Dst, std::max(Fp, std::max(Mem, Ovh)) +
-                                          Stall);
-          St != 0)
-        Stall += St;
+      Issue(Src);
+      Issue(Dst);
       Mem += PerElemMem;
       Ovh += PerElemOvh;
     }
