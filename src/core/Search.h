@@ -330,7 +330,8 @@ public:
 };
 
 /// The unroll/prefetch portion of \p Config that determines instantiation
-/// (tiles stay symbolic); the engine keys its instantiation memo on it.
+/// (tiles stay symbolic). Only the perf benchmark and tests name it
+/// (ROADMAP.md item 1); the engine instantiates on every miss.
 std::string instantiationKey(const DerivedVariant &V, const Env &Config);
 
 /// Inclusive upper bounds of the search parameters. The lower bounds are

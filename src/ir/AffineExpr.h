@@ -79,6 +79,10 @@ public:
     return Const == O.Const && Terms == O.Terms;
   }
 
+  /// True if this and \p O differ only in their constants, i.e. this - O
+  /// is constant (terms are canonical, so a plain compare decides it).
+  bool sameTerms(const AffineExpr &O) const { return Terms == O.Terms; }
+
   /// Replaces \p Sym with \p Replacement (e.g. I -> I + 2 for unrolling,
   /// or I -> Lower for hoisting out of a loop).
   AffineExpr substitute(SymbolId Sym, const AffineExpr &Replacement) const;

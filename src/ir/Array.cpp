@@ -9,14 +9,12 @@ std::optional<std::vector<int64_t>>
 ArrayRef::constOffsetTo(const ArrayRef &O) const {
   if (Array != O.Array || Subs.size() != O.Subs.size())
     return std::nullopt;
-  std::vector<int64_t> Offsets;
-  Offsets.reserve(Subs.size());
-  for (size_t D = 0; D < Subs.size(); ++D) {
-    AffineExpr Diff = O.Subs[D] - Subs[D];
-    if (!Diff.isConstant())
+  for (size_t D = 0; D < Subs.size(); ++D)
+    if (!O.Subs[D].sameTerms(Subs[D]))
       return std::nullopt;
-    Offsets.push_back(Diff.constTerm());
-  }
+  std::vector<int64_t> Offsets(Subs.size());
+  for (size_t D = 0; D < Subs.size(); ++D)
+    Offsets[D] = O.Subs[D].constTerm() - Subs[D].constTerm();
   return Offsets;
 }
 

@@ -10,24 +10,12 @@ using namespace eco;
 
 namespace {
 
-/// Structural key for an ArrayRef usable in ordered maps.
-struct RefKey {
-  ArrayId Array;
-  std::vector<std::pair<std::vector<std::pair<SymbolId, int64_t>>, int64_t>>
-      Subs;
-
-  explicit RefKey(const ArrayRef &Ref) : Array(Ref.Array) {
-    for (const AffineExpr &S : Ref.Subs) {
-      std::vector<std::pair<SymbolId, int64_t>> Terms;
-      for (SymbolId V : S.symbols())
-        Terms.push_back({V, S.coeff(V)});
-      Subs.push_back({std::move(Terms), S.constTerm()});
-    }
-  }
-
-  bool operator<(const RefKey &O) const {
-    return std::tie(Array, Subs) < std::tie(O.Array, O.Subs);
-  }
+/// One loop-invariant reference the rewrite may keep in a register;
+/// structurally equal refs share one candidate.
+struct Candidate {
+  ArrayRef Ref;
+  bool Read = false, Written = false;
+  int Reg = -1; ///< -1 until the candidate passes the alias filter
 };
 
 } // namespace
@@ -45,16 +33,22 @@ ScalarReplaceStats eco::scalarReplaceInvariant(LoopNest &Nest,
     LoopLocation Loc = Locs[Occ];
     Loop &L = *Loc.L;
 
-    // Collect invariant candidate refs from direct Compute statements.
-    std::map<RefKey, bool> IsRead, IsWritten;
-    std::vector<ArrayRef> Order; // stable ordering for codegen
+    // Collect invariant candidate refs from direct Compute statements, in
+    // first-occurrence order (stable for codegen).
+    std::vector<Candidate> Cands;
+    auto find = [&Cands](const ArrayRef &Ref) -> Candidate * {
+      for (Candidate &C : Cands)
+        if (C.Ref == Ref)
+          return &C;
+      return nullptr;
+    };
     auto consider = [&](const ArrayRef &Ref, bool Write) {
       if (Ref.uses(InnerVar))
         return;
-      RefKey Key(Ref);
-      if (!IsRead.count(Key) && !IsWritten.count(Key))
-        Order.push_back(Ref);
-      (Write ? IsWritten[Key] : IsRead[Key]) = true;
+      Candidate *C = find(Ref);
+      if (!C)
+        C = &Cands.emplace_back(Candidate{Ref});
+      (Write ? C->Written : C->Read) = true;
     };
     // An unrolled loop runs leftover iterations through its epilogue; the
     // register stays live across both, so both bodies participate.
@@ -74,24 +68,25 @@ ScalarReplaceStats eco::scalarReplaceInvariant(LoopNest &Nest,
     // refs that use the inner variable. Caching a candidate that aliases
     // a write among these reads stale values; a cached WRITE that aliases
     // any such ref defers its store past observers. CopyIn moves whole
-    // arrays, so it taints both of its arrays.
-    std::vector<std::pair<ArrayRef, bool>> Hidden;
+    // arrays, so it taints both of its arrays. The body is not edited
+    // until the filter is done, so pointing into it is safe.
+    std::vector<std::pair<const ArrayRef *, bool>> Hidden;
     std::vector<std::pair<ArrayId, bool>> HiddenArrays;
     for (Body *B : {&L.Items, &L.Epilogue})
       for (BodyItem &Item : *B) {
         if (Item.isStmt() && Item.stmt().Kind == StmtKind::Compute) {
           Stmt &S = Item.stmt();
           if (S.LhsRef && S.LhsRef->uses(InnerVar))
-            Hidden.push_back({*S.LhsRef, true});
+            Hidden.push_back({&*S.LhsRef, true});
           S.Rhs->forEachRead([&](ScalarExpr &Leaf) {
             if (Leaf.Ref.uses(InnerVar))
-              Hidden.push_back({Leaf.Ref, false});
+              Hidden.push_back({&Leaf.Ref, false});
           });
           continue;
         }
         auto addStmt = [&](Stmt &S) {
           S.forEachRef([&](ArrayRef &Ref, bool IsWrite) {
-            Hidden.push_back({Ref, IsWrite});
+            Hidden.push_back({&Ref, IsWrite});
           });
           if (S.Kind == StmtKind::CopyIn) {
             HiddenArrays.push_back({S.CopyDst, true});
@@ -122,63 +117,58 @@ ScalarReplaceStats eco::scalarReplaceInvariant(LoopNest &Nest,
     // write on either side), or another candidate of the same array
     // (again with a write involved) — two registers for one address lose
     // updates. Structurally identical refs share one register and stay
-    // safe.
-    std::vector<ArrayRef> Safe;
-    for (const ArrayRef &Ref : Order) {
-      RefKey Key(Ref);
-      bool Written = IsWritten.count(Key) != 0;
+    // safe. Survivors get registers in candidate order.
+    int Regs = 0;
+    for (Candidate &C : Cands) {
       bool Ok = true;
       for (const auto &[Arr, ArrWrite] : HiddenArrays)
-        if (Arr == Ref.Array && (ArrWrite || Written)) {
+        if (Arr == C.Ref.Array && (ArrWrite || C.Written)) {
           Ok = false;
           break;
         }
       if (Ok)
         for (const auto &[H, HWrite] : Hidden) {
-          if (H.Array != Ref.Array || (!HWrite && !Written))
+          if (H->Array != C.Ref.Array || (!HWrite && !C.Written))
             continue;
-          if (!distinct(Ref, H)) {
+          if (!distinct(C.Ref, *H)) {
             Ok = false;
             break;
           }
         }
       if (Ok)
-        for (const ArrayRef &Other : Order) {
-          if (Other.Array != Ref.Array)
+        for (const Candidate &Other : Cands) {
+          if (&Other == &C || Other.Ref.Array != C.Ref.Array)
             continue;
-          RefKey OKey(Other);
-          if (!(Key < OKey) && !(OKey < Key))
-            continue; // same structural ref: same register
-          if (!Written && !IsWritten.count(OKey))
+          if (!C.Written && !Other.Written)
             continue;
-          if (!distinct(Ref, Other)) {
+          if (!distinct(C.Ref, Other.Ref)) {
             Ok = false;
             break;
           }
         }
-      if (Ok)
-        Safe.push_back(Ref);
+      if (Ok) {
+        C.Reg = Nest.allocReg();
+        ++Regs;
+      }
     }
-    Order = std::move(Safe);
-
-    std::map<RefKey, int> RegOf;
-    for (const ArrayRef &Ref : Order)
-      RegOf[RefKey(Ref)] = Nest.allocReg();
-    if (RegOf.empty()) {
+    if (Regs == 0) {
       ++Stats.LoopsProcessed;
       continue;
     }
 
     // Rewrite both loop bodies.
+    auto regOf = [&](const ArrayRef &Ref) {
+      const Candidate *C = find(Ref);
+      return C ? C->Reg : -1;
+    };
     for (Body *B : {&L.Items, &L.Epilogue})
       for (BodyItem &Item : *B) {
         if (!Item.isStmt() || Item.stmt().Kind != StmtKind::Compute)
           continue;
         Stmt &S = Item.stmt();
         if (S.LhsRef && !S.LhsRef->uses(InnerVar)) {
-          auto It = RegOf.find(RefKey(*S.LhsRef));
-          if (It != RegOf.end()) {
-            S.LhsReg = It->second;
+          if (int Reg = regOf(*S.LhsRef); Reg >= 0) {
+            S.LhsReg = Reg;
             S.LhsRef.reset();
             ++Stats.RefsReplaced;
           }
@@ -186,10 +176,10 @@ ScalarReplaceStats eco::scalarReplaceInvariant(LoopNest &Nest,
         S.Rhs->forEachRead([&](ScalarExpr &Leaf) {
           if (Leaf.Ref.uses(InnerVar))
             return;
-          auto It = RegOf.find(RefKey(Leaf.Ref));
-          if (It == RegOf.end())
+          int Reg = regOf(Leaf.Ref);
+          if (Reg < 0)
             return;
-          Leaf.Reg = It->second;
+          Leaf.Reg = Reg;
           Leaf.Kind = ScalarExprKind::RegRead;
           Leaf.Ref = ArrayRef();
           ++Stats.RefsReplaced;
@@ -199,26 +189,24 @@ ScalarReplaceStats eco::scalarReplaceInvariant(LoopNest &Nest,
     // Insert loads before the loop (reads only) and stores after it.
     Body &Parent = *Loc.Parent;
     size_t Pos = Loc.Index;
-    for (const ArrayRef &Ref : Order) {
-      RefKey Key(Ref);
-      if (!IsRead[Key])
+    for (const Candidate &C : Cands) {
+      if (C.Reg < 0 || !C.Read)
         continue;
       Parent.insert(Parent.begin() + Pos,
-                    BodyItem(Stmt::makeRegLoad(RegOf.at(Key), Ref)));
+                    BodyItem(Stmt::makeRegLoad(C.Reg, C.Ref)));
       ++Pos;
     }
     size_t After = Pos + 1; // now points just past the loop
-    for (const ArrayRef &Ref : Order) {
-      RefKey Key(Ref);
-      if (!IsWritten[Key])
+    for (const Candidate &C : Cands) {
+      if (C.Reg < 0 || !C.Written)
         continue;
       Parent.insert(Parent.begin() + After,
-                    BodyItem(Stmt::makeRegStore(Ref, RegOf.at(Key))));
+                    BodyItem(Stmt::makeRegStore(C.Ref, C.Reg)));
       ++After;
     }
 
-    Nest.noteLiveRegs(static_cast<int>(RegOf.size()));
-    Stats.RegsAllocated += static_cast<int>(RegOf.size());
+    Nest.noteLiveRegs(Regs);
+    Stats.RegsAllocated += Regs;
     ++Stats.LoopsProcessed;
   }
   return Stats;

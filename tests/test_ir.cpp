@@ -2,6 +2,7 @@
 
 #include "ir/Loop.h"
 #include "kernels/Kernels.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
@@ -138,6 +139,97 @@ TEST(ArrayRefTest, ConstOffset) {
   auto Self = A.constOffsetTo(A);
   ASSERT_TRUE(Self.has_value());
   EXPECT_EQ((*Self)[0], 0);
+}
+
+TEST(ArrayRefTest, ConstOffsetMatchesSubtraction) {
+  // constOffsetTo(O) against its definition: nullopt when some
+  // O.Subs[d] - Subs[d] is not constant, otherwise those constants. The
+  // second ref is the first with each subscript rebuilt in reverse term
+  // order and then perturbed, so seeded trials cover equal terms with
+  // shifted constants, terms that cancel, terms that differ, another
+  // array and a rank mismatch; the symbols are declared in a shuffled
+  // order each trial.
+  std::vector<ArrayDecl> Arrays(2);
+  Arrays[0].Name = "A";
+  Arrays[1].Name = "B";
+  Rng R(20261019);
+  int Offsets = 0, OtherArray = 0, OtherRank = 0, OtherTerms = 0;
+  for (int Trial = 0; Trial < 2000; ++Trial) {
+    std::vector<std::string> Names = {"I", "J", "K", "N"};
+    for (size_t X = Names.size(); X > 1; --X)
+      std::swap(Names[X - 1], Names[R.nextInt(0, int64_t(X) - 1)]);
+    SymbolTable Syms;
+    std::vector<SymbolId> Ids;
+    for (const std::string &Name : Names)
+      Ids.push_back(Syms.declare(Name, SymbolKind::LoopVar));
+    auto someSym = [&] { return AffineExpr::sym(Ids[R.nextInt(0, 3)]); };
+    auto randomExpr = [&] {
+      AffineExpr E = AffineExpr::constant(R.nextInt(-3, 3));
+      for (int64_t T = R.nextInt(0, 3); T > 0; --T)
+        E = E + someSym().scaled(R.nextInt(-2, 2));
+      return E;
+    };
+
+    ArrayRef A(static_cast<ArrayId>(R.nextInt(0, 1)), {});
+    for (int64_t D = R.nextInt(1, 3); D > 0; --D)
+      A.Subs.push_back(randomExpr());
+    ArrayRef B = A;
+    for (AffineExpr &S : B.Subs) {
+      std::vector<SymbolId> Used = S.symbols();
+      AffineExpr Reversed = AffineExpr::constant(S.constTerm());
+      for (size_t X = Used.size(); X-- > 0;)
+        Reversed =
+            Reversed + AffineExpr::sym(Used[X]).scaled(S.coeff(Used[X]));
+      S = Reversed;
+      switch (R.nextInt(0, 3)) {
+      case 0: // shifted constant
+        S = S + R.nextInt(-4, 4);
+        break;
+      case 1: { // a term added and taken away again
+        AffineExpr T = someSym().scaled(R.nextInt(1, 3));
+        S = S + T + R.nextInt(-1, 1) - T;
+        break;
+      }
+      case 2: // a term that may or may not cancel an existing one
+        S = S + someSym().scaled(R.nextInt(-1, 1));
+        break;
+      default:
+        break;
+      }
+    }
+    if (R.nextBool(0.15))
+      B.Array = 1 - A.Array;
+    if (R.nextBool(0.15)) {
+      if (B.Subs.size() > 1 && R.nextBool())
+        B.Subs.pop_back();
+      else
+        B.Subs.push_back(randomExpr());
+    }
+
+    std::optional<std::vector<int64_t>> Want;
+    if (A.Array != B.Array) {
+      ++OtherArray;
+    } else if (A.rank() != B.rank()) {
+      ++OtherRank;
+    } else {
+      Want.emplace();
+      for (size_t D = 0; D < A.Subs.size() && Want; ++D) {
+        AffineExpr Diff = B.Subs[D] - A.Subs[D];
+        if (Diff.isConstant())
+          Want->push_back(Diff.constTerm());
+        else
+          Want.reset();
+      }
+      ++(Want ? Offsets : OtherTerms);
+    }
+    SCOPED_TRACE("trial " + std::to_string(Trial) + ": " + A.str(Syms, Arrays) +
+                 " to " + B.str(Syms, Arrays));
+    EXPECT_EQ(A.constOffsetTo(B), Want);
+  }
+  EXPECT_GT(Offsets, 500);
+  EXPECT_GT(OtherArray, 100);
+  EXPECT_GT(OtherRank, 100);
+  EXPECT_GT(OtherTerms, 100);
 }
 
 TEST(ScalarExprTest, FlopsAndReads) {

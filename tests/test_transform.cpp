@@ -8,9 +8,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/DeriveVariants.h"
+#include "core/Search.h"
 #include "exec/Run.h"
 #include "kernels/Kernels.h"
 #include "kernels/Reference.h"
+#include "support/NestHash.h"
 #include "support/Rng.h"
 #include "support/StringUtils.h"
 #include "transform/Copy.h"
@@ -550,4 +553,127 @@ TEST(PipelineProperty, RandomizedConfigsAllCorrect) {
                            (int)Opts.ScalarReplace, Opts.PrefetchDist));
     expectMMCorrect(Nest, Ids, N, {{"TK", TK}, {"TJ", TJ}});
   }
+}
+
+TEST(InstantiatePinned, EveryDerivedVariantPrintsAsRecorded) {
+  // Instantiation output pinned across rewrites of the transforms: every
+  // derived variant of the three kernels on two machines, at the
+  // model-initial point and at every unroll factor 3 / prefetch distance
+  // 2. Each row is (kernel, machine, variant, fixed?, hashNest of the
+  // instantiated nest, NumRegs, MaxLiveRegs); a transform change that
+  // moves any printed statement, register number or live count fails its
+  // row.
+  struct Row {
+    const char *Kernel, *Machine, *Variant;
+    bool Fixed;
+    uint64_t Hash;
+    int NumRegs, MaxLiveRegs;
+  };
+  static const Row Rows[] = {
+    {"matmul", "sgi", "v1", false, 0x7010ea5bfbbbde8bull, 59, 32},
+    {"matmul", "sgi", "v1", true, 0x4f5abe31f0cf3abdull, 24, 9},
+    {"matmul", "sgi", "v2", false, 0xe8f8422ad54b31f0ull, 59, 32},
+    {"matmul", "sgi", "v2", true, 0xd03aba5b738d64e6ull, 24, 9},
+    {"matmul", "sgi", "v3", false, 0x93a3a3361468bdd0ull, 59, 32},
+    {"matmul", "sgi", "v3", true, 0xfa2bc11c47827296ull, 24, 9},
+    {"matmul", "sgi", "v4", false, 0x7f75a45ce2fd493aull, 59, 32},
+    {"matmul", "sgi", "v4", true, 0x85867c711ff46024ull, 24, 9},
+    {"matmul", "sgi", "v5", false, 0x788a6656cfce387eull, 59, 32},
+    {"matmul", "sgi", "v5", true, 0x68c3dbc000b7a8ecull, 24, 9},
+    {"matmul", "sgi", "v6", false, 0x0224854781bee51eull, 59, 32},
+    {"matmul", "sgi", "v6", true, 0x878b80009e584684ull, 24, 9},
+    {"matmul", "sgi", "v7", false, 0x4634c9e0093edfa7ull, 59, 32},
+    {"matmul", "sgi", "v7", true, 0x126fb74edd93c0bdull, 24, 9},
+    {"matmul", "sgi", "v8", false, 0xedaa44c84b6bb134ull, 59, 32},
+    {"matmul", "sgi", "v8", true, 0xda4763058a2d41aeull, 24, 9},
+    {"matmul", "sun", "v1", false, 0x7010ea5bfbbbde8bull, 59, 32},
+    {"matmul", "sun", "v1", true, 0x4f5abe31f0cf3abdull, 24, 9},
+    {"matmul", "sun", "v2", false, 0xe8f8422ad54b31f0ull, 59, 32},
+    {"matmul", "sun", "v2", true, 0xd03aba5b738d64e6ull, 24, 9},
+    {"matmul", "sun", "v3", false, 0x93a3a3361468bdd0ull, 59, 32},
+    {"matmul", "sun", "v3", true, 0xfa2bc11c47827296ull, 24, 9},
+    {"matmul", "sun", "v4", false, 0x7f75a45ce2fd493aull, 59, 32},
+    {"matmul", "sun", "v4", true, 0x85867c711ff46024ull, 24, 9},
+    {"matmul", "sun", "v5", false, 0x788a6656cfce387eull, 59, 32},
+    {"matmul", "sun", "v5", true, 0x68c3dbc000b7a8ecull, 24, 9},
+    {"matmul", "sun", "v6", false, 0x0224854781bee51eull, 59, 32},
+    {"matmul", "sun", "v6", true, 0x878b80009e584684ull, 24, 9},
+    {"matmul", "sun", "v7", false, 0x4634c9e0093edfa7ull, 59, 32},
+    {"matmul", "sun", "v7", true, 0x126fb74edd93c0bdull, 24, 9},
+    {"matmul", "sun", "v8", false, 0xedaa44c84b6bb134ull, 59, 32},
+    {"matmul", "sun", "v8", true, 0xda4763058a2d41aeull, 24, 9},
+    {"jacobi", "sgi", "v1", false, 0xf54f7f30ed86ebaaull, 135, 96},
+    {"jacobi", "sgi", "v1", true, 0xd21ad41ff39520d6ull, 48, 27},
+    {"jacobi", "sgi", "v2", false, 0x19a3f47e742ec33dull, 135, 96},
+    {"jacobi", "sgi", "v2", true, 0xf2612662d85e8dfbull, 48, 27},
+    {"jacobi", "sgi", "v3", false, 0x64d276857afa8b4aull, 135, 96},
+    {"jacobi", "sgi", "v3", true, 0x1e30c01faf0b9292ull, 48, 27},
+    {"jacobi", "sgi", "v4", false, 0x64d276857afa8b4aull, 135, 96},
+    {"jacobi", "sgi", "v4", true, 0x1e30c01faf0b9292ull, 48, 27},
+    {"jacobi", "sgi", "v5", false, 0xea40971e370202ecull, 135, 96},
+    {"jacobi", "sgi", "v5", true, 0xbadbdbdd7d311241ull, 48, 27},
+    {"jacobi", "sgi", "v6", false, 0xcc271495111b7d04ull, 135, 96},
+    {"jacobi", "sgi", "v6", true, 0x6ec128509637cee9ull, 48, 27},
+    {"jacobi", "sgi", "v7", false, 0xcc271495111b7d04ull, 135, 96},
+    {"jacobi", "sgi", "v7", true, 0x6ec128509637cee9ull, 48, 27},
+    {"jacobi", "sgi", "v8", false, 0x99b87df72f90f95aull, 135, 96},
+    {"jacobi", "sgi", "v8", true, 0x7e634d2c96c385f2ull, 48, 27},
+    {"jacobi", "sun", "v1", false, 0xf54f7f30ed86ebaaull, 135, 96},
+    {"jacobi", "sun", "v1", true, 0xd21ad41ff39520d6ull, 48, 27},
+    {"jacobi", "sun", "v2", false, 0x19a3f47e742ec33dull, 135, 96},
+    {"jacobi", "sun", "v2", true, 0xf2612662d85e8dfbull, 48, 27},
+    {"jacobi", "sun", "v3", false, 0x64d276857afa8b4aull, 135, 96},
+    {"jacobi", "sun", "v3", true, 0x1e30c01faf0b9292ull, 48, 27},
+    {"jacobi", "sun", "v4", false, 0x64d276857afa8b4aull, 135, 96},
+    {"jacobi", "sun", "v4", true, 0x1e30c01faf0b9292ull, 48, 27},
+    {"jacobi", "sun", "v5", false, 0xea40971e370202ecull, 135, 96},
+    {"jacobi", "sun", "v5", true, 0xbadbdbdd7d311241ull, 48, 27},
+    {"jacobi", "sun", "v6", false, 0xcc271495111b7d04ull, 135, 96},
+    {"jacobi", "sun", "v6", true, 0x6ec128509637cee9ull, 48, 27},
+    {"jacobi", "sun", "v7", false, 0xcc271495111b7d04ull, 135, 96},
+    {"jacobi", "sun", "v7", true, 0x6ec128509637cee9ull, 48, 27},
+    {"jacobi", "sun", "v8", false, 0x99b87df72f90f95aull, 135, 96},
+    {"jacobi", "sun", "v8", true, 0x7e634d2c96c385f2ull, 48, 27},
+    {"matvec", "sgi", "v1", false, 0x0eb8c28dea671bd3ull, 18, 16},
+    {"matvec", "sgi", "v1", true, 0x4712a314783e49e7ull, 5, 3},
+    {"matvec", "sgi", "v2", false, 0x0991d5a6e8f2a33cull, 18, 16},
+    {"matvec", "sgi", "v2", true, 0xae3f6967d69d6942ull, 5, 3},
+    {"matvec", "sun", "v1", false, 0x0eb8c28dea671bd3ull, 18, 16},
+    {"matvec", "sun", "v1", true, 0x4712a314783e49e7ull, 5, 3},
+    {"matvec", "sun", "v2", false, 0x0991d5a6e8f2a33cull, 18, 16},
+    {"matvec", "sun", "v2", true, 0xae3f6967d69d6942ull, 5, 3},
+  };
+  const std::pair<const char *, LoopNest (*)()> Kernels[] = {
+      {"matmul", [] { return makeMatMul(); }},
+      {"jacobi", [] { return makeJacobi(); }},
+      {"matvec", [] { return makeMatVec(); }}};
+  const std::pair<const char *, MachineDesc> Machines[] = {
+      {"sgi", MachineDesc::sgiR10000().scaledBy(16)},
+      {"sun", MachineDesc::ultraSparcIIe().scaledBy(16)}};
+  size_t Next = 0;
+  for (const auto &[KName, Build] : Kernels)
+    for (const auto &[MName, M] : Machines)
+      for (const DerivedVariant &V : deriveVariants(Build(), M))
+        for (bool Fixed : {false, true}) {
+          Env E = initialConfig(V, M, {{"N", 64}});
+          if (Fixed) {
+            for (const UnrollSpec &U : V.Spec.Unrolls)
+              E.set(U.FactorParam, 3);
+            for (const PrefetchSpec &P : V.Prefetch)
+              E.set(P.DistanceParam, 2);
+          }
+          ASSERT_LT(Next, std::size(Rows));
+          const Row &R = Rows[Next++];
+          ASSERT_STREQ(R.Kernel, KName);
+          ASSERT_STREQ(R.Machine, MName);
+          ASSERT_EQ(R.Variant, V.Spec.Name);
+          ASSERT_EQ(R.Fixed, Fixed);
+          SCOPED_TRACE(std::string(KName) + "/" + MName + "/" + R.Variant +
+                       (Fixed ? " u3p2" : " initial"));
+          LoopNest Nest = V.instantiate(E, M);
+          EXPECT_EQ(hashNest(Nest), R.Hash);
+          EXPECT_EQ(Nest.NumRegs, R.NumRegs);
+          EXPECT_EQ(Nest.MaxLiveRegs, R.MaxLiveRegs);
+        }
+  EXPECT_EQ(Next, std::size(Rows));
 }
