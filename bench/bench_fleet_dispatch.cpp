@@ -5,9 +5,10 @@
 // and once with every warm batch shipped to a single eco_worker
 // (in-process, over the real socket). The wall-time delta is not pure
 // dispatch cost (payload building, wire round trips, cache insertion):
-// it also carries every shipped warm point the local decision loop would
-// not have costed, each instantiated and simulated on the worker. Gate:
-// overhead <= 10% of the local run, and the winner bit-identical.
+// it also carries the worker's own instantiations, since its EvalEngine
+// memoizes apart from the daemon's, and every shipped warm point the
+// local decision loop would not have costed. Gate: overhead <= 10% of
+// the local run, and the winner bit-identical.
 //
 // Results are emitted as BENCH_fleet_dispatch.json.
 //

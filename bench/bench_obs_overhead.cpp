@@ -172,7 +172,8 @@ int main() {
   }
   double GuardNs = EcoNs > RawNs ? EcoNs - RawNs : 0;
   // Locks one evaluation takes when everything is quiet: the cache
-  // shard, the stats mutex, and slack for obs; round up.
+  // shard, the stats mutex, the instantiation memo, and slack for obs;
+  // round up.
   constexpr double LockHooksPerEval = 8;
   double LockGuardPct = GuardNs * LockHooksPerEval / EvalNs * 100.0;
   std::printf("raw std::mutex lock+unlock: %.2f ns; eco::Mutex "

@@ -330,8 +330,7 @@ public:
 };
 
 /// The unroll/prefetch portion of \p Config that determines instantiation
-/// (tiles stay symbolic). Only the perf benchmark and tests name it
-/// (ROADMAP.md item 1); the engine instantiates on every miss.
+/// (tiles stay symbolic); the engine keys its instantiation memo on it.
 std::string instantiationKey(const DerivedVariant &V, const Env &Config);
 
 /// Inclusive upper bounds of the search parameters. The lower bounds are

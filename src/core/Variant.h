@@ -129,10 +129,10 @@ public:
   /// transformations, parameters, constraints).
   std::string describe() const;
 
-  /// variantFingerprint(*this): the identity evaluators key costs on.
-  /// deriveVariants stores it; a hand-built variant computes and keeps it
-  /// on first use. Thread-safe. Code that edits an instantiate() input
-  /// after that must call refreshFingerprint().
+  /// variantFingerprint(*this): the identity evaluators key costs and
+  /// instantiations on. deriveVariants stores it; a hand-built variant
+  /// computes and keeps it on first use. Thread-safe. Code that edits an
+  /// instantiate() input after that must call refreshFingerprint().
   uint64_t fingerprint() const;
   void refreshFingerprint();
 

@@ -74,6 +74,25 @@ void EvalEngine::flush() {
   }
 }
 
+const LoopNest &EvalEngine::instantiated(const DerivedVariant &V,
+                                         const Env &Config) {
+  std::pair<uint64_t, std::string> Key{V.fingerprint(),
+                                       instantiationKey(V, Config)};
+  {
+    MutexLock Lock(InstMutex);
+    auto It = InstMemo.find(Key);
+    if (It != InstMemo.end())
+      return It->second;
+    ++Instantiations;
+  }
+  // Build outside the lock: instantiation walks the whole nest, and
+  // warm batches instantiate distinct unroll/prefetch shapes in
+  // parallel. Losing the emplace race just discards a duplicate.
+  LoopNest Fresh = V.instantiate(Config, Base.machine());
+  MutexLock Lock(InstMutex);
+  return InstMemo.emplace(std::move(Key), std::move(Fresh)).first->second;
+}
+
 EvalKey EvalEngine::keyFor(const DerivedVariant &V, const Env &Config) const {
   EvalKey Key;
   Key.NestHash = V.fingerprint();
@@ -105,12 +124,11 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
     return O;
   }
 
-  // Miss: only now is the nest needed, and only on this lane for this
-  // evaluation. Rejections are never cached, so an illegal point always
-  // reaches this and is recorded on every request.
-  LoopNest Nest;
+  // Miss: only now is the nest needed. Rejections are never cached, so an
+  // illegal point always reaches this and is recorded on every request.
+  const LoopNest *Nest = nullptr;
   try {
-    Nest = V.instantiate(Config, Base.machine());
+    Nest = &instantiated(V, Config);
   } catch (const TransformError &E) {
     // Illegal unroll/prefetch request for this config: infinite cost,
     // never an escaping exception (evalOne runs on lane threads).
@@ -144,7 +162,7 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
   if (LiveHW)
     Before = *LiveHW;
   Timer T;
-  O.Cost = Backend.evaluate(Nest, Config);
+  O.Cost = Backend.evaluate(*Nest, Config);
   O.Millis = T.millis();
   O.Lane = Lane;
   HWCounters Delta;

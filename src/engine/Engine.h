@@ -16,9 +16,9 @@
 ///    (variant fingerprint, machine, config) key, optionally persisted to
 ///    JSON so repeated points are free within a tune and across re-runs.
 ///    The key is computed from declarative inputs alone, so a cached
-///    point is answered before anything is instantiated; a miss
-///    instantiates the variant into a nest local to the lane that
-///    evaluates it, and the nest dies with the evaluation;
+///    point is answered before anything is instantiated; instantiation
+///    (memoized per fingerprint and unroll/prefetch values) runs only on
+///    a miss;
 ///  * one per-(variant, stage) ledger of evaluations, cache hits, backend
 ///    time and hardware-counter deltas, from which stats() and
 ///    telemetry() are read. The per-point record is the flight
@@ -134,6 +134,14 @@ public:
   /// Effective parallelism after backend-clonability degradation.
   int jobs() const { return Pool->jobs(); }
 
+  /// How many times this engine has run DerivedVariant::instantiate()
+  /// (including attempts a TransformError rejected). Cache hits never
+  /// instantiate.
+  size_t instantiations() const {
+    MutexLock Lock(InstMutex);
+    return Instantiations;
+  }
+
   EvalCache &cache() { return *CachePtr; }
 
   /// Saves the cache file (when configured). Called from the destructor;
@@ -141,6 +149,11 @@ public:
   void flush();
 
 private:
+  /// Returns (building if needed) the instantiation of \p V under
+  /// \p Config's unroll/prefetch values. Thread-safe; the returned
+  /// reference stays valid for the engine's lifetime.
+  const LoopNest &instantiated(const DerivedVariant &V, const Env &Config);
+
   EvalKey keyFor(const DerivedVariant &V, const Env &Config) const;
 
   /// Cache-or-evaluate one point on \p Lane; returns the outcome and
@@ -157,6 +170,15 @@ private:
 
   std::shared_ptr<EvalCache> CachePtr; ///< Opts.SharedCache or private
   uint64_t MachineHash = 0;
+
+  mutable Mutex InstMutex{"engine.inst"};
+  /// (variant fingerprint, instantiationKey) -> instantiated nest. Keyed
+  /// by content so an engine that outlives one tune cannot hand a
+  /// variant allocated at a reused address another variant's nest.
+  /// Node-based so references stay stable while the map grows.
+  std::map<std::pair<uint64_t, std::string>, LoopNest> InstMemo
+      ECO_GUARDED_BY(InstMutex);
+  size_t Instantiations ECO_GUARDED_BY(InstMutex) = 0;
 
   mutable Mutex StatsMutex{"engine.stats"};
   /// Configs a TransformError rejected; never cached, so never in a row.

@@ -51,9 +51,10 @@ void evaluateBatch(const Json &Batch, PointResolver &Resolver,
     return;
   }
 
-  // One engine per batch, so the worker keeps no per-point cache across
-  // batches: the daemon's shared cache is where costs are remembered.
-  // Each point instantiates on its miss and its nest dies with it.
+  // One engine per batch: its memo lets the batch's points share
+  // instantiations (a search stage varies tiles over a few unroll and
+  // prefetch shapes), and it dies with the batch, so the worker's memory
+  // does not grow with every shape it has costed.
   EvalEngine Engine(*Ctx->Backend);
   for (size_t I = 0; I < Points.size(); ++I) {
     const Json &P = Points.at(I);
