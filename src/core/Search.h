@@ -100,11 +100,6 @@ public:
     return std::make_unique<SimEvalBackend>(Machine);
   }
 
-  /// Counters summed over every evaluation this instance has run —
-  /// benchmarks divide the access totals by backend wall time to report
-  /// simulated accesses per second.
-  const HWCounters &accumulatedCounters() const { return Accum; }
-
   const HWCounters *hwCounters() const override { return &Accum; }
 
 private:

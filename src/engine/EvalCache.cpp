@@ -25,10 +25,9 @@ bool EvalKey::parse(const std::string &Text, EvalKey &Out) {
 }
 
 std::optional<double> EvalCache::lookup(const EvalKey &Key) {
-  Shard &S = shardFor(Key);
-  MutexLock Lock(S.M);
-  auto It = S.Map.find(Key);
-  if (It == S.Map.end()) {
+  MutexLock Lock(M);
+  auto It = Map.find(Key);
+  if (It == Map.end()) {
     Misses.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
@@ -37,18 +36,13 @@ std::optional<double> EvalCache::lookup(const EvalKey &Key) {
 }
 
 void EvalCache::insert(const EvalKey &Key, double Cost) {
-  Shard &S = shardFor(Key);
-  MutexLock Lock(S.M);
-  S.Map[Key] = Cost;
+  MutexLock Lock(M);
+  Map[Key] = Cost;
 }
 
 size_t EvalCache::size() const {
-  size_t Total = 0;
-  for (const Shard &S : Shards) {
-    MutexLock Lock(S.M);
-    Total += S.Map.size();
-  }
-  return Total;
+  MutexLock Lock(M);
+  return Map.size();
 }
 
 size_t EvalCache::load(const std::string &Path,
@@ -105,9 +99,9 @@ size_t EvalCache::load(const std::string &Path,
 
 bool EvalCache::save(const std::string &Path) const {
   Json Entries = Json::object();
-  for (const Shard &S : Shards) {
-    MutexLock Lock(S.M);
-    for (const auto &[Key, Cost] : S.Map)
+  {
+    MutexLock Lock(M);
+    for (const auto &[Key, Cost] : Map)
       if (std::isfinite(Cost)) // JSON has no inf; a failure re-evaluates
         Entries.set(Key.str(), Cost);
   }

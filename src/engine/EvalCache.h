@@ -17,8 +17,8 @@
 ///  * a killed tune re-run over its cache file resumes: it replays every
 ///    saved point as a hit and evaluates only the rest.
 ///
-/// The map is sharded (one mutex per shard) so concurrent workers
-/// publishing results do not serialize on one lock.
+/// One map under one mutex: a lookup or insert holds it for one hash
+/// probe, far shorter than the evaluation or instantiation around it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,21 +104,14 @@ public:
   bool save(const std::string &Path) const;
 
 private:
-  static constexpr size_t NumShards = 16;
   struct KeyHash {
     size_t operator()(const EvalKey &K) const {
       return K.NestHash ^ K.MachineHash ^ K.EnvHash;
     }
   };
-  struct Shard {
-    mutable Mutex M{"evalcache.shard"};
-    std::unordered_map<EvalKey, double, KeyHash> Map ECO_GUARDED_BY(M);
-  };
-  Shard &shardFor(const EvalKey &Key) {
-    return Shards[KeyHash()(Key) % NumShards];
-  }
 
-  Shard Shards[NumShards];
+  mutable Mutex M{"evalcache"};
+  std::unordered_map<EvalKey, double, KeyHash> Map ECO_GUARDED_BY(M);
   std::atomic<uint64_t> Hits{0}, Misses{0};
 };
 

@@ -55,11 +55,6 @@ struct ArrayDecl {
       N *= Extent.eval(E);
     return N;
   }
-
-  /// Total bytes under \p E.
-  int64_t sizeBytes(const Env &E) const {
-    return numElements(E) * ElemBytes;
-  }
 };
 
 /// A subscripted reference A[s0, s1, ...] with affine subscripts.

@@ -48,12 +48,6 @@ struct ScalarExpr {
     return E;
   }
 
-  static std::unique_ptr<ScalarExpr> makeRegRead(int Reg) {
-    auto E = std::make_unique<ScalarExpr>(ScalarExprKind::RegRead);
-    E->Reg = Reg;
-    return E;
-  }
-
   static std::unique_ptr<ScalarExpr> makeBinary(
       ScalarExprKind K, std::unique_ptr<ScalarExpr> L,
       std::unique_ptr<ScalarExpr> R) {

@@ -79,14 +79,6 @@ struct Stmt {
     return S;
   }
 
-  static std::unique_ptr<Stmt>
-  makeComputeToReg(int Reg, std::unique_ptr<ScalarExpr> R) {
-    auto S = std::make_unique<Stmt>(StmtKind::Compute);
-    S->LhsReg = Reg;
-    S->Rhs = std::move(R);
-    return S;
-  }
-
   static std::unique_ptr<Stmt> makeRegLoad(int Reg, ArrayRef Src) {
     auto S = std::make_unique<Stmt>(StmtKind::RegLoad);
     S->Reg = Reg;

@@ -59,7 +59,6 @@ public:
   /// (300000 ms) is generous because a submit blocks for a full tune;
   /// pollers and tests should set something much tighter.
   void setRecvTimeout(int Ms) { RecvTimeoutMs = Ms; }
-  int recvTimeout() const { return RecvTimeoutMs; }
 
   /// False once a transport failure desynchronized the stream; every
   /// later call fails fast with deadReason().

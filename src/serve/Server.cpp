@@ -185,11 +185,6 @@ size_t TuneService::queueDepth() const {
   return Queue.size();
 }
 
-size_t TuneService::numRunning() const {
-  MutexLock Lock(QM);
-  return Running;
-}
-
 Json TuneService::statsJson() const {
   Json J = Json::object();
   {

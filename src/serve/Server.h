@@ -153,8 +153,6 @@ public:
 
   /// Jobs admitted but not yet popped by a worker.
   size_t queueDepth() const;
-  /// Jobs currently executing.
-  size_t numRunning() const;
 
   /// Lifetime counters + queue state as a JSON object (the "stats" op).
   Json statsJson() const;
@@ -239,7 +237,6 @@ public:
 
   /// The TCP port actually bound (-1 without a TCP listener).
   int port() const { return BoundPort; }
-  const std::string &unixPath() const { return Opts.UnixPath; }
 
   /// A client sent {"op":"shutdown"}.
   bool shutdownRequested() const {

@@ -46,8 +46,6 @@ public:
     YFixed = true;
   }
 
-  size_t numSeries() const { return Series.size(); }
-
   /// Renders the chart; empty charts render a placeholder note.
   std::string render() const;
 

@@ -4,7 +4,8 @@
 #include "transform/Utils.h"
 
 #include <algorithm>
-#include <map>
+#include <iterator>
+#include <optional>
 
 using namespace eco;
 
@@ -17,6 +18,14 @@ struct Candidate {
   bool Read = false, Written = false;
   int Reg = -1; ///< -1 until the candidate passes the alias filter
 };
+
+/// Redirects the read leaf \p Leaf to register \p Reg.
+void readFromReg(ScalarExpr &Leaf, int Reg, ScalarReplaceStats &Stats) {
+  Leaf.Kind = ScalarExprKind::RegRead;
+  Leaf.Reg = Reg;
+  Leaf.Ref = ArrayRef();
+  ++Stats.RefsReplaced;
+}
 
 } // namespace
 
@@ -101,16 +110,18 @@ ScalarReplaceStats eco::scalarReplaceInvariant(LoopNest &Nest,
         }
       }
 
-    // Provably different elements: a constant per-dimension offset with
-    // some nonzero component.
+    // Provably different elements: subscripts that differ only in their
+    // constants, and in at least one dimension.
     auto distinct = [](const ArrayRef &A, const ArrayRef &B) {
-      auto Off = A.constOffsetTo(B);
-      if (!Off)
+      if (A.Array != B.Array || A.rank() != B.rank())
         return false;
-      for (int64_t C : *Off)
-        if (C != 0)
-          return true;
-      return false;
+      bool Differ = false;
+      for (unsigned D = 0; D < A.rank(); ++D) {
+        if (!A.Subs[D].sameTerms(B.Subs[D]))
+          return false;
+        Differ |= A.Subs[D].constTerm() != B.Subs[D].constTerm();
+      }
+      return Differ;
     };
 
     // Filter: drop candidates that may alias an unredirected ref (with a
@@ -176,13 +187,8 @@ ScalarReplaceStats eco::scalarReplaceInvariant(LoopNest &Nest,
         S.Rhs->forEachRead([&](ScalarExpr &Leaf) {
           if (Leaf.Ref.uses(InnerVar))
             return;
-          int Reg = regOf(Leaf.Ref);
-          if (Reg < 0)
-            return;
-          Leaf.Reg = Reg;
-          Leaf.Kind = ScalarExprKind::RegRead;
-          Leaf.Ref = ArrayRef();
-          ++Stats.RefsReplaced;
+          if (int Reg = regOf(Leaf.Ref); Reg >= 0)
+            readFromReg(Leaf, Reg, Stats);
         });
       }
 
@@ -214,34 +220,38 @@ ScalarReplaceStats eco::scalarReplaceInvariant(LoopNest &Nest,
 
 namespace {
 
-/// A chain of references marching along the inner loop: members share all
-/// subscript structure except a multiple of Delta (the per-iteration
-/// subscript advance).
+/// A chain of read leaves marching along the inner loop: member (T, Leaf)
+/// reads *Rep shifted by T iterations.
 struct Chain {
-  std::vector<int64_t> BaseOffset;          ///< offset of the t=0 member
-  std::map<int64_t, std::vector<ScalarExpr *>> MembersByT;
-  ArrayRef RepRef;                          ///< ref of some member
-  int64_t RepT = 0;                         ///< its t value
+  const ArrayRef *Rep; ///< the first member's ref (T = 0)
+  std::vector<std::pair<int64_t, ScalarExpr *>> Members;
+  int64_t TMin = 0, TMax = 0;
 };
 
-/// Solves Diff == t * Delta; nullopt if not aligned.
-std::optional<int64_t> alignT(const std::vector<int64_t> &Diff,
-                              const std::vector<int64_t> &Delta) {
+/// Iterations of \p InnerVar that carry \p Rep onto \p Ref (every
+/// subscript advances by T times its InnerVar coefficient), or nullopt if
+/// \p Ref is not on \p Rep's chain.
+std::optional<int64_t> stepsFrom(const ArrayRef &Rep, const ArrayRef &Ref,
+                                 SymbolId InnerVar) {
+  if (Rep.Array != Ref.Array || Rep.rank() != Ref.rank())
+    return std::nullopt;
   std::optional<int64_t> T;
-  for (size_t D = 0; D < Diff.size(); ++D) {
-    if (Delta[D] == 0) {
-      if (Diff[D] != 0)
+  for (unsigned D = 0; D < Ref.rank(); ++D) {
+    const AffineExpr &From = Rep.Subs[D], &To = Ref.Subs[D];
+    if (!From.sameTerms(To))
+      return std::nullopt;
+    int64_t Off = To.constTerm() - From.constTerm();
+    int64_t Delta = To.coeff(InnerVar);
+    if (Delta == 0) {
+      if (Off != 0)
         return std::nullopt;
       continue;
     }
-    if (Diff[D] % Delta[D] != 0)
+    if (Off % Delta != 0 || (T && *T != Off / Delta))
       return std::nullopt;
-    int64_t Cand = Diff[D] / Delta[D];
-    if (T && *T != Cand)
-      return std::nullopt;
-    T = Cand;
+    T = Off / Delta;
   }
-  return T ? T : std::optional<int64_t>(0);
+  return T.value_or(0);
 }
 
 /// Ref shifted by Steps iterations of the inner variable: every subscript
@@ -256,8 +266,7 @@ ArrayRef shiftAlong(const ArrayRef &Ref, SymbolId InnerVar, int64_t Steps) {
 } // namespace
 
 ScalarReplaceStats eco::rotatingScalarReplace(LoopNest &Nest,
-                                              SymbolId InnerVar,
-                                              bool CseSingleRefs) {
+                                              SymbolId InnerVar) {
   ScalarReplaceStats Stats;
 
   for (size_t Occ = 0;; ++Occ) {
@@ -287,27 +296,14 @@ ScalarReplaceStats eco::rotatingScalarReplace(LoopNest &Nest,
       const ArrayRef &Ref = Leaf.Ref;
       if (!Ref.uses(InnerVar) || Written[Ref.Array])
         return;
-      // Per-iteration advance of each subscript.
-      std::vector<int64_t> Delta;
-      for (const AffineExpr &S : Ref.Subs)
-        Delta.push_back(S.coeff(InnerVar));
-      for (Chain &C : Chains) {
-        if (C.RepRef.Array != Ref.Array)
-          continue;
-        auto Off = C.RepRef.constOffsetTo(Ref);
-        if (!Off)
-          continue;
-        auto T = alignT(*Off, Delta);
-        if (!T)
-          continue;
-        C.MembersByT[C.RepT + *T].push_back(&Leaf);
-        return;
-      }
-      Chain C;
-      C.RepRef = Ref;
-      C.RepT = 0;
-      C.MembersByT[0].push_back(&Leaf);
-      Chains.push_back(std::move(C));
+      for (Chain &C : Chains)
+        if (std::optional<int64_t> T = stepsFrom(*C.Rep, Ref, InnerVar)) {
+          C.Members.push_back({*T, &Leaf});
+          C.TMin = std::min(C.TMin, *T);
+          C.TMax = std::max(C.TMax, *T);
+          return;
+        }
+      Chains.push_back(Chain{&Ref, {{0, &Leaf}}});
     };
     for (BodyItem &Item : L.Items) {
       if (!Item.isStmt() || Item.stmt().Kind != StmtKind::Compute)
@@ -321,62 +317,32 @@ ScalarReplaceStats eco::rotatingScalarReplace(LoopNest &Nest,
     int LiveRegs = 0;
 
     for (Chain &C : Chains) {
-      int64_t TMin = C.MembersByT.begin()->first;
-      int64_t TMax = C.MembersByT.rbegin()->first;
-
-      if (TMin == TMax) {
-        // No rotation possible; optionally CSE duplicate reads.
-        auto &Members = C.MembersByT.begin()->second;
-        if (!CseSingleRefs || Members.size() < 2) {
-          continue;
-        }
-        int Reg = Nest.allocReg();
-        ++LiveRegs;
-        TopLoads.push_back(
-            BodyItem(Stmt::makeRegLoad(Reg, Members.front()->Ref)));
-        for (ScalarExpr *Leaf : Members) {
-          Leaf->Kind = ScalarExprKind::RegRead;
-          Leaf->Reg = Reg;
-          Leaf->Ref = ArrayRef();
-          ++Stats.RefsReplaced;
-        }
-        ++Stats.RegsAllocated;
+      // A single position read once needs no register; read several
+      // times, one load serves them all.
+      if (C.TMin == C.TMax && C.Members.size() < 2)
         continue;
-      }
-
-      // Rotating window over [TMin, TMax].
-      std::map<int64_t, int> RegAt;
-      for (int64_t T = TMin; T <= TMax; ++T) {
-        RegAt[T] = Nest.allocReg();
-        ++LiveRegs;
-        ++Stats.RegsAllocated;
-      }
-      // A reference with the chain's leading position.
-      const ArrayRef &SomeRef = C.MembersByT.rbegin()->second.front()->Ref;
-      int64_t SomeT = TMax;
-
-      // Prologue: preload window positions TMin..TMax-1 at Var = Lower.
-      for (int64_t T = TMin; T < TMax; ++T) {
-        ArrayRef RefT = shiftAlong(SomeRef, InnerVar, T - SomeT);
+      // A window over [TMin, TMax] in contiguous registers: position T
+      // lives in Base + (T - TMin). The leading element is loaded each
+      // iteration; the rest are preloaded at Var = Lower and rotate down
+      // (reg[T] <- reg[T+1], ascending T) at the bottom.
+      int Width = static_cast<int>(C.TMax - C.TMin) + 1;
+      int Base = Nest.allocReg();
+      for (int W = 1; W < Width; ++W)
+        Nest.allocReg();
+      LiveRegs += Width;
+      Stats.RegsAllocated += Width;
+      for (int64_t T = C.TMin; T < C.TMax; ++T) {
+        ArrayRef RefT = shiftAlong(*C.Rep, InnerVar, T);
         for (AffineExpr &S : RefT.Subs)
           S = S.substitute(InnerVar, L.Lower);
-        Prologue.push_back(BodyItem(Stmt::makeRegLoad(RegAt[T], RefT)));
+        int Reg = Base + static_cast<int>(T - C.TMin);
+        Prologue.push_back(BodyItem(Stmt::makeRegLoad(Reg, RefT)));
+        Rotates.push_back({Reg, Reg + 1});
       }
-      // Per-iteration load of the leading element.
       TopLoads.push_back(BodyItem(Stmt::makeRegLoad(
-          RegAt[TMax], shiftAlong(SomeRef, InnerVar, TMax - SomeT))));
-      // Rotation at the bottom: reg[t] <- reg[t+1], ascending t.
-      for (int64_t T = TMin; T < TMax; ++T)
-        Rotates.push_back({RegAt[T], RegAt[T + 1]});
-
-      // Rewrite member leaves.
-      for (auto &[T, Members] : C.MembersByT)
-        for (ScalarExpr *Leaf : Members) {
-          Leaf->Kind = ScalarExprKind::RegRead;
-          Leaf->Reg = RegAt.at(T);
-          Leaf->Ref = ArrayRef();
-          ++Stats.RefsReplaced;
-        }
+          Base + Width - 1, shiftAlong(*C.Rep, InnerVar, C.TMax))));
+      for (auto [T, Leaf] : C.Members)
+        readFromReg(*Leaf, Base + static_cast<int>(T - C.TMin), Stats);
     }
 
     if (LiveRegs == 0) {
@@ -386,14 +352,14 @@ ScalarReplaceStats eco::rotatingScalarReplace(LoopNest &Nest,
 
     // Splice: top loads at body start, rotate at body end, prologue
     // before the loop.
-    for (size_t T = TopLoads.size(); T-- > 0;)
-      L.Items.insert(L.Items.begin(), std::move(TopLoads[T]));
+    L.Items.insert(L.Items.begin(), std::make_move_iterator(TopLoads.begin()),
+                   std::make_move_iterator(TopLoads.end()));
     if (!Rotates.empty())
       L.Items.push_back(BodyItem(Stmt::makeRegRotate(std::move(Rotates))));
     Body &Parent = *Loc.Parent;
-    size_t Pos = Loc.Index;
-    for (size_t P = 0; P < Prologue.size(); ++P, ++Pos)
-      Parent.insert(Parent.begin() + Pos, std::move(Prologue[P]));
+    Parent.insert(Parent.begin() + Loc.Index,
+                  std::make_move_iterator(Prologue.begin()),
+                  std::make_move_iterator(Prologue.end()));
 
     Nest.noteLiveRegs(LiveRegs);
     ++Stats.LoopsProcessed;

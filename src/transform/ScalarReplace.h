@@ -46,11 +46,10 @@ struct ScalarReplaceStats {
 ScalarReplaceStats scalarReplaceInvariant(LoopNest &Nest, SymbolId InnerVar);
 
 /// Rotating replacement along loop \p InnerVar (every occurrence) for
-/// read-only reference chains. With \p CseSingleRefs, references that
-/// appear several times per iteration without forming a chain are also
-/// registered (one load instead of several).
-ScalarReplaceStats rotatingScalarReplace(LoopNest &Nest, SymbolId InnerVar,
-                                         bool CseSingleRefs = true);
+/// read-only reference chains. A reference that appears several times per
+/// iteration without forming a chain is also registered (one load instead
+/// of several).
+ScalarReplaceStats rotatingScalarReplace(LoopNest &Nest, SymbolId InnerVar);
 
 } // namespace eco
 

@@ -40,39 +40,6 @@ Body jamCopies(const Body &Orig, SymbolId Var, int Factor) {
   return Out;
 }
 
-/// True if any statement in \p B (recursively) reads or writes a
-/// register. Jam copies share register numbers, so replicating register
-/// state across an inner loop would be wrong code.
-bool touchesRegisters(const Body &B) {
-  bool Touches = false;
-  forEachStmtIn(const_cast<Body &>(B), [&](Stmt &S) {
-    if (S.Kind == StmtKind::RegLoad || S.Kind == StmtKind::RegStore ||
-        S.Kind == StmtKind::RegRotate || S.LhsReg >= 0)
-      Touches = true;
-    // RegRead leaves are not Read leaves; walk the tree directly.
-    std::function<void(const ScalarExpr &)> Walk =
-        [&](const ScalarExpr &E) {
-          if (E.Kind == ScalarExprKind::RegRead)
-            Touches = true;
-          if (E.Lhs)
-            Walk(*E.Lhs);
-          if (E.Rhs)
-            Walk(*E.Rhs);
-        };
-    if (S.Rhs)
-      Walk(*S.Rhs);
-  });
-  return Touches;
-}
-
-/// True if \p B (recursively) contains a nested loop.
-bool containsLoop(const Body &B) {
-  for (const BodyItem &Item : B)
-    if (Item.isLoop())
-      return true;
-  return false;
-}
-
 } // namespace
 
 void eco::unrollAndJam(LoopNest &Nest, SymbolId Var, int Factor) {
@@ -106,15 +73,11 @@ void eco::unrollAndJam(LoopNest &Nest, SymbolId Var, int Factor) {
           TransformErrorCode::BadRequest,
           "unroll-and-jam: inner loop bounds may not use the unrolled "
           "variable");
-    if (containsLoop(L.Items) && touchesRegisters(L.Items))
-      throw TransformError(
-          TransformErrorCode::BadRequest,
-          "unroll-and-jam: jam would replicate register state across an "
-          "inner loop (unroll before scalar replacement)");
   }
 
   // Data-dependence legality: jamming moves the Var loop innermost
-  // across everything nested inside it.
+  // across everything nested inside it, and replicates any register
+  // dataflow in the body or epilogue (rejected outright).
   std::string Reason = unrollJamLegality(Nest, Var, Factor);
   if (!Reason.empty())
     throw TransformError(TransformErrorCode::IllegalDependence, Reason);

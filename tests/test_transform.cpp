@@ -22,6 +22,7 @@
 #include "transform/Prefetch.h"
 #include "transform/ScalarReplace.h"
 #include "transform/Tile.h"
+#include "transform/TransformError.h"
 #include "transform/UnrollJam.h"
 #include "transform/Utils.h"
 
@@ -206,6 +207,19 @@ TEST(UnrollJamTest, FactorOneIsNoop) {
   unrollAndJam(Nest, Ids.J, 1);
   EXPECT_EQ(Nest.findLoop(Ids.J)->Unroll, 1);
   EXPECT_TRUE(Nest.findLoop(Ids.J)->Epilogue.empty());
+}
+
+TEST(UnrollJamTest, RejectsBodyHoldingScalarReplacedLoop) {
+  // J's body is C's register load, the K loop reading and writing that
+  // register, and C's store: jamming it would replicate the register
+  // across the copies of the inner loop.
+  MatMulIds Ids;
+  LoopNest Nest = makeMatMul(&Ids);
+  permuteSpine(Nest, {Ids.I, Ids.J, Ids.K});
+  scalarReplaceInvariant(Nest, Ids.K);
+  std::string Before = Nest.print();
+  EXPECT_THROW(unrollAndJam(Nest, Ids.J, 2), TransformError);
+  EXPECT_EQ(Nest.print(), Before);
 }
 
 TEST(ScalarReplaceTest, MatMulCGoesToRegisters) {
