@@ -148,10 +148,10 @@ int main() {
               EventGuardNs, EventsDisabledPct);
 
   banner("phase D: lock-checker disabled guard");
-  // Checking is off in this process (no ECO_LOCK_DEBUG, no sanitizer
-  // default), so this Mutex is permanently untracked: its lock()/unlock()
-  // are std::mutex plus an always-false branch on a const member.
-  sync::setCheckMode(sync::CheckMode::Off);
+  // Checking is off from here on, whatever ECO_LOCK_DEBUG says, so this
+  // Mutex is permanently untracked: its lock()/unlock() are std::mutex
+  // plus an always-false branch on a const member.
+  sync::setChecking(false);
   Mutex Checked("bench.guard");
   std::mutex Raw;
   constexpr uint64_t LockIters = 20'000'000;

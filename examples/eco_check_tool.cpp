@@ -18,14 +18,10 @@
 //   eco_check [--kernel=all|matmul|jacobi|matvec] [--seed=S] [--configs=N]
 //             [--n=SIZE] [--scale=K] [--max-ulps=U] [--max-variants=V]
 //             [--jobs=N] [--skip-native] [--skip-diff] [--skip-replay]
-//             [--skip-faults] [--fleet] [--audit-db=FILE]
+//             [--skip-faults] [--audit-db=FILE]
 //             [--audit-events=FILE] [--tmpdir=DIR]
 //             [--log-level=off|error|warn|info|debug]
 //
-//   --fleet         extra leg: eval-worker fleet chaos sweep (a vanishing,
-//                   a frozen, and a garbage-reporting worker each paired
-//                   with an honest one) — the tune must complete with a
-//                   winner bit-identical to a fleetless run
 //   --jobs=N        lanes for the replay's parallel run (N >= 2)
 //   --audit-db=F    replay-audit a tuned-config database (ConfigDB JSON)
 //                   and exit: every stored best cost must be bitwise
@@ -69,7 +65,6 @@ struct ToolOptions {
   bool RunDiff = true;
   bool RunReplay = true;
   bool RunFaults = true;
-  bool RunFleet = false;
   std::string AuditDb;
   std::string AuditEvents;
   std::string TmpDir;
@@ -126,10 +121,6 @@ bool parseArg(ToolOptions &Opts, const std::string &Arg) {
     Opts.RunFaults = false;
     return true;
   }
-  if (Arg == "--fleet") {
-    Opts.RunFleet = true;
-    return true;
-  }
   return false;
 }
 
@@ -144,7 +135,7 @@ int main(int Argc, char **Argv) {
           "usage: %s [--kernel=all|matmul|jacobi|matvec] [--seed=S] "
           "[--configs=N] [--n=SIZE] [--scale=K] [--max-ulps=U] "
           "[--max-variants=V] [--jobs=N] [--skip-native] [--skip-diff] "
-          "[--skip-replay] [--skip-faults] [--fleet] "
+          "[--skip-replay] [--skip-faults] "
           "[--audit-db=FILE] [--audit-events=FILE] "
           "[--tmpdir=DIR] "
           "[--log-level=off|error|warn|info|debug]\n",
@@ -176,8 +167,7 @@ int main(int Argc, char **Argv) {
   // The replay and fault legs need a scratch directory.
   std::string TmpDir = Opts.TmpDir;
   bool MadeTmp = false;
-  if ((Opts.RunReplay || Opts.RunFaults || Opts.RunFleet) &&
-      TmpDir.empty()) {
+  if ((Opts.RunReplay || Opts.RunFaults) && TmpDir.empty()) {
     char Template[] = "/tmp/eco_check.XXXXXX";
     if (char *D = mkdtemp(Template)) {
       TmpDir = D;
@@ -205,12 +195,6 @@ int main(int Argc, char **Argv) {
 
   if (Opts.RunFaults) {
     FaultCheckReport Report = runPersistenceFaultChecks(TmpDir);
-    std::printf("%s", Report.summary().c_str());
-    AllOk = AllOk && Report.ok();
-  }
-
-  if (Opts.RunFleet) {
-    FaultCheckReport Report = runFleetFaultChecks(TmpDir);
     std::printf("%s", Report.summary().c_str());
     AllOk = AllOk && Report.ok();
   }

@@ -3,7 +3,9 @@
 #
 # Runs the checks a PR must pass, in cost order:
 #
-#   1. tier-1: plain build + the full ctest suite (ROADMAP.md);
+#   1. tier-1: plain build + the full ctest suite (ROADMAP.md), then the
+#              same suite again with ECO_LOCK_DEBUG=1, where any
+#              lock-discipline violation aborts its test (DESIGN.md);
 #   2. perfbench: the throughput benchmark's own self-test;
 #   3. fuzz:   a bounded eco_fuzz differential sweep (fixed seed);
 #   4. bench:  the gated benches bench_obs_overhead and
@@ -14,10 +16,7 @@
 #
 # The labeled suites (engine|sim|obs|check|serve|fleet|fuzz|sync|search) are
 # the ones with real concurrency or UB surface; running only them keeps
-# the sanitizer passes tractable on small machines. Any ECO_SANITIZE
-# build also turns the runtime lock-discipline checker on in Report
-# mode (see DESIGN.md), so the sanitizer passes double as a lock-order
-# audit of every suite they run. Knobs:
+# the sanitizer passes tractable on small machines. Knobs:
 #
 #   ECO_VERIFY_JOBS=N      build/test parallelism   (default: nproc)
 #   ECO_VERIFY_SKIP_TSAN=1   skip the TSan pass
@@ -52,6 +51,9 @@ run_suite() { # run_suite <build-dir> <cmake-extra...> -- <ctest-args...>
 
 step "tier-1: build + full test suite"
 run_suite build --
+
+step "tier-1 under the lock checker: ECO_LOCK_DEBUG=1 ctest"
+(cd "$REPO/build" && ECO_LOCK_DEBUG=1 ctest --output-on-failure -j "$JOBS")
 
 step "perfbench: self-test"
 (cd "$REPO" && python3 perfbench/run.py --self-test)
@@ -142,12 +144,6 @@ wait "$W2" 2>/dev/null || true
 # The served row must replay bitwise: a non-clean audit fails the step.
 "$REPO/build/examples/eco_check" --audit-db="$FDB"
 rm -f "$FSOCK" "$FDB"
-
-step "fleet chaos sweep: eco_check --fleet"
-# A vanishing, a frozen and a garbage-reporting worker, each paired with
-# an honest one: every tune must still pick the fleetless winner.
-"$REPO/build/examples/eco_check" --skip-diff --skip-replay --skip-faults \
-    --fleet
 
 if [ "${ECO_VERIFY_SKIP_BENCH:-0}" != "1" ]; then
   # Each exits non-zero when it misses its bar; run from build/ so the

@@ -5,13 +5,10 @@
 #include "engine/Engine.h"
 #include "engine/EvalCache.h"
 #include "kernels/Kernels.h"
-#include "serve/Server.h"
-#include "serve/Worker.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -293,95 +290,6 @@ eco::check::runPersistenceFaultChecks(const std::string &TmpDir) {
     EvalCache In;
     if (In.load(Path) != 1)
       Fail("stale-tmp", "load next to stale temp files lost the entry");
-  }
-
-  return Report;
-}
-
-FaultCheckReport
-eco::check::runFleetFaultChecks(const std::string &TmpDir) {
-  FaultCheckReport Report;
-  auto Fail = [&Report](const std::string &Scenario,
-                        const std::string &Detail) {
-    Report.Issues.push_back({Scenario, Detail});
-  };
-
-  serve::JobSpec Spec;
-  Spec.Kernel = "matmul";
-  Spec.Machine = "sgi";
-  Spec.Scale = 4;
-  Spec.N = 48;
-  Spec.ForceRetune = true;
-
-  // The truth the fleet must never perturb: a fleetless run's winner.
-  serve::JobResult Baseline;
-  {
-    serve::TuneService S;
-    Baseline = S.run(Spec);
-  }
-  ++Report.Scenarios;
-  if (!Baseline.ok()) {
-    Fail("fleet:baseline", "fleetless tune failed: " + Baseline.Error);
-    return Report;
-  }
-
-  for (const char *Mode : {"vanish", "freeze", "garbage"}) {
-    ++Report.Scenarios;
-    std::string Scenario = std::string("fleet:") + Mode;
-    std::string Sock = TmpDir + "/eco_fleet_" + Mode + ".sock";
-    std::remove(Sock.c_str());
-
-    serve::ServiceOptions SvcOpts;
-    // Tight enough that the frozen worker's eviction and a missed batch
-    // deadline both fail their batch well inside the check's runtime.
-    SvcOpts.Fleet.HeartbeatTimeoutMs = 400;
-    SvcOpts.Fleet.BatchTimeoutMs = 2000;
-    serve::TuneService Service(SvcOpts);
-    serve::ServerOptions SrvOpts;
-    SrvOpts.UnixPath = Sock;
-    serve::Server Srv(Service, SrvOpts);
-    std::string Err;
-    if (!Srv.start(&Err)) {
-      Fail(Scenario, "server start failed: " + Err);
-      continue;
-    }
-
-    std::atomic<bool> Stop{false};
-    serve::WorkerOptions Honest;
-    Honest.Socket = Sock;
-    Honest.Name = "honest";
-    Honest.PollWaitMs = 100;
-    Honest.TimeoutMs = 5000;
-    Honest.Stop = &Stop;
-    serve::WorkerOptions Chaos = Honest;
-    Chaos.Name = Mode;
-    Chaos.Chaos = Mode;
-    std::thread T1([&Honest] { serve::runWorker(Honest); });
-    std::thread T2([&Chaos] { serve::runWorker(Chaos); });
-    for (int I = 0; I < 500 && Service.workers().liveWorkers() < 2; ++I)
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-
-    if (Service.workers().liveWorkers() < 2) {
-      Fail(Scenario, "workers never registered");
-    } else {
-      serve::JobResult R = Service.run(Spec);
-      if (!R.ok())
-        Fail(Scenario, "tune did not complete: " + R.Error);
-      else if (R.Cost != Baseline.Cost || R.Variant != Baseline.Variant ||
-               R.Config != Baseline.Config)
-        Fail(Scenario,
-             strformat("winner diverged from fleetless baseline "
-                       "(cost %.17g vs %.17g, variant %s vs %s)",
-                       R.Cost, Baseline.Cost, R.Variant.c_str(),
-                       Baseline.Variant.c_str()));
-    }
-
-    Stop.store(true);
-    T1.join();
-    T2.join();
-    Srv.stop();
-    Service.drain();
-    std::remove(Sock.c_str());
   }
 
   return Report;

@@ -74,16 +74,6 @@ struct FaultCheckReport {
 /// save/load hammering, and stale-temp-file tolerance.
 FaultCheckReport runPersistenceFaultChecks(const std::string &TmpDir);
 
-/// Runs the remote eval-worker fleet chaos sweep inside \p TmpDir (unix
-/// sockets live there): for each misbehaviour mode — a worker that
-/// vanishes mid-batch (the SIGKILL analogue), one that freezes holding a
-/// batch (heartbeat-eviction path), and one that reports garbage costs
-/// (evicted at once) — a tune served by one honest worker plus one
-/// misbehaving worker must still complete. Each batch is dispatched once
-/// and a failed one is costed at home, so the winner (cost, variant,
-/// config) must be bit-identical to a fleetless baseline run.
-FaultCheckReport runFleetFaultChecks(const std::string &TmpDir);
-
 } // namespace check
 } // namespace eco
 

@@ -103,7 +103,7 @@ bool EvalCache::save(const std::string &Path) const {
     MutexLock Lock(M);
     for (const auto &[Key, Cost] : Map)
       if (std::isfinite(Cost)) // JSON has no inf; a failure re-evaluates
-        Entries.set(Key.str(), Cost);
+        Entries.append(Key.str(), Cost); // map keys are unique
   }
   Json Root = Json::object();
   Root.set("version", FormatVersion);

@@ -166,27 +166,6 @@ bool obs::closeObsDir(const std::string &Dir) {
   return metrics().toJson().saveFile(Dir + "/metrics.json");
 }
 
-namespace {
-
-/// The lock-discipline checker's reports, through obs: a log line and a
-/// `sync.violation` event (which the registry folds into the
-/// `sync.violations` counter).
-void reportSyncViolation(const sync::Violation &V) {
-  ECO_LOG(Error) << "sync: " << V.Message;
-  if (eventsEnabled()) {
-    Json Fields = Json::object();
-    Fields.set("kind", V.Kind);
-    Fields.set("message", V.Message);
-    publishEvent("sync.violation", std::move(Fields));
-  }
-}
-
-/// Installed before main() in every binary that links the event bus.
-const bool SyncSinkInstalled =
-    (sync::setViolationSink(&reportSyncViolation), true);
-
-} // namespace
-
 ScopedJobId::ScopedJobId(uint64_t Id) : Prev(CurrentJob) { CurrentJob = Id; }
 ScopedJobId::~ScopedJobId() { CurrentJob = Prev; }
 

@@ -51,7 +51,6 @@
 ///   batch.failed       (batch_id, reason)        — a fleet batch dispatched
 ///                       once and not answered; its points are costed
 ///                       locally (serve/Fleet.h)
-///   sync.violation     (kind, message)           — lock-order checker
 ///
 /// The bus assigns each event a dense sequence number and a timestamp
 /// from the shared observability epoch (obs::monotonicMicros), both under

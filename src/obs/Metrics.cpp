@@ -272,8 +272,7 @@ void obs::foldEvent(const Event &E) {
       {"job.submitted", "serve.submitted"},
       {"cache.loaded", "cache.loads"},
       {"cache.saved", "cache.saves"},
-      {"db.saved", "serve.db_saves"},
-      {"sync.violation", "sync.violations"}};
+      {"db.saved", "serve.db_saves"}};
   if (auto It = Counts.find(T); It != Counts.end())
     Reg.counter(It->second).inc();
   // Job events carry the queue length they left (a refused submit left

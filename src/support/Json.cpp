@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
 
 #include <unistd.h>
 
@@ -410,6 +411,10 @@ private:
     skipWs();
     if (consume('}'))
       return Obj;
+    // A repeated key keeps its first position and takes the last value,
+    // as Json::set does; the index keeps a wide object linear to parse.
+    std::vector<std::pair<std::string, Json>> Fields;
+    std::unordered_map<std::string, size_t> Index;
     do {
       skipWs();
       std::string Key = parseString();
@@ -417,10 +422,17 @@ private:
         fail("expected ':'");
         break;
       }
-      Obj.set(Key, parseValue());
+      Json V = parseValue();
+      auto [It, New] = Index.try_emplace(Key, Fields.size());
+      if (New)
+        Fields.emplace_back(std::move(Key), std::move(V));
+      else
+        Fields[It->second].second = std::move(V);
     } while (ok() && consume(','));
     if (ok() && !consume('}'))
       fail("expected ',' or '}'");
+    for (auto &[Key, V] : Fields)
+      Obj.append(std::move(Key), std::move(V));
     return Obj;
   }
 

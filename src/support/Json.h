@@ -88,8 +88,14 @@ public:
   /// Returns the member named \p Key or a shared null value.
   const Json &get(const std::string &Key) const;
   bool has(const std::string &Key) const;
-  /// Sets (or replaces) member \p Key.
+  /// Sets (or replaces) member \p Key. Scans every member: build a wide
+  /// object with append().
   void set(const std::string &Key, Json V);
+  /// Adds member \p Key without looking for an existing one; the caller
+  /// guarantees the key is new (a repeated key would be written twice).
+  void append(std::string Key, Json V) {
+    Fields.emplace_back(std::move(Key), std::move(V));
+  }
   const std::vector<std::pair<std::string, Json>> &fields() const {
     return Fields;
   }

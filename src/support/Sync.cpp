@@ -11,13 +11,11 @@
 // if the acquired lock can already reach a held one, the program has
 // exercised both sides of an AB/BA inversion and we report the cycle
 // with every edge's lock names and first-observing thread, even though
-// this particular run did not deadlock.
+// this particular run did not deadlock. Every report aborts, so the
+// graph never holds a cycle.
 //
 // Checker-internal state is guarded by a plain std::mutex (the checker
-// cannot use the type it is checking), and a thread-local InReport flag
-// makes the reporting path — the installed ViolationSink, whose obs
-// implementation locks eco::Mutexes itself — invisible to the checker,
-// so a violation report can never recurse into a second violation.
+// cannot use the type it is checking).
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +27,8 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 using namespace eco;
 using namespace eco::sync;
@@ -49,11 +49,6 @@ struct Registry {
   std::mutex Mu; // plain std::mutex: the checker cannot check itself
   std::map<uint64_t, MutexInfo> Mutexes;
   std::map<uint64_t, std::map<uint64_t, EdgeInfo>> Edges; ///< held -> acquired
-  /// Offending edges already reported, so a repeated BA acquisition
-  /// reports once instead of spamming (and the graph stays acyclic,
-  /// keeping later DFS reports deterministic).
-  std::set<std::pair<uint64_t, uint64_t>> Reported;
-  std::vector<Violation> Violations;
   uint64_t NextId = 1;
 };
 
@@ -65,14 +60,7 @@ Registry &reg() {
   return *R;
 }
 
-std::atomic<int> ModeAtomic{-1}; // -1 = not yet initialised
-std::atomic<uint64_t> ViolationTally{0};
-
-void stderrSink(const Violation &V) {
-  std::fprintf(stderr, "eco sync [%s]: %s\n", V.Kind.c_str(),
-               V.Message.c_str());
-}
-std::atomic<ViolationSink> Sink{&stderrSink};
+std::atomic<int> CheckingAtomic{-1}; // -1 = not yet initialised
 
 std::atomic<uint64_t> NextThreadId{1};
 uint64_t checkerTid() {
@@ -86,14 +74,6 @@ uint64_t checkerTid() {
 std::vector<uint64_t> &heldStack() {
   thread_local std::vector<uint64_t> Stack;
   return Stack;
-}
-
-/// True while this thread is inside the violation-reporting path; every
-/// detail:: hook early-returns, so the locks the sink takes while
-/// reporting are not themselves checked.
-bool &inReport() {
-  thread_local bool In = false;
-  return In;
 }
 
 /// DFS over Edges: can From reach Target?
@@ -135,27 +115,11 @@ bool cyclePath(const std::map<uint64_t, std::map<uint64_t, EdgeInfo>> &Edges,
   return false;
 }
 
-/// Records + reports one violation. \p AlwaysFatal marks the classes
-/// where continuing would execute UB on the underlying std::mutex.
-/// Call with reg().Mu NOT held.
-void reportViolation(const char *Kind, const std::string &Message,
-                     bool AlwaysFatal) {
-  ViolationTally.fetch_add(1, std::memory_order_relaxed);
-  Violation V{Kind, Message};
-  {
-    std::lock_guard<std::mutex> G(reg().Mu);
-    reg().Violations.push_back(V);
-  }
-  bool Fatal = AlwaysFatal || checkMode() == CheckMode::Fatal;
-  if (!inReport()) {
-    inReport() = true;
-    Sink.load()(V);
-    inReport() = false;
-  }
-  if (Fatal) {
-    std::fprintf(stderr, "eco sync [%s]: %s\n", Kind, Message.c_str());
-    std::abort();
-  }
+/// Reports one violation and aborts. Call with reg().Mu NOT held.
+[[noreturn]] void reportViolation(const char *Kind,
+                                  const std::string &Message) {
+  std::fprintf(stderr, "eco sync [%s]: %s\n", Kind, Message.c_str());
+  std::abort();
 }
 
 std::string lockName(uint64_t Id) {
@@ -166,48 +130,21 @@ std::string lockName(uint64_t Id) {
 
 } // namespace
 
-CheckMode sync::checkMode() {
-  int M = ModeAtomic.load(std::memory_order_acquire);
-  if (M < 0) {
-    int Init = 0;
+bool sync::checking() {
+  int On = CheckingAtomic.load(std::memory_order_acquire);
+  if (On < 0) {
     const char *E = std::getenv("ECO_LOCK_DEBUG");
-    if (E && *E && std::strcmp(E, "0") != 0)
-      Init = static_cast<int>(CheckMode::Fatal);
-#ifdef ECO_LOCK_CHECK_DEFAULT
-    else
-      Init = static_cast<int>(CheckMode::Report);
-#endif
     int Expected = -1;
-    ModeAtomic.compare_exchange_strong(Expected, Init,
-                                       std::memory_order_acq_rel);
-    M = ModeAtomic.load(std::memory_order_acquire);
+    CheckingAtomic.compare_exchange_strong(
+        Expected, E && *E && std::strcmp(E, "0") != 0,
+        std::memory_order_acq_rel);
+    On = CheckingAtomic.load(std::memory_order_acquire);
   }
-  return static_cast<CheckMode>(M);
+  return On != 0;
 }
 
-void sync::setCheckMode(CheckMode Mode) {
-  ModeAtomic.store(static_cast<int>(Mode), std::memory_order_release);
-}
-
-bool sync::checking() { return checkMode() != CheckMode::Off; }
-
-void sync::setViolationSink(ViolationSink S) {
-  Sink.store(S);
-}
-
-uint64_t sync::violationCount() {
-  return ViolationTally.load(std::memory_order_relaxed);
-}
-
-std::vector<Violation> sync::violations() {
-  std::lock_guard<std::mutex> G(reg().Mu);
-  return reg().Violations;
-}
-
-void sync::clearViolations() {
-  std::lock_guard<std::mutex> G(reg().Mu);
-  reg().Violations.clear();
-  ViolationTally.store(0, std::memory_order_relaxed);
+void sync::setChecking(bool On) {
+  CheckingAtomic.store(On, std::memory_order_release);
 }
 
 size_t sync::trackedMutexCount() {
@@ -218,13 +155,10 @@ size_t sync::trackedMutexCount() {
 void sync::resetForTest() {
   std::lock_guard<std::mutex> G(reg().Mu);
   reg().Edges.clear();
-  reg().Reported.clear();
-  reg().Violations.clear();
-  ViolationTally.store(0, std::memory_order_relaxed);
 }
 
 uint64_t sync::detail::registerMutex(const char *Name) {
-  if (checkMode() == CheckMode::Off)
+  if (!checking())
     return 0;
   std::lock_guard<std::mutex> G(reg().Mu);
   uint64_t Id = reg().NextId++;
@@ -251,12 +185,10 @@ void sync::detail::destroyMutex(uint64_t Id) {
     }
   }
   if (!Msg.empty())
-    reportViolation("destroyed-held", Msg, /*AlwaysFatal=*/true);
+    reportViolation("destroyed-held", Msg);
 }
 
 void sync::detail::preAcquire(uint64_t Id) {
-  if (inReport())
-    return;
   auto &Stack = heldStack();
   for (uint64_t H : Stack)
     if (H == Id) {
@@ -265,11 +197,8 @@ void sync::detail::preAcquire(uint64_t Id) {
         std::lock_guard<std::mutex> G(reg().Mu);
         Name = lockName(Id);
       }
-      // Continuing would self-deadlock on the std::mutex: always fatal.
       reportViolation("recursive",
-                      "recursive acquisition of mutex \"" + Name + "\"",
-                      /*AlwaysFatal=*/true);
-      return;
+                      "recursive acquisition of mutex \"" + Name + "\"");
     }
   if (Stack.empty())
     return;
@@ -281,8 +210,6 @@ void sync::detail::preAcquire(uint64_t Id) {
     // the middle of the stack leaves no edge of its own, so outer
     // edges keep the graph path-complete.
     for (uint64_t Held : Stack) {
-      if (reg().Reported.count({Held, Id}))
-        continue;
       auto &Out = reg().Edges[Held];
       auto EIt = Out.find(Id);
       if (EIt != Out.end())
@@ -310,17 +237,14 @@ void sync::detail::preAcquire(uint64_t Id) {
       Msg += "\n  \"" + lockName(Held) + "\" -> \"" + lockName(Id) +
              "\" (this acquisition, checker thread " + std::to_string(Tid) +
              ")";
-      reg().Reported.insert({Held, Id});
       break;
     }
   }
   if (!Msg.empty())
-    reportViolation("cycle", Msg, /*AlwaysFatal=*/false);
+    reportViolation("cycle", Msg);
 }
 
 void sync::detail::postAcquire(uint64_t Id) {
-  if (inReport())
-    return;
   heldStack().push_back(Id);
   std::lock_guard<std::mutex> G(reg().Mu);
   auto It = reg().Mutexes.find(Id);
@@ -335,8 +259,6 @@ void sync::detail::postTryAcquire(uint64_t Id) {
 }
 
 void sync::detail::preRelease(uint64_t Id) {
-  if (inReport())
-    return;
   auto &Stack = heldStack();
   for (auto It = Stack.rbegin(); It != Stack.rend(); ++It)
     if (*It == Id) {
@@ -359,8 +281,7 @@ void sync::detail::preRelease(uint64_t Id) {
     else
       Msg = "mutex \"" + Name + "\" unlocked but not held by this thread";
   }
-  // std::mutex::unlock by a non-owner is UB: always fatal.
-  reportViolation("bad-unlock", Msg, /*AlwaysFatal=*/true);
+  reportViolation("bad-unlock", Msg);
 }
 
 void sync::detail::noteWaitRelease(uint64_t Id) {
@@ -377,8 +298,6 @@ void sync::detail::noteWaitReacquire(uint64_t Id) {
 }
 
 void sync::detail::assertHeld(uint64_t Id) {
-  if (inReport())
-    return;
   for (uint64_t H : heldStack())
     if (H == Id)
       return;
@@ -389,8 +308,7 @@ void sync::detail::assertHeld(uint64_t Id) {
   }
   reportViolation("requires",
                   "caller of a *Locked() helper does not hold mutex \"" +
-                      Name + "\"",
-                  /*AlwaysFatal=*/false);
+                      Name + "\"");
 }
 
 void CondVar::wait(MutexLock &L) {

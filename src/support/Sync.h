@@ -20,21 +20,20 @@
 ///     analysis rejects any caller that cannot prove it holds M.
 ///
 ///  2. **Dynamic**: an opt-in lock-discipline checker. When enabled
-///     (`ECO_LOCK_DEBUG=1` in the environment, or by default in any
-///     `ECO_SANITIZE` build via the ECO_LOCK_CHECK_DEFAULT define), each
-///     Mutex registers under a human-readable name and every blocking
-///     acquisition records a held->acquired edge in one global
-///     lock-order graph. A DFS at edge-insertion time reports any cycle
-///     — a potential AB/BA deadlock — *on runs where the deadlock does
-///     not actually fire*, naming both locks and both acquisition
-///     sides. Recursive acquisition, unlock by a non-owning thread, and
-///     destruction of a held mutex are also caught. Violations go
-///     to a ViolationSink (obs installs one that logs, publishes a
-///     `sync.violation` event and bumps the `sync.violations` counter);
-///     under ECO_LOCK_DEBUG=1 (CheckMode::Fatal) they abort. When the checker
-///     is off the only residue is one pointer-sized id per Mutex and a
-///     single predictable branch per lock/unlock (bench_obs_overhead
-///     gates it at <=0.1% of an evaluation).
+///     (`ECO_LOCK_DEBUG` set to anything but `0` at first use, or
+///     sync::setChecking(true) in a test), each Mutex registers under a
+///     human-readable name and every blocking acquisition records a
+///     held->acquired edge in one global lock-order graph. A DFS at
+///     edge-insertion time catches any cycle — a potential AB/BA
+///     deadlock — *on runs where the deadlock does not actually fire*,
+///     naming both locks and both acquisition sides. Recursive
+///     acquisition, unlock by a non-owning thread, destruction of a held
+///     mutex and a `*Locked()` helper called without its lock are also
+///     caught. Every violation prints one `eco sync [<kind>]: <message>`
+///     line to stderr and aborts. When the checker is off the only
+///     residue is one pointer-sized id per Mutex and a single
+///     predictable branch per lock/unlock (bench_obs_overhead gates it
+///     at <=0.1% of an evaluation).
 ///
 /// Style rules the wrappers impose on call sites:
 ///
@@ -56,10 +55,9 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <string>
-#include <vector>
 
 // --- Clang thread-safety capability annotations -------------------------
 // Expand to nothing on GCC (and on clang with the escape hatch defined),
@@ -94,58 +92,23 @@ class CondVar;
 
 namespace sync {
 
-/// Runtime checker modes. Off: zero tracking (mutexes register no id).
-/// Report: violations are recorded + logged, execution continues where
-/// that is safe. Fatal: every violation aborts (ECO_LOCK_DEBUG=1).
-/// Violations that make continuing undefined behaviour — recursive
-/// acquisition, unlock of a mutex the thread does not hold, destruction
-/// of a held mutex — abort in *both* checking modes, before the
-/// underlying std::mutex executes the UB.
-enum class CheckMode { Off = 0, Report = 1, Fatal = 2 };
-
-/// The active mode. Lazily initialised on first use: ECO_LOCK_DEBUG=1
-/// (any non-"0" value) selects Fatal; otherwise an ECO_SANITIZE build
-/// (compiled with ECO_LOCK_CHECK_DEFAULT) selects Report; otherwise Off.
-CheckMode checkMode();
-
-/// Overrides the mode (tests). Only mutexes *constructed while checking
-/// is enabled* are tracked — flipping the mode does not retroactively
-/// register existing mutexes, which is what makes test-local checking
-/// deterministic inside a larger process.
-void setCheckMode(CheckMode Mode);
-
-/// True when checkMode() != Off.
+/// True when the runtime checker is on. Lazily initialised on first
+/// use: on when ECO_LOCK_DEBUG is set to anything but "0".
 bool checking();
 
-/// One recorded discipline violation.
-struct Violation {
-  std::string Kind;    ///< "cycle", "recursive", "bad-unlock", ...
-  std::string Message; ///< full human-readable report
-};
-
-/// Violations recorded since the last clearViolations() (Report mode —
-/// Fatal aborts on the first one).
-uint64_t violationCount();
-std::vector<Violation> violations();
-void clearViolations();
+/// Overrides the checker (tests). Only mutexes *constructed while
+/// checking is on* are tracked — flipping it does not retroactively
+/// register existing mutexes, which is what makes test-local checking
+/// deterministic inside a larger process.
+void setChecking(bool On);
 
 /// Number of live mutexes the checker is tracking (0 when it is off —
 /// the zero-overhead guarantee the off-path test pins down).
 size_t trackedMutexCount();
 
-/// Test isolation: drops every lock-order edge and recorded violation
-/// (registered mutexes stay registered). Call only with no eco locks
-/// held.
+/// Test isolation: drops every lock-order edge (registered mutexes stay
+/// registered). Call only with no eco locks held.
 void resetForTest();
-
-/// Where each violation is reported, besides violations(). The default
-/// writes one line to stderr. support sits below obs in the layering,
-/// so obs installs its sink at static initialisation (obs/Event.cpp): an
-/// ECO_LOG(Error) line, a `sync.violation` event, and a bump of the
-/// `sync.violations` counter. The sink runs with the checker off for
-/// the reporting thread, so locks it takes are not checked.
-using ViolationSink = void (*)(const Violation &);
-void setViolationSink(ViolationSink Sink);
 
 namespace detail {
 // Internal hooks Mutex/CondVar call. Id 0 (checker off at construction)
@@ -200,8 +163,8 @@ public:
   }
 
   /// Runtime counterpart of ECO_REQUIRES: when the checker is on and
-  /// the calling thread does not hold this mutex, reports (fatal under
-  /// ECO_LOCK_DEBUG=1). Free when the checker is off. `*Locked()`
+  /// the calling thread does not hold this mutex, reports and aborts.
+  /// Free when the checker is off. `*Locked()`
   /// helpers call this on entry.
   void assertHeld() const ECO_ASSERT_CAPABILITY(this) {
     if (DebugId)

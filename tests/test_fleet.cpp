@@ -7,10 +7,10 @@
 // paths (disconnect, heartbeat timeout, missed deadline, malformed
 // result, empty fleet, shutdown) with stale late results; null answers
 // for shipped points whose transform is illegal; and — end to end —
-// that a tune served by in-process workers (including a vanishing or a
-// freezing one) and by fork/exec'd eco_worker processes with one
-// SIGKILLed mid-tune produces a winner bit-identical to a fleetless
-// run. Carries the "fleet" ctest label and runs under ThreadSanitizer
+// that a tune served by an honest in-process worker beside a vanishing,
+// a freezing or a garbage-reporting one (the fleet chaos table), and by
+// fork/exec'd eco_worker processes with one SIGKILLed mid-tune, produces
+// a winner bit-identical to a fleetless run. Carries the "fleet" ctest label and runs under ThreadSanitizer
 // (the fork/exec tests skip there, the in-process ones do not).
 //
 //===----------------------------------------------------------------------===//
@@ -34,6 +34,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -389,10 +390,15 @@ TEST(WorkerPoolTest, BlockedPollerOutlivesTheHeartbeatTimeout) {
 
 // ---- End to end: in-process workers over the real socket protocol -------
 
-TEST(FleetEndToEndTest, InProcessWorkersMatchFleetlessTuneBitExactly) {
+/// The fleet chaos table: per row, one honest worker plus one that
+/// misbehaves once it holds a batch — vanishes (drops its connection, the
+/// in-process analogue of SIGKILL), freezes (heartbeat eviction), or
+/// reports garbage costs (evicted at once). Each batch is dispatched once
+/// and a failed one is costed at home, so the tune must succeed with the
+/// fleetless winner, bit for bit, and the stats must show both the honest
+/// worker's completions and the misbehaving worker's failure.
+TEST(FleetEndToEndTest, MisbehavingWorkerNeverMovesTheWinner) {
   JobSpec Spec = fleetSpec();
-
-  // Baseline: the same tune with no fleet registered.
   JobResult Local;
   {
     TuneService Baseline;
@@ -401,52 +407,56 @@ TEST(FleetEndToEndTest, InProcessWorkersMatchFleetlessTuneBitExactly) {
   }
   ASSERT_TRUE(Local.ok()) << Local.Error;
 
-  std::string Sock = tempPath("eco_fleet_e2e.sock");
-  std::remove(Sock.c_str());
-  TuneService Service;
-  ServerOptions SOpts;
-  SOpts.UnixPath = Sock;
-  Server Srv(Service, SOpts);
-  std::string Err;
-  ASSERT_TRUE(Srv.start(&Err)) << Err;
+  for (const char *Mode : {"vanish", "freeze", "garbage"}) {
+    SCOPED_TRACE(Mode);
+    std::string Sock = tempPath(std::string("eco_fleet_") + Mode + ".sock");
+    std::remove(Sock.c_str());
+    ServiceOptions Opts;
+    Opts.Fleet.HeartbeatTimeoutMs = 300; // evict the frozen worker fast
+    Opts.Fleet.BatchTimeoutMs = 1000;
+    TuneService Service(Opts);
+    ServerOptions SOpts;
+    SOpts.UnixPath = Sock;
+    Server Srv(Service, SOpts);
+    std::string Err;
+    ASSERT_TRUE(Srv.start(&Err)) << Err;
 
-  // Two workers: one honest, one that vanishes (drops its connection
-  // with a batch unacknowledged) as soon as it receives work.
-  std::atomic<bool> Stop{false};
-  WorkerOptions Honest;
-  Honest.Socket = Sock;
-  Honest.Name = "honest";
-  Honest.PollWaitMs = 100;
-  Honest.TimeoutMs = 5000;
-  Honest.Stop = &Stop;
-  WorkerOptions Vanishing = Honest;
-  Vanishing.Name = "vanishing";
-  Vanishing.Chaos = "vanish";
-  std::thread T1([&] { runWorker(Honest); });
-  std::thread T2([&] { runWorker(Vanishing); });
-  for (int Tries = 0; Tries < 500 && Service.workers().liveWorkers() < 2;
-       ++Tries)
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ASSERT_EQ(Service.workers().liveWorkers(), 2u);
+    std::atomic<bool> Stop{false};
+    WorkerOptions Honest;
+    Honest.Socket = Sock;
+    Honest.Name = "honest";
+    Honest.PollWaitMs = 100;
+    Honest.TimeoutMs = 5000;
+    Honest.Stop = &Stop;
+    WorkerOptions Chaos = Honest;
+    Chaos.Name = Mode;
+    Chaos.Chaos = Mode;
+    std::thread T1([&] { runWorker(Honest); });
+    std::thread T2([&] { runWorker(Chaos); });
+    for (int Tries = 0; Tries < 500 && Service.workers().liveWorkers() < 2;
+         ++Tries)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_EQ(Service.workers().liveWorkers(), 2u);
 
-  JobResult Remote = Service.run(Spec);
-  ASSERT_TRUE(Remote.ok()) << Remote.Error;
+    JobResult Remote = Service.run(Spec);
+    EXPECT_TRUE(Remote.ok()) << Remote.Error;
+    EXPECT_EQ(std::memcmp(&Remote.Cost, &Local.Cost, sizeof(double)), 0)
+        << Remote.Cost << " vs " << Local.Cost;
+    EXPECT_EQ(Remote.Variant, Local.Variant);
+    EXPECT_EQ(Remote.Config, Local.Config);
 
-  // The acceptance bar: worker deaths must not perturb the winner.
-  EXPECT_EQ(Remote.Cost, Local.Cost);
-  EXPECT_EQ(Remote.Variant, Local.Variant);
-  EXPECT_EQ(Remote.Config, Local.Config);
+    Json Stats = Service.workers().statsJson();
+    EXPECT_GE(Stats.get("batches_completed").asInt(), 1) << Stats.dump();
+    EXPECT_GE(Stats.get("batches_failed").asInt(), 1) << Stats.dump();
+    EXPECT_GE(Stats.get("lost").asInt(), 1) << Stats.dump();
 
-  Json Stats = Service.workers().statsJson();
-  EXPECT_GE(Stats.get("batches_dispatched").asInt(), 1);
-  EXPECT_GE(Stats.get("batches_completed").asInt(), 1);
-
-  Stop.store(true);
-  T1.join();
-  T2.join();
-  Srv.stop();
-  Service.drain();
-  std::remove(Sock.c_str());
+    Stop.store(true);
+    T1.join();
+    T2.join();
+    Srv.stop();
+    Service.drain();
+    std::remove(Sock.c_str());
+  }
 }
 
 TEST(FleetEndToEndTest, IllegalPointReturnsNullWithoutEvictionAndRejectsOnce) {
@@ -585,48 +595,6 @@ TEST(FleetEndToEndTest, UnresolvableBatchIsAnsweredNullAndLogged) {
 
   Stop.store(true);
   T.join();
-  Srv.stop();
-  Service.drain();
-  std::remove(Sock.c_str());
-}
-
-TEST(FleetEndToEndTest, FrozenWorkerIsEvictedAndTuneStillCompletes) {
-  std::string Sock = tempPath("eco_fleet_freeze.sock");
-  std::remove(Sock.c_str());
-  ServiceOptions Opts;
-  Opts.Fleet.HeartbeatTimeoutMs = 300; // evict the frozen worker fast
-  Opts.Fleet.BatchTimeoutMs = 1000;
-  TuneService Service(Opts);
-  ServerOptions SOpts;
-  SOpts.UnixPath = Sock;
-  Server Srv(Service, SOpts);
-  std::string Err;
-  ASSERT_TRUE(Srv.start(&Err)) << Err;
-
-  std::atomic<bool> Stop{false};
-  WorkerOptions Honest;
-  Honest.Socket = Sock;
-  Honest.Name = "honest";
-  Honest.PollWaitMs = 100;
-  Honest.TimeoutMs = 5000;
-  Honest.Stop = &Stop;
-  WorkerOptions Freezing = Honest;
-  Freezing.Name = "freezing";
-  Freezing.Chaos = "freeze";
-  std::thread T1([&] { runWorker(Honest); });
-  std::thread T2([&] { runWorker(Freezing); });
-  for (int Tries = 0; Tries < 500 && Service.workers().liveWorkers() < 2;
-       ++Tries)
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ASSERT_EQ(Service.workers().liveWorkers(), 2u);
-
-  JobResult R = Service.run(fleetSpec());
-  EXPECT_TRUE(R.ok()) << R.Error;
-  EXPECT_GT(R.Cost, 0);
-
-  Stop.store(true);
-  T1.join();
-  T2.join();
   Srv.stop();
   Service.drain();
   std::remove(Sock.c_str());

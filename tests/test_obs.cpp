@@ -538,7 +538,6 @@ TEST(ObsMetricsFold, EachMappedEventUpdatesItsMetric) {
        "c cache.loads 1 c cache.foreign_rejected 3"},
       {"cache.saved", "{}", "c cache.saves 1"},
       {"db.saved", "{}", "c serve.db_saves 1"},
-      {"sync.violation", "{}", "c sync.violations 1"},
   };
   obs::MetricsRegistry &Reg = obs::metrics();
   auto read = [&Reg](char Kind, const std::string &Name) {

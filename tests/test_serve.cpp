@@ -30,6 +30,7 @@
 #include "serve/Worker.h"
 #include "support/Hash.h"
 #include "support/Json.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -1423,6 +1424,38 @@ TEST(ServeServerTest, DeeplyNestedRequestGetsErrorAndConnectionLives) {
   EXPECT_EQ(Resp.get("op").asString(), "pong");
 
   ::close(Fd);
+  Srv.stop();
+  Service.drain();
+  std::remove(Sock.c_str());
+}
+
+TEST(ServeServerTest, WideObjectLineGetsErrorAndConnectionLives) {
+  // A line just under the cap holding ~87k distinct keys parses in linear
+  // time: it names no op, so it gets an error reply, and the same
+  // connection then answers ping.
+  std::string Sock = tempPath("eco_serve_wide.sock");
+  std::remove(Sock.c_str());
+  TuneService Service;
+  ServerOptions Opts;
+  Opts.UnixPath = Sock;
+  Server Srv(Service, Opts);
+  std::string Err;
+  ASSERT_TRUE(Srv.start(&Err)) << Err;
+
+  auto C = Client::connectUnix(Sock, &Err);
+  ASSERT_NE(C, nullptr) << Err;
+  C->setRecvTimeout(10000);
+  Json Req = Json::object();
+  // Each member dumps as "k%06zu":0, -- 12 bytes.
+  for (size_t I = 0; I < (MaxLineBytes - 16) / 12; ++I)
+    Req.append(strformat("k%06zu", I), 0);
+  ASSERT_GT(Req.dump().size(), MaxLineBytes - 32);
+  ASSERT_LT(Req.dump().size(), MaxLineBytes);
+  Json Resp;
+  ASSERT_TRUE(C->roundTrip(Req, Resp, &Err)) << Err;
+  EXPECT_FALSE(Resp.get("ok").asBool(true)) << Resp.dump();
+  EXPECT_TRUE(C->ping(&Err)) << Err;
+
   Srv.stop();
   Service.drain();
   std::remove(Sock.c_str());

@@ -394,6 +394,44 @@ TEST(JsonTest, ObjectKeepsInsertionOrderAndRoundTrips) {
   EXPECT_TRUE(Back.get("missing").isNull());
 }
 
+/// A repeated key keeps its first position and takes its last value, the
+/// same rule Json::set applies.
+TEST(JsonTest, DuplicateKeysKeepFirstPositionAndLastValue) {
+  std::string Err;
+  eco::Json O = eco::Json::parse(
+      R"({"a":1,"b":2,"a":3,"c":{"x":1,"x":[]},"b":4,"a":5})", &Err);
+  ASSERT_TRUE(Err.empty()) << Err;
+  EXPECT_EQ(O.dump(), R"({"a":5,"b":4,"c":{"x":[]}})");
+
+  eco::Json S = eco::Json::object();
+  S.set("a", 1);
+  S.set("b", 2);
+  S.set("a", 3);
+  S.set("b", 4);
+  S.set("a", 5);
+  EXPECT_EQ(S.dump(), R"({"a":5,"b":4})");
+}
+
+/// A wide object round-trips parse -> dump -> parse unchanged.
+TEST(JsonTest, HundredThousandKeyObjectRoundTrips) {
+  std::string Text = "{";
+  for (int I = 0; I < 100000; ++I)
+    Text += (I ? ",\"k" : "\"k") + std::to_string(I) + "\":" +
+            std::to_string(I);
+  Text += "}";
+  std::string Err;
+  eco::Json O = eco::Json::parse(Text, &Err);
+  ASSERT_TRUE(Err.empty()) << Err;
+  ASSERT_EQ(O.size(), 100000u);
+  EXPECT_EQ(O.fields()[99999].first, "k99999");
+  EXPECT_EQ(O.fields()[99999].second.asInt(), 99999);
+  std::string Dumped = O.dump();
+  EXPECT_EQ(Dumped, Text);
+  eco::Json Back = eco::Json::parse(Dumped, &Err);
+  ASSERT_TRUE(Err.empty()) << Err;
+  EXPECT_EQ(Back.dump(), Text);
+}
+
 TEST(JsonTest, ParseErrorsAreReported) {
   std::string Err;
   EXPECT_TRUE(eco::Json::parse("{\"a\":", &Err).isNull());

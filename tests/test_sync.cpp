@@ -5,21 +5,16 @@
 // always-fatal misuse classes (recursive acquire, unlock-not-held,
 // destroyed-while-held), the REQUIRES runtime assert, try_lock's
 // no-edge policy, CondVar bookkeeping, and the off-path zero-tracking
-// guarantee, and the obs sink that turns a violation into an event and
-// a counter bump. Death tests run the checker in Fatal mode inside the
-// forked child so the parent process never aborts.
+// guarantee. Every violation aborts, so each one is seeded inside
+// EXPECT_DEATH (a forked child) with the report's text in the regex;
+// the no-false-positive cases run in-process with the checker on.
 //
 //===----------------------------------------------------------------------===//
 
-#include "EventCapture.h"
-
-#include "obs/Event.h"
-#include "obs/Metrics.h"
 #include "support/Sync.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,67 +36,21 @@ using namespace eco;
 
 namespace {
 
-/// Runs every test with the checker in Report mode and a clean slate,
-/// and leaves the process with checking off again afterwards so the
-/// suite composes with any ECO_LOCK_DEBUG environment.
+/// Runs every test with the checker on and a clean graph, and leaves the
+/// process with checking off again afterwards so the suite composes with
+/// any ECO_LOCK_DEBUG environment. A false positive aborts the whole
+/// binary, so a clean in-process case passes only when nothing fired.
 class SyncCheckerTest : public ::testing::Test {
 protected:
   void SetUp() override {
     sync::resetForTest();
-    sync::setCheckMode(sync::CheckMode::Report);
+    sync::setChecking(true);
   }
   void TearDown() override {
-    sync::setCheckMode(sync::CheckMode::Off);
+    sync::setChecking(false);
     sync::resetForTest();
   }
 };
-
-/// Establish A -> B, then acquire B -> A. Both acquisitions succeed
-/// (nothing is contended), but the checker must flag the inversion and
-/// name both mutexes in the report.
-TEST_F(SyncCheckerTest, AbBaInversionReportedWithBothNames) {
-  Mutex A("order.A");
-  Mutex B("order.B");
-  ASSERT_TRUE(A.checked());
-  ASSERT_TRUE(B.checked());
-
-  A.lock();
-  B.lock();
-  B.unlock();
-  A.unlock();
-  EXPECT_EQ(sync::violationCount(), 0u);
-
-  B.lock();
-  A.lock(); // inversion: B is held, and A -> B is established
-  A.unlock();
-  B.unlock();
-
-  ASSERT_EQ(sync::violationCount(), 1u);
-  sync::Violation V = sync::violations().front();
-  EXPECT_EQ(V.Kind, "cycle");
-  EXPECT_NE(V.Message.find("order.A"), std::string::npos) << V.Message;
-  EXPECT_NE(V.Message.find("order.B"), std::string::npos) << V.Message;
-  EXPECT_NE(V.Message.find("lock-order cycle"), std::string::npos)
-      << V.Message;
-}
-
-/// The same inversion acquired again must not re-report: the Reported
-/// set both de-spams the log and keeps the graph acyclic for later DFS.
-TEST_F(SyncCheckerTest, InversionReportedExactlyOnce) {
-  Mutex A("once.A");
-  Mutex B("once.B");
-  A.lock();
-  B.lock();
-  B.unlock();
-  A.unlock();
-  for (int I = 0; I < 3; ++I) {
-    B.lock();
-    A.lock();
-    A.unlock();
-    B.unlock();
-  }
-  EXPECT_EQ(sync::violationCount(), 1u);
-}
 
 /// Consistent ordering -- nested same-order pairs, singletons, and
 /// repeats -- must never produce a report.
@@ -119,34 +68,6 @@ TEST_F(SyncCheckerTest, ConsistentOrderingNoFalsePositive) {
     C.lock();
     C.unlock();
   }
-  EXPECT_EQ(sync::violationCount(), 0u);
-}
-
-/// An inversion that only closes through a chain (A->B, B->C, then
-/// C->A) is still a cycle; the report walks the whole path.
-TEST_F(SyncCheckerTest, TransitiveCycleDetected) {
-  Mutex A("chain.A");
-  Mutex B("chain.B");
-  Mutex C("chain.C");
-  A.lock();
-  B.lock();
-  B.unlock();
-  A.unlock();
-  B.lock();
-  C.lock();
-  C.unlock();
-  B.unlock();
-
-  C.lock();
-  A.lock(); // closes C -> A against A ->* C
-  A.unlock();
-  C.unlock();
-
-  ASSERT_EQ(sync::violationCount(), 1u);
-  std::string Msg = sync::violations().front().Message;
-  EXPECT_NE(Msg.find("chain.A"), std::string::npos) << Msg;
-  EXPECT_NE(Msg.find("chain.B"), std::string::npos) << Msg;
-  EXPECT_NE(Msg.find("chain.C"), std::string::npos) << Msg;
 }
 
 /// A successful try_lock never blocks, so it is not deadlock evidence:
@@ -163,37 +84,6 @@ TEST_F(SyncCheckerTest, TryLockAddsNoOrderEdges) {
   A.lock();
   A.unlock();
   B.unlock();
-  EXPECT_EQ(sync::violationCount(), 0u);
-}
-
-/// ...but a blocking acquisition made while a try_lock is held still
-/// produces an edge from the try-held mutex, so inversions against a
-/// try-held lock are caught.
-TEST_F(SyncCheckerTest, BlockingAcquireUnderTryHeldMakesEdges) {
-  Mutex A("tryedge.A");
-  Mutex B("tryedge.B");
-  ASSERT_TRUE(A.try_lock());
-  B.lock(); // edge A -> B even though A arrived via try_lock
-  B.unlock();
-  A.unlock();
-  B.lock();
-  A.lock();
-  A.unlock();
-  B.unlock();
-  EXPECT_EQ(sync::violationCount(), 1u);
-}
-
-/// The runtime REQUIRES assert: calling assertHeld() without the lock
-/// reports a "requires" violation; with the lock it is silent.
-TEST_F(SyncCheckerTest, AssertHeldReportsWhenNotHeld) {
-  Mutex M("req.M");
-  M.lock();
-  M.assertHeld();
-  M.unlock();
-  EXPECT_EQ(sync::violationCount(), 0u);
-  M.assertHeld();
-  ASSERT_EQ(sync::violationCount(), 1u);
-  EXPECT_EQ(sync::violations().front().Kind, "requires");
 }
 
 /// CondVar wait releases and reacquires the mutex through the checker's
@@ -215,7 +105,6 @@ TEST_F(SyncCheckerTest, CondVarWaitKeepsDisciplineConsistent) {
   }
   CV.notify_one();
   Waiter.join();
-  EXPECT_EQ(sync::violationCount(), 0u);
 }
 
 /// MutexLock's relock cycle (unlock inside the scope, lock again) runs
@@ -229,24 +118,22 @@ TEST_F(SyncCheckerTest, RelockableGuardTracked) {
     Lock.lock();
     M.assertHeld();
   }
-  EXPECT_EQ(sync::violationCount(), 0u);
 }
 
 /// Mutexes constructed while checking is OFF are permanently untracked:
 /// no registry entry, no per-op hook cost, even if checking is enabled
 /// later. This is the zero-overhead-off guarantee in functional form.
 TEST_F(SyncCheckerTest, MutexConstructedWithCheckingOffIsUntracked) {
-  sync::setCheckMode(sync::CheckMode::Off);
+  sync::setChecking(false);
   Mutex M("untracked.M");
   EXPECT_FALSE(M.checked());
   size_t Tracked = sync::trackedMutexCount();
-  sync::setCheckMode(sync::CheckMode::Report);
+  sync::setChecking(true);
   EXPECT_EQ(sync::trackedMutexCount(), Tracked);
   M.lock();
   M.unlock();
   M.lock();
   M.unlock();
-  EXPECT_EQ(sync::violationCount(), 0u);
 }
 
 /// Destruction of a tracked mutex removes its node and every edge that
@@ -269,7 +156,6 @@ TEST_F(SyncCheckerTest, DestructionRemovesNodeAndEdges) {
   }
   // B2 is a fresh node: B2 -> A is simply the first observed order for
   // this pair, not an inversion.
-  EXPECT_EQ(sync::violationCount(), 0u);
 }
 
 /// Many threads acquiring a shared pool of mutexes in the one global
@@ -305,140 +191,151 @@ TEST_F(SyncCheckerTest, ConcurrentGraphUpdatesClean) {
     });
   for (std::thread &T : Threads)
     T.join();
-  EXPECT_EQ(sync::violationCount(), 0u);
   for (Mutex *M : Pool)
     delete M;
 }
 
-/// An inversion assembled by two threads (each takes a consistent pair,
-/// but the pairs disagree) is still caught: edges are global, not
-/// per-thread. Sequenced with an atomic gate so the second thread's
-/// acquisition always happens after the first established its edge --
-/// deterministic, no timing dependence.
-TEST_F(SyncCheckerTest, CrossThreadInversionDetected) {
-  Mutex A("xthread.A");
-  Mutex B("xthread.B");
-  std::atomic<bool> EdgeMade{false};
-  std::thread T1([&] {
-    A.lock();
-    B.lock(); // A -> B
-    B.unlock();
-    A.unlock();
-    EdgeMade.store(true);
-  });
-  T1.join(); // stronger than the gate: fully sequenced
-  ASSERT_TRUE(EdgeMade.load());
-  std::thread T2([&] {
-    B.lock();
-    A.lock(); // B -> A inverts T1's order
-    A.unlock();
-    B.unlock();
-  });
-  T2.join();
-  ASSERT_EQ(sync::violationCount(), 1u);
-  std::string Msg = sync::violations().front().Message;
-  EXPECT_NE(Msg.find("xthread.A"), std::string::npos) << Msg;
-  EXPECT_NE(Msg.find("xthread.B"), std::string::npos) << Msg;
-  EXPECT_NE(Msg.find("checker thread"), std::string::npos) << Msg;
-}
-
 #if !ECO_TSAN_BUILD
 
-/// Fatal-mode misuse classes abort the (forked) child. Each death
-/// statement flips the mode inside the child so the parent suite keeps
-/// running in Report mode.
+/// Establish A -> B, then acquire B -> A. Both acquisitions would
+/// succeed (nothing is contended), but the checker must flag the
+/// inversion and name both mutexes in the report.
+TEST_F(SyncCheckerTest, AbBaInversionReportedWithBothNames) {
+  EXPECT_DEATH(
+      {
+        Mutex A("order.A");
+        Mutex B("order.B");
+        A.lock();
+        B.lock();
+        B.unlock();
+        A.unlock();
+        B.lock();
+        A.lock(); // inversion: B is held, and A -> B is established
+      },
+      "eco sync \\[cycle\\]: lock-order cycle: acquiring \"order\\.A\" "
+      "while holding \"order\\.B\"");
+}
+
+/// An inversion that only closes through a chain (A->B, B->C, then
+/// C->A) is still a cycle; the report walks the whole path.
+TEST_F(SyncCheckerTest, TransitiveCycleDetected) {
+  EXPECT_DEATH(
+      {
+        Mutex A("chain.A");
+        Mutex B("chain.B");
+        Mutex C("chain.C");
+        A.lock();
+        B.lock();
+        B.unlock();
+        A.unlock();
+        B.lock();
+        C.lock();
+        C.unlock();
+        B.unlock();
+        C.lock();
+        A.lock(); // closes C -> A against A ->* C
+      },
+      "\\[cycle\\].*\"chain\\.A\" -> \"chain\\.B\".*"
+      "\"chain\\.B\" -> \"chain\\.C\".*"
+      "\"chain\\.C\" -> \"chain\\.A\" \\(this acquisition");
+}
+
+/// A blocking acquisition made while a try_lock is held still produces
+/// an edge from the try-held mutex, so inversions against a try-held
+/// lock are caught.
+TEST_F(SyncCheckerTest, BlockingAcquireUnderTryHeldMakesEdges) {
+  EXPECT_DEATH(
+      {
+        Mutex A("tryedge.A");
+        Mutex B("tryedge.B");
+        if (A.try_lock()) {
+          B.lock(); // edge A -> B even though A arrived via try_lock
+          B.unlock();
+          A.unlock();
+        }
+        B.lock();
+        A.lock();
+      },
+      "\\[cycle\\]: lock-order cycle: acquiring \"tryedge\\.A\" while "
+      "holding \"tryedge\\.B\"");
+}
+
+/// The runtime REQUIRES assert: with the lock it is silent; without it,
+/// a "requires" violation.
+TEST_F(SyncCheckerTest, AssertHeldReportsWhenNotHeld) {
+  EXPECT_DEATH(
+      {
+        Mutex M("req.M");
+        M.lock();
+        M.assertHeld();
+        M.unlock();
+        M.assertHeld();
+      },
+      "\\[requires\\]: caller of a \\*Locked\\(\\) helper does not hold "
+      "mutex \"req\\.M\"");
+}
+
+/// An inversion assembled by two threads (each takes a consistent pair,
+/// but the pairs disagree) is still caught: edges are global, not
+/// per-thread. The first thread is joined before the second starts, so
+/// the order is fully sequenced -- no timing dependence.
+TEST_F(SyncCheckerTest, CrossThreadInversionDetected) {
+  EXPECT_DEATH(
+      {
+        Mutex A("xthread.A");
+        Mutex B("xthread.B");
+        std::thread T1([&] {
+          A.lock();
+          B.lock(); // A -> B
+          B.unlock();
+          A.unlock();
+        });
+        T1.join();
+        std::thread T2([&] {
+          B.lock();
+          A.lock(); // B -> A inverts T1's order
+        });
+        T2.join();
+      },
+      "\\[cycle\\]: lock-order cycle: acquiring \"xthread\\.A\" while "
+      "holding \"xthread\\.B\".*first acquired in that order by "
+      "checker thread [0-9]+");
+}
+
 TEST_F(SyncCheckerTest, RecursiveAcquireDiesUnderFatal) {
   EXPECT_DEATH(
       {
-        sync::setCheckMode(sync::CheckMode::Fatal);
         Mutex M("fatal.recursive");
         M.lock();
         M.lock();
       },
-      "recursive acquisition.*fatal\\.recursive");
+      "\\[recursive\\]: recursive acquisition of mutex "
+      "\"fatal\\.recursive\"");
 }
 
 TEST_F(SyncCheckerTest, UnlockNotHeldDiesUnderFatal) {
   EXPECT_DEATH(
       {
-        sync::setCheckMode(sync::CheckMode::Fatal);
         Mutex M("fatal.unlock");
         M.lock();
         M.unlock();
         M.unlock();
       },
-      "bad-unlock");
+      "\\[bad-unlock\\]: mutex \"fatal\\.unlock\" unlocked but not held "
+      "by this thread");
 }
 
 TEST_F(SyncCheckerTest, DestroyedWhileHeldDiesUnderFatal) {
   EXPECT_DEATH(
       {
-        sync::setCheckMode(sync::CheckMode::Fatal);
         auto *M = new Mutex("fatal.destroyed");
         M->lock();
         delete M;
       },
-      "destroyed while held");
-}
-
-/// Recursive acquire is fatal even in Report mode: continuing would
-/// self-deadlock on the underlying std::mutex, so there is no safe way
-/// to merely report it.
-TEST_F(SyncCheckerTest, RecursiveAcquireFatalEvenInReportMode) {
-  EXPECT_DEATH(
-      {
-        sync::setCheckMode(sync::CheckMode::Report);
-        Mutex M("report.recursive");
-        M.lock();
-        M.lock();
-      },
-      "recursive acquisition");
+      "\\[destroyed-held\\]: mutex \"fatal\\.destroyed\" destroyed while "
+      "held");
 }
 
 #endif // !ECO_TSAN_BUILD
-
-/// Lock-order cycles in Report mode do NOT abort: both acquisitions
-/// complete and execution continues (this whole fixture would have died
-/// otherwise), which is what lets ECO_SANITIZE builds run the full
-/// suite with reporting on.
-TEST_F(SyncCheckerTest, CycleIsNonFatalInReportMode) {
-  Mutex A("soft.A");
-  Mutex B("soft.B");
-  A.lock();
-  B.lock();
-  B.unlock();
-  A.unlock();
-  B.lock();
-  A.lock();
-  A.unlock();
-  B.unlock();
-  EXPECT_EQ(sync::violationCount(), 1u);
-  // Still alive, still usable.
-  A.lock();
-  A.unlock();
-}
-
-/// support/ sits below obs/, so reports leave through a sink; the event
-/// bus installs obs's, which publishes a `sync.violation` event that the
-/// registry folds into the `sync.violations` counter.
-TEST_F(SyncCheckerTest, ViolationReachesObsEventAndCounter) {
-  EventCapture Cap;
-  const uint64_t Before = obs::metrics().counter("sync.violations").value();
-
-  Mutex A("sink.A");
-  Mutex B("sink.B");
-  A.lock();
-  B.lock();
-  B.unlock();
-  A.unlock();
-  B.lock();
-  A.lock();
-  A.unlock();
-  B.unlock();
-
-  ASSERT_EQ(sync::violationCount(), 1u);
-  EXPECT_EQ(Cap.count("sync.violation"), 1u);
-  EXPECT_EQ(obs::metrics().counter("sync.violations").value(), Before + 1);
-}
 
 } // namespace
