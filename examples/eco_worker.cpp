@@ -8,7 +8,7 @@
 // failure model). All behavior lives in serve/Worker.cpp.
 //
 //   eco_worker [--socket=PATH | --host=H --port=P] [--name=S]
-//              [--poll-ms=MS] [--timeout-ms=MS] [--max-batches=N]
+//              [--poll-ms=MS] [--timeout-ms=MS]
 //
 //===----------------------------------------------------------------------===//
 

@@ -74,6 +74,19 @@ W1="$("${TUNE[@]}" | grep '^winner:')"
 W2="$("${TUNE[@]}" --resume | grep '^winner:')"
 [ "$W1" = "$W2" ] ||
   { echo "flight-recorder smoke: resume changed '$W1' to '$W2'"; exit 1; }
+# The same pair at --jobs=4, where lanes fill the cache from warm batches
+# and the search thread alone saves it, must print the same winner.
+CF4="$CF.jobs4"
+OD4="$OD.jobs4"
+rm -rf "$OD4" "$CF4"
+TUNE4=("$REPO/build/examples/eco_cli" --kernel=matmul --n=48 --scale=16
+       --jobs=4 --cache-file="$CF4" --obs-dir="$OD4")
+W3="$("${TUNE4[@]}" | grep '^winner:')"
+W4="$("${TUNE4[@]}" --resume | grep '^winner:')"
+[ "$W3" = "$W1" ] && [ "$W4" = "$W1" ] ||
+  { echo "flight-recorder smoke: --jobs=4 gave '$W3' then '$W4'," \
+         "not '$W1'"; exit 1; }
+rm -rf "$OD4" "$CF4"
 [ -s "$OD/metrics.json" ] ||
   { echo "flight-recorder smoke: no $OD/metrics.json"; exit 1; }
 # metrics.json is folded from the events the (resumed) run published, so

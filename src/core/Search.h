@@ -216,11 +216,12 @@ struct SearchOptions {
   /// the cold evaluation count. 0 keeps the global bounds.
   int WarmStartBoundFactor = 0;
 
-  /// Cooperative cancellation (deadlines, shutdown): polled before every
-  /// evaluation, and by eco::tune before each variant search. Once it
-  /// returns true the search stops exploring — remaining candidates read
-  /// as infeasible — and returns the best configuration found so far;
-  /// the tune searches no further variant. Empty = never cancel.
+  /// Cooperative cancellation (the serve layer's deadlines): polled
+  /// before every evaluation, and by eco::tune before each variant
+  /// search. Once it returns true the search stops exploring — remaining
+  /// candidates read as infeasible — and returns the best configuration
+  /// found so far; the tune searches no further variant. Empty = never
+  /// cancel.
   std::function<bool()> ShouldStop;
 };
 

@@ -69,7 +69,6 @@ EvalEngine::~EvalEngine() { flush(); }
 void EvalEngine::flush() {
   if (!Opts.CacheFile.empty()) {
     obs::SpanScope S("cache.save", "io", Opts.CacheFile);
-    MutexLock SaveLock(SaveMutex);
     CachePtr->save(Opts.CacheFile);
   }
 }
@@ -170,7 +169,6 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
     Delta = LiveHW->delta(Before);
   CachePtr->insert(Key, O.Cost);
 
-  bool SaveNow = false;
   {
     MutexLock Lock(StatsMutex);
     StageTelemetry &Row = VariantStages[{V.Spec.Name, Stage}];
@@ -182,29 +180,32 @@ EvalOutcome EvalEngine::evalOne(const DerivedVariant &V, const Env &Config,
       Row.HW += Delta;
       Row.HasHW = true;
     }
-    if (!Opts.CacheFile.empty() && Opts.CacheSaveInterval > 0 &&
-        ++InsertsSinceSave >= Opts.CacheSaveInterval) {
-      InsertsSinceSave = 0;
-      SaveNow = true;
-    }
+    ++InsertsSinceSave;
   }
   if (obs::eventsEnabled())
     publishEvaluated(V, Config, Stage, O, Warm);
-  if (SaveNow) {
-    // Periodic durability for kill/resume. Saves are serialized: when
-    // another lane is already writing the snapshot, skip rather than
-    // race it — this lane's insert lands in the next save or in flush().
-    if (SaveMutex.try_lock()) {
-      CachePtr->save(Opts.CacheFile);
-      SaveMutex.unlock();
-    }
-  }
   return O;
+}
+
+void EvalEngine::saveIfDue() {
+  // Periodic durability for kill/resume. Only the search thread gets
+  // here, so saves never overlap and need no lock of their own.
+  if (Opts.CacheFile.empty())
+    return;
+  {
+    MutexLock Lock(StatsMutex);
+    if (InsertsSinceSave < CacheSaveInterval)
+      return;
+    InsertsSinceSave = 0;
+  }
+  CachePtr->save(Opts.CacheFile);
 }
 
 EvalOutcome EvalEngine::evaluate(const DerivedVariant &V, const Env &Config,
                                  const std::string &Stage) {
-  return evalOne(V, Config, Stage, /*Lane=*/0, /*Warm=*/false);
+  EvalOutcome O = evalOne(V, Config, Stage, /*Lane=*/0, /*Warm=*/false);
+  saveIfDue();
+  return O;
 }
 
 void EvalEngine::warmMany(
@@ -273,6 +274,7 @@ void EvalEngine::warmMany(
   obs::SpanScope S("warm:" + Stage, "engine",
                    std::to_string(Tasks.size()) + " points");
   Pool->runBatch(Tasks);
+  saveIfDue();
 }
 
 EvalStats EvalEngine::stats() const {

@@ -72,14 +72,9 @@ struct EngineOptions {
   /// Total parallelism; 1 = sequential (still memoizing).
   int Jobs = 1;
   /// When set, the cache loads from this JSON file at construction and
-  /// saves to it on flush()/destruction and periodically while running.
+  /// saves to it on flush()/destruction and, every CacheSaveInterval
+  /// inserts, from the calling thread while running.
   std::string CacheFile;
-  /// Inserts between periodic cache saves when CacheFile is set; 0
-  /// disables periodic saving (flush/destructor still save). The
-  /// default is small because a guided tune evaluates only tens of
-  /// points — a rarely-reached interval means a killed tune saves
-  /// nothing and resume re-evaluates from scratch.
-  size_t CacheSaveInterval = 16;
   /// When set, this engine memoizes into the given cache instead of a
   /// private one — the serve layer hands every worker's engine the same
   /// cache so concurrent tuning jobs share each other's evaluations
@@ -105,6 +100,12 @@ struct EngineOptions {
 /// The parallel, memoizing Evaluator.
 class EvalEngine : public Evaluator {
 public:
+  /// Inserts between periodic cache saves when CacheFile is set. Small
+  /// because a guided tune evaluates only tens of points: a
+  /// rarely-reached interval means a killed tune saves nothing and
+  /// resume re-evaluates from scratch.
+  static constexpr size_t CacheSaveInterval = 16;
+
   /// \p Backend must outlive the engine. With Jobs > 1 the backend
   /// should be clonable; when clone() returns nullptr the engine
   /// degrades to sequential evaluation (jobs() reports 1).
@@ -145,7 +146,9 @@ public:
   EvalCache &cache() { return *CachePtr; }
 
   /// Saves the cache file (when configured). Called from the destructor;
-  /// call earlier for durability.
+  /// call earlier for durability. Like evaluate() and warmMany(), call
+  /// it only from the thread that drives the search: that thread is the
+  /// file's only writer.
   void flush();
 
 private:
@@ -160,6 +163,10 @@ private:
   /// records it in the ledger. \p Warm marks speculative batch work.
   EvalOutcome evalOne(const DerivedVariant &V, const Env &Config,
                       const std::string &Stage, int Lane, bool Warm);
+
+  /// Saves the cache file once CacheSaveInterval inserts have built up
+  /// since the last periodic save. Runs on the search thread only.
+  void saveIfDue();
 
   EvalBackend &Base;
   EngineOptions Opts;
@@ -186,15 +193,8 @@ private:
   /// (variant, stage) -> telemetry row.
   std::map<std::pair<std::string, std::string>, StageTelemetry>
       VariantStages ECO_GUARDED_BY(StatsMutex);
+  /// Lanes count their inserts here; saveIfDue() reads and resets it.
   size_t InsertsSinceSave ECO_GUARDED_BY(StatsMutex) = 0;
-
-  /// Serializes cache-file writes. Periodic saves from worker lanes
-  /// try-lock and skip when a save is already in flight (two lanes can
-  /// trip the interval in the same batch; one snapshot is enough and the
-  /// skipped lane's insert is covered by the next save or by flush()).
-  /// flush() takes the lock unconditionally so the final save never
-  /// overlaps a periodic one.
-  Mutex SaveMutex{"engine.save"};
 };
 
 // Unused by the program: perfbench/src/TuneWorkloads.cpp still names the

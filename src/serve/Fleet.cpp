@@ -99,14 +99,14 @@ void WorkerPool::failWhereLocked(
 
 void WorkerPool::finishBatchLocked(uint64_t Id) {
   M.assertHeld();
-  auto It = Batches.find(Id);
-  if (It == Batches.end())
-    return;
-  auto GIt = GroupRemaining.find(It->second.Group);
-  if (GIt != GroupRemaining.end() && GIt->second > 0)
-    --GIt->second;
-  Batches.erase(It);
+  Batches.erase(Id);
   DoneCV.notify_all();
+}
+
+bool WorkerPool::anyLeftLocked(uint64_t First, uint64_t End) const {
+  M.assertHeld();
+  auto It = Batches.lower_bound(First);
+  return It != Batches.end() && It->first < End;
 }
 
 void WorkerPool::reapLocked(Clock::time_point Now) {
@@ -229,14 +229,14 @@ void WorkerPool::evalBatch(const BatchContext &Ctx,
   if (Points.empty())
     return;
 
-  uint64_t Group;
+  uint64_t First, End;
   {
     MutexLock Lock(M);
     if (Stopping || Workers.empty())
       return; // no fleet — the caller's local path covers everything
 
     size_t Shards = std::min(Workers.size(), Points.size());
-    Group = NextGroupId++;
+    First = NextBatchId;
     size_t Base = Points.size() / Shards, Extra = Points.size() % Shards;
     size_t Off = 0;
     for (size_t S = 0; S < Shards; ++S) {
@@ -246,7 +246,6 @@ void WorkerPool::evalBatch(const BatchContext &Ctx,
       B.Points.assign(Points.begin() + Off, Points.begin() + Off + Count);
       Off += Count;
       B.Cache = &Cache;
-      B.Group = Group;
       Json P = Json::object();
       P.set("id", B.Id);
       P.set("kernel", Ctx.Kernel);
@@ -269,7 +268,7 @@ void WorkerPool::evalBatch(const BatchContext &Ctx,
       uint64_t Id = B.Id;
       Batches.emplace(Id, std::move(B));
     }
-    GroupRemaining[Group] = Shards;
+    End = NextBatchId;
     TotalDispatched += Shards;
     ECO_LOG(Debug) << "fleet: dispatching " << Points.size()
                    << " point(s) as " << Shards << " batch(es) across "
@@ -278,21 +277,18 @@ void WorkerPool::evalBatch(const BatchContext &Ctx,
   WorkCV.notify_all();
 
   MutexLock Lock(M);
-  for (;;) {
-    auto GIt = GroupRemaining.find(Group);
-    if (GIt == GroupRemaining.end() || GIt->second == 0)
-      break;
+  while (anyLeftLocked(First, End)) {
     if (Workers.empty()) {
-      // Fleet gone: fail this group's queued batches now instead of
+      // Fleet gone: fail this call's queued batches now instead of
       // waiting for a poller that will never come.
-      failWhereLocked([Group](const Batch &B) { return B.Group == Group; },
-                      "no-workers");
+      failWhereLocked(
+          [First, End](const Batch &B) { return B.Id >= First && B.Id < End; },
+          "no-workers");
       break;
     }
     DoneCV.wait_for(Lock, std::chrono::milliseconds(50));
     reapLocked(Clock::now());
   }
-  GroupRemaining.erase(Group);
 }
 
 void WorkerPool::shutdown() {

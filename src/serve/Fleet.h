@@ -41,7 +41,7 @@
 ///
 /// There is no retry: shards are sized to the live fleet, so a second
 /// dispatch of a shard could start only after some worker finished its
-/// own shard of the same group, and would end no sooner than the
+/// own shard of the same call, and would end no sooner than the
 /// decision loop costing those points itself.
 ///
 //===----------------------------------------------------------------------===//
@@ -189,7 +189,6 @@ private:
     EvalCache *Cache = nullptr;
     uint64_t AssignedTo = 0; ///< worker id once dispatched; 0 while queued
     Clock::time_point DispatchedAt;
-    uint64_t Group = 0; ///< owning evalBatch call
   };
 
   /// Evicts \p WorkerId with \p Reason, failing its in-flight batches.
@@ -205,6 +204,9 @@ private:
   void reapLocked(Clock::time_point Now) ECO_REQUIRES(M);
   /// Drops \p Id from Batches and wakes its evalBatch.
   void finishBatchLocked(uint64_t Id) ECO_REQUIRES(M);
+  /// True while any batch id in [\p First, \p End) is queued or in
+  /// flight.
+  bool anyLeftLocked(uint64_t First, uint64_t End) const ECO_REQUIRES(M);
 
   FleetOptions Opts;
 
@@ -216,11 +218,9 @@ private:
   std::map<uint64_t, Worker> Workers ECO_GUARDED_BY(M);
   std::map<uint64_t, Batch> Batches ECO_GUARDED_BY(M); ///< queued+in-flight
   uint64_t NextWorkerId ECO_GUARDED_BY(M) = 1;
+  /// One evalBatch call's batches take consecutive ids; the call waits
+  /// until none of them is left in Batches.
   uint64_t NextBatchId ECO_GUARDED_BY(M) = 1;
-  uint64_t NextGroupId ECO_GUARDED_BY(M) = 1;
-  /// Per-group count of unresolved batches; evalBatch waits for its
-  /// group's count to hit zero.
-  std::map<uint64_t, size_t> GroupRemaining ECO_GUARDED_BY(M);
 
   // Lifetime counters (also mirrored into obs metrics when enabled).
   uint64_t TotalJoined ECO_GUARDED_BY(M) = 0;

@@ -26,7 +26,7 @@
 ///    "cost":...,"variant":"v2","config":{"N":96,"TI":32,...},
 ///    "evaluations":41,"cache_hits":7,"queue_ms":0.2,"run_ms":1830.5}
 ///
-/// status is one of done | rejected | expired | cancelled | failed.
+/// status is one of done | rejected | expired | failed.
 /// Rejections (queue full, draining) are explicit and immediate — the
 /// server never hangs a client on backpressure.
 ///
@@ -88,7 +88,7 @@ struct JobSpec {
 
 /// How a job resolved.
 struct JobResult {
-  std::string Status = "failed";  ///< done|rejected|expired|cancelled|failed
+  std::string Status = "failed";  ///< done|rejected|expired|failed
   std::string Error;              ///< set when Status != done
   std::string WarmStart;          ///< exact | nearest | cold
   double Cost = 0;

@@ -309,8 +309,7 @@ void TuneService::workerLoop() {
   }
 }
 
-void TuneService::finishJob(ServeJob &Job, JobResult R,
-                            std::optional<size_t> QueueDepth) {
+void TuneService::finishJob(ServeJob &Job, JobResult R) {
   {
     MutexLock Lock(SM);
     ++StatusCounts[R.Status];
@@ -328,8 +327,6 @@ void TuneService::finishJob(ServeJob &Job, JobResult R,
     F.set("cache_hits", static_cast<int64_t>(R.CacheHits));
     F.set("queue_ms", R.QueueMs);
     F.set("run_ms", R.RunMs);
-    if (QueueDepth)
-      F.set("queue_depth", static_cast<int64_t>(*QueueDepth));
     obs::publishEvent("job.finished", std::move(F));
   }
   ECO_LOG(Info) << "serve: job " << Job.Id << " (" << Job.Spec.summary()
@@ -363,12 +360,6 @@ void TuneService::execute(ServeJob &Job, size_t QueueDepth) {
   auto deadlinePassed = [&Job] {
     return Job.Spec.DeadlineMs > 0 && Clock::now() >= Job.Deadline;
   };
-  if (Job.cancelRequested()) {
-    R.Status = "cancelled";
-    R.Error = "cancelled before start";
-    finishJob(Job, std::move(R));
-    return;
-  }
   if (deadlinePassed()) {
     R.Status = "expired";
     R.Error = "deadline expired while queued";
@@ -435,7 +426,7 @@ void TuneService::execute(ServeJob &Job, size_t QueueDepth) {
     // Polled once per candidate evaluation: doubles as the progress
     // counter the "jobs" verb reports.
     Job.Ticks.fetch_add(1, std::memory_order_relaxed);
-    return Job.cancelRequested() || deadlinePassed();
+    return deadlinePassed();
   };
 
   // Per-job backend + engine (a simulator is machine-specific), but one
@@ -472,11 +463,11 @@ void TuneService::execute(ServeJob &Job, size_t QueueDepth) {
   }
 
   if (TR.Cancelled) {
-    // Best-so-far is reported but never stored: a truncated search's
-    // winner would poison warm-starts and the exact-hit shortcut.
-    R.Status = Job.cancelRequested() ? "cancelled" : "expired";
-    R.Error = R.Status == "expired" ? "deadline expired mid-search"
-                                    : "cancelled mid-search";
+    // Only the deadline stops a tune early. Best-so-far is reported but
+    // never stored: a truncated search's winner would poison
+    // warm-starts and the exact-hit shortcut.
+    R.Status = "expired";
+    R.Error = "deadline expired mid-search";
     finishJob(Job, std::move(R));
     return;
   }

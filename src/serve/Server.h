@@ -14,9 +14,10 @@
 ///    SearchOptions::WarmStartConfig), and runs the regular two-phase
 ///    tune through an EvalEngine. All workers' engines memoize into one
 ///    shared EvalCache, so concurrent jobs reuse each other's
-///    evaluations. Deadlines and shutdown cancel cooperatively through
-///    SearchOptions::ShouldStop — a cancelled tune returns its best-so-far
-///    but is not stored. Backpressure is explicit: submitting to a full
+///    evaluations. Only a deadline stops a tune early, cooperatively
+///    through SearchOptions::ShouldStop: an expired tune returns its
+///    best-so-far but is not stored. Shutdown drains: every admitted
+///    job runs to completion. Backpressure is explicit: submitting to a full
 ///    queue (or a draining service) resolves immediately with
 ///    status "rejected", never blocks.
 ///
@@ -52,7 +53,6 @@
 #include <list>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -86,14 +86,7 @@ public:
   /// 0 when there is no basis for an ETA.
   std::atomic<uint64_t> ExpectedTicks{0};
 
-  /// Requests cooperative cancellation; the running tune notices at its
-  /// next evaluation and returns best-so-far.
-  void cancel() { Cancelled.store(true, std::memory_order_relaxed); }
-  bool cancelRequested() const {
-    return Cancelled.load(std::memory_order_relaxed);
-  }
-
-  /// True once the job resolved (done/rejected/expired/cancelled/failed).
+  /// True once the job resolved (done/rejected/expired/failed).
   bool done() const;
   /// Blocks until the job resolves; returns the result.
   JobResult wait();
@@ -106,7 +99,6 @@ private:
   CondVar CV;
   bool Finished ECO_GUARDED_BY(M) = false;
   JobResult Result ECO_GUARDED_BY(M);
-  std::atomic<bool> Cancelled{false};
 };
 
 /// TuneService construction knobs.
@@ -121,7 +113,7 @@ struct ServiceOptions {
   int EngineJobs = 1;
   /// Test-only gate, called by a worker after popping a job and before
   /// any tuning work. Tests block in it to hold workers busy, making
-  /// queue-full and cancellation scenarios deterministic.
+  /// queue-full, priority and deadline scenarios deterministic.
   std::function<void(const JobSpec &)> TestGate;
   /// Remote worker fleet dispatch knobs (serve/Fleet.h). The fleet is
   /// always constructed; with no registered workers it costs nothing
@@ -172,10 +164,8 @@ private:
   /// Runs \p Job; \p QueueDepth is what its pop left in the queue.
   void execute(ServeJob &Job, size_t QueueDepth);
   /// Resolves \p Job, bumps the status counter and publishes
-  /// job.finished. \p QueueDepth, when set, is the queue length the
-  /// job's resolution left (a cancellation of queued jobs).
-  void finishJob(ServeJob &Job, JobResult R,
-                 std::optional<size_t> QueueDepth = std::nullopt);
+  /// job.finished.
+  void finishJob(ServeJob &Job, JobResult R);
 
   ServiceOptions Opts;
   ConfigDB Db;

@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <thread>
 
@@ -86,7 +85,6 @@ int eco::serve::runWorker(const WorkerOptions &Opts) {
   std::unique_ptr<Client> C;
   uint64_t WorkerId = 0;
   int BeatMs = WorkerPool::HeartbeatIntervalMs; // until hello says otherwise
-  long BatchesSeen = 0;
   int Reconnects = 0;
 
   auto stopRequested = [&Opts] {
@@ -161,7 +159,6 @@ int eco::serve::runWorker(const WorkerOptions &Opts) {
       continue; // idle long-poll lap
 
     const Json &Batch = Resp.get("batch");
-    ++BatchesSeen;
 
     if (Opts.Chaos == "vanish") {
       // SIGKILL analogue for in-process tests: drop the connection with
@@ -207,12 +204,8 @@ int eco::serve::runWorker(const WorkerOptions &Opts) {
     RReq.set("batch_id", Batch.get("id").asInt());
     RReq.set("costs", std::move(Costs));
     Json RResp;
-    if (!C->roundTrip(RReq, RResp)) {
+    if (!C->roundTrip(RReq, RResp))
       C.reset();
-      continue;
-    }
-    if (Opts.MaxBatches >= 0 && BatchesSeen >= Opts.MaxBatches)
-      return 0;
   }
 }
 
@@ -231,15 +224,11 @@ int eco::serve::workerToolMain(const std::vector<std::string> &Args) {
                  intFlag(Arg, "--poll-ms=", 0, 24 * 3600 * 1000,
                          Opts.PollWaitMs, Bad) ||
                  intFlag(Arg, "--timeout-ms=", 1, 24 * 3600 * 1000,
-                         Opts.TimeoutMs, Bad) ||
-                 intFlag(Arg, "--max-batches=", 1,
-                         std::numeric_limits<long>::max(), Opts.MaxBatches,
-                         Bad)) ||
+                         Opts.TimeoutMs, Bad)) ||
                Bad) {
       std::fprintf(stderr,
                    "usage: eco_worker [--socket=PATH | --host=H --port=P] "
-                   "[--name=S] [--poll-ms=MS] [--timeout-ms=MS] "
-                   "[--max-batches=N]\n");
+                   "[--name=S] [--poll-ms=MS] [--timeout-ms=MS]\n");
       return 2;
     }
   }

@@ -53,8 +53,6 @@ struct WorkerOptions {
   int PollWaitMs = 1000;
   /// Connect/roundTrip timeout for the worker's client.
   int TimeoutMs = 10000;
-  /// Exit after this many batches (< 0 = run until Stop/daemon exit).
-  long MaxBatches = -1;
   /// Cooperative stop for in-process workers (tests run runWorker on a
   /// thread); checked between protocol round trips.
   std::atomic<bool> *Stop = nullptr;
@@ -65,8 +63,7 @@ struct WorkerOptions {
 };
 
 /// Runs the worker loop until the daemon disappears (reconnects
-/// exhausted), Stop is set, or MaxBatches is reached. Returns a process
-/// exit code (0 = clean).
+/// exhausted) or Stop is set. Returns a process exit code (0 = clean).
 int runWorker(const WorkerOptions &Opts);
 
 /// `eco_worker [flags]` / `eco_cli worker [flags]`:
@@ -74,7 +71,6 @@ int runWorker(const WorkerOptions &Opts);
 ///   --name=S          worker name (default "worker")
 ///   --poll-ms=MS      long-poll wait (default 1000)
 ///   --timeout-ms=MS   connect/response timeout (default 10000)
-///   --max-batches=N   exit after N batches (default: run forever)
 /// Numeric flags parse strictly: a malformed or out-of-range value
 /// prints usage and returns 2. Logs at `info`, as the daemon does.
 int workerToolMain(const std::vector<std::string> &Args);

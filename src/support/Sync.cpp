@@ -206,9 +206,9 @@ void sync::detail::preAcquire(uint64_t Id) {
   {
     std::lock_guard<std::mutex> G(reg().Mu);
     uint64_t Tid = checkerTid();
-    // One edge per held lock (not just the innermost): a try_lock in
-    // the middle of the stack leaves no edge of its own, so outer
-    // edges keep the graph path-complete.
+    // One edge per held lock, not just the innermost: every pair held
+    // together gets its own edge, so a later inversion of any such
+    // pair is reported against that pair.
     for (uint64_t Held : Stack) {
       auto &Out = reg().Edges[Held];
       auto EIt = Out.find(Id);
@@ -250,12 +250,6 @@ void sync::detail::postAcquire(uint64_t Id) {
   auto It = reg().Mutexes.find(Id);
   if (It != reg().Mutexes.end())
     It->second.Owner = checkerTid();
-}
-
-void sync::detail::postTryAcquire(uint64_t Id) {
-  // A successful try_lock is held state but no ordering evidence: it
-  // never blocked, so it cannot be one side of a deadlock.
-  postAcquire(Id);
 }
 
 void sync::detail::preRelease(uint64_t Id) {

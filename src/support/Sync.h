@@ -35,18 +35,13 @@
 ///     predictable branch per lock/unlock (bench_obs_overhead gates it
 ///     at <=0.1% of an evaluation).
 ///
-/// Style rules the wrappers impose on call sites:
-///
-///  * Predicate waits are written as explicit `while (!cond) CV.wait(L);`
-///    loops, never lambda predicates — Clang analyzes a lambda body as a
-///    separate function that provably holds nothing, so a
-///    `wait(lock, [&]{ return Guarded; })` overload would force every
-///    caller to suppress the analysis. CondVar deliberately has no
-///    predicate overloads.
-///
-///  * try-lock is a raw annotated call, `if (M.try_lock()) { ...;
-///    M.unlock(); }` — the analysis cannot see through a deferred
-///    scoped guard queried via owns_lock().
+/// The style rule the wrappers impose on call sites: predicate waits
+/// are written as explicit `while (!cond) CV.wait(L);` loops, never
+/// lambda predicates — Clang analyzes a lambda body as a separate
+/// function that provably holds nothing, so a
+/// `wait(lock, [&]{ return Guarded; })` overload would force every
+/// caller to suppress the analysis. CondVar deliberately has no
+/// predicate overloads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,7 +73,6 @@
 #define ECO_REQUIRES(...) ECO_TSA(requires_capability(__VA_ARGS__))
 #define ECO_ACQUIRE(...) ECO_TSA(acquire_capability(__VA_ARGS__))
 #define ECO_RELEASE(...) ECO_TSA(release_capability(__VA_ARGS__))
-#define ECO_TRY_ACQUIRE(...) ECO_TSA(try_acquire_capability(__VA_ARGS__))
 #define ECO_EXCLUDES(...) ECO_TSA(locks_excluded(__VA_ARGS__))
 #define ECO_ASSERT_CAPABILITY(x) ECO_TSA(assert_capability(x))
 #define ECO_RETURN_CAPABILITY(x) ECO_TSA(lock_returned(x))
@@ -117,7 +111,6 @@ uint64_t registerMutex(const char *Name);
 void destroyMutex(uint64_t Id);
 void preAcquire(uint64_t Id);     ///< before blocking: recursion + edges
 void postAcquire(uint64_t Id);    ///< after the lock is held
-void postTryAcquire(uint64_t Id); ///< successful try_lock (no edges)
 void preRelease(uint64_t Id);     ///< before unlock: ownership check
 void noteWaitRelease(uint64_t Id);   ///< CV wait releases without unlock()
 void noteWaitReacquire(uint64_t Id); ///< CV wait re-acquired on wake
@@ -153,13 +146,6 @@ public:
     if (DebugId)
       sync::detail::preRelease(DebugId);
     M.unlock();
-  }
-
-  bool try_lock() ECO_TRY_ACQUIRE(true) {
-    bool Ok = M.try_lock();
-    if (Ok && DebugId)
-      sync::detail::postTryAcquire(DebugId);
-    return Ok;
   }
 
   /// Runtime counterpart of ECO_REQUIRES: when the checker is on and

@@ -620,33 +620,44 @@ TEST(EngineTest, ChromeTraceCoversEvaluationsWithLaneAttribution) {
 TEST(EngineTest, KilledTuneResumesFromItsCacheFile) {
   // A kill leaves the cache file as of its last save. Model that two
   // ways: the first K entries of an uninterrupted run's file, and the
-  // flush of a tune ShouldStop cancelled partway. The search is a
-  // deterministic function of the costs it sees, so a fresh engine over
-  // either file must make every decision again: the uninterrupted
-  // winner bitwise, and as many lookups (points + hits).
+  // file a tune ShouldStop cancelled partway left behind (its periodic
+  // saves, then the destructor's flush), at one lane and at four. The
+  // search is a deterministic function of the costs it sees, so a fresh
+  // one-lane engine over either file must make every decision again:
+  // the uninterrupted winner bitwise, and as many lookups (points +
+  // hits).
   const std::string Full = tempPath("eco_resume_full.json");
   const std::string Partial = tempPath("eco_resume_partial.json");
   std::remove(Full.c_str());
   LoopNest MM = makeMatMul();
   const ParamBindings Problem = {{"N", 64}};
   MachineDesc M = sgiScaled();
-  auto TuneOver = [&](const std::string &CacheFile, TuneOptions TO) {
+  auto TuneOver = [&](const std::string &CacheFile, TuneOptions TO,
+                      int Jobs) {
     SimEvalBackend Backend(M);
     EngineOptions EO;
     EO.CacheFile = CacheFile;
+    EO.Jobs = Jobs;
     EvalEngine Engine(Backend, EO);
     return tune(MM, Engine, Problem, TO);
   }; // the engine's destructor saves the file
 
-  TuneResult Uninterrupted = TuneOver(Full, {});
+  TuneResult Uninterrupted = TuneOver(Full, {}, 1);
   ASSERT_GE(Uninterrupted.BestVariant, 0);
   const size_t Lookups =
       Uninterrupted.TotalPoints + Uninterrupted.TotalCacheHits;
 
-  for (const char *Kill : {"first-entries", "cancelled"}) {
-    SCOPED_TRACE(Kill);
+  struct KillRow {
+    const char *Kill;
+    int Jobs;
+  };
+  for (const KillRow &Row :
+       {KillRow{"first-entries", 1}, KillRow{"cancelled", 1},
+        KillRow{"cancelled", 4}}) {
+    SCOPED_TRACE(std::string(Row.Kill) + " jobs=" +
+                 std::to_string(Row.Jobs));
     std::remove(Partial.c_str());
-    if (std::string(Kill) == "first-entries") {
+    if (std::string(Row.Kill) == "first-entries") {
       Json Root = Json::loadFile(Full);
       Json Kept = Json::object();
       for (const auto &[Key, Cost] : Root.get("entries").fields())
@@ -658,14 +669,14 @@ TEST(EngineTest, KilledTuneResumesFromItsCacheFile) {
       size_t Polls = 0;
       TuneOptions Stopping;
       Stopping.Search.ShouldStop = [&Polls] { return ++Polls > 40; };
-      ASSERT_TRUE(TuneOver(Partial, Stopping).Cancelled);
+      ASSERT_TRUE(TuneOver(Partial, Stopping, Row.Jobs).Cancelled);
     }
     EvalCache Saved;
     size_t Kept = Saved.load(Partial);
     ASSERT_GT(Kept, 0u);
     ASSERT_LT(Kept, Uninterrupted.TotalPoints);
 
-    TuneResult Resumed = TuneOver(Partial, {});
+    TuneResult Resumed = TuneOver(Partial, {}, 1);
     EXPECT_EQ(winnerOf(Resumed), winnerOf(Uninterrupted));
     EXPECT_EQ(Resumed.TotalPoints + Resumed.TotalCacheHits, Lookups);
     EXPECT_LT(Resumed.TotalPoints, Uninterrupted.TotalPoints);
@@ -677,12 +688,12 @@ TEST(EngineTest, KilledTuneResumesFromItsCacheFile) {
 // ---- persistence robustness ---------------------------------------------
 
 TEST(EngineTest, PeriodicSavesFromWarmBatchesNeverPublishTornFiles) {
-  // CacheSaveInterval=1 + jobs=4 makes every lane trip the periodic-save
-  // threshold inside the same warm batch — the exact overlap that used
-  // to let two lanes write the cache file concurrently (and, with the
-  // old fixed ".tmp" staging name, interleave into one temp file and
-  // rename torn JSON into place). A reader polls the file for the whole
-  // tune: it must never observe an unparseable document.
+  // A four-lane tune fills the cache from warm batches; the search
+  // thread saves after each batch that brought the insert count to
+  // CacheSaveInterval, as it does after each evaluate(). A reader polls
+  // the file for the whole tune: every save is a whole-file rename, so
+  // it must never observe an unparseable document. The tune must really
+  // save periodically, not just once at the end.
   std::string Path = tempPath("eco_engine_save_hammer.json");
   std::remove(Path.c_str());
   LoopNest MM = makeMatMul();
@@ -705,13 +716,17 @@ TEST(EngineTest, PeriodicSavesFromWarmBatchesNeverPublishTornFiles) {
 
   double Best;
   {
+    EventCapture Cap;
     SimEvalBackend Backend(M);
     EngineOptions Opts;
     Opts.CacheFile = Path;
-    Opts.CacheSaveInterval = 1;
     Opts.Jobs = 4;
     EvalEngine Engine(Backend, Opts);
-    Best = tune(MM, Engine, {{"N", 64}}).BestCost;
+    TuneResult R = tune(MM, Engine, {{"N", 64}});
+    Best = R.BestCost;
+    // Saves during the tune alone, before the destructor's flush.
+    ASSERT_GE(R.TotalPoints, 2 * EvalEngine::CacheSaveInterval);
+    EXPECT_GE(Cap.count("cache.saved"), 2u);
   }
   Stop.store(true);
   Reader.join();

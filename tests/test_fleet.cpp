@@ -2,7 +2,8 @@
 //
 // Covers serve/Fleet.h + serve/Worker.h: the WorkerPool dispatcher's
 // wire verbs (hello/poll/result/heartbeat), sharding, zero-worker
-// degradation, and its one failure rule — a batch is dispatched once,
+// degradation, concurrent calls each waiting for their own batches,
+// and its one failure rule — a batch is dispatched once,
 // and a failure is costed at home — as one table over the six failure
 // paths (disconnect, heartbeat timeout, missed deadline, malformed
 // result, empty fleet, shutdown) with stale late results; null answers
@@ -233,6 +234,66 @@ TEST(WorkerPoolTest, NoWorkersMeansImmediateLocalFallback) {
   EXPECT_LT(Ms, 1000) << "empty fleet must not block the tune";
   EXPECT_EQ(Cache.size(), 0u);
   EXPECT_EQ(Pool.statsJson().get("batches_dispatched").asInt(), 0);
+}
+
+// Two evalBatch calls in flight at once, on two threads: each returns
+// once its own batch resolves, never on the other's. The answered call
+// returns while the other's batch is still in flight; the held batch
+// then misses its deadline, and only the answered points are cached.
+TEST(WorkerPoolTest, ConcurrentCallsEachWaitForTheirOwnBatches) {
+  WorkerPool Pool({.BatchTimeoutMs = 1000});
+  uint64_t Wid = helloWorker(Pool, "w");
+  EvalCache Cache;
+  std::vector<RemotePoint> Held = somePoints(2), Answered = somePoints(2);
+  for (RemotePoint &P : Answered)
+    P.Key.EnvHash += 100;
+  auto outstanding = [&Pool] {
+    return Pool.statsJson().get("batches_outstanding").asInt();
+  };
+  auto awaitOutstanding = [&](int64_t N) {
+    for (int I = 0; I < 300 && outstanding() != N; ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_EQ(outstanding(), N);
+  };
+
+  // The held call dispatches first, so its batch has the lower id and
+  // the worker's first poll takes it.
+  std::atomic<bool> HeldDone{false}, AnsweredDone{false};
+  std::thread HeldCall([&] {
+    Pool.evalBatch(someContext(), Held, "held", Cache);
+    HeldDone = true;
+  });
+  awaitOutstanding(1);
+  std::thread AnsweredCall([&] {
+    Pool.evalBatch(someContext(), Answered, "answered", Cache);
+    AnsweredDone = true;
+  });
+  awaitOutstanding(2);
+
+  Json HeldBatch = pollForBatch(Pool, Wid);
+  Json AnsweredBatch = pollForBatch(Pool, Wid);
+  ASSERT_EQ(HeldBatch.get("stage").asString(), "held");
+  ASSERT_EQ(AnsweredBatch.get("stage").asString(), "answered");
+  EXPECT_FALSE(AnsweredDone) << "returned before its batch resolved";
+
+  EXPECT_TRUE(sendCosts(Pool, Wid, AnsweredBatch, {Json(7.5), Json(8.5)})
+                  .get("ok")
+                  .asBool(false));
+  AnsweredCall.join();
+  EXPECT_FALSE(HeldDone) << "returned on another call's batch";
+  EXPECT_EQ(outstanding(), 1);
+
+  HeldCall.join(); // returns once the held batch misses its deadline
+  for (const RemotePoint &P : Answered)
+    EXPECT_TRUE(Cache.lookup(P.Key).has_value());
+  for (const RemotePoint &P : Held)
+    EXPECT_FALSE(Cache.lookup(P.Key).has_value());
+  Json Stats = Pool.statsJson();
+  EXPECT_EQ(Stats.get("batches_dispatched").asInt(), 2);
+  EXPECT_EQ(Stats.get("batches_completed").asInt(), 1);
+  EXPECT_EQ(Stats.get("batches_failed").asInt(), 1);
+  EXPECT_EQ(Stats.get("batches_outstanding").asInt(), 0);
+  EXPECT_EQ(Pool.liveWorkers(), 1u) << "a missed deadline evicts nothing";
 }
 
 // ---- The one failure rule ------------------------------------------------

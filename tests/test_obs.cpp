@@ -528,8 +528,8 @@ TEST(ObsMetricsFold, EachMappedEventUpdatesItsMetric) {
       {"job.finished", R"({"status":"done","warm_start":"exact"})",
        "c serve.done 1 c serve.warm_exact 1 h serve.wait_ms 1 "
        "h serve.run_ms 1 g serve.queue_depth 2"},
-      {"job.finished", R"({"status":"cancelled","queue_depth":0})",
-       "c serve.cancelled 1 g serve.queue_depth 0"},
+      {"job.finished", R"({"status":"expired"})",
+       "c serve.expired 1 g serve.queue_depth 2"},
       {"worker.joined", R"({"live":2})", "g serve.workers_live 2"},
       {"worker.lost", R"({"live":1})", "g serve.workers_live 1"},
       {"batch.failed", R"({"batch_id":7,"reason":"deadline"})",

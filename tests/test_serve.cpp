@@ -607,23 +607,6 @@ TEST(ServeServiceTest, DeadlineExpiresMidSearchCooperatively) {
   EXPECT_FALSE(Service.db().exact("matmul", sgiHash(), 144).has_value());
 }
 
-TEST(ServeServiceTest, CancelResolvesWithoutStoring) {
-  WorkerGate Gate;
-  ServiceOptions Opts;
-  Opts.Workers = 1;
-  Opts.TestGate = [&Gate](const JobSpec &S) { Gate.enter(S); };
-  TuneService Service(Opts);
-
-  auto Job = Service.submit(smallSpec(24));
-  Gate.awaitPopped(1);
-  Job->cancel();
-  Gate.release();
-  JobResult R = Job->wait();
-  EXPECT_EQ(R.Status, "cancelled");
-  EXPECT_EQ(R.Evaluations, 0u);
-  EXPECT_FALSE(Service.db().exact("matmul", sgiHash(), 24).has_value());
-}
-
 TEST(ServeServiceTest, PriorityOrdersTheQueue) {
   WorkerGate Gate;
   ServiceOptions Opts;
@@ -928,7 +911,7 @@ TEST(ServeToolTest, BadNumericFlagsAreUsageErrorsBeforeBinding) {
     EXPECT_EQ(submitToolMain({"--socket=" + Sock, Bad}), 2) << Bad;
   // eco_worker's too, before it tries to connect.
   for (const char *Bad :
-       {"--poll-ms=abc", "--port=-1", "--timeout-ms=5s", "--max-batches=0"})
+       {"--poll-ms=abc", "--port=-1", "--timeout-ms=5s", "--poll-ms=-1"})
     EXPECT_EQ(workerToolMain({"--socket=" + Sock, Bad}), 2) << Bad;
 }
 

@@ -3,11 +3,11 @@
 // Exercises the runtime half of src/support/Sync.h: the named-mutex
 // registry, the global lock-order graph with DFS cycle detection, the
 // always-fatal misuse classes (recursive acquire, unlock-not-held,
-// destroyed-while-held), the REQUIRES runtime assert, try_lock's
-// no-edge policy, CondVar bookkeeping, and the off-path zero-tracking
-// guarantee. Every violation aborts, so each one is seeded inside
-// EXPECT_DEATH (a forked child) with the report's text in the regex;
-// the no-false-positive cases run in-process with the checker on.
+// destroyed-while-held), the REQUIRES runtime assert, CondVar
+// bookkeeping, and the off-path zero-tracking guarantee. Every
+// violation aborts, so each one is seeded inside EXPECT_DEATH (a forked
+// child) with the report's text in the regex; the no-false-positive
+// cases run in-process with the checker on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -68,22 +68,6 @@ TEST_F(SyncCheckerTest, ConsistentOrderingNoFalsePositive) {
     C.lock();
     C.unlock();
   }
-}
-
-/// A successful try_lock never blocks, so it is not deadlock evidence:
-/// it must contribute no order edges. Taking A then try(B), and later
-/// B then A, is therefore clean.
-TEST_F(SyncCheckerTest, TryLockAddsNoOrderEdges) {
-  Mutex A("try.A");
-  Mutex B("try.B");
-  A.lock();
-  ASSERT_TRUE(B.try_lock());
-  B.unlock();
-  A.unlock();
-  B.lock();
-  A.lock();
-  A.unlock();
-  B.unlock();
 }
 
 /// CondVar wait releases and reacquires the mutex through the checker's
@@ -238,26 +222,6 @@ TEST_F(SyncCheckerTest, TransitiveCycleDetected) {
       "\\[cycle\\].*\"chain\\.A\" -> \"chain\\.B\".*"
       "\"chain\\.B\" -> \"chain\\.C\".*"
       "\"chain\\.C\" -> \"chain\\.A\" \\(this acquisition");
-}
-
-/// A blocking acquisition made while a try_lock is held still produces
-/// an edge from the try-held mutex, so inversions against a try-held
-/// lock are caught.
-TEST_F(SyncCheckerTest, BlockingAcquireUnderTryHeldMakesEdges) {
-  EXPECT_DEATH(
-      {
-        Mutex A("tryedge.A");
-        Mutex B("tryedge.B");
-        if (A.try_lock()) {
-          B.lock(); // edge A -> B even though A arrived via try_lock
-          B.unlock();
-          A.unlock();
-        }
-        B.lock();
-        A.lock();
-      },
-      "\\[cycle\\]: lock-order cycle: acquiring \"tryedge\\.A\" while "
-      "holding \"tryedge\\.B\"");
 }
 
 /// The runtime REQUIRES assert: with the lock it is silent; without it,
