@@ -7,8 +7,8 @@
 /// \file
 /// Helpers shared by the per-table/per-figure benchmark binaries: the
 /// scaled machine configurations (see DESIGN.md: capacities are divided by
-/// ECO_SIM_SCALE with problem sizes scaled to match so sweeps run in
-/// minutes), MFLOPS extraction, and environment-variable knobs:
+/// the constant SimScale with problem sizes scaled to match so sweeps run
+/// in minutes), MFLOPS extraction, and environment-variable knobs:
 ///
 ///   ECO_BENCH_FULL=1   denser size sweeps (longer runs)
 ///

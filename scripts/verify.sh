@@ -3,16 +3,19 @@
 #
 # Runs the checks a PR must pass, in cost order:
 #
-#   1. tier-1: plain build + the full ctest suite (ROADMAP.md), then the
-#              same suite again with ECO_LOCK_DEBUG=1, where any
-#              lock-discipline violation aborts its test (DESIGN.md);
+#   1. tier-1: plain build + the full ctest suite (ROADMAP.md); every
+#              eco::Mutex owner check runs here, so a lock misuse aborts
+#              its test (DESIGN.md);
 #   2. perfbench: the throughput benchmark's own self-test;
 #   3. fuzz:   a bounded eco_fuzz differential sweep (fixed seed);
 #   4. bench:  the gated benches bench_obs_overhead and
 #              bench_fleet_dispatch;
 #   5. ASan:   -DECO_SANITIZE=address build, concurrency labels only;
 #   6. UBSan:  -DECO_SANITIZE=undefined build, labeled suites only;
-#   7. TSan:   -DECO_SANITIZE=thread build, labeled suites only.
+#   7. TSan:   -DECO_SANITIZE=thread build, labeled suites only; its
+#              deadlock detector is the repo's lock-order check, and
+#              the ctest sync_tsan_inversion pins that it sees through
+#              eco::Mutex.
 #
 # The labeled suites (engine|sim|obs|check|serve|fleet|fuzz|sync|search) are
 # the ones with real concurrency or UB surface; running only them keeps
@@ -51,9 +54,6 @@ run_suite() { # run_suite <build-dir> <cmake-extra...> -- <ctest-args...>
 
 step "tier-1: build + full test suite"
 run_suite build --
-
-step "tier-1 under the lock checker: ECO_LOCK_DEBUG=1 ctest"
-(cd "$REPO/build" && ECO_LOCK_DEBUG=1 ctest --output-on-failure -j "$JOBS")
 
 step "perfbench: self-test"
 (cd "$REPO" && python3 perfbench/run.py --self-test)

@@ -7,7 +7,7 @@
 /// \file
 /// The repo's only sanctioned mutex: `eco::Mutex` + `eco::MutexLock` +
 /// `eco::CondVar`, thin wrappers over the std primitives that carry two
-/// layers of checking the raw types cannot:
+/// checks the raw types cannot:
 ///
 ///  1. **Static**: Clang thread-safety capability annotations. The
 ///     `ECO_GUARDED_BY` / `ECO_REQUIRES` / `ECO_ACQUIRE` family expands
@@ -19,21 +19,21 @@
 ///     every `*Locked()` helper is tagged `ECO_REQUIRES(M)` — the
 ///     analysis rejects any caller that cannot prove it holds M.
 ///
-///  2. **Dynamic**: an opt-in lock-discipline checker. When enabled
-///     (`ECO_LOCK_DEBUG` set to anything but `0` at first use, or
-///     sync::setChecking(true) in a test), each Mutex registers under a
-///     human-readable name and every blocking acquisition records a
-///     held->acquired edge in one global lock-order graph. A DFS at
-///     edge-insertion time catches any cycle — a potential AB/BA
-///     deadlock — *on runs where the deadlock does not actually fire*,
-///     naming both locks and both acquisition sides. Recursive
-///     acquisition, unlock by a non-owning thread, destruction of a held
-///     mutex and a `*Locked()` helper called without its lock are also
-///     caught. Every violation prints one `eco sync [<kind>]: <message>`
-///     line to stderr and aborts. When the checker is off the only
-///     residue is one pointer-sized id per Mutex and a single
-///     predictable branch per lock/unlock (bench_obs_overhead gates it
-///     at <=0.1% of an evaluation).
+///  2. **Dynamic**: an always-on owner check. Each Mutex records the
+///     thread that holds it, and aborts with one
+///     `eco sync [<kind>]: <message>` line on stderr when that record
+///     proves a misuse: recursive acquisition (`recursive`, a certain
+///     deadlock on std::mutex), unlock by a thread that does not hold it
+///     (`bad-unlock`), destruction while held (`destroyed-held`) and a
+///     `*Locked()` helper entered without its lock (`requires`). It
+///     costs a relaxed atomic load and store per lock and unlock
+///     (bench_obs_overhead phase D gates it at <=0.1% of an evaluation),
+///     so it runs in every build.
+///
+/// Lock *order* is not checked here: ThreadSanitizer's deadlock detector
+/// sees every eco::Mutex as the std::mutex it wraps, and the TSan pass
+/// over the labelled suites reports any AB/BA inversion
+/// (`sync_tsan_inversion` pins that it does).
 ///
 /// The style rule the wrappers impose on call sites: predicate waits
 /// are written as explicit `while (!cond) CV.wait(L);` loops, never
@@ -48,9 +48,9 @@
 #ifndef ECO_SUPPORT_SYNC_H
 #define ECO_SUPPORT_SYNC_H
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstddef>
 #include <cstdint>
 #include <mutex>
 
@@ -67,104 +67,79 @@
 #define ECO_CAPABILITY(x) ECO_TSA(capability(x))
 #define ECO_SCOPED_CAPABILITY ECO_TSA(scoped_lockable)
 #define ECO_GUARDED_BY(x) ECO_TSA(guarded_by(x))
-#define ECO_PT_GUARDED_BY(x) ECO_TSA(pt_guarded_by(x))
-#define ECO_ACQUIRED_BEFORE(...) ECO_TSA(acquired_before(__VA_ARGS__))
-#define ECO_ACQUIRED_AFTER(...) ECO_TSA(acquired_after(__VA_ARGS__))
 #define ECO_REQUIRES(...) ECO_TSA(requires_capability(__VA_ARGS__))
 #define ECO_ACQUIRE(...) ECO_TSA(acquire_capability(__VA_ARGS__))
 #define ECO_RELEASE(...) ECO_TSA(release_capability(__VA_ARGS__))
 #define ECO_EXCLUDES(...) ECO_TSA(locks_excluded(__VA_ARGS__))
 #define ECO_ASSERT_CAPABILITY(x) ECO_TSA(assert_capability(x))
-#define ECO_RETURN_CAPABILITY(x) ECO_TSA(lock_returned(x))
-#define ECO_NO_THREAD_SAFETY_ANALYSIS ECO_TSA(no_thread_safety_analysis)
 
 namespace eco {
 
-class Mutex;
-class MutexLock;
-class CondVar;
-
-namespace sync {
-
-/// True when the runtime checker is on. Lazily initialised on first
-/// use: on when ECO_LOCK_DEBUG is set to anything but "0".
-bool checking();
-
-/// Overrides the checker (tests). Only mutexes *constructed while
-/// checking is on* are tracked — flipping it does not retroactively
-/// register existing mutexes, which is what makes test-local checking
-/// deterministic inside a larger process.
-void setChecking(bool On);
-
-/// Number of live mutexes the checker is tracking (0 when it is off —
-/// the zero-overhead guarantee the off-path test pins down).
-size_t trackedMutexCount();
-
-/// Test isolation: drops every lock-order edge (registered mutexes stay
-/// registered). Call only with no eco locks held.
-void resetForTest();
-
-namespace detail {
-// Internal hooks Mutex/CondVar call. Id 0 (checker off at construction)
-// short-circuits before any of these.
-uint64_t registerMutex(const char *Name);
-void destroyMutex(uint64_t Id);
-void preAcquire(uint64_t Id);     ///< before blocking: recursion + edges
-void postAcquire(uint64_t Id);    ///< after the lock is held
-void preRelease(uint64_t Id);     ///< before unlock: ownership check
-void noteWaitRelease(uint64_t Id);   ///< CV wait releases without unlock()
-void noteWaitReacquire(uint64_t Id); ///< CV wait re-acquired on wake
-void assertHeld(uint64_t Id);     ///< runtime ECO_REQUIRES check
-} // namespace detail
-
-} // namespace sync
-
 /// A named, capability-annotated mutex. Drop-in for std::mutex; the
-/// name feeds the lock-order checker's reports ("fleet.M", "engine
-/// stats") so a cycle report reads like the DESIGN.md lock-order table.
+/// name ("serve.fleet", "engine.stats") appears in every misuse report.
+/// Only the holder stores its own id into Owner, so `Owner == callerId()`
+/// is exact under relaxed ordering; the destructor's read is ordered by
+/// whatever ends the mutex's use (a join, the last unlock).
 class ECO_CAPABILITY("mutex") Mutex {
 public:
-  explicit Mutex(const char *Name = "mutex")
-      : DebugId(sync::detail::registerMutex(Name)) {}
+  /// Name must outlive the mutex (every caller passes a literal).
+  explicit Mutex(const char *Name = "mutex") : Name(Name) {}
   ~Mutex() {
-    if (DebugId)
-      sync::detail::destroyMutex(DebugId);
+    if (Owner.load(std::memory_order_relaxed) != 0)
+      fail(Misuse::DestroyedHeld);
   }
 
   Mutex(const Mutex &) = delete;
   Mutex &operator=(const Mutex &) = delete;
 
   void lock() ECO_ACQUIRE() {
-    if (DebugId)
-      sync::detail::preAcquire(DebugId);
+    if (ownedByCaller())
+      fail(Misuse::Recursive);
     M.lock();
-    if (DebugId)
-      sync::detail::postAcquire(DebugId);
+    Owner.store(callerId(), std::memory_order_relaxed);
   }
 
   void unlock() ECO_RELEASE() {
-    if (DebugId)
-      sync::detail::preRelease(DebugId);
+    releaseOwner();
     M.unlock();
   }
 
-  /// Runtime counterpart of ECO_REQUIRES: when the checker is on and
-  /// the calling thread does not hold this mutex, reports and aborts.
-  /// Free when the checker is off. `*Locked()`
-  /// helpers call this on entry.
+  /// Runtime counterpart of ECO_REQUIRES: aborts when the calling
+  /// thread does not hold this mutex. `*Locked()` helpers call this on
+  /// entry.
   void assertHeld() const ECO_ASSERT_CAPABILITY(this) {
-    if (DebugId)
-      sync::detail::assertHeld(DebugId);
+    if (!ownedByCaller())
+      fail(Misuse::Requires);
   }
-
-  /// True when this mutex registered with the runtime checker at
-  /// construction (tests pin the off-path down with this).
-  bool checked() const { return DebugId != 0; }
 
 private:
   friend class CondVar;
+  enum class Misuse { Recursive, BadUnlock, DestroyedHeld, Requires };
+
+  /// The calling thread's id: 1, 2, ... in order of first use (0 = no
+  /// owner).
+  static uint64_t callerId() {
+    static std::atomic<uint64_t> Next{1};
+    thread_local const uint64_t Id =
+        Next.fetch_add(1, std::memory_order_relaxed);
+    return Id;
+  }
+  bool ownedByCaller() const {
+    return Owner.load(std::memory_order_relaxed) == callerId();
+  }
+  /// The bad-unlock check plus the owner reset, shared by unlock() and
+  /// the CondVar waits (a wait releases the mutex like an unlock).
+  void releaseOwner() {
+    if (!ownedByCaller())
+      fail(Misuse::BadUnlock);
+    Owner.store(0, std::memory_order_relaxed);
+  }
+  /// Prints the one-line report and aborts.
+  [[noreturn]] void fail(Misuse Kind) const;
+
   std::mutex M;
-  const uint64_t DebugId; ///< 0 = untracked (checker off at ctor)
+  const char *const Name;
+  std::atomic<uint64_t> Owner{0}; ///< callerId() of the holder, or 0
 };
 
 /// Scoped lock over eco::Mutex — the std::unique_lock replacement.
