@@ -31,8 +31,11 @@ namespace ecobench {
 
 /// All simulated experiments run at this capacity scale (1/16 of the real
 /// machines; tile sizes and problem sizes scale by 1/4 per dimension).
-/// Pages scale by 1/4 (linearly, like problem sizes) rather than 1/16 so
-/// the pages-per-array-column geometry matches the real machines.
+/// Only these bench machines scale pages by 1/4 (linearly, like problem
+/// sizes) rather than 1/16, so the pages-per-array-column geometry
+/// matches the real machines. Plain `MachineDesc::scaledBy(16)`, which
+/// eco_cli, the daemon, perfbench and the tests use, scales pages by
+/// 1/16; both machines print as `SGI-R10000/16`.
 inline constexpr unsigned SimScale = 16;
 inline constexpr unsigned PageScale = 4;
 

@@ -14,6 +14,11 @@
 // and prints every pair. Gate: the median overhead <= 10% of the local
 // run, and the winner bit-identical in every pair.
 //
+// Each leg also reports the process CPU seconds (user + sys) its run
+// took; the worker is an in-process thread, so the fleet leg's figure
+// includes it. CPU seconds per point divides both legs by the local
+// leg's evaluation count. These are measurements only, not gated.
+//
 // Results are emitted as BENCH_fleet_dispatch.json.
 //
 //===----------------------------------------------------------------------===//
@@ -28,6 +33,7 @@
 #include <chrono>
 #include <cstdio>
 #include <optional>
+#include <sys/resource.h>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,14 +46,29 @@ namespace {
 struct Sample {
   JobResult Res;
   double Sec = 0;
+  double CpuSec = 0; ///< process user + sys seconds during the run
 };
+
+double processCpuSeconds() {
+  rusage U;
+  ::getrusage(RUSAGE_SELF, &U);
+  auto secs = [](const timeval &T) { return T.tv_sec + T.tv_usec * 1e-6; };
+  return secs(U.ru_utime) + secs(U.ru_stime);
+}
+
+/// Runs \p Spec on \p Service, timing wall and process CPU seconds.
+Sample timedRun(TuneService &Service, const JobSpec &Spec) {
+  double Cpu0 = processCpuSeconds();
+  Timer T;
+  Sample S{Service.run(Spec)};
+  S.Sec = T.seconds();
+  S.CpuSec = processCpuSeconds() - Cpu0;
+  return S;
+}
 
 Sample runLocal(const JobSpec &Spec) {
   TuneService Local;
-  Timer T;
-  Sample S{Local.run(Spec)};
-  S.Sec = T.seconds();
-  return S;
+  return timedRun(Local, Spec);
 }
 
 /// Runs \p Spec with one in-process worker attached; nullopt (after
@@ -73,9 +94,7 @@ std::optional<Sample> runFleet(const JobSpec &Spec) {
   std::thread W([&WOpts] { runWorker(WOpts); });
   for (int I = 0; I < 500 && Service.workers().liveWorkers() < 1; ++I)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  Timer T;
-  Sample S{Service.run(Spec)};
-  S.Sec = T.seconds();
+  Sample S = timedRun(Service, Spec);
   Stop.store(true);
   W.join();
   FleetSrv.stop();
@@ -103,7 +122,7 @@ int main() {
   OverheadSpec.ForceRetune = true; // cold every time: same work, no DB help
 
   constexpr int Pairs = 5;
-  std::vector<double> LocalSecs, FleetSecs, Overheads;
+  std::vector<double> LocalSecs, FleetSecs, Overheads, LocalCpus, FleetCpus;
   bool FleetSame = true;
   uint64_t Evaluations = 0;
   for (int P = 0; P < Pairs; ++P) {
@@ -129,7 +148,10 @@ int main() {
     LocalSecs.push_back(Local.Sec);
     FleetSecs.push_back(Fleet->Sec);
     Overheads.push_back(Overhead);
+    LocalCpus.push_back(Local.CpuSec);
+    FleetCpus.push_back(Fleet->CpuSec);
     Evaluations = Local.Res.Evaluations;
+    double Points = std::max<double>(Evaluations, 1);
     std::printf("pair %d (%s first): local %.3fs (%llu evals), fleet "
                 "%.3fs (%llu evaluated locally), overhead %+.1f%%, "
                 "winner %s\n",
@@ -138,6 +160,10 @@ int main() {
                 Fleet->Sec,
                 static_cast<unsigned long long>(Fleet->Res.Evaluations),
                 100 * Overhead, Same ? "bit-identical" : "DIVERGED");
+    std::printf("  cpu: local %.3fs (%.2f ms/point), fleet %.3fs (%.2f "
+                "ms/point)\n",
+                Local.CpuSec, 1e3 * Local.CpuSec / Points, Fleet->CpuSec,
+                1e3 * Fleet->CpuSec / Points);
   }
 
   // evals/sec uses the local runs' (complete) count.
@@ -145,10 +171,16 @@ int main() {
   double Overhead = median(Overheads);
   double LocalRate = LocalSec > 0 ? Evaluations / LocalSec : 0;
   double FleetRate = FleetSec > 0 ? Evaluations / FleetSec : 0;
+  double LocalCpu = median(LocalCpus), FleetCpu = median(FleetCpus);
+  double Points = std::max<double>(Evaluations, 1);
   bool FleetFast = Overhead <= 0.10;
   std::printf("median of %d pairs: local %.3fs (%.0f evals/s), fleet "
               "%.3fs (%.0f evals/s through dispatch)\n",
               Pairs, LocalSec, LocalRate, FleetSec, FleetRate);
+  std::printf("  cpu: local %.3fs (%.2f ms/point), fleet %.3fs (%.2f "
+              "ms/point)\n",
+              LocalCpu, 1e3 * LocalCpu / Points, FleetCpu,
+              1e3 * FleetCpu / Points);
   std::printf("  acceptance: median dispatch overhead %+.1f%% %s (bar: <= "
               "10%%), winner %s\n",
               100 * Overhead, FleetFast ? "PASS" : "FAIL",
@@ -164,6 +196,10 @@ int main() {
   Out.set("localEvalsPerSec", LocalRate);
   Out.set("fleetEvalsPerSec", FleetRate);
   Out.set("dispatchOverhead", Overhead);
+  Out.set("localCpuSeconds", LocalCpu);
+  Out.set("fleetCpuSeconds", FleetCpu);
+  Out.set("localCpuSecondsPerPoint", LocalCpu / Points);
+  Out.set("fleetCpuSecondsPerPoint", FleetCpu / Points);
   Out.set("winnerBitIdentical", FleetSame);
   Out.set("overheadBarPass", FleetPass);
 

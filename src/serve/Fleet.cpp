@@ -43,7 +43,6 @@ Json WorkerPool::hello(const Json &Req) {
   Json J = Json::object();
   J.set("ok", true);
   J.set("worker_id", Id);
-  J.set("heartbeat_ms", static_cast<int64_t>(HeartbeatIntervalMs));
   return J;
 }
 
@@ -126,8 +125,7 @@ void WorkerPool::reapLocked(Clock::time_point Now) {
       "deadline");
 }
 
-Json WorkerPool::poll(const Json &Req) {
-  uint64_t WorkerId = static_cast<uint64_t>(Req.get("worker_id").asInt());
+Json WorkerPool::poll(uint64_t WorkerId, const Json &Req) {
   int64_t WaitMs = Req.get("wait_ms").asInt(0);
   WaitMs = std::clamp<int64_t>(WaitMs, 0, PollWaitCapMs);
   auto Deadline = Clock::now() + std::chrono::milliseconds(WaitMs);
@@ -136,9 +134,11 @@ Json WorkerPool::poll(const Json &Req) {
   for (;;) {
     auto WIt = Workers.find(WorkerId);
     if (WIt == Workers.end())
-      return errorReply("unknown worker"); // evicted — the worker re-hellos
+      return errorReply("unknown worker"); // the worker reconnects
     auto Now = Clock::now();
-    WIt->second.LastSeen = Now;
+    // A finished wait ends the extension below: seen now, not at the
+    // wait's deadline, so a batch holder's silence counts from here.
+    WIt->second.LastSeen = std::min(WIt->second.LastSeen, Now);
 
     if (!Stopping)
       for (auto &[Id, B] : Batches) {
@@ -159,37 +159,35 @@ Json WorkerPool::poll(const Json &Req) {
   }
 }
 
-Json WorkerPool::result(const Json &Req) {
-  uint64_t WorkerId = static_cast<uint64_t>(Req.get("worker_id").asInt());
+Json WorkerPool::result(uint64_t WorkerId, const Json &Req) {
   uint64_t BatchId = static_cast<uint64_t>(Req.get("batch_id").asInt());
   const Json &Costs = Req.get("costs");
 
   MutexLock Lock(M);
-  auto WIt = Workers.find(WorkerId);
-  if (WIt == Workers.end())
+  if (!Workers.count(WorkerId))
     return errorReply("unknown worker");
-  WIt->second.LastSeen = Clock::now();
 
   auto BIt = Batches.find(BatchId);
   if (BIt == Batches.end() || BIt->second.AssignedTo != WorkerId) {
     // Not in flight on this worker: the batch already failed (its
-    // deadline passed, or shutdown) and its points are costed locally.
-    // Acknowledge so the worker moves on; insert nothing, valid or not.
+    // deadline passed, or shutdown) and its points are costed locally,
+    // or another worker holds it. Acknowledge so the worker moves on;
+    // insert nothing, valid or not.
     return okReply("stale", true);
   }
   Batch &B = BIt->second;
 
   // Structural validation: one cost slot per point, each null (the
   // worker could not evaluate the point; the local loop re-derives that)
-  // or a finite number. Anything else is a protocol violation: insert
-  // nothing and evict the sender, which fails this batch.
+  // or a finite, non-negative number (a cost counts cycles). Anything
+  // else is a protocol violation: insert nothing and evict the sender,
+  // which fails this batch.
   bool Valid = Costs.isArray() && Costs.size() == B.Points.size();
-  if (Valid)
-    for (size_t I = 0; I < Costs.size(); ++I) {
-      const Json &C = Costs.at(I);
-      if (!C.isNull() && (!C.isNumber() || !std::isfinite(C.asNumber())))
-        Valid = false;
-    }
+  for (size_t I = 0; Valid && I < Costs.size(); ++I) {
+    const Json &C = Costs.at(I);
+    Valid = C.isNull() ||
+            (C.isNumber() && std::isfinite(C.asNumber()) && C.asNumber() >= 0);
+  }
   if (!Valid) {
     evictLocked(WorkerId, "garbage-result");
     return errorReply("malformed result");
@@ -203,14 +201,10 @@ Json WorkerPool::result(const Json &Req) {
   return okReply();
 }
 
-Json WorkerPool::heartbeat(const Json &Req) {
-  uint64_t WorkerId = static_cast<uint64_t>(Req.get("worker_id").asInt());
+void WorkerPool::seen(uint64_t WorkerId) {
   MutexLock Lock(M);
-  auto WIt = Workers.find(WorkerId);
-  if (WIt == Workers.end())
-    return errorReply("unknown worker");
-  WIt->second.LastSeen = Clock::now();
-  return okReply();
+  if (auto It = Workers.find(WorkerId); It != Workers.end())
+    It->second.LastSeen = Clock::now();
 }
 
 void WorkerPool::disconnected(uint64_t WorkerId) {

@@ -10,21 +10,32 @@
 /// paper's §4.3 search-cost comparison), so evaluations are the thing
 /// worth fanning out beyond one process.
 ///
-/// The protocol is worker-initiated on the existing line-JSON wire:
-/// workers register (`worker.hello`), long-poll for batches
-/// (`worker.poll`), stream liveness (`worker.heartbeat`), and report
-/// costs (`worker.result`). The daemon never pushes unsolicited data, so
-/// the one-request/one-response framing of serve/Protocol.h is
-/// untouched.
+/// The protocol is worker-initiated on the existing line-JSON wire and
+/// has three verbs: a worker registers (`worker.hello`), long-polls for
+/// batches (`worker.poll`), and reports costs (`worker.result`). The
+/// daemon never pushes unsolicited data, so the one-request/one-response
+/// framing of serve/Protocol.h is untouched.
+///
+/// Identity and liveness are the connection. The Server registers a
+/// connection at most once, at its hello, and hands every later verb
+/// from it that registration's id; no request names a worker. Any line
+/// from a registered connection (`ping` included) keeps it alive
+/// through seen(), and a worker blocked in worker.poll counts as seen
+/// until its wait ends. A connection that sends a verb without having
+/// registered, or after its registration was evicted, gets an error
+/// reply and takes no batch; the worker answers any error by
+/// reconnecting and saying hello again.
 ///
 /// Failure model — one rule: a batch is dispatched once, and a failure
 /// is costed at home. Each of
 ///
 ///  * a disconnect (the worker's connection closed, e.g. SIGKILL; the
 ///    Server calls disconnected()),
-///  * a heartbeat timeout (the worker silent for HeartbeatTimeoutMs),
+///  * a heartbeat timeout (no line from the worker's connection for
+///    HeartbeatTimeoutMs),
 ///  * a missed per-batch deadline (BatchTimeoutMs),
-///  * a malformed worker.result,
+///  * a malformed worker.result (wrong arity, or a slot that is neither
+///    null nor a finite, non-negative number),
 ///  * an empty fleet, and
 ///  * shutdown
 ///
@@ -36,8 +47,9 @@
 /// whatever the fleet does. A disconnect, a heartbeat timeout and a
 /// malformed result also evict the sender, failing its other in-flight
 /// batches with it; a missed deadline does not (slow is not dead). A
-/// result for a batch that is no longer in flight on its sender, valid
-/// or malformed, is acknowledged `stale` and never inserted.
+/// result for a batch that is not in flight on its sender (it already
+/// failed, or another worker holds it), valid or malformed, is
+/// acknowledged `stale` and never inserted.
 ///
 /// There is no retry: shards are sized to the live fleet, so a second
 /// dispatch of a shard could start only after some worker finished its
@@ -66,7 +78,7 @@ namespace serve {
 
 /// Fleet dispatch knobs.
 struct FleetOptions {
-  /// A worker silent (no poll/result/heartbeat) this long is evicted.
+  /// A worker whose connection sends no line this long is evicted.
   int HeartbeatTimeoutMs = 5000;
   /// Per-batch deadline; a batch still in flight past it fails.
   int BatchTimeoutMs = 30000;
@@ -123,7 +135,8 @@ private:
 /// are condition-variable laps so nothing blocks past its deadline.
 class WorkerPool {
 public:
-  /// Heartbeat interval advertised to workers at hello.
+  /// The liveness cadence a worker keeps: a busy one sends `ping`
+  /// between points every half of this.
   static constexpr int HeartbeatIntervalMs = 500;
   /// Cap on a worker.poll long-poll wait, so Server::stop() joins
   /// connection threads promptly.
@@ -136,18 +149,22 @@ public:
   WorkerPool &operator=(const WorkerPool &) = delete;
 
   // --- wire side (one call per protocol verb) ---
+  //
+  // \p WorkerId is the id the sender's connection registered, never a
+  // field of the request; 0 (not registered) or an evicted id gets an
+  // error reply.
 
-  /// worker.hello {name} -> {ok, worker_id, heartbeat_ms}.
+  /// worker.hello {name} -> {ok, worker_id}. Registers a new worker.
   Json hello(const Json &Req);
-  /// worker.poll {worker_id, wait_ms} -> {ok, batch:{...}} | {ok,
-  /// idle:true}. Blocks up to min(wait_ms, PollWaitCapMs) for work.
-  Json poll(const Json &Req);
-  /// worker.result {worker_id, batch_id, costs:[num|null,...]} -> {ok}.
-  /// A result for a batch not in flight on the sender returns {ok,
-  /// stale:true}; a malformed one evicts the sender.
-  Json result(const Json &Req);
-  /// worker.heartbeat {worker_id} -> {ok}.
-  Json heartbeat(const Json &Req);
+  /// worker.poll {wait_ms} -> {ok, batch:{...}} | {ok, idle:true}.
+  /// Blocks up to min(wait_ms, PollWaitCapMs) for work.
+  Json poll(uint64_t WorkerId, const Json &Req);
+  /// worker.result {batch_id, costs:[num|null,...]} -> {ok}. A result
+  /// for a batch not in flight on \p WorkerId returns {ok, stale:true};
+  /// a malformed one evicts \p WorkerId.
+  Json result(uint64_t WorkerId, const Json &Req);
+  /// A line arrived from \p WorkerId's connection: it is alive now.
+  void seen(uint64_t WorkerId);
   /// The worker's connection closed (EOF / SIGKILL): evict immediately
   /// and fail its in-flight batches.
   void disconnected(uint64_t WorkerId);

@@ -803,24 +803,23 @@ void Server::handleConnection(int Fd, Conn &C) {
 
 Json Server::handleRequest(const Json &Req, uint64_t &ConnWorkerId) {
   std::string Op = Req.get("op").asString();
+  // Any line from a registered worker, whatever its verb, is a sign of
+  // life: this is the fleet's one liveness signal.
+  if (ConnWorkerId)
+    Service.workers().seen(ConnWorkerId);
   if (Op == "worker.hello") {
+    // One registration per connection: after an eviction the worker
+    // reconnects rather than re-registering here.
+    if (ConnWorkerId)
+      return errorReply("connection already registered");
     Json J = Service.workers().hello(Req);
-    if (J.get("ok").asBool(false)) {
-      // One registration per connection: a re-hello (after eviction)
-      // supersedes the old id, which is evicted so its batches fail.
-      uint64_t NewId = static_cast<uint64_t>(J.get("worker_id").asInt());
-      if (ConnWorkerId && ConnWorkerId != NewId)
-        Service.workers().disconnected(ConnWorkerId);
-      ConnWorkerId = NewId;
-    }
+    ConnWorkerId = static_cast<uint64_t>(J.get("worker_id").asInt());
     return J;
   }
   if (Op == "worker.poll")
-    return Service.workers().poll(Req);
+    return Service.workers().poll(ConnWorkerId, Req);
   if (Op == "worker.result")
-    return Service.workers().result(Req);
-  if (Op == "worker.heartbeat")
-    return Service.workers().heartbeat(Req);
+    return Service.workers().result(ConnWorkerId, Req);
   if (Op == "ping")
     return okReply("op", "pong");
   if (Op == "stats") {

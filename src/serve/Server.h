@@ -253,9 +253,14 @@ private:
   void acceptLoop(Listener *L);
   void handleConnection(int Fd, Conn &C);
   /// One request -> one response object. \p ConnWorkerId is the fleet
-  /// worker registered on this connection (0 = none): worker.hello sets
-  /// it, and handleConnection evicts it when the connection dies — the
-  /// instant-detection path for a SIGKILLed worker.
+  /// worker registered on this connection (0 = none), the one worker
+  /// identity (serve/Fleet.h): the connection's first worker.hello sets
+  /// it and a second is refused; worker.poll and worker.result act as
+  /// it, whatever id the line names; any line refreshes its liveness;
+  /// and handleConnection evicts it when the connection dies — the
+  /// instant-detection path for a SIGKILLed worker. The failure model is
+  /// serve/Fleet.h's: a batch is dispatched once, a failure is costed at
+  /// home.
   Json handleRequest(const Json &Request, uint64_t &ConnWorkerId);
 
   TuneService &Service;

@@ -14,7 +14,8 @@
 ///                    the listeners, drain admitted jobs, and persist
 ///                    the ConfigDB atomically.
 ///   submitToolMain — one client request (submit by default; --op
-///                    switches to query/stats/ping/shutdown) printed as
+///                    switches to query/stats/jobs/metrics/ping/
+///                    shutdown) printed as
 ///                    JSON on stdout.
 ///
 //===----------------------------------------------------------------------===//
@@ -46,7 +47,7 @@ int serveToolMain(const std::vector<std::string> &Args);
 ///   --timeout-ms=MS   connect + response timeout (default: 10 s
 ///                     connect, 5 min response — a submit blocks for a
 ///                     whole tune)
-///   --op=submit|query|stats|ping|shutdown (default submit)
+///   --op=submit|query|stats|jobs|metrics|ping|shutdown (default submit)
 ///   --kernel=K --machine=M --scale=S --n=N
 ///   --priority=P --deadline-ms=MS --force
 /// Prints the response JSON; exit 0 on ok responses.

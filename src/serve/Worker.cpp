@@ -7,7 +7,6 @@
 #include "serve/Fleet.h"
 #include "support/ParseInt.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -28,7 +27,7 @@ constexpr int ReconnectAttempts = 25, ReconnectDelayMs = 200;
 /// point; null = cannot evaluate — unknown variant, a config that does
 /// not bind, or a transform that refuses the point, which the daemon's
 /// local loop re-derives). \p BetweenPoints runs after each point so the
-/// caller can heartbeat through long batches.
+/// caller can ping through long batches.
 void evaluateBatch(const Json &Batch, PointResolver &Resolver,
                    Json &CostsOut,
                    const std::function<void()> &BetweenPoints) {
@@ -83,8 +82,6 @@ void evaluateBatch(const Json &Batch, PointResolver &Resolver,
 int eco::serve::runWorker(const WorkerOptions &Opts) {
   PointResolver Resolver;
   std::unique_ptr<Client> C;
-  uint64_t WorkerId = 0;
-  int BeatMs = WorkerPool::HeartbeatIntervalMs; // until hello says otherwise
   int Reconnects = 0;
 
   auto stopRequested = [&Opts] {
@@ -113,50 +110,39 @@ int eco::serve::runWorker(const WorkerOptions &Opts) {
     return false;
   };
 
-  auto hello = [&]() -> bool {
-    Json Req = Json::object();
-    Req.set("op", "worker.hello");
-    Req.set("name", Opts.Name);
-    Json Resp;
-    if (!C->roundTrip(Req, Resp) || !Resp.get("ok").asBool(false))
-      return false;
-    WorkerId = static_cast<uint64_t>(Resp.get("worker_id").asInt());
-    BeatMs = static_cast<int>(Resp.get("heartbeat_ms").asInt(BeatMs));
-    Reconnects = 0; // a completed registration resets the give-up budget
-    ECO_LOG(Info) << "worker: registered as id " << WorkerId;
-    return true;
+  // One request, true on an ok reply. A transport failure or an error
+  // reply (this registration was evicted, a result was refused) drops
+  // the connection: the one recovery is to reconnect and say hello.
+  auto call = [&](const Json &Req, Json &Resp) -> bool {
+    if (C->roundTrip(Req, Resp) && Resp.get("ok").asBool(false))
+      return true;
+    C.reset();
+    return false;
   };
 
   for (;;) {
     if (stopRequested())
       return 0;
-    if (!C || !C->alive()) {
+    if (!C) {
       if (!connect())
         return stopRequested() ? 0 : 1;
-      if (!hello()) {
-        C.reset();
+      Json Req = Json::object();
+      Req.set("op", "worker.hello");
+      Req.set("name", Opts.Name);
+      Json Resp;
+      if (!call(Req, Resp))
         continue; // retry (bounded by the reconnect budget)
-      }
+      Reconnects = 0; // a completed registration resets the give-up budget
+      ECO_LOG(Info) << "worker: registered as id "
+                    << Resp.get("worker_id").asInt();
     }
 
     Json Req = Json::object();
     Req.set("op", "worker.poll");
-    Req.set("worker_id", WorkerId);
     Req.set("wait_ms", static_cast<int64_t>(Opts.PollWaitMs));
     Json Resp;
-    if (!C->roundTrip(Req, Resp)) {
-      C.reset(); // daemon restarted or died: reconnect + re-hello
-      continue;
-    }
-    if (!Resp.get("ok").asBool(false)) {
-      // Evicted (heartbeat lapse, a malformed result): re-register on
-      // the same connection and start fresh.
-      if (!hello())
-        C.reset();
-      continue;
-    }
-    if (!Resp.has("batch"))
-      continue; // idle long-poll lap
+    if (!call(Req, Resp) || !Resp.has("batch"))
+      continue; // reconnect, or an idle long-poll lap
 
     const Json &Batch = Resp.get("batch");
 
@@ -182,30 +168,25 @@ int eco::serve::runWorker(const WorkerOptions &Opts) {
       Costs = Json::array();
       Costs.push("not-a-cost");
     } else {
-      auto LastBeat = std::chrono::steady_clock::now();
-      auto beat = [&] {
+      // Any line keeps this connection alive, so a long batch pings.
+      auto LastPing = std::chrono::steady_clock::now();
+      auto ping = [&] {
         auto Now = std::chrono::steady_clock::now();
-        if (Now - LastBeat < std::chrono::milliseconds(
-                                 std::max(BeatMs / 2, 1)))
+        if (Now - LastPing <
+            std::chrono::milliseconds(WorkerPool::HeartbeatIntervalMs / 2))
           return;
-        LastBeat = Now;
-        Json HReq = Json::object();
-        HReq.set("op", "worker.heartbeat");
-        HReq.set("worker_id", WorkerId);
-        Json HResp;
-        C->roundTrip(HReq, HResp); // best effort; poll also refreshes
+        LastPing = Now;
+        C->ping(); // best effort; a dead connection fails the result
       };
-      evaluateBatch(Batch, Resolver, Costs, beat);
+      evaluateBatch(Batch, Resolver, Costs, ping);
     }
 
     Json RReq = Json::object();
     RReq.set("op", "worker.result");
-    RReq.set("worker_id", WorkerId);
     RReq.set("batch_id", Batch.get("id").asInt());
     RReq.set("costs", std::move(Costs));
     Json RResp;
-    if (!C->roundTrip(RReq, RResp))
-      C.reset();
+    call(RReq, RResp);
   }
 }
 

@@ -5,10 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The `eco_worker` side of the fleet protocol (serve/Fleet.h): connect
-/// to the daemon, register with `worker.hello`, long-poll for batches,
-/// evaluate each point on a local simulator, and report costs with
-/// `worker.result`, heartbeating between points.
+/// The `eco_worker` side of the fleet's three-verb protocol
+/// (serve/Fleet.h): connect to the daemon, register with `worker.hello`,
+/// long-poll for batches with `worker.poll`, evaluate each point on a
+/// local simulator, and report costs with `worker.result`.
+///
+/// Identity and liveness are the connection: no request names a worker,
+/// and any line keeps the registration alive, so a busy worker sends the
+/// plain `ping` between points every WorkerPool::HeartbeatIntervalMs / 2.
+/// Every error reply (after an eviction, or for a refused result) and
+/// every transport failure takes one recovery path: drop the connection,
+/// reconnect, and say hello again as a new worker. The failure model is
+/// the daemon's (serve/Fleet.h): a batch this worker loses is costed at
+/// home, so nothing it does can move a winner.
 ///
 /// Determinism: the worker rebuilds each point from the batch alone
 /// through serve::PointResolver, the resolver the DB audit uses (variant

@@ -90,7 +90,6 @@ public:
     assert(Level < Caches.size());
     return Caches[Level];
   }
-  SetAssocCache &tlb() { return Tlb; }
 
 private:
   /// Walks the cache levels for \p Addr starting at \p StartLevel (the

@@ -166,7 +166,6 @@ public:
     Held = false;
     Mu.unlock();
   }
-  bool owns_lock() const { return Held; }
 
 private:
   friend class CondVar;

@@ -1,12 +1,16 @@
 //===- tests/test_fleet.cpp - Remote eval-worker fleet tests --------------===//
 //
 // Covers serve/Fleet.h + serve/Worker.h: the WorkerPool dispatcher's
-// wire verbs (hello/poll/result/heartbeat), sharding, zero-worker
+// three wire verbs (hello/poll/result), sharding, zero-worker
 // degradation, concurrent calls each waiting for their own batches,
 // and its one failure rule — a batch is dispatched once,
 // and a failure is costed at home — as one table over the six failure
 // paths (disconnect, heartbeat timeout, missed deadline, malformed
-// result, empty fleet, shutdown) with stale late results; null answers
+// result, empty fleet, shutdown) with stale late results. At the
+// Server: identity and liveness are the connection, so a second
+// connection naming a worker's id can neither take nor answer its
+// batch, a connection registers once, and a batch holder that only
+// pings stays live. Then null answers
 // for shipped points whose transform is illegal; and — end to end —
 // that a tune served by an honest in-process worker beside a vanishing,
 // a freezing or a garbage-reporting one (the fleet chaos table), and by
@@ -93,15 +97,16 @@ uint64_t helloWorker(WorkerPool &Pool, const std::string &Name) {
 }
 
 /// Polls as \p WorkerId until a batch arrives (or ~3 s pass); returns
-/// the batch object (null Json on timeout).
+/// the batch object (null Json on timeout). Like every helper line here
+/// it is first seen(), as the Server does for each line of a worker.
 Json pollForBatch(WorkerPool &Pool, uint64_t WorkerId) {
   Json Req = Json::object();
-  Req.set("worker_id", WorkerId);
   Req.set("wait_ms", static_cast<int64_t>(200));
   auto Deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(3);
   while (std::chrono::steady_clock::now() < Deadline) {
-    Json Resp = Pool.poll(Req);
+    Pool.seen(WorkerId);
+    Json Resp = Pool.poll(WorkerId, Req);
     if (!Resp.get("ok").asBool(false))
       return Json(); // evicted
     if (Resp.has("batch"))
@@ -113,13 +118,13 @@ Json pollForBatch(WorkerPool &Pool, uint64_t WorkerId) {
 Json sendCosts(WorkerPool &Pool, uint64_t WorkerId, const Json &Batch,
                const std::vector<Json> &Costs) {
   Json Req = Json::object();
-  Req.set("worker_id", WorkerId);
   Req.set("batch_id", Batch.get("id").asInt());
   Json Arr = Json::array();
   for (const Json &C : Costs)
     Arr.push(C);
   Req.set("costs", std::move(Arr));
-  return Pool.result(Req);
+  Pool.seen(WorkerId);
+  return Pool.result(WorkerId, Req);
 }
 
 /// The spec both end-to-end tests tune: small enough to be cheap, big
@@ -214,12 +219,11 @@ TEST(WorkerPoolTest, ShardsAcrossWorkersAndRejectsUnknownIds) {
     EXPECT_TRUE(Cache.lookup(P.Key).has_value());
 
   // Verbs from an unregistered id answer an explicit error, so an
-  // evicted worker knows to re-hello.
+  // evicted worker knows to reconnect.
   Json Bogus = Json::object();
-  Bogus.set("worker_id", static_cast<int64_t>(999));
   Bogus.set("wait_ms", static_cast<int64_t>(0));
-  EXPECT_FALSE(Pool.poll(Bogus).get("ok").asBool(true));
-  EXPECT_FALSE(Pool.heartbeat(Bogus).get("ok").asBool(true));
+  EXPECT_FALSE(Pool.poll(999, Bogus).get("ok").asBool(true));
+  EXPECT_FALSE(Pool.result(999, Bogus).get("ok").asBool(true));
 }
 
 TEST(WorkerPoolTest, NoWorkersMeansImmediateLocalFallback) {
@@ -347,6 +351,14 @@ TEST(WorkerPoolTest, EachFailurePathResolvesTheBatchOnce) {
          EXPECT_EQ(R.get("error").asString(), "malformed result");
        },
        "garbage-result", true},
+      // Cycles are never negative: -1 is malformed, not a cost.
+      {"garbage-negative", {}, true,
+       [](WorkerPool &Pool, uint64_t Wid, const Json &Batch) {
+         Json R = sendCosts(Pool, Wid, Batch, {Json(-1.0), Json(2.0)});
+         EXPECT_FALSE(R.get("ok").asBool(true));
+         EXPECT_EQ(R.get("error").asString(), "malformed result");
+       },
+       "garbage-result", true},
       // Valid costs, but one slot short of the batch.
       {"garbage-arity", {}, true,
        [](WorkerPool &Pool, uint64_t Wid, const Json &Batch) {
@@ -441,12 +453,206 @@ TEST(WorkerPoolTest, BlockedPollerOutlivesTheHeartbeatTimeout) {
   ASSERT_TRUE(pollForBatch(Pool, Silent).isObject());
 
   Json Req = Json::object();
-  Req.set("worker_id", Idle);
   Req.set("wait_ms", static_cast<int64_t>(400));
-  EXPECT_TRUE(Pool.poll(Req).get("idle").asBool(false));
+  EXPECT_TRUE(Pool.poll(Idle, Req).get("idle").asBool(false));
   Evaluator.join();
   EXPECT_EQ(Pool.liveWorkers(), 1u);
   EXPECT_EQ(Pool.statsJson().get("lost").asInt(), 1) << "only the silent one";
+}
+
+// The blocked-poller extension ends with the wait: a poller that takes a
+// batch mid-wait and then goes silent is timed from the moment it took
+// the batch, not from the deadline its wait would have had.
+TEST(WorkerPoolTest, SilenceAfterAWaitCountsFromTheWaitsEnd) {
+  WorkerPool Pool(FleetOptions{.HeartbeatTimeoutMs = 150});
+  uint64_t Wid = helloWorker(Pool, "w");
+  Json Got;
+  std::thread Poller([&] {
+    Json Req = Json::object();
+    Req.set("wait_ms", static_cast<int64_t>(WorkerPool::PollWaitCapMs));
+    Got = Pool.poll(Wid, Req);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EvalCache Cache;
+  auto T0 = std::chrono::steady_clock::now();
+  Pool.evalBatch(someContext(), somePoints(1), "warm", Cache);
+  auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - T0)
+                .count();
+  Poller.join();
+  EXPECT_TRUE(Got.has("batch"));
+  EXPECT_EQ(Pool.statsJson().get("lost").asInt(), 1);
+  // Evicted ~150 ms after taking the batch; counted from the wait's
+  // deadline it would take ~1.1 s.
+  EXPECT_LT(Ms, 800) << "the silent batch holder outlived its timeout";
+}
+
+// ---- At the Server: the connection is the worker -------------------------
+
+namespace {
+
+/// A daemon on a fresh unix socket whose fleet the test drives with raw
+/// connections, speaking the wire by hand. Each worker line names its
+/// sender's own worker_id, as workers did before the connection became
+/// the identity; the daemon ignores it, and an old worker still works.
+struct FleetServer {
+  explicit FleetServer(const std::string &Name, ServiceOptions Opts = {})
+      : Sock(tempPath(Name)), Service(Opts),
+        Srv(Service, ServerOptions{.UnixPath = Sock}) {
+    std::remove(Sock.c_str());
+    std::string Err;
+    EXPECT_TRUE(Srv.start(&Err)) << Err;
+  }
+  ~FleetServer() {
+    Srv.stop();
+    Service.drain();
+    std::remove(Sock.c_str());
+  }
+  std::unique_ptr<Client> connect() {
+    std::unique_ptr<Client> C = Client::connectUnix(Sock);
+    EXPECT_TRUE(C);
+    if (C)
+      C->setRecvTimeout(5000);
+    return C;
+  }
+  /// Sends \p Req on \p C; the reply, or an error reply on transport
+  /// failure.
+  static Json call(Client &C, const Json &Req) {
+    Json Resp;
+    return C.roundTrip(Req, Resp) ? Resp : errorReply("transport");
+  }
+  /// Registers \p C as a worker; its id (0 if refused).
+  static uint64_t hello(Client &C) {
+    Json Req = Json::object();
+    Req.set("op", "worker.hello");
+    return static_cast<uint64_t>(call(C, Req).get("worker_id").asInt());
+  }
+  /// Polls on \p C as \p Id until a batch arrives (or ~3 s pass).
+  static Json pollForBatch(Client &C, uint64_t Id) {
+    Json Req = Json::object();
+    Req.set("op", "worker.poll");
+    Req.set("worker_id", Id);
+    Req.set("wait_ms", static_cast<int64_t>(200));
+    for (int I = 0; I < 15; ++I) {
+      Json Resp = call(C, Req);
+      if (Resp.has("batch"))
+        return Resp.get("batch");
+    }
+    return Json();
+  }
+  static Json result(Client &C, uint64_t Id, int64_t BatchId, double C0,
+                     double C1) {
+    Json Req = Json::object();
+    Req.set("op", "worker.result");
+    Req.set("worker_id", Id);
+    Req.set("batch_id", BatchId);
+    Json Costs = Json::array();
+    Costs.push(Json(C0));
+    Costs.push(Json(C1));
+    Req.set("costs", std::move(Costs));
+    return call(C, Req);
+  }
+  WorkerPool &pool() { return Service.workers(); }
+  int64_t stat(const char *Key) { return pool().statsJson().get(Key).asInt(); }
+
+  std::string Sock;
+  TuneService Service;
+  Server Srv;
+};
+
+} // namespace
+
+// A worker's identity is its connection, never a worker_id a line names.
+// A second connection, unregistered or registered as another worker,
+// that names the first worker's id and batch takes no batch and inserts
+// no cost; the first worker's batch completes with its own costs. An
+// unregistered connection spoofs before the owner polls; a registered
+// one after, since it may rightly take queued work as itself.
+TEST(FleetServerTest, SecondConnectionCannotTakeOrAnswerAWorkersBatch) {
+  for (bool Registered : {false, true}) {
+    SCOPED_TRACE(Registered ? "registered" : "unregistered");
+    FleetServer F("eco_fleet_spoof.sock");
+    std::unique_ptr<Client> Owner = F.connect(), Spoofer = F.connect();
+    ASSERT_TRUE(Owner && Spoofer);
+    uint64_t OwnerId = FleetServer::hello(*Owner);
+    ASSERT_NE(OwnerId, 0u);
+
+    EvalCache Cache;
+    std::vector<RemotePoint> Points = somePoints(2);
+    std::thread Evaluator(
+        [&] { F.pool().evalBatch(someContext(), Points, "warm", Cache); });
+    for (int I = 0; I < 300 && F.stat("batches_outstanding") == 0; ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+
+    Json SpoofPoll = Json::object();
+    SpoofPoll.set("op", "worker.poll");
+    SpoofPoll.set("worker_id", OwnerId);
+    SpoofPoll.set("wait_ms", static_cast<int64_t>(0));
+    Json Batch;
+    if (Registered) {
+      EXPECT_NE(FleetServer::hello(*Spoofer), 0u);
+      Batch = FleetServer::pollForBatch(*Owner, OwnerId);
+    }
+    EXPECT_FALSE(FleetServer::call(*Spoofer, SpoofPoll).has("batch"));
+    if (!Registered)
+      Batch = FleetServer::pollForBatch(*Owner, OwnerId);
+    EXPECT_TRUE(Batch.isObject()) << "the owner never got its batch";
+
+    int64_t BatchId = Batch.get("id").asInt();
+    Json R = FleetServer::result(*Spoofer, OwnerId, BatchId, 666.0, 666.0);
+    EXPECT_TRUE(R.get("stale").asBool(false) || !R.get("ok").asBool(true))
+        << R.dump();
+
+    R = FleetServer::result(*Owner, OwnerId, BatchId, 1.5, 2.5);
+    EXPECT_TRUE(R.get("ok").asBool(false)) << R.dump();
+    EXPECT_FALSE(R.get("stale").asBool(false)) << R.dump();
+    F.pool().shutdown(); // ends the wait if the owner's batch was lost
+    Evaluator.join();
+    EXPECT_EQ(Cache.lookup(Points[0].Key).value_or(-1), 1.5);
+    EXPECT_EQ(Cache.lookup(Points[1].Key).value_or(-1), 2.5);
+    EXPECT_EQ(F.stat("batches_completed"), 1);
+    EXPECT_EQ(F.stat("batches_failed"), 0);
+    EXPECT_EQ(F.stat("lost"), 0);
+
+    // A connection registers once: a second hello is refused and
+    // registers nothing.
+    EXPECT_EQ(FleetServer::hello(*Owner), 0u);
+    EXPECT_EQ(F.stat("joined"), Registered ? 2 : 1);
+  }
+}
+
+// Any line from a registered connection is a sign of life: a worker that
+// only pings while it holds a batch for several heartbeat timeouts stays
+// registered, and its result completes the batch.
+TEST(FleetServerTest, PingAloneKeepsABatchHolderAlive) {
+  ServiceOptions Opts;
+  Opts.Fleet.HeartbeatTimeoutMs = 300;
+  FleetServer F("eco_fleet_ping.sock", Opts);
+  std::unique_ptr<Client> W = F.connect();
+  ASSERT_TRUE(W);
+  uint64_t Id = FleetServer::hello(*W);
+  ASSERT_NE(Id, 0u);
+
+  EvalCache Cache;
+  std::vector<RemotePoint> Points = somePoints(2);
+  std::thread Evaluator(
+      [&] { F.pool().evalBatch(someContext(), Points, "warm", Cache); });
+  Json Batch = FleetServer::pollForBatch(*W, Id);
+  EXPECT_TRUE(Batch.isObject());
+  auto Until = std::chrono::steady_clock::now() + std::chrono::milliseconds(
+                                                      3 * 300 + 100);
+  while (std::chrono::steady_clock::now() < Until) {
+    EXPECT_TRUE(W->ping());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  Json R = FleetServer::result(*W, Id, Batch.get("id").asInt(), 1.5, 2.5);
+  EXPECT_TRUE(R.get("ok").asBool(false)) << R.dump();
+  EXPECT_FALSE(R.get("stale").asBool(false)) << R.dump();
+  F.pool().shutdown(); // ends the wait if the batch was lost
+  Evaluator.join();
+  EXPECT_EQ(Cache.size(), 2u);
+  EXPECT_EQ(F.stat("lost"), 0);
+  EXPECT_EQ(F.stat("batches_completed"), 1);
 }
 
 // ---- End to end: in-process workers over the real socket protocol -------

@@ -3,7 +3,6 @@
 #include "support/Chart.h"
 #include "support/ParseInt.h"
 #include "support/Rng.h"
-#include "support/Stats.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
 #include "support/Timer.h"
@@ -125,18 +124,6 @@ TEST(RngTest, NextDoubleInUnitInterval) {
     EXPECT_GE(D, 0.0);
     EXPECT_LT(D, 1.0);
   }
-}
-
-TEST(StatsTest, MinMaxMean) {
-  SummaryStats S;
-  EXPECT_TRUE(S.empty());
-  S.add(2.0);
-  S.add(8.0);
-  S.add(5.0);
-  EXPECT_EQ(S.count(), 3u);
-  EXPECT_DOUBLE_EQ(S.min(), 2.0);
-  EXPECT_DOUBLE_EQ(S.max(), 8.0);
-  EXPECT_DOUBLE_EQ(S.mean(), 5.0);
 }
 
 TEST(TimerTest, MeasuresElapsed) {
